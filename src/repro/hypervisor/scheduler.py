@@ -163,9 +163,12 @@ class DeficitRoundRobin:
     def withdraw(self, name: str, item: object) -> bool:
         """Remove a queued item (cancellation); False if not queued."""
         cls = self._classes.get(name)
-        if cls is None or item not in cls.queue:
+        if cls is None:
             return False
-        cls.queue.remove(item)
+        try:
+            cls.queue.remove(item)  # one scan finds and removes
+        except ValueError:
+            return False
         if not cls.queue:
             cls.deficit = 0.0
         return True

@@ -98,8 +98,8 @@ class Supervisor:
         #: counters accumulated from dissolved cohorts
         self._cohort_divergence = 0
         self._cohort_vector_ticks = 0
-        #: quiescent tenants advanced whole spans in one dispatch
-        self.idle_fastforwards = 0
+        #: idle fast-forwards of runtimes no longer on the books
+        self._idle_fastforwards = 0
 
     # -- admission ------------------------------------------------------------
 
@@ -191,6 +191,7 @@ class Supervisor:
         tenant = self.tenants.pop(name, None)
         if tenant is None:
             return
+        self._idle_fastforwards += tenant.runtime.idle_fastforwards
         if isinstance(tenant.runtime.engine, CohortLaneEngine):
             self._extract_tenant(tenant)
             self._prune_cohorts()
@@ -203,6 +204,25 @@ class Supervisor:
         if self.journal is not None:
             self.journal.terminal(name, "released")
             self.journal.drop_snapshots(name)
+
+    def _rehost(self, tenant: Tenant, runtime: Runtime) -> None:
+        """Swap in a rebuilt *runtime*, not yet placed anywhere."""
+        self._idle_fastforwards += tenant.runtime.idle_fastforwards
+        tenant.runtime = runtime
+        tenant.client = None
+        tenant.host = None
+        tenant.engine_id = None
+
+    @property
+    def idle_fastforwards(self) -> int:
+        """Dispatches whose engine retired a quiescent span unexecuted.
+
+        Counted by the runtimes themselves (``Runtime.tick``), so it
+        covers every driver — :meth:`run`, :meth:`run_all`, the serving
+        layer's slices — and outlives release, migration and recovery.
+        """
+        return self._idle_fastforwards + sum(
+            t.runtime.idle_fastforwards for t in self.tenants.values())
 
     def _place(self, tenant: Tenant, host: Hypervisor) -> None:
         client = host.connect(tenant.name)
@@ -269,7 +289,6 @@ class Supervisor:
         pending NBA shadow-queue entries as activity.
         """
         if remaining > self.checkpoint_every and runtime.is_idle():
-            self.idle_fastforwards += 1
             return remaining
         return min(self.checkpoint_every, remaining)
 
@@ -419,7 +438,8 @@ class Supervisor:
                 "unfinished: cohort members must be driven in lockstep"
             )
         drained = len(engine._banked)
-        runtime.sim_time += sum(engine._banked)
+        for share in engine._banked:  # tick by tick, as a scalar run adds
+            runtime.sim_time += share
         runtime.ticks += drained
         engine._banked.clear()
         return drained
@@ -504,10 +524,7 @@ class Supervisor:
         resume_cost = runtime.costs.restore_seconds(
             runtime.program.state.total_bits, reconfig)
         runtime.sim_time += resume_cost
-        tenant.runtime = runtime
-        tenant.client = None
-        tenant.host = None
-        tenant.engine_id = None
+        self._rehost(tenant, runtime)
         if destination is not None:
             self._place(tenant, destination)
         report = MigrationReport(
@@ -583,10 +600,7 @@ class Supervisor:
         runtime.sim_time += runtime.costs.restore_seconds(
             runtime.program.state.total_bits, reconfig
         )
-        tenant.runtime = runtime
-        tenant.client = None
-        tenant.host = None
-        tenant.engine_id = None
+        self._rehost(tenant, runtime)
         if destination is not None:
             # Digest-keyed artifacts: this placement is a cache hit in
             # the shared store, so no recompilation happens here.

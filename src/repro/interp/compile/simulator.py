@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
+from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...verilog import ast_nodes as ast
@@ -529,6 +530,8 @@ class CompiledSimulator(InterpSimulator):
         self._nba: List[tuple] = []
         self._write_buffer = ""
         self._processes = code.processes  # shared, read-only
+        #: process runs one settle may make before it is declared divergent
+        self._settle_limit = _MAX_SETTLE_ROUNDS * max(1, code.nprocs)
         self._fifo_mode = code.fifo_mode
         self._is_assign = code.is_assign
         self._comb_order = code.comb_order
@@ -809,7 +812,7 @@ class CompiledSimulator(InterpSimulator):
         queue = self._proc_queue
         queued = self._queued
         runs = 0
-        limit = _MAX_SETTLE_ROUNDS * max(1, len(self._processes))
+        limit = self._settle_limit
         while self._comb_count or queue:
             while self._comb_count:
                 for p in order:
@@ -856,7 +859,7 @@ class CompiledSimulator(InterpSimulator):
         funcs = self._fn
         sweep = self._sweep
         runs = 0
-        limit = _MAX_SETTLE_ROUNDS * max(1, len(self._processes))
+        limit = self._settle_limit
         while self._need_sweep or queue:
             self.settle_rounds += 1
             runs += 1
@@ -899,7 +902,7 @@ class CompiledSimulator(InterpSimulator):
         queued = self._queued
         gates = self._gates
         runs = 0
-        limit = _MAX_SETTLE_ROUNDS * max(1, len(self._processes))
+        limit = self._settle_limit
         while heap or self._trail_count or queue:
             while heap or self._trail_count:
                 while heap:
@@ -964,7 +967,7 @@ class CompiledSimulator(InterpSimulator):
         is_assign = self._is_assign
         funcs = self._fn
         runs = 0
-        limit = _MAX_SETTLE_ROUNDS * max(1, len(self._processes))
+        limit = self._settle_limit
         while queue:
             runs += 1
             if runs > limit:
@@ -1015,7 +1018,8 @@ class CompiledSimulator(InterpSimulator):
         if clk is None or clock != clk or self.store._watchers:
             return super().tick(clock, cycles)
         if self._event:
-            return self._tick_event(cycles)
+            self._tick_event(cycles)
+            return
         if not self._static:
             return super().tick(clock, cycles)
         store = self.store
@@ -1070,24 +1074,56 @@ class CompiledSimulator(InterpSimulator):
                 pass
             self.time += 1
 
-    def _tick_event(self, cycles: int) -> None:
+    def tick_metered(self, clock: str, cycles: int, now: float,
+                     until: float, per_tick: float,
+                     per_stmt: float) -> Optional[Tuple[int, float, int]]:
+        """:meth:`tick` with a cost meter and early return, for engines.
+
+        Drives up to *cycles* periods of the event plan, adding
+        ``per_tick + statements * per_stmt`` to *now* after each one —
+        period by period, so the total does not depend on how a span is
+        cut into calls — and returns after the period that raises
+        ``$finish``, ``$save`` or ``$restart`` or takes *now* to
+        *until* (``inf`` for never).  The result is ``(periods retired, now, periods the
+        quiescence proof retired)``; None means this engine cannot run
+        *clock* on the event plan (always-sweep or fifo schedule, a
+        second clock, store watchers, a waveform writer) and the caller
+        single-steps through :meth:`tick` instead.
+        """
+        if (not self._event or clock != self.code.tick_clock
+                or self.store._watchers or self._vcd is not None):
+            return None
+        return self._tick_event(cycles, now, until, per_tick, per_stmt)
+
+    def _tick_event(self, cycles: int, now: Optional[float] = None,
+                    until: float = inf, per_tick: float = 0.0,
+                    per_stmt: float = 0.0):
         """Inline clock edge with activity dispatch and an idle fast path.
 
         Identical edge application to the static tick (same trigger
         firing decisions, same settle/update-region structure), but
-        settling runs only woken cones.  Before each period the
-        scheduler probes for quiescence: nothing pending anywhere
-        (heap, trailing count, process queue, NBA queue, dirty slots),
-        no combinational cone reads the clock, every clock trigger is a
-        gated process whose enable is provably low, and no machinified
-        NBA shadow queue holds an undrained entry.  A quiescent engine
-        advances all remaining periods in O(1) — time moves, nothing
-        executes.  Idle periods are exact: they would have run zero
-        process bodies, so skipping them is bit-identical.
+        settling runs only woken cones — and is skipped outright when
+        an edge woke nothing (the falling edge of a posedge design).
+        On entry, and again after any period that executed no
+        statement, the scheduler probes for quiescence: nothing pending
+        anywhere (heap, trailing count, process queue, NBA queue, dirty
+        slots), no combinational cone reads the clock, every clock
+        trigger is a gated process whose enable is provably low, and no
+        machinified NBA shadow queue holds an undrained entry.  A
+        quiescent engine retires all remaining periods at once — time
+        moves, nothing executes.  Idle periods are exact: they would
+        have run zero process bodies, so skipping them is bit-identical
+        — which also makes the probe optional: an idle period that goes
+        unprobed (the first after a busy one) simply runs, and executes
+        nothing.
+
+        *now* switches on :meth:`tick_metered`'s cost meter and stop
+        test; without it the loop stops only at ``$finish``.
         """
         code = self.code
         store = self.store
         d = store.data
+        dirty = store.dirty_list
         slot = code.tick_clock_slot
         host = self.host
         comb_clk = self._comb_watch[slot]
@@ -1100,16 +1136,25 @@ class CompiledSimulator(InterpSimulator):
         heap = self._ev_heap
         nba = self._nba
         settle = self._settle_event
-        i = 0
-        while i < cycles:
-            if host.finished:
-                return
-            if (not heap and not self._trail_count and not queue
-                    and not nba and not store.dirty_list and not comb_clk
+        metered = now is not None
+        i = idle = 0
+        probe = True
+        while i < cycles and not host.finished:
+            if (probe and not heap and not self._trail_count and not queue
+                    and not nba and not dirty and not comb_clk
                     and all(self._trigger_idle(t) for t in entries)
                     and self._activity_clear()):
-                self.time += cycles - i
-                return
+                idle = cycles - i
+                if metered:
+                    # One addition per period, as single-stepping makes.
+                    for idle in range(1, idle + 1):
+                        now += per_tick
+                        if now >= until:
+                            break
+                self.time += idle
+                i += idle
+                break
+            before = self.stmts_executed
             try:
                 for value in (1, 0):
                     if d[slot] != value:
@@ -1142,7 +1187,8 @@ class CompiledSimulator(InterpSimulator):
                                 if not queued[p]:
                                     queued[p] = 1
                                     queue.append(p)
-                    settle()
+                    if queue or heap or dirty or self._trail_count:
+                        settle()
                     guard = 0
                     while nba:
                         guard += 1
@@ -1155,6 +1201,14 @@ class CompiledSimulator(InterpSimulator):
                 pass
             self.time += 1
             i += 1
+            executed = self.stmts_executed - before
+            probe = not executed
+            if metered:
+                now += per_tick + executed * per_stmt
+                if (host.save_requested or host.restart_requested
+                        or now >= until):
+                    break
+        return i, now, idle
 
     def _trigger_idle(self, trigger) -> bool:
         """True when firing *trigger* this period is a provable no-op.

@@ -9,14 +9,15 @@ closures of the shared ``batch`` artifact — and hands each tenant a
 :class:`CohortLaneEngine`: an :class:`~repro.runtime.engine.Engine`
 whose state is one lane of the cohort's ``(slots, N)`` matrix.
 
-Lane engines keep the runtime layer oblivious.  ``Runtime.tick`` still
-calls ``run_tick`` once per tenant per tick; vectorization emerges from
-*tick banking*: the first lane asked for a tick it does not yet have
-advances the whole cohort one vector tick and credits every other live
-lane with one banked tick (plus its share of the dispatch cost).  When
-the supervisor drives its tenants in lockstep — same tick budget, chunk
-by chunk at quiescence boundaries — every lane after the first consumes
-a banked tick in O(1), so one NumPy dispatch serves the entire cohort.
+Lane engines keep the runtime layer oblivious: ``Runtime.tick`` hands a
+lane a tick budget like any other engine.  The first lane asked for
+ticks it does not yet have advances the *whole cohort* that many vector
+ticks in one loop and credits every other live lane with its share of
+each dispatch's cost — so a lane's state may be ahead of the ticks its
+runtime has accounted for.  Driven in lockstep (same budget, chunk by
+chunk at quiescence boundaries), every lane after the first finds its
+budget already run and only collects the shares: one NumPy dispatch per
+tick serves the entire cohort.
 
 Cost accounting splits each vector tick's modeled software seconds
 evenly across the lanes that were live when it ran, so a cohort of N
@@ -32,7 +33,9 @@ snapshot is bit-compatible with the scalar store snapshot, so
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from math import inf
+from typing import Deque, Dict, List, Optional
 
 from ..compiler.service import CompilerService, default_service
 from ..core.pipeline import CompiledProgram
@@ -84,13 +87,6 @@ class CohortEngine:
         """Lane-divergence events (masked control flow) so far."""
         return self.cohort.divergence
 
-    @property
-    def quiescent(self) -> bool:
-        """True when no lane holds banked ticks — i.e. every member's
-        runtime has accounted for every vector dispatch, so snapshots,
-        detaches, and checkpoints are safe right now."""
-        return all(not member._banked for member in self.members)
-
     def admit(self, host: TaskHost,
               state: Optional[Dict[str, object]] = None) -> "CohortLaneEngine":
         """Join *host* as a new lane; returns its engine.
@@ -125,31 +121,45 @@ class CohortEngine:
 
     # -- vector dispatch ---------------------------------------------------
 
-    def _vector_tick(self, clock: str, caller: "CohortLaneEngine") -> float:
-        """Advance every live lane one tick; returns *caller*'s cost share.
+    def _dispatch(self, clock: str, caller: "CohortLaneEngine", budget: int,
+                  now: float, until: float):
+        """Advance every live lane up to *budget* ticks for *caller*.
 
-        Lanes other than the caller are credited one banked tick each;
-        a lane's ``run_tick`` consumes its bank before triggering
-        another dispatch, which is what keeps lockstep schedules at one
-        dispatch per cohort per tick.
+        Each vector tick's cost is split across the lanes live when it
+        ran: *caller*'s share goes onto *now*, every other lane's onto
+        its bank, which that lane's ``run_chunk`` collects before it
+        dispatches anything (a lockstep schedule stays at one dispatch
+        per tick).  Stops after the tick that finishes *caller* or
+        takes *now* to *until*; returns ``(ticks, now)``.
         """
         cohort = self.cohort
         cohort.sync_alive()
-        started = [m for m in self.members
-                   if not cohort.hosts[m.lane].finished]
-        before = cohort.stmts_executed
-        if clock == self.batch.clock:
-            cohort.tick(1)
-        else:
-            cohort.generic_tick(clock, 1)
-        self.vector_ticks += 1
-        executed = cohort.stmts_executed - before
-        seconds = SW_SECONDS_PER_TICK + executed * SW_SECONDS_PER_STMT
-        share = seconds / max(1, len(started))
-        for member in started:
-            if member is not caller:
-                member._banked.append(share)
-        return share
+        tick = (cohort.tick if clock == self.batch.clock
+                else lambda n: cohort.generic_tick(clock, n))
+        host = caller.host
+        live = -1
+        ticks = 0
+        while ticks < budget:
+            # Lanes only die inside a dispatch, so the live set moved
+            # exactly when its size did.
+            n = cohort.n if cohort.alive_all else int(cohort.alive.sum())
+            if n != live:
+                live = n
+                others = [m._banked for m in self.members
+                          if m is not caller and cohort.alive[m.lane]]
+            before = cohort.stmts_executed
+            tick(1)
+            self.vector_ticks += 1
+            executed = cohort.stmts_executed - before
+            seconds = SW_SECONDS_PER_TICK + executed * SW_SECONDS_PER_STMT
+            share = seconds / max(1, live)
+            for bank in others:
+                bank.append(share)
+            now += share
+            ticks += 1
+            if host.finished or now >= until:
+                break
+        return ticks, now
 
 
 class CohortLaneEngine(Engine):
@@ -166,8 +176,9 @@ class CohortLaneEngine(Engine):
     def __init__(self, engine: CohortEngine, lane: int):
         self.engine = engine
         self.lane = lane
-        #: per-tick cost shares pre-paid by other lanes' dispatches
-        self._banked: List[float] = []
+        #: per-tick cost shares of ticks other lanes' dispatches already
+        #: applied to this lane, oldest first
+        self._banked: Deque[float] = deque()
         self._detached = False
 
     @property
@@ -181,7 +192,7 @@ class CohortLaneEngine(Engine):
     @property
     def banked(self) -> int:
         """Vector ticks already applied to this lane but not yet
-        consumed through ``run_tick`` (nonzero only mid-schedule)."""
+        accounted through ``run_chunk`` (nonzero only mid-schedule)."""
         return len(self._banked)
 
     @property
@@ -214,11 +225,20 @@ class CohortLaneEngine(Engine):
         self.cohort.set_value(name, value, lane=self.lane)
         self.cohort.step()
 
-    def run_tick(self, clock: str) -> TickStats:
+    def run_chunk(self, clock: str, budget: int, now: float = 0.0,
+                  until: float = inf) -> TickStats:
         self._check_attached()
-        if self._banked:
-            return TickStats(seconds=self._banked.pop(0))
-        return TickStats(seconds=self.engine._vector_tick(clock, self))
+        start = now
+        bank = self._banked
+        ticks = 0
+        while bank and ticks < budget and now < until:
+            now += bank.popleft()
+            ticks += 1
+        if ticks < budget and now < until and not self.host.finished:
+            ran, now = self.engine._dispatch(clock, self, budget - ticks,
+                                             now, until)
+            ticks += ran
+        return TickStats(seconds=now - start, ticks=ticks, now=now)
 
     def snapshot(self, names=None) -> Dict[str, object]:
         self._check_attached()

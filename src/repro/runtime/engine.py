@@ -16,7 +16,8 @@ them because both kinds speak the same ABI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Dict, Optional
 
 from ..compiler.service import CompilerService, default_service
@@ -39,7 +40,7 @@ SW_SECONDS_PER_TICK = 1e-5
 
 @dataclass
 class TickStats:
-    """Cost accounting for one virtual clock tick (or batch of ticks)."""
+    """Cost accounting for one :meth:`Engine.run_chunk` dispatch."""
 
     seconds: float = 0.0
     native_cycles: int = 0
@@ -51,12 +52,17 @@ class TickStats:
     #: long batches (§4.1), so steady-state throughput models use
     #: ``native_cycles/clock + trap_seconds`` only.
     trap_seconds: float = 0.0
+    #: the caller's modeled clock after the last retired tick
+    now: float = 0.0
+    #: ticks of ``ticks`` the quiescence proof retired unexecuted
+    idle_ticks: int = 0
 
 
 class Engine:
     """Common engine interface (a subset of the Cascade ABI)."""
 
     kind = "abstract"
+    host: TaskHost
 
     def get(self, name: str) -> int:
         raise NotImplementedError
@@ -64,8 +70,34 @@ class Engine:
     def set(self, name: str, value: int) -> None:
         raise NotImplementedError
 
-    def run_tick(self, clock: str) -> TickStats:
+    def run_chunk(self, clock: str, budget: int, now: float = 0.0,
+                  until: float = inf) -> TickStats:
+        """Retire up to *budget* ticks of *clock*: the one way to step.
+
+        Returns early only after the tick that sets ``host.finished``,
+        raises ``$save``/``$restart``, or takes the modeled clock to
+        *until*; each tick's cost is added to *now* in turn and comes
+        back as ``stats.now`` (docs/ARCHITECTURE.md, "Stepping", has the
+        whole contract).  This default single-steps :meth:`_step` — all
+        the reference interpreter, the always-sweep scheduler and a
+        second clock domain need.
+        """
+        host = self.host
+        start = now
+        ticks = 0
+        while ticks < budget and not host.finished:
+            now += self._step(clock)
+            ticks += 1
+            if host.save_requested or host.restart_requested or now >= until:
+                break
+        return TickStats(seconds=now - start, ticks=ticks, now=now)
+
+    def _step(self, clock: str) -> float:
+        """Drive one tick; returns its modeled seconds."""
         raise NotImplementedError
+
+    def run_tick(self, clock: str) -> TickStats:
+        return self.run_chunk(clock, 1)
 
     def is_idle(self) -> bool:
         """True when further ticks provably execute nothing.
@@ -136,31 +168,30 @@ class SoftwareEngine(Engine):
         self.sim.set(name, value)
         self.sim.step()
 
-    def run_tick(self, clock: str) -> TickStats:
-        before = self.sim.stmts_executed
-        self.sim.tick(clock)
-        executed = self.sim.stmts_executed - before
-        seconds = SW_SECONDS_PER_TICK + executed * SW_SECONDS_PER_STMT
-        return TickStats(seconds=seconds)
+    def _step(self, clock: str) -> float:
+        sim = self.sim
+        before = sim.stmts_executed
+        sim.tick(clock)
+        return (SW_SECONDS_PER_TICK
+                + (sim.stmts_executed - before) * SW_SECONDS_PER_STMT)
+
+    def run_chunk(self, clock: str, budget: int, now: float = 0.0,
+                  until: float = inf) -> TickStats:
+        """The event plan retires the whole chunk inside the simulator
+        (quiescent spans unexecuted); anything else single-steps."""
+        metered = getattr(self.sim, "tick_metered", None)
+        done = None if metered is None else metered(
+            clock, budget, now, until,
+            SW_SECONDS_PER_TICK, SW_SECONDS_PER_STMT)
+        if done is None:
+            return super().run_chunk(clock, budget, now, until)
+        ticks, end, idle = done
+        return TickStats(seconds=end - now, ticks=ticks, now=end,
+                         idle_ticks=idle)
 
     def is_idle(self) -> bool:
         probe = getattr(self.sim, "is_idle", None)
         return bool(probe()) if probe is not None else False
-
-    def run_idle(self, clock: str, ticks: int) -> TickStats:
-        """Advance an idle engine *ticks* periods in one dispatch.
-
-        Only called after :meth:`is_idle`; the event scheduler's fast
-        path makes the whole span one near-zero call.  Accounting is
-        exact, not approximate: an idle tick costs the fixed per-tick
-        overhead plus zero statements, so the modeled seconds equal
-        what *ticks* individual ``run_tick`` calls would have charged.
-        """
-        before = self.sim.stmts_executed
-        self.sim.tick(clock, ticks)
-        executed = self.sim.stmts_executed - before
-        seconds = ticks * SW_SECONDS_PER_TICK + executed * SW_SECONDS_PER_STMT
-        return TickStats(seconds=seconds, ticks=ticks)
 
     def snapshot(self, names=None) -> Dict[str, object]:
         return self.sim.store.snapshot(names)
@@ -190,69 +221,22 @@ class HardwareEngine(Engine):
     def set(self, name: str, value: int) -> None:
         self.channel.send(Set(name, value))
 
-    def run_tick(self, clock: str) -> TickStats:
-        """One virtual clock tick: rising edge with trap servicing, then
-        the falling edge (edge-detection registers must observe it)."""
-        stats = TickStats()
-        start_messages = self.channel.stats.messages
-        start_seconds = self.channel.stats.seconds
-
-        self.channel.send(Set(clock, 1))
-        reply: TrapReply = self.channel.send(Evaluate())
-        stats.native_cycles += reply.native_cycles
-        while reply.status == "trap":
-            site = self.program.transform.tasks.get(reply.task_id)
-            if site is None:
-                raise KeyError(f"engine trapped on unknown task {reply.task_id}")
-            trap_t0 = self.channel.stats.seconds
-            self.servicer.service(self.channel, site)
-            stats.traps += 1
-            if self.host.finished:
-                stats.trap_seconds += self.channel.stats.seconds - trap_t0
-                break
-            reply = self.channel.send(Cont())
-            stats.native_cycles += reply.native_cycles
-            stats.trap_seconds += self.channel.stats.seconds - trap_t0
-
-        self.channel.send(Set(clock, 0))
-        if not self.host.finished:
-            reply = self.channel.send(Evaluate())
-            stats.native_cycles += reply.native_cycles
-            while reply.status == "trap":
-                site = self.program.transform.tasks.get(reply.task_id)
-                if site is None:
-                    raise KeyError(f"engine trapped on unknown task {reply.task_id}")
-                trap_t0 = self.channel.stats.seconds
-                self.servicer.service(self.channel, site)
-                stats.traps += 1
-                if self.host.finished:
-                    stats.trap_seconds += self.channel.stats.seconds - trap_t0
-                    break
-                reply = self.channel.send(Cont())
-                stats.native_cycles += reply.native_cycles
-                stats.trap_seconds += self.channel.stats.seconds - trap_t0
-
-        stats.abi_messages = self.channel.stats.messages - start_messages
-        stats.seconds = (
-            stats.native_cycles / self.clock_hz
-            + (self.channel.stats.seconds - start_seconds)
-        )
-        return stats
-
-    def run_batch(self, clock: str, ticks: int) -> TickStats:
-        """Drive up to *ticks* virtual ticks with one ABI request.
+    def run_chunk(self, clock: str, budget: int, now: float = 0.0,
+                  until: float = inf) -> TickStats:
+        """Drive up to *budget* virtual ticks with one ABI request.
 
         The device generates the virtual clock itself (§4.1's batch
         optimization); control returns early on a trap, a ``$finish``,
         or a ``$save``/``$restart``/``$yield`` that the runtime must
-        handle between logical ticks.
+        handle between logical ticks.  The batch is costed as a whole,
+        so *now* advances once; *until* cannot apply on fabric.
         """
         stats = TickStats(ticks=0)
         start_messages = self.channel.stats.messages
         start_seconds = self.channel.stats.seconds
-        remaining = ticks
+        remaining = budget
         while remaining > 0 and not self.host.finished:
-            reply: BatchReply = self.channel.send(RunTicks(self.clock_name(clock), remaining))
+            reply: BatchReply = self.channel.send(RunTicks(clock, remaining))
             stats.native_cycles += reply.native_cycles
             stats.ticks += reply.ticks_done
             remaining -= reply.ticks_done
@@ -296,13 +280,10 @@ class HardwareEngine(Engine):
             stats.native_cycles / self.clock_hz
             + (self.channel.stats.seconds - start_seconds)
         )
+        stats.now = now + stats.seconds
         if stats.ticks == 0:
             stats.ticks = 1  # a fully-blocked tick still advances time
         return stats
-
-    @staticmethod
-    def clock_name(clock: str) -> str:
-        return clock
 
     def snapshot(self, names=None) -> Dict[str, object]:
         names_tuple = tuple(names) if names is not None else None

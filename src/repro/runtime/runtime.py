@@ -17,6 +17,7 @@ billions of interpreted ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler.service import CompilerService, default_service
@@ -110,6 +111,8 @@ class Runtime:
 
         self.sim_time = 0.0
         self.ticks = 0
+        #: dispatches whose engine retired a quiescent span unexecuted
+        self.idle_fastforwards = 0
         self.traps_total = 0
         self.trap_seconds_total = 0.0
         self.telemetry: List[TelemetryEvent] = []
@@ -201,34 +204,25 @@ class Runtime:
     def tick(self, cycles: int = 1) -> TickStats:
         """Drive *cycles* virtual clock ticks; returns the last stats.
 
-        On a hardware engine, multi-tick requests run as on-device
-        batches (one ABI request per batch, §4.1) and only come up for
-        air at traps and control events.
+        Each :meth:`Engine.run_chunk` dispatch retires as much of the
+        request as it can and comes back exactly where this layer has
+        work between logical ticks — ``$finish``, a control trap, the
+        placement becoming ready — so :meth:`_post_tick` fires on the
+        tick it would under single-stepping.
         """
         stats = TickStats()
         remaining = cycles
         while remaining > 0 and not self.finished:
-            if remaining > 1 and isinstance(self.engine, HardwareEngine):
-                stats = self.engine.run_batch(self.clock, remaining)
-                self.sim_time += stats.seconds
-                self.ticks += stats.ticks
-                remaining -= stats.ticks
-            elif remaining > 1 and self.engine.is_idle():
-                # Quiescent software engine: the event scheduler's fast
-                # path advances the whole span in one dispatch.  No
-                # traps are possible (nothing executes), and the exact
-                # per-tick accounting is preserved.
-                stats = self.engine.run_idle(self.clock, remaining)
-                self.sim_time += stats.seconds
-                self.ticks += stats.ticks
-                remaining -= stats.ticks
-            else:
-                stats = self.engine.run_tick(self.clock)
-                self.sim_time += stats.seconds
-                self.ticks += 1
-                remaining -= 1
+            ready = self._hw_ready_at
+            stats = self.engine.run_chunk(self.clock, remaining, self.sim_time,
+                                          inf if ready is None else ready)
+            self.sim_time = stats.now
+            self.ticks += stats.ticks
+            remaining -= stats.ticks
             self.traps_total += stats.traps
             self.trap_seconds_total += stats.trap_seconds
+            if stats.idle_ticks:
+                self.idle_fastforwards += 1
             self._post_tick()
         return stats
 
@@ -241,12 +235,11 @@ class Runtime:
         suspend, checkpoint, migrate, or re-queue the tenant without
         touching mid-tick state.  On a hardware engine the chunk still
         runs as one on-device batch (§4.1); on a cohort lane it consumes
-        banked ticks in O(1) when the cohort's lockstep schedule has
-        already advanced this lane.
+        in one slice whatever the cohort's lockstep schedule has already
+        advanced this lane.
         """
         t0, n0, traps0 = self.sim_time, self.ticks, self.traps_total
-        if budget > 0 and not self.finished:
-            self.tick(budget)
+        self.tick(budget)
         return SliceReport(
             ticks=self.ticks - n0,
             seconds=self.sim_time - t0,

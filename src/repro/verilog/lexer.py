@@ -46,6 +46,12 @@ OPERATORS = [
 
 TOKEN_OPS = frozenset(OPERATORS)
 
+#: one alternation, longest operator first, so the first alternative
+#: that matches is the longest operator at that position
+_OP_RE = re.compile("|".join(
+    re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)))
+_BLANK_RE = re.compile(r"[ \t\r\f]+")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -200,7 +206,7 @@ def tokenize(text: str, defines: Optional[Dict[str, str]] = None) -> List[Token]
             line_start = i
             continue
         if ch in " \t\r\f":
-            i += 1
+            i = _BLANK_RE.match(text, i).end()
             continue
         if ch == "(" and text.startswith("(*", i):
             tokens.append(Token("ATTR_OPEN", "(*", pos(i)))
@@ -261,15 +267,11 @@ def tokenize(text: str, defines: Optional[Dict[str, str]] = None) -> List[Token]
             tokens.append(Token(kind, word, pos(i)))
             i = m.end()
             continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, pos(i)))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
+        m = _OP_RE.match(text, i)
+        if not m:
             raise LexError(f"unexpected character {ch!r}", pos(i))
+        tokens.append(Token("OP", m.group(0), pos(i)))
+        i = m.end()
     tokens.append(Token("EOF", "", pos(i)))
     return tokens
 

@@ -197,3 +197,21 @@ class TestDeficitRoundRobin:
         assert not drr.withdraw("a", "j1")
         assert drr.backlog == 0
         assert drr.next_turn() is None
+
+    def test_withdraw_of_unqueued_item_leaves_deficit_alone(self):
+        from repro.hypervisor import DeficitRoundRobin
+
+        drr = DeficitRoundRobin(quantum=8, classes={"a": 1.0})
+        for item in ("j1", "j2", "j3"):
+            drr.enqueue("a", item)
+        name, item, budget = drr.next_turn()   # pops j1 with 8 ticks of credit
+        drr.charge(name, 3)
+        deficit = drr.stats()["classes"]["a"]["deficit"]
+        assert deficit == 5.0
+        assert not drr.withdraw("a", item)          # popped, not queued
+        assert not drr.withdraw("a", "stranger")
+        assert not drr.withdraw("no-such-class", "j2")
+        assert drr.stats()["classes"]["a"]["deficit"] == deficit
+        assert drr.stats()["classes"]["a"]["queued"] == 2
+        assert drr.withdraw("a", "j3")              # tail goes, order kept
+        assert drr.next_turn()[1] == "j2"

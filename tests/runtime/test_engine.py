@@ -71,7 +71,7 @@ class TestHardwareEngine:
 
     def test_run_batch_counts_ticks(self):
         engine = hardware_engine(COUNTER)
-        stats = engine.run_batch("clock", 20)
+        stats = engine.run_chunk("clock", 20)
         assert stats.ticks == 20
         assert engine.get("n") == 20
         # batch cost: 3 cycles/tick exactly for a trap-free design
@@ -85,14 +85,14 @@ class TestHardwareEngine:
 
     def test_traps_serviced_in_batch(self):
         engine = hardware_engine(CHATTY)
-        stats = engine.run_batch("clock", 5)
+        stats = engine.run_chunk("clock", 5)
         assert stats.ticks == 5
         assert engine.host.display_log == [f"n={i}" for i in range(5)]
         assert stats.trap_seconds > 0
 
     def test_snapshot_restore_via_abi(self):
         engine = hardware_engine(COUNTER)
-        engine.run_batch("clock", 4)
+        engine.run_chunk("clock", 4)
         snap = engine.snapshot()
         other = hardware_engine(COUNTER)
         other.restore(snap)
@@ -100,7 +100,7 @@ class TestHardwareEngine:
 
     def test_partial_snapshot(self):
         engine = hardware_engine(COUNTER)
-        engine.run_batch("clock", 2)
+        engine.run_chunk("clock", 2)
         snap = engine.snapshot(["n"])
         # The transform's __-prefixed bookkeeping (control state, NBA
         # shadow queues) always rides along with a narrowed capture set

@@ -149,3 +149,107 @@ class TestBasedLiteralDecoding:
     def test_unsized(self):
         width, _, base, value, _ = parse_based_literal("'d42")
         assert width is None and value == 42
+
+
+def _tokenize_reference(text, defines=None):
+    """The pre-regex tokenizer loop, frozen: operators by trying each
+    ``OPERATORS`` entry with ``startswith``, blanks one character at a
+    time.  Kept only as the oracle for ``TestOperatorRegexEquivalence``."""
+    from repro.verilog import lexer as lx
+    from repro.verilog.ast_nodes import SourcePos
+
+    text = lx._strip_comments(lx.Preprocessor(defines).process(text))
+    tokens = []
+    line, line_start = 1, 0
+    i, n = 0, len(text)
+
+    def pos(at):
+        return SourcePos(line, at - line_start + 1)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            line_start = i
+        elif ch in " \t\r\f":
+            i += 1
+        elif ch == "(" and text.startswith("(*", i):
+            tokens.append(lx.Token("ATTR_OPEN", "(*", pos(i)))
+            i += 2
+        elif ch == "*" and text.startswith("*)", i):
+            tokens.append(lx.Token("ATTR_CLOSE", "*)", pos(i)))
+            i += 2
+        elif ch == '"':
+            m = lx._STRING_RE.match(text, i)
+            value = (m.group(1).replace("\\n", "\n").replace("\\t", "\t")
+                     .replace('\\"', '"').replace("\\\\", "\\"))
+            tokens.append(lx.Token("STRING", value, pos(i)))
+            i = m.end()
+        elif ch == "'":
+            m = lx._BASED_RE.match(text, i)
+            tokens.append(lx.Token("BASEDNUM", m.group(0), pos(i)))
+            i = m.end()
+        elif ch.isdigit():
+            m = lx._DEC_RE.match(text, i)
+            based = lx._BASED_RE.match(text, m.end())
+            if based:
+                tokens.append(lx.Token("BASEDNUM", text[i:based.end()], pos(i)))
+                i = based.end()
+            else:
+                tokens.append(lx.Token("NUMBER", m.group(0), pos(i)))
+                i = m.end()
+        elif ch == "$":
+            m = lx._SYSID_RE.match(text, i)
+            tokens.append(lx.Token("SYSID", m.group(0), pos(i)))
+            i = m.end()
+        elif ch == "\\":
+            j = i + 1
+            while j < n and not text[j].isspace():
+                j += 1
+            tokens.append(lx.Token("ID", text[i + 1:j], pos(i)))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            m = lx._ID_RE.match(text, i)
+            word = m.group(0)
+            kind = "KEYWORD" if word in lx.KEYWORDS else "ID"
+            tokens.append(lx.Token(kind, word, pos(i)))
+            i = m.end()
+        else:
+            for op in lx.OPERATORS:
+                if text.startswith(op, i):
+                    tokens.append(lx.Token("OP", op, pos(i)))
+                    i += len(op)
+                    break
+            else:
+                raise LexError(f"unexpected character {ch!r}", pos(i))
+    tokens.append(lx.Token("EOF", "", pos(i)))
+    return tokens
+
+
+class TestOperatorRegexEquivalence:
+    """One alternation + blank-run regex vs the frozen per-operator loop:
+    kind, text and position of every token must be unchanged."""
+
+    def test_every_operator_and_blank_mix(self):
+        from repro.verilog.lexer import OPERATORS
+
+        text = " \t".join(OPERATORS) + "\n\r\f  a<<<=b>>>c!==d~^e^~f+:g**h \t\n"
+        assert tokenize(text) == _tokenize_reference(text)
+        with pytest.raises(LexError):
+            tokenize("a ` b")
+
+    def test_table1_sources(self):
+        from repro.bench import BENCHMARKS
+        from repro.harness.common import bench_source_kwargs
+
+        for name, bench in BENCHMARKS.items():
+            text = bench.source(**bench_source_kwargs(name))
+            assert tokenize(text) == _tokenize_reference(text), name
+
+    def test_first_fifty_fuzz_seeds(self):
+        from repro.fuzz.gen import generate
+
+        for seed in range(50):
+            text = generate(seed).source
+            assert tokenize(text) == _tokenize_reference(text), seed
