@@ -5,7 +5,14 @@ invocation pays real interpreted-simulation cost — so benchmarks run
 with a single round unless asked otherwise.
 """
 
+import json
+from pathlib import Path
+
 import pytest
+
+#: Where result JSON lands (git-ignored).  The ``BENCH_*.json`` at the
+#: repo root are the last *recorded* reference; tests never touch them.
+OUT_DIR = Path(__file__).resolve().parent / "out"
 
 
 @pytest.fixture
@@ -17,3 +24,16 @@ def once(benchmark):
                                   rounds=1, iterations=1, warmup_rounds=0)
 
     return runner
+
+
+@pytest.fixture
+def write_result():
+    """``write_result(name, data)`` → path of ``out/<name>.json``."""
+
+    def write(name, data):
+        OUT_DIR.mkdir(exist_ok=True)
+        path = OUT_DIR / f"{name}.json"
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        return path
+
+    return write

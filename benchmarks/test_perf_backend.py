@@ -2,14 +2,12 @@
 
 Measures real wall-clock simulation throughput (not the modeled
 seconds) for the two heaviest Table 1 workloads and records the
-numbers in ``BENCH_backend.json`` at the repo root, so future PRs have
+numbers in ``benchmarks/out/BENCH_backend.json``, so future PRs have
 a perf trajectory to compare against.  The compiled backend must hold
 a >=5x advantage on both — that is the tentpole's acceptance bar.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.bench import BENCHMARKS
 from repro.interp import Simulator, TaskHost, VirtualFS
@@ -18,8 +16,6 @@ from repro.verilog import flatten, parse
 #: (workload, ticks per backend) — sized for stable timing on the slow
 #: oracle while keeping the whole benchmark under a few seconds.
 CASES = [("mips32", 192), ("bitcoin", 24)]
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
 
 MIN_SPEEDUP = 5.0
 
@@ -33,7 +29,7 @@ def _ticks_per_sec(flat, backend, ticks):
     return ticks / max(elapsed, 1e-9)
 
 
-def test_compiled_backend_speedup():
+def test_compiled_backend_speedup(write_result):
     results = {}
     for name, ticks in CASES:
         flat = flatten(parse(BENCHMARKS[name].source()), name)
@@ -45,9 +41,9 @@ def test_compiled_backend_speedup():
             "compiled_ticks_per_sec": round(compiled_rate, 1),
             "speedup": round(compiled_rate / interp_rate, 2),
         }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_backend", results)
     for name, row in results.items():
         assert row["speedup"] >= MIN_SPEEDUP, (
             f"{name}: compiled backend only {row['speedup']}x over interp "
-            f"(need >={MIN_SPEEDUP}x); see {RESULT_PATH}"
+            f"(need >={MIN_SPEEDUP}x); see {result_path}"
         )

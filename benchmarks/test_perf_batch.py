@@ -6,7 +6,7 @@ tenant lanes against N scalar compiled simulators sharing the same
 codegen artifact — the hypervisor's dominant workload shape (the
 artifact store's ~93% hit rate is N tenants of one bitstream).
 
-Results land in ``BENCH_batch.json`` at the repo root: per-workload,
+Results land in ``benchmarks/out/BENCH_batch.json``: per-workload,
 per-N aggregate rates plus cohort telemetry (lane divergence, vector
 statement counts) and the compiler service's batch-artifact cache
 stats.  The acceptance bar is a >=10x aggregate advantage at N=256 on
@@ -16,9 +16,7 @@ Skips cleanly when NumPy is absent — the batched backend is an
 optional extra (``pip install .[batch]``).
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -29,8 +27,6 @@ from repro.compiler.service import CompilerService, KIND_BATCH
 from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile.batch import BatchedCohort, BatchUnsupported
 from repro.verilog import flatten, parse
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 LANE_COUNTS = (1, 16, 64, 256)
 
@@ -100,7 +96,7 @@ def _batched_rate(batch, n, ticks, seed_name=None):
     return (n * ticks) / max(elapsed, 1e-9), cohort
 
 
-def test_batched_backend_speedup():
+def test_batched_backend_speedup(write_result):
     service = CompilerService()
     results = {}
     best = {}
@@ -132,11 +128,11 @@ def test_batched_backend_speedup():
         "hits": batch_stats.hits,
         "misses": batch_stats.misses,
     }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_batch", results)
     assert best, "no workload licensed for the batched backend"
     top = max(best.values())
     assert top >= MIN_SPEEDUP, (
         f"batched backend peaked at {top}x aggregate over "
         f"{LANE_COUNTS[-1]} scalar engines (need >={MIN_SPEEDUP}x); "
-        f"see {RESULT_PATH}"
+        f"see {result_path}"
     )

@@ -13,21 +13,17 @@ one-compiler-many-instances deployment the paper's §4/§7 argue for:
   store pre-warmed by an identical sweep; reports the artifact-store
   hit/miss aggregate from ``ArtifactStore.stats()``.
 
-Results land in ``BENCH_compiler.json`` at the repo root so future PRs
+Results land in ``benchmarks/out/BENCH_compiler.json`` so future PRs
 have a spin-up trajectory to compare against.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.bench import BENCHMARKS
 from repro.compiler import ArtifactStore, CompilerService
 from repro.fabric import F1
 from repro.hypervisor import Hypervisor
 from repro.runtime import Runtime
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_compiler.json"
 
 ENGINES = 32
 MIN_SPEEDUP = 10.0
@@ -70,7 +66,7 @@ def _arrival_sweep(service: CompilerService) -> float:
     return time.perf_counter() - start
 
 
-def test_compiler_service_reuse():
+def test_compiler_service_reuse(write_result):
     results = {}
 
     for name in ("mips32", "bitcoin"):
@@ -103,13 +99,13 @@ def test_compiler_service_reuse():
         },
     }
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_compiler", results)
 
     for name in ("mips32", "bitcoin"):
         row = results[f"spinup_{name}"]
         assert row["speedup"] >= MIN_SPEEDUP, (
             f"{name}: warm spin-up only {row['speedup']}x over cold "
-            f"(need >={MIN_SPEEDUP}x); see {RESULT_PATH}"
+            f"(need >={MIN_SPEEDUP}x); see {result_path}"
         )
     sweep = results["hypervisor_sweep"]
     assert sweep["warm_seconds"] <= sweep["cold_seconds"], (

@@ -14,11 +14,10 @@ Two costs the durable tier introduces, measured in real wall-clock:
   wall-clock per tenant at the configured checkpoint cadence, plus the
   journal's own write counters.
 
-Results land in ``BENCH_durability.json`` at the repo root.
+Results land in ``benchmarks/out/BENCH_durability.json``.
 """
 
 import asyncio
-import json
 import shutil
 import tempfile
 import time
@@ -34,8 +33,6 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "serve"))
 from serve_helpers import APP, make_fleet  # noqa: E402
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_durability.json"
 
 ENGINES = 32
 TENANTS = 16
@@ -120,7 +117,7 @@ def _journal_rows(tmp: Path):
     }
 
 
-def test_durability_costs():
+def test_durability_costs(write_result):
     tmp = Path(tempfile.mkdtemp(prefix="repro-bench-durability-"))
     try:
         results = {}
@@ -129,13 +126,13 @@ def test_durability_costs():
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_durability", results)
 
     for name in ("mips32", "bitcoin"):
         row = results[f"spinup_{name}"]
         assert row["cross_process_speedup"] >= MIN_RESTART_SPEEDUP, (
             f"{name}: disk-tier restart only {row['cross_process_speedup']}x "
-            f"over cold (need >={MIN_RESTART_SPEEDUP}x); see {RESULT_PATH}"
+            f"over cold (need >={MIN_RESTART_SPEEDUP}x); see {result_path}"
         )
     journal = results["journal_overhead"]["journal"]
     assert journal["records_written"] > 0

@@ -1,13 +1,13 @@
 """Event-scheduler micro-benchmark: what does a quiescent tick cost?
 
-Two measurements land in ``BENCH_event.json`` at the repo root:
+Two measurements land in ``benchmarks/out/BENCH_event.json``:
 
 * **quiescent micro** — one clock-gated register bank with every
   enable low, ticked in bulk under the event scheduler
-  (``REPRO_SIM_EVENT=1``, idle fast path) and under the always-sweep
-  twin (``REPRO_SIM_EVENT=0``, every tick re-runs the full rank-order
-  sweep).  The event side must be at least ``MIN_IDLE_SPEEDUP``
-  cheaper per tick.
+  (``REPRO_SIM_EVENT=1``, idle fast path) and under the baseline
+  configuration (``REPRO_SIM_EVENT=0``: every tick runs every clocked
+  block body through the reference ``tick``).  The event side must
+  be at least ``MIN_IDLE_SPEEDUP`` cheaper per tick.
 * **fleet sweep** — a software-only supervisor carrying 1000 tenants
   of one shared digest, ten of them active and the rest enable-gated
   idle, driven through ``run_all``.  The interesting number is
@@ -15,9 +15,7 @@ Two measurements land in ``BENCH_event.json`` at the repo root:
   probe + one accounting call instead of per-chunk stepping.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro.fabric.device import F1
 from repro.hypervisor import Hypervisor
@@ -27,9 +25,7 @@ from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.verilog import flatten, parse
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_event.json"
-
-#: required quiescent-tick cost reduction, event over always-sweep
+#: required quiescent-tick cost reduction, event over baseline
 MIN_IDLE_SPEEDUP = 10.0
 
 GATED = """
@@ -68,7 +64,7 @@ def _quiescent_rate(event: bool, ticks: int) -> float:
     return ticks / elapsed
 
 
-def test_quiescent_tick_cost_reduction():
+def test_quiescent_tick_cost_reduction(write_result):
     results = {}
     event_rate = _quiescent_rate(event=True, ticks=QUIESCENT_TICKS)
     sweep_rate = _quiescent_rate(event=False, ticks=QUIESCENT_TICKS)
@@ -105,10 +101,10 @@ def test_quiescent_tick_cost_reduction():
         assert supervisor.tenants[f"t{i}"].runtime.engine.get("acc") > 0
     assert supervisor.tenants[f"t{FLEET_ACTIVE}"].runtime.engine.get("acc") == 0
 
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_event", results)
     assert supervisor.idle_fastforwards > 0, \
         "idle tenants never took the fast-forward path"
     assert speedup >= MIN_IDLE_SPEEDUP, (
         f"quiescent tick only {speedup:.1f}x cheaper under the event "
-        f"scheduler (need >={MIN_IDLE_SPEEDUP}x); see {RESULT_PATH}"
+        f"scheduler (need >={MIN_IDLE_SPEEDUP}x); see {result_path}"
     )

@@ -2,18 +2,14 @@
 
 Measures the value of the word-level pass pipeline plus specialized
 codegen (``REPRO_OPT_LEVEL``) on the two heaviest Table 1 workloads
-and records the numbers in ``BENCH_opt.json`` at the repo root:
+and records the numbers in ``benchmarks/out/BENCH_opt.json``:
 per-level real ticks/sec, the speedup, and per-pass IR reduction
 counts for both the flat (software) and transformed (hardware)
 modules.  Runs are interleaved (alternating O0/O2, best-of) so
 machine drift cancels out of the ratio.
 """
 
-import json
 import time
-from pathlib import Path
-
-import pytest
 
 from repro.bench import BENCHMARKS
 from repro.compiler import CompilerService
@@ -23,22 +19,12 @@ from repro.verilog import flatten, parse
 #: (workload, measured ticks) — sized for a stable ratio in seconds.
 CASES = [("mips32", 400), ("bitcoin", 48)]
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_opt.json"
-
 #: At least one workload must clear this O2-over-O0 bar (the compute-
 #: bound miner does comfortably; the MIPS core is dominated by fixed
 #: per-tick scheduling cost, where the mid-end has less to amortize).
 MIN_BEST_SPEEDUP = 1.3
 
 REPS = 5
-
-
-@pytest.fixture(autouse=True)
-def always_sweep(monkeypatch):
-    """This bench measures the O0→O2 static-sweep win; pin the
-    always-sweep scheduler so event-mode fast paths don't blur it
-    (``BENCH_event.json`` covers the event side)."""
-    monkeypatch.setenv("REPRO_SIM_EVENT", "0")
 
 
 def _one_run(flat, code, ticks):
@@ -59,7 +45,7 @@ def _opt_stats(result):
     }
 
 
-def test_opt_pipeline_speedup():
+def test_opt_pipeline_speedup(write_result):
     service = CompilerService()
     results = {}
     for name, ticks in CASES:
@@ -84,14 +70,13 @@ def test_opt_pipeline_speedup():
             "o0_ticks_per_sec": round(best[0], 1),
             "o2_ticks_per_sec": round(best[2], 1),
             "speedup": round(best[2] / best[0], 2),
-            "static_sweep": codes[2].static_mode,
             "flat_opt": _opt_stats(codes[2].opt),
             "hardware_opt": _opt_stats(hardware_opt),
         }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_opt", results)
     top = max(row["speedup"] for row in results.values())
     assert top >= MIN_BEST_SPEEDUP, (
         f"best O2-over-O0 speedup only {top}x "
         f"(need >={MIN_BEST_SPEEDUP}x on at least one workload); "
-        f"see {RESULT_PATH}"
+        f"see {result_path}"
     )

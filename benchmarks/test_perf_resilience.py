@@ -2,7 +2,7 @@
 
 Drives one fixed supervised workload over a two-board fleet at 0%, 1%
 and 5% injected transient-fault rates, plus a board-death run, and
-records the numbers in ``BENCH_resilience.json`` at the repo root:
+records the numbers in ``benchmarks/out/BENCH_resilience.json``:
 modeled throughput (logical ticks per modeled second) per rate,
 retention against the fault-free baseline under the *identical*
 checkpoint discipline, and the restore-latency distribution for
@@ -11,14 +11,10 @@ fault plans, modeled clocks), so the numbers are machine-independent.
 """
 
 import dataclasses
-import json
-from pathlib import Path
 
 from repro.compiler import CompilerService
 from repro.fabric import DE10, FaultPlan
 from repro.hypervisor import Hypervisor, Supervisor
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 
 #: Supervised retry must keep a 1%-fault-rate run within 20% of the
 #: fault-free throughput (the acceptance bar for transparent recovery).
@@ -76,7 +72,7 @@ def _supervised_run(service, specs=()):
     }
 
 
-def test_resilience_retention_and_recovery_latency():
+def test_resilience_retention_and_recovery_latency(write_result):
     service = CompilerService()
     # Warm the shared artifact store so every fleet's tenant reaches
     # hardware quickly and restores are digest-keyed cache hits.
@@ -124,10 +120,10 @@ def test_resilience_retention_and_recovery_latency():
             "replay_ticks": replays,
         },
     }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_resilience", results)
 
     retention = results["fault_1pct"]["retention"]
     assert retention >= MIN_RETENTION_1PCT, (
         f"throughput retention at 1% fault rate only {retention:.2%} "
-        f"(need >={MIN_RETENTION_1PCT:.0%}); see {RESULT_PATH}"
+        f"(need >={MIN_RETENTION_1PCT:.0%}); see {result_path}"
     )

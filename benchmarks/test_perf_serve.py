@@ -9,7 +9,7 @@ concurrent tenants, then a second phase that floods the fleet with
 saturating low-priority work and measures how far the deficit-round-
 robin slicer bounds high-priority time-to-first-tick.
 
-Results land in ``BENCH_serve.json`` at the repo root.  Wall-clock
+Results land in ``benchmarks/out/BENCH_serve.json``.  Wall-clock
 numbers are machine-dependent; the acceptance bars are structural:
 >=256 tenants concurrently in flight, every tenant served, and a
 high-priority p99 TTFT under saturating low-priority load no worse
@@ -18,17 +18,13 @@ than half the low class's.
 
 import asyncio
 import dataclasses
-import json
 import time
-from pathlib import Path
 
 from repro.compiler import CompilerService
 from repro.fabric import DE10
 from repro.harness.common import arrival_trace
 from repro.hypervisor import Hypervisor
 from repro.serve import Fleet, FleetConfig, ServeConfig, ServeFrontend
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 #: the concurrency the paper-scale serving claim is measured at
 MIN_CONCURRENT = 256
@@ -146,7 +142,7 @@ def _fair_share_phase(service):
     }
 
 
-def test_serve_throughput_and_fair_share():
+def test_serve_throughput_and_fair_share(write_result):
     service = CompilerService()
     throughput = _throughput_phase(service)
     fair = _fair_share_phase(service)
@@ -160,11 +156,11 @@ def test_serve_throughput_and_fair_share():
         "throughput": throughput,
         "fair_share": fair,
     }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    result_path = write_result("BENCH_serve", results)
 
     assert throughput["peak_in_flight"] >= MIN_CONCURRENT, (
         f"only {throughput['peak_in_flight']} tenants in flight "
-        f"(need >={MIN_CONCURRENT}); see {RESULT_PATH}")
+        f"(need >={MIN_CONCURRENT}); see {result_path}")
     # The DRR slicer's bounds: the worst high-priority tenant gets its
     # first tick no later than the worst low one (despite every high
     # submission arriving after the whole low flood), and *completes*
@@ -172,8 +168,8 @@ def test_serve_throughput_and_fair_share():
     # end-to-end service, not just an earlier first tick.
     assert fair["high_ttft_p99_s"] <= fair["low_ttft_p99_s"], (
         f"high-priority p99 TTFT {fair['high_ttft_p99_s']}s not bounded "
-        f"vs low p99 {fair['low_ttft_p99_s']}s; see {RESULT_PATH}")
+        f"vs low p99 {fair['low_ttft_p99_s']}s; see {result_path}")
     assert fair["high_latency_p99_s"] <= fair["low_latency_p50_s"] * 0.5, (
         f"high-priority p99 completion {fair['high_latency_p99_s']}s not "
         f"bounded vs low p50 {fair['low_latency_p50_s']}s; "
-        f"see {RESULT_PATH}")
+        f"see {result_path}")

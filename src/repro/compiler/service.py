@@ -36,7 +36,7 @@ KIND_PARSE = "parse"
 KIND_SOURCE = "source"      # raw-text alias → compiled program
 KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
-KIND_CODEGEN = "codegen"    # always-sweep scheduling (the oracle baseline)
+KIND_CODEGEN = "codegen"    # baseline configuration (the oracle's)
 KIND_EVENT = "event"        # event-driven activity scheduling
 KIND_BATCH = "batch"        # vectorized cohort closures (BatchedModuleCode)
 KIND_SYNTH = "synth"
@@ -134,10 +134,10 @@ class CompilerService:
         the mid-end pipeline fingerprint of the effective
         ``opt_level``, so differently-optimized code objects of one
         program coexist and are shared independently.  *event* selects
-        the scheduling strategy (default: ``REPRO_SIM_EVENT``); event-
-        scheduled code is a distinct artifact kind under the same key
-        discipline, so both schedulers of one program coexist — the
-        differential oracle compares exactly those two artifacts.  The
+        the scheduling configuration (default: ``REPRO_SIM_EVENT``);
+        event-scheduled code is a distinct artifact kind under the same
+        key discipline, so both configurations of one program coexist —
+        the differential oracle compares exactly those two artifacts.  The
         returned :class:`~repro.interp.compile.CompiledModuleCode` is
         immutable and shared: each engine instantiates its own state
         against it.
@@ -166,9 +166,9 @@ class CompilerService:
               keep: "frozenset[str]" = frozenset()):
         """Shareable vectorized cohort closures for *module*.
 
-        Layered on :meth:`codegen`: the scalar code artifact supplies
-        the static schedule the vector emitter licenses against, so the
-        key is the codegen key plus a ``batch`` discriminator.  Raises
+        Layered on :meth:`codegen`: the default scalar code artifact
+        supplies the analysis the vector emitter licenses against, so
+        the key is the codegen key plus a ``batch`` discriminator.  Raises
         :class:`~repro.interp.compile.batch.UnsupportedBackend` without
         NumPy and :class:`~repro.interp.compile.batch.BatchUnsupported`
         for modules outside the vector subset — only successful builds
@@ -185,11 +185,8 @@ class CompilerService:
         return self.store.get_or_build(
             KIND_BATCH, key,
             lambda: batch_code_for(
-                # The vector emitter licenses against the static sweep
-                # plan, which event scheduling displaces — batch always
-                # layers on the always-sweep artifact.
                 self.codegen(module, env=env, digest=digest,
-                             opt_level=level, keep=keep, event=False)),
+                             opt_level=level, keep=keep)),
         )
 
     # -- synthesis ---------------------------------------------------------

@@ -25,10 +25,6 @@ from .bitstream import Bitstream
 #: Artifact kind bitstreams are stored under (see repro.compiler.service).
 KIND_BITSTREAM = "bitstream"
 
-#: Backwards-compatible alias: cache statistics are the store's
-#: per-kind counters (hits, misses, evictions, seconds_saved).
-CacheStats = KindStats
-
 
 def bitstream_key(device_name: str, options_key: str, digest: str) -> str:
     """Store key for one compiled design: device + options + text digest."""

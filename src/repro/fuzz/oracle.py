@@ -43,10 +43,10 @@ from ..runtime import DirectBoardBackend, Runtime
 from ..verilog import ast_nodes as ast
 
 #: Execution paths, in comparison order; ``interp`` is the reference.
-#: ``compiled`` pins the always-sweep scheduler and ``event`` the
-#: event-driven activity scheduler, so every campaign cross-checks the
-#: two scheduling strategies bit-for-bit whatever ``REPRO_SIM_EVENT``
-#: says.  The vectorized ``batched`` lane (bit-for-bit against the same
+#: ``compiled`` pins the baseline configuration of the scalar plan (no
+#: heap prefix, gates, inline tick or idle proof) and ``event`` the full
+#: event plan, so every campaign cross-checks the two bit-for-bit
+#: whatever ``REPRO_SIM_EVENT`` says.  The vectorized ``batched`` lane (bit-for-bit against the same
 #: oracle, silently exercising the scalar fallback for unlicensed
 #: modules) joins the defaults whenever NumPy is importable.
 DEFAULT_PATHS = ("interp", "compiled", "event", "board", "lifecycle")
@@ -154,12 +154,11 @@ def _run_sim(program: CompiledProgram, ticks: int, backend: str,
     host = TaskHost()
     code = None
     if backend in ("compiled", "batched"):
-        # The batched backend licenses (or falls back) against the
-        # always-sweep scalar artifact (its static plan); the compiled
-        # path pins whichever scheduler *event* names.
+        # The compiled paths pin whichever configuration *event*
+        # names; the batched path takes the ambient default.
         code = service.codegen(program.flat, env=program.env,
                                digest=program.digest, opt_level=opt_level,
-                               event=False if backend == "batched" else event)
+                               event=event)
     sim = Simulator(program.flat, host, env=program.env,
                     backend=backend, code=code)
     sim.tick(cycles=ticks)

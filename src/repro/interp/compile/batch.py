@@ -9,14 +9,16 @@ tenant per tick.  This module adds the next sharing level — *execution*
 whole cohort.
 
 Licensing.  Vectorization piggybacks on the mid-end's two-state
-specialization: a module qualifies only when the specialized emitter
-produced the fully static single-clock plan (``static_mode`` +
-``tick_clock``, i.e. x/z-free, acyclic combinational cone, every edge
-process on one bare clock) and every declared width fits a 64-bit
-lane.  Anything else — or any construct outside the vector subset
-($random, file I/O, ...) — raises :class:`BatchUnsupported` and the
-caller falls back to the scalar compiled backend, keeping behavior
-identical by construction.
+specialization: a module qualifies only when schedule analysis grants
+``vector_licensed`` (x/z-free, a small acyclic combinational cone,
+every edge process on one bare clock) and every declared width fits a
+64-bit lane.  The verdict is analysis, not a property of either scalar
+configuration, so the closures build against whichever code artifact
+the caller already holds.  Anything else — or any construct outside
+the vector subset ($random, file I/O, ...) — raises
+:class:`BatchUnsupported` and the caller falls back to the scalar
+compiled backend on that same artifact, keeping behavior identical by
+construction.
 
 Divergence.  Lanes may disagree on ``if``/``case`` arms, ``$display``
 arguments and ``$finish`` ticks.  Control flow is handled by boolean
@@ -27,7 +29,7 @@ so every subsequent statement, NBA latch and time increment ignores it
 exactly like the scalar engine's ``FinishSignal`` abort.
 
 Equivalence contract.  Every closure mirrors one clause of
-:class:`~repro.interp.eval_expr.Evaluator` / the scalar static tick in
+:class:`~repro.interp.eval_expr.Evaluator` / the scalar inline tick in
 ``compile/simulator.py`` — including the quirks (shift>4096 → 0,
 division by zero → all-ones, float-truncating signed division, the
 64-iteration exponent clamp).  The differential fuzz oracle runs this
@@ -579,8 +581,7 @@ class _VectorCompiler:
         them in the update region.  ``mark`` selects the procedural
         flavor that raises ``need_sweep`` on combinational-input
         changes; the ranked sweep itself runs in full order every pass
-        and must not re-mark (mirroring the scalar static scheduler's
-        trigger-only announcements).
+        and must not re-mark.
         """
         if isinstance(lhs, ast.Identifier):
             return self._writer_identifier(lhs, mark)
@@ -595,7 +596,7 @@ class _VectorCompiler:
 
     def _check_not_trigger(self, slot: int) -> None:
         if slot in self.trig_slots:
-            # The static plan guarantees no process writes the clock;
+            # The licence guarantees no process writes the clock;
             # anything else here would need edge re-detection.
             raise BatchUnsupported("write to an edge-trigger slot")
 
@@ -1084,11 +1085,10 @@ class BatchedModuleCode:
     def __init__(self, code: CompiledModuleCode):
         if np is None:
             raise UnsupportedBackend(_NUMPY_HINT)
-        if not (code.specialize and code.static_mode
-                and code.tick_clock is not None):
+        if not code.vector_licensed:
             raise BatchUnsupported(
-                "module is not licensed for vectorized execution (needs the "
-                "two-state specialized static single-clock plan)")
+                "module is not licensed for vectorized execution (needs a "
+                "two-state, small acyclic cone under one bare clock)")
         env = code.env
         for sig in env.signals.values():
             if sig.width > 64:
@@ -1100,8 +1100,7 @@ class BatchedModuleCode:
         self.comb_in_clock = bool(code.comb_in[self.clock_slot])
         for slot, specs in enumerate(code.trig_specs):
             if slot != self.clock_slot and specs:
-                raise BatchUnsupported("non-clock sensitivity under the "
-                                       "static plan")
+                raise BatchUnsupported("non-clock sensitivity")
         compiler = _VectorCompiler(code)
         try:
             self.sweep_fns = tuple(
@@ -1114,7 +1113,7 @@ class BatchedModuleCode:
                     proc_fns[proc.index] = fn if fn is not None else (
                         lambda st, m: None)
                 elif proc.kind == "star":
-                    raise BatchUnsupported("star process under static plan")
+                    raise BatchUnsupported("star process")
             self.proc_fns = proc_fns
         except WidthError as exc:
             raise BatchUnsupported(str(exc)) from exc
@@ -1377,7 +1376,13 @@ class BatchedCohort:
             pending |= fired
 
     def settle(self) -> None:
-        """Vector mirror of the scalar ``_settle_static`` loop."""
+        """Settle to fixpoint: whole-cone sweeps between FIFO activations.
+
+        A dirty combinational input requests one rank-ordered sweep of
+        every ranked assign (sound because the licence proves the cone
+        acyclic); procedural blocks run FIFO, sweeping between
+        activations — the scalar plan's assigns-first schedule.
+        """
         limit = _MAX_SETTLE_ROUNDS * max(1, self.code.nprocs)
         runs = 0
         sweep_fns = self.batch.sweep_fns
@@ -1445,7 +1450,7 @@ class BatchedCohort:
         self.alive_all = bool(self.alive.all())
 
     def tick(self, cycles: int = 1) -> None:
-        """Vector mirror of the scalar fully-static clock tick."""
+        """Vector mirror of the scalar inline clock tick."""
         batch = self.batch
         row = self.d[batch.clock_slot]
         for _ in range(cycles):
@@ -1591,7 +1596,7 @@ class BatchedSimulator:
                  batch: Optional[BatchedModuleCode] = None):
         if code is None:
             code = batch.code if batch is not None else CompiledModuleCode(
-                module, env=env, event=False)
+                module, env=env)
         if batch is None:
             batch = batch_code_for(code)
         self.code = code
@@ -1700,16 +1705,8 @@ def batch_code_for(code: CompiledModuleCode) -> BatchedModuleCode:
         raise UnsupportedBackend(_NUMPY_HINT)
     cached = _BATCH_MEMO.get(code)
     if cached is None:
-        base = code
-        if getattr(base, "event_mode", False):
-            # Event scheduling displaces the static sweep plan the
-            # vector emitter licenses against; rebuild the sweep twin
-            # once and memoize under the caller's artifact.
-            base = CompiledModuleCode(base.module, env=base.env,
-                                      opt_level=base.opt_level,
-                                      event=False)
         try:
-            cached = BatchedModuleCode(base)
+            cached = BatchedModuleCode(code)
         except BatchUnsupported as exc:
             cached = exc
         _BATCH_MEMO[code] = cached
@@ -1730,9 +1727,7 @@ def batched_simulator(module: ast.Module, host: Optional[TaskHost] = None,
     if np is None:
         raise UnsupportedBackend(_NUMPY_HINT)
     if code is None:
-        # The vector emitter licenses against the static sweep plan,
-        # which event scheduling displaces.
-        code = CompiledModuleCode(module, env=env, event=False)
+        code = CompiledModuleCode(module, env=env)
     try:
         batch = batch_code_for(code)
     except BatchUnsupported:

@@ -89,41 +89,3 @@ def acyclic_count(reads: Sequence[Set[str]], writes: Sequence[Set[str]]) -> int:
             if indegree[j] == 0:
                 queue.append(j)
     return head
-
-
-def has_cycle(reads: Sequence[Set[str]], writes: Sequence[Set[str]]) -> bool:
-    """True when the read/write dependency graph contains a cycle.
-
-    A cyclic cone cannot be settled by one static rank-order sweep —
-    the fully static combinational tick is only licensed for acyclic
-    designs; cyclic ones keep the iterative pending-set scheduler
-    (whose convergence guard reports genuine combinational loops).
-    """
-    n = len(reads)
-    writers_of: Dict[str, List[int]] = {}
-    for i, names in enumerate(writes):
-        for name in names:
-            writers_of.setdefault(name, []).append(i)
-    succ: List[Set[int]] = [set() for _ in range(n)]
-    indegree = [0] * n
-    for j, names in enumerate(reads):
-        for name in names:
-            for i in writers_of.get(name, ()):
-                if i == j:
-                    # An assign reading its own output is itself a
-                    # combinational loop (rank_order tolerates it for
-                    # iterative settling; the static sweep cannot).
-                    return True
-                if j not in succ[i]:
-                    succ[i].add(j)
-                    indegree[j] += 1
-    queue = [i for i in range(n) if indegree[i] == 0]
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                queue.append(j)
-    return head < n

@@ -45,14 +45,15 @@ from ..simulator import (
 from ...opt import optimize_module
 from ...verilog.width import WidthError
 from .exprc import CompileFallback, ExprCompiler, HELPERS, expr_is_pure
-from .scheduler import acyclic_count, has_cycle, rank_order
+from .scheduler import acyclic_count, rank_order
 from .slots import SlotLayout, SlotStore
 from .stmtc import ProcessCompiler
 
-#: Above this many ranked assigns, one unconditional sweep per settle
-#: round costs more than selective pending-set re-evaluation, so the
-#: static combinational tick is only used for small cones.
-_STATIC_COMB_MAX = 96
+#: The vector carrier recomputes the whole ranked cone whenever a
+#: combinational input changed.  Above this many assigns that sweep
+#: costs more than the scalar plan's selective re-evaluation, so only
+#: small cones are licensed for it.
+_VECTOR_COMB_MAX = 96
 
 
 def resolve_sim_event(flag: Optional[bool] = None) -> bool:
@@ -61,7 +62,8 @@ def resolve_sim_event(flag: Optional[bool] = None) -> bool:
     Explicit argument wins; otherwise ``REPRO_SIM_EVENT`` (read per
     call, like ``REPRO_SIM_BACKEND``, so tests can monkeypatch it);
     otherwise on.  ``0``/``false``/``no``/``off`` disable it — the
-    always-sweep scheduler the differential oracle compares against.
+    baseline configuration the differential oracle compares against
+    (no heap prefix, no gates, no inline tick, no idle proof).
     """
     if flag is not None:
         return bool(flag)
@@ -131,7 +133,7 @@ class CompiledModuleCode:
         self.env = opt.env
         self.opt_level = opt.level
         #: two-state licence: specialized emission (slot caching) and
-        #: the static sweep are only attempted when granted
+        #: the vector carrier are only attempted when granted
         self.specialize = opt.specialize
         self.fingerprint = opt.fingerprint
         #: event-driven activity scheduling requested (resolved here so
@@ -253,11 +255,11 @@ class CompiledModuleCode:
             s for s in range(nslots)
             if self.comb_watch[s] or self.trig_specs[s]
         )
-        # -- static combinational tick planning --------------------------
+        # -- vector-carrier marking -----------------------------------------
         # Slots that procedural/star/edge machinery watches, vs slots
-        # that only exist to re-mark ranked assigns.  Under the static
-        # sweep the latter need no dirty tracking at all: the sweep
-        # recomputes the whole (acyclic, rank-ordered) cone whenever a
+        # that only exist to re-mark ranked assigns.  The vector carrier
+        # (``batch.py``) keeps no dirty tracking for the latter: it
+        # recomputes the whole rank-ordered cone whenever a
         # combinational input changed.
         self.trig_slots = frozenset(
             s for s in range(nslots) if self.trig_specs[s])
@@ -268,45 +270,46 @@ class CompiledModuleCode:
                 if slot is not None:
                     comb_in[slot] = 1
         self.comb_in = bytes(comb_in)
-        cyclic = bool(comb) and has_cycle([p.reads for p in comb],
-                                          [p.writes for p in comb])
-        self.static_mode = (
-            self.specialize
-            and not self.fifo_mode
-            and 0 < len(self.comb_order) <= _STATIC_COMB_MAX
-            and not cyclic
-        )
-        # -- event-driven activity planning -------------------------------
-        # The activity set replaces the full rank-order sweep: value
-        # changes wake exactly the reading cones (a min-heap of
-        # positions over the acyclic prefix — writes there only re-mark
-        # strictly later positions, so heap order equals the generic
-        # scheduler's forward scan) while the trailing group (cycle
-        # members, their downstream, and self-reading assigns) keeps
-        # position-ordered fixpoint iteration.  Withdrawn for fifo
-        # designs (impure assigns need the interpreter-identical scan),
-        # and it displaces the static sweep: the sweep recomputes the
-        # whole cone per change, which is exactly the cost this
-        # scheduler exists to avoid.
-        self.event_mode = self.event_requested and not self.fifo_mode
-        if self.event_mode:
-            self.static_mode = False
+        # -- activity planning ---------------------------------------------
+        # Value changes wake exactly the reading cones.  Positions in
+        # the acyclic prefix of ``rank_order`` dispatch from a min-heap
+        # — writes there only re-mark strictly later positions, so heap
+        # order equals a forward scan over the marked entries — while
+        # the trailing group (cycle members, their downstream, and
+        # self-reading assigns) keeps position-ordered fixpoint
+        # iteration.  The baseline configuration (*event* off) is
+        # the same loop with an empty prefix: every position iterates.
+        # Fifo designs (impure assigns need the interpreter-identical
+        # scan) rank nothing and settle through ``_settle_fifo``.
         event_pos = [-1] * self.nprocs
         for pos, pidx in enumerate(self.comb_order):
             event_pos[pidx] = pos
         self.event_pos: Tuple[int, ...] = tuple(event_pos)
-        prefix = 0
-        if self.event_mode and comb:
-            prefix = acyclic_count([p.reads for p in comb],
-                                   [p.writes for p in comb])
-            for pos, ci in enumerate(order[:prefix]):
+        acyclic = 0
+        if comb:
+            acyclic = acyclic_count([p.reads for p in comb],
+                                    [p.writes for p in comb])
+            for pos, ci in enumerate(order[:acyclic]):
                 if comb[ci].reads & comb[ci].writes:
                     # A self-reading assign re-marks its *own* position;
                     # the one-pass heap argument needs strictly-forward
                     # marks, so it (and everything after it) iterates.
-                    prefix = pos
+                    acyclic = pos
                     break
-        self.event_acyclic = prefix
+        self.event_mode = self.event_requested and not self.fifo_mode
+        self.event_acyclic = acyclic if self.event_mode else 0
+        self._plan_tick_clock()
+        #: whether the vector carrier may run this module: a two-state,
+        #: small, fully acyclic ranked cone under one free-running
+        #: clock.  Pure analysis — the same verdict on either
+        #: configuration of the scalar plan.
+        self.vector_licensed = (
+            self.specialize
+            and not self.fifo_mode
+            and 0 < len(self.comb_order) <= _VECTOR_COMB_MAX
+            and acyclic == len(self.comb_order)
+            and self.tick_clock is not None
+        )
         #: scalar slots whose nonzero value means an architectural
         #: update is still queued between native cycles — the transform
         #: layer's NBA shadow machinery (pending-write enables, queue
@@ -318,7 +321,6 @@ class CompiledModuleCode:
             if name == "__wseq"
             or name.startswith(("__wn_", "__we_", "__wc_", "__wq"))
         ))
-        self._plan_tick_clock()
         self._plan_gates()
 
     def _plan_tick_clock(self) -> None:
@@ -327,15 +329,12 @@ class CompiledModuleCode:
         When every edge-triggered process is sensitive to one bare
         scalar signal that nothing in the module drives (the classic
         externally-driven clock), and no ``@*`` process shares the
-        FIFO queue, ``tick()`` can run a *fully static* schedule: the
-        clock edge is applied and its triggers fired inline, without
-        store-API dispatch, dirty marking, or trigger re-evaluation —
-        the per-tick remnant of the dirty-bitset machinery.
+        FIFO queue, the clock edge can be applied and its triggers
+        fired inline, without store-API dispatch, dirty marking, or
+        trigger re-evaluation — what the event plan's ``tick()`` and
+        the vector carrier both do.
         """
         self.tick_clock: Optional[str] = None
-        if not (getattr(self, "static_mode", False)
-                or getattr(self, "event_mode", False)):
-            return
         clock: Optional[str] = None
         for proc in self.processes:
             if proc.kind == "star":
@@ -402,45 +401,17 @@ class CompiledModuleCode:
     # -- code generation -------------------------------------------------------
 
     def _generate(self) -> None:
-        try:
-            self._generate_strategy(self.static_mode)
-        except (CompileFallback, WidthError):
-            # Some sweep member needed an interpreter escape; the
-            # static tick is withdrawn, the generic scheduler stays.
-            self.static_mode = False
-            self._generate_strategy(False)
-
-    def _generate_strategy(self, static: bool) -> None:
         layout = self.layout
         ec = ExprCompiler(self.env, layout.slot_of, layout.mem_slot_of)
-        # Marking discipline per process category: under the static
-        # sweep, ranked assigns announce only trigger-watched slots
-        # (star/edge sensitivity), while procedural code additionally
-        # announces combinational inputs so the scheduler knows to
-        # re-sweep.  The generic scheduler keeps the full watched set
-        # everywhere (pending-set re-marking needs it).
-        if static:
-            assign_watched: Set[int] = set(self.trig_slots)
-            proc_watched = set(self.trig_slots) | {
-                s for s in range(layout.n_slots) if self.comb_in[s]}
-        else:
-            assign_watched = proc_watched = set(self.watched)
-        pc = ProcessCompiler(ec, proc_watched)
+        pc = ProcessCompiler(ec, self.watched)
         lines: List[str] = []
         for proc in self.processes:
             name = f"p{proc.index}"
             if proc.kind == "assign":
-                pc.watched = assign_watched
                 lines.extend(pc.compile_assign(name, proc.assign))
             else:
-                pc.watched = proc_watched
                 lines.extend(pc.compile_procedural(
                     name, proc.stmt, specialize=self.specialize))
-        if static:
-            pc.watched = assign_watched
-            by_index = {p.index: p for p in self.processes}
-            lines.extend(pc.compile_sweep(
-                "sweep", [by_index[i].assign for i in self.comb_order]))
         # Compile event-expression value closures (order matches
         # self.edge_specs, which _plan_schedule filled in process order).
         event_sources: List[str] = []
@@ -537,26 +508,21 @@ class CompiledSimulator(InterpSimulator):
         self._comb_order = code.comb_order
         self._comb_watch = code.comb_watch
         self._comb_pending = bytearray(code.nprocs)
-        self._comb_count = 0
         self._queued = bytearray(code.nprocs)
         self._proc_queue: List[int] = []
         self._watched = code.watched
-        self._static = code.static_mode
-        self._comb_in = code.comb_in
-        self._need_sweep = False
-        # Event-driven activity dispatch: a min-heap of woken acyclic
-        # positions plus a count of woken trailing (fixpoint) members.
+        # Activity dispatch: a min-heap of woken acyclic positions plus
+        # a count of woken trailing (fixpoint) members.  The baseline
+        # configuration has no acyclic prefix, so its heap stays empty.
         self._event = code.event_mode
         self._ev_pos = code.event_pos
         self._ev_acyclic = code.event_acyclic
         self._ev_heap: List[int] = []
         self._trail_count = 0
-        if self._static and not self._fifo_mode:
-            # Shadow the method: one call layer fewer on the hottest
-            # entry point (settle runs several times per tick).
-            self.settle = self._settle_static  # type: ignore[assignment]
-        elif self._event:
-            self.settle = self._settle_event  # type: ignore[assignment]
+        if self._fifo_mode:
+            # Shadow the method rather than branch inside it: settle is
+            # the hottest entry point (several calls per tick).
+            self.settle = self._settle_fifo  # type: ignore[assignment]
         self._instantiate()
         self._initialize()
         self._vcd = None
@@ -595,7 +561,6 @@ class CompiledSimulator(InterpSimulator):
         exec(code.code, namespace)
         self._source = code.source  # kept for debugging/inspection
         self._fn = [namespace[f"p{i}"] for i in range(code.nprocs)]
-        self._sweep = namespace.get("sweep")  # static-tick mode only
         # Clock-gate predicates, indexed by process (None = ungated).
         self._gates = [namespace.get(f"g{i}") for i in range(code.nprocs)]
         # Per-engine edge-detection triggers over the shared templates.
@@ -624,22 +589,14 @@ class CompiledSimulator(InterpSimulator):
         for name, init, width in self.code.init_decls:
             value = self.evaluator.eval(init, width)
             self.store.set(name, value, notify=False)
-        if self._static:
-            self._need_sweep = bool(self.code.prime_comb)
-        elif self._event:
-            for index in self.code.prime_comb:
-                if not self._comb_pending[index]:
-                    self._comb_pending[index] = 1
-                    pos = self._ev_pos[index]
-                    if pos < self._ev_acyclic:
-                        heappush(self._ev_heap, pos)
-                    else:
-                        self._trail_count += 1
-        else:
-            for index in self.code.prime_comb:
-                if not self._comb_pending[index]:
-                    self._comb_pending[index] = 1
-                    self._comb_count += 1
+        for index in self.code.prime_comb:
+            if not self._comb_pending[index]:
+                self._comb_pending[index] = 1
+                pos = self._ev_pos[index]
+                if pos < self._ev_acyclic:
+                    heappush(self._ev_heap, pos)
+                else:
+                    self._trail_count += 1
         for index in self.code.prime_queue:
             self._queued[index] = 1
             self._proc_queue.append(index)
@@ -657,7 +614,13 @@ class CompiledSimulator(InterpSimulator):
     # -- scheduling core ---------------------------------------------------------
 
     def _drain(self) -> None:
-        """Convert dirty slots into process activations (ranked dirty sets)."""
+        """Convert dirty slots into process activations.
+
+        A changed slot wakes exactly the cones reading it — acyclic
+        positions go onto the heap, trailing members bump the fixpoint
+        count — and fires the slot's triggers in the reference
+        scheduler's activation order.
+        """
         store = self.store
         dirty = store.dirty_list
         if not dirty:
@@ -668,92 +631,9 @@ class CompiledSimulator(InterpSimulator):
         pending = self._comb_pending
         queued = self._queued
         queue = self._proc_queue
-        if self._static:
-            # Static tick: a dirty combinational input requests one
-            # whole-cone sweep; per-assign pending sets are not kept.
-            comb_in = self._comb_in
-            i = 0
-            while i < len(dirty):
-                slot = dirty[i]
-                i += 1
-                flags[slot] = 0
-                if comb_in[slot]:
-                    self._need_sweep = True
-                for trigger in trig_watch[slot]:
-                    if trigger.edge is None:
-                        p = trigger.proc
-                        if not queued[p]:
-                            queued[p] = 1
-                            queue.append(p)
-                        continue
-                    try:
-                        new = trigger.fn()
-                    except EvalError:
-                        new = 0
-                    prev = trigger.prev
-                    edge = trigger.edge
-                    if edge == "posedge":
-                        fired = not (prev & 1) and (new & 1)
-                    elif edge == "negedge":
-                        fired = (prev & 1) and not (new & 1)
-                    else:
-                        fired = new != prev
-                    trigger.prev = new
-                    if fired:
-                        p = trigger.proc
-                        if not queued[p]:
-                            queued[p] = 1
-                            queue.append(p)
-            del dirty[:]
-            return
-        if self._event:
-            # Activity-set drain: a changed slot wakes exactly the
-            # cones reading it — acyclic positions go onto the heap,
-            # trailing members bump the fixpoint count.  Trigger
-            # handling is the generic scheduler's, verbatim.
-            evpos = self._ev_pos
-            acyc = self._ev_acyclic
-            heap = self._ev_heap
-            i = 0
-            while i < len(dirty):
-                slot = dirty[i]
-                i += 1
-                flags[slot] = 0
-                for p in comb_watch[slot]:
-                    if not pending[p]:
-                        pending[p] = 1
-                        pos = evpos[p]
-                        if pos < acyc:
-                            heappush(heap, pos)
-                        else:
-                            self._trail_count += 1
-                for trigger in trig_watch[slot]:
-                    if trigger.edge is None:
-                        p = trigger.proc
-                        if not queued[p]:
-                            queued[p] = 1
-                            queue.append(p)
-                        continue
-                    try:
-                        new = trigger.fn()
-                    except EvalError:
-                        new = 0
-                    prev = trigger.prev
-                    edge = trigger.edge
-                    if edge == "posedge":
-                        fired = not (prev & 1) and (new & 1)
-                    elif edge == "negedge":
-                        fired = (prev & 1) and not (new & 1)
-                    else:
-                        fired = new != prev
-                    trigger.prev = new
-                    if fired:
-                        p = trigger.proc
-                        if not queued[p]:
-                            queued[p] = 1
-                            queue.append(p)
-            del dirty[:]
-            return
+        evpos = self._ev_pos
+        acyc = self._ev_acyclic
+        heap = self._ev_heap
         i = 0
         while i < len(dirty):
             slot = dirty[i]
@@ -762,7 +642,11 @@ class CompiledSimulator(InterpSimulator):
             for p in comb_watch[slot]:
                 if not pending[p]:
                     pending[p] = 1
-                    self._comb_count += 1
+                    pos = evpos[p]
+                    if pos < acyc:
+                        heappush(heap, pos)
+                    else:
+                        self._trail_count += 1
             for trigger in trig_watch[slot]:
                 if trigger.edge is None:
                     p = trigger.proc
@@ -793,103 +677,23 @@ class CompiledSimulator(InterpSimulator):
     def settle(self) -> None:
         """Run evaluation events to fixpoint (no NBA latching).
 
-        Pending continuous assigns execute in dependency-rank order —
-        one sweep settles acyclic logic — and are always drained before
-        the next procedural block runs, the interpreter's assigns-first
-        schedule.  Procedural blocks (always@*, edge-triggered,
-        initial) run FIFO, exactly like the interpreter.
-        """
-        if self._fifo_mode:
-            self._settle_fifo()
-            return
-        if self._static:
-            self._settle_static()
-            return
-        self._drain()
-        order = self._comb_order
-        pending = self._comb_pending
-        funcs = self._fn
-        queue = self._proc_queue
-        queued = self._queued
-        runs = 0
-        limit = self._settle_limit
-        while self._comb_count or queue:
-            while self._comb_count:
-                for p in order:
-                    if pending[p]:
-                        pending[p] = 0
-                        self._comb_count -= 1
-                        self.settle_rounds += 1
-                        runs += 1
-                        funcs[p]()
-                        self._drain()
-                # One run per process execution, bounded like the
-                # interpreter (limit scales with process count) so a
-                # long-but-terminating settle never trips the guard.
-                if runs > limit:
-                    raise SimulationError("evaluation did not converge "
-                                          "(combinational loop?)")
-            if queue:
-                p = queue.pop(0)
-                queued[p] = 0
-                self.settle_rounds += 1
-                runs += 1
-                if runs > limit:
-                    raise SimulationError("evaluation did not converge "
-                                          "(combinational loop?)")
-                funcs[p]()
-                self._drain()
-
-    def _settle_static(self) -> None:
-        """The fully static combinational tick.
-
-        One sweep call settles the whole acyclic ranked cone (the
-        generated function runs every member in rank order with slot
-        values cached in locals), so the scheduler keeps no pending
-        sets and no per-assign dirty bookkeeping: drain raises a
-        single "needs sweep" flag when a combinational input changed.
-        Procedural blocks still run FIFO, sweeping between activations
-        — the same assigns-first schedule the interpreter implements.
-        """
-        dirty = self.store.dirty_list
-        if dirty:
-            self._drain()
-        queue = self._proc_queue
-        queued = self._queued
-        funcs = self._fn
-        sweep = self._sweep
-        runs = 0
-        limit = self._settle_limit
-        while self._need_sweep or queue:
-            self.settle_rounds += 1
-            runs += 1
-            if runs > limit:
-                raise SimulationError("evaluation did not converge "
-                                      "(combinational loop?)")
-            if self._need_sweep:
-                self._need_sweep = False
-                sweep()
-            else:
-                p = queue.pop(0)
-                queued[p] = 0
-                funcs[p]()
-            if dirty:
-                self._drain()
-
-    def _settle_event(self) -> None:
-        """Activity-set settle: run exactly the woken cones, in order.
-
-        The acyclic prefix of ``rank_order`` dispatches from a min-heap
-        of woken positions — popping positions in ascending order is
-        the generic scheduler's forward scan restricted to marked
-        entries, and prefix writes only ever mark strictly later
-        positions, so one monotone pass settles it.  Trailing positions
-        (cycle members and anything at or after a self-reading assign)
-        keep the generic position-ordered fixpoint iteration.  Queue
-        processes run one per outer iteration, as in every scheduler;
-        gated edge processes are skipped at dequeue time when their
-        enable is provably low (the gate table only admits bodies that
-        are no-ops under a false enable, so the skip is exact).
+        Pending continuous assigns run before the next procedural block
+        — the interpreter's assigns-first schedule — and only the woken
+        ones run.  The acyclic prefix of ``rank_order`` dispatches from
+        a min-heap of woken positions: popping positions in ascending
+        order is a forward scan restricted to marked entries, and
+        prefix writes only ever mark strictly later positions, so one
+        monotone pass settles it.  Trailing positions (cycle members
+        and anything at or after a self-reading assign — every position
+        in the baseline configuration) iterate in position order to
+        fixpoint.  Procedural blocks (always@*, edge-triggered,
+        initial) run FIFO, one per outer iteration, exactly like the
+        interpreter; gated edge processes are skipped at dequeue time
+        when their enable is provably low (the gate table only admits
+        bodies that are no-ops under a false enable, so the skip is
+        exact).  One run per process execution is counted against a
+        limit that scales with process count, like the interpreter's,
+        so a long-but-terminating settle never trips the guard.
         """
         if self.store.dirty_list:
             self._drain()
@@ -999,80 +803,20 @@ class CompiledSimulator(InterpSimulator):
             vcd.sample(self.time)
 
     def _tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        """Drive *cycles* clock periods; fully static when possible.
+        """Drive *cycles* clock periods; inline on the event plan.
 
-        For single-clock static designs (``tick_clock`` planned by the
-        code artifact) the clock edge is applied inline: no store-API
-        dispatch, no dirty-list round trip, no trigger-closure calls —
-        the firing decision replicates ``_drain``'s per-trigger logic
-        against the known new value.  Everything else (settle order,
-        the update-region guard, ``$finish`` compression) matches the
-        reference ``tick``/``step`` statement for statement; designs
-        that fail the plan's conditions — or engines with store
-        watchers attached (the debugger) — take the generic path.
-        The event scheduler reuses the same inline edge with activity
-        dispatch plus a near-zero "nothing pending" fast path.
+        For single-clock designs (``tick_clock`` planned by the code
+        artifact) the event plan applies the clock edge inline
+        (:meth:`_tick_event`).  Designs that fail the plan's conditions,
+        engines with store watchers attached (the debugger) and the
+        baseline configuration take the reference ``tick``/``step``
+        path, which reaches the same :meth:`settle` through the store
+        API and ``_drain``.
         """
-        code = self.code
-        clk = code.tick_clock
-        if clk is None or clock != clk or self.store._watchers:
+        if (not self._event or clock != self.code.tick_clock
+                or self.store._watchers):
             return super().tick(clock, cycles)
-        if self._event:
-            self._tick_event(cycles)
-            return
-        if not self._static:
-            return super().tick(clock, cycles)
-        store = self.store
-        d = store.data
-        slot = code.tick_clock_slot
-        host = self.host
-        comb_in_clk = self._comb_in[slot]
-        entries = self._trig_watch[slot]
-        queue = self._proc_queue
-        queued = self._queued
-        nba = self._nba
-        settle = self._settle_static
-        for _ in range(cycles):
-            if host.finished:
-                return
-            try:
-                for value in (1, 0):
-                    if d[slot] != value:
-                        d[slot] = value
-                        if comb_in_clk:
-                            self._need_sweep = True
-                        for trigger in entries:
-                            edge = trigger.edge
-                            if edge is None:
-                                # level sensitivity: any change fires
-                                # (drain's star path; prev untouched)
-                                fired = True
-                            else:
-                                prev = trigger.prev
-                                if edge == "posedge":
-                                    fired = not (prev & 1) and value == 1
-                                elif edge == "negedge":
-                                    fired = bool(prev & 1) and value == 0
-                                else:
-                                    fired = value != prev
-                                trigger.prev = value
-                            if fired:
-                                p = trigger.proc
-                                if not queued[p]:
-                                    queued[p] = 1
-                                    queue.append(p)
-                    settle()
-                    guard = 0
-                    while nba:
-                        guard += 1
-                        if guard > _MAX_SETTLE_ROUNDS:
-                            raise SimulationError(
-                                "update region did not converge")
-                        self._latch()
-                        settle()
-            except FinishSignal:
-                pass
-            self.time += 1
+        self._tick_event(cycles)
 
     def tick_metered(self, clock: str, cycles: int, now: float,
                      until: float, per_tick: float,
@@ -1086,7 +830,7 @@ class CompiledSimulator(InterpSimulator):
         ``$finish``, ``$save`` or ``$restart`` or takes *now* to
         *until* (``inf`` for never).  The result is ``(periods retired, now, periods the
         quiescence proof retired)``; None means this engine cannot run
-        *clock* on the event plan (always-sweep or fifo schedule, a
+        *clock* on the event plan (baseline or fifo schedule, a
         second clock, store watchers, a waveform writer) and the caller
         single-steps through :meth:`tick` instead.
         """
@@ -1100,10 +844,14 @@ class CompiledSimulator(InterpSimulator):
                     per_stmt: float = 0.0):
         """Inline clock edge with activity dispatch and an idle fast path.
 
-        Identical edge application to the static tick (same trigger
-        firing decisions, same settle/update-region structure), but
-        settling runs only woken cones — and is skipped outright when
-        an edge woke nothing (the falling edge of a posedge design).
+        The clock edge is applied without store-API dispatch, dirty-list
+        round trip or trigger-closure calls: the firing decision
+        replicates ``_drain``'s per-trigger logic against the known new
+        value.  Everything else (settle order, the update-region guard,
+        ``$finish`` compression) matches the reference ``tick``/``step``
+        statement for statement, except that settling is skipped
+        outright when an edge woke nothing (the falling edge of a
+        posedge design).
         On entry, and again after any period that executed no
         statement, the scheduler probes for quiescence: nothing pending
         anywhere (heap, trailing count, process queue, NBA queue, dirty
@@ -1135,7 +883,7 @@ class CompiledSimulator(InterpSimulator):
         acyc = self._ev_acyclic
         heap = self._ev_heap
         nba = self._nba
-        settle = self._settle_event
+        settle = self.settle
         metered = now is not None
         i = idle = 0
         probe = True
@@ -1299,9 +1047,8 @@ class CompiledSimulator(InterpSimulator):
         # Re-prime edge detection so restore does not fabricate edges.
         for trigger in self._events:
             trigger.prev = self._trigger_value(trigger)
-        if self._event:
-            # Snapshots are taken at quiescence; stale activity from the
-            # pre-restore timeline must not leak into the new one.
-            del self._ev_heap[:]
-            self._trail_count = 0
-            self._comb_pending[:] = bytes(len(self._comb_pending))
+        # Snapshots are taken at quiescence; stale activity from the
+        # pre-restore timeline must not leak into the new one.
+        del self._ev_heap[:]
+        self._trail_count = 0
+        self._comb_pending[:] = bytes(len(self._comb_pending))

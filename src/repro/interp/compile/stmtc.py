@@ -49,9 +49,7 @@ class ProcessCompiler:
     def __init__(self, compiler: ExprCompiler, watched_slots: Set[int]):
         self.ec = compiler
         self.env = compiler.env
-        #: Slots whose changes must be announced to the scheduler;
-        #: reassigned by the code generator per process category when
-        #: the static-sweep scheduler narrows the set.
+        #: Slots whose changes must be announced to the scheduler.
         self.watched = watched_slots
         self.lines: List[str] = []
         self.writer_defs: List[str] = []
@@ -639,46 +637,6 @@ class ProcessCompiler:
         lines.extend(["    " + s for s in stores])
         lines.append("        S.stmts_executed += _st")
         lines.append("        EVC.ops_evaluated += _ops")
-        lines.append("")
-        self.lines = []
-        return lines
-
-    def compile_sweep(self, name: str,
-                      assigns: Sequence[ast.ContinuousAssign]) -> List[str]:
-        """One fused function executing *assigns* in rank order.
-
-        This is the fully static combinational tick: a single call
-        settles the whole (acyclic) cone with slot values cached in
-        locals across all member assigns — per-assign dispatch, dirty
-        re-marking and pending-set bookkeeping all disappear.  Raises
-        :class:`CompileFallback` when any member cannot be compiled
-        strictly; the code generator then keeps the generic scheduler.
-        """
-        self.lines = []
-        self._begin_cache()
-        total_ops = 0
-        try:
-            for item in assigns:
-                width = self.env.width_of(item.lhs)
-                value_width = max(self.env.width_of(item.rhs), width)
-                value = self._gensym("v")
-                self._emit(2, f"{value} = {self.ec.compile(item.rhs, width)}")
-                self._emit_store(item.lhs, value, value_width, 2)
-                total_ops += expr_nodes(item.rhs)
-            body = self.lines
-            order, written = self._end_cache()
-        except BaseException:
-            self._end_cache()
-            self.lines = []
-            raise
-        loads, stores = self._cache_frame(order, written, 1)
-        lines = [f"def {name}():"]
-        lines.extend(loads)
-        lines.append("    try:")
-        lines.extend(body or ["        pass"])
-        lines.append("    finally:")
-        lines.extend(["    " + s for s in stores])
-        lines.append(f"        EVC.ops_evaluated += {total_ops}")
         lines.append("")
         self.lines = []
         return lines

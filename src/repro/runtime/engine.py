@@ -79,7 +79,7 @@ class Engine:
         *until*; each tick's cost is added to *now* in turn and comes
         back as ``stats.now`` (docs/ARCHITECTURE.md, "Stepping", has the
         whole contract).  This default single-steps :meth:`_step` — all
-        the reference interpreter, the always-sweep scheduler and a
+        the reference interpreter, the baseline configuration and a
         second clock domain need.
         """
         host = self.host
@@ -141,14 +141,11 @@ class SoftwareEngine(Engine):
             # engines of one program at one optimization level share
             # one optimized code object, across instances and tenants.
             # The batched backend licenses (or falls back) against the
-            # same scalar code artifact — which must carry the static
-            # sweep plan, so it pins the always-sweep scheduler.
+            # same scalar code artifact.
             service = compiler if compiler is not None else default_service()
             code = service.codegen(program.flat, env=program.env,
                                    digest=program.digest,
-                                   opt_level=opt_level,
-                                   event=False if resolved == "batched"
-                                   else None)
+                                   opt_level=opt_level)
         # quiet_init: this engine exists only to be restored into (e.g.
         # evacuation from hardware, §3.5) — boot it against a throwaway
         # host so initial-block side effects ($display output, VFS

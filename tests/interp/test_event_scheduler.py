@@ -1,13 +1,15 @@
 """Event-driven activity scheduling: wake-up sets, idle proof, activity.
 
-The event scheduler (``REPRO_SIM_EVENT``, default on) replaces the O2
-static sweep with per-signal sensitivity dispatch: writes wake exactly
-the combinational cones that read them, clock-gated registered blocks
-are skipped when their enables are low, and a quiescent design proves
-``is_idle()`` so the hypervisor can fast-forward it for free.  The
-always-sweep plan stays behind ``REPRO_SIM_EVENT=0`` as the oracle —
-every test here that checks values checks them against that twin or
-the tree-walking interpreter.
+The event plan (``REPRO_SIM_EVENT``, default on) dispatches by
+per-signal sensitivity: writes wake exactly the combinational cones
+that read them (a min-heap over the acyclic prefix), clock-gated
+registered blocks are skipped when their enables are low, the clock
+edge is applied inline, and a quiescent design proves ``is_idle()`` so
+the hypervisor can fast-forward it for free.  ``REPRO_SIM_EVENT=0`` is
+the same loop with none of those (empty prefix, no gates, reference
+``tick``, no idle proof) and stays the oracle — every test here that
+checks values checks them against that twin or the tree-walking
+interpreter.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.compiler.service import (
 from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode, resolve_sim_event
 from repro.interp.compile.simulator import CompiledSimulator
+from repro.interp.simulator import SimulationError
 from repro.verilog import flatten, parse
 
 
@@ -34,6 +37,16 @@ def sim_for(text, top=None, event=None):
     code = CompiledModuleCode(flat, opt_level=2, event=event)
     return CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
 
+
+COUNTER = """
+module counter(input wire clock);
+  reg [15:0] n;
+  wire [15:0] d;
+  assign d = n + 16'd1;
+  initial n = 0;
+  always @(posedge clock) n <= d;
+endmodule
+"""
 
 GATED = """
 module gated(input wire clock, input wire en);
@@ -51,13 +64,24 @@ class TestModeSelection:
         assert resolve_sim_event() is True
         sim = sim_for(GATED)
         assert sim.code.event_mode
-        assert not sim.code.static_mode
+        assert sim.code.event_acyclic == len(sim.code.comb_order)
 
-    def test_env_zero_restores_static_sweep(self, monkeypatch):
+    def test_env_zero_selects_the_baseline(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_EVENT", "0")
         assert resolve_sim_event() is False
-        sim = sim_for(GATED)
-        assert not sim.code.event_mode
+        sim = sim_for(COUNTER)
+        code = sim.code
+        assert not code.event_mode
+        # One loop, nothing switched on: every ranked position iterates
+        # (no heap prefix), no gate is tabled, and the engine neither
+        # retires chunks inline nor proves quiescence.
+        assert code.comb_order and code.event_acyclic == 0
+        assert not sim_for(GATED).code.gate_exprs
+        assert sim.tick_metered("clock", 4, 0.0, float("inf"),
+                                1.0, 0.0) is None
+        sim.tick(cycles=3)
+        assert sim.get("n") == 3 and not sim._ev_heap
+        assert sim.is_idle() is False
 
     def test_explicit_arg_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_EVENT", "0")
@@ -291,6 +315,17 @@ class TestCycleDownstreamRemarking:
         slow.tick(cycles=40)
         assert fast.store.snapshot() == slow.store.snapshot()
 
+    @pytest.mark.parametrize("config", ["interp", "event", "baseline"])
+    def test_oscillating_cycle_trips_the_convergence_guard(self, config):
+        # Two-state at O2, so ``a`` boots at 0 and really oscillates.
+        osc = "module osc(); wire a; assign a = ~a; endmodule"
+        with pytest.raises(SimulationError,
+                           match="evaluation did not converge"):
+            if config == "interp":
+                Simulator(build(osc), TaskHost(VirtualFS()), backend="interp")
+            else:
+                sim_for(osc, event=(config == "event"))
+
 
 class TestRestoreClearsEventState:
     def test_restore_at_quiescence_drops_stale_activity(self):
@@ -328,28 +363,89 @@ class TestEventArtifactKind:
         warmth = service.warmth(program.digest)
         assert warmth["event"] and warmth["codegen"]
 
-    def test_batch_layers_on_the_sweep_plan(self):
+    def test_batch_layers_on_the_default_plan(self, monkeypatch):
         pytest.importorskip("numpy")
+        monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
         service = CompilerService(ArtifactStore())
-        program = service.compile_program("""
-            module counter(input wire clock);
-              reg [15:0] n;
-              wire [15:0] d;
-              assign d = n + 16'd1;
-              initial n = 0;
-              always @(posedge clock) n <= d;
-            endmodule
-        """)
-        # O2 pinned: vector licensing needs the two-state specialized
-        # static plan, which the ambient O0 CI leg would deny.
-        service.batch(program.flat, env=program.env,
-                      digest=program.digest, opt_level=2)
-        # The vector emitter licenses against the static sweep plan, so
-        # batching a cold digest fills the sweep kind, not the event
-        # one.  (Counts, not warmth(): warmth probes the ambient opt
-        # level, which CI legs vary.)
-        assert service.store.count(KIND_CODEGEN) == 1
-        assert service.store.count(KIND_EVENT) == 0
+        program = service.compile_program(COUNTER)
+        # O2 pinned: the vector licence needs the two-state grant,
+        # which the ambient O0 CI leg would deny.
+        args = dict(env=program.env, digest=program.digest, opt_level=2)
+        service.codegen(program.flat, **args)  # what a tenant's engine runs
+        before = service.stats().misses
+        service.batch(program.flat, **args)
+        # The licence is analysis, so batching layers on the artifact
+        # the tenant already built: one new miss (the batch artifact),
+        # no baseline twin.  (Counts, not warmth(): warmth probes the
+        # ambient opt level, which CI legs vary.)
+        assert service.stats().misses == before + 1
+        assert service.store.count(KIND_CODEGEN) == 0
+        assert service.store.count(KIND_EVENT) == 1
+
+
+def _has_cycle_frozen(reads, writes):
+    """PR 12's ``scheduler.has_cycle``, verbatim (since removed)."""
+    n = len(reads)
+    writers_of = {}
+    for i, names in enumerate(writes):
+        for name in names:
+            writers_of.setdefault(name, []).append(i)
+    succ = [set() for _ in range(n)]
+    indegree = [0] * n
+    for j, names in enumerate(reads):
+        for name in names:
+            for i in writers_of.get(name, ()):
+                if i == j:
+                    return True
+                if j not in succ[i]:
+                    succ[i].add(j)
+                    indegree[j] += 1
+    queue = [i for i in range(n) if indegree[i] == 0]
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        head += 1
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                queue.append(j)
+    return head < n
+
+
+def _licence_frozen(code):
+    """PR 12's vector licence: ``static_mode`` as ``_plan_schedule``
+    computed it on the sweep artifact, plus the planned clock."""
+    comb = ([] if code.fifo_mode
+            else [p for p in code.processes if p.kind == "assign"])
+    cyclic = bool(comb) and _has_cycle_frozen([p.reads for p in comb],
+                                              [p.writes for p in comb])
+    static_mode = (code.specialize and not code.fifo_mode
+                   and 0 < len(code.comb_order) <= 96 and not cyclic)
+    return bool(static_mode and code.tick_clock is not None)
+
+
+class TestVectorLicence:
+    """The licence is analysis: one verdict, whichever configuration
+    the artifact carries, equal to the predicate it replaced."""
+
+    def test_verdict_matches_the_predicate_it_replaced(self):
+        from repro.bench import BENCHMARKS
+        from repro.fuzz.gen import generate
+        from repro.harness.common import bench_source_kwargs
+
+        designs = [(name, flatten(parse(
+            bench.source(**bench_source_kwargs(name))), name))
+            for name, bench in BENCHMARKS.items()]
+        designs += [(seed, build(generate(seed).source))
+                    for seed in range(100)]
+        verdicts = []
+        for label, flat in designs:
+            for event in (True, False):
+                code = CompiledModuleCode(flat, opt_level=2, event=event)
+                assert code.vector_licensed == _licence_frozen(code), \
+                    (label, event)
+            verdicts.append(code.vector_licensed)
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 class TestBenchWorkloadIdentity:

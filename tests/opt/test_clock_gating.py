@@ -149,7 +149,7 @@ def gated_sim(event):
 
 class TestGatedDispatchIdentity:
     def test_random_enable_patterns_bit_identical(self):
-        """Gated early-out vs the always-sweep twin, driven by seeded
+        """Gated early-out vs the ungated baseline twin, driven by seeded
         random enable patterns: architectural state must never diverge."""
         fast = gated_sim(event=True)
         slow = gated_sim(event=False)

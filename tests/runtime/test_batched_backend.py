@@ -79,6 +79,13 @@ def lane_state(sim):
     return sim.store.snapshot()
 
 
+@pytest.fixture
+def o2(monkeypatch):
+    """For tests that assert a cohort formed: the vector licence needs
+    the two-state grant, which the ambient O0 CI leg would deny."""
+    monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
+
+
 class TestDifferential:
     @pytest.mark.parametrize("finish_at,ticks", [(40, 24), (10, 24)])
     def test_state_display_finish_parity(self, finish_at, ticks):
@@ -92,7 +99,7 @@ class TestDifferential:
             assert host.finish_code == ref_host.finish_code, backend
             assert sim.time == ref_sim.time, backend
 
-    def test_per_lane_finish_at_different_ticks(self):
+    def test_per_lane_finish_at_different_ticks(self, o2):
         """Lanes $finish at different ticks; each must match its own
         scalar run, and dead lanes must stop advancing."""
         flat = flatten(parse(kitchen(40)), "kitchen")
@@ -125,7 +132,7 @@ class TestDifferential:
         scalar.tick(cycles=20)
         assert cohort.snapshot_lane(2) == scalar.store.snapshot()
 
-    def test_display_interleaving_multiple_lanes(self):
+    def test_display_interleaving_multiple_lanes(self, o2):
         """Each lane's display stream equals its scalar twin's."""
         flat = flatten(parse(kitchen(40)), "kitchen")
         code = CompiledSimulator(flat).code
@@ -156,7 +163,7 @@ class TestFacade:
 
     def test_unlicensed_module_falls_back_to_compiled(self):
         # Pure sequential modules (no comb layer) are outside the
-        # static plan → the factory silently yields the scalar sim.
+        # licence → the factory silently yields the scalar sim.
         src = """
         module seqonly(clock);
           input wire clock;
@@ -169,6 +176,29 @@ class TestFacade:
         sim = batched_simulator(flat, TaskHost(VirtualFS()), None, None)
         assert isinstance(sim, CompiledSimulator)
         assert not isinstance(sim, BatchedSimulator)
+
+    @pytest.mark.parametrize("env", [None, "0"])
+    def test_unlicensed_engine_runs_the_ambient_scalar_plan(
+            self, env, monkeypatch):
+        """df (128-bit signals) cannot vectorize: a batched engine is
+        then an ordinary compiled one, on the default artifact."""
+        from repro.bench import BENCHMARKS
+
+        if env is None:
+            monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_EVENT", env)
+        service = CompilerService()
+        program = service.compile_program(BENCHMARKS["df"].source())
+        engine = SoftwareEngine(program, TaskHost(VirtualFS()),
+                                backend="batched", compiler=service,
+                                opt_level=2)
+        assert type(engine.sim) is CompiledSimulator
+        assert engine.sim.code.event_mode is (env is None)
+        twin = SoftwareEngine(program, TaskHost(VirtualFS()),
+                              backend="compiled", compiler=service,
+                              opt_level=2)
+        assert twin.sim.code is engine.sim.code
 
     def test_unsupported_without_numpy(self, monkeypatch):
         flat = flatten(parse(kitchen(40)), "kitchen")
@@ -193,7 +223,7 @@ class TestCohortLifecycle:
         program = service.compile_program(src or kitchen(60))
         return CohortEngine(program, compiler=service), program, service
 
-    def test_extract_suspend_resume_rejoin(self):
+    def test_extract_suspend_resume_rejoin(self, o2):
         """Lane → scalar engine → suspend → resume → back to a lane,
         landing bit-identical with a never-vectorized scalar run."""
         engine, program, service = self._cohort_engine()
@@ -240,7 +270,7 @@ class TestCohortLifecycle:
         assert fresh.host.display_log[-3:] == twin.host.display_log[-3:]
         assert fresh.engine.time == twin.engine.sim.time
 
-    def test_detach_shrinks_lanes(self):
+    def test_detach_shrinks_lanes(self, o2):
         engine, program, service = self._cohort_engine()
         members = [engine.admit(TaskHost(VirtualFS())) for _ in range(3)]
         assert engine.size == 3
@@ -250,7 +280,7 @@ class TestCohortLifecycle:
         with pytest.raises(CohortError):
             members[1].get("n")
 
-    def test_snapshot_blocked_mid_bank(self):
+    def test_snapshot_blocked_mid_bank(self, o2):
         engine, program, service = self._cohort_engine()
         a = engine.admit(TaskHost(VirtualFS()))
         b = engine.admit(TaskHost(VirtualFS()))
@@ -291,7 +321,7 @@ class TestSupervisorCohorts:
             assert ra.ticks == rb.ticks
             assert ra.engine.sim.time == rb.engine.sim.time
 
-    def test_stats_telemetry(self):
+    def test_stats_telemetry(self, o2):
         sup = self._mk(3, 0)
         formed = sup.form_cohorts()
         assert formed == 1

@@ -5,7 +5,7 @@ of it as it can in one dispatch.  These tests pin the contract from the
 outside: any partition of N ticks into chunks must be indistinguishable
 from N budget-1 dispatches — ``$display`` log, architectural state,
 tick count, ``$finish`` status **and modeled time, bit for bit** — on
-every stepping path (event plan, always-sweep, reference interpreter,
+every stepping path (event plan, its baseline, reference interpreter,
 cohort lanes), and the engine must come up for air on exactly the tick
 where the runtime has work to do.
 """
