@@ -95,6 +95,9 @@ class Supervisor:
         #: live vector cohorts (same-digest software tenants, §batched)
         self.cohorts: List[CohortEngine] = []
         self.cohorts_formed = 0
+        #: digest[:12] -> why its tenants stay on scalar engines (the
+        #: first refusal per digest; the "why slow path" answer)
+        self.cohorts_refused: Dict[str, str] = {}
         #: counters accumulated from dissolved cohorts
         self._cohort_divergence = 0
         self._cohort_vector_ticks = 0
@@ -327,7 +330,9 @@ class Supervisor:
             try:
                 engine = CohortEngine(lead.program, compiler=lead.compiler,
                                       opt_level=lead.opt_level)
-            except (BatchUnsupported, UnsupportedBackend):
+            except (BatchUnsupported, UnsupportedBackend) as exc:
+                self.cohorts_refused.setdefault(lead.program.digest[:12],
+                                                str(exc))
                 continue
             for tenant in members:
                 runtime = tenant.runtime
@@ -632,6 +637,7 @@ class Supervisor:
             "cohorts": {
                 "active": len(self.cohorts),
                 "formed": self.cohorts_formed,
+                "refused": dict(self.cohorts_refused),
                 "sizes": [engine.size for engine in self.cohorts],
                 "lane_divergence": self._cohort_divergence + sum(
                     engine.divergence for engine in self.cohorts),

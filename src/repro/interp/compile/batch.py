@@ -4,7 +4,7 @@ The hypervisor's steady state is many tenants of one design: the
 artifact store already shares a single :class:`CompiledModuleCode`
 between them, but each engine still advances one Python dispatch per
 tenant per tick.  This module adds the next sharing level — *execution*
-— by compiling the module once into NumPy closures over a
+— by compiling the module once into NumPy code over a
 ``(n_scalars, N)`` uint64 state matrix, so one dispatch advances the
 whole cohort.
 
@@ -28,18 +28,27 @@ over the active mask, and ``$finish`` clears the lane's ``alive`` bit
 so every subsequent statement, NBA latch and time increment ignores it
 exactly like the scalar engine's ``FinishSignal`` abort.
 
-Equivalence contract.  Every closure mirrors one clause of
-:class:`~repro.interp.eval_expr.Evaluator` / the scalar inline tick in
-``compile/simulator.py`` — including the quirks (shift>4096 → 0,
-division by zero → all-ones, float-truncating signed division, the
-64-iteration exponent clamp).  The differential fuzz oracle runs this
-backend as its own lane to keep that contract honest.
+Equivalence contract.  Expressions are not lowered a second time
+here: :class:`VectorExprCompiler` *inherits* the width contexts,
+masking points and constant folding of ``exprc.ExprCompiler``, so both
+carriers emit from one set of width rules.  What mirrors an
+:class:`~repro.interp.eval_expr.Evaluator` clause by hand is only (a)
+the carrier idiom overrides and the ``H_*`` table they run against —
+the >= 64 shift clamp and shift>4096 → 0, division by zero → all-ones,
+guarded selects; ``**`` and signed ``/`` ``%`` run the scalar helpers
+per lane, float truncation and exponent clamp included — and (b) the
+lvalue writers and masked statements, which mirror
+``Evaluator.assign`` and the scalar inline tick in
+``compile/simulator.py``.  ``tests/interp/test_expr_carriers.py``
+holds (a) to the evaluator row by row; the differential fuzz oracle
+runs this backend as its own lane for both.
 """
 
 from __future__ import annotations
 
+import types
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 try:
     import numpy as np
@@ -47,15 +56,18 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
     np = None
 
 from ...verilog import ast_nodes as ast
-from ...verilog.width import WidthError, const_eval, mask, to_signed
-from ..eval_expr import EvalError, Evaluator
+from ...verilog.width import WidthError, const_eval, mask
+from ..eval_expr import Evaluator
 from ..simulator import (
     _MAX_LOOP_ITERATIONS,
     _MAX_SETTLE_ROUNDS,
     InterpSimulator,
     SimulationError,
 )
+from ..store import Store
 from ..systasks import TaskHost, verilog_format
+from .exprc import HELPERS as SCALAR_HELPERS
+from .exprc import CompileFallback, ExprCompiler, const_range_bounds
 from .simulator import CompiledModuleCode, CompiledSimulator
 
 HAVE_NUMPY = np is not None
@@ -74,14 +86,8 @@ class BatchUnsupported(Exception):
     """The module falls outside the vectorized subset (use scalar)."""
 
 
-if HAVE_NUMPY:
-    _U0 = np.uint64(0)
-    _U1 = np.uint64(1)
-    _U63 = np.uint64(63)
-    _U64 = np.uint64(64)
-    _U4096 = np.uint64(4096)
-    _UFULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-    _HAVE_BITCOUNT = hasattr(np, "bitwise_count")
+def _u64(value):
+    return np.asarray(value, dtype=np.uint64)
 
 
 def _umask(width: int):
@@ -90,7 +96,7 @@ def _umask(width: int):
 
 def _as_lanes(st: "BatchedCohort", value):
     """View *value* as a full (N,) uint64 vector (broadcast, read-only)."""
-    arr = np.asarray(value, dtype=np.uint64)
+    arr = _u64(value)
     if arr.ndim == 0:
         return np.broadcast_to(arr, (st.n,))
     return arr
@@ -98,7 +104,7 @@ def _as_lanes(st: "BatchedCohort", value):
 
 def _own(st: "BatchedCohort", value):
     """Materialize *value* as an owned, writable (N,) uint64 copy."""
-    arr = np.asarray(value, dtype=np.uint64)
+    arr = _u64(value)
     if arr.ndim == 0:
         return np.full(st.n, arr, dtype=np.uint64)
     return arr.copy()
@@ -119,455 +125,255 @@ def _live(st: "BatchedCohort", m):
     return am if am.any() else None
 
 
-def _to_signed_fn(width: int):
-    """Vector mirror of ``to_signed``: uint64 → int64 two's complement."""
-    if width >= 64:
-        return lambda v: np.asarray(v, dtype=np.uint64).astype(np.int64)
-    high = np.int64(1 << (width - 1))
-    low = np.int64((1 << (width - 1)) - 1)
+# -- the lane carrier --------------------------------------------------------
+#
+# Generated expression source runs against this table under the same
+# ``H_*`` names as the scalar carrier's ``exprc.HELPERS``, so emitter
+# lines that call a helper need no second spelling.  Operands are
+# uint64 rows, 0-d values or plain Python ints (literals stay ints:
+# NumPy 2's weak promotion keeps ``row & 255`` a uint64 row).
 
-    def signed(v):
-        sv = np.asarray(v, dtype=np.uint64).astype(np.int64)
-        return (sv & low) - (sv & high)
+def _v_signed(value, sb):
+    """int64 two's-complement view of a uint64 value (sign bit *sb*)."""
+    return ((_u64(value) ^ sb) - sb).astype(np.int64)
 
-    return signed
+
+# NumPy shifts by >= 64 are undefined, so dynamic amounts clamp to 63
+# and the lanes that shifted everything out are selected to 0 after.
+
+def _v_shl(left, shift, mw):
+    s = _u64(shift)
+    return np.where(s < 64, (left << np.minimum(s, 63)) & mw, 0)
+
+
+def _v_shr(left, shift):
+    s = _u64(shift)
+    return np.where(s < 64, left >> np.minimum(s, 63), 0)
+
+
+def _v_sshr(left, shift, sb, mw):
+    s = _u64(shift)
+    filled = _v_signed(left, sb) >> np.minimum(s, 63).astype(np.int64)
+    # Evaluator quirk: any shift > 4096 is 0 before the arithmetic
+    # branch is reached; up to there the sign fill saturates.
+    return np.where(s > 4096, 0, filled.astype(np.uint64) & mw)
+
+
+def _v_divmod(op):
+    def helper(left, right, mw):
+        right = _u64(right)
+        zero = right == 0
+        return np.where(zero, mw, op(_u64(left), np.where(zero, 1, right)))
+    return helper
+
+
+def _v_rsel(base, start, k, descending, sel_mask):
+    """Guarded ``(base >> low) & sel_mask`` for a dynamic bit/part read.
+
+    ``low`` is ``start - k`` (``k - start`` on a descending vector) and
+    a negative ``low`` reads 0.  The sign is decided by comparing
+    *start* with *k*, never from the modular difference: that alone
+    would alias a start >= 2^63 onto a valid offset.
+    """
+    start = _u64(start)
+    low = k - start if descending else start - k
+    valid = (low < 64) & ((start <= k) if descending else (start >= k))
+    return np.where(valid, (base >> np.where(valid, low, 0)) & sel_mask, 0)
+
+
+def _v_mget(memory, lanes, idx, depth):
+    idx = _u64(idx)
+    valid = idx < depth
+    words = memory[lanes, np.where(valid, idx, 0).astype(np.intp)]
+    return np.where(valid, words, 0)
+
+
+def _per_lane(fn, nvary=2):
+    """Lift a scalar helper over lanes (first *nvary* arguments vary).
+
+    For the operators with no uint64 form — ``**``, signed ``/`` ``%``
+    (the evaluator truncates through *float* division, precision loss
+    included) — the scalar carrier's own helper runs once per lane.
+    """
+    def lifted(*args):
+        rows = np.broadcast_arrays(*map(_u64, args[:nvary]))
+        out = [fn(*map(int, lane), *args[nvary:])
+               for lane in zip(*(row.flat for row in rows))]
+        return np.array(out, dtype=np.uint64).reshape(rows[0].shape)
+    return lifted
+
+
+if HAVE_NUMPY:
+    _U0 = np.uint64(0)
+    _U1 = np.uint64(1)
+    HELPERS = {
+        "np": np, "H_u64": _u64, "H_not": np.logical_not, "H_sv": _v_signed,
+        "H_sel": lambda c, t, f: np.where(c, _u64(t), _u64(f)),
+        "H_shl": _v_shl, "H_shr": _v_shr, "H_sshr": _v_sshr,
+        "H_par": lambda v: (np.bitwise_count(_u64(v)) & 1).astype(np.uint64),
+        "H_div": _v_divmod(np.floor_divide), "H_mod": _v_divmod(np.remainder),
+        "H_rep": SCALAR_HELPERS["H_rep"],  # shifts and ors: rows work as is
+        **{name: _per_lane(SCALAR_HELPERS[name])
+           for name in ("H_pow", "H_sdiv", "H_smod")},
+        "H_rsel": _v_rsel, "H_mget": _v_mget,
+        "H_clog2": _per_lane(lambda v: max(0, (v - 1).bit_length()), 1),
+    }
+
+
+class VectorExprCompiler(ExprCompiler):
+    """The lane carrier: :class:`ExprCompiler` over ``uint64`` rows.
+
+    Every width rule is inherited; only the carrier idioms are
+    overridden.  Always strict — a lane has no store behind it for an
+    ``EV``/``SYS`` escape to read — so whatever the emitter cannot
+    lower raises, and the module falls back to the scalar backend.
+    Source reads the cohort through its one free name ``st``.
+    """
+
+    word = 64
+
+    def __init__(self, env, layout):
+        super().__init__(env, layout.slot_of, layout.mem_slot_of)
+        self.strict = True
+        self.slot_src = "st.d[{}]".format
+
+    def mem_ref(self, name: str) -> str:
+        if self.env.signal(name).base < 0:
+            raise CompileFallback(f"memory {name!r} has a negative base")
+        return f"st.mems[{name!r}]"
+
+    def _truth(self, value):
+        return f"(({value}) != 0)"
+
+    def _b2i(self, cond):
+        return f"H_u64({cond})"
+
+    def _nb2i(self, cond):
+        return f"H_u64(H_not({cond}))"
+
+    def _join(self, op, left, right):
+        # Pure operands under licensing, so evaluating both sides
+        # matches the scalar short-circuit bit for bit.
+        return f"({left}) {'&' if op == '&&' else '|'} ({right})"
+
+    def _not(self, cond):
+        # not ``~``: an all-constant comparison is a Python bool, and
+        # ``~True == -2``
+        return f"H_not({cond})"
+
+    def _select(self, cond, if_true, if_false):
+        # Both arms evaluate (pure under licensing); the scalar
+        # evaluator picks one lazily — same values either way.
+        return f"H_sel({cond}, {if_true}, {if_false})"
+
+    def _signed(self, value, sb):
+        return f"H_sv({value}, {sb})"
+
+    def _sshr_const(self, left, shift, sb, mws):
+        return f"H_sshr({left}, {shift}, {sb}, {mws})"
+
+    def _bit_of(self, base, bit):
+        return f"(H_shr({base}, {bit}) & 1)"
+
+    def _mem_word(self, memory, idx):
+        return f"{memory}[:, {idx}]"
+
+    def _mem_guarded(self, memory, idx, depth):
+        # ``idx`` already has the base address subtracted, modulo 2^64:
+        # an address below the base wraps far above any depth.
+        return f"H_mget({memory}, st.lanes, {idx}, {depth})"
+
+    def _bit_dyn(self, sig, slot, idx):
+        return self._guarded_read(self.slot_src(slot), idx, sig, 0, 1)
+
+    def _range_dyn(self, e, base, start, sel_width):
+        span = sel_width - 1 if e.mode == "-:" else 0
+        return self._guarded_read(base, start, self.env.base_signal(e.base),
+                                  span, (1 << sel_width) - 1)
+
+    def _guarded_read(self, base, start, sig, span, sel_mask):
+        k = span + (sig.lsb if sig is not None else 0)
+        if k < 0:
+            raise CompileFallback("select below a negative declared bound")
+        descending = sig is not None and sig.msb < sig.lsb
+        return f"H_rsel({base}, {start}, {k}, {descending}, {sel_mask})"
+
+    def _syscall(self, e, w, mw):
+        if e.name in ("$time", "$stime"):
+            return "st.times" if w >= 64 else f"(st.times & {mw})"
+        if e.name == "$clog2" and e.args:
+            return f"H_clog2({self.compile(e.args[0])})"
+        # $random/$urandom draw from the host RNG stream per *executed*
+        # call; a masked vector evaluation would advance lanes that the
+        # scalar engine would not.  File I/O is host-stateful per lane.
+        raise CompileFallback(f"cannot vectorize system function {e.name}")
+
+
+def _unlinked(st):
+    raise AssertionError("vector expression called before link()")
 
 
 class _VectorCompiler:
-    """Compiles expressions/statements into closures over a cohort.
+    """Compiles statements and lvalues into closures over a cohort.
 
-    Expression closures take the cohort and return a uint64 scalar
-    (constants) or (N,) vector; statement closures take the cohort and
-    a boolean lane mask.  Width resolution copies the scalar
-    :class:`Evaluator` clause for clause; any construct or width the
-    vector subset cannot express raises :class:`BatchUnsupported`.
+    Expressions are source from :class:`VectorExprCompiler`, wrapped
+    as ``fn(st)`` returning a Python int (constants) or an (N,) uint64
+    row; statement closures take the cohort and a boolean lane mask.
+    Any construct the vector subset cannot express raises
+    :class:`BatchUnsupported` here, or ``CompileFallback`` /
+    ``WidthError`` in the emitter (turned into the former, reason
+    kept, by :class:`BatchedModuleCode`).
     """
 
     def __init__(self, code: CompiledModuleCode):
-        self.code = code
         self.env = code.env
         self.layout = code.layout
         self.comb_in = code.comb_in
         self.trig_slots = set(code.trig_slots)
+        self.ec = VectorExprCompiler(code.env, code.layout)
+        #: expression source -> its ``fn(st)``, body pending link()
+        self._fns: Dict[str, Callable] = {}
+        self._namespace = dict(HELPERS)
 
-    # -- expression entry points -------------------------------------------
+    # -- expressions: source from the lane carrier, bound by link() ---------
+
+    def _fn(self, src: str):
+        """``fn(st)`` evaluating *src* (one function per distinct source).
+
+        Statement closures capture the function now; its body arrives
+        when :meth:`link` compiles every expression of the module in
+        one ``compile()`` — per-expression ``exec`` made building the
+        artifact several times slower.
+        """
+        fn = self._fns.get(src)
+        if fn is None:
+            fn = self._fns[src] = types.FunctionType(
+                _unlinked.__code__, self._namespace, f"e{len(self._fns)}")
+        return fn
+
+    def link(self) -> None:
+        text = "\n".join(f"def {fn.__name__}(st):\n    return {src}"
+                         for src, fn in self._fns.items())
+        exec(compile(text, "<repro-batched>", "exec"), self._namespace)
+        for fn in self._fns.values():
+            fn.__code__ = self._namespace[fn.__name__].__code__
 
     def expr_ctx(self, expr: ast.Expr, context_width: int):
-        """Mirror ``Evaluator.eval``: widen to the context."""
-        return self._expr(expr, max(self.env.width_of(expr), context_width))
+        """``Evaluator.eval``: widen to the context."""
+        return self._fn(self.ec.compile(expr, context_width))
 
     def expr_self(self, expr: ast.Expr):
-        """Mirror ``Evaluator.eval(expr)`` with no context (self width)."""
-        return self._expr(expr, self.env.width_of(expr))
+        """``Evaluator.eval(expr)`` with no context (self width)."""
+        return self._fn(self.ec.compile(expr))
+
+    def expr_at(self, expr: ast.Expr, width: int):
+        """``Evaluator._eval`` at exactly *width* (case subject/labels)."""
+        return self._fn(self.ec.compile_at(expr, width))
 
     def expr_bool(self, expr: ast.Expr):
-        """Mirror ``Evaluator.eval_bool``: nonzero at self width."""
-        vf = self.expr_self(expr)
-        return lambda st: vf(st) != _U0
-
-    # -- expression dispatch -----------------------------------------------
-
-    def _expr(self, expr: ast.Expr, width: int):
-        if width < 1 or width > 64:
-            raise BatchUnsupported(
-                f"expression width {width} outside the 64-bit lane word")
-        if isinstance(expr, ast.Number):
-            value = np.uint64(mask(expr.value, width))
-            return lambda st: value
-        if isinstance(expr, ast.String):
-            packed = 0
-            for ch in expr.value:
-                packed = (packed << 8) | ord(ch)
-            value = np.uint64(mask(packed, width))
-            return lambda st: value
-        if isinstance(expr, ast.Identifier):
-            return self._expr_identifier(expr, width)
-        if isinstance(expr, ast.Index):
-            return self._expr_index(expr)
-        if isinstance(expr, ast.RangeSelect):
-            return self._expr_range(expr)
-        if isinstance(expr, ast.Concat):
-            return self._expr_concat(expr)
-        if isinstance(expr, ast.Repeat):
-            return self._expr_repeat(expr)
-        if isinstance(expr, ast.Unary):
-            return self._expr_unary(expr, width)
-        if isinstance(expr, ast.Binary):
-            return self._expr_binary(expr, width)
-        if isinstance(expr, ast.Ternary):
-            cf = self.expr_bool(expr.cond)
-            tf = self._expr(expr.if_true, width)
-            ff = self._expr(expr.if_false, width)
-            # Both arms evaluate (pure under licensing); the scalar
-            # evaluator picks one lazily — same values either way.
-            return lambda st: np.where(cf(st), tf(st), ff(st))
-        if isinstance(expr, ast.SysCall):
-            return self._expr_syscall(expr, width)
-        raise BatchUnsupported(f"cannot vectorize {type(expr).__name__}")
-
-    def _expr_identifier(self, expr: ast.Identifier, width: int):
-        name = expr.name
-        slot = self.layout.slot_of.get(name)
-        if slot is not None:
-            # Stored values are already masked at the declared width and
-            # width >= width_of(expr) here, so no extra mask is needed.
-            return lambda st: st.d[slot]
-        if name in self.env.params:
-            value = np.uint64(mask(self.env.params[name], width))
-            return lambda st: value
-        raise BatchUnsupported(f"cannot vectorize read of {name!r}")
-
-    def _expr_index(self, expr: ast.Index):
-        if not isinstance(expr.base, ast.Identifier):
-            bf = self.expr_self(expr.base)
-            idxf = self.expr_self(expr.index)
-
-            def bit_of_value(st):
-                base = bf(st)
-                idx = _as_lanes(st, idxf(st))
-                clamped = np.minimum(idx, _U63)
-                return np.where(idx > _U63, _U0, (base >> clamped) & _U1)
-
-            return bit_of_value
-        sig = self.env.signals.get(expr.base.name)
-        if sig is None:
-            raise BatchUnsupported(f"index into unknown {expr.base.name!r}")
-        idxf = self.expr_self(expr.index)
-        if sig.is_memory:
-            name = sig.name
-            base_addr, _, _, depth = self.layout.mem_specs[name]
-            baseu = np.uint64(base_addr)
-            endu = np.uint64(base_addr + depth)
-
-            def mem_read(st):
-                idx = _as_lanes(st, idxf(st))
-                valid = (idx >= baseu) & (idx < endu)
-                safe = np.where(valid, idx - baseu, _U0).astype(np.intp)
-                return np.where(valid, st.mems[name][st.lanes, safe], _U0)
-
-            return mem_read
-        slot = self.layout.slot_of[sig.name]
-        lsb = np.int64(sig.lsb)
-        sig_width = np.int64(sig.width)
-        ascending = sig.msb >= sig.lsb
-
-        def bit_read(st):
-            iv = _as_lanes(st, idxf(st)).astype(np.int64)
-            off = (iv - lsb) if ascending else (lsb - iv)
-            valid = (off >= 0) & (off < sig_width)
-            offu = np.where(valid, off, 0).astype(np.uint64)
-            return np.where(valid, (st.d[slot] >> offu) & _U1, _U0)
-
-        return bit_read
-
-    def _range_bounds_const(self, expr: ast.RangeSelect):
-        """Mirror ``Evaluator._range_bounds`` for the constant ':' mode."""
-        sig = None
-        if isinstance(expr.base, ast.Identifier):
-            sig = self.env.signals.get(expr.base.name)
-        msb = const_eval(expr.msb, self.env.params)
-        lsb = const_eval(expr.lsb, self.env.params)
-        sel_width = abs(msb - lsb) + 1
-        low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
-        low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
-        return low, sel_width
-
-    def _expr_range(self, expr: ast.RangeSelect):
-        bf = self.expr_self(expr.base)
-        if expr.mode == ":":
-            low, sel_width = self._range_bounds_const(expr)
-            if sel_width < 1 or sel_width > 64:
-                raise BatchUnsupported(f"range width {sel_width} > 64")
-            if low < 0 or low >= 64:
-                return lambda st: _U0
-            smask = _umask(sel_width)
-            if low == 0:
-                return lambda st: bf(st) & smask
-            lowu = np.uint64(low)
-            return lambda st: (bf(st) >> lowu) & smask
-        # "+:" / "-:" — dynamic start, constant width.
-        startf = self.expr_self(expr.msb)
-        sel_width = const_eval(expr.lsb, self.env.params)
-        if sel_width < 1 or sel_width > 64:
-            raise BatchUnsupported(f"range width {sel_width} > 64")
-        smask = _umask(sel_width)
-        sig = None
-        if isinstance(expr.base, ast.Identifier):
-            sig = self.env.signals.get(expr.base.name)
-        ascending = sig is None or sig.msb >= sig.lsb
-        lsb = np.int64(sig.lsb if sig is not None else 0)
-        minus = expr.mode == "-:"
-        span = np.int64(sel_width - 1)
-
-        def range_read(st):
-            iv = _as_lanes(st, startf(st)).astype(np.int64)
-            li = (iv - span) if minus else iv
-            low = (li - lsb) if ascending else (lsb - li)
-            valid = (low >= 0) & (low < 64)
-            if not ascending:
-                # int64 wrap of a huge unsigned start must stay
-                # out-of-range, as the scalar big-int math has it.
-                valid = valid & (iv >= 0)
-            lowu = np.where(valid, low, 0).astype(np.uint64)
-            return np.where(valid, (bf(st) >> lowu) & smask, _U0)
-
-        return range_read
-
-    def _expr_concat(self, expr: ast.Concat):
-        parts = [(self.expr_self(p), self.env.width_of(p))
-                 for p in expr.parts]
-        total = sum(pw for _, pw in parts)
-        if total > 64:
-            raise BatchUnsupported(f"concat width {total} > 64")
-        if not parts:
-            raise BatchUnsupported("empty concatenation")
-
-        def concat(st):
-            fn0, _ = parts[0]
-            value = fn0(st)
-            for fn, pw in parts[1:]:
-                value = (value << np.uint64(pw)) | fn(st)
-            return value
-
-        return concat
-
-    def _expr_repeat(self, expr: ast.Repeat):
-        count = const_eval(expr.count, self.env.params)
-        unit_width = self.env.width_of(expr.value)
-        if count * unit_width > 64:
-            raise BatchUnsupported(f"repeat width {count * unit_width} > 64")
-        if count <= 0:
-            return lambda st: _U0
-        uf = self.expr_self(expr.value)
-        if count == 1:
-            return uf
-        shift = np.uint64(unit_width)
-
-        def repeat(st):
-            unit = uf(st)
-            value = unit
-            for _ in range(count - 1):
-                value = (value << shift) | unit
-            return value
-
-        return repeat
-
-    def _expr_unary(self, expr: ast.Unary, width: int):
-        op = expr.op
-        if op == "!":
-            bf = self.expr_bool(expr.operand)
-            return lambda st: (~bf(st)).astype(np.uint64)
-        if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
-            operand_width = self.env.width_of(expr.operand)
-            vf = self._expr(expr.operand, operand_width)
-            owm = _umask(operand_width)
-            if op == "&":
-                return lambda st: (vf(st) == owm).astype(np.uint64)
-            if op == "~&":
-                return lambda st: (vf(st) != owm).astype(np.uint64)
-            if op == "|":
-                return lambda st: (vf(st) != _U0).astype(np.uint64)
-            if op == "~|":
-                return lambda st: (vf(st) == _U0).astype(np.uint64)
-            if _HAVE_BITCOUNT:
-                def parity(st):
-                    return np.bitwise_count(vf(st)).astype(np.uint64) & _U1
-            else:  # pragma: no cover - NumPy < 2.0 fallback
-                def parity(st):
-                    v = np.asarray(vf(st), dtype=np.uint64)
-                    for s in (32, 16, 8, 4, 2, 1):
-                        v = v ^ (v >> np.uint64(s))
-                    return v & _U1
-            if op == "^":
-                return parity
-            return lambda st: parity(st) ^ _U1
-        vf = self._expr(expr.operand, width)
-        wm = _umask(width)
-        if op == "~":
-            return lambda st: (~vf(st)) & wm
-        if op == "-":
-            return lambda st: (_U0 - vf(st)) & wm
-        raise BatchUnsupported(f"cannot vectorize unary {op!r}")
-
-    def _expr_binary(self, expr: ast.Binary, width: int):
-        op = expr.op
-        env = self.env
-        wm = _umask(width)
-        if op in ("&&", "||"):
-            # Pure operands under licensing, so both-eval matches the
-            # scalar short-circuit bit for bit.
-            lf = self.expr_bool(expr.left)
-            rf = self.expr_bool(expr.right)
-            if op == "&&":
-                return lambda st: (lf(st) & rf(st)).astype(np.uint64)
-            return lambda st: (lf(st) | rf(st)).astype(np.uint64)
-        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-            cmp_width = max(env.width_of(expr.left), env.width_of(expr.right))
-            if cmp_width > 64:
-                raise BatchUnsupported(f"comparison width {cmp_width} > 64")
-            lf = self._expr(expr.left, cmp_width)
-            rf = self._expr(expr.right, cmp_width)
-            if env.is_signed(expr.left) and env.is_signed(expr.right):
-                signed = _to_signed_fn(cmp_width)
-                pair = lambda st: (signed(lf(st)), signed(rf(st)))
-            else:
-                pair = lambda st: (lf(st), rf(st))
-            cmp_ops = {
-                "==": lambda a, b: a == b, "===": lambda a, b: a == b,
-                "!=": lambda a, b: a != b, "!==": lambda a, b: a != b,
-                "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-            }
-            fn = cmp_ops[op]
-
-            def compare(st):
-                a, b = pair(st)
-                return fn(a, b).astype(np.uint64)
-
-            return compare
-        if op in ("<<", "<<<", ">>", ">>>"):
-            lf = self._expr(expr.left, width)
-            if (isinstance(expr.right, ast.Number)
-                    and not expr.right.xz_mask
-                    and not (op == ">>>" and env.is_signed(expr.left))):
-                # Constant unsigned shift: the clamp/overflow guards
-                # fold away, leaving one vector op — shifts are the
-                # hottest expr kind in register-mill datapaths.
-                amount = expr.right.value
-                if amount >= 64:
-                    zero = _U0
-                    return lambda st: zero
-                su = np.uint64(amount)
-                if op in ("<<", "<<<"):
-                    return lambda st: (lf(st) << su) & wm
-                return lambda st: lf(st) >> su
-            sf = self.expr_self(expr.right)
-            if op in ("<<", "<<<"):
-                def shl(st):
-                    s = sf(st)
-                    clamped = np.minimum(s, _U63)
-                    return np.where(s >= _U64, _U0, (lf(st) << clamped) & wm)
-                return shl
-            if op == ">>>" and env.is_signed(expr.left):
-                signed = _to_signed_fn(width)
-
-                def sra(st):
-                    s = sf(st)
-                    clamped = np.minimum(s, _U63).astype(np.int64)
-                    filled = (signed(lf(st)) >> clamped).astype(np.uint64) & wm
-                    # Scalar quirk: any shift > 4096 short-circuits to 0
-                    # before the arithmetic branch is reached.
-                    return np.where(s > _U4096, _U0, filled)
-
-                return sra
-
-            def shr(st):
-                s = sf(st)
-                clamped = np.minimum(s, _U63)
-                return np.where(s >= _U64, _U0, lf(st) >> clamped)
-
-            return shr
-        if op == "**":
-            bf = self._expr(expr.left, width)
-            ef = self.expr_self(expr.right)
-            modulus = 1 << max(width, 1)
-
-            def power(st):
-                base = _as_lanes(st, bf(st))
-                exponent = _as_lanes(st, ef(st))
-                out = np.empty(st.n, dtype=np.uint64)
-                for i in range(st.n):
-                    e = int(exponent[i])
-                    if e > 64:
-                        e = 64
-                    out[i] = pow(int(base[i]), e, modulus)
-                return out
-
-            return power
-        lf = self._expr(expr.left, width)
-        rf = self._expr(expr.right, width)
-        if op == "+":
-            return lambda st: (lf(st) + rf(st)) & wm
-        if op == "-":
-            return lambda st: (lf(st) - rf(st)) & wm
-        if op == "*":
-            return lambda st: (lf(st) * rf(st)) & wm
-        if op in ("/", "%"):
-            if env.is_signed(expr.left) and env.is_signed(expr.right):
-                return self._signed_divmod(lf, rf, op, width)
-            if op == "/":
-                def udiv(st):
-                    left, right = lf(st), rf(st)
-                    zero = right == _U0
-                    safe = np.where(zero, _U1, right)
-                    return np.where(zero, wm, left // safe)
-                return udiv
-
-            def umod(st):
-                left, right = lf(st), rf(st)
-                zero = right == _U0
-                safe = np.where(zero, _U1, right)
-                return np.where(zero, wm, left % safe)
-
-            return umod
-        if op == "&":
-            return lambda st: lf(st) & rf(st)
-        if op == "|":
-            return lambda st: lf(st) | rf(st)
-        if op == "^":
-            return lambda st: lf(st) ^ rf(st)
-        if op in ("~^", "^~"):
-            return lambda st: (~(lf(st) ^ rf(st))) & wm
-        raise BatchUnsupported(f"cannot vectorize binary {op!r}")
-
-    def _signed_divmod(self, lf, rf, op: str, width: int):
-        """Per-lane signed '/' and '%', bit-exact with the evaluator.
-
-        The scalar path truncates via *float* division (``int(a / b)``)
-        — replicate it literally, precision loss included.
-        """
-        div = op == "/"
-
-        def signed_divmod(st):
-            left = _as_lanes(st, lf(st))
-            right = _as_lanes(st, rf(st))
-            out = np.empty(st.n, dtype=np.uint64)
-            for i in range(st.n):
-                rv = int(right[i])
-                if rv == 0:
-                    out[i] = mask(-1, width)
-                    continue
-                sl = to_signed(int(left[i]), width)
-                sr = to_signed(rv, width)
-                if div:
-                    out[i] = mask(int(sl / sr), width)
-                else:
-                    out[i] = mask(sl - sr * int(sl / sr), width)
-            return out
-
-        return signed_divmod
-
-    def _expr_syscall(self, expr: ast.SysCall, width: int):
-        name = expr.name
-        if name in ("$signed", "$unsigned") and expr.args:
-            return self._expr(expr.args[0], width)
-        if name in ("$time", "$stime"):
-            return lambda st: st.times
-        if name == "$clog2" and expr.args:
-            vf = self.expr_self(expr.args[0])
-
-            def clog2(st):
-                values = _as_lanes(st, vf(st))
-                out = np.empty(st.n, dtype=np.uint64)
-                for i in range(st.n):
-                    out[i] = max(0, (int(values[i]) - 1).bit_length())
-                return out
-
-            return clog2
-        # $random/$urandom draw from the host RNG stream per *executed*
-        # call; a masked vector evaluation would advance lanes that the
-        # scalar engine would not.  File I/O is host-stateful per lane.
-        raise BatchUnsupported(f"cannot vectorize system function {name}")
+        """``Evaluator.eval_bool`` as a boolean lane mask."""
+        return self._fn(
+            f"np.asarray({self.ec.compile_cond(expr)}, dtype=bool)")
 
     # -- lvalue writers ----------------------------------------------------
 
@@ -693,7 +499,7 @@ class _VectorCompiler:
         sig_mask = _umask(sig.width)
         comb_mark = mark and bool(self.comb_in[slot])
         if lhs.mode == ":":
-            low, sel_width = self._range_bounds_const(lhs)
+            low, sel_width = const_range_bounds(lhs, self.env)
             if sel_width < 1 or sel_width > 64:
                 raise BatchUnsupported(f"range width {sel_width} > 64")
             if low < 0 or low >= sig.width:
@@ -869,9 +675,7 @@ class _VectorCompiler:
 
     def _compile_case(self, stmt: ast.Case):
         subject_width = self.env.width_of(stmt.expr)
-        if subject_width > 64:
-            raise BatchUnsupported(f"case subject width {subject_width} > 64")
-        sf = self._expr(stmt.expr, subject_width)
+        sf = self.expr_at(stmt.expr, subject_width)
         wildcard = stmt.kind in ("casez", "casex")
         arms = []
         default_fn = None
@@ -885,7 +689,7 @@ class _VectorCompiler:
             labels = []
             for label in item.labels:
                 label_width = max(subject_width, self.env.width_of(label))
-                lf = self._expr(label, label_width)
+                lf = self.expr_at(label, label_width)
                 dontcare = 0
                 if wildcard and isinstance(label, ast.Number):
                     dontcare = label.xz_mask
@@ -1038,16 +842,10 @@ class _VectorCompiler:
         args = stmt.args
         formatted = (bool(args) and isinstance(args[0], ast.String)
                      and "%" in args[0].value)
-        if formatted:
-            fmt = args[0].value
-            specs = [(arg.value, None) if isinstance(arg, ast.String)
-                     else (None, self.expr_self(arg))
-                     for arg in args[1:]]
-        else:
-            fmt = None
-            specs = [(arg.value, None) if isinstance(arg, ast.String)
-                     else (None, self.expr_self(arg))
-                     for arg in args]
+        fmt = args[0].value if formatted else None
+        specs = [(arg.value, None) if isinstance(arg, ast.String)
+                 else (None, self.expr_self(arg))
+                 for arg in (args[1:] if formatted else args)]
 
         def output(st, m):
             st.stmts_executed += 1
@@ -1115,7 +913,8 @@ class BatchedModuleCode:
                 elif proc.kind == "star":
                     raise BatchUnsupported("star process")
             self.proc_fns = proc_fns
-        except WidthError as exc:
+            compiler.link()
+        except (CompileFallback, WidthError) as exc:
             raise BatchUnsupported(str(exc)) from exc
         self.n_events = len(code.edge_specs)
         # Clock-slot firing plan: (event index, process index, edge kind).
@@ -1566,18 +1365,9 @@ class _LaneStore:
     def restore(self, snapshot: Dict[str, object]) -> None:
         self.cohort.restore_lane(self.lane, snapshot)
 
-    def state_bits(self, names: Optional[Iterable[str]] = None) -> int:
-        """Total bits captured by :meth:`snapshot` (latency model)."""
-        selected = set(names) if names is not None else None
-        total = 0
-        for sig in self.env.signals.values():
-            if selected is not None and sig.name not in selected:
-                continue
-            if sig.is_memory:
-                total += sig.width * (sig.depth or 0)
-            else:
-                total += sig.width
-        return total
+    # Bits captured by :meth:`snapshot` (latency model): a function of
+    # ``env`` alone, so the reference store's serves as is.
+    state_bits = Store.state_bits
 
 
 class BatchedSimulator:

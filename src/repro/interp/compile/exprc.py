@@ -2,32 +2,35 @@
 
 Mirrors :class:`repro.interp.eval_expr.Evaluator` exactly — the same
 width contexts, the same masking points, the same error behaviour — but
-resolves all of it *once* at elaboration time.  The emitted source
-reads scalar slots as ``d[i]`` and memory words as list indexing; the
-only runtime dispatch left is Python's own bytecode.
+resolves all of it *once* at elaboration time.  This is the one
+lowering of expressions to executable source, over two carriers:
 
-Anything the compiler cannot lower statically falls back to an ``EV``
-call — ``Evaluator._eval`` on the original node at the same width — so
-behaviour (including runtime errors on never-executed paths) is
-bit-identical to the interpreter.
+* the **scalar** carrier (:class:`ExprCompiler` itself): a value is a
+  Python ``int``, a slot is ``d[i]``, a memory is a list.  Anything it
+  cannot lower statically falls back to an ``EV`` call —
+  ``Evaluator._eval`` on the original node at the same width — so
+  behaviour (including runtime errors on never-executed paths) is
+  bit-identical to the interpreter.
+* the **lane** carrier (``batch.VectorExprCompiler``): a value is a
+  ``uint64`` row over N tenants.  It inherits every width rule below
+  and overrides only the *carrier idioms* at the end of the class —
+  the dozen spellings an array cannot share with an ``int`` (truth,
+  select, guarded reads, the signed view) — and runs the source
+  against its own table of the same ``H_*`` helper names.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...verilog import ast_nodes as ast
-from ...verilog.width import WidthEnv, WidthError, const_eval, mask
+from ...verilog.width import WidthEnv, WidthError, const_eval
 
 # Purity and node-count semantics are shared with the mid-end: pass
 # legality (CSE, hoisting, DCE) and strict-codegen legality must agree
 # on exactly which system functions are side-effect-free, so there is
 # one definition (re-exported here under the emitter's historic names).
-from ...opt.ir import (  # noqa: E402  (grouped with package imports)
-    PURE_SYSFUNCS as _PURE_SYSFUNCS,
-    expr_nodes,
-    expr_pure as expr_is_pure,
-)
+from ...opt.ir import expr_nodes, expr_pure as expr_is_pure
 
 
 class CompileFallback(Exception):
@@ -37,14 +40,6 @@ class CompileFallback(Exception):
 # Helper functions referenced from generated source.  They carry the
 # rare/awkward semantics (guards, dynamic selects) so the common path
 # stays branch-free inline arithmetic.
-
-def _h_mget(memory: List[int], idx: int) -> int:
-    return memory[idx] if 0 <= idx < len(memory) else 0
-
-
-def _h_bit(offset: int, value: int, width: int) -> int:
-    return (value >> offset) & 1 if 0 <= offset < width else 0
-
 
 def _h_rsel(value: int, low: int, sel_mask: int) -> int:
     return (value >> low) & sel_mask if low >= 0 else 0
@@ -106,15 +101,47 @@ def _h_smod(left: int, right: int, sb: int, mw: int) -> int:
 
 
 HELPERS = {
-    "H_mget": _h_mget, "H_bit": _h_bit, "H_rsel": _h_rsel, "H_rep": _h_rep,
-    "H_par": _h_par, "H_shl": _h_shl, "H_shr": _h_shr, "H_sshr": _h_sshr,
-    "H_pow": _h_pow, "H_div": _h_div, "H_sdiv": _h_sdiv, "H_mod": _h_mod,
-    "H_smod": _h_smod,
+    "H_rsel": _h_rsel, "H_rep": _h_rep, "H_par": _h_par, "H_shl": _h_shl,
+    "H_shr": _h_shr, "H_sshr": _h_sshr, "H_pow": _h_pow, "H_div": _h_div,
+    "H_sdiv": _h_sdiv, "H_mod": _h_mod, "H_smod": _h_smod,
 }
+
+
+def const_range_bounds(expr: ast.RangeSelect, env: WidthEnv) -> Tuple[int, int]:
+    """``(low bit offset, width)`` of a constant ``[msb:lsb]`` select.
+
+    The ``:`` clause of ``Evaluator._range_bounds`` (the reference,
+    kept separate), shared by every emitter that resolves it at
+    compile time: a descending declaration counts the offset from the
+    select's ``msb`` end.
+    """
+    sig = env.base_signal(expr.base)
+    msb = const_eval(expr.msb, env.params)
+    lsb = const_eval(expr.lsb, env.params)
+    low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
+    low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
+    return low, abs(msb - lsb) + 1
+
+
+def dynamic_low_src(mode: str, start: str, sel_width: int, sig) -> str:
+    """Source for the low bit offset of ``[start +: w]`` / ``[start -: w]``
+    (the dynamic clause of ``Evaluator._range_bounds``, as Python ints)."""
+    low_index = (f"({start})" if mode == "+:"
+                 else f"(({start}) - {sel_width - 1})")
+    if sig is None:
+        return low_index
+    if sig.msb >= sig.lsb:
+        return f"{low_index} - {sig.lsb}" if sig.lsb else low_index
+    return f"{sig.lsb} - {low_index}"
 
 
 class ExprCompiler:
     """Compiles expressions of one module into Python source fragments."""
+
+    #: lane word of the carrier: ``None`` for Python ints (unbounded),
+    #: 64 for ``uint64`` rows.  Bounds every ``_ex`` width and folds
+    #: the constant shifts / select offsets a machine word cannot hold.
+    word: Optional[int] = None
 
     def __init__(self, env: WidthEnv, slot_of: Dict[str, int],
                  mem_slot_of: Dict[str, int]):
@@ -199,10 +226,6 @@ class ExprCompiler:
                 raise
             return f"EV({self.const_ref(expr)}, {width})"
 
-    def compile_bool(self, expr: ast.Expr) -> str:
-        """Source usable in boolean context (``Evaluator.eval_bool``)."""
-        return self.compile_at(expr, self.env.width_of(expr))
-
     def compile_cond(self, expr: ast.Expr) -> str:
         """Source for a *Python* boolean context (``if``/``while``).
 
@@ -224,20 +247,23 @@ class ExprCompiler:
             if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
                 return self._cmp_src(e)
             if op in ("&&", "||"):
-                joiner = "and" if op == "&&" else "or"
-                return (f"(({self._ex_cond(e.left)}) {joiner} "
-                        f"({self._ex_cond(e.right)}))")
+                return "(" + self._join(op, self._ex_cond(e.left),
+                                        self._ex_cond(e.right)) + ")"
         if isinstance(e, ast.Unary) and e.op == "!":
-            return f"(not ({self._ex_cond(e.operand)}))"
-        return self._ex(e, self.env.width_of(e))
+            return self._not(self._ex_cond(e.operand))
+        return self._truth(self._ex(e, self.env.width_of(e)))
 
     def _ex_chain(self, e: ast.Expr, w: int) -> str:
         """Unmasked source for a +/-/* chain member at context width *w*.
 
         Only the nested ring operators go unmasked; every other node
-        compiles normally (masked) and enters the chain as a leaf.
+        compiles normally (masked) and enters the chain as a leaf.  On
+        a bounded carrier a constant-only member is such a leaf too:
+        unmasked, Python would hand the lanes a negative or over-wide
+        ``int`` that no ``uint64`` can hold.
         """
-        if isinstance(e, ast.Binary) and e.op in ("+", "-", "*"):
+        if (isinstance(e, ast.Binary) and e.op in ("+", "-", "*")
+                and (self.word is None or self._try_const(e) is None)):
             return (f"(({self._ex_chain(e.left, w)}) {e.op} "
                     f"({self._ex_chain(e.right, w)}))")
         return self._ex(e, w)
@@ -250,8 +276,8 @@ class ExprCompiler:
         right = self._ex(e.right, cmp_width)
         if self.env.is_signed(e.left) and self.env.is_signed(e.right):
             sb = self.lit_ref(1 << (cmp_width - 1)) if cmp_width else "0"
-            left = f"((({left}) ^ {sb}) - {sb})"
-            right = f"((({right}) ^ {sb}) - {sb})"
+            left = self._signed(left, sb)
+            right = self._signed(right, sb)
         py_op = {"===": "==", "!==": "!="}.get(op, op)
         return f"({left}) {py_op} ({right})"
 
@@ -289,6 +315,9 @@ class ExprCompiler:
     # -- the mirror of Evaluator._eval ------------------------------------
 
     def _ex(self, e: ast.Expr, w: int) -> str:
+        if self.word is not None and not 1 <= w <= self.word:
+            raise CompileFallback(f"expression width {w} outside the "
+                                  f"{self.word}-bit lane word")
         if self._hoist_counts is not None and not isinstance(
                 e, (ast.Number, ast.Identifier, ast.String)):
             from ...opt.ir import expr_key
@@ -357,16 +386,11 @@ class ExprCompiler:
             cond = self._ex_cond(e.cond)
             if_true = self._ex(e.if_true, w)
             if_false = self._ex(e.if_false, w)
-            return f"(({if_true}) if ({cond}) else ({if_false}))"
+            return self._select(cond, if_true, if_false)
         if isinstance(e, ast.SysCall):
             if e.name in ("$signed", "$unsigned"):
                 return self._ex(e.args[0], w)
-            if self.strict:
-                # SYS evaluates its arguments through the reference
-                # evaluator, i.e. against the store — invisible to the
-                # specialized emitter's local slot cache.
-                raise CompileFallback(f"system function {e.name}")
-            return f"(SYS({self.const_ref(e)}, {w}) & {self.lit_ref(mw)})"
+            return self._syscall(e, w, mw)
         raise CompileFallback(f"cannot compile {type(e).__name__}")
 
     def _bind(self) -> str:
@@ -376,10 +400,8 @@ class ExprCompiler:
 
     def _ex_index(self, e: ast.Index) -> str:
         if not isinstance(e.base, ast.Identifier):
-            base_width = self.env.width_of(e.base)
-            base = self._ex(e.base, base_width)
-            bit = self.compile(e.index)
-            return f"(({base} >> ({bit})) & 1)"
+            base = self._ex(e.base, self.env.width_of(e.base))
+            return self._bit_of(base, self.compile(e.index))
         sig = self.env.signal(e.base.name)
         cidx = self._try_const(e.index)
         if sig.is_memory:
@@ -387,89 +409,47 @@ class ExprCompiler:
             if cidx is not None:
                 idx = cidx - sig.base
                 if 0 <= idx < (sig.depth or 0):
-                    return f"{memory}[{idx}]"
+                    return self._mem_word(memory, idx)
                 return "0"
             idx = self.compile(e.index)
             if sig.base:
                 idx = f"({idx}) - {sig.base}"
-            # Guarded read inlined via a walrus binding: the index is
-            # evaluated exactly once (in the condition, i.e. before the
-            # word load — the interpreter's order) and the per-access
-            # helper call disappears from the hot loop.
-            tmp = self._bind()
-            return (f"({memory}[{tmp}] if 0 <= ({tmp} := ({idx}))"
-                    f" < {sig.depth or 0} else 0)")
+            return self._mem_guarded(memory, idx, sig.depth or 0)
         slot = self.slot_of[e.base.name]
         if cidx is not None:
             offset = sig.bit_offset(cidx)
             if 0 <= offset < sig.width:
                 return f"(({self.slot_src(slot)} >> {offset}) & 1)"
             return "0"
-        idx = self.compile(e.index)
-        if sig.msb >= sig.lsb:
-            offset = f"({idx}) - {sig.lsb}" if sig.lsb else idx
-        else:
-            offset = f"{sig.lsb} - ({idx})"
-        # The condition evaluates the offset before the slot is read,
-        # matching the interpreter's index-then-load order.
-        tmp = self._bind()
-        return (f"(({self.slot_src(slot)} >> {tmp}) & 1"
-                f" if 0 <= ({tmp} := ({offset})) < {sig.width} else 0)")
+        return self._bit_dyn(sig, slot, self.compile(e.index))
 
     def _ex_range(self, e: ast.RangeSelect) -> str:
-        base_width = self.env.width_of(e.base)
-        base = self._ex(e.base, base_width)
-        sig = None
-        if isinstance(e.base, ast.Identifier):
-            sig = self.env.signals.get(e.base.name)
+        base = self._ex(e.base, self.env.width_of(e.base))
         if e.mode == ":":
-            msb = const_eval(e.msb, self.env.params)
-            lsb = const_eval(e.lsb, self.env.params)
-            sel_width = abs(msb - lsb) + 1
-            low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
-            low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
-            if low < 0:
+            low, sel_width = const_range_bounds(e, self.env)
+            if low < 0 or (self.word is not None and low >= self.word):
                 return "0"
             sel_mask = (1 << sel_width) - 1
             return f"(({base} >> {low}) & {sel_mask})" if low else f"({base} & {sel_mask})"
         sel_width = const_eval(e.lsb, self.env.params)
-        sel_mask = (1 << sel_width) - 1
-        start = self.compile(e.msb)
-        if e.mode == "+:":
-            low_index = f"({start})"
-        else:  # -:
-            low_index = f"(({start}) - {sel_width - 1})"
-        if sig is None:
-            low = low_index
-        elif sig.msb >= sig.lsb:
-            low = f"{low_index} - {sig.lsb}" if sig.lsb else low_index
-        else:
-            low = f"{sig.lsb} - {low_index}"
-        if expr_is_pure(e.base) and expr_is_pure(e.msb):
-            # Inline the guard; legal only for pure operands because
-            # the conditional evaluates the low bound before the base,
-            # while the helper call evaluates base-then-low.
-            tmp = self._bind()
-            return (f"(({base} >> {tmp}) & {sel_mask}"
-                    f" if ({tmp} := ({low})) >= 0 else 0)")
-        return f"H_rsel({base}, {low}, {sel_mask})"
+        return self._range_dyn(e, base, self.compile(e.msb), sel_width)
 
     def _ex_unary(self, e: ast.Unary, w: int, mw: int) -> str:
         op = e.op
         if op == "!":
-            return f"(0 if ({self._ex_cond(e.operand)}) else 1)"
+            return self._nb2i(f"({self._ex_cond(e.operand)})")
         if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
             operand_width = self.env.width_of(e.operand)
             value = self._ex(e.operand, operand_width)
             full = self.lit_ref((1 << operand_width) - 1)
             if op == "&":
-                return f"(1 if ({value}) == {full} else 0)"
+                return self._b2i(f"({value}) == {full}")
             if op == "~&":
-                return f"(0 if ({value}) == {full} else 1)"
+                return self._nb2i(f"({value}) == {full}")
             if op == "|":
-                return f"(1 if ({value}) else 0)"
+                return self._b2i(f"({self._truth(value)})")
             if op == "~|":
-                return f"(0 if ({value}) else 1)"
+                return self._nb2i(f"({self._truth(value)})")
             if op == "^":
                 return f"H_par({value})"
             return f"(H_par({value}) ^ 1)"  # ~^ / ^~
@@ -483,12 +463,10 @@ class ExprCompiler:
     def _ex_binary(self, e: ast.Binary, w: int, mw: int) -> str:
         op = e.op
         if op in ("&&", "||"):
-            left = self._ex_cond(e.left)
-            right = self._ex_cond(e.right)
-            joiner = "and" if op == "&&" else "or"
-            return f"(1 if ({left}) {joiner} ({right}) else 0)"
+            return self._b2i(self._join(op, self._ex_cond(e.left),
+                                        self._ex_cond(e.right)))
         if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-            return f"(1 if {self._cmp_src(e)} else 0)"
+            return self._b2i(self._cmp_src(e))
         if op in ("<<", ">>", "<<<", ">>>"):
             left = self._ex(e.left, w)
             arith_right = op == ">>>" and self.env.is_signed(e.left)
@@ -500,10 +478,12 @@ class ExprCompiler:
                 cshift &= (1 << self.env.width_of(e.right)) - 1
                 if cshift > 4096:
                     return "0"
+                if arith_right:
+                    return self._sshr_const(left, cshift, sb, self.lit_ref(mw))
+                if self.word is not None and cshift >= self.word:
+                    return "0"  # every bit leaves the word
                 if op in ("<<", "<<<"):
                     return f"((({left}) << {cshift}) & {self.lit_ref(mw)})"
-                if arith_right:
-                    return f"((((({left}) ^ {sb}) - {sb}) >> {cshift}) & {self.lit_ref(mw)})"
                 return f"(({left}) >> {cshift})"
             shift = self.compile(e.right)
             if op in ("<<", "<<<"):
@@ -549,3 +529,84 @@ class ExprCompiler:
         if op in ("~^", "^~"):
             return f"(((({left}) ^ ({right}))) ^ {self.lit_ref(mw)})"
         raise CompileFallback(f"unknown binary operator {op!r}")
+
+    # -- carrier idioms -----------------------------------------------------
+    #
+    # Everything above is width algebra and holds for any carrier.  The
+    # methods below are the spellings a ``uint64`` row cannot share with
+    # a Python ``int``; the lane carrier overrides these and only these.
+
+    def _truth(self, value: str) -> str:
+        """*value* in a boolean position (an ``int`` is its own truth)."""
+        return value
+
+    def _b2i(self, cond: str) -> str:
+        return f"(1 if {cond} else 0)"
+
+    def _nb2i(self, cond: str) -> str:
+        return f"(0 if {cond} else 1)"
+
+    def _join(self, op: str, left: str, right: str) -> str:
+        return f"({left}) {'and' if op == '&&' else 'or'} ({right})"
+
+    def _not(self, cond: str) -> str:
+        return f"(not ({cond}))"
+
+    def _select(self, cond: str, if_true: str, if_false: str) -> str:
+        return f"(({if_true}) if ({cond}) else ({if_false}))"
+
+    def _signed(self, value: str, sb: str) -> str:
+        """Two's-complement view of *value* (sign bit *sb*)."""
+        return f"((({value}) ^ {sb}) - {sb})"
+
+    def _sshr_const(self, left: str, shift: int, sb: str, mws: str) -> str:
+        return f"(({self._signed(left, sb)} >> {shift}) & {mws})"
+
+    def _bit_of(self, base: str, bit: str) -> str:
+        return f"(({base} >> ({bit})) & 1)"
+
+    def _mem_word(self, memory: str, idx: int) -> str:
+        return f"{memory}[{idx}]"
+
+    def _mem_guarded(self, memory: str, idx: str, depth: int) -> str:
+        # Guarded read inlined via a walrus binding: the index is
+        # evaluated exactly once (in the condition, i.e. before the
+        # word load — the interpreter's order) and the per-access
+        # helper call disappears from the hot loop.
+        tmp = self._bind()
+        return (f"({memory}[{tmp}] if 0 <= ({tmp} := ({idx}))"
+                f" < {depth} else 0)")
+
+    def _bit_dyn(self, sig, slot: int, idx: str) -> str:
+        if sig.msb >= sig.lsb:
+            offset = f"({idx}) - {sig.lsb}" if sig.lsb else idx
+        else:
+            offset = f"{sig.lsb} - ({idx})"
+        # The condition evaluates the offset before the slot is read,
+        # matching the interpreter's index-then-load order.
+        tmp = self._bind()
+        return (f"(({self.slot_src(slot)} >> {tmp}) & 1"
+                f" if 0 <= ({tmp} := ({offset})) < {sig.width} else 0)")
+
+    def _syscall(self, e: ast.SysCall, w: int, mw: int) -> str:
+        if self.strict:
+            # SYS evaluates its arguments through the reference
+            # evaluator, i.e. against the store — invisible to the
+            # specialized emitter's local slot cache.
+            raise CompileFallback(f"system function {e.name}")
+        return f"(SYS({self.const_ref(e)}, {w}) & {self.lit_ref(mw)})"
+
+    def _range_dyn(self, e: ast.RangeSelect, base: str, start: str,
+                   sel_width: int) -> str:
+        """Dynamic ``+:`` / ``-:`` read of *sel_width* bits at *start*."""
+        low = dynamic_low_src(e.mode, start, sel_width,
+                              self.env.base_signal(e.base))
+        sel_mask = (1 << sel_width) - 1
+        if expr_is_pure(e.base) and expr_is_pure(e.msb):
+            # Inline the guard; legal only for pure operands because
+            # the conditional evaluates the low bound before the base,
+            # while the helper call evaluates base-then-low.
+            tmp = self._bind()
+            return (f"(({base} >> {tmp}) & {sel_mask}"
+                    f" if ({tmp} := ({low})) >= 0 else 0)")
+        return f"H_rsel({base}, {low}, {sel_mask})"

@@ -40,7 +40,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ...verilog import ast_nodes as ast
 from ...verilog.width import WidthError, const_eval
 from ..simulator import _MAX_LOOP_ITERATIONS
-from .exprc import CompileFallback, ExprCompiler, expr_is_pure, expr_nodes
+from .exprc import (
+    CompileFallback, ExprCompiler, const_range_bounds, dynamic_low_src,
+    expr_is_pure, expr_nodes,
+)
 
 
 class ProcessCompiler:
@@ -236,11 +239,7 @@ class ProcessCompiler:
             slot = self.ec.slot_of[lhs.base.name]
             sig_mask = (1 << sig.width) - 1
             if lhs.mode == ":":
-                msb = const_eval(lhs.msb, self.env.params)
-                lsb = const_eval(lhs.lsb, self.env.params)
-                sel_width = abs(msb - lsb) + 1
-                low_index = lsb if sig.msb >= sig.lsb else msb
-                low = sig.bit_offset(low_index)
+                low, sel_width = const_range_bounds(lhs, self.env)
                 if low < 0:
                     return
                 field = ((1 << sel_width) - 1) << low
@@ -254,15 +253,8 @@ class ProcessCompiler:
                 self._store_scalar(slot, new, True, sig_mask, ind)
                 return
             sel_width = const_eval(lhs.lsb, self.env.params)
-            start = self._index_src(lhs.msb)
-            if lhs.mode == "+:":
-                low_index = f"({start})"
-            else:
-                low_index = f"(({start}) - {sel_width - 1})"
-            if sig.msb >= sig.lsb:
-                low_src = f"{low_index} - {sig.lsb}" if sig.lsb else low_index
-            else:
-                low_src = f"{sig.lsb} - {low_index}"
+            low_src = dynamic_low_src(lhs.mode, self._index_src(lhs.msb),
+                                      sel_width, sig)
             low = self._gensym("o")
             field = self._gensym("f")
             new = self._gensym("n")

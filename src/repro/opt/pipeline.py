@@ -1,16 +1,15 @@
 """Pass schedules, optimization levels, and the pipeline fingerprint.
 
-``REPRO_OPT_LEVEL`` selects how much mid-end work the compiled
-simulation backend gets (read per call, like ``REPRO_SIM_BACKEND``):
+``REPRO_OPT_LEVEL`` switches the mid-end of the compiled simulation
+backend off or on (read per call, like ``REPRO_SIM_BACKEND``):
 
 * ``0`` — no mid-end: the elaborated module is compiled 1:1 with the
   generic (dirty-bitset) scheduler, exactly the PR-1 backend.  This is
-  the differential-fuzzing counterpart of the optimized pipelines.
-* ``1`` — scalar cleanups only: constant folding + propagation and
-  dead-code elimination, plus the specialized codegen licence.
-* ``2`` (default) — the full word-level pipeline: folding/propagation,
-  alias forwarding, common-subexpression elimination, always-block
-  fusion, dead-signal/dead-process elimination, and the two-state
+  the differential-fuzzing counterpart of the optimized pipeline.
+* any other value (default ``2``, the level the pipeline reports) —
+  the word-level pipeline: folding/propagation, alias forwarding,
+  common-subexpression elimination, always-block fusion,
+  dead-signal/dead-process elimination, and the two-state
   specialization analysis that licenses the specialized codegen
   (local-variable slot caching and static rank-order combinational
   sweeps).
@@ -44,16 +43,11 @@ _CODEGEN_REV = 3
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),
-    1: (
-        ("const", passes.propagate_constants),
-        ("dce", passes.eliminate_dead),
-        ("two_state", passes.specialize_two_state),
-        ("gate", passes.detect_clock_gates),
-    ),
+    # No separate "fold" stage: ``propagate_constants`` already runs
+    # ``fold_constants`` before and after itself.
     2: (
         ("const", passes.propagate_constants),
         ("alias", passes.forward_aliases),
-        ("fold", passes.fold_constants),
         ("cse", passes.eliminate_common_subexpressions),
         ("fuse", passes.fuse_always_blocks),
         ("dce", passes.eliminate_dead),
@@ -67,8 +61,9 @@ def resolve_opt_level(level: Optional[int] = None) -> int:
     """The effective optimization level for an optional override.
 
     Explicit argument wins; otherwise ``REPRO_OPT_LEVEL`` (read per
-    call so tests can monkeypatch it); otherwise the default.  Values
-    are clamped to the known levels.
+    call so tests can monkeypatch it); otherwise the default.  The
+    answer is ``0`` (off) or ``DEFAULT_OPT_LEVEL`` (on, for any
+    non-zero request).
     """
     if level is None:
         raw = os.environ.get("REPRO_OPT_LEVEL", "")
@@ -76,7 +71,7 @@ def resolve_opt_level(level: Optional[int] = None) -> int:
             level = int(raw) if raw != "" else DEFAULT_OPT_LEVEL
         except ValueError:
             level = DEFAULT_OPT_LEVEL
-    return max(0, min(int(level), max(_PIPELINES)))
+    return DEFAULT_OPT_LEVEL if int(level) > 0 else 0
 
 
 def pipeline_fingerprint(level: Optional[int] = None) -> str:
@@ -98,8 +93,8 @@ class OptResult:
     env: WidthEnv
     level: int
     fingerprint: str
-    #: True when the two-state specialization licence was granted (or
-    #: level 1's shallow pipeline ran it); None at level 0.
+    #: True when the two-state specialization licence was granted;
+    #: None at level 0.
     two_state: Optional[bool]
     #: pass name -> rewrites performed
     pass_counts: Dict[str, int] = field(default_factory=dict)

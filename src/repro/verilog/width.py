@@ -228,7 +228,7 @@ class WidthEnv:
                 return 32
             return self.signal(expr.name).width
         if isinstance(expr, ast.Index):
-            sig = self._base_signal(expr.base)
+            sig = self.base_signal(expr.base)
             if sig is not None and sig.is_memory and isinstance(expr.base, ast.Identifier):
                 return sig.width
             return 1
@@ -259,7 +259,7 @@ class WidthEnv:
                 and expr.name != "$unsigned" else self.width_of(expr.args[0])
         raise WidthError(f"cannot size expression {type(expr).__name__}")
 
-    def _base_signal(self, expr: ast.Expr) -> Optional[Signal]:
+    def base_signal(self, expr: ast.Expr) -> Optional[Signal]:
         if isinstance(expr, ast.Identifier):
             return self.signals.get(expr.name)
         return None

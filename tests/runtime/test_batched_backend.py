@@ -338,3 +338,20 @@ class TestSupervisorCohorts:
         assert "batch_artifacts" in hv_stats
         for key in ("entries", "hits", "misses"):
             assert key in hv_stats["batch_artifacts"]
+
+    def test_refused_cohorts_say_why(self, o2):
+        """df stays scalar *and says so*; mips32 forms and is absent."""
+        from repro.bench import BENCHMARKS
+
+        sup = Supervisor([Hypervisor(F1)], checkpoint_every=8)
+        digests = {}
+        for design in ("df", "mips32"):
+            for i in range(2):
+                tenant = sup.admit(f"{design}{i}", BENCHMARKS[design].source(),
+                                   software=True)
+                digests[design] = tenant.runtime.program.digest[:12]
+        assert sup.form_cohorts() == 1
+        sup.form_cohorts()  # a second attempt does not duplicate or change it
+        refused = sup.stats()["cohorts"]["refused"]
+        assert list(refused) == [digests["df"]]
+        assert "is 128 bits wide (> 64)" in refused[digests["df"]]
