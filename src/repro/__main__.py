@@ -4,6 +4,7 @@ Commands
 --------
 experiments [name]   regenerate paper tables/figures (all by default)
 compile FILE         print the Synergy-transformed Verilog for a module
+                     (--sim-source: the software engine's generated Python)
 run FILE [--ticks N] run a program (software -> simulated DE10 JIT)
 bench                list the Table 1 benchmark suite
 """
@@ -45,6 +46,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     with open(args.file) as handle:
         program = compile_program(handle.read(), top=args.top)
+    if args.sim_source:
+        from .interp.compile import CompiledModuleCode
+
+        code = CompiledModuleCode(program.flat, env=program.env)
+        print(code.source)
+        print(f"// period plan: {code.period_plan}"
+              + (f" ({code.period_refused})" if code.period_refused else ""),
+              file=sys.stderr)
+        return 0
     print(program.hardware_text)
     print(f"// states: {program.transform.n_states}, "
           f"traps: {len(program.transform.tasks)}, "
@@ -93,6 +103,10 @@ def main(argv=None) -> int:
     p_compile = sub.add_parser("compile", help="print transformed Verilog")
     p_compile.add_argument("file")
     p_compile.add_argument("--top", default=None)
+    p_compile.add_argument(
+        "--sim-source", action="store_true",
+        help="print the software engine's generated Python instead "
+             "(process bodies, writers, and the clock period)")
     p_compile.set_defaults(fn=_cmd_compile)
 
     p_run = sub.add_parser("run", help="run a program on a simulated DE10")

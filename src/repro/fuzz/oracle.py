@@ -44,7 +44,7 @@ from ..verilog import ast_nodes as ast
 
 #: Execution paths, in comparison order; ``interp`` is the reference.
 #: ``compiled`` pins the baseline configuration of the scalar plan (no
-#: heap prefix, gates, inline tick or idle proof) and ``event`` the full
+#: heap prefix, gates, generated period or idle proof) and ``event`` the full
 #: event plan, so every campaign cross-checks the two bit-for-bit
 #: whatever ``REPRO_SIM_EVENT`` says.  The vectorized ``batched`` lane (bit-for-bit against the same
 #: oracle, silently exercising the scalar fallback for unlicensed

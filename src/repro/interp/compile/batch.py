@@ -38,7 +38,7 @@ the >= 64 shift clamp and shift>4096 → 0, division by zero → all-ones,
 guarded selects; ``**`` and signed ``/`` ``%`` run the scalar helpers
 per lane, float truncation and exponent clamp included — and (b) the
 lvalue writers and masked statements, which mirror
-``Evaluator.assign`` and the scalar inline tick in
+``Evaluator.assign`` and the scalar generated period in
 ``compile/simulator.py``.  ``tests/interp/test_expr_carriers.py``
 holds (a) to the evaluator row by row; the differential fuzz oracle
 runs this backend as its own lane for both.
@@ -212,7 +212,6 @@ if HAVE_NUMPY:
         "H_shl": _v_shl, "H_shr": _v_shr, "H_sshr": _v_sshr,
         "H_par": lambda v: (np.bitwise_count(_u64(v)) & 1).astype(np.uint64),
         "H_div": _v_divmod(np.floor_divide), "H_mod": _v_divmod(np.remainder),
-        "H_rep": SCALAR_HELPERS["H_rep"],  # shifts and ors: rows work as is
         **{name: _per_lane(SCALAR_HELPERS[name])
            for name in ("H_pow", "H_sdiv", "H_smod")},
         "H_rsel": _v_rsel, "H_mget": _v_mget,
@@ -1249,7 +1248,7 @@ class BatchedCohort:
         self.alive_all = bool(self.alive.all())
 
     def tick(self, cycles: int = 1) -> None:
-        """Vector mirror of the scalar inline clock tick."""
+        """Vector mirror of the scalar clock period."""
         batch = self.batch
         row = self.d[batch.clock_slot]
         for _ in range(cycles):

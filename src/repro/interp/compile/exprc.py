@@ -45,13 +45,6 @@ def _h_rsel(value: int, low: int, sel_mask: int) -> int:
     return (value >> low) & sel_mask if low >= 0 else 0
 
 
-def _h_rep(unit: int, unit_width: int, count: int) -> int:
-    value = 0
-    for _ in range(count):
-        value = (value << unit_width) | unit
-    return value
-
-
 def _h_par(value: int) -> int:
     return bin(value).count("1") & 1
 
@@ -101,7 +94,7 @@ def _h_smod(left: int, right: int, sb: int, mw: int) -> int:
 
 
 HELPERS = {
-    "H_rsel": _h_rsel, "H_rep": _h_rep, "H_par": _h_par, "H_shl": _h_shl,
+    "H_rsel": _h_rsel, "H_par": _h_par, "H_shl": _h_shl,
     "H_shr": _h_shr, "H_sshr": _h_sshr, "H_pow": _h_pow, "H_div": _h_div,
     "H_sdiv": _h_sdiv, "H_mod": _h_mod, "H_smod": _h_smod,
 }
@@ -377,7 +370,11 @@ class ExprCompiler:
             unit = self._ex(e.value, unit_width)
             if count <= 1:
                 return unit if count == 1 else "0"
-            return f"H_rep({unit}, {unit_width}, {count})"
+            # N copies side by side = one multiply by 1 + 2^w + 2^2w + ...
+            # (the unit is below 2^w, so no copy carries into the next;
+            # a lane carrier's total is at most its word, so no overflow)
+            ones = sum(1 << (i * unit_width) for i in range(count))
+            return f"(({unit}) * {self.lit_ref(ones)})"
         if isinstance(e, ast.Unary):
             return self._ex_unary(e, w, mw)
         if isinstance(e, ast.Binary):

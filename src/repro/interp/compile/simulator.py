@@ -63,7 +63,7 @@ def resolve_sim_event(flag: Optional[bool] = None) -> bool:
     call, like ``REPRO_SIM_BACKEND``, so tests can monkeypatch it);
     otherwise on.  ``0``/``false``/``no``/``off`` disable it — the
     baseline configuration the differential oracle compares against
-    (no heap prefix, no gates, no inline tick, no idle proof).
+    (no heap prefix, no gates, no generated period, no idle proof).
     """
     if flag is not None:
         return bool(flag)
@@ -74,15 +74,33 @@ def resolve_sim_event(flag: Optional[bool] = None) -> bool:
 
 
 class _Trigger:
-    """One sensitivity entry: either a star-dependency or an edge event."""
+    """One sensitivity entry: either a star-dependency or an edge event.
 
-    __slots__ = ("proc", "edge", "fn", "prev")
+    An edge trigger keeps the last sampled value of its event
+    expression in ``cell[0]``.  Invariant: when the code artifact plans
+    a ``tick_clock``, every edge trigger of the engine samples that one
+    bare signal, and every site that writes a previous value
+    (``_initialize``, ``_drain``, ``restore_state``, the generated
+    ``period()``) writes all of them together — so they share **one**
+    cell, and ``period()`` reads and writes a single value.
+    """
 
-    def __init__(self, proc: int, edge: Optional[str] = None, fn=None):
+    __slots__ = ("proc", "edge", "fn", "cell")
+
+    def __init__(self, proc: int, edge: Optional[str] = None, fn=None,
+                 cell: Optional[List[int]] = None):
         self.proc = proc
         self.edge = edge    # None = star sensitivity (enqueue on any change)
         self.fn = fn        # compiled event-expression value closure
-        self.prev = 0
+        self.cell = [0] if cell is None else cell
+
+    @property
+    def prev(self) -> int:
+        return self.cell[0]
+
+    @prev.setter
+    def prev(self, value: int) -> None:
+        self.cell[0] = value
 
 
 class _ProcInfo:
@@ -298,18 +316,42 @@ class CompiledModuleCode:
                     break
         self.event_mode = self.event_requested and not self.fifo_mode
         self.event_acyclic = acyclic if self.event_mode else 0
-        self._plan_tick_clock()
+        #: why no ``tick_clock`` (hence no ``period()``) was planned
+        self.period_refused: Optional[str] = self._plan_tick_clock()
+        #: a small, fully acyclic ranked cone: one forward pass in rank
+        #: order settles it, so it can run as straight-line code — the
+        #: vector carrier's per-tick sweep and the generated
+        #: ``comb()`` of the scalar period share this one licence
+        self.comb_static = (
+            not self.fifo_mode
+            and acyclic == len(self.comb_order) <= _VECTOR_COMB_MAX
+        )
         #: whether the vector carrier may run this module: a two-state,
         #: small, fully acyclic ranked cone under one free-running
         #: clock.  Pure analysis — the same verdict on either
         #: configuration of the scalar plan.
         self.vector_licensed = (
             self.specialize
-            and not self.fifo_mode
-            and 0 < len(self.comb_order) <= _VECTOR_COMB_MAX
-            and acyclic == len(self.comb_order)
+            and self.comb_static
+            and bool(self.comb_order)
             and self.tick_clock is not None
         )
+        #: how the generated ``period()`` settles combinational logic:
+        #: ``"static"`` (``comb()`` is the ranked cone as code),
+        #: ``"settle"`` (a cyclic, large or clock-reading cone goes
+        #: through the generic ``settle()``), or None — no period is
+        #: generated and ``period_refused`` says why
+        self.period_plan: Optional[str] = None
+        if self.tick_clock is not None:
+            if not self.event_mode:
+                self.period_refused = (
+                    "fifo schedule (impure continuous assign)"
+                    if self.fifo_mode else "baseline configuration")
+            elif (self.comb_static
+                    and not self.comb_watch[self.tick_clock_slot]):
+                self.period_plan = "static"
+            else:
+                self.period_plan = "settle"
         #: scalar slots whose nonzero value means an architectural
         #: update is still queued between native cycles — the transform
         #: layer's NBA shadow machinery (pending-write enables, queue
@@ -323,7 +365,7 @@ class CompiledModuleCode:
         ))
         self._plan_gates()
 
-    def _plan_tick_clock(self) -> None:
+    def _plan_tick_clock(self) -> Optional[str]:
         """Identify the single free-running clock, if the design has one.
 
         When every edge-triggered process is sensitive to one bare
@@ -331,42 +373,42 @@ class CompiledModuleCode:
         externally-driven clock), and no ``@*`` process shares the
         FIFO queue, the clock edge can be applied and its triggers
         fired inline, without store-API dispatch, dirty marking, or
-        trigger re-evaluation — what the event plan's ``tick()`` and
-        the vector carrier both do.
+        trigger re-evaluation — what the event plan's generated
+        ``period()`` and the vector carrier both do.  Returns None
+        with ``tick_clock`` set, or the condition that failed.
         """
         self.tick_clock: Optional[str] = None
         clock: Optional[str] = None
         for proc in self.processes:
             if proc.kind == "star":
-                return  # shares the FIFO queue on arbitrary changes
+                # shares the FIFO queue on arbitrary changes
+                return "@* process on the queue"
             if proc.kind != "edge":
                 continue
             for event in proc.events:
                 expr = event.expr
                 if not isinstance(expr, ast.Identifier):
-                    return
+                    return "non-identifier event"
                 if clock is None:
                     clock = expr.name
                 elif expr.name != clock:
-                    return
+                    return "second clock"
         if clock is None:
-            return
+            return "no edge-triggered process"
         slot = self.layout.slot_of.get(clock)
-        if slot is None:
-            return
         sig = self.env.signals.get(clock)
-        if sig is None or sig.width != 1:
-            return
+        if slot is None or sig is None or sig.width != 1:
+            return "clock is not a one-bit signal"
         # The clock must be externally driven only.
         from ...opt.ir import stmt_writes
 
         for proc in self.processes:
-            if clock in proc.writes:
-                return
-            if proc.stmt is not None and clock in stmt_writes(proc.stmt):
-                return
+            if clock in proc.writes or (
+                    proc.stmt is not None and clock in stmt_writes(proc.stmt)):
+                return "clock driven in-module"
         self.tick_clock = clock
         self.tick_clock_slot = slot
+        return None
 
     def _plan_gates(self) -> None:
         """Map the mid-end's clock-gate table onto edge processes.
@@ -443,9 +485,98 @@ class CompiledModuleCode:
         #: gated processes whose skip is provable with the clock parked
         #: low — the ones the quiescence probe may discount entirely
         self.idle_gate_procs = frozenset(gate_ids) - self.gate_reads_clock
-        self.source = "\n".join(pc.writer_defs + lines + event_sources)
+        self.source = "\n".join(pc.writer_defs + lines + event_sources
+                                + self._period_source())
         self.code = compile(self.source, "<repro-compiled>", "exec")
         self.consts: Tuple[object, ...] = tuple(ec.consts)
+
+    def _period_source(self) -> List[str]:
+        """``comb()``, ``latch()`` and ``period()``: one clock period as code.
+
+        What ``settle()`` decides per tick by walking queues — which
+        processes the edge fires, in which order, which cones a write
+        wakes — is fixed by ``trig_specs`` and ``comb_order``, so the
+        event plan's period is emitted as straight-line calls of the
+        same ``p*`` / ``g*`` functions, with the same ``settle_rounds``
+        accounting.  ``period()`` assumes the resting state between
+        periods (clock low, previous value low, empty process queue,
+        clock slot clean); ``_tick_event`` sends anything else through
+        the reference ``tick``.
+        """
+        if self.period_plan is None:
+            return []
+        clk = self.tick_clock_slot
+        out: List[str] = []
+        if self.period_plan == "static":
+            # Each cone runs iff a slot it reads is dirty when its rank
+            # comes up: flags set by the caller or by an earlier cone
+            # (the prefix is acyclic, so never by a later one) stay set
+            # until the pass ends.  Equal, run for run, to popping the
+            # woken positions off settle()'s heap.
+            reads: Dict[int, List[int]] = {p: [] for p in self.comb_order}
+            for slot, procs in enumerate(self.comb_watch):
+                for p in procs:
+                    reads[p].append(slot)
+            out.append("def comb():")
+            for p in self.comb_order:
+                if reads[p]:
+                    test = " or ".join(f"df[{slot}]" for slot in reads[p])
+                    out += [f"    if {test}:",
+                            "        S.settle_rounds += 1",
+                            f"        p{p}()"]
+            out += ["    for slot in dl:", "        df[slot] = 0",
+                    "    del dl[:]", ""]
+            pending = "dl or heap"
+        else:
+            out += ["comb = settle", ""]
+            pending = "dl or heap or S._trail_count"
+        out += ["def latch():", "    apply_nba()", "    if dl:",
+                "        comb()", ""]
+        out.append("def period():")
+        for value in (1, 0):
+            out += [f"    d[{clk}] = {value}", f"    pv[0] = {value}"]
+            for p in self.comb_watch[clk]:
+                # a cone reads the clock: wake it as _drain would
+                pos = self.event_pos[p]
+                wake = (f"heappush(heap, {pos})" if pos < self.event_acyclic
+                        else "S._trail_count += 1")
+                out += [f"    if not pend[{p}]:",
+                        f"        pend[{p}] = 1; {wake}"]
+            fired: List[int] = []
+            for _, k in self.trig_specs[clk]:
+                proc, edge = self.edge_specs[k]
+                if (edge != ("negedge" if value else "posedge")
+                        and proc not in fired):
+                    fired.append(proc)
+            if value or self.comb_watch[clk]:
+                # activity from before the period (a poked input, a
+                # restore) or the clock-reading cones just woken; the
+                # rising edge leaves none behind for the falling one
+                out += [f"    if {pending}:", "        settle()"]
+            for n, p in enumerate(fired):
+                out.append("    S.settle_rounds += 1")
+                body = [f"p{p}()", "if dl:", "    comb()"]
+                if p in self.gate_ids:
+                    body = ["try:", f"    live = g{p}()",
+                            "except Exception:", "    live = True",
+                            "if live:"] + ["    " + ln for ln in body]
+                rest = tuple(fired[n + 1:])
+                if rest:
+                    # an aborted settle() leaves the unrun activations
+                    # queued; so does an aborted period
+                    body = (["try:"] + ["    " + ln for ln in body]
+                            + ["except FinishSignal:",
+                               f"    S._requeue({rest!r})", "    raise"])
+                out += ["    " + ln for ln in body]
+            if fired:
+                out += ["    guard = 0", "    while nba:",
+                        "        guard += 1",
+                        f"        if guard > {_MAX_SETTLE_ROUNDS}:",
+                        "            raise SimulationError("
+                        "'update region did not converge')",
+                        "        latch()"]
+        out.append("")
+        return out
 
     # -- initialization plan -----------------------------------------------------
 
@@ -498,6 +629,10 @@ class CompiledSimulator(InterpSimulator):
         self.time = 0
         self.stmts_executed = 0
         self.settle_rounds = 0
+        #: periods that took the reference ``tick`` instead of the
+        #: generated ``period()`` (no planned clock, the baseline, a
+        #: store watcher, an entry state period() cannot assume)
+        self.slow_periods = 0
         self._nba: List[tuple] = []
         self._write_buffer = ""
         self._processes = code.processes  # shared, read-only
@@ -542,6 +677,9 @@ class CompiledSimulator(InterpSimulator):
         """Bind the shared code object to this engine's mutable state."""
         code = self.code
         store = self.store
+        #: the previous clock value every trigger on the planned tick
+        #: clock shares (see :class:`_Trigger`)
+        clock_prev = self._clock_prev = [0]
         namespace: Dict[str, object] = {
             "S": self,
             "d": store.data,
@@ -552,6 +690,16 @@ class CompiledSimulator(InterpSimulator):
             "EVC": self.evaluator,
             "SYS": self._sysfunc,
             "SimulationError": SimulationError,
+            # what the generated period() schedules with
+            "dl": store.dirty_list,
+            "heap": self._ev_heap,
+            "heappush": heappush,
+            "pend": self._comb_pending,
+            "nba": self._nba,
+            "apply_nba": self._apply_nba,
+            "settle": self.settle,
+            "pv": clock_prev,
+            "FinishSignal": FinishSignal,
         }
         namespace.update(HELPERS)
         for mem_name, slot in code.layout.mem_slot_of.items():
@@ -565,9 +713,12 @@ class CompiledSimulator(InterpSimulator):
         self._gates = [namespace.get(f"g{i}") for i in range(code.nprocs)]
         # Per-engine edge-detection triggers over the shared templates.
         self._events = [
-            _Trigger(proc, edge, namespace[f"e{k}"])
+            _Trigger(proc, edge, namespace[f"e{k}"],
+                     clock_prev if code.tick_clock is not None else None)
             for k, (proc, edge) in enumerate(code.edge_specs)
         ]
+        #: the generated clock period (None: no tick clock on this plan)
+        self._period = namespace.get("period")
         stars: Dict[int, _Trigger] = {}
         trig_watch: List[List[_Trigger]] = []
         for specs in code.trig_specs:
@@ -647,7 +798,13 @@ class CompiledSimulator(InterpSimulator):
                         heappush(heap, pos)
                     else:
                         self._trail_count += 1
-            for trigger in trig_watch[slot]:
+            watch = trig_watch[slot]
+            if not watch:
+                continue
+            # Triggers on one clock share a previous-value cell: every
+            # firing decision reads it before any sample is stored.
+            sampled = []
+            for trigger in watch:
                 if trigger.edge is None:
                     p = trigger.proc
                     if not queued[p]:
@@ -658,7 +815,7 @@ class CompiledSimulator(InterpSimulator):
                     new = trigger.fn()
                 except EvalError:
                     new = 0
-                prev = trigger.prev
+                prev = trigger.cell[0]
                 edge = trigger.edge
                 if edge == "posedge":
                     fired = not (prev & 1) and (new & 1)
@@ -666,12 +823,14 @@ class CompiledSimulator(InterpSimulator):
                     fired = (prev & 1) and not (new & 1)
                 else:
                     fired = new != prev
-                trigger.prev = new
+                sampled.append((trigger.cell, new))
                 if fired:
                     p = trigger.proc
                     if not queued[p]:
                         queued[p] = 1
                         queue.append(p)
+            for cell, new in sampled:
+                cell[0] = new
         del dirty[:]
 
     def settle(self) -> None:
@@ -803,19 +962,23 @@ class CompiledSimulator(InterpSimulator):
             vcd.sample(self.time)
 
     def _tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        """Drive *cycles* clock periods; inline on the event plan.
+        """Drive *cycles* clock periods; generated code on the event plan.
 
         For single-clock designs (``tick_clock`` planned by the code
-        artifact) the event plan applies the clock edge inline
-        (:meth:`_tick_event`).  Designs that fail the plan's conditions,
-        engines with store watchers attached (the debugger) and the
-        baseline configuration take the reference ``tick``/``step``
-        path, which reaches the same :meth:`settle` through the store
-        API and ``_drain``.
+        artifact) the event plan runs the artifact's generated
+        ``period()`` (:meth:`_tick_event`).  Designs that fail the
+        plan's conditions (``code.period_refused`` says which), engines
+        with store watchers attached (the debugger) and the baseline
+        configuration take the reference ``tick``/``step`` path, which
+        reaches the same :meth:`settle` through the store API and
+        ``_drain``; ``slow_periods`` counts those.
         """
         if (not self._event or clock != self.code.tick_clock
                 or self.store._watchers):
-            return super().tick(clock, cycles)
+            before = self.time
+            super().tick(clock, cycles)
+            self.slow_periods += self.time - before
+            return
         self._tick_event(cycles)
 
     def tick_metered(self, clock: str, cycles: int, now: float,
@@ -842,16 +1005,24 @@ class CompiledSimulator(InterpSimulator):
     def _tick_event(self, cycles: int, now: Optional[float] = None,
                     until: float = inf, per_tick: float = 0.0,
                     per_stmt: float = 0.0):
-        """Inline clock edge with activity dispatch and an idle fast path.
+        """The event plan's period loop: generated period, idle fast path.
 
-        The clock edge is applied without store-API dispatch, dirty-list
-        round trip or trigger-closure calls: the firing decision
-        replicates ``_drain``'s per-trigger logic against the known new
-        value.  Everything else (settle order, the update-region guard,
-        ``$finish`` compression) matches the reference ``tick``/``step``
-        statement for statement, except that settling is skipped
-        outright when an edge woke nothing (the falling edge of a
-        posedge design).
+        Each period is one call of the code artifact's generated
+        ``period()`` — both clock edges, the processes each fires, the
+        cones their writes wake and the update region, as straight-line
+        code (:meth:`CompiledModuleCode._period_source`).  This loop
+        owns what spans periods: the quiescence probe, ``$finish``
+        compression, time, the cost meter and the stop test.
+
+        ``period()`` assumes the resting state a completed period
+        leaves: clock low with a matching previous value, no queued
+        activation or NBA, the clock slot clean.  A caller can break
+        that between calls (the clock poked high through the store, a
+        ``notify=False`` write that left the previous value stale, a
+        ``$finish`` that aborted a settle mid-queue), so it is checked
+        on entry, and the first period of such a call goes through the
+        reference ``tick`` — which restores it.
+
         On entry, and again after any period that executed no
         statement, the scheduler probes for quiescence: nothing pending
         anywhere (heap, trailing count, process queue, NBA queue, dirty
@@ -869,22 +1040,18 @@ class CompiledSimulator(InterpSimulator):
         test; without it the loop stops only at ``$finish``.
         """
         code = self.code
-        store = self.store
-        d = store.data
-        dirty = store.dirty_list
+        dirty = self.store.dirty_list
         slot = code.tick_clock_slot
         host = self.host
         comb_clk = self._comb_watch[slot]
         entries = self._trig_watch[slot]
         queue = self._proc_queue
-        queued = self._queued
-        pending = self._comb_pending
-        evpos = self._ev_pos
-        acyc = self._ev_acyclic
         heap = self._ev_heap
         nba = self._nba
-        settle = self.settle
+        period = self._period
         metered = now is not None
+        rested = not (self.store.data[slot] or self._clock_prev[0] or queue
+                      or nba or self.store.dirty_flags[slot])
         i = idle = 0
         probe = True
         while i < cycles and not host.finished:
@@ -903,51 +1070,16 @@ class CompiledSimulator(InterpSimulator):
                 i += idle
                 break
             before = self.stmts_executed
-            try:
-                for value in (1, 0):
-                    if d[slot] != value:
-                        d[slot] = value
-                        for p in comb_clk:
-                            if not pending[p]:
-                                pending[p] = 1
-                                pos = evpos[p]
-                                if pos < acyc:
-                                    heappush(heap, pos)
-                                else:
-                                    self._trail_count += 1
-                        for trigger in entries:
-                            edge = trigger.edge
-                            if edge is None:
-                                # level sensitivity: any change fires
-                                # (drain's star path; prev untouched)
-                                fired = True
-                            else:
-                                prev = trigger.prev
-                                if edge == "posedge":
-                                    fired = not (prev & 1) and value == 1
-                                elif edge == "negedge":
-                                    fired = bool(prev & 1) and value == 0
-                                else:
-                                    fired = value != prev
-                                trigger.prev = value
-                            if fired:
-                                p = trigger.proc
-                                if not queued[p]:
-                                    queued[p] = 1
-                                    queue.append(p)
-                    if queue or heap or dirty or self._trail_count:
-                        settle()
-                    guard = 0
-                    while nba:
-                        guard += 1
-                        if guard > _MAX_SETTLE_ROUNDS:
-                            raise SimulationError(
-                                "update region did not converge")
-                        self._latch()
-                        settle()
-            except FinishSignal:
-                pass
-            self.time += 1
+            if rested:
+                try:
+                    period()
+                except FinishSignal:
+                    pass
+                self.time += 1
+            else:
+                rested = True
+                self.slow_periods += 1
+                InterpSimulator.tick(self, code.tick_clock, 1)
             i += 1
             executed = self.stmts_executed - before
             probe = not executed
@@ -1023,8 +1155,8 @@ class CompiledSimulator(InterpSimulator):
                 + len(self._proc_queue) + len(self._nba)
                 + len(self.store.dirty_list))
 
-    def _latch(self) -> None:
-        """Apply queued non-blocking assignments (update region)."""
+    def _apply_nba(self) -> None:
+        """Apply queued non-blocking assignments, marking what changed."""
         pending = self._nba[:]
         del self._nba[:]  # keep list identity: compiled code binds .append
         assign = self.evaluator.assign
@@ -1036,7 +1168,26 @@ class CompiledSimulator(InterpSimulator):
             else:
                 # AST lvalue from a fallback path (indices already frozen).
                 assign(target, entry[1])
+
+    def _latch(self) -> None:
+        """The update region: apply the NBA queue, wake what it changed.
+
+        The generated ``latch()`` applies through the same
+        :meth:`_apply_nba` and wakes through ``comb()`` instead.
+        """
+        self._apply_nba()
         self._drain()
+
+    def _requeue(self, procs: Sequence[int]) -> None:
+        """Queue activations a generated period fired but did not reach.
+
+        A ``$finish`` raised mid-``settle()`` leaves the rest of the
+        process queue in place; an aborted ``period()`` leaves the same.
+        """
+        for p in procs:
+            if not self._queued[p]:
+                self._queued[p] = 1
+                self._proc_queue.append(p)
 
     # -- state capture -----------------------------------------------------------
 

@@ -185,6 +185,33 @@ class TestCrossProcessWarmth:
         assert code2.source == code.source
         assert self._run(code2) == want
 
+    def test_old_codegen_revision_frames_read_as_a_miss(
+            self, tmp_path, monkeypatch):
+        """A build that emits differently bumps ``_CODEGEN_REV``; frames
+        the previous revision persisted stay on disk but are never
+        handed to an engine of the new one."""
+        from repro.opt import pipeline
+
+        def codegen(event):
+            service = CompilerService(
+                ArtifactStore(disk=DiskArtifactStore(tmp_path)))
+            program = service.compile_program(SRC)
+            code = service.codegen(program.flat, env=program.env,
+                                   digest=program.digest, event=event)
+            return code, service.store.stats
+
+        monkeypatch.setattr(pipeline, "_CODEGEN_REV",
+                            pipeline._CODEGEN_REV - 1)
+        for event in (True, False):
+            codegen(event)
+        monkeypatch.undo()
+        for event, kind in ((True, "event"), (False, "codegen")):
+            code, stats = codegen(event)
+            assert code.fingerprint.endswith(f"cg{pipeline._CODEGEN_REV}")
+            assert stats(kind).disk_hits == 0
+            _, stats = codegen(event)           # this revision's own frame
+            assert stats(kind).disk_hits == 1
+
     def test_warmth_probe_sees_disk_artifacts(self, tmp_path):
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)

@@ -130,6 +130,23 @@ class TestCli:
         assert "module m__synergy(" in out
         assert "__state" in out
 
+    def test_cli_compile_sim_source(self, tmp_path, capsys):
+        src = tmp_path / "m.v"
+        src.write_text("""
+            module m(input wire clock);
+              reg [7:0] n = 0;
+              always @(posedge clock) n <= n + 1;
+            endmodule
+        """)
+        from repro.__main__ import main
+
+        assert main(["compile", str(src), "--sim-source"]) == 0
+        captured = capsys.readouterr()
+        compile(captured.out, "<sim-source>", "exec")   # it is the source
+        assert "def p0():" in captured.out
+        assert "module m__synergy(" not in captured.out
+        assert "period plan" in captured.err
+
     def test_cli_run(self, tmp_path, capsys):
         src = tmp_path / "m.v"
         src.write_text("""

@@ -448,6 +448,373 @@ class TestVectorLicence:
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
+PER_TICK, PER_STMT = 3e-7, 1.1e-8
+
+
+def observe(sim):
+    return {
+        "display": list(sim.host.display_log),
+        "state": sim.store.snapshot(),
+        "time": sim.time,
+        "finished": (sim.host.finished, sim.host.finish_code),
+    }
+
+
+def drive_metered(sim, ticks, clock="clock"):
+    """Tick with the engine's cost meter running; the modeled seconds.
+
+    An engine with a generated period retires the span inside
+    ``tick_metered``; every other one single-steps with the same
+    per-period addition (what ``Engine.run_chunk`` does for it).
+    """
+    now, left = 0.0, ticks
+    metered = getattr(sim, "tick_metered", None)
+    while left and not sim.host.finished:
+        done = metered and metered(clock, left, now, float("inf"),
+                                   PER_TICK, PER_STMT)
+        if done:
+            left -= done[0]
+            now = done[1]
+            continue
+        before = sim.stmts_executed
+        sim.tick(clock, cycles=1)
+        now += PER_TICK + (sim.stmts_executed - before) * PER_STMT
+        left -= 1
+    return now
+
+
+def trio(module, env=None, opt_level=2, vfs=None, code=None):
+    """(generated period, baseline, interpreter) engines of one module;
+    *code* is the event-plan artifact when the caller already built it."""
+    sims = {}
+    for label, event in (("period", True), ("baseline", False)):
+        if not (event and code):
+            code = CompiledModuleCode(module, env=env, opt_level=opt_level,
+                                      event=event)
+        sims[label] = CompiledSimulator(
+            module, TaskHost(vfs() if vfs else VirtualFS()), code=code)
+    sims["interp"] = Simulator(module, TaskHost(vfs() if vfs else VirtualFS()),
+                               env=env, backend="interp")
+    return sims
+
+
+_CORPUS = []
+
+
+def corpus():
+    """Table-1 + fuzz seeds 0-99, flat and transformed module each:
+    ``(label, module, env, ticks, vfs factory, event-plan artifact)``."""
+    if not _CORPUS:
+        from repro.bench import BENCHMARKS
+        from repro.fuzz.gen import generate
+        from repro.harness.common import bench_source_kwargs, bench_vfs
+
+        service = CompilerService(ArtifactStore())
+        sources = [(name, bench.source(**bench_source_kwargs(name)), 40,
+                    lambda name=name: bench_vfs(name, scale=1 << 12))
+                   for name, bench in BENCHMARKS.items()]
+        for seed in range(100):
+            program = generate(seed)
+            sources.append((f"fuzz-{seed}", program.source,
+                            program.ticks + 3, None))
+        for label, source, ticks, vfs in sources:
+            program = service.compile_program(source)
+            for kind, module, env in (
+                    ("flat", program.flat, program.env),
+                    ("hw", program.transform.module, program.hardware_env)):
+                _CORPUS.append((
+                    f"{label}/{kind}", module, env, ticks, vfs,
+                    CompiledModuleCode(module, env=env, opt_level=2,
+                                       event=True)))
+    return _CORPUS
+
+
+class TestGeneratedPeriod:
+    """The event plan's clock period is generated code
+    (``CompiledModuleCode._period_source``): same ``$display``, state,
+    time, counters and modeled seconds as the baseline configuration's
+    reference ``tick``, same observable behaviour as the interpreter.
+    """
+
+    def test_period_equals_baseline_and_interpreter_on_the_corpus(self):
+        static = 0
+        for label, module, env, ticks, vfs, code in corpus():
+            sims = trio(module, env, vfs=vfs, code=code)
+            period, baseline, interp = (
+                sims["period"], sims["baseline"], sims["interp"])
+            # a transformed module is stepped by its native clock
+            clock = period.code.tick_clock or "clock"
+            seconds = {name: drive_metered(sim, ticks, clock)
+                       for name, sim in sims.items()}
+            assert observe(period) == observe(baseline) == observe(interp), \
+                label
+            assert period.stmts_executed == baseline.stmts_executed, label
+            assert period.settle_rounds == baseline.settle_rounds, label
+            assert seconds["period"] == seconds["baseline"], label
+            if period.code.period_plan == "static":
+                static += 1
+                assert period.slow_periods == 0, label
+        assert static > 50
+
+    def test_every_tick_clock_artifact_of_the_corpus_is_static(self):
+        planned = 0
+        for label, _, _, _, _, code in corpus():
+            if code.tick_clock is None:
+                assert code.period_plan is None and code.period_refused, label
+                continue
+            planned += 1
+            assert code.period_plan == "static", label
+            assert code.comb_static and "def period():" in code.source
+        assert planned > 50
+
+    def test_tick_event_interprets_no_schedule(self):
+        import inspect
+
+        body = inspect.getsource(CompiledSimulator._tick_event)
+        for gone in ("for value in", "queue.append", "trigger.edge",
+                     "heappush"):
+            assert gone not in body
+
+
+TWO_PROCS = """
+module two(input wire clock);
+  reg [7:0] n = 0;
+  reg [7:0] m = 0;
+  always @(posedge clock) begin
+    n <= n + 1;
+    if (n == 2) $finish(3);
+  end
+  always @(posedge clock) m <= m + n;
+endmodule
+"""
+
+POKED = """
+module poked(input wire clock, input wire [7:0] x);
+  wire [7:0] y;
+  assign y = x + 8'd1;
+  reg [7:0] acc = 0;
+  always @(posedge clock) acc <= acc + y;
+endmodule
+"""
+
+#: the second block reads a wire the first one's blocking write feeds,
+#: so the two cannot fuse; the mid-end gates the second on ``go``
+GATED_SIBLING = """
+module sib(input wire clock, input wire hold);
+  reg [7:0] n = 0;
+  reg open = 0;
+  wire go;
+  assign go = open & ~hold;
+  reg [7:0] acc = 0;
+  always @(posedge clock) begin
+    n <= n + 1;
+    open = n[0];
+  end
+  always @(posedge clock) begin
+    if (go) acc <= acc + n;
+  end
+endmodule
+"""
+
+MIXED_EDGES = """
+module mixed(input wire clock);
+  reg [7:0] up = 0;
+  reg [7:0] down = 0;
+  reg [7:0] both = 0;
+  reg [7:0] twice = 0;
+  always @(posedge clock) up <= up + 1;
+  always @(negedge clock) down <= down + up;
+  always @(clock) both <= both + 1;
+  always @(posedge clock or negedge clock) twice <= twice + both;
+endmodule
+"""
+
+CLOCK_READER = """
+module reader(input wire clock);
+  reg [7:0] n = 0;
+  wire [7:0] phase;
+  assign phase = clock ? n : ~n;
+  reg [7:0] seen = 0;
+  always @(posedge clock) n <= n + 1;
+  always @(negedge clock) seen <= phase;
+endmodule
+"""
+
+
+def directed(text, script, opt_level=2):
+    """Run *script* on the three engines of *text*; all must agree."""
+    sims = trio(build(text), opt_level=opt_level)
+    for sim in sims.values():
+        script(sim)
+    assert observe(sims["period"]) == observe(sims["baseline"]) \
+        == observe(sims["interp"])
+    period, baseline = sims["period"], sims["baseline"]
+    if period.code.gate_ids:
+        # a gated skip runs no statement; the baseline tables no gate
+        assert period.stmts_executed < baseline.stmts_executed
+    else:
+        assert period.stmts_executed == baseline.stmts_executed
+    assert period.settle_rounds == baseline.settle_rounds
+    assert period.code.period_plan is not None
+    return period
+
+
+class TestPeriodEntryStates:
+    """``period()`` assumes the resting state between periods; whatever
+    else a caller leaves behind takes one period through the reference
+    ``tick`` (counted in ``slow_periods``) and rejoins."""
+
+    def test_clock_left_high_through_the_store(self):
+        def script(sim):
+            sim.tick(cycles=2)
+            sim.store.set("clock", 1)
+            sim.tick(cycles=3)
+
+        sim = directed(COUNTER, script)
+        assert sim.slow_periods == 1 and sim.get("n") == 5
+
+    def test_previous_value_made_stale_without_notify(self):
+        def script(sim):
+            sim.tick(cycles=2)
+            sim.set("clock", 1)
+            sim.step()                  # a rising edge through the ABI
+            sim.store.set("clock", 0, notify=False)
+            sim.tick(cycles=3)          # the first rise goes unseen
+
+        sim = directed(COUNTER, script)
+        assert sim.slow_periods == 1 and sim.get("n") == 5
+
+    def test_queue_left_behind_by_finish_mid_settle(self):
+        def script(sim):
+            sim.tick(cycles=5)          # $finish in the third period
+            assert sim.host.finished and sim.time == 3
+            sim.host.finished = False
+            sim.tick(cycles=2)
+
+        # O0: nothing fuses the two blocks, so the edge fires both
+        sim = directed(TWO_PROCS, script, opt_level=0)
+        assert sim.slow_periods == 1
+        fresh = trio(build(TWO_PROCS), opt_level=0)["period"]
+        fresh.tick(cycles=5)
+        assert fresh._proc_queue == [1]     # fired, never reached
+
+    def test_finish_on_the_rising_edge_leaves_the_clock_high(self):
+        def script(sim):
+            sim.tick(cycles=9)
+
+        sim = directed(TWO_PROCS, script)
+        assert sim.get("clock") == 1 and sim.time == 3
+        assert sim.host.finish_code == 3 and sim.slow_periods == 0
+
+    def test_sibling_blocking_write_opens_a_gate_in_the_same_edge(self):
+        sim = directed(GATED_SIBLING, lambda sim: sim.tick(cycles=9))
+        assert sim.code.gate_ids and "live = g" in sim.code.source
+        assert sim.get("acc") != 0 and sim.slow_periods == 0
+
+    def test_input_poked_between_ticks(self):
+        def script(sim):
+            for x in (3, 3, 9, 0):
+                sim.set("x", x)
+                sim.tick(cycles=2)
+
+        sim = directed(POKED, script)
+        assert sim.slow_periods == 0 and sim.get("acc") == 2 * (4 + 4 + 10 + 1)
+
+    def test_store_watcher_keeps_the_reference_path(self):
+        def script(sim):
+            sim.store.add_watcher(lambda name: None)
+            sim.tick(cycles=4)
+
+        assert directed(COUNTER, script).slow_periods == 4
+
+    def test_restore_state_mid_run(self):
+        def script(sim):
+            sim.tick(cycles=3)
+            snapshot = sim.save_state()
+            sim.tick(cycles=4)
+            sim.restore_state(snapshot)
+            sim.tick(cycles=4)
+
+        sim = directed(POKED, script)
+        assert sim.time == 7 and sim.slow_periods == 0
+
+    def test_both_edges_and_level_sensitivity(self):
+        sim = directed(MIXED_EDGES, lambda sim: sim.tick(cycles=6),
+                       opt_level=0)
+        assert sim.code.period_plan == "static"
+        assert sim.get("both") == 12 and sim.get("up") == 6
+
+    @pytest.mark.parametrize(
+        "text", [CLOCK_READER, TestCycleDownstreamRemarking.CYC],
+        ids=["clock-reading cone", "cyclic cone"])
+    def test_cones_the_static_pass_cannot_run_go_through_settle(self, text):
+        sim = directed(text, lambda sim: sim.tick(cycles=12))
+        assert sim.code.period_plan == "settle"
+        assert "comb = settle" in sim.code.source and sim.slow_periods == 0
+
+    def test_triggers_on_the_tick_clock_share_one_previous_value(self):
+        sim = trio(build(MIXED_EDGES), opt_level=0)["period"]
+        assert len(sim._events) == 5
+
+        def cells():
+            assert all(t.cell is sim._clock_prev for t in sim._events)
+            return sim._clock_prev[0]
+
+        assert cells() == 0                          # _initialize
+        sim.set("clock", 1)
+        sim.evaluate()
+        assert cells() == 1 and sim.get("up") == 0   # _drain, no latch yet
+        sim.step()
+        sim.tick(cycles=2)                           # slow, then period()
+        assert cells() == 0 and sim.get("up") == 2
+        snapshot = sim.save_state()
+        sim.store.set("clock", 1, notify=False)
+        sim.restore_state(snapshot)                  # restore_state
+        assert cells() == sim.get("clock") == 0
+        # a design with two clocks plans none, and shares nothing
+        two = sim_for("""
+            module clocks(input wire a, input wire b);
+              reg x = 0; reg y = 0;
+              always @(posedge a) x <= ~x;
+              always @(posedge b) y <= ~y;
+            endmodule
+        """)
+        assert two.code.tick_clock is None
+        assert two._events[0].cell is not two._events[1].cell
+
+
+class TestWhySlowPath:
+    def test_period_plan_and_refusal_reasons(self):
+        def plan(text, event=True):
+            code = CompiledModuleCode(build(text), opt_level=2, event=event)
+            return code.period_plan, code.period_refused
+
+        assert plan(COUNTER) == ("static", None)
+        assert plan(CLOCK_READER) == ("settle", None)
+        assert plan(COUNTER, event=False) == (None, "baseline configuration")
+        body = "reg x = 0; reg y = 0; wire w; assign w = x;"
+        for item, reason in (
+                ("always @* y = x; always @(posedge clock) x <= ~x;",
+                 "@* process on the queue"),
+                ("always @(posedge clock) x <= ~x; "
+                 "always @(posedge other) y <= ~y;", "second clock"),
+                ("always @(posedge (clock & other)) x <= ~x;",
+                 "non-identifier event"),
+                ("always @(posedge w) y <= ~y;", "clock driven in-module"),
+                ("", "no edge-triggered process")):
+            text = (f"module m(input wire clock, input wire other); {body} "
+                    f"{item} endmodule")
+            assert plan(text) == (None, reason), item
+
+    def test_slow_periods_counts_reference_ticks(self):
+        fast = sim_for(COUNTER, event=True)
+        fast.tick(cycles=7)
+        assert fast.slow_periods == 0
+        slow = sim_for(COUNTER, event=False)
+        slow.tick(cycles=7)
+        assert slow.slow_periods == 7 and slow.get("n") == fast.get("n")
+
+
 class TestBenchWorkloadIdentity:
     """Every bench workload, event vs sweep, bit-identical."""
 

@@ -145,6 +145,11 @@ case("{4{a8}}")
 case("{8{a8}}")
 case("{1{a33}} + {0{a8}}")
 case("{2{a1, b1}}")
+# replication is one multiply by 1 + 2^w + ...: unit widths 1/8/33,
+# counts 0/1/2 and a 64-bit total (the lane word, exactly full)
+case("{64{a1}}")
+case("{2{a8}} + {0{a33}}")
+case("{2{a1}} ^ {1{a8}}")
 case("a64 ** a64")
 case("$time")
 case("$time + a8")

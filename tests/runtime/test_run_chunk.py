@@ -186,6 +186,31 @@ def compile_source(source):
     return CompilerService().compile_program(source)
 
 
+class TestPathsAgree:
+    def test_generated_period_equals_baseline_and_interpreter(
+            self, monkeypatch):
+        """The event plan's generated ``period()`` against its two
+        references, chunked: same log, state, ticks and — against the
+        baseline, which counts the same statements — modeled seconds."""
+        for label, source, total in designs():
+            seen = {}
+            for path, (event, backend) in PATHS.items():
+                monkeypatch.setenv("REPRO_SIM_EVENT", event)
+                runtime = Runtime(source, sim_backend=backend,
+                                  compiler=CompilerService())
+                for chunk in partition(total, random.Random(label)):
+                    runtime.tick(chunk)
+                seen[path] = observe(runtime)
+                if path == "event":
+                    sim = runtime.engine.sim
+                    assert sim.code.period_plan in ("static", None), label
+                    assert sim.slow_periods == (
+                        0 if sim.code.period_plan else runtime.ticks), label
+            assert seen["event"] == seen["sweep"], label
+            seen["interp"]["sim_time"] = seen["event"]["sim_time"]
+            assert seen["interp"] == seen["event"], label
+
+
 class TestStopsWhereSingleSteppingDoes:
     def test_finish_mid_chunk(self, make):
         source = FINISHER.format(at=6)
