@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-#: Where result JSON lands (git-ignored).  The ``BENCH_*.json`` at the
-#: repo root are the last *recorded* reference; tests never touch them.
+#: Where result JSON lands (git-ignored).
 OUT_DIR = Path(__file__).resolve().parent / "out"
 
 

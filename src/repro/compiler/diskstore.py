@@ -72,7 +72,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 ARTIFACT_MAGIC = b"RPRA"
 #: Bump on any incompatible layout change; mismatches are misses.
 FRAME_FORMAT = 1
-#: Default entry bound when ``REPRO_ARTIFACT_MAX`` is unset.
+#: Default entry bound (``max_entries=None``).
 DEFAULT_MAX_ENTRIES = 4096
 
 _HEADER = struct.Struct(">4sHH")   # magic, format, tag length
@@ -200,19 +200,6 @@ class FileLock:
                 self._fh = None
 
 
-def _resolve_max_entries(max_entries: Optional[int]) -> Optional[int]:
-    if max_entries is not None:
-        return max_entries if max_entries > 0 else None
-    raw = os.environ.get("REPRO_ARTIFACT_MAX", "")
-    if raw:
-        try:
-            value = int(raw)
-            return value if value > 0 else None
-        except ValueError:
-            pass
-    return DEFAULT_MAX_ENTRIES
-
-
 class DiskArtifactStore:
     """A content-addressed artifact directory: the durable cache tier.
 
@@ -227,7 +214,8 @@ class DiskArtifactStore:
                  faults: Optional[FaultPlan] = None):
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self.max_entries = _resolve_max_entries(max_entries)
+        self.max_entries = (DEFAULT_MAX_ENTRIES if max_entries is None
+                            else max_entries if max_entries > 0 else None)
         #: injected-fault plan for durable writes (ambient by default)
         self.faults = faults if faults is not None else default_fault_plan()
         self._lock = FileLock(os.path.join(self.root, ".lock"))

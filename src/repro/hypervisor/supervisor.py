@@ -119,8 +119,8 @@ class Supervisor:
 
         With *software* set the tenant is never placed on fabric: it
         runs on a software engine under the fleet's lead compiler (so
-        same-digest tenants share artifacts) — the shape that cohort
-        scheduling (:meth:`run_all`) advances as vector dispatches.
+        same-digest tenants share artifacts) — the shape that cohorts
+        (:meth:`form_cohorts`) advance as vector dispatches.
         An explicit *host* pins placement to one hypervisor (the serving
         layer's fleet balancer chooses it); *vfs* pre-loads the tenant's
         virtual filesystem with input files.
@@ -221,8 +221,8 @@ class Supervisor:
         """Dispatches whose engine retired a quiescent span unexecuted.
 
         Counted by the runtimes themselves (``Runtime.tick``), so it
-        covers every driver — :meth:`run`, :meth:`run_all`, the serving
-        layer's slices — and outlives release, migration and recovery.
+        covers every driver — :meth:`run`, the serving layer's
+        slices — and outlives release, migration and recovery.
         """
         return self._idle_fastforwards + sum(
             t.runtime.idle_fastforwards for t in self.tenants.values())
@@ -347,16 +347,6 @@ class Supervisor:
             formed += 1
         return formed
 
-    def dissolve_cohorts(self) -> None:
-        """Extract every cohort member back onto a scalar engine."""
-        for tenant in self.tenants.values():
-            if isinstance(tenant.runtime.engine, CohortLaneEngine):
-                self._extract_tenant(tenant)
-        for engine in self.cohorts:
-            self._cohort_divergence += engine.divergence
-            self._cohort_vector_ticks += engine.vector_ticks
-        self.cohorts = []
-
     def in_cohort(self, name: str) -> bool:
         tenant = self.tenants.get(name)
         return (tenant is not None
@@ -448,45 +438,6 @@ class Supervisor:
         runtime.ticks += drained
         engine._banked.clear()
         return drained
-
-    def run_all(self, ticks: int, form: bool = True, min_size: int = 2) -> None:
-        """Drive every tenant *ticks* logical ticks in lockstep.
-
-        Same-digest software tenants are formed into cohorts first (at
-        the quiescence boundary) and advance one vector dispatch per
-        tick; everyone else runs scalar.  Checkpoints land every
-        ``checkpoint_every`` ticks as in :meth:`run`, banked ticks are
-        drained at each boundary so the checkpoints stay consistent,
-        and cohorts are dissolved back onto scalar engines on exit —
-        faults and recovery therefore see only ordinary engines.
-        """
-        if form:
-            self.form_cohorts(min_size=min_size)
-        try:
-            targets = {name: tenant.runtime.ticks + ticks
-                       for name, tenant in self.tenants.items()}
-            progressed = True
-            while progressed:
-                progressed = False
-                for name, tenant in self.tenants.items():
-                    runtime = tenant.runtime
-                    if runtime.finished:
-                        if self._drain_banked(runtime):
-                            self._checkpoint(tenant)
-                        continue
-                    remaining = targets[name] - runtime.ticks
-                    if remaining <= 0:
-                        continue
-                    chunk = self._chunk_for(runtime, remaining)
-                    try:
-                        runtime.tick(chunk)
-                        self._drain_banked(runtime)
-                        self._checkpoint(tenant)
-                    except FabricError as err:
-                        self._recover_from(tenant, err)
-                    progressed = True
-        finally:
-            self.dissolve_cohorts()
 
     # -- migration (load balancing) --------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.interp.compile.batch import (
 )
 from repro.runtime import Runtime, SoftwareEngine
 from repro.runtime.cohort import CohortEngine, CohortError, CohortLaneEngine
+from repro.serve import Fleet, FleetConfig
 from repro.verilog import flatten, parse
 
 #: Exercises memories, case, loops, signed compares, dynamic range
@@ -297,17 +298,29 @@ class TestCohortLifecycle:
 
 class TestSupervisorCohorts:
     def _mk(self, n, ticks_each):
-        sup = Supervisor([Hypervisor(F1)], checkpoint_every=8)
+        fleet = Fleet([Hypervisor(F1)], FleetConfig(board_capacity=0),
+                      checkpoint_every=8)
+        sup = fleet.supervisor
         for i in range(n):
             sup.admit(f"t{i}", kitchen(25), software=True)
         for i, name in enumerate(list(sup.tenants)):
             sup.run(name, i * ticks_each)
-        return sup
+        return fleet, sup
 
-    def test_run_all_matches_scalar_runs(self):
-        a = self._mk(4, 2)
-        b = self._mk(4, 2)
-        a.run_all(30)
+    def test_advance_cohort_matches_scalar_runs(self):
+        """Lockstep chunks over a formed cohort, the way the serving
+        layer drives it: finished lanes leave, the rest keep going."""
+        fleet, a = self._mk(4, 2)
+        _, b = self._mk(4, 2)
+        names = list(a.tenants)
+        fleet.form_cohorts(names)
+        for _ in range(0, 30, 6):
+            fleet.advance_cohort(names, 6)
+            for name in [n for n in names if a.tenants[n].runtime.finished]:
+                fleet.extract(name)
+                names.remove(name)
+        for name in names:
+            fleet.extract(name)
         for name in list(b.tenants):
             b.run(name, 30)
         for i in range(4):
@@ -322,15 +335,16 @@ class TestSupervisorCohorts:
             assert ra.engine.sim.time == rb.engine.sim.time
 
     def test_stats_telemetry(self, o2):
-        sup = self._mk(3, 0)
+        fleet, sup = self._mk(3, 0)
         formed = sup.form_cohorts()
         assert formed == 1
         stats = sup.stats()
         assert stats["cohorts"]["active"] == 1
         assert stats["cohorts"]["formed"] == 1
         assert stats["cohorts"]["sizes"] == [3]
-        sup.run_all(10, form=False)
-        sup.dissolve_cohorts()
+        fleet.advance_cohort(list(sup.tenants), 10)
+        for name in sup.tenants:
+            fleet.extract(name)
         stats = sup.stats()
         assert stats["cohorts"]["active"] == 0
         assert stats["cohorts"]["vector_ticks"] >= 10
