@@ -101,55 +101,6 @@ def expr_key(expr: ast.Expr) -> Tuple:
     raise TypeError(f"cannot key expression {type(expr).__name__}")
 
 
-def width_stable(expr: ast.Expr, env: WidthEnv) -> bool:
-    """True when *expr*'s value is identical at every context width.
-
-    The simulator evaluates context-determined operands at the width
-    of their context (LRM §5.4); hoisting an expression behind a wire
-    of its self-determined width is only transparent when widening the
-    context cannot change its value — e.g. comparisons, selects and
-    concatenations, but not additions (carry) or inversions (mask).
-    """
-    if isinstance(expr, ast.Number):
-        return not expr.signed and (
-            expr.width is None or expr.value < (1 << expr.width))
-    if isinstance(expr, ast.Identifier):
-        return expr.name not in env.params  # signal values fit their width
-    if isinstance(expr, (ast.Index, ast.Concat, ast.Repeat, ast.String)):
-        return True  # self-determined parts; result fits self width
-    if isinstance(expr, ast.RangeSelect):
-        return True  # both modes mask to the select width
-    if isinstance(expr, ast.Unary):
-        return expr.op in ("!", "&", "~&", "|", "~|", "^", "~^", "^~")
-    if isinstance(expr, ast.Binary):
-        op = expr.op
-        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||"):
-            return True  # 1-bit results; operands sized among themselves
-        if op in ("&", "|", "^"):
-            return width_stable(expr.left, env) and width_stable(expr.right, env)
-        if op in (">>", ">>>"):
-            if op == ">>>" and env.is_signed(expr.left):
-                return False  # arithmetic shift sign-extends at context width
-            return width_stable(expr.left, env)
-        if op in ("/", "%"):
-            # Division by zero saturates at the *context* mask; only a
-            # provably nonzero literal divisor keeps the value stable.
-            divisor = expr.right
-            return (isinstance(divisor, ast.Number) and divisor.value != 0
-                    and not env.is_signed(expr.left)
-                    and not env.is_signed(expr.right)
-                    and width_stable(expr.left, env))
-        return False  # +, -, *, shifts-left, **, ~^ depend on the mask
-    if isinstance(expr, ast.Ternary):
-        return (width_stable(expr.if_true, env)
-                and width_stable(expr.if_false, env))
-    if isinstance(expr, ast.SysCall):
-        if expr.name == "$unsigned":
-            return width_stable(expr.args[0], env)
-        return expr.name == "$clog2"
-    return False
-
-
 # -- rvalue-scoped rewriting ------------------------------------------------
 #
 # Substitution passes must not touch lvalue *targets* (the base names

@@ -32,18 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..verilog import ast_nodes as ast
 from ..verilog.fold import fold_expr
 from ..verilog.rewrite import collect_identifiers, map_expr
-from .ir import (
-    Design,
-    expr_key,
-    expr_nodes,
-    expr_pure,
-    map_item_rvalues,
-    map_stmt_rvalues,
-    width_stable,
-)
-
-#: Minimum node count for a subexpression to be worth a CSE wire.
-_CSE_MIN_NODES = 4
+from .ir import Design, expr_pure, map_item_rvalues, map_stmt_rvalues
 
 
 def _fold_in_item(item: ast.Item, counter: List[int]) -> ast.Item:
@@ -256,98 +245,6 @@ def forward_aliases(design: Design) -> int:
     if counter[0]:
         design.replace_items(items)
     return counter[0]
-
-
-def eliminate_common_subexpressions(design: Design) -> int:
-    """Hoist repeated pure subexpressions of continuous assigns into
-    fresh ``__cse`` wires.
-
-    Only *width-stable* (see :func:`~repro.opt.ir.width_stable`),
-    unsigned, pure subtrees qualify: the hoisted wire re-presents the
-    value at the subtree's self-determined width, so stability is what
-    makes the substitution invisible at every use context.  Hoisting
-    only among continuous assigns keeps scheduling arguments trivial —
-    the ranked settle computes the new wire before (or in the same
-    fixpoint as) every consumer.
-    """
-    env = design.env
-    total = 0
-    for round_ in range(16):
-        counts: Dict[Tuple, int] = {}
-        samples: Dict[Tuple, ast.Expr] = {}
-        assign_rhs: List[Tuple[int, ast.Expr]] = []
-        for index, item in enumerate(design.items):
-            if isinstance(item, ast.ContinuousAssign):
-                assign_rhs.append((index, item.rhs))
-        if not assign_rhs:
-            break
-        for _, rhs in assign_rhs:
-            for node in ast.walk_expr(rhs):
-                if isinstance(node, (ast.Number, ast.Identifier, ast.String)):
-                    continue
-                key = expr_key(node)
-                counts[key] = counts.get(key, 0) + 1
-                samples.setdefault(key, node)
-        winner: Optional[Tuple] = None
-        winner_size = 0
-        winner_repr = ""
-        for key, count in counts.items():
-            if count < 2:
-                continue
-            node = samples[key]
-            size = expr_nodes(node)
-            if size < _CSE_MIN_NODES:
-                continue
-            if not expr_pure(node) or env.is_signed(node):
-                continue
-            if not width_stable(node, env):
-                continue
-            # Deterministic tie-break on the key's repr: raw key
-            # tuples are heterogeneous (None widths vs ints) and do
-            # not order.
-            key_repr = repr(key)
-            if size > winner_size or (size == winner_size
-                                      and key_repr < winner_repr):
-                winner, winner_size, winner_repr = key, size, key_repr
-        if winner is None:
-            break
-        node = samples[winner]
-        try:
-            width = env.width_of(node)
-        except Exception:  # pragma: no cover - unsizable node
-            break
-        name = _fresh_cse(design)
-        ident = ast.Identifier(name)
-        replaced = [0]
-
-        def fn(expr: ast.Expr) -> ast.Expr:
-            if not isinstance(expr, (ast.Number, ast.Identifier, ast.String)) \
-                    and expr_key(expr) == winner:
-                replaced[0] += 1
-                return ident
-            return expr
-
-        items: List[ast.Item] = []
-        for item in design.items:
-            if isinstance(item, ast.ContinuousAssign):
-                items.append(ast.ContinuousAssign(
-                    item.lhs, map_expr(item.rhs, fn), item.pos))
-            else:
-                items.append(item)
-        rng = ast.Range(ast.Number(width - 1), ast.Number(0)) if width > 1 else None
-        items.append(ast.Decl("wire", name, rng))
-        items.append(ast.ContinuousAssign(ident, node))
-        design.replace_items(items, decls_changed=True)
-        total += 1
-    return total
-
-
-def _fresh_cse(design: Design) -> str:
-    existing = {item.name for item in design.items if isinstance(item, ast.Decl)}
-    k = 0
-    while f"__cse{k}" in existing:
-        k += 1
-    return f"__cse{k}"
 
 
 def fuse_always_blocks(design: Design) -> int:

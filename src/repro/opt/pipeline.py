@@ -8,11 +8,10 @@ backend off or on (read per call, like ``REPRO_SIM_BACKEND``):
   the differential-fuzzing counterpart of the optimized pipeline.
 * any other value (default ``2``, the level the pipeline reports) —
   the word-level pipeline: folding/propagation, alias forwarding,
-  common-subexpression elimination, always-block fusion,
-  dead-signal/dead-process elimination, and the two-state
-  specialization analysis that licenses the specialized codegen
-  (local-variable slot caching and static rank-order combinational
-  sweeps).
+  always-block fusion, dead-signal/dead-process elimination, and the
+  two-state specialization analysis that licenses the specialized
+  codegen (local-variable slot caching and static rank-order
+  combinational sweeps).
 
 The **fingerprint** names the exact pass schedule *and* the codegen
 generation; it joins the program digest in every optimized artifact's
@@ -48,7 +47,6 @@ _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     2: (
         ("const", passes.propagate_constants),
         ("alias", passes.forward_aliases),
-        ("cse", passes.eliminate_common_subexpressions),
         ("fuse", passes.fuse_always_blocks),
         ("dce", passes.eliminate_dead),
         ("two_state", passes.specialize_two_state),

@@ -8,6 +8,8 @@ behaviour the reference interpreter cannot distinguish from the
 original's.
 """
 
+import os
+
 import pytest
 
 from repro.compiler import ArtifactStore, CompilerService
@@ -92,7 +94,6 @@ PASSES = [
     ("fold", P.fold_constants),
     ("const", P.propagate_constants),
     ("alias", P.forward_aliases),
-    ("cse", P.eliminate_common_subexpressions),
     ("fuse", P.fuse_always_blocks),
     ("dce", P.eliminate_dead),
 ]
@@ -115,6 +116,38 @@ def test_pass_output_equivalent_under_interp_oracle(name, fn):
         assert _behaviour(flat, ticks, names) == \
             _behaviour(reparsed, ticks, names), \
             f"{name} diverged on seed {seed}"
+
+
+def test_hierarchical_design_is_what_alias_and_dce_are_for():
+    """No single-module design in the tree gives ``alias`` or ``dce``
+    anything to do; flattening a real hierarchy does.  Pin their work
+    on the corpus's one hierarchical design, alone and in the pipeline,
+    against the interpreter."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
+                        "hier_alu_pipeline.v")
+    with open(path) as handle:
+        flat = flatten(parse(handle.read()), "top")
+    names = state_names(flat)
+    want = _behaviour(flat, 24, names)
+    assert want[1], "the design should reach its $finish"
+
+    result = optimize_module(flat, level=2)
+    assert result.pass_counts["alias"] == 37
+    assert result.pass_counts["dce"] == 44
+    assert (result.nodes_before, result.nodes_after) == (292, 242)
+    assert (result.processes_before, result.processes_after) == (70, 48)
+    reparsed = parse(print_module(result.module)).modules[-1]
+    assert _behaviour(reparsed, 24, names) == want
+
+    # The two in isolation: forwarding rewires readers past the
+    # port-binding chains, which is what leaves the chains dead.
+    design = Design(flat)
+    assert P.eliminate_dead(design) == (0, 0)
+    assert P.forward_aliases(design) > 0
+    signals, processes = P.eliminate_dead(design)
+    assert signals > 0 and processes > 0
+    alone = parse(print_module(design.to_module())).modules[-1]
+    assert _behaviour(alone, 24, names) == want
 
 
 def test_full_pipeline_equivalent_under_interp_oracle():

@@ -1,9 +1,8 @@
 """Each mid-end pass in isolation: rewrites, refusals, and invariants."""
 
 from repro.opt import Design
-from repro.opt.ir import expr_key, width_stable
+from repro.opt.ir import expr_key
 from repro.opt.passes import (
-    eliminate_common_subexpressions,
     eliminate_dead,
     fold_constants,
     forward_aliases,
@@ -142,44 +141,6 @@ class TestForwardAliases:
             endmodule
         """)
         assert forward_aliases(d) == 0
-
-
-class TestCse:
-    def test_repeated_stable_subexpr_hoisted(self):
-        d = design_for("""
-            module m(input wire [7:0] a, input wire [7:0] b,
-                     output wire y, output wire z);
-              assign y = (a > (b ^ 8'd7)) & a[0];
-              assign z = (a > (b ^ 8'd7)) & b[0];
-            endmodule
-        """)
-        assert eliminate_common_subexpressions(d) >= 1
-        printed = print_module(d.to_module())
-        assert "__cse0" in printed
-
-    def test_width_unstable_subexpr_refused(self):
-        """a + b carries into wider contexts; hoisting would truncate."""
-        d = design_for("""
-            module m(input wire [7:0] a, input wire [7:0] b,
-                     output wire [15:0] y, output wire [15:0] z);
-              assign y = (a + b) + 16'd0;
-              assign z = (a + b) + 16'd1;
-            endmodule
-        """)
-        assert eliminate_common_subexpressions(d) == 0
-
-    def test_width_stable_predicate(self):
-        d = design_for("""
-            module m(input wire [7:0] a, output wire y);
-              assign y = a[2];
-            endmodule
-        """)
-        env = d.env
-        a = ast.Identifier("a")
-        assert width_stable(ast.Binary("==", a, a), env)
-        assert width_stable(ast.Index(a, ast.Number(2)), env)
-        assert not width_stable(ast.Binary("+", a, a), env)
-        assert not width_stable(ast.Unary("~", a), env)
 
 
 class TestFusion:
@@ -322,17 +283,3 @@ class TestReviewRegressions:
         eliminate_dead(d)
         names = {i.name for i in d.items if isinstance(i, ast.Decl)}
         assert "u$tmp" in names
-
-    def test_cse_tie_break_handles_unsized_widths(self):
-        """Equal-size candidates whose keys differ only in a literal's
-        width (None vs int) must not crash the tie-break."""
-        d = design_for("""
-            module m(input wire [7:0] a, input wire x, output wire y,
-                     output wire z, output wire p, output wire q);
-              assign y = x & (a > (a ^ 5));
-              assign z = x & (a > (a ^ 5));
-              assign p = x & (a > (a ^ 3'd5));
-              assign q = x & (a > (a ^ 3'd5));
-            endmodule
-        """)
-        assert eliminate_common_subexpressions(d) == 2
