@@ -23,19 +23,21 @@ the fleet simply never vectorizes and every tenant runs scalar.
 """
 
 from .admission import (
-    AdmissionConfig, AdmissionController, AdmissionError, QueueFullError,
-    TenantBudgetError, UnknownDigestError,
+    AdmissionController, AdmissionError, QueueFullError, TenantBudgetError,
+    UnknownDigestError,
 )
 from .fleet import Fleet, FleetConfig
 from .frontend import ServeConfig, ServeFrontend
-from .handle import TenantHandle, TenantResult
+from .handle import (
+    IllegalTransition, TenantHandle, TenantResult, TenantState,
+)
 from .slicer import DEFAULT_PRIORITIES, FairShareSlicer
 
 __all__ = [
-    "AdmissionConfig", "AdmissionController", "AdmissionError",
+    "AdmissionController", "AdmissionError",
     "QueueFullError", "TenantBudgetError", "UnknownDigestError",
     "Fleet", "FleetConfig",
     "ServeConfig", "ServeFrontend",
-    "TenantHandle", "TenantResult",
+    "IllegalTransition", "TenantHandle", "TenantResult", "TenantState",
     "DEFAULT_PRIORITIES", "FairShareSlicer",
 ]

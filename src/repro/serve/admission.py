@@ -15,10 +15,17 @@ Callers resubmit when load drains, or shed the request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..fabric.errors import FabricError
+from .handle import PLACED, TenantState
+
+
+def _slot(state: Optional[TenantState]) -> Optional[str]:
+    """The slot class a job in *state* holds, or ``None``."""
+    if state is TenantState.QUEUED:
+        return "queued"
+    return "running" if state in PLACED else None
 
 
 class AdmissionError(FabricError):
@@ -44,18 +51,6 @@ class UnknownDigestError(AdmissionError):
     """A submit-by-digest named a program never registered here."""
 
 
-@dataclass
-class AdmissionConfig:
-    """Budgets the controller enforces."""
-
-    #: concurrently *running* jobs (scheduling slots)
-    max_running: int = 8
-    #: queued-but-not-started jobs (bounded backlog)
-    max_queue: int = 64
-    #: in-flight (queued + running) jobs per principal
-    per_tenant: int = 8
-
-
 class AdmissionController:
     """Slot accounting for the serve frontend.
 
@@ -65,8 +60,11 @@ class AdmissionController:
     submission leaves no residue to clean up.
     """
 
-    def __init__(self, config: Optional[AdmissionConfig] = None):
-        self.config = config or AdmissionConfig()
+    def __init__(self, config):
+        #: the budgets: ``max_running`` (concurrently running jobs),
+        #: ``max_queue`` (queued, not started) and ``per_tenant``
+        #: (queued + running per principal) of a ``ServeConfig``
+        self.config = config
         self.queued = 0
         self.running = 0
         self.peak_running = 0
@@ -76,6 +74,7 @@ class AdmissionController:
         self.cancelled = 0
         self.released = 0
         self.recovered = 0
+        self.failed = 0
         self._per_tenant: Dict[str, int] = {}
 
     # -- the admission decision --------------------------------------------
@@ -97,59 +96,47 @@ class AdmissionController:
 
     # -- slot lifecycle ----------------------------------------------------
 
-    def on_enqueue(self, principal: str) -> None:
-        self.queued += 1
-        self.admitted += 1
-        self._per_tenant[principal] = self._per_tenant.get(principal, 0) + 1
-        in_flight = self.queued + self.running
-        self.peak_in_flight = max(self.peak_in_flight, in_flight)
-
     def can_start(self) -> bool:
         return self.running < self.config.max_running
 
-    def on_start(self) -> None:
-        self.queued -= 1
-        self.running += 1
-        self.peak_running = max(self.peak_running, self.running)
+    def move(self, principal: str, old: Optional[TenantState],
+             new: TenantState) -> None:
+        """Follow one job transition; the only writer of the books.
 
-    def on_release(self, principal: str) -> None:
-        """A running job retired (completed, failed, or cancelled)."""
-        self.running -= 1
-        self.released += 1
-        self._drop_holder(principal)
-
-    def on_recover(self, principal: str) -> None:
-        """A restart-recovered tenant was re-admitted to the fleet.
-
-        It held a running slot before the crash, so it must charge the
-        per-tenant and aggregate in-flight budgets again in this
-        process — otherwise recovered tenants run invisible to
-        admission and a principal can exceed its budget by crashing.
-        ``max_running`` is deliberately *not* re-checked: these tenants
-        were each admitted once already, and recovery must not strand
-        a checkpointed tenant behind fresh submissions.  A recovery
-        that subsequently *fails* must release this slot via
-        :meth:`on_release` (mirroring cancel), so the books balance.
+        What a job holds depends on its state alone: a queue slot
+        (``QUEUED``), a running slot (:data:`PLACED`), or nothing
+        (unborn or terminal); either slot also charges its principal's
+        budget.  A job recovered straight into a running slot charges
+        like any other, but ``max_running`` is not re-checked: it was
+        admitted once already, and recovery must not strand a
+        checkpointed tenant behind fresh submissions.
         """
-        self.running += 1
-        self.recovered += 1
-        self._per_tenant[principal] = self._per_tenant.get(principal, 0) + 1
+        if new is TenantState.FAILED:
+            self.failed += 1
+        src, dst = _slot(old), _slot(new)
+        if src == dst:
+            return
+        self.queued += (dst == "queued") - (src == "queued")
+        self.running += (dst == "running") - (src == "running")
+        if src is None:
+            self._per_tenant[principal] = self._per_tenant.get(principal, 0) + 1
+            if dst == "queued":
+                self.admitted += 1
+            else:
+                self.recovered += 1
+        elif dst is None:
+            held = self._per_tenant.get(principal, 0) - 1
+            if held > 0:
+                self._per_tenant[principal] = held
+            else:
+                self._per_tenant.pop(principal, None)
+            if src == "running":
+                self.released += 1
+            elif new is TenantState.CANCELLED:
+                self.cancelled += 1
         self.peak_running = max(self.peak_running, self.running)
         self.peak_in_flight = max(self.peak_in_flight,
                                   self.queued + self.running)
-
-    def on_cancel_queued(self, principal: str) -> None:
-        """A queued job was cancelled before it ever started."""
-        self.queued -= 1
-        self.cancelled += 1
-        self._drop_holder(principal)
-
-    def _drop_holder(self, principal: str) -> None:
-        held = self._per_tenant.get(principal, 0) - 1
-        if held > 0:
-            self._per_tenant[principal] = held
-        else:
-            self._per_tenant.pop(principal, None)
 
     # -- reporting ---------------------------------------------------------
 
@@ -164,5 +151,6 @@ class AdmissionController:
             "cancelled": self.cancelled,
             "released": self.released,
             "recovered": self.recovered,
+            "failed": self.failed,
             "tenants_in_flight": len(self._per_tenant),
         }

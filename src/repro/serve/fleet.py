@@ -136,28 +136,11 @@ class Fleet:
         """
         pool = (self.config.cohorts and HAVE_NUMPY
                 and self._software_pool_digest(digest))
-        board = None if pool else self._choose_board(digest)
-        if board is None:
-            self.supervisor.admit(name, source, clock=clock,
-                                  software=True, vfs=vfs)
-            self.placements_sw += 1
-            return "software"
-        try:
-            self.supervisor.admit(name, source, clock=clock,
-                                  host=board, vfs=vfs)
-            self.placements_hw += 1
-            return board.device.name
-        except FabricError:
-            # The fabric refused (capacity race, mid-admission fault).
-            # Admission already said yes, so degrade to software rather
-            # than failing the job.
-            if name in self.supervisor.tenants:
-                self.supervisor.release(name)
-            self.supervisor.admit(name, source, clock=clock,
-                                  software=True, vfs=vfs)
-            self.placements_sw += 1
-            self.placement_fallbacks += 1
-            return "software"
+        return self._place(
+            name, None if pool else self._choose_board(digest),
+            lambda host: self.supervisor.admit(
+                name, source, clock=clock, host=host,
+                software=host is None, vfs=vfs))
 
     def readmit(self, name: str, runtime: Runtime) -> str:
         """Re-place a restart-recovered runtime; returns its destination.
@@ -165,24 +148,31 @@ class Fleet:
         The recovery analogue of :meth:`admit_job`: boards are scored
         warmth-first — and the warmth probe spans the durable disk tier,
         so a tenant lands where its artifacts already are and restore
-        never recompiles.  A fabric refusal degrades to software rather
-        than failing the recovery.
+        never recompiles.
         """
-        digest = runtime.program.digest
-        board = self._choose_board(digest)
+        destination = self._place(
+            name, self._choose_board(runtime.program.digest),
+            lambda host: self.supervisor.admit_runtime(name, runtime,
+                                                       host=host))
+        self.readmissions += 1
+        return destination
+
+    def _place(self, name: str, board: Optional[Hypervisor], admit) -> str:
+        """*admit* ``(host)`` onto *board*, or onto software when there
+        is none — or when the fabric refuses (capacity race,
+        mid-admission fault): admission already said yes, so a refusal
+        degrades the placement rather than failing the job."""
         if board is not None:
             try:
-                self.supervisor.admit_runtime(name, runtime, host=board)
+                admit(board)
                 self.placements_hw += 1
-                self.readmissions += 1
                 return board.device.name
             except FabricError:
                 if name in self.supervisor.tenants:
                     self.supervisor.release(name)
                 self.placement_fallbacks += 1
-        self.supervisor.admit_runtime(name, runtime)
+        admit(None)
         self.placements_sw += 1
-        self.readmissions += 1
         return "software"
 
     def release(self, name: str) -> None:

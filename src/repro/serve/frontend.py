@@ -24,14 +24,19 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..fabric.errors import FabricError
 from ..hypervisor.durable import RecoveryError, TenantJournal
 from ..hypervisor.migration import rehydrate
-from .admission import AdmissionConfig, AdmissionController, UnknownDigestError
+from .admission import AdmissionController, UnknownDigestError
+from ..runtime.runtime import SliceReport
 from .fleet import Fleet
-from .handle import TenantHandle, TenantResult
+from .handle import (
+    PLACED, TRANSITIONS, IllegalTransition, TenantHandle, TenantResult,
+    TenantState,
+)
 from .slicer import DEFAULT_PRIORITIES, FairShareSlicer
 
 
@@ -39,8 +44,11 @@ from .slicer import DEFAULT_PRIORITIES, FairShareSlicer
 class ServeConfig:
     """Frontend policy: budgets, quantum, priorities, hygiene."""
 
+    #: concurrently *running* jobs (scheduling slots)
     max_running: int = 8
+    #: queued-but-not-started jobs (bounded backlog)
     max_queue: int = 64
+    #: in-flight (queued + running) jobs per principal
     per_tenant: int = 8
     #: base tick quantum one weight unit earns per scheduling round
     quantum_ticks: int = 32
@@ -52,13 +60,6 @@ class ServeConfig:
     checkpoint_on_preempt: bool = True
     #: scheduling turns between quiescence sweeps (rebalance + cohorts)
     quiescence_every: int = 8
-    #: capture architectural state into each TenantResult
-    capture_state: bool = True
-
-    def admission(self) -> AdmissionConfig:
-        return AdmissionConfig(max_running=self.max_running,
-                               max_queue=self.max_queue,
-                               per_tenant=self.per_tenant)
 
 
 @dataclass
@@ -77,12 +78,10 @@ class _Job:
     vfs: object
     seq: int
     submitted_at: float
-    started_at: Optional[float] = None
+    #: the one lifecycle field; written only by ``_transition``
+    state: Optional[TenantState] = None
     first_tick_at: Optional[float] = None
     cursor: int = 0           #: display lines already streamed
-    running: bool = False     #: admitted into the fleet
-    dequeued: bool = False    #: lazily removed from the admission heap
-    cancelled: bool = False
     preemptions: int = 0
     migrations: int = 0
 
@@ -112,10 +111,14 @@ class ServeFrontend:
             self.fleet.supervisor.journal = journal
         #: tenants recover() could not restore, by name
         self.recovery_errors: Dict[str, RecoveryError] = {}
-        self.admission = AdmissionController(self.config.admission())
+        self.admission = AdmissionController(self.config)
         self.slicer = FairShareSlicer(quantum=self.config.quantum_ticks,
                                       priorities=self.config.priorities)
         self._jobs: Dict[str, _Job] = {}
+        #: live jobs by state (terminal jobs are in no index)
+        self._live: Dict[TenantState, Dict[str, _Job]] = {
+            state: {} for state, moves in TRANSITIONS.items()
+            if state is not None and moves}
         self._results: Dict[str, TenantResult] = {}
         self._queue: List[Tuple[int, _Job]] = []  # (class_rank, job) heap
         # Queued jobs start heaviest class first, FIFO within a class.
@@ -188,7 +191,7 @@ class ServeFrontend:
                    target=ticks, clock=clock, vfs=vfs, seq=self._seq,
                    submitted_at=time.monotonic())
         self._jobs[job_name] = job
-        self.admission.on_enqueue(tenant)
+        self._transition(job, TenantState.QUEUED)
         if self.journal is not None:
             # Write-ahead of any placement work: a crash from here on
             # leaves a journal image recovery can re-run from source.
@@ -224,9 +227,10 @@ class ServeFrontend:
           handle streams every line exactly once — history included.
         * **unrecoverable** — no snapshot survives verification, or
           re-admission itself fails: the handle is failed with a typed
-          :class:`RecoveryError`, the slot charged-then-released so
-          admission books balance, and a terminal record is journaled
-          so the next replay does not resurrect it.
+          :class:`RecoveryError` (counted once, under admission's
+          ``failed``; it never takes a slot in this process), and a
+          terminal record is journaled so the next replay does not
+          resurrect it.
 
         Returns fresh handles by tenant name (awaitable like any
         submission's).  Idempotent per name: tenants already known to
@@ -260,7 +264,7 @@ class ServeFrontend:
             if rec.source:
                 self._programs.setdefault(rec.digest, rec.source)
             if not rec.admitted and not rec.snapshots:
-                self.admission.on_enqueue(rec.principal)
+                self._transition(job, TenantState.QUEUED)
                 heapq.heappush(self._queue, (self._ranks[priority], job))
                 continue
             snapshot = None
@@ -268,47 +272,93 @@ class ServeFrontend:
                 snapshot = journal.load_snapshot(fname)
                 if snapshot is not None:
                     break
+            err = None
             if snapshot is None:
-                self._recovery_failed(job, RecoveryError(
+                err = RecoveryError(
                     f"tenant {rec.name!r} was in flight at the crash but "
                     f"none of its {len(rec.snapshots)} recorded "
                     f"checkpoint(s) survived verification",
-                    tenant=rec.name))
-                continue
-            try:
-                runtime = rehydrate(
-                    snapshot["context"], name=rec.name, clock=rec.clock,
-                    compiler=self.fleet.compiler,
-                    sim_backend=lead.sim_backend,
-                    start_time=float(snapshot.get("sim_time", 0.0)))
-                self.fleet.readmit(rec.name, runtime)
-            except Exception as cause:
-                err = RecoveryError(
-                    f"tenant {rec.name!r} could not be re-admitted "
-                    f"after restart: {cause}", tenant=rec.name)
-                err.__cause__ = cause
-                self._recovery_failed(job, err)
-                continue
-            self.admission.on_recover(rec.principal)
-            job.running = True
-            job.started_at = time.monotonic()
-            job.handle._status = "running"
-            self.started_order.append(rec.name)
-            self.slicer.admit(job)
+                    tenant=rec.name)
+            else:
+                try:
+                    runtime = rehydrate(
+                        snapshot["context"], name=rec.name, clock=rec.clock,
+                        compiler=self.fleet.compiler,
+                        sim_backend=lead.sim_backend,
+                        start_time=float(snapshot.get("sim_time", 0.0)))
+                    self.fleet.readmit(rec.name, runtime)
+                except Exception as cause:
+                    err = RecoveryError(
+                        f"tenant {rec.name!r} could not be re-admitted "
+                        f"after restart: {cause}", tenant=rec.name)
+                    err.__cause__ = cause
+            if err is not None:
+                self.recovery_errors[rec.name] = err
+                self._terminate(job, TenantState.FAILED, err)
+            else:
+                self._start(job)
         if recovered:
             self._ensure_running()
             self._wake.set()
         return recovered
 
-    def _recovery_failed(self, job: _Job, err: RecoveryError) -> None:
-        # Charge-then-release (mirroring cancel) so admission books
-        # balance: the tenant held a running slot before the crash, and
-        # a failed recovery must give that slot back, not leak it.
-        self.admission.on_recover(job.principal)
-        self.admission.on_release(job.principal)
-        self._journal_terminal(job.name, "failed")
-        self.recovery_errors[job.name] = err
-        job.handle._fail(err)
+    # -- the lifecycle: one transition, one way out ------------------------
+
+    def _transition(self, job: _Job, new: TenantState) -> None:
+        """Move *job* to *new*: the only writer of ``job.state``, the
+        handle's status, the per-state index and the admission books."""
+        old = job.state
+        if new not in TRANSITIONS[old]:
+            raise IllegalTransition(job.name, old, new)
+        if old is not None:
+            del self._live[old][job.name]
+        if TRANSITIONS[new]:
+            self._live[new][job.name] = job
+        job.state = job.handle._status = new
+        self.admission.move(job.principal, old, new)
+
+    def _start(self, job: _Job) -> None:
+        """*job* was just placed in the fleet: give it a running slot
+        and a place in the slicer."""
+        self._transition(job, TenantState.RUNNING)
+        self.started_order.append(job.name)
+        self.slicer.admit(job)
+
+    def _terminate(self, job: _Job, state: TenantState,
+                   err: Optional[BaseException] = None) -> None:
+        """Retire *job* into terminal *state*, undoing whatever its
+        current state says it holds.
+
+        A placed job leaves its cohort, has its result built (unless it
+        failed) and is released from the fleet, whose supervisor writes
+        the journal's terminal record; a job that never reached the
+        fleet has that record written here.  Either way exactly one.
+        """
+        result = None
+        if job.state in PLACED:
+            try:
+                if self.fleet.in_cohort(job.name):
+                    self.fleet.extract(job.name)
+                if err is None:
+                    result = self._build_result(job, state)
+                self.fleet.release(job.name)
+            except Exception as cause:
+                # A dying board cannot block retirement: the job still
+                # leaves, as a failure if it was not one already.
+                if err is None:
+                    state, err, result = TenantState.FAILED, cause, None
+        else:
+            if err is None:
+                result = TenantResult(
+                    name=job.name, status=state.value,
+                    latency_s=time.monotonic() - job.submitted_at)
+            if self.journal is not None:
+                self.journal.terminal(job.name, state.value)
+                self.journal.drop_snapshots(job.name)
+        self._transition(job, state)
+        if result is not None:
+            self._results[job.name] = result
+        job.handle._resolve(result, err)
 
     # -- cancellation ------------------------------------------------------
 
@@ -316,16 +366,14 @@ class ServeFrontend:
         job = self._jobs.get(name)
         if job is None or job.handle.done:
             return False
-        job.cancelled = True
-        if not job.running:
-            # Still in the admission queue: retire immediately (the
-            # heap entry is dropped lazily via the flag).
-            job.dequeued = True
-            self.admission.on_cancel_queued(job.principal)
-            self._retire(job, "cancelled", released=True)
-        else:
+        if job.state is TenantState.QUEUED:
+            # Never placed: retire immediately (its heap entry is
+            # dropped lazily, by its state).
+            self._terminate(job, TenantState.CANCELLED)
+        elif job.state is not TenantState.CANCELLING:
             # Running or preempted: torn down at its next turn
             # boundary, never mid-tick.
+            self._transition(job, TenantState.CANCELLING)
             self._wake.set()
         return True
 
@@ -339,7 +387,7 @@ class ServeFrontend:
                 if turn is None:
                     if not self._queue:
                         self._wake.clear()
-                        if self._in_flight() == 0:
+                        if not any(self._live.values()):
                             await self._wake.wait()
                             continue
                     await asyncio.sleep(0)
@@ -357,98 +405,94 @@ class ServeFrontend:
         except asyncio.CancelledError:
             raise
         except BaseException as err:  # scheduler died: fail the in-flight
-            for job in list(self._jobs.values()):
-                if not job.handle.done:
-                    job.handle._fail(err)
+            for job in self._live_jobs():
+                self._terminate(job, TenantState.FAILED, err)
             raise
 
-    def _in_flight(self) -> int:
-        return sum(1 for j in self._jobs.values() if not j.handle.done)
+    def _live_jobs(self) -> List[_Job]:
+        return [job for jobs in self._live.values() for job in jobs.values()]
 
     def _dispatch_queued(self) -> None:
         while self._queue and self.admission.can_start():
             _, job = heapq.heappop(self._queue)
-            if job.dequeued or job.cancelled:
-                continue
+            if job.state is not TenantState.QUEUED:
+                continue  # cancelled while it waited
             try:
                 self.fleet.admit_job(job.name, job.source, job.digest,
                                      clock=job.clock, vfs=job.vfs)
             except Exception as err:
                 # A compile failure (or a fleet with no takers) fails
                 # the one job, never the scheduler.
-                job.dequeued = True
-                self.admission.on_cancel_queued(job.principal)
-                self._journal_terminal(job.name, "failed")
-                job.handle._fail(err)
+                self._terminate(job, TenantState.FAILED, err)
                 continue
-            self.admission.on_start()
-            job.running = True
-            job.started_at = time.monotonic()
-            job.handle._status = "running"
-            self.started_order.append(job.name)
-            self.slicer.admit(job)
+            self._start(job)
 
     # -- one job's turn ----------------------------------------------------
 
     def _run_job_turn(self, job: _Job, budget: int) -> None:
-        if job.cancelled:
-            self._finish(job, "cancelled")
+        if job.state is TenantState.CANCELLING:
+            self._terminate(job, TenantState.CANCELLED)
             self.slicer.charge(job, 1)
             return
+        if job.state is TenantState.PREEMPTED:
+            self._transition(job, TenantState.RUNNING)
         runtime = self.fleet.runtime(job.name)
         chunk = budget
         if job.target is not None:
             chunk = min(chunk, max(0, job.target - runtime.ticks))
         if chunk <= 0:
-            self._finish(job, "completed")
+            self._terminate(job, TenantState.COMPLETED)
             self.slicer.charge(job, 1)
             return
-        job.handle._status = "running"
+        report = self._advance(job, chunk)
+        if report is None:
+            return
+        self.slicer.charge(job, max(1, report.ticks))
+        if self._retired(job):
+            return
+        if report.idle:
+            self.slicer.note_idle(job)
+            if job.target is not None:
+                # The engine proved quiescent: every remaining tick to
+                # the target is a no-op, so retire the job now in one
+                # near-free dispatch instead of cycling it through
+                # further turns.  (An until-$finish idle job has no
+                # bounded span to skip; it keeps cycling and only the
+                # idle counter notes it.)
+                runtime = self.fleet.runtime(job.name)
+                if self._advance(job, job.target - runtime.ticks) is None:
+                    return
+                self.slicer.charge(job, 1)  # nothing executed
+                if self._retired(job):
+                    return
+        self._preempt(job)
+
+    def _advance(self, job: _Job, chunk: int) -> Optional[SliceReport]:
+        """One guarded ``fleet.advance``; ``None`` when it failed, and
+        the job with it."""
         try:
             report = self.fleet.advance(job.name, chunk)
         except Exception as err:
-            self._fail(job, err)
+            self._terminate(job, TenantState.FAILED, err)
             self.slicer.charge(job, 1)
-            return
+            return None
         self._note_progress(job, report.ticks)
-        self.slicer.charge(job, max(1, report.ticks))
+        return report
+
+    def _retired(self, job: _Job) -> bool:
+        """Retire *job* if its runtime is done; says whether it was."""
         runtime = self.fleet.runtime(job.name)  # recovery may swap it
         if runtime.finished:
-            self._finish(job, "finished")
+            self._terminate(job, TenantState.FINISHED)
         elif job.target is not None and runtime.ticks >= job.target:
-            self._finish(job, "completed")
-        elif (report.idle and job.target is not None
-                and not runtime.finished):
-            # The engine proved quiescent: every remaining tick to the
-            # target is a no-op, so retire the job now in one near-free
-            # dispatch instead of cycling it through further turns.
-            # (An until-$finish idle job has no bounded span to skip;
-            # it keeps cycling and only the idle counter notes it.)
-            self.slicer.note_idle(job)
-            try:
-                report = self.fleet.advance(job.name,
-                                            job.target - runtime.ticks)
-            except Exception as err:
-                self._fail(job, err)
-                self.slicer.charge(job, 1)
-                return
-            self._note_progress(job, report.ticks)
-            self.slicer.charge(job, 1)  # near-zero cost: nothing executed
-            runtime = self.fleet.runtime(job.name)
-            if runtime.finished:
-                self._finish(job, "finished")
-            elif runtime.ticks >= job.target:
-                self._finish(job, "completed")
-            else:
-                self._preempt(job)
+            self._terminate(job, TenantState.COMPLETED)
         else:
-            if report.idle:
-                self.slicer.note_idle(job)
-            self._preempt(job)
+            return False
+        return True
 
     def _preempt(self, job: _Job) -> None:
         job.preemptions += 1
-        job.handle._status = "preempted"
+        self._transition(job, TenantState.PREEMPTED)
         if self.config.checkpoint_on_preempt:
             try:
                 self.fleet.checkpoint(job.name)
@@ -456,17 +500,17 @@ class ServeFrontend:
                 try:
                     self.fleet.supervisor.recover_from(job.name, err)
                 except FabricError:
-                    self._fail(job, err)
+                    self._terminate(job, TenantState.FAILED, err)
                     return
         self.slicer.requeue(job)
 
     # -- one cohort's turn -------------------------------------------------
 
     def _run_cohort_turn(self, unit: _CohortUnit, budget: int) -> None:
-        for job in [j for j in unit.jobs if j.cancelled]:
+        for job in [j for j in unit.jobs
+                    if j.state is TenantState.CANCELLING]:
             unit.jobs.remove(job)
-            self.fleet.extract(job.name)
-            self._finish(job, "cancelled")
+            self._terminate(job, TenantState.CANCELLED)
         if len(unit.jobs) < self.fleet.config.cohort_min_size:
             # Too small to vectorize: dissolve back to individual units.
             for job in unit.jobs:
@@ -485,29 +529,22 @@ class ServeFrontend:
         survivors: List[_Job] = []
         for job in list(unit.jobs):
             self._note_progress(job, reports[job.name].ticks)
-            runtime = self.fleet.runtime(job.name)
-            if runtime.finished:
-                self.fleet.extract(job.name)
-                self._finish(job, "finished")
-            elif job.target is not None and runtime.ticks >= job.target:
-                self.fleet.extract(job.name)
-                self._finish(job, "completed")
-            else:
+            if not self._retired(job):
                 survivors.append(job)
         unit.jobs = survivors
-        if self.config.checkpoint_on_preempt:
-            for job in survivors:
+        for job in survivors:
+            job.preemptions += 1
+            # The turn was the unit's: a lane stays PREEMPTED through it
+            # (only one that never had a turn of its own is still RUNNING).
+            if job.state is TenantState.RUNNING:
+                self._transition(job, TenantState.PREEMPTED)
+            if self.config.checkpoint_on_preempt:
                 self.fleet.checkpoint(job.name)
         if len(survivors) >= self.fleet.config.cohort_min_size:
-            for job in survivors:
-                job.preemptions += 1
-                job.handle._status = "preempted"
             self.slicer.requeue(unit)
         else:
             for job in survivors:
                 self.fleet.extract(job.name)
-                job.preemptions += 1
-                job.handle._status = "preempted"
                 self.slicer.requeue(job)
 
     # -- quiescence sweeps (rebalance + cohort formation) ------------------
@@ -525,9 +562,10 @@ class ServeFrontend:
         if not self.fleet.config.cohorts:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
-        for job in self._jobs.values():
-            if (not job.running or job.handle.done or job.cancelled
-                    or self.fleet.in_cohort(job.name)):
+        parked = [*self._live[TenantState.RUNNING].values(),
+                  *self._live[TenantState.PREEMPTED].values()]
+        for job in sorted(parked, key=attrgetter("seq")):  # as submitted
+            if self.fleet.in_cohort(job.name):
                 continue
             runtime = self.fleet.runtime(job.name)
             if (runtime.backend is not None or runtime.finished
@@ -543,18 +581,18 @@ class ServeFrontend:
                 for job in members:
                     self.slicer.requeue(job, preempted=False)
                 continue
-            formed = self.fleet.form_cohorts([j.name for j in members])
+            self.fleet.form_cohorts([j.name for j in members])
             joined = [j for j in members if self.fleet.in_cohort(j.name)]
             stayed = [j for j in members if not self.fleet.in_cohort(j.name)]
             for job in stayed:
                 self.slicer.requeue(job, preempted=False)
             if joined:
                 self.slicer.admit(_CohortUnit(priority=priority, jobs=joined))
-            del formed
 
     # -- retirement --------------------------------------------------------
 
-    def _note_progress(self, job: _Job, ticks: int) -> None:
+    def _note_progress(self, job: _Job, ticks: int = 0) -> None:
+        """Stamp the first executed tick; stream new ``$display`` lines."""
         if ticks > 0 and job.first_tick_at is None:
             job.first_tick_at = time.monotonic()
         runtime = self.fleet.runtime(job.name)
@@ -563,14 +601,12 @@ class ServeFrontend:
             job.handle._emit(line)
         job.cursor = len(lines)
 
-    def _build_result(self, job: _Job, status: str) -> TenantResult:
+    def _build_result(self, job: _Job, status: TenantState) -> TenantResult:
+        self._note_progress(job)
         runtime = self.fleet.runtime(job.name)
         lines = runtime.host.display_log
-        for line in lines[job.cursor:]:
-            job.handle._emit(line)
-        job.cursor = len(lines)
         state: Dict[str, object] = {}
-        if self.config.capture_state and status in ("completed", "finished"):
+        if status in (TenantState.COMPLETED, TenantState.FINISHED):
             from ..fuzz.oracle import state_names
 
             # Architectural state only: boards fold their
@@ -589,7 +625,7 @@ class ServeFrontend:
         tenant = self.fleet.tenant(job.name)
         return TenantResult(
             name=job.name,
-            status=status,
+            status=status.value,
             ticks=runtime.ticks,
             sim_time=runtime.sim_time,
             finished=runtime.finished,
@@ -604,43 +640,6 @@ class ServeFrontend:
             latency_s=now - job.submitted_at,
         )
 
-    def _finish(self, job: _Job, status: str) -> None:
-        result = self._build_result(job, status)
-        self.fleet.release(job.name)
-        self.admission.on_release(job.principal)
-        self._results[job.name] = result
-        job.handle._retire(result)
-
-    def _fail(self, job: _Job, err: BaseException) -> None:
-        try:
-            if self.fleet.in_cohort(job.name):
-                self.fleet.extract(job.name)
-            self.fleet.release(job.name)
-        except Exception:
-            pass
-        self.admission.on_release(job.principal)
-        self._journal_terminal(job.name, "failed")
-        job.handle._fail(err)
-
-    def _retire(self, job: _Job, status: str, released: bool = False) -> None:
-        """Retire a job that never reached the fleet (queued cancel)."""
-        now = time.monotonic()
-        result = TenantResult(name=job.name, status=status,
-                              ttft_s=0.0,
-                              latency_s=now - job.submitted_at)
-        self._results[job.name] = result
-        self._journal_terminal(job.name, status)
-        job.handle._retire(result)
-        del released
-
-    def _journal_terminal(self, name: str, status: str) -> None:
-        """Record a terminal status for a job the supervisor never
-        released (queued cancels, dispatch/compile failures) — the
-        supervisor's own release path writes its record itself."""
-        if self.journal is not None:
-            self.journal.terminal(name, status)
-            self.journal.drop_snapshots(name)
-
     # -- lifecycle ---------------------------------------------------------
 
     def result_of(self, name: str) -> Optional[TenantResult]:
@@ -649,8 +648,7 @@ class ServeFrontend:
     async def drain(self) -> None:
         """Wait until every accepted submission has retired."""
         while True:
-            pending = [j.handle._future for j in self._jobs.values()
-                       if not j.handle.done]
+            pending = [job.handle._future for job in self._live_jobs()]
             if not pending:
                 return
             await asyncio.gather(*pending, return_exceptions=True)
@@ -658,9 +656,8 @@ class ServeFrontend:
     async def close(self) -> None:
         """Stop the scheduler; in-flight jobs are cancelled."""
         self._closed = True
-        for job in list(self._jobs.values()):
-            if not job.handle.done:
-                job.handle.cancel()
+        for job in self._live_jobs():
+            self._cancel(job.name)
         if self._task is not None and not self._task.done():
             self._wake.set()
             self._task.cancel()
@@ -668,20 +665,9 @@ class ServeFrontend:
                 await self._task
             except asyncio.CancelledError:
                 pass
-        # Anything still live after the scheduler stopped retires here.
-        for job in list(self._jobs.values()):
-            if not job.handle.done:
-                if job.running and job.name in self.fleet.supervisor.tenants:
-                    try:
-                        if self.fleet.in_cohort(job.name):
-                            self.fleet.extract(job.name)
-                        self.fleet.release(job.name)
-                    except Exception:
-                        pass
-                    self.admission.on_release(job.principal)
-                else:
-                    self.admission.on_cancel_queued(job.principal)
-                self._retire(job, "cancelled")
+        # The scheduler is stopped, so this is a turn boundary for all.
+        for job in self._live_jobs():
+            self._terminate(job, TenantState.CANCELLED)
 
     async def __aenter__(self) -> "ServeFrontend":
         return self

@@ -12,11 +12,57 @@ leaking anything but its queued lines.
 from __future__ import annotations
 
 import asyncio
+import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 #: queue sentinel marking the end of a job's display stream
 _EOF = object()
+
+
+class TenantState(str, enum.Enum):
+    """Where one job is in its life; the values are what
+    :meth:`TenantHandle.status` reports."""
+
+    QUEUED = "queued"            #: accepted, waiting for a running slot
+    RUNNING = "running"          #: placed; inside a turn, or awaiting its first
+    PREEMPTED = "preempted"      #: placed; parked between turns
+    CANCELLING = "cancelling"    #: placed; leaves at its next turn boundary
+    COMPLETED = "completed"      #: tick target reached
+    FINISHED = "finished"        #: ``$finish``
+    CANCELLED = "cancelled"
+    FAILED = "failed"
+
+
+_S = TenantState
+
+#: the whole lifecycle: state → the states it may move to.  ``None`` is
+#: a job before its first transition (a submission, or a journal image
+#: being recovered); terminal states move nowhere.
+TRANSITIONS = {
+    None: {_S.QUEUED, _S.RUNNING, _S.FAILED},
+    _S.QUEUED: {_S.RUNNING, _S.CANCELLED, _S.FAILED},
+    _S.RUNNING: {_S.PREEMPTED, _S.CANCELLING, _S.COMPLETED, _S.FINISHED,
+                 _S.FAILED},
+    _S.PREEMPTED: {_S.RUNNING, _S.CANCELLING, _S.COMPLETED, _S.FINISHED,
+                   _S.FAILED},
+    _S.CANCELLING: {_S.CANCELLED, _S.FAILED},
+    _S.COMPLETED: set(), _S.FINISHED: set(),
+    _S.CANCELLED: set(), _S.FAILED: set(),
+}
+
+#: states whose job is placed in the fleet and holds a running slot
+PLACED = frozenset({_S.RUNNING, _S.PREEMPTED, _S.CANCELLING})
+
+
+class IllegalTransition(RuntimeError):
+    """A job was asked to make a move :data:`TRANSITIONS` does not list."""
+
+    def __init__(self, name: str, old: Optional[TenantState],
+                 new: TenantState):
+        super().__init__(f"job {name!r}: illegal transition "
+                         f"{old.value if old else 'new'} -> {new.value}")
+        self.old, self.new = old, new
 
 
 @dataclass
@@ -63,7 +109,7 @@ class TenantHandle:
         loop = asyncio.get_running_loop()
         self._future: asyncio.Future = loop.create_future()
         self._lines: asyncio.Queue = asyncio.Queue()
-        self._status = "queued"
+        self._status = TenantState.QUEUED
         self._frontend = None  # set by the frontend at submit time
 
     # -- frontend-side plumbing --------------------------------------------
@@ -71,31 +117,26 @@ class TenantHandle:
     def _emit(self, line: str) -> None:
         self._lines.put_nowait(line)
 
-    def _close_stream(self) -> None:
-        self._lines.put_nowait(_EOF)
-
-    def _retire(self, result: "TenantResult") -> None:
-        self._status = result.status
+    def _resolve(self, result: Optional["TenantResult"] = None,
+                 err: Optional[BaseException] = None) -> None:
+        """The job retired: settle the future, end the stream."""
         if not self._future.done():
-            if result.status == "cancelled":
+            if err is not None:
+                self._future.set_exception(err)
+            elif result.status == "cancelled":
                 self._future.cancel()
             else:
                 self._future.set_result(result)
-        self._close_stream()
-
-    def _fail(self, err: BaseException) -> None:
-        self._status = "failed"
-        if not self._future.done():
-            self._future.set_exception(err)
-        self._close_stream()
+        self._lines.put_nowait(_EOF)
 
     # -- the client surface ------------------------------------------------
 
     def status(self) -> str:
-        """Current lifecycle state: ``queued`` → ``running`` (⇄
-        ``preempted``) → ``completed``/``finished``/``cancelled``/
-        ``failed``."""
-        return self._status
+        """Current lifecycle state (a :class:`TenantState` value):
+        ``queued`` → ``running`` (⇄ ``preempted``) → ``completed``/
+        ``finished``/``cancelled``/``failed``; a placed job that was
+        cancelled reads ``cancelling`` until its next turn boundary."""
+        return self._status.value
 
     @property
     def done(self) -> bool:

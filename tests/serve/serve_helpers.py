@@ -48,3 +48,53 @@ def make_fleet(service, boards=2, faults=(), **config):
         if spec:
             hv.board.faults = FaultPlan(spec, seed=1)
     return Fleet(hypervisors, FleetConfig(**config))
+
+
+def audit(frontend, terminal_records=None):
+    """The serving plane's books, checked against each other.
+
+    Callable whenever the scheduler task is suspended (every ``await``
+    in it is a turn boundary).  *terminal_records* is a per-name count
+    of the journal's terminal records, when the caller keeps one.
+    """
+    from repro.serve.handle import PLACED, TRANSITIONS, TenantState
+
+    fe, adm = frontend, frontend.admission
+    jobs = list(fe._jobs.values())
+    placed = {j.name for j in jobs if j.state in PLACED}
+    queued = {j.name for j in jobs if j.state is TenantState.QUEUED}
+
+    # Running slots == placed jobs == the supervisor's tenants.
+    assert adm.running == len(placed)
+    assert placed == set(fe.fleet.supervisor.tenants)
+    # Queue slots == queued jobs == live heap entries, each once.
+    heap = [j.name for _, j in fe._queue if j.state is TenantState.QUEUED]
+    assert adm.queued == len(queued)
+    assert sorted(heap) == sorted(queued)
+    # Every held slot charges its principal, and nothing else does.
+    holds = {}
+    for job in jobs:
+        if job.name in placed or job.name in queued:
+            holds[job.principal] = holds.get(job.principal, 0) + 1
+    assert adm._per_tenant == holds
+    assert sum(holds.values()) == adm.queued + adm.running
+    assert adm.stats()["tenants_in_flight"] == len(holds)
+
+    for job in jobs:
+        live = bool(TRANSITIONS[job.state])
+        # One lifecycle field: handle, index and future all agree.
+        assert job.handle.status() == job.state.value
+        assert job.handle.done == (not live)
+        assert [s for s, index in fe._live.items()
+                if job.name in index] == ([job.state] if live else [])
+        if terminal_records is not None:
+            assert terminal_records.get(job.name, 0) == (0 if live else 1)
+    # A placed job is parked exactly once: alone, or as a cohort lane
+    # (a closed frontend's slicer is not emptied: nothing reads it).
+    if fe._closed:
+        return
+    parked = []
+    for cls in fe.slicer.drr._classes.values():
+        for unit in cls.queue:
+            parked += [j.name for j in getattr(unit, "jobs", [unit])]
+    assert sorted(parked) == sorted(placed)

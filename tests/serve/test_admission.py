@@ -165,6 +165,24 @@ class TestSubmitSurface:
 
         asyncio.run(main())
 
+    def test_dispatch_failure_is_a_failure_not_a_cancel(self, service):
+        """A registered program that no longer compiles fails its job
+        at dispatch; the books must not call that a cancellation."""
+        async def main():
+            async with serve(service) as fe:
+                fe._programs["stale"] = "module broken("
+                handle = await fe.submit(digest="stale", ticks=3, name="bad")
+                with pytest.raises(Exception, match="expected identifier"):
+                    await handle.result()
+                assert handle.status() == "failed"
+                stats = fe.admission.stats()
+                assert stats["cancelled"] == 0
+                assert stats["failed"] == 1
+                assert stats["queued"] == stats["running"] == 0
+                assert stats["tenants_in_flight"] == 0
+
+        asyncio.run(main())
+
     def test_run_until_finish(self, service):
         async def main():
             async with serve(service) as fe:

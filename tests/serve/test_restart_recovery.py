@@ -176,6 +176,36 @@ class TestRecoveryEdges:
 
         asyncio.run(main())
 
+    def test_failed_recovery_is_counted_once_as_a_failure(self, tmp_path):
+        """One tenant's snapshots are all unverifiable: it never takes a
+        slot in the new process, so it is neither recovered nor
+        released — and readmissions still equal recoveries."""
+        async def main():
+            frontend = build_frontend(tmp_path / "art", tmp_path / "jnl")
+            await submit_mixed(frontend, 6)
+            await kill_mid_flight(frontend, min_ticks=10)
+
+            revived = build_frontend(tmp_path / "art", tmp_path / "jnl")
+            revived.journal.drop_snapshots("job-0")
+            handles = await revived.recover()
+            assert list(revived.recovery_errors) == ["job-0"]
+            assert handles["job-0"].status() == "failed"
+            stats = revived.stats()
+            admission, placement = stats["admission"], stats["placement"]
+            assert placement["readmissions"] == admission["recovered"] == 5
+            assert admission["released"] == 0
+            assert admission["failed"] == 1
+            with pytest.raises(RecoveryError):
+                await handles["job-0"].result()
+            for name, handle in handles.items():
+                if name != "job-0":
+                    await handle.result()
+            await revived.close()
+            admission = revived.admission.stats()
+            assert (admission["failed"], admission["released"]) == (1, 5)
+
+        asyncio.run(main())
+
     def test_recover_requires_a_journal(self):
         async def main():
             service = CompilerService(ArtifactStore())
