@@ -235,6 +235,11 @@ class Fleet:
     def in_cohort(self, name: str) -> bool:
         return self.supervisor.in_cohort(name)
 
+    def cohort_refused(self, digest: str) -> bool:
+        """Did a formation attempt already find *digest* outside the
+        vector subset?  (The reason is in ``stats()``.)"""
+        return digest[:12] in self.supervisor.cohorts_refused
+
     def extract(self, name: str) -> None:
         self.supervisor.extract(name)
 

@@ -557,15 +557,21 @@ class ServeFrontend:
         self._form_cohorts()
 
     def _form_cohorts(self) -> None:
-        """Group queued same-priority same-digest software jobs into
-        lockstep cohort units (the batched backend's shape)."""
+        """Group parked same-priority same-digest software jobs into
+        lockstep cohort units (the batched backend's shape).
+
+        Only a job that joins leaves its place in the slicer: a digest
+        the vector subset refused once is not asked again, and a group
+        that stays scalar is never moved behind its class.
+        """
         if not self.fleet.config.cohorts:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
         parked = [*self._live[TenantState.RUNNING].values(),
                   *self._live[TenantState.PREEMPTED].values()]
         for job in sorted(parked, key=attrgetter("seq")):  # as submitted
-            if self.fleet.in_cohort(job.name):
+            if (self.fleet.in_cohort(job.name)
+                    or self.fleet.cohort_refused(job.digest)):
                 continue
             runtime = self.fleet.runtime(job.name)
             if (runtime.backend is not None or runtime.finished
@@ -575,17 +581,10 @@ class ServeFrontend:
         for (priority, _digest), jobs in groups.items():
             if len(jobs) < self.fleet.config.cohort_min_size:
                 continue
-            # Only jobs actually parked in the slicer can change hands.
-            members = [j for j in jobs if self.slicer.withdraw(j)]
-            if len(members) < self.fleet.config.cohort_min_size:
-                for job in members:
-                    self.slicer.requeue(job, preempted=False)
-                continue
-            self.fleet.form_cohorts([j.name for j in members])
-            joined = [j for j in members if self.fleet.in_cohort(j.name)]
-            stayed = [j for j in members if not self.fleet.in_cohort(j.name)]
-            for job in stayed:
-                self.slicer.requeue(job, preempted=False)
+            self.fleet.form_cohorts([j.name for j in jobs])
+            joined = [j for j in jobs if self.fleet.in_cohort(j.name)]
+            for job in joined:
+                self.slicer.withdraw(job)
             if joined:
                 self.slicer.admit(_CohortUnit(priority=priority, jobs=joined))
 

@@ -77,6 +77,53 @@ class TestPlacement:
         assert fleet.admit_job("three", APP, digest) == "software"
 
 
+class TestCohortFormation:
+    def test_refused_digest_is_asked_once_and_keeps_its_place(
+            self, service, monkeypatch):
+        """Two designs, one inside the vector subset and one not: the
+        refused one costs one formation attempt, ever, and no sweep
+        moves its jobs behind the rest of their class."""
+        import pytest
+
+        if not HAVE_NUMPY:
+            pytest.skip("cohorts need NumPy")
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the vector licence
+        wide = APP.replace("reg [31:0] acc;", "reg [95:0] acc;")
+        solo = APP.replace("n % 7", "n % 5")
+        fleet = make_fleet(service, boards=1, board_capacity=0)
+        attempts, form = [], fleet.form_cohorts
+        monkeypatch.setattr(
+            fleet, "form_cohorts",
+            lambda names: attempts.append(list(names)) or form(names))
+        config = ServeConfig(max_running=8, quantum_ticks=4,
+                             priorities={"normal": 1.0})
+
+        def parked(frontend):
+            queue = frontend.slicer.drr._classes["normal"].queue
+            return [getattr(unit, "name", "cohort") for unit in queue]
+
+        async def main():
+            async with ServeFrontend(fleet, config) as fe:
+                handles = [await fe.submit(source, name=name)
+                           for name, source in [
+                               ("w0", wide), ("w1", wide), ("solo", solo),
+                               ("a0", APP), ("a1", APP)]]
+                fe._dispatch_queued()  # before the scheduler's first turn
+                assert parked(fe) == ["w0", "w1", "solo", "a0", "a1"]
+                for _ in range(3):
+                    fe._quiescence_sweep()
+                    assert parked(fe) == ["w0", "w1", "solo", "cohort"]
+                assert attempts == [["w0", "w1"], ["a0", "a1"]]
+                assert list(fleet.supervisor.cohorts_refused) == [
+                    fe._jobs["w0"].digest[:12]]
+                for handle in handles:
+                    assert (await handle.result()).status == "finished"
+            assert [names for names in attempts if "w0" in names] == [
+                ["w0", "w1"]]
+
+        asyncio.run(main())
+
+
 class TestRebalance:
     def test_rebalance_moves_one_hot_tenant(self, service):
         fleet = make_fleet(service, boards=2, board_capacity=4,
