@@ -18,14 +18,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..fabric.errors import FabricError
-from .handle import PLACED, TenantState
-
-
-def _slot(state: Optional[TenantState]) -> Optional[str]:
-    """The slot class a job in *state* holds, or ``None``."""
-    if state is TenantState.QUEUED:
-        return "queued"
-    return "running" if state in PLACED else None
+from .handle import SLOT, TenantState
 
 
 class AdmissionError(FabricError):
@@ -103,17 +96,16 @@ class AdmissionController:
              new: TenantState) -> None:
         """Follow one job transition; the only writer of the books.
 
-        What a job holds depends on its state alone: a queue slot
-        (``QUEUED``), a running slot (:data:`PLACED`), or nothing
-        (unborn or terminal); either slot also charges its principal's
-        budget.  A job recovered straight into a running slot charges
+        What a job holds depends on its state alone (:data:`SLOT`): a
+        queue slot, a running slot, or — unborn or terminal — nothing;
+        either slot also charges its principal's budget.  A job recovered straight into a running slot charges
         like any other, but ``max_running`` is not re-checked: it was
         admitted once already, and recovery must not strand a
         checkpointed tenant behind fresh submissions.
         """
         if new is TenantState.FAILED:
             self.failed += 1
-        src, dst = _slot(old), _slot(new)
+        src, dst = SLOT.get(old), SLOT.get(new)
         if src == dst:
             return
         self.queued += (dst == "queued") - (src == "queued")

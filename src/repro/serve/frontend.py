@@ -24,7 +24,6 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..fabric.errors import FabricError
@@ -34,10 +33,13 @@ from .admission import AdmissionController, UnknownDigestError
 from ..runtime.runtime import SliceReport
 from .fleet import Fleet
 from .handle import (
-    PLACED, TRANSITIONS, IllegalTransition, TenantHandle, TenantResult,
+    PLACED, SLOT, TRANSITIONS, IllegalTransition, TenantHandle, TenantResult,
     TenantState,
 )
 from .slicer import DEFAULT_PRIORITIES, FairShareSlicer
+
+#: states whose job waits in the slicer for a turn of its own
+_PARKED = (TenantState.RUNNING, TenantState.PREEMPTED)
 
 
 @dataclass
@@ -115,10 +117,8 @@ class ServeFrontend:
         self.slicer = FairShareSlicer(quantum=self.config.quantum_ticks,
                                       priorities=self.config.priorities)
         self._jobs: Dict[str, _Job] = {}
-        #: live jobs by state (terminal jobs are in no index)
-        self._live: Dict[TenantState, Dict[str, _Job]] = {
-            state: {} for state, moves in TRANSITIONS.items()
-            if state is not None and moves}
+        #: the live (non-terminal) jobs, in submission order
+        self._live: Dict[str, _Job] = {}
         self._results: Dict[str, TenantResult] = {}
         self._queue: List[Tuple[int, _Job]] = []  # (class_rank, job) heap
         # Queued jobs start heaviest class first, FIFO within a class.
@@ -306,14 +306,14 @@ class ServeFrontend:
 
     def _transition(self, job: _Job, new: TenantState) -> None:
         """Move *job* to *new*: the only writer of ``job.state``, the
-        handle's status, the per-state index and the admission books."""
+        handle's status, the index of live jobs and the admission books."""
         old = job.state
         if new not in TRANSITIONS[old]:
             raise IllegalTransition(job.name, old, new)
-        if old is not None:
-            del self._live[old][job.name]
-        if TRANSITIONS[new]:
-            self._live[new][job.name] = job
+        if new in SLOT:
+            self._live[job.name] = job
+        else:
+            self._live.pop(job.name, None)
         job.state = job.handle._status = new
         self.admission.move(job.principal, old, new)
 
@@ -387,7 +387,7 @@ class ServeFrontend:
                 if turn is None:
                     if not self._queue:
                         self._wake.clear()
-                        if not any(self._live.values()):
+                        if not self._live:
                             await self._wake.wait()
                             continue
                     await asyncio.sleep(0)
@@ -405,12 +405,9 @@ class ServeFrontend:
         except asyncio.CancelledError:
             raise
         except BaseException as err:  # scheduler died: fail the in-flight
-            for job in self._live_jobs():
+            for job in list(self._live.values()):
                 self._terminate(job, TenantState.FAILED, err)
             raise
-
-    def _live_jobs(self) -> List[_Job]:
-        return [job for jobs in self._live.values() for job in jobs.values()]
 
     def _dispatch_queued(self) -> None:
         while self._queue and self.admission.can_start():
@@ -515,7 +512,7 @@ class ServeFrontend:
             # Too small to vectorize: dissolve back to individual units.
             for job in unit.jobs:
                 self.fleet.extract(job.name)
-                self.slicer.requeue(job, preempted=False)
+                self.slicer.admit(job)
             self.slicer.charge(unit, 1)
             return
         chunk = budget
@@ -567,10 +564,8 @@ class ServeFrontend:
         if not self.fleet.config.cohorts:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
-        parked = [*self._live[TenantState.RUNNING].values(),
-                  *self._live[TenantState.PREEMPTED].values()]
-        for job in sorted(parked, key=attrgetter("seq")):  # as submitted
-            if (self.fleet.in_cohort(job.name)
+        for job in self._live.values():
+            if (job.state not in _PARKED or self.fleet.in_cohort(job.name)
                     or self.fleet.cohort_refused(job.digest)):
                 continue
             runtime = self.fleet.runtime(job.name)
@@ -647,7 +642,7 @@ class ServeFrontend:
     async def drain(self) -> None:
         """Wait until every accepted submission has retired."""
         while True:
-            pending = [job.handle._future for job in self._live_jobs()]
+            pending = [job.handle._future for job in self._live.values()]
             if not pending:
                 return
             await asyncio.gather(*pending, return_exceptions=True)
@@ -655,7 +650,7 @@ class ServeFrontend:
     async def close(self) -> None:
         """Stop the scheduler; in-flight jobs are cancelled."""
         self._closed = True
-        for job in self._live_jobs():
+        for job in list(self._live.values()):
             self._cancel(job.name)
         if self._task is not None and not self._task.done():
             self._wake.set()
@@ -665,7 +660,7 @@ class ServeFrontend:
             except asyncio.CancelledError:
                 pass
         # The scheduler is stopped, so this is a turn boundary for all.
-        for job in self._live_jobs():
+        for job in list(self._live.values()):
             self._terminate(job, TenantState.CANCELLED)
 
     async def __aenter__(self) -> "ServeFrontend":

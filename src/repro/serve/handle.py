@@ -51,8 +51,11 @@ TRANSITIONS = {
     _S.CANCELLED: set(), _S.FAILED: set(),
 }
 
-#: states whose job is placed in the fleet and holds a running slot
-PLACED = frozenset({_S.RUNNING, _S.PREEMPTED, _S.CANCELLING})
+#: what a job in each live state holds: a place in the admission queue,
+#: or a running slot and with it a tenant in the fleet
+SLOT = {_S.QUEUED: "queued", _S.RUNNING: "running",
+        _S.PREEMPTED: "running", _S.CANCELLING: "running"}
+PLACED = frozenset(s for s, slot in SLOT.items() if slot == "running")
 
 
 class IllegalTransition(RuntimeError):

@@ -39,19 +39,14 @@ class FairShareSlicer:
                 f"configured: {sorted(self.priorities)}")
         self.drr.enqueue(unit.priority, unit)
 
-    def requeue(self, unit, preempted: bool = True) -> None:
-        """Return a still-live unit to the tail of its class queue."""
-        if preempted:
-            self.preemptions += 1
+    def requeue(self, unit) -> None:
+        """A preempted unit goes back to the tail of its class queue."""
+        self.preemptions += 1
         self.drr.requeue(unit.priority, unit)
 
     def withdraw(self, unit) -> bool:
         """Drop a queued unit (cancellation between turns)."""
         return self.drr.withdraw(unit.priority, unit)
-
-    @property
-    def backlog(self) -> int:
-        return self.drr.backlog
 
     def next_turn(self) -> Optional[Tuple[object, int]]:
         """The next unit to run and its tick budget, or None when idle."""

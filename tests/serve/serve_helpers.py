@@ -82,11 +82,10 @@ def audit(frontend, terminal_records=None):
 
     for job in jobs:
         live = bool(TRANSITIONS[job.state])
-        # One lifecycle field: handle, index and future all agree.
+        # One lifecycle field: handle, future and live index all agree.
         assert job.handle.status() == job.state.value
         assert job.handle.done == (not live)
-        assert [s for s, index in fe._live.items()
-                if job.name in index] == ([job.state] if live else [])
+        assert (fe._live.get(job.name) is job) == live
         if terminal_records is not None:
             assert terminal_records.get(job.name, 0) == (0 if live else 1)
     # A placed job is parked exactly once: alone, or as a cohort lane

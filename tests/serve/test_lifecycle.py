@@ -69,8 +69,7 @@ def job_in(frontend, state, name="j"):
 
 
 def books(frontend):
-    stats = frontend.admission.stats()
-    return stats, {s: list(index) for s, index in frontend._live.items()}
+    return frontend.admission.stats(), list(frontend._live)
 
 
 ALL_MOVES = [(old, new) for old in [None] + STATES for new in STATES]
@@ -241,7 +240,7 @@ class Lifecycle(RuleBasedStateMachine):
                 streamed = list(job.handle._lines._queue)[:-1]  # sans EOF
                 assert tuple(streamed) == result.display
         if self.closed:
-            assert not any(frontend._live.values())
+            assert not frontend._live
             assert not self.fleet.supervisor.tenants
 
 
