@@ -7,5 +7,7 @@ setup(
         # carrier's generated source keeps literals as Python ints and
         # relies on weak scalar promotion (``row & 255`` stays uint64).
         "batch": ["numpy>=2"],
+        # What the test suite imports (CI installs exactly these).
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

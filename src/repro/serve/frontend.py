@@ -15,7 +15,8 @@ is one bounded synchronous chunk (``Runtime.tick_chunk``); preemption
 is the turn budget running out; suspension, checkpointing, migration,
 cohort formation/extraction, and cancellation teardown all happen at
 the turn boundary, where the paper's ``$save``/``$restart`` machinery
-guarantees a consistent state.
+guarantees a consistent state.  A job's life is one ``TenantState``
+(``handle.TRANSITIONS``) that only ``_transition`` moves.
 """
 
 from __future__ import annotations
