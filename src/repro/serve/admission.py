@@ -98,10 +98,11 @@ class AdmissionController:
 
         What a job holds depends on its state alone (:data:`SLOT`): a
         queue slot, a running slot, or — unborn or terminal — nothing;
-        either slot also charges its principal's budget.  A job recovered straight into a running slot charges
-        like any other, but ``max_running`` is not re-checked: it was
-        admitted once already, and recovery must not strand a
-        checkpointed tenant behind fresh submissions.
+        either slot also charges its principal's budget.  A job
+        recovered straight into a running slot charges like any other,
+        but ``max_running`` is not re-checked: it was admitted once
+        already, and recovery must not strand a checkpointed tenant
+        behind fresh submissions.
         """
         if new is TenantState.FAILED:
             self.failed += 1

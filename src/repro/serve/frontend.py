@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from ..fabric.errors import FabricError
 from ..hypervisor.durable import RecoveryError, TenantJournal
 from ..hypervisor.migration import rehydrate
-from .admission import AdmissionController, UnknownDigestError
 from ..runtime.runtime import SliceReport
+from .admission import AdmissionController, UnknownDigestError
 from .fleet import Fleet
 from .handle import (
     PLACED, SLOT, TRANSITIONS, IllegalTransition, TenantHandle, TenantResult,
@@ -583,9 +583,11 @@ class ServeFrontend:
                 self.slicer.withdraw(job)
             if not self.fleet.cohort_refused(digest):
                 self.fleet.form_cohorts([j.name for j in jobs])
-            joined = [j for j in jobs if self.fleet.in_cohort(j.name)]
+            joined = []
             for job in jobs:
-                if not self.fleet.in_cohort(job.name):
+                if self.fleet.in_cohort(job.name):
+                    joined.append(job)
+                else:
                     self.slicer.admit(job)
             if joined:
                 self.slicer.admit(_CohortUnit(priority=priority, jobs=joined))

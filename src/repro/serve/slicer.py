@@ -45,7 +45,7 @@ class FairShareSlicer:
         self.drr.requeue(unit.priority, unit)
 
     def withdraw(self, unit) -> bool:
-        """Drop a queued unit (cancellation between turns)."""
+        """Take a parked unit out of its class queue (cohort formation)."""
         return self.drr.withdraw(unit.priority, unit)
 
     def next_turn(self) -> Optional[Tuple[object, int]]:
