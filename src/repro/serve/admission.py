@@ -54,9 +54,7 @@ class AdmissionController:
     """
 
     def __init__(self, config):
-        #: the budgets: ``max_running`` (concurrently running jobs),
-        #: ``max_queue`` (queued, not started) and ``per_tenant``
-        #: (queued + running per principal) of a ``ServeConfig``
+        #: a ``ServeConfig``: ``max_running``, ``max_queue``, ``per_tenant``
         self.config = config
         self.queued = 0
         self.running = 0

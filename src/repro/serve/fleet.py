@@ -87,9 +87,7 @@ class Fleet:
         return self.supervisor.tenants[name]
 
     def destination(self, name: str) -> str:
-        tenant = self.supervisor.tenants.get(name)
-        if tenant is None:
-            return "released"
+        tenant = self.supervisor.tenants[name]
         if tenant.host is not None:
             return tenant.host.device.name
         if self.supervisor.in_cohort(name):

@@ -39,9 +39,6 @@ from .handle import (
 )
 from .slicer import DEFAULT_PRIORITIES, FairShareSlicer
 
-#: states whose job waits in the slicer for a turn of its own
-_PARKED = (TenantState.RUNNING, TenantState.PREEMPTED)
-
 
 @dataclass
 class ServeConfig:
@@ -319,8 +316,7 @@ class ServeFrontend:
         self.admission.move(job.principal, old, new)
 
     def _start(self, job: _Job) -> None:
-        """*job* was just placed in the fleet: give it a running slot
-        and a place in the slicer."""
+        """*job* was just placed: a running slot, a place in the slicer."""
         self._transition(job, TenantState.RUNNING)
         self.started_order.append(job.name)
         self.slicer.admit(job)
@@ -558,18 +554,17 @@ class ServeFrontend:
         """Group parked same-priority same-digest software jobs into
         lockstep cohort units (the batched backend's shape).
 
-        A group that stays scalar goes to the back of its class, sweep
-        after sweep — including one whose digest the vector subset
-        already refused, which is not asked again.  On a saturated mix
-        that demotion lets short vectorizable tenants out ahead of long
-        scalar ones (serve_burst's median latency is 1.6x without it),
-        so it stays until scheduling policy has an issue of its own.
+        A group that stays scalar goes to the back of its class each
+        sweep (serve_burst's median latency is 1.6x without that, so it
+        stays until scheduling policy has an issue of its own); a
+        digest the vector subset already refused is not asked again.
         """
         if not self.fleet.config.cohorts:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
         for job in self._live.values():
-            if job.state not in _PARKED or self.fleet.in_cohort(job.name):
+            if (job.state not in PLACED or self.fleet.in_cohort(job.name)
+                    or job.state is TenantState.CANCELLING):
                 continue
             runtime = self.fleet.runtime(job.name)
             if (runtime.backend is not None or runtime.finished
