@@ -22,9 +22,11 @@ are specified to agree:
   a single-driver DAG, so its fixpoint is unique regardless of
   activation order;
 * ``$write``/``$time``/``$random`` are excluded: ``$write`` buffers
-  differently across trap servicing and native execution, and the
-  other two are clocks/PRNG state the migration context deliberately
-  does not carry.
+  differently across trap servicing and native execution, and
+  ``$random``'s PRNG state lives in the ``TaskHost``, which a migration
+  context does not carry.  ``$time`` does travel (``Context.time``);
+  the grammar simply never grew it — ``tests/corpus/
+  time_across_moves.v`` is what puts it through the oracle.
 
 Everything is derived from one ``random.Random(seed)``, so a seed
 fully reproduces a program (and its suggested tick count).

@@ -63,6 +63,10 @@ class Engine:
 
     kind = "abstract"
     host: TaskHost
+    #: ``$time``: logical ticks this program has retired, wherever it
+    #: ran them.  Part of what a move carries (``Context.time``), so
+    #: every engine kind can say it and be told it.
+    time = 0
 
     def get(self, name: str) -> int:
         raise NotImplementedError
@@ -158,6 +162,14 @@ class SoftwareEngine(Engine):
         if quiet_init:
             self.sim.host = host
 
+    @property
+    def time(self) -> int:
+        return self.sim.time
+
+    @time.setter
+    def time(self, value: int) -> None:
+        self.sim.time = value
+
     def get(self, name: str) -> int:
         return self.sim.get(name)
 
@@ -210,7 +222,11 @@ class HardwareEngine(Engine):
         self.host = host
         self.channel = channel
         self.clock_hz = clock_hz
-        self.servicer = servicer or TrapServicer(host, program.env)
+        #: advanced as ``run_chunk`` retires ticks, so a ``$time`` trap
+        #: inside a batch reads the tick it fires in
+        self.time = 0
+        self.servicer = servicer or TrapServicer(host, program.env,
+                                                 lambda: self.time)
 
     def get(self, name: str) -> int:
         return self.channel.send(Get(name))
@@ -236,6 +252,7 @@ class HardwareEngine(Engine):
             reply: BatchReply = self.channel.send(RunTicks(clock, remaining))
             stats.native_cycles += reply.native_cycles
             stats.ticks += reply.ticks_done
+            self.time += reply.ticks_done
             remaining -= reply.ticks_done
             if reply.status == "trap":
                 # Finish the in-flight tick with per-trap servicing.
@@ -268,6 +285,7 @@ class HardwareEngine(Engine):
                         stats.native_cycles += tail.native_cycles
                         stats.trap_seconds += self.channel.stats.seconds - trap_t0
                 stats.ticks += 1
+                self.time += 1
                 remaining -= 1
                 if (self.host.save_requested or self.host.restart_requested
                         or self.host.yield_asserted):

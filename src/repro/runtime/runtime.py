@@ -27,7 +27,6 @@ from ..interp.vfs import VirtualFS
 from .backends import DirectBoardBackend, Placement
 from .engine import Engine, HardwareEngine, SoftwareEngine, TickStats  # noqa: F401
 from .jit import AdaptiveRefinement, TransitionCosts
-from .traps import TrapServicer
 
 
 @dataclass
@@ -40,6 +39,9 @@ class Context:
     vfs_files: Dict[str, bytes]
     ticks: int
     display_log: List[str] = field(default_factory=list)
+    #: ``$time`` at the suspend point (a snapshot pickled before this
+    #: field existed loads through the class default)
+    time: int = 0
 
 
 @dataclass
@@ -101,11 +103,7 @@ class Runtime:
         # build a consistent boot state, but their side effects are not
         # replayed into the host: the suspended program already emitted
         # them on its original instance.
-        self.engine: Engine = SoftwareEngine(self.program, self.host,
-                                             backend=sim_backend,
-                                             compiler=self.compiler,
-                                             quiet_init=quiet_boot,
-                                             opt_level=opt_level)
+        self.engine: Engine = self._software_engine(quiet_boot)
         self.costs = costs or TransitionCosts()
         self.refinement = AdaptiveRefinement()
 
@@ -135,6 +133,33 @@ class Runtime:
 
     def log(self, tag: str, value: float = 0.0) -> None:
         self.telemetry.append(TelemetryEvent(self.sim_time, tag, value))
+
+    # -- engines ------------------------------------------------------------------
+
+    def _software_engine(self, quiet: bool) -> SoftwareEngine:
+        return SoftwareEngine(self.program, self.host,
+                              backend=self.sim_backend,
+                              compiler=self.compiler, quiet_init=quiet,
+                              opt_level=self.opt_level)
+
+    def adopt_software(self, state: Dict[str, object], time: int) -> None:
+        """Swap in a scalar software engine holding *state* at ``$time``
+        *time* — where a program lands when it leaves fabric or a lane.
+
+        The replacement boots quietly (its initial blocks already ran
+        when this instance first started, so replaying their ``$display``
+        output or file IO here would violate transparency) and restores
+        through the simulator's ``restore_state`` contract — edge
+        re-detection suppressed, so state captured with a clock or
+        trigger still high does not replay that edge into the fresh
+        engine.
+        """
+        engine = self._software_engine(quiet=True)
+        engine.sim.restore_state({"store": state,
+                                  "vfs": self.host.vfs.snapshot(),
+                                  "time": time})
+        engine.sim.step()
+        self.engine = engine
 
     # -- hardware attachment ----------------------------------------------------
 
@@ -168,35 +193,21 @@ class Runtime:
             raise RuntimeError_("no backend attached")
         state = self.engine.snapshot()
         channel = self.backend.channel(self.placement.engine_id)
-        servicer = TrapServicer(self.host, self.program.env, lambda: self.ticks)
         engine = HardwareEngine(
-            self.program, self.host, channel, self.placement.clock_hz, servicer
+            self.program, self.host, channel, self.placement.clock_hz
         )
         engine.restore(state)
+        engine.time = self.engine.time
         transfer = self.program.state.total_bits / self.costs.state_bandwidth_bits_s
         self.sim_time += transfer
         self.engine = engine
         self.log("to_hardware")
 
     def transition_to_software(self) -> None:
-        """Evacuate state from hardware back into a software engine.
-
-        The replacement engine boots quietly: its initial blocks already
-        ran when this instance first started, so replaying their side
-        effects (boot ``$display`` output, file IO) here would violate
-        transparency — the restored state overwrites the boot state
-        anyway.
-        """
-        state = self.engine.snapshot()
-        engine = SoftwareEngine(self.program, self.host,
-                                backend=self.sim_backend,
-                                compiler=self.compiler,
-                                quiet_init=True,
-                                opt_level=self.opt_level)
-        engine.restore(state)
+        """Evacuate state from hardware back into a software engine."""
+        self.adopt_software(self.engine.snapshot(), self.engine.time)
         transfer = self.program.state.total_bits / self.costs.state_bandwidth_bits_s
         self.sim_time += transfer
-        self.engine = engine
         self.log("to_software")
 
     # -- execution ------------------------------------------------------------------
@@ -301,6 +312,7 @@ class Runtime:
             vfs_files=dict(self.host.vfs.files),
             ticks=self.ticks,
             display_log=list(self.host.display_log),
+            time=self.engine.time,
         )
 
     def restore_context(self, context: Context) -> None:
@@ -314,6 +326,7 @@ class Runtime:
         self.host.finished = False
         self.host.finish_code = 0
         self.engine.restore(context.state)
+        self.engine.time = context.time
         self.ticks = context.ticks
         self.log("resume")
 
