@@ -21,22 +21,52 @@ machinery pointed at disaster recovery:
    crashed run's post-checkpoint output is discarded and the replay
    re-emits it: ``$display`` output stays exactly-once, bit-identical
    to a fault-free run.
+
+Restore is one use of one primitive.  A tenant's **residence** — the
+board hosting it, the cohort it is a lane of, or a scalar software
+engine — is read off its runtime, and :meth:`Supervisor._move` is the
+only code that changes it: admission, release, migration, restore and
+cohort formation/extraction are that one move with a different
+destination and a different source for the context it carries
+(docs/RELIABILITY.md, "The hypervisor's books").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..fabric.errors import FabricError, PersistentFabricError
 from ..runtime.cohort import (
     BatchUnsupported, CohortEngine, CohortLaneEngine, UnsupportedBackend,
 )
-from ..runtime.engine import SoftwareEngine
-from ..runtime.runtime import Runtime
+from ..runtime.runtime import Context, Runtime
 from .checkpoint import DEFAULT_RING_DEPTH, Checkpoint, CheckpointRing
-from .hypervisor import Hypervisor, HypervisorClient
+from .hypervisor import Hypervisor
 from .migration import MigrationReport, rehydrate, suspend
+
+#: Where a tenant on a scalar software engine lives.  The other
+#: residences are objects: the :class:`Hypervisor` whose board hosts a
+#: tenant, the :class:`CohortEngine` it is a lane of; ``None`` is nowhere
+#: (not admitted yet, or released).
+SOFTWARE = "software"
+
+
+def kind(residence) -> str:
+    """A residence's class, as :attr:`Supervisor.moves` keys it."""
+    if isinstance(residence, Hypervisor):
+        return "board"
+    if isinstance(residence, CohortEngine):
+        return "lane"
+    return residence or "nowhere"
+
+
+def label(residence) -> str:
+    """A residence as reports name it: the device, ``cohort``, ``software``."""
+    if isinstance(residence, Hypervisor):
+        return residence.device.name
+    return "cohort" if isinstance(residence, CohortEngine) else SOFTWARE
 
 
 @dataclass
@@ -44,18 +74,32 @@ class Tenant:
     """One supervised application instance."""
 
     name: str
-    runtime: Runtime
-    client: Optional[HypervisorClient] = None
-    host: Optional[Hypervisor] = None
-    engine_id: Optional[int] = None
-    #: checkpoint-ring key; stable across re-placements (engine ids are
+    runtime: Optional[Runtime]
+    clock: str = "clock"
+    #: checkpoint-ring key; stable across moves (engine ids are
     #: per-hypervisor and get reused, so they cannot key the ring)
     key: int = 0
     recoveries: int = 0
 
     @property
-    def on_hardware_path(self) -> bool:
-        return self.host is not None
+    def residence(self):
+        """Where this tenant lives — read off its runtime, stored nowhere."""
+        runtime = self.runtime
+        if runtime.backend is not None:
+            return runtime.backend.hypervisor
+        engine = runtime.engine
+        return (engine.engine if isinstance(engine, CohortLaneEngine)
+                else SOFTWARE)
+
+    @property
+    def host(self) -> Optional[Hypervisor]:
+        residence = self.residence
+        return residence if isinstance(residence, Hypervisor) else None
+
+    @property
+    def cohort_candidate(self) -> bool:
+        """Live on a scalar software engine: what a cohort can absorb."""
+        return self.residence == SOFTWARE and not self.runtime.finished
 
 
 @dataclass
@@ -88,13 +132,16 @@ class Supervisor:
         #: ahead to disk so a process restart can recover every tenant
         self.journal = journal
         self.tenants: Dict[str, Tenant] = {}
+        #: residence → the tenants living there, by name (boards,
+        #: :data:`SOFTWARE`, live cohorts); written only by :meth:`_move`
+        self.residents: Dict[object, Dict[str, Tenant]] = {}
+        #: (why, kind left, kind entered) → moves made; every count of
+        #: placements, migrations, recoveries and cohorts derives from it
+        self.moves: Counter = Counter()
         self.recoveries: List[RecoveryReport] = []
         self.migrations: List[MigrationReport] = []
         self.quarantines = 0
         self._next_key = 1  #: ring keys survive engine-id reuse across hosts
-        #: live vector cohorts (same-digest software tenants, §batched)
-        self.cohorts: List[CohortEngine] = []
-        self.cohorts_formed = 0
         #: digest[:12] -> why its tenants stay on scalar engines (the
         #: first refusal per digest; the "why slow path" answer)
         self.cohorts_refused: Dict[str, str] = {}
@@ -104,6 +151,122 @@ class Supervisor:
         #: idle fast-forwards of runtimes no longer on the books
         self._idle_fastforwards = 0
 
+    # -- the one move -----------------------------------------------------------
+
+    def _move(self, tenant: Tenant, to, why: str,
+              context: Optional[Context] = None,
+              not_before: float = 0.0) -> float:
+        """Move *tenant* to residence *to*: the one place a tenant
+        changes where it lives, and the only writer of the books.
+
+        Leaves the current residence (a lane drains its bank and
+        detaches; a board slot is released, which a dead board cannot
+        veto), rebuilds the runtime when the move carries a *context*
+        (everything that travels — state, ``$time``, VFS, display log —
+        is in it; the rebuilt clock starts no earlier than *not_before*
+        and is charged the restore latency, which is returned), and
+        arrives: a board attaches, a lane joins, a scalar engine is
+        built only for state that left a lane.  ``None`` is nowhere:
+        admission moves from it, release to it.
+        """
+        old = tenant.runtime
+        origin = tenant.residence if tenant.name in self.tenants else None
+        hv = to if isinstance(to, Hypervisor) else None
+        state = time = None
+        if isinstance(origin, CohortEngine):
+            self.drain_banked(tenant.name)
+            time = old.engine.time
+            state = origin.detach(old.engine)
+        elif isinstance(origin, Hypervisor) and old.placement is not None:
+            try:
+                old.backend.release(old.placement.engine_id)
+            except FabricError:
+                pass
+        cost = 0.0
+        if context is not None:
+            build = hv or old or self.hypervisors[0]
+            runtime = rehydrate(
+                context, name=tenant.name, clock=tenant.clock,
+                compiler=build.compiler, sim_backend=build.sim_backend,
+                start_time=max(old.sim_time if old else 0.0, not_before))
+            cost = runtime.costs.restore_seconds(
+                runtime.program.state.total_bits,
+                hv.device.reconfig_seconds if hv else 0.0)
+            runtime.sim_time += cost
+            tenant.runtime = runtime
+        if old is not None and (context is not None or to is None):
+            self._idle_fastforwards += old.idle_fastforwards
+        runtime = tenant.runtime
+        refusal = None
+        if hv is not None:
+            # Digest-keyed artifacts: a re-placement is a cache hit in
+            # the shared store, so no recompilation happens here.
+            try:
+                runtime.attach(hv.connect(tenant.name))
+            except FabricError as err:
+                if origin is None:
+                    raise  # never became a tenant: nothing to book
+                # Booked where it stands: its rebuilt software engine.
+                refusal, to, why = err, SOFTWARE, "refused"
+        elif isinstance(to, CohortEngine):
+            runtime.engine = to.admit(runtime.host,
+                                      state=runtime.engine.snapshot(),
+                                      time=runtime.engine.time)
+        elif to == SOFTWARE and state is not None and context is None:
+            runtime.adopt_software(state, time)
+        self._book(tenant, why, origin, to)
+        if isinstance(origin, CohortEngine):
+            self._vacated(origin)
+        if refusal is not None:
+            raise refusal
+        return cost
+
+    def _book(self, tenant: Tenant, why: str, origin, to) -> None:
+        """Enter one move in every book."""
+        name = tenant.name
+        self.moves[why, kind(origin), kind(to)] += 1
+        if origin is not None:
+            del self.residents[origin][name]
+        if to is not None:
+            self.residents.setdefault(to, {})[name] = tenant
+        runtime = tenant.runtime
+        if origin is None:
+            self.tenants[name] = tenant
+            if self.journal is not None:
+                self.journal.admit(name, digest=runtime.program.digest,
+                                   source=runtime.program.source,
+                                   clock=tenant.clock)
+        elif to is None:
+            del self.tenants[name]
+            self.ring.drop(tenant.key)
+            if self.journal is not None:
+                self.journal.terminal(name, "released")
+                self.journal.drop_snapshots(name)
+
+    def _vacated(self, cohort: CohortEngine) -> None:
+        """A lane left *cohort*: a vector dispatch over one lane is pure
+        overhead, so the last one moves out too, and an empty cohort
+        retires into the accumulated counters."""
+        lanes = self.residents[cohort]
+        if len(lanes) == 1:
+            self._move(next(iter(lanes.values())), SOFTWARE, "extract")
+        elif not lanes:
+            del self.residents[cohort]
+            self._cohort_divergence += cohort.divergence
+            self._cohort_vector_ticks += cohort.vector_ticks
+
+    def moved(self, why: Optional[str] = None, origin: Optional[str] = None,
+              to: Optional[str] = None) -> int:
+        """Moves made so far, filtered by reason and/or residence kinds."""
+        return sum(n for (w, o, t), n in self.moves.items()
+                   if why in (None, w) and origin in (None, o)
+                   and to in (None, t))
+
+    @property
+    def cohorts(self) -> List[CohortEngine]:
+        """Live vector cohorts (same-digest software tenants, §batched)."""
+        return [r for r in self.residents if isinstance(r, CohortEngine)]
+
     # -- admission ------------------------------------------------------------
 
     def _healthy_host(self, exclude=()) -> Optional[Hypervisor]:
@@ -112,10 +275,17 @@ class Supervisor:
                 return hv
         return None
 
-    def admit(self, name: str, source: str, clock: str = "clock",
+    def admit(self, name: str, source=None, clock: str = "clock",
               software: bool = False, host: Optional[Hypervisor] = None,
-              vfs=None) -> Tenant:
+              vfs=None, context: Optional[Context] = None,
+              not_before: float = 0.0) -> Tenant:
         """Admit a tenant: place it and take its baseline checkpoint.
+
+        The tenant runs *source* from boot, or — the restart-recovery
+        path — resumes a recovered *context* (display log seeded, state
+        restored, clock no earlier than *not_before*), so the baseline
+        checkpoint lands at the recovered tick and board-death recovery
+        keeps working for the rest of its life.
 
         With *software* set the tenant is never placed on fabric: it
         runs on a software engine under the fleet's lead compiler (so
@@ -136,85 +306,27 @@ class Supervisor:
                 f"requested host {host.device.name} is quarantined")
         if host is None and not (software or self.software_fallback):
             raise PersistentFabricError("no healthy hypervisor to admit onto")
-        lead = self.hypervisors[0]
-        compiler = (host.compiler if host is not None
-                    else lead.compiler if software else None)
-        backend = (host.sim_backend if host is not None
-                   else lead.sim_backend if software else None)
-        runtime = Runtime(source, name=name, clock=clock, compiler=compiler,
-                          sim_backend=backend, vfs=vfs)
-        tenant = Tenant(name=name, runtime=runtime)
-        tenant.key = self._next_key  # ring key, stable across re-placement
+        tenant = Tenant(name=name, runtime=None, clock=clock,
+                        key=self._next_key)
         self._next_key += 1
-        if host is not None:
-            self._place(tenant, host)
-        self.tenants[name] = tenant
-        if self.journal is not None:
-            self.journal.admit(name, digest=runtime.program.digest,
-                               source=runtime.program.source, clock=clock)
-        self._checkpoint(tenant)  # tick-0 baseline: recovery always has one
-        return tenant
-
-    def admit_runtime(self, name: str, runtime: Runtime,
-                      host: Optional[Hypervisor] = None) -> Tenant:
-        """Admit an already-built runtime (the restart-recovery path).
-
-        Mirrors :meth:`admit` placement, but the runtime arrives
-        rehydrated from a durable checkpoint instead of compiled from
-        source — its display log is already seeded, its state already
-        restored.  The baseline checkpoint lands at the *recovered*
-        tick, so the board-death recovery machinery keeps working for
-        the rest of the tenant's life.
-        """
-        if name in self.tenants:
-            raise ValueError(f"tenant {name!r} already admitted")
-        if host is not None and not host.healthy:
-            raise PersistentFabricError(
-                f"requested host {host.device.name} is quarantined")
-        tenant = Tenant(name=name, runtime=runtime)
-        tenant.key = self._next_key
-        self._next_key += 1
-        if host is not None:
-            self._place(tenant, host)
-        self.tenants[name] = tenant
-        if self.journal is not None:
-            self.journal.admit(name, digest=runtime.program.digest,
-                               source=runtime.program.source,
-                               clock=runtime.clock)
-        self._checkpoint(tenant)
+        if context is None:
+            build = host or self.hypervisors[0]
+            tenant.runtime = Runtime(source, name=name, clock=clock,
+                                     compiler=build.compiler,
+                                     sim_backend=build.sim_backend, vfs=vfs)
+        self._move(tenant, host or SOFTWARE,
+                   "admit" if context is None else "readmit",
+                   context, not_before)
+        self.checkpoint(name)  # baseline: recovery always has one
         return tenant
 
     def release(self, name: str) -> None:
-        """Retire a tenant: free its fabric slot and drop its checkpoints.
-
-        A quarantined (or otherwise failing) host cannot veto the
-        release — the tenant is gone from the supervisor's books either
-        way, and a dead board's slots die with the board.
-        """
-        tenant = self.tenants.pop(name, None)
-        if tenant is None:
-            return
-        self._idle_fastforwards += tenant.runtime.idle_fastforwards
-        if isinstance(tenant.runtime.engine, CohortLaneEngine):
-            self._extract_tenant(tenant)
-            self._prune_cohorts()
-        if tenant.client is not None and tenant.engine_id is not None:
-            try:
-                tenant.client.release(tenant.engine_id)
-            except FabricError:
-                pass
-        self.ring.drop(tenant.key)
-        if self.journal is not None:
-            self.journal.terminal(name, "released")
-            self.journal.drop_snapshots(name)
-
-    def _rehost(self, tenant: Tenant, runtime: Runtime) -> None:
-        """Swap in a rebuilt *runtime*, not yet placed anywhere."""
-        self._idle_fastforwards += tenant.runtime.idle_fastforwards
-        tenant.runtime = runtime
-        tenant.client = None
-        tenant.host = None
-        tenant.engine_id = None
+        """Retire a tenant: free its slot or lane, drop its checkpoints
+        (a failing host cannot veto it — a dead board's slots die with
+        the board)."""
+        tenant = self.tenants.get(name)
+        if tenant is not None:
+            self._move(tenant, None, "release")
 
     @property
     def idle_fastforwards(self) -> int:
@@ -227,13 +339,6 @@ class Supervisor:
         return self._idle_fastforwards + sum(
             t.runtime.idle_fastforwards for t in self.tenants.values())
 
-    def _place(self, tenant: Tenant, host: Hypervisor) -> None:
-        client = host.connect(tenant.name)
-        placement = tenant.runtime.attach(client)
-        tenant.client = client
-        tenant.host = host
-        tenant.engine_id = placement.engine_id
-
     # -- checkpoint discipline ---------------------------------------------------
 
     def checkpoint(self, name: str) -> Checkpoint:
@@ -244,9 +349,7 @@ class Supervisor:
         last turn.  Cohort members must have drained their banked ticks
         first (:meth:`drain_banked`) — a lane snapshot mid-bank raises.
         """
-        return self._checkpoint(self.tenants[name])
-
-    def _checkpoint(self, tenant: Tenant) -> Checkpoint:
+        tenant = self.tenants[name]
         runtime = tenant.runtime
         t0 = runtime.sim_time
         context = suspend(runtime)
@@ -275,9 +378,9 @@ class Supervisor:
             chunk = self._chunk_for(tenant.runtime, remaining)
             try:
                 tenant.runtime.tick(chunk)
-                self._checkpoint(tenant)
+                self.checkpoint(name)
             except FabricError as err:
-                self._recover_from(tenant, err)
+                self.recover_from(name, err)
         return tenant.runtime
 
     def _chunk_for(self, runtime: Runtime, remaining: int) -> int:
@@ -302,10 +405,9 @@ class Supervisor:
         """Group same-digest software tenants into vector cohorts.
 
         Formation happens at a quiescence boundary (between logical
-        ticks): each member's scalar state is snapshot into a cohort
-        lane and its runtime's engine swapped for the lane engine —
-        ``Runtime.tick`` then drives the whole cohort through tick
-        banking.  Programs outside the vector subset (or a missing
+        ticks): each member moves from its scalar engine into a cohort
+        lane — ``Runtime.tick`` then drives the whole cohort through
+        tick banking.  Programs outside the vector subset (or a missing
         NumPy) leave their group on scalar engines.  *names* restricts
         formation to a subset of tenants (the serving layer forms
         cohorts per priority class, so one class's lockstep schedule
@@ -316,12 +418,9 @@ class Supervisor:
         pool = (self.tenants.values() if names is None
                 else [self.tenants[n] for n in names if n in self.tenants])
         for tenant in pool:
-            runtime = tenant.runtime
-            if (runtime.backend is not None or runtime.finished
-                    or runtime.engine.kind != "software"
-                    or isinstance(runtime.engine, CohortLaneEngine)):
-                continue
-            groups.setdefault(runtime.program.digest, []).append(tenant)
+            if tenant.cohort_candidate:
+                groups.setdefault(tenant.runtime.program.digest,
+                                  []).append(tenant)
         formed = 0
         for members in groups.values():
             if len(members) < min_size:
@@ -335,87 +434,26 @@ class Supervisor:
                                                 str(exc))
                 continue
             for tenant in members:
-                runtime = tenant.runtime
-                state = runtime.engine.snapshot()
-                member = engine.admit(runtime.host, state=state)
-                # Engine snapshots carry no $time; copy it across so a
-                # formed tenant is indistinguishable from a scalar run.
-                member.time = runtime.engine.sim.time
-                runtime.engine = member
-            self.cohorts.append(engine)
-            self.cohorts_formed += 1
+                self._move(tenant, engine,
+                           "join" if engine.members else "found")
             formed += 1
         return formed
 
     def in_cohort(self, name: str) -> bool:
         tenant = self.tenants.get(name)
         return (tenant is not None
-                and isinstance(tenant.runtime.engine, CohortLaneEngine))
+                and isinstance(tenant.residence, CohortEngine))
 
     def extract(self, name: str) -> None:
-        """Pull one tenant out of its cohort onto a scalar engine.
-
-        Must happen at a quiescence boundary with the tenant's bank
-        drained (lockstep schedules guarantee this between turns).  A
-        cohort left with one lane is dissolved outright — a vector
-        dispatch over one lane is pure overhead.
-        """
-        tenant = self.tenants[name]
-        if not isinstance(tenant.runtime.engine, CohortLaneEngine):
-            return
-        self._extract_tenant(tenant)
-        self._prune_cohorts()
-
-    def _prune_cohorts(self) -> None:
-        """Dissolve degenerate cohorts and retire empty ones."""
-        survivors: List[CohortEngine] = []
-        for engine in self.cohorts:
-            if engine.size <= 1:
-                for tenant in list(self.tenants.values()):
-                    lane = tenant.runtime.engine
-                    if (isinstance(lane, CohortLaneEngine)
-                            and lane.engine is engine):
-                        self._extract_tenant(tenant)
-                self._cohort_divergence += engine.divergence
-                self._cohort_vector_ticks += engine.vector_ticks
-            else:
-                survivors.append(engine)
-        self.cohorts = survivors
+        """Pull one tenant out of its cohort onto a scalar engine, at a
+        quiescence boundary with its bank drained (lockstep schedules
+        guarantee this between turns)."""
+        if self.in_cohort(name):
+            self._move(self.tenants[name], SOFTWARE, "extract")
 
     def drain_banked(self, name: str) -> int:
-        """Settle a finished cohort member's banked ticks (see
-        :meth:`_drain_banked`); returns the number folded in."""
-        return self._drain_banked(self.tenants[name].runtime)
-
-    def _extract_tenant(self, tenant: Tenant) -> None:
-        """One tenant's lane → a scalar :class:`SoftwareEngine`.
-
-        The replacement boots quietly (its initial blocks already ran
-        when the tenant started) and restores through the simulator's
-        ``restore_state`` contract — edge re-detection suppressed, so a
-        lane captured mid-``$finish`` tick (clock still high) does not
-        replay the finishing edge into the fresh engine.
-        """
-        runtime = tenant.runtime
-        lane_engine = runtime.engine
-        self._drain_banked(runtime)
-        lane_time = lane_engine.time
-        state = lane_engine.engine.detach(lane_engine)
-        engine = SoftwareEngine(runtime.program, runtime.host,
-                                backend=runtime.sim_backend,
-                                compiler=runtime.compiler,
-                                quiet_init=True,
-                                opt_level=runtime.opt_level)
-        engine.sim.restore_state({
-            "store": state,
-            "vfs": runtime.host.vfs.snapshot(),
-            "time": lane_time,
-        })
-        engine.sim.step()
-        runtime.engine = engine
-
-    def _drain_banked(self, runtime: Runtime) -> int:
-        """Settle a finished lane's un-consumed banked ticks.
+        """Settle a finished lane's un-consumed banked ticks; returns
+        the number folded in.
 
         A lane that ``$finish``es during another lane's vector dispatch
         holds banked ticks its runtime will never consume (the tick
@@ -424,6 +462,7 @@ class Supervisor:
         so folding them into the runtime's counters reproduces the
         scalar accounting bit-for-bit.
         """
+        runtime = self.tenants[name].runtime
         engine = runtime.engine
         if not isinstance(engine, CohortLaneEngine) or not engine._banked:
             return 0
@@ -445,49 +484,24 @@ class Supervisor:
                        destination: Optional[Hypervisor] = None) -> MigrationReport:
         """Move a live tenant to *destination* (or onto software).
 
-        The serving layer's rebalancer: suspend at quiescence, release
-        the source slot (a dead source cannot veto), rebuild the runtime
-        from the suspended context with exactly-once ``$display``, and
-        re-place on the destination — digest-keyed artifacts make the
-        new placement a cache hit, so no recompilation happens here.
+        The serving layer's rebalancer: suspend at quiescence, then the
+        one move carries the suspended context — exactly-once
+        ``$display``, ``$time`` and all — to the destination.
         """
         tenant = self.tenants[name]
-        if isinstance(tenant.runtime.engine, CohortLaneEngine):
-            self.extract(name)
-        old = tenant.runtime
-        source_label = (tenant.host.device.name
-                        if tenant.host is not None else "software")
         if destination is not None and not destination.healthy:
             raise PersistentFabricError(
                 f"migration destination {destination.device.name} is quarantined")
+        old, source = tenant.runtime, label(tenant.residence)
         t0 = old.sim_time
         context = suspend(old)
         suspend_cost = old.sim_time - t0
-        if tenant.client is not None and tenant.engine_id is not None:
-            try:
-                tenant.client.release(tenant.engine_id)
-            except FabricError:
-                pass
-        compiler = (destination.compiler if destination is not None
-                    else old.compiler)
-        backend = (destination.sim_backend if destination is not None
-                   else old.sim_backend)
-        runtime = rehydrate(context, name=tenant.name, clock=old.clock,
-                            compiler=compiler, sim_backend=backend,
-                            start_time=old.sim_time)
-        reconfig = (destination.device.reconfig_seconds
-                    if destination is not None else 0.0)
-        resume_cost = runtime.costs.restore_seconds(
-            runtime.program.state.total_bits, reconfig)
-        runtime.sim_time += resume_cost
-        self._rehost(tenant, runtime)
-        if destination is not None:
-            self._place(tenant, destination)
+        resume_cost = self._move(tenant, destination or SOFTWARE, "migrate",
+                                 context)
         report = MigrationReport(
-            source=source_label,
-            destination=(destination.device.name
-                         if destination is not None else "software"),
-            state_bits=runtime.program.state.total_bits,
+            source=source,
+            destination=label(destination or SOFTWARE),
+            state_bits=old.program.state.total_bits,
             suspend_seconds=suspend_cost,
             resume_seconds=resume_cost,
         )
@@ -497,13 +511,9 @@ class Supervisor:
     # -- recovery --------------------------------------------------------------
 
     def recover_from(self, name: str, err: FabricError) -> None:
-        """Public recovery entry: quarantine *name*'s host and restore
-        every tenant it carried (see :meth:`_recover_from`)."""
-        self._recover_from(self.tenants[name], err)
-
-    def _recover_from(self, tenant: Tenant, err: FabricError) -> None:
-        """Quarantine the faulted host and restore everyone it carried."""
-        host = tenant.host
+        """Quarantine *name*'s faulted host and restore everyone it
+        carried."""
+        host = self.tenants[name].host
         if host is None:
             # A software tenant has no board to lose; a fabric error
             # here is protocol misuse, not something restore can fix.
@@ -511,7 +521,7 @@ class Supervisor:
         if not host.quarantined:
             self.quarantines += 1
         host.quarantine()
-        victims = [t for t in self.tenants.values() if t.host is host]
+        victims = [t for t in self.tenants.values() if t.residence is host]
         for victim in victims:
             # Recovery destinations can die too (cascading failure):
             # quarantine each one that faults mid-restore and move on
@@ -539,60 +549,43 @@ class Supervisor:
                 f"tenant {tenant.name!r} has no checkpoint to restore"
             )
         crashed = tenant.runtime
-        compiler = (destination.compiler if destination is not None
-                    else crashed.compiler)
         # The crashed runtime's clock already absorbed the failure's
         # detection costs (deadline waits, backoff); recovery continues
         # from there, never from the checkpoint's (earlier) timestamp.
-        runtime = rehydrate(checkpoint.context, name=tenant.name,
-                            clock=crashed.clock, compiler=compiler,
-                            sim_backend=(destination.sim_backend
-                                         if destination else crashed.sim_backend),
-                            start_time=max(crashed.sim_time,
-                                           checkpoint.sim_time))
-        restore_started = runtime.sim_time
-        reconfig = (destination.device.reconfig_seconds
-                    if destination is not None else 0.0)
-        runtime.sim_time += runtime.costs.restore_seconds(
-            runtime.program.state.total_bits, reconfig
-        )
-        self._rehost(tenant, runtime)
-        if destination is not None:
-            # Digest-keyed artifacts: this placement is a cache hit in
-            # the shared store, so no recompilation happens here.
-            self._place(tenant, destination)
+        cost = self._move(tenant, destination or SOFTWARE, "restore",
+                          checkpoint.context, not_before=checkpoint.sim_time)
         tenant.recoveries += 1
         self.recoveries.append(RecoveryReport(
             tenant=tenant.name,
             checkpoint_ticks=checkpoint.ticks,
             crash_ticks=crashed.ticks,
-            destination=(destination.device.name
-                         if destination is not None else "software"),
-            restore_seconds=runtime.sim_time - restore_started,
+            destination=label(destination or SOFTWARE),
+            restore_seconds=cost,
         ))
 
     # -- reporting --------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """Fleet health: the ``stats()``/``utilization()`` idiom."""
+        cohorts = self.cohorts
         return {
             "tenants": len(self.tenants),
             "hypervisors": len(self.hypervisors),
             "healthy_hypervisors": sum(h.healthy for h in self.hypervisors),
             "quarantines": self.quarantines,
-            "recoveries": len(self.recoveries),
-            "migrations": len(self.migrations),
+            "recoveries": self.moved("restore"),
+            "migrations": self.moved("migrate"),
             "idle_fastforwards": self.idle_fastforwards,
             "checkpoints": self.ring.stats(),
             "retry": [h.retry.stats() for h in self.hypervisors],
             "cohorts": {
-                "active": len(self.cohorts),
-                "formed": self.cohorts_formed,
+                "active": len(cohorts),
+                "formed": self.moved("found"),
                 "refused": dict(self.cohorts_refused),
-                "sizes": [engine.size for engine in self.cohorts],
+                "sizes": [engine.size for engine in cohorts],
                 "lane_divergence": self._cohort_divergence + sum(
-                    engine.divergence for engine in self.cohorts),
+                    engine.divergence for engine in cohorts),
                 "vector_ticks": self._cohort_vector_ticks + sum(
-                    engine.vector_ticks for engine in self.cohorts),
+                    engine.vector_ticks for engine in cohorts),
             },
         }

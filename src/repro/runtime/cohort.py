@@ -88,15 +88,18 @@ class CohortEngine:
         return self.cohort.divergence
 
     def admit(self, host: TaskHost,
-              state: Optional[Dict[str, object]] = None) -> "CohortLaneEngine":
+              state: Optional[Dict[str, object]] = None,
+              time: int = 0) -> "CohortLaneEngine":
         """Join *host* as a new lane; returns its engine.
 
-        *state* is a scalar-compatible snapshot (from any engine kind);
-        omitted, the lane boots fresh through the program's initial
-        blocks.  Requires cohort quiescence (between logical ticks).
+        *state* is a scalar-compatible snapshot (from any engine kind)
+        and *time* the ``$time`` it was taken at; omitted, the lane
+        boots fresh through the program's initial blocks.  Requires
+        cohort quiescence (between logical ticks).
         """
         lane = self.cohort.join(host, state=state)
         member = CohortLaneEngine(self, lane)
+        member.time = time
         self.members.append(member)
         return member
 
@@ -197,13 +200,8 @@ class CohortLaneEngine(Engine):
 
     @property
     def time(self) -> int:
-        """This lane's ``$time``.
-
-        Engine snapshots do not carry simulator time, so cohort
-        formation sets it explicitly from the scalar engine it absorbs
-        (and extraction copies it back) — a formed-and-dissolved tenant
-        must be indistinguishable from one that ran scalar throughout.
-        """
+        """This lane's ``$time`` (engine snapshots do not carry it, so
+        it travels beside them: ``admit(time=)`` in, ``Engine.time`` out)."""
         return int(self.cohort.times[self.lane])
 
     @time.setter

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from ..compiler.service import CompilerService
 from ..fabric.errors import FabricError
 from ..hypervisor.hypervisor import Hypervisor
-from ..hypervisor.supervisor import Supervisor, Tenant
+from ..hypervisor.supervisor import Supervisor, Tenant, label
 from ..hypervisor.telemetry import telemetry_snapshot
 from ..interp.compile.batch import HAVE_NUMPY
 from ..runtime.runtime import Runtime, SliceReport
@@ -62,11 +62,9 @@ class Fleet:
                                      checkpoint_every=checkpoint_every,
                                      software_fallback=True, **kwargs)
         self.config = config or FleetConfig()
-        self.placements_hw = 0
-        self.placements_sw = 0
+        #: placements the fabric refused (every other placement count
+        #: is read off the supervisor's moves)
         self.placement_fallbacks = 0
-        self.rebalances = 0
-        self.readmissions = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -86,28 +84,27 @@ class Fleet:
     def tenant(self, name: str) -> Tenant:
         return self.supervisor.tenants[name]
 
+    def attach_journal(self, journal) -> None:
+        """Admissions, checkpoints and releases are written ahead to
+        *journal* from here on (the supervisor writes them)."""
+        self.supervisor.journal = journal
+
     def destination(self, name: str) -> str:
-        tenant = self.supervisor.tenants[name]
-        if tenant.host is not None:
-            return tenant.host.device.name
-        if self.supervisor.in_cohort(name):
-            return "cohort"
-        return "software"
+        """Where *name* lives: a device name, ``cohort`` or ``software``."""
+        return label(self.supervisor.tenants[name].residence)
 
     def board_load(self, host: Hypervisor) -> int:
-        return sum(1 for t in self.supervisor.tenants.values()
-                   if t.host is host)
+        return len(self.supervisor.residents.get(host, ()))
 
     # -- placement ---------------------------------------------------------
 
     def _software_pool_digest(self, digest: str) -> bool:
-        """Any live software tenant already running this digest?"""
-        for tenant in self.supervisor.tenants.values():
-            runtime = tenant.runtime
-            if (tenant.host is None and not runtime.finished
-                    and runtime.program.digest == digest):
-                return True
-        return False
+        """Any live off-board tenant already running this digest?"""
+        return any(
+            not t.runtime.finished and t.runtime.program.digest == digest
+            for residence, residents in self.supervisor.residents.items()
+            if not isinstance(residence, Hypervisor)
+            for t in residents.values())
 
     def _choose_board(self, digest: str) -> Optional[Hypervisor]:
         best, best_score = None, None
@@ -136,41 +133,35 @@ class Fleet:
                 and self._software_pool_digest(digest))
         return self._place(
             name, None if pool else self._choose_board(digest),
-            lambda host: self.supervisor.admit(
-                name, source, clock=clock, host=host,
-                software=host is None, vfs=vfs))
+            source=source, clock=clock, vfs=vfs)
 
-    def readmit(self, name: str, runtime: Runtime) -> str:
-        """Re-place a restart-recovered runtime; returns its destination.
+    def readmit(self, name: str, snapshot: Dict[str, object], digest: str,
+                clock: str = "clock") -> str:
+        """Re-place a tenant from its verified journal *snapshot*;
+        returns its destination.
 
         The recovery analogue of :meth:`admit_job`: boards are scored
         warmth-first — and the warmth probe spans the durable disk tier,
         so a tenant lands where its artifacts already are and restore
         never recompiles.
         """
-        destination = self._place(
-            name, self._choose_board(runtime.program.digest),
-            lambda host: self.supervisor.admit_runtime(name, runtime,
-                                                       host=host))
-        self.readmissions += 1
-        return destination
+        return self._place(
+            name, self._choose_board(digest), clock=clock,
+            context=snapshot["context"],
+            not_before=float(snapshot.get("sim_time", 0.0)))
 
-    def _place(self, name: str, board: Optional[Hypervisor], admit) -> str:
-        """*admit* ``(host)`` onto *board*, or onto software when there
-        is none — or when the fabric refuses (capacity race,
-        mid-admission fault): admission already said yes, so a refusal
-        degrades the placement rather than failing the job."""
+    def _place(self, name: str, board: Optional[Hypervisor], **how) -> str:
+        """Admit *name* onto *board*, or onto software when there is
+        none — or when the fabric refuses (capacity race, mid-admission
+        fault): admission already said yes, so a refusal degrades the
+        placement rather than failing the job."""
         if board is not None:
             try:
-                admit(board)
-                self.placements_hw += 1
+                self.supervisor.admit(name, host=board, **how)
                 return board.device.name
             except FabricError:
-                if name in self.supervisor.tenants:
-                    self.supervisor.release(name)
                 self.placement_fallbacks += 1
-        admit(None)
-        self.placements_sw += 1
+        self.supervisor.admit(name, software=True, **how)
         return "software"
 
     def release(self, name: str) -> None:
@@ -220,7 +211,12 @@ class Fleet:
         return reports
 
     def checkpoint(self, name: str) -> None:
-        self.supervisor.checkpoint(name)
+        """Checkpoint *name* at this quiescence point; a board that dies
+        under it is recovered from like one that dies mid-chunk."""
+        try:
+            self.supervisor.checkpoint(name)
+        except FabricError as err:
+            self.supervisor.recover_from(name, err)
 
     # -- cohorts -----------------------------------------------------------
 
@@ -232,6 +228,9 @@ class Fleet:
 
     def in_cohort(self, name: str) -> bool:
         return self.supervisor.in_cohort(name)
+
+    def cohort_candidate(self, name: str) -> bool:
+        return self.supervisor.tenants[name].cohort_candidate
 
     def cohort_refused(self, digest: str) -> bool:
         """Did a formation attempt already find *digest* outside the
@@ -261,26 +260,27 @@ class Fleet:
         if loads[coolest] >= self.config.board_capacity:
             return []
         victim = next((t for t in self.supervisor.tenants.values()
-                       if t.host is hottest and not t.runtime.finished), None)
+                       if t.residence is hottest and not t.runtime.finished),
+                      None)
         if victim is None:
             return []
         try:
             self.supervisor.migrate_tenant(victim.name, destination=coolest)
         except FabricError:
             return []
-        self.rebalances += 1
         return [victim.name]
 
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         out = telemetry_snapshot(supervisor=self.supervisor)
+        moved = self.supervisor.moved
         out["placement"] = {
-            "hardware": self.placements_hw,
-            "software": self.placements_sw,
+            "hardware": moved(origin="nowhere", to="board"),
+            "software": moved(origin="nowhere", to="software"),
             "fallbacks": self.placement_fallbacks,
-            "rebalances": self.rebalances,
-            "readmissions": self.readmissions,
+            "rebalances": moved("migrate", "board", "board"),
+            "readmissions": moved("readmit"),
             "board_loads": {f"{hv.device.name}#{i}": self.board_load(hv)
                             for i, hv in
                             enumerate(self.supervisor.hypervisors)},

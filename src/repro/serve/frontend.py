@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..fabric.errors import FabricError
 from ..hypervisor.durable import RecoveryError, TenantJournal
-from ..hypervisor.migration import rehydrate
 from ..runtime.runtime import SliceReport
 from .admission import AdmissionController, UnknownDigestError
 from .fleet import Fleet
@@ -108,7 +107,7 @@ class ServeFrontend:
         #: admissions, checkpoints, and releases land in the same log
         self.journal = journal
         if journal is not None:
-            self.fleet.supervisor.journal = journal
+            self.fleet.attach_journal(journal)
         #: tenants recover() could not restore, by name
         self.recovery_errors: Dict[str, RecoveryError] = {}
         self.admission = AdmissionController(self.config)
@@ -218,9 +217,9 @@ class ServeFrontend:
         * **queued, never placed** — re-enqueued through the normal
           admission path; the dispatcher re-runs it from its journaled
           source.
-        * **running** — rehydrated from its newest *verifiable*
-          snapshot (older recorded snapshots are the fallbacks) and
-          re-placed warmth-first via :meth:`Fleet.readmit`.  The
+        * **running** — its newest *verifiable* snapshot (older
+          recorded snapshots are the fallbacks) is handed to
+          :meth:`Fleet.readmit`, which re-places it warmth-first.  The
           snapshot's context carries the display log, so the new
           handle streams every line exactly once — history included.
         * **unrecoverable** — no snapshot survives verification, or
@@ -239,9 +238,8 @@ class ServeFrontend:
             raise ValueError("recover() needs a journal: pass one, or "
                              "construct the frontend with journal=")
         self.journal = journal
-        self.fleet.supervisor.journal = journal
+        self.fleet.attach_journal(journal)
         image = journal.replay()
-        lead = self.fleet.supervisor.hypervisors[0]
         recovered: Dict[str, TenantHandle] = {}
         for rec in image.in_flight():
             if rec.name in self._jobs:
@@ -279,12 +277,8 @@ class ServeFrontend:
                     tenant=rec.name)
             else:
                 try:
-                    runtime = rehydrate(
-                        snapshot["context"], name=rec.name, clock=rec.clock,
-                        compiler=self.fleet.compiler,
-                        sim_backend=lead.sim_backend,
-                        start_time=float(snapshot.get("sim_time", 0.0)))
-                    self.fleet.readmit(rec.name, runtime)
+                    self.fleet.readmit(rec.name, snapshot, rec.digest,
+                                       clock=rec.clock)
                 except Exception as cause:
                     err = RecoveryError(
                         f"tenant {rec.name!r} could not be re-admitted "
@@ -326,7 +320,7 @@ class ServeFrontend:
         """Retire *job* into terminal *state*, undoing whatever its
         current state says it holds.
 
-        A placed job leaves its cohort, has its result built (unless it
+        A placed job has its result built where it lives (unless it
         failed) and is released from the fleet, whose supervisor writes
         the journal's terminal record; a job that never reached the
         fleet has that record written here.  Either way exactly one.
@@ -334,8 +328,6 @@ class ServeFrontend:
         result = None
         if job.state in PLACED:
             try:
-                if self.fleet.in_cohort(job.name):
-                    self.fleet.extract(job.name)
                 if err is None:
                     result = self._build_result(job, state)
                 self.fleet.release(job.name)
@@ -490,12 +482,9 @@ class ServeFrontend:
         if self.config.checkpoint_on_preempt:
             try:
                 self.fleet.checkpoint(job.name)
-            except FabricError as err:
-                try:
-                    self.fleet.supervisor.recover_from(job.name, err)
-                except FabricError:
-                    self._terminate(job, TenantState.FAILED, err)
-                    return
+            except FabricError as err:  # and recovery failed too
+                self._terminate(job, TenantState.FAILED, err)
+                return
         self.slicer.requeue(job)
 
     # -- one cohort's turn -------------------------------------------------
@@ -563,12 +552,9 @@ class ServeFrontend:
             return
         groups: Dict[Tuple[str, str], List[_Job]] = {}
         for job in self._live.values():
-            if (job.state not in PLACED or self.fleet.in_cohort(job.name)
-                    or job.state is TenantState.CANCELLING):
-                continue
-            runtime = self.fleet.runtime(job.name)
-            if (runtime.backend is not None or runtime.finished
-                    or runtime.engine.kind != "software"):
+            if (job.state not in PLACED
+                    or job.state is TenantState.CANCELLING
+                    or not self.fleet.cohort_candidate(job.name)):
                 continue
             groups.setdefault((job.priority, job.digest), []).append(job)
         for (priority, digest), jobs in groups.items():
