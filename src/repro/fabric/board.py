@@ -312,6 +312,42 @@ class SimulatedBoard:
             done += 1
         return BatchOutcome("done", done, 0, slot.native_cycles - start_cycles)
 
+    # -- the ABI surface ---------------------------------------------------------------------
+
+    def handle(self, engine_id: int, message):
+        """One ABI message in, its reply out: the dispatch every
+        ``AbiTarget`` over this board (direct backend, hypervisor)
+        shares."""
+        from ..runtime import abi  # repro.runtime imports this module
+
+        if isinstance(message, abi.Get):
+            return self.get_var(engine_id, message.name)
+        if isinstance(message, abi.Set):
+            return self.set_var(engine_id, message.name, message.value)
+        if isinstance(message, abi.Evaluate):
+            outcome = self.evaluate(engine_id)
+            return abi.TrapReply(outcome.status, outcome.task_id,
+                                 outcome.native_cycles)
+        if isinstance(message, abi.Cont):
+            outcome = self.cont(engine_id)
+            return abi.TrapReply(outcome.status, outcome.task_id,
+                                 outcome.native_cycles)
+        if isinstance(message, abi.RunTicks):
+            outcome = self.run_ticks(engine_id, message.clock, message.ticks)
+            return abi.BatchReply(outcome.status, outcome.ticks_done,
+                                  outcome.task_id, outcome.native_cycles_total)
+        if isinstance(message, abi.Update):
+            return None  # latching is folded into the update state
+        if isinstance(message, abi.Snapshot):
+            return self.snapshot(engine_id, message.names)
+        if isinstance(message, abi.Restore):
+            return self.restore(engine_id, message.state)
+        if isinstance(message, abi.ReadExpr):
+            return self.read_expr(engine_id, message.expr)
+        if isinstance(message, abi.WriteLval):
+            return self.write_lvalue(engine_id, message.lhs, message.value)
+        raise TypeError(f"unhandled ABI message {type(message).__name__}")
+
     # -- accounting -------------------------------------------------------------------------
 
     def slot_seconds(self, engine_id: int) -> float:

@@ -28,10 +28,7 @@ from ..fabric.device import Device
 from ..fabric.errors import BoardDeadError, FabricError
 from ..fabric.retry import RetryPolicy
 from ..fabric.synth import SynthOptions
-from ..runtime.abi import (
-    AbiChannel, BatchReply, Cont, Evaluate, Get, Message, ReadExpr,
-    Restore, RunTicks, Set, Snapshot, TrapReply, Update, WriteLval,
-)
+from ..runtime.abi import AbiChannel, Message
 from ..runtime.backends import Placement, synth_options_for
 from .coalesce import CoalescedDesign, coalesce
 from .engine_table import EngineRecord, EngineTable
@@ -378,32 +375,7 @@ class Hypervisor:
             return parent.handle(remote_id, message)
         if engine_id not in self.table:
             raise KeyError(f"unknown engine {engine_id}")
-        board = self.board
-        if isinstance(message, Get):
-            return board.get_var(engine_id, message.name)
-        if isinstance(message, Set):
-            return board.set_var(engine_id, message.name, message.value)
-        if isinstance(message, Evaluate):
-            outcome = board.evaluate(engine_id)
-            return TrapReply(outcome.status, outcome.task_id, outcome.native_cycles)
-        if isinstance(message, Cont):
-            outcome = board.cont(engine_id)
-            return TrapReply(outcome.status, outcome.task_id, outcome.native_cycles)
-        if isinstance(message, RunTicks):
-            outcome = board.run_ticks(engine_id, message.clock, message.ticks)
-            return BatchReply(outcome.status, outcome.ticks_done,
-                              outcome.task_id, outcome.native_cycles_total)
-        if isinstance(message, Update):
-            return None
-        if isinstance(message, Snapshot):
-            return board.snapshot(engine_id, message.names)
-        if isinstance(message, Restore):
-            return board.restore(engine_id, message.state)
-        if isinstance(message, ReadExpr):
-            return board.read_expr(engine_id, message.expr)
-        if isinstance(message, WriteLval):
-            return board.write_lvalue(engine_id, message.lhs, message.value)
-        raise TypeError(f"unhandled ABI message {type(message).__name__}")
+        return self.board.handle(engine_id, message)
 
 
 class HypervisorClient:

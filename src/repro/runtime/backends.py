@@ -20,22 +20,7 @@ from ..fabric.cache import CompilationCache
 from ..fabric.device import Device
 from ..fabric.retry import RetryPolicy, retry_call
 from ..fabric.synth import SynthOptions
-from .abi import (
-    AbiChannel,
-    BatchReply,
-    Cont,
-    Evaluate,
-    Get,
-    Message,
-    ReadExpr,
-    Restore,
-    RunTicks,
-    Set,
-    Snapshot,
-    TrapReply,
-    Update,
-    WriteLval,
-)
+from .abi import AbiChannel, Message
 
 
 @dataclass
@@ -148,28 +133,4 @@ class DirectBoardBackend:
     # -- AbiTarget ---------------------------------------------------------------
 
     def handle(self, engine_id: int, message: Message):
-        if isinstance(message, Get):
-            return self.board.get_var(engine_id, message.name)
-        if isinstance(message, Set):
-            return self.board.set_var(engine_id, message.name, message.value)
-        if isinstance(message, Evaluate):
-            outcome = self.board.evaluate(engine_id)
-            return TrapReply(outcome.status, outcome.task_id, outcome.native_cycles)
-        if isinstance(message, Cont):
-            outcome = self.board.cont(engine_id)
-            return TrapReply(outcome.status, outcome.task_id, outcome.native_cycles)
-        if isinstance(message, RunTicks):
-            outcome = self.board.run_ticks(engine_id, message.clock, message.ticks)
-            return BatchReply(outcome.status, outcome.ticks_done,
-                              outcome.task_id, outcome.native_cycles_total)
-        if isinstance(message, Update):
-            return None  # latching is folded into the update state
-        if isinstance(message, Snapshot):
-            return self.board.snapshot(engine_id, message.names)
-        if isinstance(message, Restore):
-            return self.board.restore(engine_id, message.state)
-        if isinstance(message, ReadExpr):
-            return self.board.read_expr(engine_id, message.expr)
-        if isinstance(message, WriteLval):
-            return self.board.write_lvalue(engine_id, message.lhs, message.value)
-        raise TypeError(f"unhandled ABI message {type(message).__name__}")
+        return self.board.handle(engine_id, message)
