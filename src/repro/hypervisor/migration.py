@@ -48,16 +48,7 @@ def resume(runtime: Runtime, context: Context) -> float:
     context overwrites its state — the suspended program already
     emitted them on the instance it is migrating from.
     """
-    reconfig = (
-        runtime.backend.device.reconfig_seconds
-        if runtime.backend is not None else 0.0
-    )
-    runtime.restore_context(context)
-    cost = runtime.costs.restore_seconds(
-        runtime.program.state.total_bits, reconfig
-    )
-    runtime.sim_time += cost
-    return cost
+    return runtime.resume(context)
 
 
 def rehydrate(context: Context, name: str, clock: str = "clock",

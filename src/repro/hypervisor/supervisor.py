@@ -46,10 +46,9 @@ from .checkpoint import DEFAULT_RING_DEPTH, Checkpoint, CheckpointRing
 from .hypervisor import Hypervisor
 from .migration import MigrationReport, rehydrate, suspend
 
-#: Where a tenant on a scalar software engine lives.  The other
-#: residences are objects: the :class:`Hypervisor` whose board hosts a
-#: tenant, the :class:`CohortEngine` it is a lane of; ``None`` is nowhere
-#: (not admitted yet, or released).
+#: The residence of a tenant on a scalar software engine; a board's is
+#: its :class:`Hypervisor`, a lane's its :class:`CohortEngine`, and
+#: ``None`` is nowhere (not admitted yet, or released).
 SOFTWARE = "software"
 
 
@@ -282,18 +281,15 @@ class Supervisor:
         """Admit a tenant: place it and take its baseline checkpoint.
 
         The tenant runs *source* from boot, or — the restart-recovery
-        path — resumes a recovered *context* (display log seeded, state
-        restored, clock no earlier than *not_before*), so the baseline
-        checkpoint lands at the recovered tick and board-death recovery
-        keeps working for the rest of its life.
+        path — resumes a recovered *context* (clock no earlier than
+        *not_before*), so the baseline checkpoint lands at the recovered
+        tick and board-death recovery keeps working afterwards.
 
         With *software* set the tenant is never placed on fabric: it
         runs on a software engine under the fleet's lead compiler (so
-        same-digest tenants share artifacts) — the shape that cohorts
-        (:meth:`form_cohorts`) advance as vector dispatches.
-        An explicit *host* pins placement to one hypervisor (the serving
-        layer's fleet balancer chooses it); *vfs* pre-loads the tenant's
-        virtual filesystem with input files.
+        same-digest tenants share artifacts) — what :meth:`form_cohorts`
+        vectorizes.  An explicit *host* pins placement (the serving
+        layer's balancer chooses it); *vfs* pre-loads input files.
         """
         if name in self.tenants:
             raise ValueError(f"tenant {name!r} already admitted")

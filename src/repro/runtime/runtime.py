@@ -146,13 +146,11 @@ class Runtime:
         """Swap in a scalar software engine holding *state* at ``$time``
         *time* — where a program lands when it leaves fabric or a lane.
 
-        The replacement boots quietly (its initial blocks already ran
-        when this instance first started, so replaying their ``$display``
-        output or file IO here would violate transparency) and restores
-        through the simulator's ``restore_state`` contract — edge
-        re-detection suppressed, so state captured with a clock or
-        trigger still high does not replay that edge into the fresh
-        engine.
+        The replacement boots quietly (its initial blocks ran when this
+        instance started; replaying their side effects would violate
+        transparency) and restores through ``restore_state`` — edge
+        re-detection suppressed, so state captured with a trigger still
+        high does not replay that edge.
         """
         engine = self._software_engine(quiet=True)
         engine.sim.restore_state({"store": state,
@@ -292,13 +290,7 @@ class Runtime:
         context = self.pending_restore or self.saved_context
         if context is None:
             raise RuntimeError_("$restart with no saved context")
-        reconfig = (
-            self.backend.device.reconfig_seconds if self.backend is not None else 0.0
-        )
-        self.restore_context(context)
-        self.sim_time += self.costs.restore_seconds(
-            self.program.state.total_bits, reconfig
-        )
+        self.resume(context)
         self.log("restart", self.program.state.total_bits)
 
     # -- suspend / resume / migrate ----------------------------------------------------
@@ -329,6 +321,18 @@ class Runtime:
         self.engine.time = context.time
         self.ticks = context.ticks
         self.log("resume")
+
+    def resume(self, context: Context) -> float:
+        """Restore *context* and charge the §6.1 restore latency
+        (reconfiguration included when on fabric); returns it."""
+        reconfig = (
+            self.backend.device.reconfig_seconds if self.backend is not None else 0.0
+        )
+        self.restore_context(context)
+        cost = self.costs.restore_seconds(self.program.state.total_bits,
+                                          reconfig)
+        self.sim_time += cost
+        return cost
 
     # -- profiling ------------------------------------------------------------------------
 
