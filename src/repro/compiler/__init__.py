@@ -7,14 +7,10 @@
 * :class:`CompilerService` — the pass pipeline the runtime, fabric
   backends, hypervisor and harness all share; stages intern their
   results in one store so N instances of one workload compile once.
-
-``REPRO_COMPILER_CACHE=1`` makes un-plumbed call sites resolve to one
-process-wide store (:func:`shared_store`).
 """
 
 from .artifacts import (
-    ArtifactStore, KindStats, default_disk_store, resolve_store,
-    shared_store, text_digest,
+    ArtifactStore, KindStats, default_disk_store, resolve_store, text_digest,
 )
 
 _LAZY = ("CompilerService", "default_service",
@@ -25,7 +21,7 @@ _LAZY = ("CompilerService", "default_service",
 def __getattr__(name):
     # Lazy re-export: the service pulls in the verilog front end and the
     # core pipeline; loading it here eagerly would cycle with
-    # repro.fabric (whose cache imports this package for the store).
+    # repro.fabric (whose bitstreams import this package's digests).
     # DiskArtifactStore is lazy for the same reason (it consults the
     # fabric fault plan).
     if name in _LAZY:
@@ -41,8 +37,7 @@ def __getattr__(name):
 
 __all__ = [
     "ArtifactStore", "DiskArtifactStore", "KindStats",
-    "default_disk_store", "resolve_store", "shared_store",
-    "text_digest",
+    "default_disk_store", "resolve_store", "text_digest",
     "CompilerService", "default_service",
     "KIND_PARSE", "KIND_SOURCE", "KIND_PROGRAM", "KIND_CODEGEN",
     "KIND_SYNTH", "KIND_BITSTREAM",

@@ -15,13 +15,11 @@ such as :attr:`SynthOptions.key <repro.fabric.synth.SynthOptions.key>`
 or the device name).  Two tenants submitting the same program —
 however they constructed it — therefore share one artifact per stage.
 
-``REPRO_COMPILER_CACHE=1`` switches the *default* store used by layers
-that were not handed one explicitly from private-per-component to one
-process-wide store (:func:`shared_store`), the paper's one-compiler-
-many-instances deployment shape.  The environment variable is read per
-call so tests can flip it with ``monkeypatch``.
+A layer that was not handed a store gets a private one; sharing is by
+passing one :class:`~repro.compiler.service.CompilerService` (or store)
+around, the paper's one-compiler-many-instances shape.
 
-``REPRO_ARTIFACT_DIR`` additionally mounts a durable
+``REPRO_ARTIFACT_DIR`` mounts a durable
 :class:`~repro.compiler.diskstore.DiskArtifactStore` *under* every
 default-resolved store: ``put`` writes through to disk, a memory miss
 probes disk and promotes the hit.  The disk tier survives the process,
@@ -227,23 +225,10 @@ class ArtifactStore:
         self._stats.pop(kind, None)
 
 
-#: The process-wide store (one compiler, many instances).  Created
-#: lazily; selected as the default by ``REPRO_COMPILER_CACHE=1``.
-_SHARED: Optional[ArtifactStore] = None
-
-
-def shared_store() -> ArtifactStore:
-    """The process-wide artifact store, creating it on first use."""
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = ArtifactStore()
-    return _SHARED
-
-
 def default_disk_store() -> Optional["DiskArtifactStore"]:
     """The durable tier ``REPRO_ARTIFACT_DIR`` selects, or ``None``.
 
-    Read per call (matching ``REPRO_COMPILER_CACHE``); each resolution
+    Read per call (tests flip it with ``monkeypatch``); each resolution
     gets its own store object, but they all address the same directory
     — the files, not the Python objects, are the shared state.
     """
@@ -258,19 +243,12 @@ def default_disk_store() -> Optional["DiskArtifactStore"]:
 def resolve_store(store: Optional[ArtifactStore] = None) -> ArtifactStore:
     """Pick the store a component should use.
 
-    An explicit *store* always wins; otherwise ``REPRO_COMPILER_CACHE``
-    (truthy) selects the process-wide :func:`shared_store`, and the
-    fallback is a fresh private store — component-local caching, no
-    cross-component leakage.  Either default-resolved shape mounts the
-    ``REPRO_ARTIFACT_DIR`` disk tier when set, so private stores still
-    share warm artifacts durably (cross-component *and* cross-process)
-    through the filesystem.
+    An explicit *store* always wins; the default is a fresh private
+    store — component-local caching, no cross-component leakage — over
+    the ``REPRO_ARTIFACT_DIR`` disk tier when set, so private stores
+    still share warm artifacts durably (cross-component *and*
+    cross-process) through the filesystem.
     """
     if store is not None:
         return store
-    if os.environ.get("REPRO_COMPILER_CACHE", "") not in ("", "0"):
-        resolved = shared_store()
-        if resolved.disk is None:
-            resolved.disk = default_disk_store()
-        return resolved
     return ArtifactStore(disk=default_disk_store())

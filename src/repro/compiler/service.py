@@ -12,11 +12,10 @@ under a digest of the stage's deterministic inputs.
 
 Layers share artifacts by sharing a service (or just a store): the
 hypervisor hands its service to its board so N tenants running the
-same workload build simulator code once; the direct backend shares one
-with its bitstream cache; the harness keeps a module-wide one.  A
-service built without an explicit store resolves through
-:func:`~repro.compiler.artifacts.resolve_store` — private by default,
-process-wide under ``REPRO_COMPILER_CACHE=1``.
+same workload build simulator code once; bitstreams are one more kind
+in the same store; the harness keeps a module-wide service.  A service
+built without an explicit store gets a private one
+(:func:`~repro.compiler.artifacts.resolve_store`).
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from ..verilog.parser import parse
 from ..verilog.printer import print_module, print_source
 from .artifacts import ArtifactStore, resolve_store, text_digest
 
-#: Artifact kinds, one per compiler stage (bitstreams use the same
-#: store through the :class:`~repro.fabric.cache.CompilationCache`
-#: view, under ``KIND_BITSTREAM``).
+#: Artifact kinds, one per compiler stage.
 KIND_PARSE = "parse"
 KIND_SOURCE = "source"      # raw-text alias → compiled program
 KIND_PROGRAM = "program"
@@ -41,6 +38,11 @@ KIND_EVENT = "event"        # event-driven activity scheduling
 KIND_BATCH = "batch"        # vectorized cohort closures (BatchedModuleCode)
 KIND_SYNTH = "synth"
 KIND_BITSTREAM = "bitstream"
+
+
+def bitstream_key(device_name: str, options_key: str, digest: str) -> str:
+    """Store key for one compiled design: device + options + text digest."""
+    return f"{device_name}\x00{options_key}\x00{digest}"
 
 
 class CompilerService:
@@ -210,6 +212,28 @@ class CompilerService:
             KIND_SYNTH, key, lambda: Synthesizer(options).estimate(module, env)
         )
 
+    # -- bitstreams (paper §5.1, §7) ---------------------------------------
+
+    def lookup_bitstream(self, device_name: str, options_key: str,
+                         digest: str):
+        """The cached bitstream for (device, options, text digest), or
+        ``None`` — what lets a virtualization event skip recompilation."""
+        return self.store.get(
+            KIND_BITSTREAM, bitstream_key(device_name, options_key, digest))
+
+    def peek_bitstream(self, device_name: str, options_key: str,
+                       digest: str):
+        """Look without perturbing hit/miss statistics (speculation)."""
+        return self.store.peek(
+            KIND_BITSTREAM, bitstream_key(device_name, options_key, digest))
+
+    def insert_bitstream(self, device_name: str, options_key: str,
+                         bitstream) -> None:
+        self.store.put(
+            KIND_BITSTREAM,
+            bitstream_key(device_name, options_key, bitstream.digest),
+            bitstream, seconds=bitstream.compile_seconds)
+
     # -- reporting ---------------------------------------------------------
 
     def stats(self, kind: Optional[str] = None):
@@ -247,11 +271,8 @@ class CompilerService:
 def default_service() -> CompilerService:
     """The service un-plumbed call sites get.
 
-    Store selection is :func:`~repro.compiler.artifacts.resolve_store`'s
-    (the single home of the ``REPRO_COMPILER_CACHE`` rule): the
-    process-wide shared store when the variable is set, otherwise a
-    fresh private store — i.e. no caching across calls, matching the
-    pre-refactor pipeline.  The service itself is a stateless wrapper,
-    so a fresh one per call is free.
+    A fresh private store each time — i.e. no caching across calls;
+    callers that want sharing pass a service around.  The service
+    itself is a stateless wrapper, so a fresh one per call is free.
     """
     return CompilerService()

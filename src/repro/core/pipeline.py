@@ -109,8 +109,7 @@ def compile_program(
 
     *source* may be Verilog text, a parsed :class:`SourceFile`, or an
     already-flattened :class:`Module`.  Thin shim over the default
-    compiler service: private (uncached across calls) unless
-    ``REPRO_COMPILER_CACHE=1`` selects the process-wide artifact store.
+    compiler service: private, so uncached across calls.
     """
     from ..compiler import default_service
 

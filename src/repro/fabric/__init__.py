@@ -3,7 +3,6 @@
 from .device import DE10, DEVICES, F1, STRATIX10, Device, device_by_name
 from .synth import CAPTURE_TREE_FANOUT, ResourceEstimate, SynthOptions, Synthesizer
 from .bitstream import Bitstream, BitstreamCompiler, text_digest
-from .cache import CompilationCache
 from .speculative import SpeculativeBuild, SpeculativeCompiler
 from .errors import (
     AbiTimeoutError, BoardDeadError, BoardError, DeadlineExceededError,
@@ -20,7 +19,6 @@ __all__ = [
     "DE10", "DEVICES", "F1", "STRATIX10", "Device", "device_by_name",
     "CAPTURE_TREE_FANOUT", "ResourceEstimate", "SynthOptions", "Synthesizer",
     "Bitstream", "BitstreamCompiler", "text_digest",
-    "CompilationCache",
     "SpeculativeBuild", "SpeculativeCompiler",
     "FabricError", "TransientFabricError", "PersistentFabricError",
     "BoardError", "SlotLockupError", "SlotHangError",

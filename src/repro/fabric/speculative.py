@@ -16,11 +16,11 @@ before that time is still a miss (the build hasn't finished).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
+from ..compiler.service import CompilerService
 from .bitstream import Bitstream
-from .cache import CompilationCache
 
 
 @dataclass
@@ -34,16 +34,16 @@ class SpeculativeBuild:
 
 
 class SpeculativeCompiler:
-    """Background compilation queue feeding a :class:`CompilationCache`.
+    """Background compilation queue feeding a compiler's bitstream store.
 
     ``parallelism`` models how many build machines the provider throws
     at speculation (distributed build farms are standard practice for
     FPGA shops; see the paper's §8 discussion of build caching).
     """
 
-    def __init__(self, cache: CompilationCache, device_name: str,
+    def __init__(self, compiler: CompilerService, device_name: str,
                  options_key: str = "hypervisor", parallelism: int = 2):
-        self.cache = cache
+        self.compiler = compiler
         self.device_name = device_name
         self.options_key = options_key
         self.parallelism = parallelism
@@ -53,8 +53,8 @@ class SpeculativeCompiler:
 
     def enqueue(self, bitstream: Bitstream, now: float, reason: str = "") -> None:
         """Start a background build for *bitstream*'s design."""
-        if self.cache.lookup_quiet(self.device_name, self.options_key,
-                                   bitstream.digest):
+        if self.compiler.peek_bitstream(self.device_name, self.options_key,
+                                        bitstream.digest):
             return  # already cached
         if any(b.digest == bitstream.digest for b in self.in_flight):
             return  # already building
@@ -77,8 +77,8 @@ class SpeculativeCompiler:
         remaining: List[SpeculativeBuild] = []
         for build in self.in_flight:
             if build.ready_at <= now:
-                self.cache.insert(self.device_name, self.options_key,
-                                  build.bitstream)
+                self.compiler.insert_bitstream(
+                    self.device_name, self.options_key, build.bitstream)
                 self.completed += 1
                 landed += 1
             else:

@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 from ..bench import BENCHMARKS
-from ..fabric.cache import CompilationCache
+from ..compiler.service import KIND_BITSTREAM
 from ..fabric.device import DE10, F1
 from ..fabric import synth as synth_mod
 from ..fabric.synth import SynthOptions, Synthesizer
@@ -70,8 +70,7 @@ def compilation_cache() -> ExperimentResult:
     )
     for name in BENCHMARKS:
         program = bench_program(name, **bench_source_kwargs(name))
-        cache = CompilationCache()
-        backend = DirectBoardBackend(F1, cache=cache)
+        backend = DirectBoardBackend(F1)  # a private, cold store
         cold = backend.place(program)
         warm = backend.place(program)
         result.rows.append({
@@ -79,7 +78,8 @@ def compilation_cache() -> ExperimentResult:
             "cold (s)": cold.compile_seconds + cold.reconfig_seconds,
             "warm (s)": warm.compile_seconds + warm.reconfig_seconds,
             "cache hit": warm.cache_hit,
-            "saved (s)": cache.stats.seconds_saved,
+            "saved (s)": backend.compiler.stats(
+                KIND_BITSTREAM).seconds_saved,
         })
     result.notes = [
         "the warm path pays only reconfiguration; this is why Synergy "
@@ -193,14 +193,15 @@ def speculative_compilation() -> ExperimentResult:
             horizon = max((b.ready_at for b in hv.speculator.in_flight),
                           default=0.0) + 1.0
             hv.speculator.settle(now=horizon)
-        misses_before = hv.cache.stats.misses
-        saved_before = hv.cache.stats.seconds_saved
+        bitstreams = hv.compiler.stats(KIND_BITSTREAM)  # live counters
+        misses_before = bitstreams.misses
+        saved_before = bitstreams.seconds_saved
         clients[1].release(runtimes[1].placement.engine_id)
-        recompile_misses = hv.cache.stats.misses - misses_before
+        recompile_misses = bitstreams.misses - misses_before
         result.rows.append({
             "configuration": tag,
             "departure cache misses": recompile_misses,
-            "compile seconds avoided": hv.cache.stats.seconds_saved - saved_before,
+            "compile seconds avoided": bitstreams.seconds_saved - saved_before,
         })
     result.notes = [
         "speculation pre-builds the member-set-minus-one designs, so a "

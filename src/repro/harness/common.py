@@ -23,8 +23,7 @@ from ..perf.timeline import Series
 
 #: The harness-wide compiler service: every figure/table module
 #: compiles through one artifact store, so programs, codegen and
-#: estimates are shared across experiments (and with the whole process
-#: under REPRO_COMPILER_CACHE=1).
+#: estimates are shared across experiments.
 _COMPILER = CompilerService()
 
 _HW_PROFILE_CACHE: Dict[Tuple[str, str, int], HwProfile] = {}

@@ -18,12 +18,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..amorphos.hull import Hull, ProtectionError
 from ..amorphos.morphlet import ProtectionDomain
-from ..compiler.artifacts import ArtifactStore
 from ..compiler.service import CompilerService, KIND_BATCH
 from ..core.pipeline import CompiledProgram
 from ..fabric.bitstream import Bitstream, BitstreamCompiler
 from ..fabric.board import SimulatedBoard
-from ..fabric.cache import CompilationCache
 from ..fabric.device import Device
 from ..fabric.errors import BoardDeadError, FabricError
 from ..fabric.retry import RetryPolicy
@@ -49,14 +47,13 @@ class CapacityError(FabricError):
 class Hypervisor:
     """Multi-tenant virtualization layer over one simulated device."""
 
-    def __init__(self, device: Device, cache: Optional[CompilationCache] = None,
+    def __init__(self, device: Device,
                  use_hull: bool = True, parent: Optional["Hypervisor"] = None,
                  network_latency_s: float = 5e-5,
                  anti_congestion: bool = False,
                  clock_domains: bool = False,
                  sim_backend: Optional[str] = None,
                  compiler: Optional[CompilerService] = None,
-                 artifacts: Optional[ArtifactStore] = None,
                  opt_level: Optional[int] = None):
         self.device = device
         if sim_backend == "batched":
@@ -74,24 +71,15 @@ class Hypervisor:
         #: mid-end optimization level for every tenant slot this
         #: hypervisor programs (None = ambient REPRO_OPT_LEVEL)
         self.opt_level = opt_level
-        # One compiler, many instances (§4): the bitstream cache, the
-        # board's slot codegen, the coalescer's synthesis estimates and
-        # the hull's load estimates all address one artifact store.  An
-        # explicit *compiler* or *artifacts* joins a wider store (e.g.
-        # shared across a fleet of hypervisors); a passed *cache*
-        # contributes its store; otherwise the store is private (or
-        # process-wide under REPRO_COMPILER_CACHE=1).
-        if compiler is None:
-            store = artifacts
-            if store is None and cache is not None:
-                store = cache.store
-            compiler = CompilerService(store)
-        self.compiler = compiler
-        self.artifacts = compiler.store
+        # One compiler, many instances (§4): bitstreams, the board's
+        # slot codegen, the coalescer's synthesis estimates and the
+        # hull's load estimates all address one artifact store.  An
+        # explicit *compiler* joins a wider one (e.g. shared across a
+        # fleet of hypervisors); otherwise the store is private.
+        self.compiler = compiler if compiler is not None else CompilerService()
         self.board = SimulatedBoard(device, sim_backend=sim_backend,
-                                    compiler=compiler, opt_level=opt_level)
-        self.cache = (cache if cache is not None
-                      else CompilationCache(store=self.artifacts))
+                                    compiler=self.compiler,
+                                    opt_level=opt_level)
         self.hull = Hull(device) if use_hull else None
         self.parent = parent
         self.network_latency_s = network_latency_s
@@ -164,7 +152,7 @@ class Hypervisor:
             "abi_requests": self.serializer.requests,
             "retry": self.retry.stats(),
             "batch_artifacts": artifact_snapshot(
-                self.artifacts, kinds=(KIND_BATCH,))[KIND_BATCH],
+                self.compiler.store, kinds=(KIND_BATCH,))[KIND_BATCH],
         }
         if self.board.faults is not None:
             out["faults"] = self.board.faults.stats()
@@ -264,11 +252,13 @@ class Hypervisor:
 
     def _compile(self, design: CoalescedDesign) -> Tuple[Bitstream, float, bool]:
         options_key = self._bitstream_options_key
-        cached = self.cache.lookup(self.device.name, options_key, design.digest)
+        cached = self.compiler.lookup_bitstream(self.device.name, options_key,
+                                                design.digest)
         if cached is not None:
             return cached, 0.0, True
         bitstream = self._make_bitstream(design)
-        self.cache.insert(self.device.name, options_key, bitstream)
+        self.compiler.insert_bitstream(self.device.name, options_key,
+                                       bitstream)
         return bitstream, bitstream.compile_seconds, False
 
     # -- speculative compilation (§7 future work) -----------------------------
@@ -277,7 +267,7 @@ class Hypervisor:
         from ..fabric.speculative import SpeculativeCompiler
 
         self.speculator = SpeculativeCompiler(
-            self.cache, self.device.name, self._bitstream_options_key,
+            self.compiler, self.device.name, self._bitstream_options_key,
             parallelism
         )
 
@@ -402,10 +392,6 @@ class HypervisorClient:
     @property
     def board(self) -> SimulatedBoard:
         return self.hypervisor.board
-
-    @property
-    def cache(self) -> CompilationCache:
-        return self.hypervisor.cache
 
     def place(self, program: CompiledProgram) -> Placement:
         placement = self.hypervisor.place_subprogram(

@@ -16,7 +16,6 @@ from ..compiler.service import CompilerService
 from ..core.pipeline import CompiledProgram
 from ..fabric.bitstream import Bitstream, BitstreamCompiler
 from ..fabric.board import SimulatedBoard
-from ..fabric.cache import CompilationCache
 from ..fabric.device import Device
 from ..fabric.retry import RetryPolicy, retry_call
 from ..fabric.synth import SynthOptions
@@ -61,24 +60,18 @@ def synth_options_for(program: CompiledProgram,
 class DirectBoardBackend:
     """Single-tenant backend: one device, one resident program.
 
-    The backend's bitstream cache, its board's slot codegen and its
-    compiler service all share one artifact store: pass *compiler* (or
-    a *cache* whose store should be shared) to join a wider store, e.g.
-    the store a hypervisor or harness already uses.
+    Bitstreams, the board's slot codegen and every other compiler stage
+    share one artifact store: pass *compiler* to join a wider one, e.g.
+    the service a hypervisor or harness already uses.
     """
 
-    def __init__(self, device: Device, cache: Optional[CompilationCache] = None,
-                 anti_congestion: bool = False,
+    def __init__(self, device: Device, anti_congestion: bool = False,
                  sim_backend: Optional[str] = None,
                  compiler: Optional[CompilerService] = None):
         self.device = device
-        if compiler is None:
-            compiler = CompilerService(cache.store if cache is not None else None)
-        self.compiler = compiler
+        self.compiler = compiler if compiler is not None else CompilerService()
         self.board = SimulatedBoard(device, sim_backend=sim_backend,
-                                    compiler=compiler)
-        self.cache = (cache if cache is not None
-                      else CompilationCache(store=compiler.store))
+                                    compiler=self.compiler)
         self.anti_congestion = anti_congestion
         #: shared retry budget for supervised delivery on this backend's
         #: channels and for bitstream-load retries in :meth:`place`
@@ -93,7 +86,8 @@ class DirectBoardBackend:
         options = synth_options_for(program, self.anti_congestion)
         options_key = options.key
         digest = program.hardware_digest
-        cached = self.cache.lookup(self.device.name, options_key, digest)
+        cached = self.compiler.lookup_bitstream(self.device.name,
+                                                options_key, digest)
         if cached is not None:
             bitstream, compile_seconds, hit = cached, 0.0, True
         else:
@@ -102,7 +96,8 @@ class DirectBoardBackend:
                                          program.hardware_text,
                                          env=program.hardware_env,
                                          target_hz=None)
-            self.cache.insert(self.device.name, options_key, bitstream)
+            self.compiler.insert_bitstream(self.device.name, options_key,
+                                           bitstream)
             compile_seconds, hit = bitstream.compile_seconds, False
         engine_id = self._next_engine_id
         self._next_engine_id += 1

@@ -1,10 +1,10 @@
 """Artifact store and compiler-service unit tests."""
 
 from repro.compiler import (
-    ArtifactStore, CompilerService, default_service, shared_store,
+    ArtifactStore, CompilerService, default_service,
     text_digest,
 )
-from repro.fabric import CompilationCache, DE10, SynthOptions
+from repro.fabric import DE10, SynthOptions
 from repro.fabric.bitstream import BitstreamCompiler
 from repro.verilog import parse
 
@@ -172,32 +172,32 @@ class TestArtifactStoreEvictionOrder:
         assert store.stats("k").seconds_saved == 3.0
 
 
-class TestCompilationCacheView:
-    def test_view_shares_store_with_service(self):
+class TestBitstreamsInTheStore:
+    def test_bitstreams_share_the_store_with_every_other_stage(self):
         store = ArtifactStore()
-        cache = CompilationCache(store=store)
-        program = CompilerService(store).compile_program(SRC)
+        service = CompilerService(store)
+        program = service.compile_program(SRC)
         bs = BitstreamCompiler(DE10).compile(
             program.transform.module, program.hardware_text
         )
-        cache.insert("de10", "o", bs)
+        service.insert_bitstream("de10", "o", bs)
         assert store.count("bitstream") == 1
-        assert cache.lookup("de10", "o", bs.digest) is bs
-        assert cache.stats.hits == 1
+        assert service.lookup_bitstream("de10", "o", bs.digest) is bs
+        assert service.stats("bitstream").hits == 1
         # The store aggregate sees the same traffic.
         assert store.stats().hits >= 1
 
-    def test_bounded_cache_counts_evictions(self):
-        cache = CompilationCache(max_entries=1)
+    def test_bounded_store_counts_bitstream_evictions(self):
         program = CompilerService().compile_program(SRC)
         bs = BitstreamCompiler(DE10).compile(
             program.transform.module, program.hardware_text
         )
-        cache.insert("de10", "a", bs)
-        cache.insert("f1", "b", bs)
-        assert len(cache) == 1
-        assert cache.stats.evictions == 1
-        assert cache.lookup("de10", "a", bs.digest) is None
+        service = CompilerService(ArtifactStore(max_entries=1))
+        service.insert_bitstream("de10", "a", bs)
+        service.insert_bitstream("f1", "b", bs)
+        assert service.store.count("bitstream") == 1
+        assert service.stats("bitstream").evictions == 1
+        assert service.lookup_bitstream("de10", "a", bs.digest) is None
 
 
 class TestCompilerService:
@@ -261,18 +261,8 @@ class TestCompilerService:
                                     env_tag="flatenv")
         assert flat_env is not hw  # different env, different artifact
 
-    def test_default_service_private_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILER_CACHE", raising=False)
-        a = default_service()
-        b = default_service()
-        assert a.store is not b.store
-        assert a.store is not shared_store()
-
-    def test_default_service_shared_with_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILER_CACHE", "1")
-        a = default_service()
-        b = default_service()
-        assert a.store is b.store is shared_store()
+    def test_default_service_is_private(self):
+        assert default_service().store is not default_service().store
 
 
 class TestSynthOptionsKey:

@@ -1,9 +1,9 @@
 """Bitstream compilation and cache tests (§5.1, §7)."""
 
+from repro.compiler import ArtifactStore, CompilerService
+from repro.compiler.service import KIND_BITSTREAM
 from repro.core import compile_program
-from repro.fabric import (
-    DE10, F1, BitstreamCompiler, CompilationCache, SynthOptions, text_digest,
-)
+from repro.fabric import DE10, F1, BitstreamCompiler, text_digest
 
 SRC = """
 module m(input wire clock);
@@ -55,47 +55,66 @@ class TestCompiler:
         assert bs.clock_hz <= 125e6
 
 
+def bitstreams(service):
+    """The service's live bitstream-kind counters."""
+    return service.stats(KIND_BITSTREAM)
+
+
 class TestCache:
     def test_miss_then_hit(self):
         program = compile_program(SRC)
         bs = BitstreamCompiler(DE10).compile(
             program.transform.module, program.hardware_text
         )
-        cache = CompilationCache()
-        assert cache.lookup("de10", "opts", bs.digest) is None
-        cache.insert("de10", "opts", bs)
-        assert cache.lookup("de10", "opts", bs.digest) is bs
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        service = CompilerService(ArtifactStore())
+        assert service.lookup_bitstream("de10", "opts", bs.digest) is None
+        service.insert_bitstream("de10", "opts", bs)
+        assert service.lookup_bitstream("de10", "opts", bs.digest) is bs
+        assert bitstreams(service).hits == 1
+        assert bitstreams(service).misses == 1
 
     def test_keyed_by_device_and_options(self):
         program = compile_program(SRC)
         bs = BitstreamCompiler(DE10).compile(
             program.transform.module, program.hardware_text
         )
-        cache = CompilationCache()
-        cache.insert("de10", "optsA", bs)
-        assert cache.lookup("f1", "optsA", bs.digest) is None
-        assert cache.lookup("de10", "optsB", bs.digest) is None
+        service = CompilerService(ArtifactStore())
+        service.insert_bitstream("de10", "optsA", bs)
+        assert service.lookup_bitstream("f1", "optsA", bs.digest) is None
+        assert service.lookup_bitstream("de10", "optsB", bs.digest) is None
 
     def test_seconds_saved_accumulates(self):
         program = compile_program(SRC)
         bs = BitstreamCompiler(DE10).compile(
             program.transform.module, program.hardware_text
         )
-        cache = CompilationCache()
-        cache.insert("de10", "o", bs)
-        cache.lookup("de10", "o", bs.digest)
-        cache.lookup("de10", "o", bs.digest)
-        assert cache.stats.seconds_saved == 2 * bs.compile_seconds
+        service = CompilerService(ArtifactStore())
+        service.insert_bitstream("de10", "o", bs)
+        service.lookup_bitstream("de10", "o", bs.digest)
+        service.lookup_bitstream("de10", "o", bs.digest)
+        assert bitstreams(service).seconds_saved == 2 * bs.compile_seconds
 
     def test_hit_rate(self):
-        cache = CompilationCache()
-        assert cache.stats.hit_rate == 0.0
-        cache.lookup("de10", "o", "nope")
-        assert cache.stats.hit_rate == 0.0
+        service = CompilerService(ArtifactStore())
+        assert bitstreams(service).hit_rate == 0.0
+        service.lookup_bitstream("de10", "o", "nope")
+        assert bitstreams(service).hit_rate == 0.0
+
+    def test_peek_is_quiet(self):
+        """Speculation looks without moving the hit/miss counters."""
+        program = compile_program(SRC)
+        bs = BitstreamCompiler(DE10).compile(
+            program.transform.module, program.hardware_text
+        )
+        service = CompilerService(ArtifactStore())
+        assert service.peek_bitstream("de10", "o", bs.digest) is None
+        service.insert_bitstream("de10", "o", bs)
+        assert service.peek_bitstream("de10", "o", bs.digest) is bs
+        assert bitstreams(service).hits == bitstreams(service).misses == 0
 
     def test_clear(self):
-        cache = CompilationCache()
-        cache.lookup("de10", "o", "x")
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.misses == 0
+        service = CompilerService(ArtifactStore())
+        service.lookup_bitstream("de10", "o", "x")
+        service.store.clear(KIND_BITSTREAM)
+        assert service.store.count(KIND_BITSTREAM) == 0
+        assert bitstreams(service).misses == 0

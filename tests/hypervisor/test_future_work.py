@@ -4,7 +4,8 @@ and speculative compilation (§7)."""
 import pytest
 
 from repro.core import compile_program
-from repro.fabric import F1, CompilationCache
+from repro.compiler.service import KIND_BITSTREAM, CompilerService
+from repro.fabric import F1
 from repro.fabric.speculative import SpeculativeCompiler
 from repro.hypervisor import Hypervisor, coalesce
 from repro.runtime import Runtime
@@ -70,31 +71,32 @@ class TestClockDomains:
 
 class TestSpeculativeCompilation:
     def test_builds_land_after_latency(self):
-        cache = CompilationCache()
-        spec = SpeculativeCompiler(cache, "f1", "hypervisor")
+        service = CompilerService()
+        spec = SpeculativeCompiler(service, "f1", "hypervisor")
         program = compile_program(counter_src("a"))
         design = coalesce({1: program}, F1)
-        hv = Hypervisor(F1, cache=cache)
+        hv = Hypervisor(F1, compiler=service)
         bitstream = hv._make_bitstream(design)
         spec.enqueue(bitstream, now=0.0)
         assert spec.settle(now=1.0) == 0            # still building
         assert spec.settle(now=bitstream.compile_seconds + 1) == 1
-        assert cache.lookup_quiet("f1", "hypervisor", design.digest) is not None
+        assert service.peek_bitstream("f1", "hypervisor",
+                                      design.digest) is not None
 
     def test_duplicate_enqueue_ignored(self):
-        cache = CompilationCache()
-        spec = SpeculativeCompiler(cache, "f1")
+        service = CompilerService()
+        spec = SpeculativeCompiler(service, "f1")
         program = compile_program(counter_src("a"))
-        hv = Hypervisor(F1, cache=cache)
+        hv = Hypervisor(F1, compiler=service)
         bitstream = hv._make_bitstream(coalesce({1: program}, F1))
         spec.enqueue(bitstream, 0.0)
         spec.enqueue(bitstream, 0.0)
         assert len(spec.in_flight) == 1
 
     def test_parallelism_queues_excess(self):
-        cache = CompilationCache()
-        spec = SpeculativeCompiler(cache, "f1", parallelism=1)
-        hv = Hypervisor(F1, cache=cache)
+        service = CompilerService()
+        spec = SpeculativeCompiler(service, "f1", parallelism=1)
+        hv = Hypervisor(F1, compiler=service)
         bitstreams = [
             hv._make_bitstream(coalesce({1: compile_program(counter_src(f"m{i}"))}, F1))
             for i in range(3)
@@ -119,9 +121,10 @@ class TestSpeculativeCompilation:
         horizon = max(b.ready_at for b in hv.speculator.in_flight) + 1
         hv.speculator.settle(now=horizon)
 
-        misses_before = hv.cache.stats.misses
+        bitstreams = hv.compiler.stats(KIND_BITSTREAM)  # live counters
+        misses_before = bitstreams.misses
         n_before = rt1.engine.get("n")
         client_b.release(rt2.placement.engine_id)  # triggers recompile
-        assert hv.cache.stats.misses == misses_before  # pure cache hit
+        assert bitstreams.misses == misses_before  # pure cache hit
         rt1.tick(2)
         assert rt1.engine.get("n") == n_before + 2  # state preserved

@@ -165,8 +165,6 @@ def test_full_pipeline_equivalent_under_interp_oracle():
 
 class TestServiceIntegration:
     def test_codegen_keyed_by_level(self):
-        # Private store: entry counts below must not see the shared
-        # process-wide store under REPRO_COMPILER_CACHE=1.
         service = CompilerService(ArtifactStore())
         program = service.compile_program(GOLDEN_SRC, top="top")
         o0 = service.codegen(program.flat, env=program.env,

@@ -46,14 +46,9 @@ class TestLifecycle:
 
     def test_compile_latency_gates_transition(self):
         runtime = Runtime(COUNTER)
-        # A cold compile is the premise: give the backend a private
-        # cache so a process-wide store (REPRO_COMPILER_CACHE=1)
-        # cannot have pre-warmed this design's bitstream.
-        from repro.fabric import CompilationCache
-
-        placement = runtime.attach(
-            DirectBoardBackend(DE10, cache=CompilationCache())
-        )
+        # A cold compile is the premise: the backend's default store
+        # is private, so nothing has pre-warmed this design's bitstream.
+        placement = runtime.attach(DirectBoardBackend(DE10))
         assert placement.compile_seconds > 0
         runtime.tick(3)
         # Simulated time is far below the compile latency: still software.

@@ -13,11 +13,8 @@ from test_preemption import assert_twin, solo_run
 
 
 def two_board_fleet(**config):
-    """Two FAST boards with *private* compiler services.
-
-    Explicit stores, so warmth stays per-board even when
-    ``REPRO_COMPILER_CACHE=1`` makes the default store process-wide.
-    """
+    """Two FAST boards with *private* compiler services, so warmth
+    stays per-board."""
     from repro.compiler.artifacts import ArtifactStore
 
     boards = [Hypervisor(FAST, compiler=CompilerService(ArtifactStore()))
