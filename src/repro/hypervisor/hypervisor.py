@@ -183,6 +183,19 @@ class Hypervisor:
                 f"hypervisor on {self.device.name} is quarantined"
             )
         record = self.table.register(instance, domain, program)
+        try:
+            return self._admit(record)
+        except FabricError:
+            # A refused or failed placement leaves no engine behind.
+            if record.morphlet is not None:
+                self.hull.unload(domain, record.morphlet.morphlet_id)
+            self.table.retire(record.engine_id)
+            self.table.sweep()
+            raise
+
+    def _admit(self, record: EngineRecord) -> Placement:
+        instance, domain, program = (record.instance, record.domain,
+                                     record.program)
         programs = {rec.engine_id: rec.program for rec in self.table.active
                     if rec.engine_id not in self._remote}
         design = coalesce(programs, self.device, self.anti_congestion,
@@ -192,8 +205,6 @@ class Hypervisor:
             # The device is full: delegate this sub-program to the
             # parent hypervisor (nesting) rather than reject it.
             if self.parent is None:
-                self.table.retire(record.engine_id)
-                self.table.sweep()
                 raise CapacityError(
                     f"design needs {design.resources.luts} LUTs; device "
                     f"{self.device.name} has {self.device.luts} and no parent"

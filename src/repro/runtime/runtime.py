@@ -168,8 +168,8 @@ class Runtime:
         executing in software and transitions once ``sim_time`` passes
         the modeled compile+reconfigure latency (zero-ish on cache hit).
         """
+        placement = backend.place(self.program)  # a refusal attaches nothing
         self.backend = backend
-        placement = backend.place(self.program)
         self.placement = placement
         self._hw_ready_at = (
             self.sim_time + placement.compile_seconds + placement.reconfig_seconds

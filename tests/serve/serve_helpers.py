@@ -38,6 +38,15 @@ endmodule
 #: the same counter with no $finish — for cancellation/starvation tests
 APP_FOREVER = APP.replace("  if (n == 40) $finish;\n", "")
 
+#: a counter that stops at 5 and sits still: the engine proves it idle,
+#: so its runtime fast-forwards (the idle-counter books need a mover)
+APP_IDLE = """
+module sleeper(input wire clock);
+  reg [7:0] n = 0;
+  always @(posedge clock) if (n < 5) n <= n + 1;
+endmodule
+"""
+
 
 def make_fleet(service, boards=2, faults=(), **config):
     """A fleet of FAST boards sharing *service*'s artifact store."""
@@ -50,12 +59,15 @@ def make_fleet(service, boards=2, faults=(), **config):
     return Fleet(hypervisors, FleetConfig(**config))
 
 
-def audit(frontend, terminal_records=None):
-    """The serving plane's books, checked against each other.
+def audit(frontend, terminal_records=None, seen=None):
+    """The serving plane's and the hypervisor's books, checked against
+    each other (docs/RELIABILITY.md states each invariant once).
 
     Callable whenever the scheduler task is suspended (every ``await``
     in it is a turn boundary).  *terminal_records* is a per-name count
-    of the journal's terminal records, when the caller keeps one.
+    of the journal's terminal records, when the caller keeps one;
+    *seen* is a dict the caller keeps between audits of one process,
+    for the counters that may only grow.
     """
     from repro.serve.handle import PLACED, TRANSITIONS, TenantState
 
@@ -97,3 +109,65 @@ def audit(frontend, terminal_records=None):
         for unit in cls.queue:
             parked += [j.name for j in getattr(unit, "jobs", [unit])]
     assert sorted(parked) == sorted(placed)
+    # The DRR bound that holds after a turn: a class's deficit stays
+    # within one tick of [0, weight x quantum] (a turn may be charged
+    # one tick over its budget; credit lands only on a deficit under 1).
+    drr = fe.slicer.drr
+    for cls in drr._classes.values():
+        assert -1 <= cls.deficit < cls.weight * drr.quantum + 1
+    audit_hypervisor(fe.fleet, len(fe.started_order), seen)
+
+
+def audit_hypervisor(fleet, started, seen=None):
+    """The supervisor's books: residents, cohorts, ring, move counts."""
+    from repro.hypervisor.supervisor import SOFTWARE, kind
+
+    sup = fleet.supervisor
+    tenants = sup.tenants
+    # Every tenant has exactly one residence, and the books know it:
+    # board loads + software + lanes == tenants (== placed jobs, above).
+    for name, tenant in tenants.items():
+        assert sup.residents[tenant.residence][name] is tenant
+    population = {"board": sum(fleet.board_load(hv)
+                               for hv in sup.hypervisors),
+                  SOFTWARE: len(sup.residents.get(SOFTWARE, ())),
+                  "lane": sum(len(sup.residents[c]) for c in sup.cohorts)}
+    assert (sum(population.values()) == len(tenants)
+            == sum(len(r) for r in sup.residents.values()))
+    # A board resident's engine is live in that hypervisor's table and
+    # in no other; a quarantined hypervisor hosts nobody.
+    for hv in sup.hypervisors:
+        residents = sup.residents.get(hv, {})
+        assert not (hv.quarantined and residents)
+        for name, tenant in residents.items():
+            record = hv.table.lookup(tenant.runtime.placement.engine_id)
+            assert record.instance == name and not record.retired
+        elsewhere = set(tenants) - set(residents)
+        assert not elsewhere & {rec.instance for rec in hv.table.active}
+    # A live cohort's members are the tenants whose residence it is,
+    # and none survives a move with fewer than two.
+    for cohort in sup.cohorts:
+        lanes = [t.runtime.engine for t in sup.residents[cohort].values()]
+        assert sorted(map(id, lanes)) == sorted(map(id, cohort.members))
+        assert len(lanes) >= 2
+    # The ring holds 1..depth checkpoints per live tenant, none beyond.
+    assert sorted(sup.ring.engines()) == sorted(
+        t.key for t in tenants.values())
+    for tenant in tenants.values():
+        assert 1 <= len(sup.ring.history(tenant.key)) <= sup.ring.depth
+    # The move count: what entered each kind of residence minus what
+    # left it is who lives there; one admission per started job; one
+    # report per restore and per migration.
+    moved = sup.moved
+    assert {kind(r) for r in sup.residents} <= set(population)
+    for k, living in population.items():
+        assert moved(to=k) - moved(origin=k) == living, k
+    assert moved(origin="nowhere") - moved(to="nowhere") == len(tenants)
+    assert moved(origin="nowhere") == started
+    assert len(sup.recoveries) == moved("restore")
+    assert len(sup.migrations) == moved("migrate")
+    assert sum(t.recoveries for t in tenants.values()) <= moved("restore")
+    # Idle fast-forwards outlive the runtimes that counted them.
+    if seen is not None:
+        assert sup.idle_fastforwards >= seen.get("idle_fastforwards", 0)
+        seen["idle_fastforwards"] = sup.idle_fastforwards
