@@ -995,7 +995,7 @@ class BatchedCohort:
             row = np.array(scalar.store.memories[name],
                            dtype=np.uint64)[None, :]
             self.mems[name] = np.concatenate([self.mems[name], row], axis=0)
-        prev_col = np.array([trig.prev for trig in scalar._events],
+        prev_col = np.array([trig.cell[0] for trig in scalar._events],
                             dtype=np.uint64)[:, None]
         self.prev = np.concatenate([self.prev, prev_col], axis=1)
         self.alive = np.append(self.alive, not host.finished)

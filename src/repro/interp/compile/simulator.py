@@ -94,14 +94,6 @@ class _Trigger:
         self.fn = fn        # compiled event-expression value closure
         self.cell = [0] if cell is None else cell
 
-    @property
-    def prev(self) -> int:
-        return self.cell[0]
-
-    @prev.setter
-    def prev(self, value: int) -> None:
-        self.cell[0] = value
-
 
 class _ProcInfo:
     """Analysis record for one process before code generation."""
@@ -753,7 +745,7 @@ class CompiledSimulator(InterpSimulator):
             self._proc_queue.append(index)
         self.settle()
         for trigger in self._events:
-            trigger.prev = self._trigger_value(trigger)
+            trigger.cell[0] = self._trigger_value(trigger)
 
     @staticmethod
     def _trigger_value(trigger: _Trigger) -> int:
@@ -1197,7 +1189,7 @@ class CompiledSimulator(InterpSimulator):
         self.time = int(snapshot["time"])  # type: ignore[arg-type]
         # Re-prime edge detection so restore does not fabricate edges.
         for trigger in self._events:
-            trigger.prev = self._trigger_value(trigger)
+            trigger.cell[0] = self._trigger_value(trigger)
         # Snapshots are taken at quiescence; stale activity from the
         # pre-restore timeline must not leak into the new one.
         del self._ev_heap[:]
