@@ -176,7 +176,7 @@ class Supervisor:
             self.drain_banked(tenant.name)
             time = old.engine.time
             state = origin.detach(old.engine)
-        elif isinstance(origin, Hypervisor) and old.placement is not None:
+        elif isinstance(origin, Hypervisor):
             try:
                 old.backend.release(old.placement.engine_id)
             except FabricError:
@@ -228,13 +228,12 @@ class Supervisor:
             del self.residents[origin][name]
         if to is not None:
             self.residents.setdefault(to, {})[name] = tenant
-        runtime = tenant.runtime
         if origin is None:
             self.tenants[name] = tenant
             if self.journal is not None:
-                self.journal.admit(name, digest=runtime.program.digest,
-                                   source=runtime.program.source,
-                                   clock=tenant.clock)
+                program = tenant.runtime.program
+                self.journal.admit(name, digest=program.digest,
+                                   source=program.source, clock=tenant.clock)
         elif to is None:
             del self.tenants[name]
             self.ring.drop(tenant.key)
