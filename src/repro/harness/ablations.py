@@ -18,7 +18,8 @@
 from __future__ import annotations
 
 from ..bench import BENCHMARKS
-from ..compiler.service import KIND_BITSTREAM
+from ..compiler.artifacts import ArtifactStore
+from ..compiler.service import KIND_BITSTREAM, CompilerService
 from ..fabric.device import DE10, F1
 from ..fabric import synth as synth_mod
 from ..fabric.synth import SynthOptions, Synthesizer
@@ -70,7 +71,8 @@ def compilation_cache() -> ExperimentResult:
     )
     for name in BENCHMARKS:
         program = bench_program(name, **bench_source_kwargs(name))
-        backend = DirectBoardBackend(F1)  # a private, cold store
+        backend = DirectBoardBackend(      # a memory-only, cold store
+            F1, compiler=CompilerService(ArtifactStore()))
         cold = backend.place(program)
         warm = backend.place(program)
         result.rows.append({

@@ -100,11 +100,9 @@ class Fleet:
 
     def _software_pool_digest(self, digest: str) -> bool:
         """Any live off-board tenant already running this digest?"""
-        return any(
-            not t.runtime.finished and t.runtime.program.digest == digest
-            for residence, residents in self.supervisor.residents.items()
-            if not isinstance(residence, Hypervisor)
-            for t in residents.values())
+        return any(t.host is None and not t.runtime.finished
+                   and t.runtime.program.digest == digest
+                   for t in self.supervisor.tenants.values())
 
     def _choose_board(self, digest: str) -> Optional[Hypervisor]:
         best, best_score = None, None

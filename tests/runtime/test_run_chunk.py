@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.bench import BENCHMARKS
-from repro.compiler import CompilerService
+from repro.compiler import ArtifactStore, CompilerService
 from repro.fabric import DE10, F1
 from repro.fuzz.gen import generate
 from repro.harness.common import bench_source_kwargs
@@ -261,7 +261,8 @@ class TestStopsWhereSingleSteppingDoes:
         for chunks in ([40], [1] * 40, [3, 9, 28]):
             runtime = make(COUNTER)
             runtime.tick(2)
-            runtime.attach(DirectBoardBackend(DE10))
+            runtime.attach(DirectBoardBackend(
+                DE10, compiler=CompilerService(ArtifactStore())))
             # ready after a handful of software ticks, mid-chunk
             runtime._hw_ready_at = runtime.sim_time + 7.5 * (
                 runtime.sim_time / 2)

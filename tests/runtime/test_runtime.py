@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro.compiler import ArtifactStore, CompilerService
 from repro.core import compile_program
 from repro.fabric import DE10, F1
 from repro.interp import VirtualFS
@@ -46,9 +47,11 @@ class TestLifecycle:
 
     def test_compile_latency_gates_transition(self):
         runtime = Runtime(COUNTER)
-        # A cold compile is the premise: the backend's default store
-        # is private, so nothing has pre-warmed this design's bitstream.
-        placement = runtime.attach(DirectBoardBackend(DE10))
+        # A cold compile is the premise: an explicit memory-only store,
+        # so no disk tier (REPRO_ARTIFACT_DIR) can have pre-warmed this
+        # design's bitstream.
+        placement = runtime.attach(DirectBoardBackend(
+            DE10, compiler=CompilerService(ArtifactStore())))
         assert placement.compile_seconds > 0
         runtime.tick(3)
         # Simulated time is far below the compile latency: still software.

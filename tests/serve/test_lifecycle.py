@@ -190,12 +190,16 @@ class Lifecycle(RuleBasedStateMachine):
         if not self.closed:
             self.close()
             self.books_balance()
-        for handle in self.handles:  # a failure nobody awaited is logged
-            if not handle._future.cancelled():
-                handle._future.exception()
+        self.acknowledge()
         self.frontend.journal.close()
         self.loop.close()
         shutil.rmtree(self.root, ignore_errors=True)
+
+    def acknowledge(self):
+        """A failure nobody awaited is logged: read the settled ones."""
+        for handle in self.handles:
+            if handle.done and not handle._future.cancelled():
+                handle._future.exception()
 
     # -- rules ---------------------------------------------------------------
 
@@ -274,6 +278,7 @@ class Lifecycle(RuleBasedStateMachine):
             task.cancel()
             self.run(asyncio.gather(task, return_exceptions=True))
         self.frontend.journal.close()
+        self.acknowledge()
         self.boot(CompilerService())  # nothing survives but the disk
         self.handles = list(self.run(self.frontend.recover()).values())
 
