@@ -158,9 +158,8 @@ class Supervisor:
         """Move *tenant* to residence *to*: the one place a tenant
         changes where it lives, and the only writer of the books.
 
-        Leaves the current residence (a lane drains its bank and
-        detaches; a board slot is released, which a dead board cannot
-        veto), rebuilds the runtime when the move carries a *context*
+        Leaves the current residence (a lane detaches; a board slot is
+        released, which a dead board cannot veto), rebuilds the runtime when the move carries a *context*
         (everything that travels — state, ``$time``, VFS, display log —
         is in it; the rebuilt clock starts no earlier than *not_before*
         and is charged the restore latency, which is returned), and
@@ -173,7 +172,6 @@ class Supervisor:
         hv = to if isinstance(to, Hypervisor) else None
         state = time = None
         if isinstance(origin, CohortEngine):
-            self.drain_banked(tenant.name)
             time = old.engine.time
             state = origin.detach(old.engine)
         elif isinstance(origin, Hypervisor):
@@ -341,8 +339,8 @@ class Supervisor:
 
         The serving layer calls this at preemption boundaries so a
         sliced-out tenant always has a restore point no older than its
-        last turn.  Cohort members must have drained their banked ticks
-        first (:meth:`drain_banked`) — a lane snapshot mid-bank raises.
+        last turn.  A cohort lane is no exception: ``advance`` credits
+        every lane's runtime before it returns.
         """
         tenant = self.tenants[name]
         runtime = tenant.runtime
@@ -401,8 +399,8 @@ class Supervisor:
 
         Formation happens at a quiescence boundary (between logical
         ticks): each member moves from its scalar engine into a cohort
-        lane — ``Runtime.tick`` then drives the whole cohort through
-        tick banking.  Programs outside the vector subset (or a missing
+        lane, and the cohort then steps as one engine
+        (``CohortEngine.advance``).  Programs outside the vector subset (or a missing
         NumPy) leave their group on scalar engines.  *names* restricts
         formation to a subset of tenants (the serving layer forms
         cohorts per priority class, so one class's lockstep schedule
@@ -441,37 +439,9 @@ class Supervisor:
 
     def extract(self, name: str) -> None:
         """Pull one tenant out of its cohort onto a scalar engine, at a
-        quiescence boundary with its bank drained (lockstep schedules
-        guarantee this between turns)."""
+        quiescence boundary (anywhere between two ``advance`` calls)."""
         if self.in_cohort(name):
             self._move(self.tenants[name], SOFTWARE, "extract")
-
-    def drain_banked(self, name: str) -> int:
-        """Settle a finished lane's un-consumed banked ticks; returns
-        the number folded in.
-
-        A lane that ``$finish``es during another lane's vector dispatch
-        holds banked ticks its runtime will never consume (the tick
-        loop exits on ``finished``).  Those banked entries are exactly
-        the ticks a scalar run *would* have executed before stopping,
-        so folding them into the runtime's counters reproduces the
-        scalar accounting bit-for-bit.
-        """
-        runtime = self.tenants[name].runtime
-        engine = runtime.engine
-        if not isinstance(engine, CohortLaneEngine) or not engine._banked:
-            return 0
-        if not runtime.finished:
-            raise PersistentFabricError(
-                f"runtime {runtime.name!r} holds banked ticks while "
-                "unfinished: cohort members must be driven in lockstep"
-            )
-        drained = len(engine._banked)
-        for share in engine._banked:  # tick by tick, as a scalar run adds
-            runtime.sim_time += share
-        runtime.ticks += drained
-        engine._banked.clear()
-        return drained
 
     # -- migration (load balancing) --------------------------------------------
 

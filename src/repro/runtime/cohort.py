@@ -9,15 +9,14 @@ closures of the shared ``batch`` artifact — and hands each tenant a
 :class:`CohortLaneEngine`: an :class:`~repro.runtime.engine.Engine`
 whose state is one lane of the cohort's ``(slots, N)`` matrix.
 
-Lane engines keep the runtime layer oblivious: ``Runtime.tick`` hands a
-lane a tick budget like any other engine.  The first lane asked for
-ticks it does not yet have advances the *whole cohort* that many vector
-ticks in one loop and credits every other live lane with its share of
-each dispatch's cost — so a lane's state may be ahead of the ticks its
-runtime has accounted for.  Driven in lockstep (same budget, chunk by
-chunk at quiescence boundaries), every lane after the first finds its
-budget already run and only collects the shares: one NumPy dispatch per
-tick serves the entire cohort.
+The cohort is the unit of stepping: :meth:`CohortEngine.advance`
+retires a slice of vector ticks for every lane and credits every
+lane's runtime in that same call — one NumPy dispatch per tick serves
+the entire cohort, and no lane is ever ahead of the ticks its runtime
+has accounted for, so a snapshot, checkpoint or detach is legal at any
+point a caller can reach.  A lane's own ``run_chunk`` (what
+``Runtime.tick`` calls) steps only a lane with no live neighbour to
+leave behind.
 
 Cost accounting splits each vector tick's modeled software seconds
 evenly across the lanes that were live when it ran, so a cohort of N
@@ -33,23 +32,24 @@ snapshot is bit-compatible with the scalar store snapshot, so
 
 from __future__ import annotations
 
-from collections import deque
 from math import inf
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..compiler.service import CompilerService, default_service
 from ..core.pipeline import CompiledProgram
 from ..interp.compile.batch import (  # noqa: F401  (re-exported for callers)
     BatchedCohort, BatchUnsupported, UnsupportedBackend,
 )
+from ..interp.compile.batch import np  # None without NumPy: no cohort builds
 from ..interp.systasks import TaskHost
 from .engine import (
     Engine, SW_SECONDS_PER_STMT, SW_SECONDS_PER_TICK, TickStats,
 )
+from .runtime import SliceReport
 
 
 class CohortError(RuntimeError):
-    """Raised on cohort protocol misuse (e.g. snapshot mid-bank)."""
+    """Raised on cohort protocol misuse (e.g. stepping one lane of many)."""
 
 
 class CohortEngine:
@@ -110,9 +110,6 @@ class CohortEngine:
         to move onto a :class:`SoftwareEngine` restored from the
         returned snapshot (suspend/resume/migration reuse this path).
         """
-        if member._banked:
-            raise CohortError(
-                "detach with banked ticks pending; drain the bank first")
         state = self.cohort.snapshot_lane(member.lane)
         self.cohort.leave(member.lane)
         self.members.remove(member)
@@ -124,45 +121,53 @@ class CohortEngine:
 
     # -- vector dispatch ---------------------------------------------------
 
-    def _dispatch(self, clock: str, caller: "CohortLaneEngine", budget: int,
-                  now: float, until: float):
-        """Advance every live lane up to *budget* ticks for *caller*.
+    def _tick(self, clock: str) -> float:
+        """One vector tick of every live lane; returns its modeled
+        seconds (the one dispatch's, to be split across those lanes)."""
+        cohort = self.cohort
+        before = cohort.stmts_executed
+        if clock == self.batch.clock:
+            cohort.tick(1)
+        else:
+            cohort.generic_tick(clock, 1)
+        self.vector_ticks += 1
+        return (SW_SECONDS_PER_TICK
+                + (cohort.stmts_executed - before) * SW_SECONDS_PER_STMT)
 
-        Each vector tick's cost is split across the lanes live when it
-        ran: *caller*'s share goes onto *now*, every other lane's onto
-        its bank, which that lane's ``run_chunk`` collects before it
-        dispatches anything (a lockstep schedule stays at one dispatch
-        per tick).  Stops after the tick that finishes *caller* or
-        takes *now* to *until*; returns ``(ticks, now)``.
+    def advance(self, runtimes, budget: int) -> List[SliceReport]:
+        """Retire up to *budget* vector ticks for every lane and credit
+        every lane's runtime (*runtimes*, in lane order) in this call.
+
+        Each tick's cost is split across the lanes live when it ran and
+        added to those lanes' clocks in turn — one addition per lane
+        per tick, as a scalar run makes, so ``sim_time`` does not depend
+        on how a span is cut.  A lane that ``$finish``es is counted and
+        charged up to that tick; the loop ends with the budget or the
+        last live lane.  Returns each lane's account of the slice.
         """
+        if [runtime.engine for runtime in runtimes] != self.members:
+            raise CohortError("advance takes every lane's runtime, in lane "
+                              "order: a lane left out would be left behind")
         cohort = self.cohort
         cohort.sync_alive()
-        tick = (cohort.tick if clock == self.batch.clock
-                else lambda n: cohort.generic_tick(clock, n))
-        host = caller.host
-        live = -1
-        ticks = 0
-        while ticks < budget:
-            # Lanes only die inside a dispatch, so the live set moved
-            # exactly when its size did.
-            n = cohort.n if cohort.alive_all else int(cohort.alive.sum())
-            if n != live:
-                live = n
-                others = [m._banked for m in self.members
-                          if m is not caller and cohort.alive[m.lane]]
-            before = cohort.stmts_executed
-            tick(1)
-            self.vector_ticks += 1
-            executed = cohort.stmts_executed - before
-            seconds = SW_SECONDS_PER_TICK + executed * SW_SECONDS_PER_STMT
-            share = seconds / max(1, live)
-            for bank in others:
-                bank.append(share)
-            now += share
-            ticks += 1
-            if host.finished or now >= until:
+        clock = runtimes[0].clock
+        start = [runtime.sim_time for runtime in runtimes]
+        nows = np.array(start)
+        times = cohort.times.copy()
+        for _ in range(budget):
+            started = cohort.alive.copy()
+            live = np.count_nonzero(started)
+            if not live:
                 break
-        return ticks, now
+            nows[started] += self._tick(clock) / live
+        reports = []
+        for runtime, ticks, t0, now in zip(
+                runtimes, (cohort.times - times).tolist(), start,
+                nows.tolist()):
+            runtime.credit(TickStats(seconds=now - t0, ticks=ticks, now=now))
+            reports.append(SliceReport(ticks=ticks, seconds=now - t0,
+                                       finished=runtime.finished))
+        return reports
 
 
 class CohortLaneEngine(Engine):
@@ -179,9 +184,6 @@ class CohortLaneEngine(Engine):
     def __init__(self, engine: CohortEngine, lane: int):
         self.engine = engine
         self.lane = lane
-        #: per-tick cost shares of ticks other lanes' dispatches already
-        #: applied to this lane, oldest first
-        self._banked: Deque[float] = deque()
         self._detached = False
 
     @property
@@ -191,12 +193,6 @@ class CohortLaneEngine(Engine):
     @property
     def host(self) -> TaskHost:
         return self.cohort.hosts[self.lane]
-
-    @property
-    def banked(self) -> int:
-        """Vector ticks already applied to this lane but not yet
-        accounted through ``run_chunk`` (nonzero only mid-schedule)."""
-        return len(self._banked)
 
     @property
     def time(self) -> int:
@@ -225,32 +221,25 @@ class CohortLaneEngine(Engine):
 
     def run_chunk(self, clock: str, budget: int, now: float = 0.0,
                   until: float = inf) -> TickStats:
+        """A lane steps itself only when that leaves nobody behind: a
+        cohort with another live lane moves by ``advance``, all at once."""
         self._check_attached()
-        start = now
-        bank = self._banked
-        ticks = 0
-        while bank and ticks < budget and now < until:
-            now += bank.popleft()
-            ticks += 1
-        if ticks < budget and now < until and not self.host.finished:
-            ran, now = self.engine._dispatch(clock, self, budget - ticks,
-                                             now, until)
-            ticks += ran
-        return TickStats(seconds=now - start, ticks=ticks, now=now)
+        cohort = self.cohort
+        cohort.sync_alive()
+        if any(cohort.alive[m.lane] for m in self.engine.members
+               if m is not self):
+            raise CohortError("run_chunk on one lane of a live cohort; "
+                              "CohortEngine.advance steps them together")
+        return super().run_chunk(clock, budget, now, until)
+
+    def _step(self, clock: str) -> float:
+        return self.engine._tick(clock)
 
     def snapshot(self, names=None) -> Dict[str, object]:
         self._check_attached()
-        if self._banked:
-            # The lane's state is ahead of the ticks its runtime has
-            # accounted for; a checkpoint here would replay them.
-            raise CohortError(
-                "snapshot with banked ticks pending; drain the bank first")
         return self.cohort.snapshot_lane(self.lane, names)
 
     def restore(self, state: Dict[str, object]) -> None:
         self._check_attached()
-        if self._banked:
-            raise CohortError(
-                "restore with banked ticks pending; drain the bank first")
         self.cohort.restore_lane(self.lane, state)
         self.cohort.step()

@@ -225,15 +225,22 @@ class Runtime:
             ready = self._hw_ready_at
             stats = self.engine.run_chunk(self.clock, remaining, self.sim_time,
                                           inf if ready is None else ready)
-            self.sim_time = stats.now
-            self.ticks += stats.ticks
+            self.credit(stats)
             remaining -= stats.ticks
-            self.traps_total += stats.traps
-            self.trap_seconds_total += stats.trap_seconds
-            if stats.idle_ticks:
-                self.idle_fastforwards += 1
-            self._post_tick()
         return stats
+
+    def credit(self, stats: TickStats) -> None:
+        """Enter one engine dispatch in this instance's account, then do
+        the work that waits between logical ticks.  Whoever steps the
+        engine calls this before anyone can look: :meth:`tick` for an
+        engine of its own, ``CohortEngine.advance`` for a lane."""
+        self.sim_time = stats.now
+        self.ticks += stats.ticks
+        self.traps_total += stats.traps
+        self.trap_seconds_total += stats.trap_seconds
+        if stats.idle_ticks:
+            self.idle_fastforwards += 1
+        self._post_tick()
 
     def tick_chunk(self, budget: int) -> SliceReport:
         """Drive at most *budget* ticks; returns the cumulative account.
@@ -243,9 +250,8 @@ class Runtime:
         at a quiescence point (between logical ticks) so the caller can
         suspend, checkpoint, migrate, or re-queue the tenant without
         touching mid-tick state.  On a hardware engine the chunk still
-        runs as one on-device batch (§4.1); on a cohort lane it consumes
-        in one slice whatever the cohort's lockstep schedule has already
-        advanced this lane.
+        runs as one on-device batch (§4.1); cohort lanes are stepped
+        together, by ``CohortEngine.advance``.
         """
         t0, n0, traps0 = self.sim_time, self.ticks, self.traps_total
         self.tick(budget)

@@ -32,6 +32,7 @@ from ..hypervisor.hypervisor import Hypervisor
 from ..hypervisor.supervisor import Supervisor, Tenant, label
 from ..hypervisor.telemetry import telemetry_snapshot
 from ..interp.compile.batch import HAVE_NUMPY
+from ..runtime.cohort import CohortEngine
 from ..runtime.runtime import Runtime, SliceReport
 
 
@@ -193,19 +194,25 @@ class Fleet:
             )
 
     def advance_cohort(self, names: List[str], budget: int) -> Dict[str, SliceReport]:
-        """Drive cohort members *budget* ticks each, in lockstep.
+        """Drive the cohorts *names* are lanes of up to *budget* ticks.
 
-        Equal chunks are what keep the cohort at one vector dispatch
-        per tick (tick banking); a member that ``$finish``es mid-chunk
-        stops consuming and has its banked remainder folded back into
-        its counters so the accounting matches a scalar run.
+        A cohort is one engine: one ``advance`` retires the slice for
+        every lane — a lane that ``$finish``es mid-chunk stops there,
+        accounted as a scalar run would be — and credits every runtime
+        before it returns.  A name whose cohort dissolved under it (the
+        last lane moves out with its neighbour) takes a scalar chunk.
         """
         reports: Dict[str, SliceReport] = {}
         for name in names:
-            reports[name] = self.runtime(name).tick_chunk(budget)
-        for name in names:
-            if self.runtime(name).finished:
-                self.supervisor.drain_banked(name)
+            cohort = self.tenant(name).residence
+            if name in reports:
+                continue  # a lane of a cohort already advanced
+            if not isinstance(cohort, CohortEngine):
+                reports[name] = self.runtime(name).tick_chunk(budget)
+                continue
+            lanes = self.supervisor.residents[cohort]
+            runtimes = [tenant.runtime for tenant in lanes.values()]
+            reports.update(zip(lanes, cohort.advance(runtimes, budget)))
         return reports
 
     def checkpoint(self, name: str) -> None:

@@ -281,19 +281,17 @@ class TestCohortLifecycle:
         with pytest.raises(CohortError):
             members[1].get("n")
 
-    def test_snapshot_blocked_mid_bank(self, o2):
-        engine, program, service = self._cohort_engine()
+    def test_a_lane_steps_alone_only_with_no_live_neighbour(self, o2):
+        engine, program, service = self._cohort_engine(kitchen(3))
         a = engine.admit(TaskHost(VirtualFS()))
         b = engine.admit(TaskHost(VirtualFS()))
-        a.run_tick("clock")  # banks a tick for b
-        assert b.banked == 1
         with pytest.raises(CohortError):
-            b.snapshot()
-        with pytest.raises(CohortError):
-            engine.detach(b)
-        b.run_tick("clock")  # consume the bank
-        assert b.banked == 0
-        b.snapshot()
+            a.run_chunk("clock", 1)
+        assert (a.time, b.time, engine.vector_ticks) == (0, 0, 0)
+        b.host.finished = True   # a dead neighbour is not left behind
+        assert a.run_chunk("clock", 9).ticks == 4
+        assert (a.time, b.time, a.host.finish_code) == (4, 0, 3)
+        engine.detach(b)
 
 
 class TestSupervisorCohorts:

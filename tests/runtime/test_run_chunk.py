@@ -320,26 +320,24 @@ class TestQuiescence:
 @pytest.mark.skipif(not HAVE_NUMPY, reason="cohorts need NumPy")
 class TestCohortLanes:
     """Three lanes of one program, staggered so they ``$finish`` on
-    different vector ticks, driven in lockstep like the serving layer
-    drives a cohort unit."""
+    different vector ticks, advanced as one engine like the serving
+    layer advances a cohort unit."""
 
     def _cohort(self):
-        sup = Supervisor([Hypervisor(F1)], checkpoint_every=8)
+        fleet = Fleet([Hypervisor(F1)], FleetConfig(board_capacity=0))
+        sup = fleet.supervisor
         for i in range(3):
             sup.admit(f"t{i}", FINISHER.format(at=20), software=True)
             sup.tenants[f"t{i}"].runtime.tick(4 * i)
         assert sup.form_cohorts() == 1
-        return sup
+        return fleet
 
-    def _drive(self, sup, chunks):
+    def _drive(self, fleet, chunks):
+        tenants = fleet.supervisor.tenants
         for chunk in chunks:
-            for tenant in sup.tenants.values():
-                tenant.runtime.tick(chunk)
-            for name, tenant in sup.tenants.items():
-                if tenant.runtime.finished:
-                    sup.drain_banked(name)
+            fleet.advance_cohort(list(tenants), chunk)
         out = {}
-        for name, tenant in sup.tenants.items():
+        for name, tenant in tenants.items():
             runtime = tenant.runtime
             assert isinstance(runtime.engine, CohortLaneEngine)
             out[name] = {
@@ -361,16 +359,25 @@ class TestCohortLanes:
             chunks = partition(30, rng)
             assert self._drive(self._cohort(), chunks) == expect, chunks
 
-    def test_lane_collects_its_bank_in_one_slice(self):
-        sup = self._cohort()
-        first, second, _ = (t.runtime for t in sup.tenants.values())
-        stats = first.engine.run_chunk("clock", 6, now=first.sim_time)
-        assert stats.ticks == 6 and second.engine.banked == 6
-        before = sup.cohorts[0].vector_ticks
-        stats = second.engine.run_chunk("clock", 4, now=second.sim_time)
-        assert stats.ticks == 4 and second.engine.banked == 2
-        assert sup.cohorts[0].vector_ticks == before   # nothing dispatched
-        stats = second.engine.run_chunk("clock", 5, now=stats.now)
-        assert stats.ticks == 5 and second.engine.banked == 0
-        assert sup.cohorts[0].vector_ticks == before + 3
-        assert first.engine.banked == 3
+    def test_one_advance_per_chunk_and_no_lane_ahead_of_its_runtime(self):
+        """A snapshot, checkpoint or detach is legal after any advance,
+        a neighbour's mid-chunk ``$finish`` included."""
+        fleet = self._cohort()
+        sup = fleet.supervisor
+        cohort = sup.cohorts[0]
+        reports = fleet.advance_cohort(list(sup.tenants), 15)
+        assert cohort.vector_ticks == 15
+        assert [r.ticks for r in reports.values()] == [15, 15, 13]
+        assert [r.finished for r in reports.values()] == [False, False, True]
+        for name, tenant in sup.tenants.items():
+            runtime = tenant.runtime
+            assert runtime.engine.time == runtime.ticks
+            assert reports[name].seconds > 0
+            runtime.engine.snapshot()
+            assert sup.checkpoint(name).ticks == runtime.ticks
+        sup.extract("t2")
+        assert sup.tenants["t2"].runtime.ticks == 21
+        # the two lanes left are the whole cohort again: naming one
+        # advances (and reports) both
+        assert sorted(fleet.advance_cohort(["t0"], 2)) == ["t0", "t1"]
+        assert [t.runtime.ticks for t in sup.tenants.values()] == [17, 21, 21]
