@@ -490,10 +490,15 @@ class ServeFrontend:
     # -- one cohort's turn -------------------------------------------------
 
     def _run_cohort_turn(self, unit: _CohortUnit, budget: int) -> None:
-        for job in [j for j in unit.jobs
-                    if j.state is TenantState.CANCELLING]:
+        # Whoever has nothing left to run leaves before the advance: a
+        # cancelled job, and one swept into the unit already finished or
+        # at its target (it would otherwise tick past it with the rest).
+        for job in list(unit.jobs):
+            if job.state is TenantState.CANCELLING:
+                self._terminate(job, TenantState.CANCELLED)
+            elif not self._retired(job):
+                continue
             unit.jobs.remove(job)
-            self._terminate(job, TenantState.CANCELLED)
         if len(unit.jobs) < self.fleet.config.cohort_min_size:
             # Too small to vectorize: dissolve back to individual units.
             for job in unit.jobs:
@@ -505,7 +510,7 @@ class ServeFrontend:
         for job in unit.jobs:
             if job.target is not None:
                 runtime = self.fleet.runtime(job.name)
-                chunk = min(chunk, max(1, job.target - runtime.ticks))
+                chunk = min(chunk, job.target - runtime.ticks)
         names = [job.name for job in unit.jobs]
         reports = self.fleet.advance_cohort(names, chunk)
         self.slicer.charge(unit, max(1, chunk))

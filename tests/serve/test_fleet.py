@@ -8,7 +8,7 @@ from repro.hypervisor import Hypervisor, telemetry_snapshot
 from repro.interp.compile.batch import HAVE_NUMPY
 from repro.serve import Fleet, FleetConfig, ServeConfig, ServeFrontend
 
-from serve_helpers import APP, FAST, make_fleet
+from serve_helpers import APP, APP_FOREVER, FAST, make_fleet
 from test_preemption import assert_twin, solo_run
 
 
@@ -113,6 +113,35 @@ class TestCohortFormation:
                 ["w0", "w1"]]
 
         asyncio.run(main())
+
+
+    def test_a_job_already_at_its_target_does_not_tick_in_a_cohort(
+            self, service, monkeypatch):
+        """A ``ticks=0`` job swept into a cohort unit before a turn of
+        its own retires where it stands, as it does with cohorts off."""
+        import pytest
+
+        if not HAVE_NUMPY:
+            pytest.skip("cohorts need NumPy")
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the vector licence
+        config = ServeConfig(max_running=8, quantum_ticks=4,
+                             quiescence_every=1, priorities={"normal": 1.0})
+        seen = {}
+        for cohorts in (True, False):
+            fleet = make_fleet(service, boards=1, board_capacity=0,
+                               cohorts=cohorts)
+
+            async def main():
+                async with ServeFrontend(fleet, config) as fe:
+                    handles = [await fe.submit(APP_FOREVER, ticks=ticks)
+                               for ticks in (50, 50, 0, 0, 3)]
+                    return [await handle.result() for handle in handles]
+
+            seen[cohorts] = [(r.status, r.ticks, r.state, r.display)
+                             for r in asyncio.run(main())]
+            assert (fleet.stats()["fleet"]["cohorts"]["formed"] > 0) == cohorts
+        assert [ticks for _, ticks, _, _ in seen[True]] == [50, 50, 0, 0, 3]
+        assert seen[True] == seen[False]
 
 
 class TestRebalance:
