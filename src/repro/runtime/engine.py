@@ -26,7 +26,7 @@ from ..interp.simulator import Simulator, resolve_backend
 from ..interp.systasks import TaskHost
 from .abi import (
     AbiChannel, BatchReply, Cont, Evaluate, Get, Restore, RunTicks, Set,
-    Snapshot, TrapReply,
+    Snapshot,
 )
 from .traps import TrapServicer
 
@@ -256,34 +256,12 @@ class HardwareEngine(Engine):
             remaining -= reply.ticks_done
             if reply.status == "trap":
                 # Finish the in-flight tick with per-trap servicing.
-                trap = TrapReply("trap", reply.task_id, 0)
-                while trap.status == "trap":
-                    site = self.program.transform.tasks.get(trap.task_id)
-                    if site is None:
-                        raise KeyError(f"unknown task {trap.task_id}")
-                    trap_t0 = self.channel.stats.seconds
-                    self.servicer.service(self.channel, site)
-                    stats.traps += 1
-                    if self.host.finished:
-                        stats.trap_seconds += self.channel.stats.seconds - trap_t0
-                        break
-                    trap = self.channel.send(Cont())
-                    stats.native_cycles += trap.native_cycles
-                    stats.trap_seconds += self.channel.stats.seconds - trap_t0
+                self._service_traps(reply, stats)
                 if not self.host.finished:
                     self.channel.send(Set(clock, 0))
                     tail = self.channel.send(Evaluate())
                     stats.native_cycles += tail.native_cycles
-                    while tail.status == "trap" and not self.host.finished:
-                        site = self.program.transform.tasks.get(tail.task_id)
-                        if site is None:
-                            raise KeyError(f"unknown task {tail.task_id}")
-                        trap_t0 = self.channel.stats.seconds
-                        self.servicer.service(self.channel, site)
-                        stats.traps += 1
-                        tail = self.channel.send(Cont())
-                        stats.native_cycles += tail.native_cycles
-                        stats.trap_seconds += self.channel.stats.seconds - trap_t0
+                    self._service_traps(tail, stats)
                 stats.ticks += 1
                 self.time += 1
                 remaining -= 1
@@ -299,6 +277,22 @@ class HardwareEngine(Engine):
         if stats.ticks == 0:
             stats.ticks = 1  # a fully-blocked tick still advances time
         return stats
+
+    def _service_traps(self, reply, stats: TickStats) -> None:
+        """Service *reply*'s trap, continue, and service what that
+        raises — until the evaluation completes or a serviced
+        ``$finish`` ends the program (no continuation is sent then)."""
+        while reply.status == "trap" and not self.host.finished:
+            site = self.program.transform.tasks.get(reply.task_id)
+            if site is None:
+                raise KeyError(f"unknown task {reply.task_id}")
+            trap_t0 = self.channel.stats.seconds
+            self.servicer.service(self.channel, site)
+            stats.traps += 1
+            if not self.host.finished:
+                reply = self.channel.send(Cont())
+                stats.native_cycles += reply.native_cycles
+            stats.trap_seconds += self.channel.stats.seconds - trap_t0
 
     def snapshot(self, names=None) -> Dict[str, object]:
         names_tuple = tuple(names) if names is not None else None
