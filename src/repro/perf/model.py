@@ -98,15 +98,9 @@ def profile_software(program: CompiledProgram, ticks: int = 32,
     host = TaskHost(vfs if vfs is not None else VirtualFS())
     engine = SoftwareEngine(program, host, backend=backend,
                             compiler=compiler)
-    total_seconds = 0.0
-    done = 0
-    for _ in range(ticks):
-        if host.finished:
-            break
-        stats = engine.run_tick(clock)
-        total_seconds += stats.seconds
-        done += 1
-    return SwProfile(done, engine.sim.stmts_executed, max(total_seconds, 1e-12))
+    stats = engine.run_chunk(clock, ticks)
+    return SwProfile(stats.ticks, engine.sim.stmts_executed,
+                     max(stats.seconds, 1e-12))
 
 
 def profile_hardware(program: CompiledProgram, device: Device,

@@ -100,9 +100,6 @@ class Engine:
         """Drive one tick; returns its modeled seconds."""
         raise NotImplementedError
 
-    def run_tick(self, clock: str) -> TickStats:
-        return self.run_chunk(clock, 1)
-
     def is_idle(self) -> bool:
         """True when further ticks provably execute nothing.
 

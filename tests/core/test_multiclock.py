@@ -53,7 +53,7 @@ def hardware_engine(source):
 class TestTwoClockDomains:
     def drive(self, engine, schedule):
         for clock in schedule:
-            engine.run_tick(clock)
+            engine.run_chunk(clock, 1)
 
     @pytest.mark.parametrize("schedule", [
         ["cka"] * 4,
@@ -66,8 +66,8 @@ class TestTwoClockDomains:
         sw = SoftwareEngine(program, TaskHost())
         _, hw = hardware_engine(TWO_CLOCKS)
         for clock in schedule:
-            sw.run_tick(clock)
-            hw.run_tick(clock)
+            sw.run_chunk(clock, 1)
+            hw.run_chunk(clock, 1)
         for var in ("na", "nb", "cross"):
             assert hw.get(var) == sw.get(var), (var, schedule)
 
@@ -101,8 +101,8 @@ class TestMixedEdgeKinds:
         for engine in (sw, hw):
             engine.set("rst", 1)
         for _ in range(3):
-            sw.run_tick("clock")
-            hw.run_tick("clock")
+            sw.run_chunk("clock", 1)
+            hw.run_chunk("clock", 1)
         assert hw.get("n") == sw.get("n") == 3
         # Async reset: a falling edge on rst clears the counter.
         for engine in (sw, hw):

@@ -41,7 +41,7 @@ class TestSoftwareEngine:
         program = compile_program(COUNTER)
         engine = SoftwareEngine(program, TaskHost())
         for _ in range(3):
-            stats = engine.run_tick("clock")
+            stats = engine.run_chunk("clock", 1)
             assert stats.seconds > 0
         assert engine.get("n") == 3
 
@@ -54,7 +54,7 @@ class TestSoftwareEngine:
     def test_snapshot_restore(self):
         program = compile_program(COUNTER)
         engine = SoftwareEngine(program, TaskHost())
-        engine.run_tick("clock")
+        engine.run_chunk("clock", 1)
         snap = engine.snapshot()
         other = SoftwareEngine(program, TaskHost())
         other.restore(snap)
@@ -65,7 +65,7 @@ class TestHardwareEngine:
     def test_run_tick(self):
         engine = hardware_engine(COUNTER)
         for _ in range(3):
-            stats = engine.run_tick("clock")
+            stats = engine.run_chunk("clock", 1)
             assert stats.native_cycles > 0
         assert engine.get("n") == 3
 
@@ -79,7 +79,7 @@ class TestHardwareEngine:
 
     def test_traps_serviced_in_tick(self):
         engine = hardware_engine(CHATTY)
-        stats = engine.run_tick("clock")
+        stats = engine.run_chunk("clock", 1)
         assert stats.traps == 1
         assert engine.host.display_log == ["n=0"]
 
@@ -115,8 +115,8 @@ class TestParity:
         sw = SoftwareEngine(program, TaskHost())
         hw = hardware_engine(COUNTER)
         for _ in range(7):
-            sw.run_tick("clock")
-            hw.run_tick("clock")
+            sw.run_chunk("clock", 1)
+            hw.run_chunk("clock", 1)
         assert sw.get("n") == hw.get("n") == 7
 
     def test_display_streams_agree(self):
@@ -124,6 +124,6 @@ class TestParity:
         sw = SoftwareEngine(program, TaskHost())
         hw = hardware_engine(CHATTY)
         for _ in range(4):
-            sw.run_tick("clock")
-            hw.run_tick("clock")
+            sw.run_chunk("clock", 1)
+            hw.run_chunk("clock", 1)
         assert sw.host.display_log == hw.host.display_log
