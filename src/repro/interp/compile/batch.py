@@ -1247,9 +1247,12 @@ class BatchedCohort:
             self.alive[i] = not host.finished
         self.alive_all = bool(self.alive.all())
 
-    def tick(self, cycles: int = 1) -> None:
-        """Vector mirror of the scalar clock period."""
+    def tick(self, cycles: int = 1, clock: Optional[str] = None) -> None:
+        """Vector mirror of the scalar clock period (the planned clock's;
+        any other *clock* takes :meth:`generic_tick`)."""
         batch = self.batch
+        if clock not in (None, batch.clock):
+            return self.generic_tick(clock, cycles)
         row = self.d[batch.clock_slot]
         for _ in range(cycles):
             started = self.alive.copy()
@@ -1454,10 +1457,7 @@ class BatchedSimulator:
 
     def tick(self, clock: str = "clock", cycles: int = 1) -> None:
         self.cohort.sync_alive()
-        if clock == self.batch.clock:
-            self.cohort.tick(cycles)
-        else:
-            self.cohort.generic_tick(clock, cycles)
+        self.cohort.tick(cycles, clock)
 
     def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
         cycles = 0

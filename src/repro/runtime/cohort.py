@@ -126,10 +126,7 @@ class CohortEngine:
         seconds (the one dispatch's, to be split across those lanes)."""
         cohort = self.cohort
         before = cohort.stmts_executed
-        if clock == self.batch.clock:
-            cohort.tick(1)
-        else:
-            cohort.generic_tick(clock, 1)
+        cohort.tick(1, clock)
         self.vector_ticks += 1
         return (SW_SECONDS_PER_TICK
                 + (cohort.stmts_executed - before) * SW_SECONDS_PER_STMT)
@@ -151,8 +148,7 @@ class CohortEngine:
         cohort = self.cohort
         cohort.sync_alive()
         clock = runtimes[0].clock
-        start = [runtime.sim_time for runtime in runtimes]
-        nows = np.array(start)
+        nows = np.array([runtime.sim_time for runtime in runtimes])
         times = cohort.times.copy()
         for _ in range(budget):
             started = cohort.alive.copy()
@@ -161,11 +157,11 @@ class CohortEngine:
                 break
             nows[started] += self._tick(clock) / live
         reports = []
-        for runtime, ticks, t0, now in zip(
-                runtimes, (cohort.times - times).tolist(), start,
-                nows.tolist()):
-            runtime.credit(TickStats(seconds=now - t0, ticks=ticks, now=now))
-            reports.append(SliceReport(ticks=ticks, seconds=now - t0,
+        for runtime, ticks, now in zip(
+                runtimes, (cohort.times - times).tolist(), nows.tolist()):
+            seconds = now - runtime.sim_time
+            runtime.credit(TickStats(seconds=seconds, ticks=ticks, now=now))
+            reports.append(SliceReport(ticks=ticks, seconds=seconds,
                                        finished=runtime.finished))
         return reports
 
@@ -226,8 +222,7 @@ class CohortLaneEngine(Engine):
         self._check_attached()
         cohort = self.cohort
         cohort.sync_alive()
-        if any(cohort.alive[m.lane] for m in self.engine.members
-               if m is not self):
+        if cohort.alive.sum() > cohort.alive[self.lane]:  # a live neighbour
             raise CohortError("run_chunk on one lane of a live cohort; "
                               "CohortEngine.advance steps them together")
         return super().run_chunk(clock, budget, now, until)

@@ -45,7 +45,6 @@ class TickStats:
     seconds: float = 0.0
     native_cycles: int = 0
     traps: int = 0
-    abi_messages: int = 0
     ticks: int = 1
     #: ABI time spent servicing traps (argument fetch, result set,
     #: continuation).  Batch-control messages amortize to nothing over
@@ -242,7 +241,6 @@ class HardwareEngine(Engine):
         so *now* advances once; *until* cannot apply on fabric.
         """
         stats = TickStats(ticks=0)
-        start_messages = self.channel.stats.messages
         start_seconds = self.channel.stats.seconds
         remaining = budget
         while remaining > 0 and not self.host.finished:
@@ -265,14 +263,11 @@ class HardwareEngine(Engine):
                 if (self.host.save_requested or self.host.restart_requested
                         or self.host.yield_asserted):
                     break  # control traps are handled between ticks
-        stats.abi_messages = self.channel.stats.messages - start_messages
         stats.seconds = (
             stats.native_cycles / self.clock_hz
             + (self.channel.stats.seconds - start_seconds)
         )
         stats.now = now + stats.seconds
-        if stats.ticks == 0:
-            stats.ticks = 1  # a fully-blocked tick still advances time
         return stats
 
     def _service_traps(self, reply, stats: TickStats) -> None:

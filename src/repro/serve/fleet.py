@@ -205,14 +205,12 @@ class Fleet:
         reports: Dict[str, SliceReport] = {}
         for name in names:
             cohort = self.tenant(name).residence
-            if name in reports:
-                continue  # a lane of a cohort already advanced
             if not isinstance(cohort, CohortEngine):
                 reports[name] = self.runtime(name).tick_chunk(budget)
-                continue
-            lanes = self.supervisor.residents[cohort]
-            runtimes = [tenant.runtime for tenant in lanes.values()]
-            reports.update(zip(lanes, cohort.advance(runtimes, budget)))
+            elif name not in reports:  # else its cohort already advanced
+                lanes = self.supervisor.residents[cohort]
+                runtimes = [tenant.runtime for tenant in lanes.values()]
+                reports.update(zip(lanes, cohort.advance(runtimes, budget)))
         return reports
 
     def checkpoint(self, name: str) -> None:

@@ -496,9 +496,8 @@ class ServeFrontend:
         for job in list(unit.jobs):
             if job.state is TenantState.CANCELLING:
                 self._terminate(job, TenantState.CANCELLED)
-            elif not self._retired(job):
-                continue
-            unit.jobs.remove(job)
+            if job.handle.done or self._retired(job):
+                unit.jobs.remove(job)
         if len(unit.jobs) < self.fleet.config.cohort_min_size:
             # Too small to vectorize: dissolve back to individual units.
             for job in unit.jobs:
