@@ -128,6 +128,8 @@ def audit_hypervisor(fleet, started, seen=None):
     # board loads + software + lanes == tenants (== placed jobs, above).
     for name, tenant in tenants.items():
         assert sup.residents[tenant.residence][name] is tenant
+        # ...and no engine is ahead of (or behind) its runtime.
+        assert tenant.runtime.engine.time == tenant.runtime.ticks
     population = {"board": sum(fleet.board_load(hv)
                                for hv in sup.hypervisors),
                   SOFTWARE: len(sup.residents.get(SOFTWARE, ())),

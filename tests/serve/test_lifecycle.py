@@ -413,6 +413,16 @@ def count_board_load_twice(monkeypatch):
     monkeypatch.setattr(Supervisor, "_book", mutant)
 
 
+def forget_a_lane_credit(monkeypatch):
+    advance = CohortEngine.advance
+
+    def mutant(self, runtimes, budget):
+        runtimes[0].credit = lambda stats: None
+        return advance(self, runtimes, budget)
+
+    monkeypatch.setattr(CohortEngine, "advance", mutant)
+
+
 @needs_cohorts
 class TestSeededMutations:
     def test_the_unmutated_serve_balances(self, monkeypatch):
@@ -427,7 +437,8 @@ class TestSeededMutations:
 
     @pytest.mark.parametrize("mutation", [
         skip_idle_retirement, skip_ring_drop, leave_member_behind,
-        count_board_load_twice], ids=lambda m: m.__name__)
+        count_board_load_twice, forget_a_lane_credit],
+        ids=lambda m: m.__name__)
     def test_audit_catches(self, monkeypatch, mutation):
         mutation(monkeypatch)
         with pytest.raises(AssertionError):
