@@ -159,13 +159,14 @@ class Supervisor:
         changes where it lives, and the only writer of the books.
 
         Leaves the current residence (a lane detaches; a board slot is
-        released, which a dead board cannot veto), rebuilds the runtime when the move carries a *context*
-        (everything that travels — state, ``$time``, VFS, display log —
-        is in it; the rebuilt clock starts no earlier than *not_before*
-        and is charged the restore latency, which is returned), and
-        arrives: a board attaches, a lane joins, a scalar engine is
-        built only for state that left a lane.  ``None`` is nowhere:
-        admission moves from it, release to it.
+        released, which a dead board cannot veto), rebuilds the runtime
+        when the move carries a *context* (everything that travels —
+        state, ``$time``, VFS, display log — is in it; the rebuilt clock
+        starts no earlier than *not_before* and is charged the restore
+        latency, which is returned), and arrives: a board attaches, a
+        lane joins, a scalar engine is built only for state that left a
+        lane.  ``None`` is nowhere: admission moves from it, release to
+        it.
         """
         old = tenant.runtime
         origin = tenant.residence if tenant.name in self.tenants else None
@@ -400,8 +401,8 @@ class Supervisor:
         Formation happens at a quiescence boundary (between logical
         ticks): each member moves from its scalar engine into a cohort
         lane, and the cohort then steps as one engine
-        (``CohortEngine.advance``).  Programs outside the vector subset (or a missing
-        NumPy) leave their group on scalar engines.  *names* restricts
+        (``CohortEngine.advance``).  Programs outside the vector subset
+        (or a missing NumPy) leave their group on scalar engines.  *names* restricts
         formation to a subset of tenants (the serving layer forms
         cohorts per priority class, so one class's lockstep schedule
         never couples to another's).  Returns the number of cohorts
