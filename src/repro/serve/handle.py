@@ -153,7 +153,7 @@ class TenantHandle:
     def cancel(self) -> bool:
         """Request cancellation; returns False once the job retired.
 
-        A queued job is dequeued and its slots released immediately; a
+        A queued job leaves the queue and frees its slots immediately; a
         running (or preempted) job is withdrawn at its next quiescence
         boundary — mid-tick state is never torn down.
         """
