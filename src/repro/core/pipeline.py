@@ -1,11 +1,15 @@
 """The full Synergy compilation pipeline.
 
 ``compile_program`` is the front door used by the runtime, the fabric
-backends, and the hypervisor: parse → flatten → analyze state →
-machinify.  The result bundles everything later stages need — the
-original flattened module (for software execution), the transformed
-module (for hardware execution), the task table (for servicing traps),
-and the state report (for capture and quiescence).
+backends, and the hypervisor.  A program has two halves.  The
+*software half* — parse → flatten → analyze state — is what
+``build_program`` runs and all a software engine (with opt → codegen
+behind it), a checkpoint or a journal record needs.  The *hardware
+half* — machinify → hardware text → synthesis/bitstream → slot code —
+is built when a board asks: ``CompiledProgram.transform`` (the
+transformed module and the task table for servicing traps) is computed
+on first read, once per program object, and shared through the store
+exactly as the program is.
 
 Since the compiler-service refactor this module holds only the *build*
 step and the result type; caching and content addressing live in
@@ -37,17 +41,26 @@ class CompiledProgram:
     digests below are stable whether the program arrived as raw
     Verilog text, a parsed source file, or an already-flattened module
     (§7: deterministic code generation increases cache hit rates).
+
+    The fields are the software half.  ``transform`` and the three
+    ``hardware_*`` properties are the hardware half: nothing on the
+    software path (admission, ticking, checkpoints, the journal) reads
+    them, so a tenant that never reaches a board never builds them.
     """
 
     source: str
     flat: ast.Module
     env: WidthEnv
-    transform: TransformResult
     state: StateReport
 
     @property
     def name(self) -> str:
         return self.flat.name
+
+    @cached_property
+    def transform(self) -> TransformResult:
+        """The §3 state machine and its task table, built on first read."""
+        return machinify(self.flat, self.env)
 
     @cached_property
     def hardware_text(self) -> str:
@@ -96,9 +109,7 @@ def build_program(parsed: ast.SourceFile,
     flat = flatten(parsed, top_name)
     text = print_module(flat)
     env = WidthEnv(flat)
-    transform = machinify(flat, env)
-    state = analyze_state(flat, env)
-    return CompiledProgram(text, flat, env, transform, state)
+    return CompiledProgram(text, flat, env, analyze_state(flat, env))
 
 
 def compile_program(

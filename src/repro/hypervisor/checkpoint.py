@@ -4,10 +4,12 @@ The hypervisor already detects quiescence (between logical ticks, or at
 ``$yield`` for Morphlets) — that is exactly when a tenant's state is
 portable.  The supervisor captures a :class:`~repro.runtime.runtime.Context`
 there every *checkpoint_every* ticks and keeps the last few in a ring
-per engine.  Each checkpoint records the tenant program's artifact-store
-digest: restore paths look bitstreams and slot codegen up by digest, so
-bringing a checkpoint back on a healthy board (or a software engine)
-never recompiles anything.
+per engine.  Each checkpoint records the tenant program's software
+digest (``CompiledProgram.digest``) — the key the journal's ``admit``
+record and ``Fleet.readmit`` use — so a snapshot names its program the
+way every other durable record does.  No restore path reads it (a
+restore recompiles the context's own ``program_source``, a store hit),
+and taking a checkpoint never touches the hardware half of a program.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Checkpoint:
     """One tenant context captured at a quiescence point."""
 
     engine_id: int
-    digest: str            #: artifact-store digest of the tenant program
+    digest: str            #: software digest of the tenant program
     ticks: int             #: logical time of the quiescence point
     sim_time: float        #: modeled wall time at capture
     context: Context

@@ -349,7 +349,7 @@ class Supervisor:
         context = suspend(runtime)
         checkpoint = Checkpoint(
             engine_id=tenant.key,
-            digest=runtime.program.hardware_digest,
+            digest=runtime.program.digest,
             ticks=runtime.ticks,
             sim_time=runtime.sim_time,
             context=context,

@@ -305,27 +305,6 @@ class Design:
         if decls_changed:
             self._env_dirty = True
 
-    # -- size metrics (per-pass reporting) ---------------------------------
-
-    def node_count(self) -> int:
-        """Total expression nodes across all items."""
-        total = 0
-        for item in self.items:
-            if isinstance(item, ast.ContinuousAssign):
-                total += expr_nodes(item.lhs) + expr_nodes(item.rhs)
-            elif isinstance(item, (ast.Always, ast.Initial)):
-                if isinstance(item, ast.Always) and item.sensitivity != ast.STAR:
-                    total += sum(expr_nodes(e.expr) for e in item.sensitivity)
-                for node in ast.walk_stmt(item.stmt):
-                    for expr in ast.stmt_exprs(node):
-                        total += expr_nodes(expr)
-            elif isinstance(item, ast.Decl) and item.init is not None:
-                total += expr_nodes(item.init)
-        return total
-
-    def process_count(self) -> int:
-        return len(self.processes())
-
     # -- derived analyses ---------------------------------------------------
 
     def _analyze(self) -> Dict[str, object]:
@@ -423,6 +402,28 @@ class Design:
         for name in list(drivers):
             cone(name, set())
         return memo
+
+
+def node_count(module: ast.Module) -> int:
+    """Total expression nodes across *module*'s items (reporting)."""
+    total = 0
+    for item in module.items:
+        if isinstance(item, ast.ContinuousAssign):
+            total += expr_nodes(item.lhs) + expr_nodes(item.rhs)
+        elif isinstance(item, (ast.Always, ast.Initial)):
+            if isinstance(item, ast.Always) and item.sensitivity != ast.STAR:
+                total += sum(expr_nodes(e.expr) for e in item.sensitivity)
+            for node in ast.walk_stmt(item.stmt):
+                for expr in ast.stmt_exprs(node):
+                    total += expr_nodes(expr)
+        elif isinstance(item, ast.Decl) and item.init is not None:
+            total += expr_nodes(item.init)
+    return total
+
+
+def process_count(module: ast.Module) -> int:
+    """Schedulable units in *module* (reporting)."""
+    return len(Design(module).processes())
 
 
 def _lhs_reads(lhs: ast.Expr) -> Set[str]:

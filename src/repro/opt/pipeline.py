@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.width import WidthEnv
 from . import passes
-from .ir import Design
+from .ir import Design, node_count, process_count
 
 #: Default optimization level when neither the caller nor
 #: ``REPRO_OPT_LEVEL`` says otherwise.
@@ -96,10 +97,6 @@ class OptResult:
     two_state: Optional[bool]
     #: pass name -> rewrites performed
     pass_counts: Dict[str, int] = field(default_factory=dict)
-    nodes_before: int = 0
-    nodes_after: int = 0
-    processes_before: int = 0
-    processes_after: int = 0
     #: item index -> enable expression for gated clocked blocks (the
     #: ``gate`` pass); empty at level 0 or when nothing is gated
     clock_gates: Dict[int, ast.Expr] = field(default_factory=dict)
@@ -108,6 +105,16 @@ class OptResult:
     def specialize(self) -> bool:
         """Does this result license the specialized code generator?"""
         return self.level > 0 and bool(self.two_state)
+
+    @cached_property
+    def nodes_after(self) -> int:
+        """Expression nodes in the optimized module, counted when read."""
+        return node_count(self.module)
+
+    @cached_property
+    def processes_after(self) -> int:
+        """Processes in the optimized module, counted when read."""
+        return process_count(self.module)
 
 
 def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
@@ -123,8 +130,6 @@ def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
     """
     level = resolve_opt_level(level)
     design = Design(module, env=env, keep=keep)
-    nodes_before = design.node_count()
-    procs_before = design.process_count()
     counts: Dict[str, int] = {}
     for name, fn in _PIPELINES[level]:
         result = fn(design)
@@ -142,9 +147,5 @@ def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
         fingerprint=pipeline_fingerprint(level),
         two_state=design.two_state,
         pass_counts=counts,
-        nodes_before=nodes_before,
-        nodes_after=design.node_count(),
-        processes_before=procs_before,
-        processes_after=design.process_count(),
         clock_gates=dict(design.clock_gates) if level > 0 else {},
     )

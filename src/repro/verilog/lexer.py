@@ -80,35 +80,25 @@ _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _DIRECTIVE_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)")
 
 
+#: a line comment, a block comment or a string — then, so that each is
+#: reported where it opens, a block comment or string that never closes
+_COMMENT_RE = re.compile(
+    r'//[^\n]*|/\*[\s\S]*?\*/|' + _STRING_RE.pattern + r'|/\*|"')
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank_comment(m: re.Match[str]) -> str:
+    found = m.group(0)
+    if found in ('"', "/*"):
+        what = "string" if found == '"' else "block comment"
+        raise LexError(f"unterminated {what}", SourcePos(
+            m.string.count("\n", 0, m.start()) + 1, 1))
+    return found if found[0] == '"' else _NOT_NEWLINE_RE.sub(" ", found)
+
+
 def _strip_comments(text: str) -> str:
     """Replace comments with whitespace, preserving line structure."""
-    out: List[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            if j == -1:
-                j = n
-            out.append(" " * (j - i))
-            i = j
-        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j == -1:
-                raise LexError("unterminated block comment", SourcePos(text.count("\n", 0, i) + 1, 1))
-            chunk = text[i : j + 2]
-            out.append("".join("\n" if c == "\n" else " " for c in chunk))
-            i = j + 2
-        elif ch == '"':
-            m = _STRING_RE.match(text, i)
-            if not m:
-                raise LexError("unterminated string", SourcePos(text.count("\n", 0, i) + 1, 1))
-            out.append(m.group(0))
-            i = m.end()
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_blank_comment, text)
 
 
 class Preprocessor:

@@ -4,9 +4,10 @@ import os
 
 import pytest
 
+from repro.fabric import DE10
 from repro.fabric.faults import FaultPlan
 from repro.hypervisor import (
-    Checkpoint, JournalError, TenantJournal,
+    Checkpoint, Hypervisor, JournalError, Supervisor, TenantJournal,
 )
 from repro.runtime.runtime import Context
 
@@ -153,3 +154,28 @@ class TestSnapshots:
         journal.drop_snapshots("t")
         assert not any(f.name.endswith(".ckpt")
                        for f in os.scandir(journal.snapshot_dir))
+
+
+COUNTER = """
+module counter(input wire clock);
+  reg [7:0] n = 0;
+  always @(posedge clock) n <= n + 1;
+endmodule
+"""
+
+
+def test_snapshot_and_admit_record_name_the_same_program(tmp_path):
+    """A snapshot carries the software digest — the key the ``admit``
+    record beside it carries — wherever the tenant lives."""
+    journal = TenantJournal(tmp_path)
+    sup = Supervisor([Hypervisor(DE10)], checkpoint_every=2, journal=journal)
+    sup.admit("sw", COUNTER, software=True)
+    assert sup.admit("hw", COUNTER).host is not None
+    for name in ("sw", "hw"):
+        sup.run(name, 4)
+    image = journal.replay()
+    for name in ("sw", "hw"):
+        entry = image.tenants[name]
+        snapshot = journal.load_snapshot(entry.snapshots[-1])
+        assert (entry.digest == snapshot["digest"]
+                == sup.tenants[name].runtime.program.digest)

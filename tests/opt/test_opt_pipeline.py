@@ -8,7 +8,9 @@ behaviour the reference interpreter cannot distinguish from the
 original's.
 """
 
+import hashlib
 import os
+import pickle
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.fuzz import generate, state_names
 from repro.interp import Simulator, TaskHost
 from repro.opt import Design, optimize_module, pipeline_fingerprint
 from repro.opt import passes as P
+from repro.opt.ir import node_count, process_count
 from repro.verilog import flatten, parse, print_module
 
 GOLDEN_SRC = """
@@ -64,7 +67,8 @@ def test_golden_o2_snapshot():
     result = optimize_module(flat, level=2)
     assert print_module(result.module) == GOLDEN_O2
     assert result.two_state is True
-    assert result.processes_after < result.processes_before
+    assert (node_count(flat), result.nodes_after) == (31, 25)
+    assert (process_count(flat), result.processes_after) == (8, 5)
 
 
 def test_level0_is_identity():
@@ -72,6 +76,25 @@ def test_level0_is_identity():
     result = optimize_module(flat, level=0)
     assert result.module is flat
     assert result.specialize is False
+
+
+def test_reporting_counts_are_read_on_demand():
+    """``nodes_after`` / ``processes_after`` are counted when read, not
+    on every build; the values are the ones the build used to store
+    (pinned from the commit that stored them: fuzz seeds 0-99)."""
+    rows = []
+    for seed in range(100):
+        program = generate(seed)
+        flat = flatten(parse(program.source), program.module.name)
+        result = optimize_module(flat, level=2)
+        assert not {"nodes_after", "processes_after"} & set(vars(result))
+        copy = pickle.loads(pickle.dumps(result))
+        assert not {"nodes_after", "processes_after"} & set(vars(copy))
+        rows.append((copy.nodes_after, copy.processes_after))
+        assert rows[-1] == (result.nodes_after, result.processes_after)
+    assert (sum(n for n, _ in rows), sum(p for _, p in rows)) == (17488, 445)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == \
+        "663a56fe473f6ef1"
 
 
 def test_deterministic_output():
@@ -134,8 +157,8 @@ def test_hierarchical_design_is_what_alias_and_dce_are_for():
     result = optimize_module(flat, level=2)
     assert result.pass_counts["alias"] == 37
     assert result.pass_counts["dce"] == 44
-    assert (result.nodes_before, result.nodes_after) == (292, 242)
-    assert (result.processes_before, result.processes_after) == (70, 48)
+    assert (node_count(flat), result.nodes_after) == (292, 242)
+    assert (process_count(flat), result.processes_after) == (70, 48)
     reparsed = parse(print_module(result.module)).modules[-1]
     assert _behaviour(reparsed, 24, names) == want
 

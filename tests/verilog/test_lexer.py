@@ -253,3 +253,114 @@ class TestOperatorRegexEquivalence:
         for seed in range(50):
             text = generate(seed).source
             assert tokenize(text) == _tokenize_reference(text), seed
+
+
+def _strip_comments_reference(text):
+    """The pre-regex comment stripper, frozen: one Python step per
+    character.  Kept only as the oracle for
+    ``TestCommentRegexEquivalence``."""
+    from repro.verilog import lexer as lx
+    from repro.verilog.ast_nodes import SourcePos
+
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            if j == -1:
+                j = n
+            out.append(" " * (j - i))
+            i = j
+        elif ch == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            if j == -1:
+                raise LexError("unterminated block comment",
+                               SourcePos(text.count("\n", 0, i) + 1, 1))
+            chunk = text[i:j + 2]
+            out.append("".join("\n" if c == "\n" else " " for c in chunk))
+            i = j + 2
+        elif ch == '"':
+            m = lx._STRING_RE.match(text, i)
+            if not m:
+                raise LexError("unterminated string",
+                               SourcePos(text.count("\n", 0, i) + 1, 1))
+            out.append(m.group(0))
+            i = m.end()
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+class TestCommentRegexEquivalence:
+    """One substitution vs the frozen character loop: same text out
+    (strings kept, comments blanked, every newline and column where it
+    was), same error at the same position."""
+
+    @staticmethod
+    def same(text):
+        from repro.verilog.lexer import _strip_comments
+
+        assert _strip_comments(text) == _strip_comments_reference(text)
+
+    def test_table1_sources(self):
+        from repro.bench import BENCHMARKS
+        from repro.harness.common import bench_source_kwargs
+
+        for name, bench in BENCHMARKS.items():
+            self.same(bench.source(**bench_source_kwargs(name)))
+
+    def test_fuzz_seeds(self):
+        from repro.fuzz.gen import generate
+
+        for seed in range(200):
+            self.same(generate(seed).source)
+
+    def test_corpus(self):
+        import os
+
+        corpus = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+        names = sorted(os.listdir(corpus))
+        assert names
+        for name in names:
+            with open(os.path.join(corpus, name)) as handle:
+                self.same(handle.read())
+
+    @pytest.mark.parametrize("text", [
+        'x = "// not a comment"; y = "/* nor this */";',
+        '// a "string in a line comment\nz',
+        '/* a "string in a block comment */ z',
+        'a /* spans\n\n  lines */ b // tail\nc',
+        '"escaped \\" quote // still string" // comment',
+        "/*/ not closed by its own slash */ a / b /",
+        "/**/a//",
+        '"a string\nacross lines" /* c */',
+    ])
+    def test_hand_cases(self, text):
+        from repro.verilog.lexer import _strip_comments
+
+        self.same(text)
+        out = _strip_comments(text)
+        assert len(out) == len(text)
+        assert [i for i, c in enumerate(out) if c == "\n"] == \
+            [i for i, c in enumerate(text) if c == "\n"]
+
+    @pytest.mark.parametrize("text", [
+        "a /* never closed",
+        "a\n\n  /* on line three",
+        "/*/",
+        'x = "never closed',
+        'a\n"escape at the end\\',
+        '"backslash-newline\\\nends it"',
+        'a "ok" /* open \n "',
+    ])
+    def test_unterminated_raises_at_the_same_position(self, text):
+        from repro.verilog.lexer import _strip_comments
+
+        with pytest.raises(LexError) as want:
+            _strip_comments_reference(text)
+        with pytest.raises(LexError) as got:
+            _strip_comments(text)
+        assert str(got.value) == str(want.value)
+        assert got.value.pos == want.value.pos
