@@ -54,6 +54,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(f"// period plan: {code.period_plan}"
               + (f" ({code.period_refused})" if code.period_refused else ""),
               file=sys.stderr)
+        for name, how in code.strategy.items():
+            print(f"// {name}: {how}", file=sys.stderr)
+        print("// counted loops {counted}/{loops}, guards dropped {guards}, "
+              "masks dropped {masks}".format(**code.facts), file=sys.stderr)
         return 0
     print(program.hardware_text)
     print(f"// states: {program.transform.n_states}, "

@@ -75,10 +75,6 @@ class ZoneAllocator:
             self._timeshared.remove(morphlet_id)
 
     @property
-    def spatial_residents(self) -> List[int]:
-        return list(self._residents)
-
-    @property
     def timeshared(self) -> List[int]:
         return list(self._timeshared)
 

@@ -350,11 +350,6 @@ class SimulatedBoard:
 
     # -- accounting -------------------------------------------------------------------------
 
-    def slot_seconds(self, engine_id: int) -> float:
-        """Simulated wall time consumed by one slot's native cycles."""
-        slot = self._slot(engine_id)
-        return slot.native_cycles / self.clock_hz
-
     def utilization(self) -> Dict[str, float]:
         """Fractions of device resources used by the programmed design."""
         if self.bitstream is None:

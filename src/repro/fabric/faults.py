@@ -158,9 +158,6 @@ class FaultPlan:
             self.injected[kind] += 1
         return fired
 
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Injection counters, the ``stats()`` idiom of the stack."""
         return {

@@ -235,6 +235,9 @@ class VectorExprCompiler(ExprCompiler):
         super().__init__(env, layout.slot_of, layout.mem_slot_of)
         self.strict = True
         self.slot_src = "st.d[{}]".format
+        #: only ``vector_licensed`` (two-state) modules get here: the
+        #: mask-free selects and sums are inherited, no loop binds
+        self.bound = {}
 
     def mem_ref(self, name: str) -> str:
         if self.env.signal(name).base < 0:
@@ -277,7 +280,8 @@ class VectorExprCompiler(ExprCompiler):
     def _mem_word(self, memory, idx):
         return f"{memory}[:, {idx}]"
 
-    def _mem_guarded(self, memory, idx, depth):
+    def _mem_guarded(self, memory, idx, depth, proved):
+        # Kept even when *proved*: one compare checks every lane.
         # ``idx`` already has the base address subtracted, modulo 2^64:
         # an address below the base wraps far above any depth.
         return f"H_mget({memory}, st.lanes, {idx}, {depth})"

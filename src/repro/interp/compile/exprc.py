@@ -30,7 +30,8 @@ from ...verilog.width import WidthEnv, WidthError, const_eval
 # legality (CSE, hoisting, DCE) and strict-codegen legality must agree
 # on exactly which system functions are side-effect-free, so there is
 # one definition (re-exported here under the emitter's historic names).
-from ...opt.ir import expr_nodes, expr_pure as expr_is_pure
+from ...opt.ir import expr_key, expr_nodes, expr_pure as expr_is_pure
+from ...opt.ranges import interval
 
 
 class CompileFallback(Exception):
@@ -136,6 +137,11 @@ class ExprCompiler:
     #: the constant shifts / select offsets a machine word cannot hold.
     word: Optional[int] = None
 
+    #: the range-fact licence: ``None`` (always at ``-O0``) keeps every
+    #: guard and mask; a dict (loop variable → range while its counted
+    #: body is emitted) lets :meth:`fits` delete the ones proved idle
+    bound: Optional[Dict[str, range]] = None
+
     def __init__(self, env: WidthEnv, slot_of: Dict[str, int],
                  mem_slot_of: Dict[str, int]):
         self.env = env
@@ -164,6 +170,8 @@ class ExprCompiler:
         #: emits one prelude line into the enclosing statement position
         self._hoist_sink = None
         self._hoists = 0
+        #: what the range facts licensed (``--sim-source`` prints it)
+        self.facts = {"loops": 0, "counted": 0, "guards": 0, "masks": 0}
 
     @staticmethod
     def _direct_slot(slot: int) -> str:
@@ -191,12 +199,21 @@ class ExprCompiler:
     def mem_ref(self, name: str) -> str:
         return f"m{self.mem_slot_of[name]}"
 
-    def _try_const(self, expr: ast.Expr):
+    def try_const(self, expr: ast.Expr):
         """Compile-time value of *expr*, or None if not constant."""
         try:
             return const_eval(expr, self.env.params)
         except WidthError:
             return None
+
+    def fits(self, expr: ast.Expr, lo: int, hi: int, kind: str) -> bool:
+        """Do the range facts prove ``lo <= expr <= hi``?  Never without
+        the licence; a yes is booked as one dropped check of *kind*."""
+        proved = self.bound is not None and interval(expr, self.env, self.bound)
+        if not proved or proved[0] < lo or proved[1] > hi:
+            return False
+        self.facts[kind] += 1
+        return True
 
     # -- public entry points -----------------------------------------------
 
@@ -256,7 +273,7 @@ class ExprCompiler:
         ``int`` that no ``uint64`` can hold.
         """
         if (isinstance(e, ast.Binary) and e.op in ("+", "-", "*")
-                and (self.word is None or self._try_const(e) is None)):
+                and (self.word is None or self.try_const(e) is None)):
             return (f"(({self._ex_chain(e.left, w)}) {e.op} "
                     f"({self._ex_chain(e.right, w)}))")
         return self._ex(e, w)
@@ -287,8 +304,6 @@ class ExprCompiler:
         precisely because strict-compiled expressions are pure, total
         (every partial operation is guarded), and two-state.
         """
-        from ...opt.ir import expr_key
-
         counts: Dict[tuple, int] = {}
         for root in roots:
             for node in ast.walk_expr(root):
@@ -313,8 +328,6 @@ class ExprCompiler:
                                   f"{self.word}-bit lane word")
         if self._hoist_counts is not None and not isinstance(
                 e, (ast.Number, ast.Identifier, ast.String)):
-            from ...opt.ir import expr_key
-
             key = expr_key(e)
             if key in self._hoist_counts:
                 var = self._hoist_memo.get((key, w))
@@ -400,7 +413,7 @@ class ExprCompiler:
             base = self._ex(e.base, self.env.width_of(e.base))
             return self._bit_of(base, self.compile(e.index))
         sig = self.env.signal(e.base.name)
-        cidx = self._try_const(e.index)
+        cidx = self.try_const(e.index)
         if sig.is_memory:
             memory = self.mem_ref(e.base.name)
             if cidx is not None:
@@ -408,10 +421,13 @@ class ExprCompiler:
                 if 0 <= idx < (sig.depth or 0):
                     return self._mem_word(memory, idx)
                 return "0"
+            depth = sig.depth or 0
+            proved = self.fits(e.index, sig.base, sig.base + depth - 1,
+                               "guards")
             idx = self.compile(e.index)
             if sig.base:
                 idx = f"({idx}) - {sig.base}"
-            return self._mem_guarded(memory, idx, sig.depth or 0)
+            return self._mem_guarded(memory, idx, depth, proved)
         slot = self.slot_of[e.base.name]
         if cidx is not None:
             offset = sig.bit_offset(cidx)
@@ -427,6 +443,9 @@ class ExprCompiler:
             if low < 0 or (self.word is not None and low >= self.word):
                 return "0"
             sel_mask = (1 << sel_width) - 1
+            if self.fits(e.base, 0, ((sel_mask + 1) << low) - 1, "masks"):
+                # reaches the top of all the base can hold: nothing to clear
+                return f"({base} >> {low})" if low else base
             return f"(({base} >> {low}) & {sel_mask})" if low else f"({base} & {sel_mask})"
         sel_width = const_eval(e.lsb, self.env.params)
         return self._range_dyn(e, base, self.compile(e.msb), sel_width)
@@ -468,7 +487,7 @@ class ExprCompiler:
             left = self._ex(e.left, w)
             arith_right = op == ">>>" and self.env.is_signed(e.left)
             sb = self.lit_ref(1 << (w - 1)) if w else "0"
-            cshift = self._try_const(e.right)
+            cshift = self.try_const(e.right)
             if cshift is not None:
                 # The oracle evaluates the amount at its own width, so a
                 # negative constant masks to a huge unsigned value.
@@ -503,6 +522,8 @@ class ExprCompiler:
             else:
                 left = self._ex(e.left, w)
                 right = self._ex(e.right, w)
+            if op != "*" and self.fits(e, 0, mw, "masks"):
+                return f"(({left}) {op} ({right}))"  # proved not to wrap
             return f"((({left}) {op} ({right})) & {self.lit_ref(mw)})"
         left = self._ex(e.left, w)
         right = self._ex(e.right, w)
@@ -565,7 +586,10 @@ class ExprCompiler:
     def _mem_word(self, memory: str, idx: int) -> str:
         return f"{memory}[{idx}]"
 
-    def _mem_guarded(self, memory: str, idx: str, depth: int) -> str:
+    def _mem_guarded(self, memory: str, idx: str, depth: int,
+                     proved: bool) -> str:
+        if proved:  # the index interval lies inside the memory
+            return f"{memory}[{idx}]"
         # Guarded read inlined via a walrus binding: the index is
         # evaluated exactly once (in the condition, i.e. before the
         # word load — the interpreter's order) and the per-access

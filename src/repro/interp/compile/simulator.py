@@ -437,6 +437,7 @@ class CompiledModuleCode:
     def _generate(self) -> None:
         layout = self.layout
         ec = ExprCompiler(self.env, layout.slot_of, layout.mem_slot_of)
+        ec.bound = {} if self.specialize else None  # range-fact licence
         pc = ProcessCompiler(ec, self.watched)
         lines: List[str] = []
         for proc in self.processes:
@@ -481,6 +482,10 @@ class CompiledModuleCode:
                                 + self._period_source())
         self.code = compile(self.source, "<repro-compiled>", "exec")
         self.consts: Tuple[object, ...] = tuple(ec.consts)
+        #: process name -> "specialized" | "generic (<first fallback>)",
+        #: and what the range facts licensed; ``--sim-source`` prints both
+        self.strategy: Dict[str, str] = pc.strategy
+        self.facts: Dict[str, int] = ec.facts
 
     def _period_source(self) -> List[str]:
         """``comb()``, ``latch()`` and ``period()``: one clock period as code.

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...verilog import ast_nodes as ast
+from ...opt.ranges import counted_loop
 from ...verilog.width import WidthError, const_eval
 from ..simulator import _MAX_LOOP_ITERATIONS
 from .exprc import (
@@ -69,6 +70,11 @@ class ProcessCompiler:
         #: True while a coalesced run's members emit (their counters
         #: were already merged into one bump)
         self._suppress_count = False
+        #: [body indent, stmts, ops] of the innermost abort-free counted
+        #: loop: bumps at that indent collect here, charged ``trips x k``
+        self._loop: Optional[List[int]] = None
+        #: process name -> the strategy it got (and why not the other)
+        self.strategy: Dict[str, str] = {}
 
     # -- small emission helpers -------------------------------------------
 
@@ -110,14 +116,20 @@ class ProcessCompiler:
         self.ec.strict = False
         return order, written
 
-    def _cache_frame(self, order: Sequence[int], written: Set[int],
-                     ind: int) -> Tuple[List[str], List[str]]:
-        """(prologue loads, epilogue stores) for one cached body."""
-        pad = "    " * ind
-        loads = [f"{pad}L{slot} = d[{slot}]" for slot in order]
-        stores = [f"{pad}d[{slot}] = L{slot}"
-                  for slot in order if slot in written]
-        return loads, stores
+    def _frame(self, name: str, body: List[str], order: Sequence[int] = (),
+               written: Set[int] = frozenset()) -> List[str]:
+        """One process function: cached slots load ahead of the body
+        and flush, with the counters, in a ``finally`` — a mid-body
+        abort (``$finish``, an iteration guard) still publishes every
+        write and every statement counted up to it; a slot the body
+        never reached flushes its entry value, a no-op."""
+        return ([f"def {name}():", "    _st = 0; _ops = 0"]
+                + [f"    L{slot} = d[{slot}]" for slot in order]
+                + ["    try:"] + (body or ["        pass"]) + ["    finally:"]
+                + [f"        d[{slot}] = L{slot}"
+                   for slot in order if slot in written]
+                + ["        S.stmts_executed += _st",
+                   "        EVC.ops_evaluated += _ops", ""])
 
     # -- slot write emission ------------------------------------------------
 
@@ -175,40 +187,41 @@ class ProcessCompiler:
             if sig.is_memory:
                 mem = self.ec.mem_ref(lhs.base.name)
                 mslot = self.ec.mem_slot_of[lhs.base.name]
-                word_mask = self.ec.lit_ref((1 << sig.width) - 1)
-                if (self._frozen.get(id(lhs.index)) is None
-                        and self._is_const(lhs.index)):
+                depth = sig.depth or 0
+                cidx = (None if self._frozen.get(id(lhs.index))
+                        else self.ec.try_const(lhs.index))
+                if cidx is not None:
                     # Constant address: resolve the bounds check now.
-                    cidx = const_eval(lhs.index, self.env.params) - sig.base
-                    if not 0 <= cidx < (sig.depth or 0):
+                    if not 0 <= cidx - sig.base < depth:
                         return  # out-of-range writes are dropped
-                    word = self._gensym("w")
-                    self._emit(ind, f"{word} = {value} & {word_mask}")
-                    if mslot in self.watched:
-                        self._emit(ind, f"if {mem}[{cidx}] != {word}:")
-                        self._emit(ind + 1, f"{mem}[{cidx}] = {word}")
-                        self._mark(mslot, ind + 1)
-                    else:
-                        self._emit(ind, f"{mem}[{cidx}] = {word}")
-                    return
-                idx = self._gensym("a")
-                base = f" - {sig.base}" if sig.base else ""
-                self._emit(ind, f"{idx} = ({self._index_src(lhs.index)}){base}")
-                self._emit(ind, f"if 0 <= {idx} < {sig.depth}:")
-                word = self._gensym("w")
-                self._emit(ind + 1, f"{word} = {value} & {word_mask}")
-                if mslot in self.watched:
-                    self._emit(ind + 1, f"if {mem}[{idx}] != {word}:")
-                    self._emit(ind + 2, f"{mem}[{idx}] = {word}")
-                    self._mark(mslot, ind + 2)
+                    idx = str(cidx - sig.base)
                 else:
+                    proved = self.ec.fits(lhs.index, sig.base,
+                                          sig.base + depth - 1, "guards")
+                    idx = f"({self._index_src(lhs.index)})"
+                    if sig.base:
+                        idx += f" - {sig.base}"
+                    if not proved or mslot in self.watched:
+                        addr = self._gensym("a")
+                        self._emit(ind, f"{addr} = {idx}")
+                        idx = addr
+                    if not proved:
+                        self._emit(ind, f"if 0 <= {idx} < {depth}:")
+                        ind += 1
+                word = value
+                if value_width > sig.width:
+                    word = self._gensym("w")
+                    self._emit(ind, f"{word} = {value} & "
+                                    f"{self.ec.lit_ref((1 << sig.width) - 1)}")
+                if mslot in self.watched:
+                    self._emit(ind, f"if {mem}[{idx}] != {word}:")
                     self._emit(ind + 1, f"{mem}[{idx}] = {word}")
+                    self._mark(mslot, ind + 1)
+                else:
+                    self._emit(ind, f"{mem}[{idx}] = {word}")
                 return
             slot = self.ec.slot_of[lhs.base.name]
-            try:
-                cidx = const_eval(lhs.index, self.env.params)
-            except WidthError:
-                cidx = None
+            cidx = self.ec.try_const(lhs.index)
             offset_src: Optional[str] = None
             if cidx is not None:
                 offset = sig.bit_offset(cidx)
@@ -304,12 +317,14 @@ class ProcessCompiler:
     def _count(self, ind: int, stmts: int, ops: int) -> None:
         if self._suppress_count:
             return
-        if stmts and ops:
-            self._emit(ind, f"_st += {stmts}; _ops += {ops}")
-        elif ops:
-            self._emit(ind, f"_ops += {ops}")
-        elif stmts:
-            self._emit(ind, f"_st += {stmts}")
+        if self._loop and ind == self._loop[0]:
+            self._loop[1] += stmts
+            self._loop[2] += ops
+            return
+        bumps = ([f"_st += {stmts}"] if stmts else []) + (
+            [f"_ops += {ops}"] if ops else [])
+        if bumps:
+            self._emit(ind, "; ".join(bumps))
 
     def _emit_stmt(self, stmt: ast.Stmt, ind: int) -> None:
         if isinstance(stmt, ast.Assign):
@@ -376,30 +391,29 @@ class ProcessCompiler:
         if isinstance(stmt, ast.Case):
             self._emit_case(stmt, ind)
             return
-        if isinstance(stmt, ast.For):
+        if isinstance(stmt, (ast.For, ast.While)):
+            kind = "for" if isinstance(stmt, ast.For) else "while"
+            if kind == "for":
+                self.ec.facts["loops"] += 1
+                trips = self._counted(stmt)
+                if trips is not None:
+                    self._emit_counted(stmt, trips, ind)
+                    return
             self._count(ind, 1, 0)
-            self.emit_stmt(stmt.init, ind)
+            if kind == "for":
+                self.emit_stmt(stmt.init, ind)
             guard = self._gensym("it")
             self._emit(ind, f"{guard} = 0")
             self._emit(ind, f"while {self.ec.compile_cond(stmt.cond)}:")
-            self._count(ind + 1, 0, expr_nodes(stmt.cond))
+            if kind == "for":
+                self._count(ind + 1, 0, expr_nodes(stmt.cond))
             self.emit_stmt(stmt.body, ind + 1)
-            self.emit_stmt(stmt.step, ind + 1)
+            if kind == "for":
+                self.emit_stmt(stmt.step, ind + 1)
             self._emit(ind + 1, f"{guard} += 1")
             self._emit(ind + 1, f"if {guard} > {_MAX_LOOP_ITERATIONS}:")
             self._emit(ind + 2, "raise SimulationError("
-                                "'for-loop iteration limit exceeded')")
-            return
-        if isinstance(stmt, ast.While):
-            self._count(ind, 1, 0)
-            guard = self._gensym("it")
-            self._emit(ind, f"{guard} = 0")
-            self._emit(ind, f"while {self.ec.compile_cond(stmt.cond)}:")
-            self.emit_stmt(stmt.body, ind + 1)
-            self._emit(ind + 1, f"{guard} += 1")
-            self._emit(ind + 1, f"if {guard} > {_MAX_LOOP_ITERATIONS}:")
-            self._emit(ind + 2, "raise SimulationError("
-                                "'while-loop iteration limit exceeded')")
+                                f"'{kind}-loop iteration limit exceeded')")
             return
         if isinstance(stmt, ast.RepeatStmt):
             self._count(ind, 1, expr_nodes(stmt.count))
@@ -418,7 +432,53 @@ class ProcessCompiler:
             return
         # System tasks (and anything else) run through the reference
         # interpreter against the slot store: identical output, cold path.
-        raise CompileFallback(type(stmt).__name__)
+        raise CompileFallback(
+            f"system task {stmt.name}" if isinstance(stmt, ast.SysTask)
+            else type(stmt).__name__)
+
+    def _counted(self, stmt: ast.For) -> Optional[range]:
+        """The loop variable's values, when a specialized body may count
+        through them (unwatched: no mark to place), else ``None``."""
+        trips = (None if self._cache is None else
+                 counted_loop(stmt, self.env, _MAX_LOOP_ITERATIONS))
+        watched = (trips is not None and
+                   self.ec.slot_of[stmt.init.lhs.name] in self.watched)
+        return None if watched else trips
+
+    def _may_abort(self, stmt: Optional[ast.Stmt]) -> bool:
+        """Only an iteration guard raises inside a strict body."""
+        return stmt is not None and any(
+            isinstance(node, ast.While)
+            or (isinstance(node, ast.For) and self._counted(node) is None)
+            for node in ast.walk_stmt(stmt))
+
+    def _emit_counted(self, stmt: ast.For, trips: range, ind: int) -> None:
+        """``for L in range(...)`` + the exit value; counters equal the
+        ``while`` form's (condition nodes, body, one statement + step
+        nodes an iteration) wherever an abort could observe them."""
+        self.ec.facts["counted"] += 1
+        name = stmt.init.lhs.name
+        slot = self.ec.slot_of[name]
+        local = self._cached_slot(slot)
+        self._cache_written.add(slot)
+        outer_lines, self.lines = self.lines, []
+        outer, self._loop = self._loop, [
+            -1 if self._may_abort(stmt.body) else ind + 1, 0, 0]
+        self.ec.bound[name] = trips
+        try:
+            self._count(ind + 1, 0, expr_nodes(stmt.cond))
+            self.emit_stmt(stmt.body, ind + 1)
+            self._count(ind + 1, 1, expr_nodes(stmt.step.rhs))
+        finally:
+            del self.ec.bound[name]
+            body, self.lines = self.lines, outer_lines
+            (_, per_st, per_ops), self._loop = self._loop, outer
+        self._count(ind, 2 + len(trips) * per_st,
+                    expr_nodes(stmt.init.rhs) + len(trips) * per_ops)
+        self._emit(ind, f"for {local} in range({trips.start}, {trips.stop},"
+                        f" {trips.step}):")
+        self.lines.extend(body or ["    " * (ind + 1) + "pass"])
+        self._emit(ind, f"{local} = {trips.start + len(trips) * trips.step}")
 
     def _emit_block_coalesced(self, stmts, ind: int) -> None:
         """Emit a block body with straight-line counter runs merged.
@@ -495,21 +555,14 @@ class ProcessCompiler:
 
     # -- writers (non-blocking assignment targets) ---------------------------
 
-    def _is_const(self, expr: ast.Expr) -> bool:
-        try:
-            const_eval(expr, self.env.params)
-            return True
-        except WidthError:
-            return False
-
     def _dynamic_indices(self, lhs: ast.Expr) -> List[ast.Expr]:
         """LHS index expressions that must be evaluated at the site."""
         out: List[ast.Expr] = []
         if isinstance(lhs, ast.Index):
-            if not self._is_const(lhs.index):
+            if self.ec.try_const(lhs.index) is None:
                 out.append(lhs.index)
         elif isinstance(lhs, ast.RangeSelect):
-            if lhs.mode != ":" and not self._is_const(lhs.msb):
+            if lhs.mode != ":" and self.ec.try_const(lhs.msb) is None:
                 out.append(lhs.msb)
         elif isinstance(lhs, ast.Concat):
             for part in lhs.parts:
@@ -581,54 +634,34 @@ class ProcessCompiler:
                            specialize: bool = False) -> List[str]:
         """Function source for an always/initial block body.
 
-        Counters flush in a ``finally`` so a ``$finish`` raised mid-block
-        still records the statements executed up to it, matching the
-        interpreter's incremental counting.  With *specialize*, the
-        slot-cached strategy is attempted first; bodies that need any
-        interpreter escape silently keep the generic strategy.
+        With *specialize*, the slot-cached strategy is attempted first;
+        a body that needs any interpreter escape keeps the generic one
+        and ``strategy`` records the escape.
         """
+        self.strategy[name] = "generic (no two-state licence)"
         if specialize:
+            booked = dict(self.ec.facts)
             try:
-                return self._compile_procedural_cached(name, stmt)
-            except (CompileFallback, WidthError):
-                pass
+                lines = self._compile_procedural_cached(name, stmt)
+                self.strategy[name] = "specialized"
+                return lines
+            except (CompileFallback, WidthError) as why:
+                self.strategy[name] = f"generic ({why})"
+                self.ec.facts = booked
         self.lines = []
-        lines = [f"def {name}():", "    _st = 0; _ops = 0", "    try:"]
         self.emit_stmt(stmt, 2)
-        lines.extend(self.lines)
-        lines.append("    finally:")
-        lines.append("        S.stmts_executed += _st")
-        lines.append("        EVC.ops_evaluated += _ops")
-        lines.append("")
-        return lines
+        return self._frame(name, self.lines)
 
     def _compile_procedural_cached(self, name: str, stmt: ast.Stmt) -> List[str]:
-        """The specialized strategy: loads hoisted, stores flushed once.
-
-        The flush lives in a ``finally`` so a mid-body abort (e.g. the
-        loop-iteration guard) still publishes every write performed up
-        to the abort point — slots the body never reached flush their
-        unchanged entry value, a no-op.
-        """
+        """The specialized strategy: loads hoisted, stores flushed once."""
         self.lines = []
         self._begin_cache()
         try:
             self.emit_stmt(stmt, 2)
-            body = self.lines
-            order, written = self._end_cache()
         except BaseException:
-            self._end_cache()
             self.lines = []
             raise
-        loads, stores = self._cache_frame(order, written, 1)
-        lines = [f"def {name}():", "    _st = 0; _ops = 0"]
-        lines.extend(loads)
-        lines.append("    try:")
-        lines.extend(body or ["        pass"])
-        lines.append("    finally:")
-        lines.extend(["    " + s for s in stores])
-        lines.append("        S.stmts_executed += _st")
-        lines.append("        EVC.ops_evaluated += _ops")
-        lines.append("")
-        self.lines = []
-        return lines
+        finally:
+            order, written = self._end_cache()
+        body, self.lines = self.lines, []
+        return self._frame(name, body, order, written)

@@ -134,12 +134,6 @@ class TaskHost:
         if self.on_yield is not None:
             self.on_yield()
 
-    def clear_tick_flags(self) -> None:
-        """Reset per-logical-tick flags (yield is per-tick, §5.3)."""
-        self.yield_asserted = False
-        self.save_requested = False
-        self.restart_requested = False
-
     # -- value-returning functions ----------------------------------------------
 
     def random(self) -> int:

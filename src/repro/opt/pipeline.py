@@ -39,7 +39,7 @@ DEFAULT_OPT_LEVEL = 2
 #: Revision of the specialized code generator; part of every
 #: fingerprint so stale code objects cannot be shared across builds
 #: that emit differently.
-_CODEGEN_REV = 4
+_CODEGEN_REV = 5
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),

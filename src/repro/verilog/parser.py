@@ -58,10 +58,6 @@ class Parser:
     def _tok(self) -> Token:
         return self._tokens[self._idx]
 
-    def _peek(self, ahead: int = 1) -> Token:
-        idx = min(self._idx + ahead, len(self._tokens) - 1)
-        return self._tokens[idx]
-
     def _advance(self) -> Token:
         tok = self._tok
         if tok.kind != "EOF":
