@@ -2,7 +2,7 @@ from setuptools import setup
 
 setup(
     extras_require={
-        # The batched (vectorized) simulation backend; everything else
+        # The vector carrier (cohorts of same-program tenants); everything else
         # runs on the standard library alone.  NumPy 2: the lane
         # carrier's generated source keeps literals as Python ints and
         # relies on weak scalar promotion (``row & 255`` stays uint64).

@@ -77,11 +77,5 @@ class CntrlRegPort:
         self.stats.reads += words
         return words
 
-    def write_words(self, name: str) -> int:
-        """Account for writing a variable; returns word count."""
-        words = self.reg_map.words_of(name)
-        self.stats.writes += words
-        return words
-
     def transfer_seconds(self, words: int, word_latency_s: float) -> float:
         return words * word_latency_s

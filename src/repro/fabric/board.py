@@ -81,6 +81,9 @@ class SimulatedBoard:
                  compiler=None, opt_level: Optional[int] = None,
                  faults: Optional[FaultPlan] = None):
         self.device = device
+        # An unknown backend fails here, not at the first program() —
+        # which would already have cleared co-resident slots.
+        resolve_backend(sim_backend)
         self.sim_backend = sim_backend
         #: mid-end optimization level for slot codegen (None = ambient
         #: REPRO_OPT_LEVEL); tenants on one board share one level so

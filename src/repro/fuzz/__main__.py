@@ -91,6 +91,7 @@ def main(argv=None) -> int:
     weights = GrammarWeights()
     failures = 0
     checked = 0
+    vectorized = 0
     t0 = time.perf_counter()
     for seed in range(args.seed, args.seed + args.n):
         checked += 1
@@ -99,9 +100,14 @@ def main(argv=None) -> int:
         report = check(program.module, ticks, paths, service=service,
                        lifecycle_seed=seed, label=f"seed {seed}",
                        opt_levels=opt_levels)
+        batched = report.results.get("batched")
+        if batched is not None and batched.skipped is None:
+            vectorized += 1
         if report.ok:
             if args.verbose:
-                print(f"seed {seed}: ok ({ticks} ticks)")
+                note = "" if batched is None or batched.skipped is None \
+                    else f"; batched {batched.skipped}"
+                print(f"seed {seed}: ok ({ticks} ticks{note})")
             continue
         failures += 1
         print(report.describe(), file=sys.stderr)
@@ -126,6 +132,8 @@ def main(argv=None) -> int:
           f"artifact store: {stats.hits} hits / {stats.misses} misses "
           f"({stats.hit_rate:.0%} hit rate, "
           f"{service.store.count()} entries)")
+    if "batched" in paths:
+        print(f"batched: vectorized {vectorized} of {checked}")
     return 1 if failures else 0
 
 

@@ -5,9 +5,11 @@ compares the observable behaviour bit-for-bit:
 
 * ``interp`` — the reference tree-walking interpreter (the oracle);
 * ``compiled`` — the compile-to-closures simulation backend;
-* ``batched`` — the NumPy-vectorized cohort backend (degenerate N=1
-  cohort; silently the scalar compiled engine for modules outside the
-  vector subset), a default lane whenever NumPy is importable;
+* ``batched`` — the vector carrier as cohorts ship it: the program as
+  lane 0 of a two-lane :class:`~repro.interp.compile.batch.BatchedCohort`
+  beside a twin a few ticks ahead, a default lane whenever NumPy is
+  importable (a program outside the vector subset is reported as not
+  vectorized, not compared);
 * ``board`` — a :class:`~repro.runtime.runtime.Runtime` that JITs onto
   a single-tenant :class:`~repro.runtime.backends.DirectBoardBackend`
   after its first software tick, exercising the §3 transform, the
@@ -38,7 +40,8 @@ from ..fabric import DE10, F1
 from ..hypervisor import Hypervisor
 from ..hypervisor.migration import migrate, resume, suspend
 from ..interp import Simulator, TaskHost
-from ..interp.compile.batch import HAVE_NUMPY
+from ..interp.compile import CompiledSimulator
+from ..interp.compile.batch import HAVE_NUMPY, BatchedCohort, BatchUnsupported
 from ..runtime import DirectBoardBackend, Runtime
 from ..verilog import ast_nodes as ast
 
@@ -46,9 +49,9 @@ from ..verilog import ast_nodes as ast
 #: ``compiled`` pins the baseline configuration of the scalar plan (no
 #: heap prefix, gates, generated period or idle proof) and ``event`` the full
 #: event plan, so every campaign cross-checks the two bit-for-bit
-#: whatever ``REPRO_SIM_EVENT`` says.  The vectorized ``batched`` lane (bit-for-bit against the same
-#: oracle, silently exercising the scalar fallback for unlicensed
-#: modules) joins the defaults whenever NumPy is importable.
+#: whatever ``REPRO_SIM_EVENT`` says.  The vectorized ``batched`` lane
+#: (bit-for-bit against the same oracle) joins the defaults whenever
+#: NumPy is importable.
 DEFAULT_PATHS = ("interp", "compiled", "event", "board", "lifecycle")
 if HAVE_NUMPY:
     DEFAULT_PATHS = DEFAULT_PATHS + ("batched",)
@@ -90,10 +93,14 @@ class RunResult:
     finish_code: int = 0
     state: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None
+    #: why the path did not run this program (nothing to compare)
+    skipped: Optional[str] = None
 
     def summary(self) -> str:
         if self.error is not None:
             return f"{self.path}: ERROR {self.error}"
+        if self.skipped is not None:
+            return f"{self.path}: {self.skipped}"
         return (f"{self.path}: {len(self.display)} lines, "
                 f"finished={self.finished}({self.finish_code})")
 
@@ -153,9 +160,8 @@ def _run_sim(program: CompiledProgram, ticks: int, backend: str,
              event: Optional[bool] = None) -> RunResult:
     host = TaskHost()
     code = None
-    if backend in ("compiled", "batched"):
-        # The compiled paths pin whichever configuration *event*
-        # names; the batched path takes the ambient default.
+    if backend == "compiled":
+        # The compiled paths pin whichever configuration *event* names.
         code = service.codegen(program.flat, env=program.env,
                                digest=program.digest, opt_level=opt_level,
                                event=event)
@@ -165,6 +171,32 @@ def _run_sim(program: CompiledProgram, ticks: int, backend: str,
     names = state_names(program.flat)
     return _result_from_host(path_name or backend, host, host.display_log,
                              sim.store.snapshot(names))
+
+
+def _run_batched(program: CompiledProgram, ticks: int,
+                 service: CompilerService, seed: int) -> RunResult:
+    """The program as lane 0 of a cohort, built from the artifact
+    ``CohortEngine`` ships, beside a twin lane restored from a scalar
+    run ``1 + seed % 7`` ticks ahead — so the lanes hold different
+    states from the first tick and a branch on state diverges."""
+    try:
+        batch = service.batch(program.flat, env=program.env,
+                              digest=program.digest)
+    except BatchUnsupported as exc:
+        return RunResult(path="batched", skipped=f"not vectorized: {exc}")
+    cohort = BatchedCohort(batch)
+    host = TaskHost()
+    cohort.join(host)
+    twin = CompiledSimulator(program.flat, TaskHost(), code=batch.code)
+    twin.tick(cycles=1 + seed % 7)
+    if not twin.host.finished:
+        # A context captured after $finish cannot rejoin: its clock is
+        # still high, and the restore would fabricate a posedge.
+        cohort.join(twin.host, state=twin.store.snapshot())
+        cohort.times[1] = twin.time
+    cohort.tick(ticks, "clock")
+    return _result_from_host("batched", host, host.display_log,
+                             cohort.snapshot_lane(0, state_names(program.flat)))
 
 
 def _run_board(program: CompiledProgram, ticks: int,
@@ -382,6 +414,8 @@ def _run_restart(program: CompiledProgram, ticks: int,
 
 def _compare(reference: RunResult, candidate: RunResult) -> List[Mismatch]:
     out: List[Mismatch] = []
+    if candidate.skipped is not None:
+        return out
     if candidate.error is not None or reference.error is not None:
         # Crash behaviour must also conform: identical error text on
         # both paths (e.g. a shared iteration-limit guard) is the only
@@ -451,8 +485,8 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
                                                 service, path_name="event",
                                                 event=True)))
         elif path == "batched":
-            runs.append((path, lambda: _run_sim(program, ticks, "batched",
-                                                service)))
+            runs.append((path, lambda: _run_batched(program, ticks, service,
+                                                    lifecycle_seed)))
         elif path == "board":
             runs.append((path, lambda: _run_board(program, ticks, service)))
         elif path == "crash":

@@ -127,7 +127,7 @@ def arrival_trace(seed: int, n: int, rate_hz: float = 50.0,
     Inter-arrival gaps are exponential at *rate_hz*; designs are drawn
     from *mix* (``"fuzz"`` expands to a pool of *fuzz_pool* distinct
     grammar-generated smalls, so the trace has the few-designs ×
-    many-instances shape the artifact store and the batched backend
+    many-instances shape the artifact store and the cohorts
     exploit).  Everything — gaps, designs, priorities, tick budgets,
     principals — comes from one ``random.Random(seed)``, so the serve
     benchmark and the serve tests replay identical load by seed.

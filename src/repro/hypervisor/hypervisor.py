@@ -56,17 +56,6 @@ class Hypervisor:
                  compiler: Optional[CompilerService] = None,
                  opt_level: Optional[int] = None):
         self.device = device
-        if sim_backend == "batched":
-            from ..interp.compile.batch import HAVE_NUMPY
-            if not HAVE_NUMPY:
-                # Graceful degradation: without NumPy the batched
-                # backend cannot exist, so every tenant this hypervisor
-                # boots falls back to the scalar compiled engine (the
-                # two run bit-identically; only the dispatch amortization
-                # is lost).  Direct Simulator(backend="batched") calls
-                # still raise UnsupportedBackend — the hypervisor is the
-                # policy layer, so the fallback lives here.
-                sim_backend = "compiled"
         self.sim_backend = sim_backend
         #: mid-end optimization level for every tenant slot this
         #: hypervisor programs (None = ambient REPRO_OPT_LEVEL)

@@ -261,7 +261,7 @@ class Supervisor:
 
     @property
     def cohorts(self) -> List[CohortEngine]:
-        """Live vector cohorts (same-digest software tenants, §batched)."""
+        """Live vector cohorts (same-digest software tenants)."""
         return [r for r in self.residents if isinstance(r, CohortEngine)]
 
     # -- admission ------------------------------------------------------------
@@ -392,7 +392,7 @@ class Supervisor:
             return remaining
         return min(self.checkpoint_every, remaining)
 
-    # -- cohort scheduling (batched backend) -----------------------------------
+    # -- cohort scheduling (vector carrier) ------------------------------------
 
     def form_cohorts(self, min_size: int = 2,
                      names: Optional[List[str]] = None) -> int:

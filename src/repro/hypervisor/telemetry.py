@@ -26,7 +26,7 @@ def artifact_snapshot(store: ArtifactStore,
     """Per-kind counters of one artifact store as plain dicts.
 
     *kinds* restricts the snapshot (e.g. just ``KIND_BATCH`` for the
-    hypervisor's batched-backend view); omitted, every kind the store
+    hypervisor's cohort view); omitted, every kind the store
     has seen is included, plus an ``"all"`` aggregate.
     """
     selected = list(kinds) if kinds is not None else list(store.kinds())

@@ -1,4 +1,4 @@
-"""Batched vectorized backend: one compiled program over N tenant lanes.
+"""The vector carrier: one compiled program over N tenant lanes.
 
 The hypervisor's steady state is many tenants of one design: the
 artifact store already shares a single :class:`CompiledModuleCode`
@@ -40,8 +40,10 @@ per lane, float truncation and exponent clamp included — and (b) the
 lvalue writers and masked statements, which mirror
 ``Evaluator.assign`` and the scalar generated period in
 ``compile/simulator.py``.  ``tests/interp/test_expr_carriers.py``
-holds (a) to the evaluator row by row; the differential fuzz oracle
-runs this backend as its own lane for both.
+holds (a) to the evaluator row by row; the differential fuzz oracle's
+``batched`` lane runs a two-lane cohort for both.  The one way in is a
+:class:`BatchedCohort` (served: ``CohortEngine`` over
+``CompilerService.batch``); there is no one-lane simulator backend.
 """
 
 from __future__ import annotations
@@ -57,14 +59,11 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 from ...verilog import ast_nodes as ast
 from ...verilog.width import WidthError, const_eval, mask
-from ..eval_expr import Evaluator
 from ..simulator import (
     _MAX_LOOP_ITERATIONS,
     _MAX_SETTLE_ROUNDS,
-    InterpSimulator,
     SimulationError,
 )
-from ..store import Store
 from ..systasks import TaskHost, verilog_format
 from .exprc import HELPERS as SCALAR_HELPERS
 from .exprc import CompileFallback, ExprCompiler, const_range_bounds
@@ -73,13 +72,13 @@ from .simulator import CompiledModuleCode, CompiledSimulator
 HAVE_NUMPY = np is not None
 
 _NUMPY_HINT = (
-    "backend='batched' requires NumPy; install the optional extra with "
-    "`pip install -e .[batch]` or select a scalar backend"
+    "cohorts (the vector carrier) require NumPy; install the optional "
+    "extra with `pip install -e .[batch]` or keep tenants on scalar engines"
 )
 
 
 class UnsupportedBackend(RuntimeError):
-    """``backend='batched'`` was requested but NumPy is unavailable."""
+    """A vector artifact was requested but NumPy is unavailable."""
 
 
 class BatchUnsupported(Exception):
@@ -1042,14 +1041,8 @@ class BatchedCohort:
                 out[name] = [int(v) for v in memory[lane]]
         return out
 
-    def restore_lane(self, lane: int, snapshot: Dict[str, object],
-                     prime: bool = False) -> None:
-        """Mirror of ``SlotStore.restore`` for one lane.
-
-        With ``prime`` set, edge re-detection is suppressed and the
-        trigger history is re-primed from the restored clock value —
-        the ``Simulator.restore_state`` contract (no spurious edges).
-        """
+    def restore_lane(self, lane: int, snapshot: Dict[str, object]) -> None:
+        """Mirror of ``SlotStore.restore`` for one lane."""
         for name, value in snapshot.items():
             if name in self.mems and isinstance(value, list):
                 _, word_mask, mem_slot, depth = self.layout.mem_specs[name]
@@ -1061,10 +1054,7 @@ class BatchedCohort:
                 if self.code.comb_in[mem_slot]:
                     self.need_sweep = True
             elif name in self.layout.slot_of:
-                self.set_value(name, int(value), lane=lane,
-                               detect_edges=not prime)
-        if prime:
-            self.prev[:, lane] = self.d[self.batch.clock_slot, lane]
+                self.set_value(name, int(value), lane=lane)
 
     def get_value(self, name: str, lane: int) -> int:
         slot = self.layout.slot_of.get(name)
@@ -1077,7 +1067,6 @@ class BatchedCohort:
         raise KeyError(f"unknown signal {name!r}")
 
     def set_value(self, name: str, value: int, lane: Optional[int] = None,
-                  notify: bool = True, detect_edges: bool = True,
                   lane_mask=None) -> bool:
         """Store-API write; mirrors ``SlotStore.set`` + eager drain.
 
@@ -1088,7 +1077,7 @@ class BatchedCohort:
         """
         slot = self.layout.slot_of.get(name)
         if slot is None:
-            return self._set_misc(name, value, lane, notify)
+            return self._set_misc(name, value, lane)
         new = np.uint64(int(value) & self.layout.mask_of[name])
         row = self.d[slot]
         sel = lane_mask if lane_mask is not None else self._lane_mask(lane)
@@ -1096,11 +1085,10 @@ class BatchedCohort:
         if not changed.any():
             return False
         np.copyto(row, new, where=changed, casting="unsafe")
-        if notify:
-            if self.code.comb_in[slot]:
-                self.need_sweep = True
-            if slot == self.batch.clock_slot:
-                self._fire_clock_edges(changed, detect_edges)
+        if self.code.comb_in[slot]:
+            self.need_sweep = True
+        if slot == self.batch.clock_slot:
+            self._fire_clock_edges(changed)
         return True
 
     def _lane_mask(self, lane: Optional[int]):
@@ -1110,8 +1098,7 @@ class BatchedCohort:
         sel[lane] = True
         return sel
 
-    def _set_misc(self, name: str, value: int, lane: Optional[int],
-                  notify: bool) -> bool:
+    def _set_misc(self, name: str, value: int, lane: Optional[int]) -> bool:
         sig = self.env.signal(name)  # raises WidthError when undeclared
         new = int(value) & ((1 << sig.width) - 1)
         lanes = range(self.n) if lane is None else (lane,)
@@ -1120,52 +1107,27 @@ class BatchedCohort:
             if self.misc[i].get(name) != new:
                 self.misc[i][name] = new
                 changed = True
-        if changed and notify:
+        if changed:
             mem_slot = self.layout.mem_slot_of.get(name)
             if mem_slot is not None and self.code.comb_in[mem_slot]:
                 self.need_sweep = True
         return changed
 
-    def _fire_clock_edges(self, changed, detect_edges: bool) -> None:
+    def _fire_clock_edges(self, changed) -> None:
         value_row = self.d[self.batch.clock_slot]
         for k, proc, edge in self.batch.clock_entries:
             prev = self.prev[k]
-            if detect_edges:
-                if edge == "posedge":
-                    fired = changed & ((prev & _U1) == _U0) & \
-                        ((value_row & _U1) == _U1)
-                elif edge == "negedge":
-                    fired = changed & ((prev & _U1) == _U1) & \
-                        ((value_row & _U1) == _U0)
-                else:
-                    fired = changed & (prev != value_row)
-                if fired.any():
-                    self._enqueue(proc, fired)
+            if edge == "posedge":
+                fired = changed & ((prev & _U1) == _U0) & \
+                    ((value_row & _U1) == _U1)
+            elif edge == "negedge":
+                fired = changed & ((prev & _U1) == _U1) & \
+                    ((value_row & _U1) == _U0)
+            else:
+                fired = changed & (prev != value_row)
+            if fired.any():
+                self._enqueue(proc, fired)
             np.copyto(prev, value_row, where=changed, casting="unsafe")
-
-    def mem_get_value(self, name: str, addr: int, lane: int) -> int:
-        base, _, _, depth = self.layout.mem_specs[name]
-        idx = addr - base
-        if 0 <= idx < depth:
-            return int(self.mems[name][lane, idx])
-        return 0
-
-    def mem_set_value(self, name: str, addr: int, value: int,
-                      lane: Optional[int] = None, notify: bool = True) -> bool:
-        base, word_mask, mem_slot, depth = self.layout.mem_specs[name]
-        idx = addr - base
-        if not 0 <= idx < depth:
-            return False
-        new = np.uint64(int(value) & word_mask)
-        column = self.mems[name][:, idx]
-        sel = self._lane_mask(lane)
-        changed = sel & (column != new)
-        if not changed.any():
-            return False
-        np.copyto(column, new, where=changed, casting="unsafe")
-        if notify and self.code.comb_in[mem_slot]:
-            self.need_sweep = True
-        return True
 
     # -- scheduling core ---------------------------------------------------
 
@@ -1312,177 +1274,6 @@ class BatchedCohort:
             self.times[started] += _U1
 
 
-class _LaneStore:
-    """Store-ABI adapter over one cohort lane (the facade's ``store``)."""
-
-    def __init__(self, cohort: BatchedCohort, lane: int = 0):
-        self.cohort = cohort
-        self.lane = lane
-        self.env = cohort.env
-        self.slot_of = cohort.layout.slot_of
-        self.mem_slot_of = cohort.layout.mem_slot_of
-        self._watchers: List[Callable[[str], None]] = []
-
-    @property
-    def values(self) -> Dict[str, int]:
-        cohort, lane = self.cohort, self.lane
-        out = {name: int(cohort.d[slot, lane])
-               for name, slot in self.slot_of.items()}
-        out.update(cohort.misc[lane])
-        return out
-
-    @property
-    def memories(self) -> Dict[str, List[int]]:
-        cohort, lane = self.cohort, self.lane
-        return {name: [int(v) for v in memory[lane]]
-                for name, memory in cohort.mems.items()}
-
-    def add_watcher(self, fn: Callable[[str], None]) -> None:
-        self._watchers.append(fn)
-
-    def _notify(self, name: str) -> None:
-        for fn in self._watchers:
-            fn(name)
-
-    def get(self, name: str) -> int:
-        return self.cohort.get_value(name, self.lane)
-
-    def set(self, name: str, value: int, notify: bool = True) -> bool:
-        changed = self.cohort.set_value(name, value, lane=self.lane,
-                                        notify=notify)
-        if changed and notify and self._watchers:
-            self._notify(name)
-        return changed
-
-    def mem_get(self, name: str, addr: int) -> int:
-        return self.cohort.mem_get_value(name, addr, self.lane)
-
-    def mem_set(self, name: str, addr: int, value: int,
-                notify: bool = True) -> bool:
-        changed = self.cohort.mem_set_value(name, addr, value,
-                                            lane=self.lane, notify=notify)
-        if changed and notify and self._watchers:
-            self._notify(name)
-        return changed
-
-    def snapshot(self, names: Optional[Iterable[str]] = None) -> Dict[str, object]:
-        return self.cohort.snapshot_lane(self.lane, names)
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        self.cohort.restore_lane(self.lane, snapshot)
-
-    # Bits captured by :meth:`snapshot` (latency model): a function of
-    # ``env`` alone, so the reference store's serves as is.
-    state_bits = Store.state_bits
-
-
-class BatchedSimulator:
-    """Single-lane simulator facade over a :class:`BatchedCohort`.
-
-    Presents the full scalar ``Simulator`` ABI (store, evaluator,
-    tick/step/run, save/restore) so runtimes, engines and the fuzz
-    oracle can select ``backend="batched"`` transparently; N=1 is just
-    the degenerate cohort.
-    """
-
-    backend = "batched"
-
-    def __init__(self, module: ast.Module, host: Optional[TaskHost] = None,
-                 env=None, code: Optional[CompiledModuleCode] = None,
-                 batch: Optional[BatchedModuleCode] = None):
-        if code is None:
-            code = batch.code if batch is not None else CompiledModuleCode(
-                module, env=env)
-        if batch is None:
-            batch = batch_code_for(code)
-        self.code = code
-        self.batch = batch
-        self.module = code.module
-        self.env = code.env
-        self.cohort = BatchedCohort(batch)
-        self.cohort.join(host if host is not None else TaskHost())
-        self.store = _LaneStore(self.cohort, 0)
-        self.evaluator = Evaluator(self.env, self.store, self._sysfunc)
-
-    @property
-    def host(self) -> TaskHost:
-        return self.cohort.hosts[0]
-
-    @host.setter
-    def host(self, value: TaskHost) -> None:
-        # Engines rebind ``sim.host`` after a quiet boot (the
-        # throwaway-host pattern); the cohort dispatches every task
-        # through its per-lane host list, so the lane must follow.
-        self.cohort.hosts[0] = value
-        self.cohort.alive[0] = not value.finished
-        self.cohort.alive_all = bool(self.cohort.alive.all())
-
-    # Reuse the interpreter's system-function servicing for the
-    # store-adapter evaluator ($time/$random/file I/O on this lane).
-    _sysfunc = InterpSimulator._sysfunc
-
-    @property
-    def time(self) -> int:
-        return int(self.cohort.times[0])
-
-    @time.setter
-    def time(self, value: int) -> None:
-        self.cohort.times[0] = np.uint64(value)
-
-    @property
-    def stmts_executed(self) -> int:
-        return self.cohort.stmts_executed
-
-    @property
-    def settle_rounds(self) -> int:
-        return self.cohort.settle_rounds
-
-    @property
-    def _write_buffer(self) -> str:
-        return self.cohort.wbuf[0]
-
-    def get(self, name: str) -> int:
-        return self.cohort.get_value(name, 0)
-
-    def set(self, name: str, value: int) -> bool:
-        return self.cohort.set_value(name, value, lane=0)
-
-    def evaluate(self) -> None:
-        self.cohort.settle()
-
-    def update(self) -> None:
-        self.cohort.latch()
-
-    def step(self) -> None:
-        self.cohort.step()
-
-    def settle(self) -> None:
-        self.cohort.settle()
-
-    def tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        self.cohort.sync_alive()
-        self.cohort.tick(cycles, clock)
-
-    def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
-        cycles = 0
-        while not self.host.finished and cycles < max_cycles:
-            self.tick(clock)
-            cycles += 1
-        return cycles
-
-    def save_state(self) -> Dict[str, object]:
-        return {
-            "store": self.store.snapshot(),
-            "vfs": self.host.vfs.snapshot(),
-            "time": self.time,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.cohort.restore_lane(0, state["store"], prime=True)
-        self.host.vfs.restore(state["vfs"])
-        self.time = state["time"]
-
-
 _BATCH_MEMO: "weakref.WeakKeyDictionary[CompiledModuleCode, object]" = \
     weakref.WeakKeyDictionary()
 
@@ -1506,23 +1297,3 @@ def batch_code_for(code: CompiledModuleCode) -> BatchedModuleCode:
     if isinstance(cached, BatchUnsupported):
         raise BatchUnsupported(str(cached))
     return cached
-
-
-def batched_simulator(module: ast.Module, host: Optional[TaskHost] = None,
-                      env=None, code: Optional[CompiledModuleCode] = None):
-    """Factory for ``backend="batched"``.
-
-    Returns a :class:`BatchedSimulator` when the module is licensed for
-    vectorization, and falls back to the scalar
-    :class:`CompiledSimulator` otherwise (same observable behavior).
-    Raises :class:`UnsupportedBackend` when NumPy is missing.
-    """
-    if np is None:
-        raise UnsupportedBackend(_NUMPY_HINT)
-    if code is None:
-        code = CompiledModuleCode(module, env=env)
-    try:
-        batch = batch_code_for(code)
-    except BatchUnsupported:
-        return CompiledSimulator(module, host=host, code=code)
-    return BatchedSimulator(module, host=host, code=code, batch=batch)

@@ -561,9 +561,14 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     it mid-process — e.g. from a test's monkeypatch — takes effect for
     every simulator constructed afterwards.  Callers use this to decide
     whether building (or fetching) a shared codegen artifact is worth
-    it before invoking the :func:`Simulator` factory.
+    it before invoking the :func:`Simulator` factory.  Any name but
+    ``compiled`` or ``interp`` raises :class:`ValueError`.
     """
-    return backend or os.environ.get("REPRO_SIM_BACKEND") or DEFAULT_BACKEND
+    choice = backend or os.environ.get("REPRO_SIM_BACKEND") or DEFAULT_BACKEND
+    if choice not in ("compiled", "interp"):
+        raise ValueError(f"unknown simulation backend {choice!r}; "
+                         "choose 'compiled' or 'interp'")
+    return choice
 
 
 def Simulator(module: ast.Module, host: Optional[TaskHost] = None,
@@ -582,18 +587,8 @@ def Simulator(module: ast.Module, host: Optional[TaskHost] = None,
     service's artifact store) that lets a compiled engine skip analysis
     and code generation; it is ignored by the interpreter backend.
     """
-    choice = resolve_backend(backend)
-    if choice == "interp":
+    if resolve_backend(backend) == "interp":
         return InterpSimulator(module, host, env)
-    if choice == "compiled":
-        from .compile.simulator import CompiledSimulator
+    from .compile.simulator import CompiledSimulator
 
-        return CompiledSimulator(module, host, env, code=code)
-    if choice == "batched":
-        # Vectorized cohort backend (single-lane facade here); raises
-        # UnsupportedBackend without NumPy and silently falls back to
-        # the scalar compiled engine for unlicensed modules.
-        from .compile.batch import batched_simulator
-
-        return batched_simulator(module, host, env=env, code=code)
-    raise ValueError(f"unknown simulation backend {choice!r}")
+    return CompiledSimulator(module, host, env, code=code)

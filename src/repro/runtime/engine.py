@@ -135,13 +135,10 @@ class SoftwareEngine(Engine):
         self.host = host
         self.backend = backend
         code = None
-        resolved = resolve_backend(backend)
-        if resolved in ("compiled", "batched"):
+        if resolve_backend(backend) == "compiled":
             # The artifact is keyed by (digest, pipeline fingerprint):
             # engines of one program at one optimization level share
             # one optimized code object, across instances and tenants.
-            # The batched backend licenses (or falls back) against the
-            # same scalar code artifact.
             service = compiler if compiler is not None else default_service()
             code = service.codegen(program.flat, env=program.env,
                                    digest=program.digest,

@@ -15,8 +15,8 @@ concurrently over a supervised fleet of boards plus software engines:
   classes, preempting only at quiescence points via the paper's own
   suspend/checkpoint machinery;
 * :class:`Fleet` — warm-start-aware placement, migration-based
-  rebalancing, cohort formation for the batched backend, and the PR 6
-  quarantine-and-restore path under every scheduling turn.
+  rebalancing, cohort formation for the vector carrier, and the
+  supervisor's quarantine-and-restore path under every scheduling turn.
 
 Everything here is standard library only (asyncio); with NumPy absent
 the fleet simply never vectorizes and every tenant runs scalar.

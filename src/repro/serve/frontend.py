@@ -545,7 +545,7 @@ class ServeFrontend:
 
     def _form_cohorts(self) -> None:
         """Group parked same-priority same-digest software jobs into
-        lockstep cohort units (the batched backend's shape).
+        lockstep cohort units (the vector carrier's shape).
 
         A group that stays scalar goes to the back of its class each
         sweep (serve_burst's median latency is 1.6x without that, so it

@@ -76,6 +76,22 @@ class TestSmokeConformance:
                            label=f"seed {seed}")
             assert report.ok, report.describe()
 
+    def test_batched_lane_runs_a_cohort_or_says_why(self, monkeypatch,
+                                                    capsys, tmp_path):
+        """Seed 0 vectorizes and is compared; seed 1 is refused, says
+        why, and is not a divergence; the campaign counts both."""
+        pytest.importorskip("numpy")
+        from repro.fuzz.__main__ import main
+
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the vector licence
+        refused = check(generate(1).module, 8, ("interp", "batched"))
+        assert refused.ok
+        assert refused.results["batched"].skipped.startswith(
+            "not vectorized: module is not licensed")
+        assert main(["--seed", "0", "--n", "2", "--paths", "interp,batched",
+                     "--corpus-dir", str(tmp_path)]) == 0
+        assert "batched: vectorized 1 of 2" in capsys.readouterr().out
+
 
 class TestCorpus:
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from repro.amorphos import ProtectionError
 from repro.core import compile_program
 from repro.fabric import DE10, F1, Device
 from repro.hypervisor import CapacityError, Hypervisor, coalesce, engine_module_name
-from repro.runtime import Runtime
+from repro.runtime import DirectBoardBackend, Runtime
 
 
 def counter_src(name, step=1):
@@ -124,6 +124,23 @@ class TestGlobalClock:
         clock1 = hv.clock_hz
         attach(Runtime(counter_src("b")), hv.connect("two"))
         assert hv.clock_hz <= clock1
+
+
+class TestBackendChoice:
+    """An unknown simulation backend fails when the board is built, not
+    at the first placement — whose reprogram would already have dropped
+    every co-resident slot."""
+
+    def test_named_backend_fails_at_construction(self):
+        with pytest.raises(ValueError, match="'batched'"):
+            Hypervisor(F1, sim_backend="batched")
+        with pytest.raises(ValueError, match="'batched'"):
+            DirectBoardBackend(F1, sim_backend="batched")
+
+    def test_ambient_backend_fails_at_construction(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "batched")
+        with pytest.raises(ValueError, match="'batched'"):
+            Hypervisor(F1)
 
 
 class TestCapacityAndNesting:

@@ -5,7 +5,9 @@ uninterrupted run whatever happens to it on the way: a migration, a
 board death, a process restart, an evacuation to software, or simply a
 hardware batch of more than one tick.  (``tests/corpus/
 time_across_moves.v`` puts the same design through the fuzz oracle's
-``board``, ``lifecycle`` and ``batched`` paths.)
+``board`` and ``lifecycle`` paths; its ``batched`` lane reports it not
+vectorized, so ``$time`` on a cohort lane is checked in
+``tests/runtime/test_batched_backend.py``.)
 """
 
 import asyncio

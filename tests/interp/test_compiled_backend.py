@@ -80,8 +80,9 @@ def test_factory_backend_selection():
     # The compiled simulator is also an InterpSimulator: cold paths
     # (system tasks, fallbacks) reuse the reference implementation.
     assert isinstance(compiled, InterpSimulator)
-    with pytest.raises(ValueError):
-        Simulator(flat, backend="jit")
+    for name in ("jit", "batched"):
+        with pytest.raises(ValueError):
+            Simulator(flat, backend=name)
 
 
 def test_edge_before_star_keeps_interp_order():

@@ -1,12 +1,12 @@
-"""Batched backend tests: vector lanes vs the scalar backends.
+"""Vector carrier tests: cohort lanes vs the scalar backends.
 
 Covers the differential contract (bit-for-bit state, ``$display``
-ordering and per-lane ``$finish`` against interp/compiled), the
-cohort lane lifecycle (join/leave/snapshot and the
-extract → suspend → resume → rejoin round trip), the NumPy-optional
-degradation paths, the supervisor's cohort scheduling, and multi-lane
-parity on generated designs (lanes in *different* states, which the
-fuzz oracle's one-lane ``batched`` path never builds).
+ordering and per-lane ``$finish`` against interp/compiled), lane state
+(snapshot/restore, detach → scalar → admit), the refusals (an
+unlicensed module, no NumPy), the cohort lane lifecycle (join/leave
+and the extract → suspend → resume → rejoin round trip), the
+supervisor's cohort scheduling, and multi-lane parity on generated
+designs with three staggered lanes and a mid-run extraction.
 """
 
 import random
@@ -25,8 +25,7 @@ from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile import CompiledSimulator
 from repro.interp.compile import batch as batch_mod
 from repro.interp.compile.batch import (
-    BatchedCohort, BatchedSimulator, UnsupportedBackend, batch_code_for,
-    batched_simulator,
+    BatchedCohort, BatchUnsupported, UnsupportedBackend, batch_code_for,
 )
 from repro.runtime import Runtime, SoftwareEngine
 from repro.runtime.cohort import CohortEngine, CohortError, CohortLaneEngine
@@ -73,44 +72,54 @@ def kitchen(finish_at=40):
     return KITCHEN.replace("FINISH_AT", str(finish_at))
 
 
-def run_backend(source, backend, ticks, code=None):
+def run_backend(source, backend, ticks):
     flat = flatten(parse(source), "kitchen")
     host = TaskHost(VirtualFS())
-    sim = Simulator(flat, host, backend=backend, code=code)
+    sim = Simulator(flat, host, backend=backend)
     sim.tick(cycles=ticks)
     return sim, host
 
 
-def lane_state(sim):
-    return sim.store.snapshot()
+def kitchen_cohort(source):
+    """A cohort over *source*'s vector artifact, and its flat module."""
+    flat = flatten(parse(source), "kitchen")
+    code = CompiledSimulator(flat).code
+    return BatchedCohort(batch_code_for(code)), flat, code
 
 
 @pytest.fixture
 def o2(monkeypatch):
-    """For tests that assert a cohort formed: the vector licence needs
-    the two-state grant, which the ambient O0 CI leg would deny."""
+    """For tests that need a cohort: the vector licence needs the
+    two-state grant, which the ambient O0 CI leg would deny."""
     monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
 
 
 class TestDifferential:
     @pytest.mark.parametrize("finish_at,ticks", [(40, 24), (10, 24)])
-    def test_state_display_finish_parity(self, finish_at, ticks):
+    def test_state_display_finish_parity(self, finish_at, ticks, o2):
         src = kitchen(finish_at)
         ref_sim, ref_host = run_backend(src, "interp", ticks)
-        for backend in ("compiled", "batched"):
-            sim, host = run_backend(src, backend, ticks)
-            assert lane_state(sim) == lane_state(ref_sim), backend
-            assert host.display_log == ref_host.display_log, backend
-            assert host.finished == ref_host.finished, backend
-            assert host.finish_code == ref_host.finish_code, backend
-            assert sim.time == ref_sim.time, backend
+        sim, host = run_backend(src, "compiled", ticks)
+        cohort, _, _ = kitchen_cohort(src)
+        lane_host = TaskHost(VirtualFS())
+        cohort.join(lane_host)
+        cohort.tick(ticks)
+        lanes = {
+            "compiled": (sim.store.snapshot(), host, sim.time),
+            "cohort": (cohort.snapshot_lane(0), lane_host,
+                       int(cohort.times[0])),
+        }
+        for path, (state, host, time) in lanes.items():
+            assert state == ref_sim.store.snapshot(), path
+            assert host.display_log == ref_host.display_log, path
+            assert host.finished == ref_host.finished, path
+            assert host.finish_code == ref_host.finish_code, path
+            assert time == ref_sim.time, path
 
     def test_per_lane_finish_at_different_ticks(self, o2):
         """Lanes $finish at different ticks; each must match its own
         scalar run, and dead lanes must stop advancing."""
-        flat = flatten(parse(kitchen(40)), "kitchen")
-        code = CompiledSimulator(flat).code
-        cohort = BatchedCohort(batch_code_for(code))
+        cohort, flat, code = kitchen_cohort(kitchen(40))
         finishes = [5, 12, 40, 40]
         hosts = []
         for at in finishes:
@@ -140,9 +149,7 @@ class TestDifferential:
 
     def test_display_interleaving_multiple_lanes(self, o2):
         """Each lane's display stream equals its scalar twin's."""
-        flat = flatten(parse(kitchen(40)), "kitchen")
-        code = CompiledSimulator(flat).code
-        cohort = BatchedCohort(batch_code_for(code))
+        cohort, flat, _ = kitchen_cohort(kitchen(40))
         hosts = [TaskHost(VirtualFS()) for _ in range(3)]
         for host in hosts:
             cohort.join(host)
@@ -154,22 +161,49 @@ class TestDifferential:
             assert host.display_log == ref_host.display_log
 
 
-class TestFacade:
-    def test_save_restore_roundtrip(self):
-        src = kitchen(100)
-        sim, host = run_backend(src, "batched", 7)
-        saved = sim.save_state()
-        sim.tick(cycles=5)
-        after_12 = lane_state(sim)
-        sim.restore_state(saved)
-        assert lane_state(sim) == saved["store"]
-        sim.tick(cycles=5)
-        assert lane_state(sim) == after_12
-        assert sim.time == 12
+class TestLaneState:
+    def test_save_restore_roundtrip(self, o2):
+        cohort, _, _ = kitchen_cohort(kitchen(100))
+        cohort.join(TaskHost(VirtualFS()))
+        cohort.tick(7)
+        saved = cohort.snapshot_lane(0)
+        cohort.tick(5)
+        after_12 = cohort.snapshot_lane(0)
+        cohort.restore_lane(0, saved)
+        cohort.step()
+        cohort.times[0] = 7
+        assert cohort.snapshot_lane(0) == saved
+        cohort.tick(5)
+        assert cohort.snapshot_lane(0) == after_12
+        assert int(cohort.times[0]) == 12
 
-    def test_unlicensed_module_falls_back_to_compiled(self):
-        # Pure sequential modules (no comb layer) are outside the
-        # licence → the factory silently yields the scalar sim.
+    def test_detach_restore_admit_roundtrip(self, o2):
+        """Lane → ``detach`` → scalar ``restore`` → ``admit(state=,
+        time=)`` lands where a never-vectorized run does."""
+        service = CompilerService()
+        program = service.compile_program(kitchen(100))
+        host = TaskHost(VirtualFS())
+        engine = CohortEngine(program, compiler=service)
+        lane = engine.admit(host)
+        lane.run_chunk("clock", 7)
+        time = lane.time
+        scalar = SoftwareEngine(program, host, compiler=service,
+                                quiet_init=True)
+        scalar.restore(engine.detach(lane))
+        scalar.time = time
+        scalar.run_chunk("clock", 5)
+        engine2 = CohortEngine(program, compiler=service)
+        lane2 = engine2.admit(host, state=scalar.snapshot(), time=scalar.time)
+        lane2.run_chunk("clock", 5)
+        twin = SoftwareEngine(program, TaskHost(VirtualFS()), compiler=service)
+        twin.run_chunk("clock", 17)
+        assert lane2.snapshot() == twin.snapshot()
+        assert host.display_log == twin.host.display_log
+        assert lane2.time == twin.time == 17
+
+    def test_unlicensed_module_says_why(self):
+        """Pure sequential modules (no comb layer) are outside the
+        licence: the artifact and the cohort both refuse, with why."""
         src = """
         module seqonly(clock);
           input wire clock;
@@ -178,49 +212,24 @@ class TestFacade:
           always @(posedge clock) n <= n + 1;
         endmodule
         """
-        flat = flatten(parse(src), "seqonly")
-        sim = batched_simulator(flat, TaskHost(VirtualFS()), None, None)
-        assert isinstance(sim, CompiledSimulator)
-        assert not isinstance(sim, BatchedSimulator)
-
-    @pytest.mark.parametrize("env", [None, "0"])
-    def test_unlicensed_engine_runs_the_ambient_scalar_plan(
-            self, env, monkeypatch):
-        """df (128-bit signals) cannot vectorize: a batched engine is
-        then an ordinary compiled one, on the default artifact."""
-        from repro.bench import BENCHMARKS
-
-        if env is None:
-            monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SIM_EVENT", env)
         service = CompilerService()
-        program = service.compile_program(BENCHMARKS["df"].source())
-        engine = SoftwareEngine(program, TaskHost(VirtualFS()),
-                                backend="batched", compiler=service,
-                                opt_level=2)
-        assert type(engine.sim) is CompiledSimulator
-        assert engine.sim.code.event_mode is (env is None)
-        twin = SoftwareEngine(program, TaskHost(VirtualFS()),
-                              backend="compiled", compiler=service,
-                              opt_level=2)
-        assert twin.sim.code is engine.sim.code
+        program = service.compile_program(src)
+        with pytest.raises(BatchUnsupported, match="not licensed"):
+            service.batch(program.flat, env=program.env,
+                          digest=program.digest)
+        with pytest.raises(BatchUnsupported, match="not licensed"):
+            CohortEngine(program, compiler=service)
 
     def test_unsupported_without_numpy(self, monkeypatch):
         flat = flatten(parse(kitchen(40)), "kitchen")
         code = CompiledSimulator(flat).code
+        program = CompilerService().compile_program(kitchen(40))
         monkeypatch.setattr(batch_mod, "np", None)
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         with pytest.raises(UnsupportedBackend):
             batch_code_for(code)
         with pytest.raises(UnsupportedBackend):
-            batched_simulator(flat, TaskHost(VirtualFS()), None, code)
-
-    def test_hypervisor_degrades_to_compiled_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.interp.compile.batch.HAVE_NUMPY", False)
-        hv = Hypervisor(F1, sim_backend="batched")
-        assert hv.sim_backend == "compiled"
+            CohortEngine(program, compiler=CompilerService())
 
 
 class TestCohortLifecycle:
