@@ -48,6 +48,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         program = compile_program(handle.read(), top=args.top)
     if args.sim_source:
         from .interp.compile import CompiledModuleCode
+        from .interp.compile.batch import (
+            BatchUnsupported, UnsupportedBackend, batch_code_for,
+        )
 
         code = CompiledModuleCode(program.flat, env=program.env)
         print(code.source)
@@ -58,6 +61,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             print(f"// {name}: {how}", file=sys.stderr)
         print("// counted loops {counted}/{loops}, guards dropped {guards}, "
               "masks dropped {masks}".format(**code.facts), file=sys.stderr)
+        try:
+            lanes = batch_code_for(code).source
+        except (BatchUnsupported, UnsupportedBackend) as why:
+            print(f"// lanes: not vectorized: {why}", file=sys.stderr)
+        else:
+            print("# lanes: the program a cohort of this module runs")
+            print(lanes)
         return 0
     print(program.hardware_text)
     print(f"// states: {program.transform.n_states}, "

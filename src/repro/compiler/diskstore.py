@@ -26,9 +26,9 @@ Design points, in the order they matter:
   not a contract.
 * **Per-kind codecs.**  ``batch`` artifacts
   (:class:`~repro.interp.compile.batch.BatchedModuleCode`) hold
-  dynamically-built NumPy closures that cannot be serialized at all;
+  functions exec'd from generated source, which cannot be pickled;
   their codec persists the underlying scalar code artifact and rebuilds
-  the vector closures on load.
+  the lane program on load.
 * **Atomic writes, advisory locking, mtime LRU.**  Writers stage to a
   temp file, ``fsync``, then ``os.replace`` — readers see old-or-new,
   never partial.  A directory-wide ``flock`` serializes writers and
@@ -240,9 +240,9 @@ class DiskArtifactStore:
     @staticmethod
     def _encode(kind: str, value: object) -> Tuple[str, object]:
         if kind == "batch":
-            # BatchedModuleCode holds dynamically-built vector closures
+            # BatchedModuleCode holds exec'd lane functions
             # (unpicklable); persist the scalar code artifact it layers
-            # on and rebuild the closures at load time.
+            # on and rebuild the lane program at load time.
             return ("batch", value.code)
         return ("obj", value)
 

@@ -35,7 +35,7 @@ KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
 KIND_CODEGEN = "codegen"    # baseline configuration (the oracle's)
 KIND_EVENT = "event"        # event-driven activity scheduling
-KIND_BATCH = "batch"        # vectorized cohort closures (BatchedModuleCode)
+KIND_BATCH = "batch"        # a cohort's lane program (BatchedModuleCode)
 KIND_SYNTH = "synth"
 KIND_BITSTREAM = "bitstream"
 
@@ -166,7 +166,7 @@ class CompilerService:
               digest: Optional[str] = None,
               opt_level: Optional[int] = None,
               keep: "frozenset[str]" = frozenset()):
-        """Shareable vectorized cohort closures for *module*.
+        """The shareable lane program of cohorts of *module*.
 
         Layered on :meth:`codegen`: the default scalar code artifact
         supplies the analysis the vector emitter licenses against, so

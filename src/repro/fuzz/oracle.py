@@ -189,11 +189,10 @@ def _run_batched(program: CompiledProgram, ticks: int,
     cohort.join(host)
     twin = CompiledSimulator(program.flat, TaskHost(), code=batch.code)
     twin.tick(cycles=1 + seed % 7)
-    if not twin.host.finished:
-        # A context captured after $finish cannot rejoin: its clock is
-        # still high, and the restore would fabricate a posedge.
-        cohort.join(twin.host, state=twin.store.snapshot())
-        cohort.times[1] = twin.time
+    # A twin that has finished joins finished (and may hold its clock
+    # high: the join re-primes edge detection rather than fire it).
+    cohort.join(twin.host, state=twin.store.snapshot())
+    cohort.times[1] = twin.time
     cohort.tick(ticks, "clock")
     return _result_from_host("batched", host, host.display_log,
                              cohort.snapshot_lane(0, state_names(program.flat)))

@@ -1,69 +1,46 @@
 """The vector carrier: one compiled program over N tenant lanes.
 
-The hypervisor's steady state is many tenants of one design: the
-artifact store already shares a single :class:`CompiledModuleCode`
-between them, but each engine still advances one Python dispatch per
-tenant per tick.  This module adds the next sharing level — *execution*
-— by compiling the module once into NumPy code over a
-``(n_scalars, N)`` uint64 state matrix, so one dispatch advances the
-whole cohort.
+Tenants of one design already share one :class:`CompiledModuleCode`;
+this module shares *execution*: the module compiles once into NumPy
+code over a ``(n_scalars, N)`` uint64 state matrix, so one dispatch
+advances a whole cohort.  A module qualifies when schedule analysis
+grants ``vector_licensed`` (two-state, a small acyclic combinational
+cone, every edge process on one bare clock) and every width fits a
+64-bit lane; anything else — or a construct outside the vector subset
+($random, file I/O, ...) — raises :class:`BatchUnsupported`, and the
+caller keeps the scalar engine on the same code artifact.
 
-Licensing.  Vectorization piggybacks on the mid-end's two-state
-specialization: a module qualifies only when schedule analysis grants
-``vector_licensed`` (x/z-free, a small acyclic combinational cone,
-every edge process on one bare clock) and every declared width fits a
-64-bit lane.  The verdict is analysis, not a property of either scalar
-configuration, so the closures build against whichever code artifact
-the caller already holds.  Anything else — or any construct outside
-the vector subset ($random, file I/O, ...) — raises
-:class:`BatchUnsupported` and the caller falls back to the scalar
-compiled backend on that same artifact, keeping behavior identical by
-construction.
+The lane program is generated source, like the scalar ``pK()`` and
+``period()`` (see :class:`_LaneEmitter`; ``--sim-source`` prints it).
+Lanes that disagree on a branch run both arms, each over its own
+disjoint boolean lane mask (all state is per-lane); output tasks loop
+over their mask's lanes; ``$finish`` clears a lane's ``alive`` bit so
+later statements, NBA latches and the time increment skip it, as the
+scalar ``FinishSignal`` unwind does.  An arm every lane of its parent
+takes gets the parent's own mask, so lockstep lanes pay for a branch
+only the test that found them agreeing.
 
-Divergence.  Lanes may disagree on ``if``/``case`` arms, ``$display``
-arguments and ``$finish`` ticks.  Control flow is handled by boolean
-lane masks (both arms execute, each over its own disjoint mask — sound
-because all state is per-lane), output tasks drop to a per-lane loop
-over the active mask, and ``$finish`` clears the lane's ``alive`` bit
-so every subsequent statement, NBA latch and time increment ignores it
-exactly like the scalar engine's ``FinishSignal`` abort.
-
-Equivalence contract.  Expressions are not lowered a second time
-here: :class:`VectorExprCompiler` *inherits* the width contexts,
-masking points and constant folding of ``exprc.ExprCompiler``, so both
-carriers emit from one set of width rules.  What mirrors an
-:class:`~repro.interp.eval_expr.Evaluator` clause by hand is only (a)
-the carrier idiom overrides and the ``H_*`` table they run against —
-the >= 64 shift clamp and shift>4096 → 0, division by zero → all-ones,
-guarded selects; ``**`` and signed ``/`` ``%`` run the scalar helpers
-per lane, float truncation and exponent clamp included — and (b) the
-lvalue writers and masked statements, which mirror
-``Evaluator.assign`` and the scalar generated period in
-``compile/simulator.py``.  ``tests/interp/test_expr_carriers.py``
-holds (a) to the evaluator row by row; the differential fuzz oracle's
-``batched`` lane runs a two-lane cohort for both.  The one way in is a
-:class:`BatchedCohort` (served: ``CohortEngine`` over
-``CompilerService.batch``); there is no one-lane simulator backend.
+Equivalence.  :class:`VectorExprCompiler` inherits the width rules of
+``exprc.ExprCompiler``; its carrier idioms and ``H_*`` helpers are held
+to the evaluator by ``tests/interp/test_expr_carriers.py``, the
+statements to scalar runs by ``tests/runtime/test_lane_program.py``,
+and both by the fuzz oracle's two-lane ``batched`` cohort.
 """
 
 from __future__ import annotations
 
-import types
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     np = None
 
+from ...opt.ranges import counted_loop
 from ...verilog import ast_nodes as ast
 from ...verilog.width import WidthError, const_eval, mask
-from ..simulator import (
-    _MAX_LOOP_ITERATIONS,
-    _MAX_SETTLE_ROUNDS,
-    SimulationError,
-)
+from ..simulator import _MAX_LOOP_ITERATIONS, SimulationError
 from ..systasks import TaskHost, verilog_format
 from .exprc import HELPERS as SCALAR_HELPERS
 from .exprc import CompileFallback, ExprCompiler, const_range_bounds
@@ -89,48 +66,11 @@ def _u64(value):
     return np.asarray(value, dtype=np.uint64)
 
 
-def _umask(width: int):
-    return np.uint64(mask(-1, width))
-
-
-def _as_lanes(st: "BatchedCohort", value):
-    """View *value* as a full (N,) uint64 vector (broadcast, read-only)."""
-    arr = _u64(value)
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, (st.n,))
-    return arr
-
-
-def _own(st: "BatchedCohort", value):
-    """Materialize *value* as an owned, writable (N,) uint64 copy."""
-    arr = _u64(value)
-    if arr.ndim == 0:
-        return np.full(st.n, arr, dtype=np.uint64)
-    return arr.copy()
-
-
-def _live(st: "BatchedCohort", m):
-    """Mask *m* down to live lanes; ``None`` when no lane is active.
-
-    The per-statement ``& alive`` guards against a masked ``$finish``
-    earlier in the same dispatch.  Callers never dispatch an empty
-    mask, and any ``$finish`` flips ``alive_all`` off, so while every
-    lane is alive the re-and and its two reductions are pure overhead
-    — the hot path for big cohorts — and are skipped.
-    """
-    if st.alive_all:
-        return m
-    am = m & st.alive
-    return am if am.any() else None
-
-
 # -- the lane carrier --------------------------------------------------------
 #
-# Generated expression source runs against this table under the same
-# ``H_*`` names as the scalar carrier's ``exprc.HELPERS``, so emitter
-# lines that call a helper need no second spelling.  Operands are
-# uint64 rows, 0-d values or plain Python ints (literals stay ints:
-# NumPy 2's weak promotion keeps ``row & 255`` a uint64 row).
+# Generated source runs against this table under the scalar carrier's
+# ``H_*`` names.  Operands are uint64 rows, 0-d values or Python ints
+# (NumPy 2's weak promotion keeps ``row & 255`` a uint64 row).
 
 def _v_signed(value, sb):
     """int64 two's-complement view of a uint64 value (sign bit *sb*)."""
@@ -167,13 +107,10 @@ def _v_divmod(op):
 
 
 def _v_rsel(base, start, k, descending, sel_mask):
-    """Guarded ``(base >> low) & sel_mask`` for a dynamic bit/part read.
-
-    ``low`` is ``start - k`` (``k - start`` on a descending vector) and
-    a negative ``low`` reads 0.  The sign is decided by comparing
-    *start* with *k*, never from the modular difference: that alone
-    would alias a start >= 2^63 onto a valid offset.
-    """
+    """Guarded ``(base >> low) & sel_mask`` for a dynamic bit/part read,
+    ``low = start - k`` (``k - start`` descending), 0 when negative —
+    decided by comparing, as the modular difference would alias a
+    start >= 2^63 onto a valid offset."""
     start = _u64(start)
     low = k - start if descending else start - k
     valid = (low < 64) & ((start <= k) if descending else (start >= k))
@@ -182,18 +119,13 @@ def _v_rsel(base, start, k, descending, sel_mask):
 
 def _v_mget(memory, lanes, idx, depth):
     idx = _u64(idx)
-    valid = idx < depth
-    words = memory[lanes, np.where(valid, idx, 0).astype(np.intp)]
-    return np.where(valid, words, 0)
+    return np.where(idx < depth, memory[lanes, np.minimum(idx, depth - 1)], 0)
 
 
 def _per_lane(fn, nvary=2):
-    """Lift a scalar helper over lanes (first *nvary* arguments vary).
-
-    For the operators with no uint64 form — ``**``, signed ``/`` ``%``
-    (the evaluator truncates through *float* division, precision loss
-    included) — the scalar carrier's own helper runs once per lane.
-    """
+    """Lift a scalar helper over lanes (first *nvary* arguments vary),
+    for ``**`` and signed ``/`` ``%``, which have no uint64 form (the
+    evaluator truncates through *float* division)."""
     def lifted(*args):
         rows = np.broadcast_arrays(*map(_u64, args[:nvary]))
         out = [fn(*map(int, lane), *args[nvary:])
@@ -202,8 +134,113 @@ def _per_lane(fn, nvary=2):
     return lifted
 
 
+def _v_low(start, lsb, span, minus, ascending, m):
+    """Lanes of *m* where a dynamic bit or ``[start +: w]``/``[start
+    -: w]`` store lands in the word, and each one's low bit offset."""
+    iv = _u64(start).astype(np.int64)
+    li = iv - span if minus else iv
+    low = li - lsb if ascending else lsb - li
+    valid = m & (low >= 0) & (low < 64)
+    if not ascending:
+        valid = valid & (iv >= 0)
+    return valid, np.where(valid, low, 0).astype(np.uint64)
+
+
+def _v_mstore(st, m, memory, addr, value, base, end, word_mask, wakes):
+    """``memory[addr - base] = value`` over *m* (addresses in ``[base,
+    end)``), waking the sweep on a change if *wakes*."""
+    addrs = _u64(addr)
+    rows = np.flatnonzero(m & (addrs < end) & (addrs >= base))
+    if rows.size:
+        cols = (addrs[rows] if addrs.ndim else addrs) - np.uint64(base)
+        new = _u64(value)
+        new = (new[rows] if new.ndim else new) & word_mask
+        if wakes and not st.need_sweep and (memory[rows, cols] != new).any():
+            st.need_sweep = True
+        memory[rows, cols] = new
+
+
+def _v_keep(lanes, entry, new, old, own):
+    """A local after storing *new* over *lanes*: *new* itself (copied if
+    *own*) when *lanes* is the function's *entry* mask.  A local may hold
+    a Python ``int`` (a constant store), so *new* is made ``uint64``
+    first: ``np.where`` over two ``int`` would pick ``int64``."""
+    if lanes is entry:
+        return np.array(new, dtype=np.uint64) if own else new
+    return np.where(lanes, _u64(new), old)
+
+
+# A branch hands each arm its lanes and count (*m* itself for an arm all
+# of *m* takes), counting each running arm's statements and, when more
+# than one runs, a divergence.
+
+def _v_if(st, m, k, cond, then_size, else_size):
+    """Split the *k* lanes of *m* on *cond*: ``(then lanes, count, else
+    lanes, count)``."""
+    taken = m & cond
+    n = np.count_nonzero(taken)
+    if n == k:  # (k is 0 when a $finish emptied m: nothing runs)
+        st.stmts_executed += then_size if k else 0
+        return m, k, None, 0
+    if not n:
+        st.stmts_executed += else_size
+        return None, 0, m, k
+    st.divergence += 1
+    st.stmts_executed += then_size + else_size
+    return taken, n, m ^ taken, k - n
+
+
+def _v_case(st, m, k, arm, sizes, default):
+    """Split the *k* lanes of *m* by *arm*, each lane's arm index (the
+    last: no label matched, the default when there is one): each arm's
+    lanes (None when it runs nothing) and their counts."""
+    if not arm.ndim:  # a lane-uniform subject (a constant, a loop variable)
+        arm = np.full(st.n, arm)
+    counts = np.bincount(arm if k == st.n else arm[m],
+                         minlength=len(sizes)).tolist()
+    if not default:
+        counts[-1] = 0
+    if len(counts) - counts.count(0) > 1:
+        st.divergence += 1
+    st.stmts_executed += sum(size for n, size in zip(counts, sizes) if n)
+    counts = [n if sizes[i] else 0 for i, n in enumerate(counts)]
+    return [m if n == k else (arm == i) & m if n else None
+            for i, n in enumerate(counts)], counts
+
+
+def _put(st, m, value, slot, wakes):
+    """The writer of a non-blocking store to a whole slot."""
+    row = st.d[slot]
+    if wakes and not st.need_sweep and ((row != value) & m).any():
+        st.need_sweep = True
+    np.copyto(row, value, where=m, casting="unsafe")
+
+
+def _phase(st, procs):
+    """What one clock edge runs: each fired process (``(function,
+    lanes)``, in FIFO order) over its lanes still live, sweeping first
+    when a change asked, then the update region between sweeps.  (A
+    process cannot fire another, nor can a latch or a sweep.)"""
+    sweep = st.batch.sweep
+    for fn, m in procs:
+        if st.need_sweep:
+            sweep(st)
+        st.settle_rounds += 1
+        if st.alive_all:
+            fn(st, m)
+        elif (m & st.alive).any():
+            fn(st, m & st.alive)
+    if st.need_sweep:
+        sweep(st)
+    if st.nba:  # the update region: each store over its lanes still live
+        nba, st.nba = st.nba, []
+        for writer, m, *args in nba:
+            writer(st, m if st.alive_all else m & st.alive, *args)
+        if st.need_sweep:
+            sweep(st)
+
+
 if HAVE_NUMPY:
-    _U0 = np.uint64(0)
     _U1 = np.uint64(1)
     HELPERS = {
         "np": np, "H_u64": _u64, "H_not": np.logical_not, "H_sv": _v_signed,
@@ -215,6 +252,16 @@ if HAVE_NUMPY:
            for name in ("H_pow", "H_sdiv", "H_smod")},
         "H_rsel": _v_rsel, "H_mget": _v_mget,
         "H_clog2": _per_lane(lambda v: max(0, (v - 1).bit_length()), 1),
+        # the statement half
+        "cnz": np.count_nonzero, "H_own": lambda v: np.array(v, dtype=np.uint64),
+        # an output task's lane values; does a store change a lane of m?
+        "H_ints": lambda v, n: _u64(v).tolist() if np.ndim(v) else [int(v)] * n,
+        "H_changed": lambda m, row, new: ((row != new) & m).any(), "H_low": _v_low,
+        "H_mstore": _v_mstore, "H_keep": _v_keep, "H_if": _v_if, "H_case": _v_case,
+        "H_put": _put, "H_table": lambda w, arms, k: np.array(
+            [arms.get(v, k) for v in range(1 << w)]),
+        "H_phase": _phase, "H_range": lambda *b: map(np.uint64, range(*b)),
+        "verilog_format": verilog_format, "SimulationError": SimulationError,
     }
 
 
@@ -235,7 +282,8 @@ class VectorExprCompiler(ExprCompiler):
         self.strict = True
         self.slot_src = "st.d[{}]".format
         #: only ``vector_licensed`` (two-state) modules get here: the
-        #: mask-free selects and sums are inherited, no loop binds
+        #: mask-free selects and sums are inherited, and a counted loop
+        #: binds its variable while its body is emitted
         self.bound = {}
 
     def mem_ref(self, name: str) -> str:
@@ -277,10 +325,12 @@ class VectorExprCompiler(ExprCompiler):
         return f"(H_shr({base}, {bit}) & 1)"
 
     def _mem_word(self, memory, idx):
-        return f"{memory}[:, {idx}]"
+        # a gather, not the column view a later in-place store would change
+        return f"{memory}[st.lanes, {idx}]"
 
     def _mem_guarded(self, memory, idx, depth, proved):
-        # Kept even when *proved*: one compare checks every lane.
+        if proved:  # the index interval lies inside the memory
+            return self._mem_word(memory, idx)
         # ``idx`` already has the base address subtracted, modulo 2^64:
         # an address below the base wraps far above any depth.
         return f"H_mget({memory}, st.lanes, {idx}, {depth})"
@@ -311,576 +361,541 @@ class VectorExprCompiler(ExprCompiler):
         raise CompileFallback(f"cannot vectorize system function {e.name}")
 
 
-def _unlinked(st):
-    raise AssertionError("vector expression called before link()")
+# -- the lane program --------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+#: widest ``case`` subject decoded by one table lookup
+_TABLE_BITS = 8
+_FINISH = ("$finish", "$stop")
+_OUTPUT = ("$display", "$write", "$strobe", "$monitor")
 
 
-class _VectorCompiler:
-    """Compiles statements and lvalues into closures over a cohort.
+def _flat(stmt) -> List[ast.Stmt]:
+    """The statements a block runs, nested blocks and delays dissolved
+    and no-ops dropped: each counts once whenever the block runs."""
+    if stmt is None or isinstance(stmt, ast.NullStmt):
+        return []
+    if isinstance(stmt, ast.DelayStmt):
+        return _flat(stmt.stmt)
+    if isinstance(stmt, (ast.Block, ast.ForkJoin)):
+        return [inner for part in stmt.stmts for inner in _flat(part)]
+    return [stmt]
 
-    Expressions are source from :class:`VectorExprCompiler`, wrapped
-    as ``fn(st)`` returning a Python int (constants) or an (N,) uint64
-    row; statement closures take the cohort and a boolean lane mask.
-    Any construct the vector subset cannot express raises
-    :class:`BatchUnsupported` here, or ``CompileFallback`` /
-    ``WidthError`` in the emitter (turned into the former, reason
-    kept, by :class:`BatchedModuleCode`).
+
+def _lvalue_indices(lhs) -> List[ast.Expr]:
+    if isinstance(lhs, ast.Index):
+        return [lhs.index]
+    if isinstance(lhs, ast.RangeSelect) and lhs.mode != ":":
+        return [lhs.msb]
+    if isinstance(lhs, ast.Concat):
+        return [e for part in lhs.parts for e in _lvalue_indices(part)]
+    return []
+
+
+class _Mask:
+    """A lane mask in emitted source: the locals of its row and count,
+    whether it *is* the entry mask, whether a ``$finish`` may empty it."""
+
+    def __init__(self, row: str, count: Optional[str], whole: bool = False):
+        self.row, self.count, self.whole, self.may_be_empty = \
+            row, count, whole, False
+
+
+class _LaneEmitter:
+    """Emits the lane program of one licensed module as Python source.
+
+    Each function runs over an entry mask's lanes: ``pK(st, m)`` edge
+    process K, ``wK(st, m, v, *x)`` a non-blocking store's writer,
+    ``sweep(st)`` the ranked assigns.  Slot rows live in locals
+    ``L<slot>``, copied back under the entry mask at exit; memories
+    (``Q<slot>``) are written in place.  A store under the entry mask
+    itself rebinds its local — only a divergent arm pays ``np.where``.
+    Counters follow a masked statement walk: a statement a block reaches
+    counts once, mask empty or not.  Masks are non-empty and live until
+    a statement that may ``$finish``; after it they are narrowed.
     """
 
     def __init__(self, code: CompiledModuleCode):
-        self.env = code.env
-        self.layout = code.layout
-        self.comb_in = code.comb_in
-        self.trig_slots = set(code.trig_slots)
+        self.code, self.env, self.layout = code, code.env, code.layout
         self.ec = VectorExprCompiler(code.env, code.layout)
-        #: expression source -> its ``fn(st)``, body pending link()
-        self._fns: Dict[str, Callable] = {}
-        self._namespace = dict(HELPERS)
+        self.ec.slot_src, self.ec.mem_ref = self._local, self._mem
+        self.tables: List[str] = []
+        self.writers: Dict[str, str] = {}
+        self._tmp = 0
+        #: id(index expression) -> the writer parameter holding it
+        self._frozen: Dict[int, str] = {}
+        #: each slot's local, as ``_local`` names it -> the slot
+        self._locals = {f"L{slot}": slot for slot in range(code.layout.n_scalars)}
+        #: ids of the statements of this process that may ``$finish``
+        self._finishing: Set[int] = set()
+        # per function (see _function): lines, slot -> read at entry?,
+        # written slots, memories, counted-loop slot -> its variable
+        self.lines, self._cache, self._written, self._mems, self._alias = \
+            [], {}, [], {}, {}
+        self._wakes, self._entry = True, "m"
 
-    # -- expressions: source from the lane carrier, bound by link() ---------
+    def emit(self) -> str:
+        code = self.code
+        sweep = ["def sweep(st):"] + self._function(
+            "A", self._sweep, wakes=False,
+            entry=["st.need_sweep = False", "st.settle_rounds += 1",
+                   f"st.stmts_executed += {len(code.comb_order)}", "A = st.alive"])
+        procs: List[str] = []
+        for proc in code.processes:
+            if proc.kind == "star":
+                raise BatchUnsupported("star process")
+            if proc.kind == "edge":
+                procs += self._process(proc.index, proc.stmt)
+        defs = [f"def {name}{text}" for text, name in self.writers.items()]
+        return "\n".join(self.tables + defs + sweep + procs + self._period())
 
-    def _fn(self, src: str):
-        """``fn(st)`` evaluating *src* (one function per distinct source).
+    # -- plumbing -----------------------------------------------------------
 
-        Statement closures capture the function now; its body arrives
-        when :meth:`link` compiles every expression of the module in
-        one ``compile()`` — per-expression ``exec`` made building the
-        artifact several times slower.
-        """
-        fn = self._fns.get(src)
-        if fn is None:
-            fn = self._fns[src] = types.FunctionType(
-                _unlinked.__code__, self._namespace, f"e{len(self._fns)}")
-        return fn
+    def _emit(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
 
-    def link(self) -> None:
-        text = "\n".join(f"def {fn.__name__}(st):\n    return {src}"
-                         for src, fn in self._fns.items())
-        exec(compile(text, "<repro-batched>", "exec"), self._namespace)
-        for fn in self._fns.values():
-            fn.__code__ = self._namespace[fn.__name__].__code__
+    def _gensym(self, stem: str) -> str:
+        self._tmp += 1
+        return f"_{stem}{self._tmp}"
 
-    def expr_ctx(self, expr: ast.Expr, context_width: int):
-        """``Evaluator.eval``: widen to the context."""
-        return self._fn(self.ec.compile(expr, context_width))
+    def _bound(self, src: str, ind: int) -> str:
+        """*src* evaluated now, once (a local may be rebound after)."""
+        name = self._gensym("v")
+        self._emit(ind, f"{name} = {src}")
+        return name
 
-    def expr_self(self, expr: ast.Expr):
-        """``Evaluator.eval(expr)`` with no context (self width)."""
-        return self._fn(self.ec.compile(expr))
+    def _local(self, slot: int) -> str:
+        if slot in self._alias:
+            return self._alias[slot]
+        self._cache.setdefault(slot, True)
+        return f"L{slot}"
 
-    def expr_at(self, expr: ast.Expr, width: int):
-        """``Evaluator._eval`` at exactly *width* (case subject/labels)."""
-        return self._fn(self.ec.compile_at(expr, width))
+    def _mem(self, name: str) -> str:
+        VectorExprCompiler.mem_ref(self.ec, name)  # refuses a negative base
+        slot = self.layout.mem_slot_of[name]
+        self._mems[slot] = name
+        return f"Q{slot}"
 
-    def expr_bool(self, expr: ast.Expr):
-        """``Evaluator.eval_bool`` as a boolean lane mask."""
-        return self._fn(
-            f"np.asarray({self.ec.compile_cond(expr)}, dtype=bool)")
+    def _aliases(self, src: str) -> bool:
+        """Is *src* a local still holding its state row (which the copy
+        back at exit, or another NBA, writes in place)?"""
+        return self._cache.get(self._locals.get(src), False)
 
-    # -- lvalue writers ----------------------------------------------------
+    def _reads(self, expr) -> bool:
+        """Does *expr* read lane state (a signal or ``$time``)?"""
+        return any(isinstance(node, ast.Identifier) and node.name not in self.env.params
+                   or isinstance(node, ast.SysCall) and node.name in ("$time", "$stime")
+                   for node in ast.walk_expr(expr))
 
-    def writer(self, lhs: ast.Expr, mark: bool):
-        """Compile an lvalue into ``(capture_fns, apply_fn)``.
-
-        ``apply_fn(st, m, value, *captured)`` performs the masked
-        write.  ``capture_fns`` evaluate the lvalue's dynamic indices;
-        blocking assigns evaluate them inline, non-blocking assigns
-        materialize them at statement execution (LRM §9.2.2) and replay
-        them in the update region.  ``mark`` selects the procedural
-        flavor that raises ``need_sweep`` on combinational-input
-        changes; the ranked sweep itself runs in full order every pass
-        and must not re-mark.
-        """
-        if isinstance(lhs, ast.Identifier):
-            return self._writer_identifier(lhs, mark)
-        if isinstance(lhs, ast.Index):
-            return self._writer_index(lhs, mark)
-        if isinstance(lhs, ast.RangeSelect):
-            return self._writer_range(lhs, mark)
-        if isinstance(lhs, ast.Concat):
-            return self._writer_concat(lhs, mark)
-        raise BatchUnsupported(
-            f"cannot vectorize assignment to {type(lhs).__name__}")
-
-    def _check_not_trigger(self, slot: int) -> None:
-        if slot in self.trig_slots:
-            # The licence guarantees no process writes the clock;
-            # anything else here would need edge re-detection.
-            raise BatchUnsupported("write to an edge-trigger slot")
-
-    def _writer_identifier(self, lhs: ast.Identifier, mark: bool):
-        slot = self.layout.slot_of.get(lhs.name)
-        if slot is None:
-            raise BatchUnsupported(f"cannot vectorize write to {lhs.name!r}")
-        self._check_not_trigger(slot)
-        sig_mask = _umask(self.env.signal(lhs.name).width)
-        comb_mark = mark and bool(self.comb_in[slot])
-
-        if comb_mark:
-            def apply(st, m, value):
-                row = st.d[slot]
-                new = np.asarray(value, dtype=np.uint64) & sig_mask
-                changed = m & (row != new)
-                if not changed.any():
-                    return
-                np.copyto(row, new, where=changed, casting="unsafe")
-                st.need_sweep = True
-        else:
-            # No sweep re-marking → no need to detect change at all;
-            # a masked overwrite of equal values is free of side
-            # effects and two reductions cheaper.
-            def apply(st, m, value):
-                new = np.asarray(value, dtype=np.uint64) & sig_mask
-                np.copyto(st.d[slot], new, where=m, casting="unsafe")
-
-        return [], apply
-
-    def _writer_index(self, lhs: ast.Index, mark: bool):
-        if not isinstance(lhs.base, ast.Identifier):
-            raise BatchUnsupported("cannot vectorize nested index store")
-        sig = self.env.signals.get(lhs.base.name)
-        if sig is None:
-            raise BatchUnsupported(f"store into unknown {lhs.base.name!r}")
-        idxf = self.expr_self(lhs.index)
-        if sig.is_memory:
-            name = sig.name
-            base_addr, word_mask, mem_slot, depth = self.layout.mem_specs[name]
-            baseu = np.uint64(base_addr)
-            endu = np.uint64(base_addr + depth)
-            wmask = np.uint64(word_mask)
-            comb_mark = mark and bool(self.comb_in[mem_slot])
-
-            def apply_mem(st, m, value, addr):
-                addrs = _as_lanes(st, addr)
-                valid = m & (addrs >= baseu) & (addrs < endu)
-                if not valid.any():
-                    return
-                rows = st.lanes[valid]
-                cols = (addrs[valid] - baseu).astype(np.intp)
-                new = _as_lanes(st, value)[valid] & wmask
-                memory = st.mems[name]
-                if comb_mark and (memory[rows, cols] != new).any():
-                    st.need_sweep = True
-                memory[rows, cols] = new
-
-            return [idxf], apply_mem
-        slot = self.layout.slot_of[sig.name]
-        self._check_not_trigger(slot)
-        lsb = np.int64(sig.lsb)
-        sig_width = np.int64(sig.width)
-        ascending = sig.msb >= sig.lsb
-        comb_mark = mark and bool(self.comb_in[slot])
-
-        def apply_bit(st, m, value, idx):
-            iv = _as_lanes(st, idx).astype(np.int64)
-            off = (iv - lsb) if ascending else (lsb - iv)
-            valid = m & (off >= 0) & (off < sig_width)
-            if not valid.any():
-                return
-            offu = np.where(valid, off, 0).astype(np.uint64)
-            row = st.d[slot]
-            bit = (_as_lanes(st, value) & _U1) << offu
-            new = (row & ~(_U1 << offu)) | bit
-            changed = valid & (row != new)
-            if not changed.any():
-                return
-            np.copyto(row, new, where=changed, casting="unsafe")
-            if comb_mark:
-                st.need_sweep = True
-
-        return [idxf], apply_bit
-
-    def _writer_range(self, lhs: ast.RangeSelect, mark: bool):
-        if not isinstance(lhs.base, ast.Identifier):
-            raise BatchUnsupported("cannot vectorize nested range store")
-        sig = self.env.signals.get(lhs.base.name)
-        if sig is None:
-            raise BatchUnsupported(f"store into unknown {lhs.base.name!r}")
-        slot = self.layout.slot_of[sig.name]
-        self._check_not_trigger(slot)
-        sig_mask = _umask(sig.width)
-        comb_mark = mark and bool(self.comb_in[slot])
-        if lhs.mode == ":":
-            low, sel_width = const_range_bounds(lhs, self.env)
-            if sel_width < 1 or sel_width > 64:
-                raise BatchUnsupported(f"range width {sel_width} > 64")
-            if low < 0 or low >= sig.width:
-                # Out-of-range constant slice: the scalar store masks
-                # the update away, leaving the value unchanged.
-                return [], lambda st, m, value: None
-            field = np.uint64((mask(-1, sel_width) << low) & mask(-1, sig.width))
-            lowu = np.uint64(low)
-
-            def apply_const(st, m, value):
-                row = st.d[slot]
-                vv = np.asarray(value, dtype=np.uint64)
-                new = (row & ~field) | ((vv << lowu) & field)
-                changed = m & (row != new)
-                if not changed.any():
-                    return
-                np.copyto(row, new, where=changed, casting="unsafe")
-                if comb_mark:
-                    st.need_sweep = True
-
-            return [], apply_const
-        startf = self.expr_self(lhs.msb)
-        sel_width = const_eval(lhs.lsb, self.env.params)
-        if sel_width < 1 or sel_width > 64:
-            raise BatchUnsupported(f"range width {sel_width} > 64")
-        smask = _umask(sel_width)
-        ascending = sig.msb >= sig.lsb
-        lsb = np.int64(sig.lsb)
-        minus = lhs.mode == "-:"
-        span = np.int64(sel_width - 1)
-
-        def apply_dyn(st, m, value, start):
-            iv = _as_lanes(st, start).astype(np.int64)
-            li = (iv - span) if minus else iv
-            low = (li - lsb) if ascending else (lsb - li)
-            valid = m & (low >= 0) & (low < 64)
-            if not ascending:
-                valid = valid & (iv >= 0)
-            if not valid.any():
-                return
-            lowu = np.where(valid, low, 0).astype(np.uint64)
-            field = (smask << lowu) & sig_mask
-            row = st.d[slot]
-            vv = _as_lanes(st, value)
-            new = (row & ~field) | ((vv << lowu) & field)
-            changed = valid & (row != new)
-            if not changed.any():
-                return
-            np.copyto(row, new, where=changed, casting="unsafe")
-            if comb_mark:
-                st.need_sweep = True
-
-        return [startf], apply_dyn
-
-    def _writer_concat(self, lhs: ast.Concat, mark: bool):
-        total = sum(self.env.width_of(p) for p in lhs.parts)
-        if total > 64:
-            raise BatchUnsupported(f"concat lvalue width {total} > 64")
-        pieces = []
-        caps: List[Callable] = []
-        shift = total
-        for part in lhs.parts:
-            part_width = self.env.width_of(part)
-            shift -= part_width
-            part_caps, part_apply = self.writer(part, mark)
-            lo = len(caps)
-            caps.extend(part_caps)
-            hi = len(caps)
-            pieces.append((part_apply, np.uint64(shift),
-                           _umask(part_width), lo, hi))
-
-        def apply(st, m, value, *captured):
-            vv = np.asarray(value, dtype=np.uint64)
-            for part_apply, sh, pm, lo, hi in pieces:
-                part_apply(st, m, (vv >> sh) & pm, *captured[lo:hi])
-
-        return caps, apply
-
-    # -- statements --------------------------------------------------------
-
-    def compile_assign(self, item: ast.ContinuousAssign):
-        """One ranked sweep entry (``assign lhs = rhs``), no re-marking."""
-        width = self.env.width_of(item.lhs)
-        rf = self.expr_ctx(item.rhs, width)
-        caps, apply = self.writer(item.lhs, mark=False)
-        if not caps:
-            return lambda st, m: apply(st, m, rf(st))
-        return lambda st, m: apply(st, m, rf(st),
-                                   *[cf(st) for cf in caps])
-
-    def compile_stmt(self, stmt) -> Optional[Callable]:
-        """Compile one statement into ``fn(st, m)`` (None = no-op)."""
-        if stmt is None or isinstance(stmt, ast.NullStmt):
+    def _constant(self, expr, src: str) -> Optional[int]:
+        """*expr*'s value (as compiled to *src*) if it reads no lane state."""
+        if self._reads(expr):
             return None
-        if isinstance(stmt, ast.DelayStmt):
-            return self.compile_stmt(stmt.stmt)
-        if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-            fns = [f for f in (self.compile_stmt(s) for s in stmt.stmts) if f]
-            if not fns:
-                return None
+        with np.errstate(over="ignore"):
+            return int(np.asarray(eval(src, dict(HELPERS))))
 
-            def block(st, m):
-                for fn in fns:
-                    fn(st, m)
+    def _index(self, expr) -> Tuple[str, Optional[int]]:
+        """Source of an lvalue index and its value when constant."""
+        if id(expr) in self._frozen:
+            return self._frozen[id(expr)], None
+        src = self.ec.compile(expr)
+        return src, self._constant(expr, src)
 
-            return block
-        if isinstance(stmt, ast.Assign):
-            return self._compile_assign_stmt(stmt)
-        if isinstance(stmt, ast.If):
-            return self._compile_if(stmt)
-        if isinstance(stmt, ast.Case):
-            return self._compile_case(stmt)
-        if isinstance(stmt, ast.For):
-            return self._compile_for(stmt)
-        if isinstance(stmt, ast.While):
-            return self._compile_while(stmt)
-        if isinstance(stmt, ast.RepeatStmt):
-            return self._compile_repeat(stmt)
-        if isinstance(stmt, ast.SysTask):
-            return self._compile_systask(stmt)
-        raise BatchUnsupported(
-            f"cannot vectorize statement {type(stmt).__name__}")
+    # -- functions ----------------------------------------------------------
 
-    def _compile_assign_stmt(self, stmt: ast.Assign):
+    def _function(self, mask: str, emit_body, wakes: bool = True,
+                  entry=(), exit=()) -> List[str]:
+        """A function body over entry mask *mask*: what *emit_body* reads
+        bound at entry, the slots it writes copied back at exit."""
+        saved = (self.lines, self._cache, self._written, self._mems,
+                 self._alias, self._wakes, self._entry)
+        self.lines, self._cache, self._written, self._mems = [], {}, [], {}
+        self._alias, self._wakes, self._entry = {}, wakes, mask
+        try:
+            emit_body()
+            loads = [slot for slot, read in self._cache.items() if read]
+            out = ["d = st.d", *entry] + [
+                "".join(f"{name}, " for name, _ in binds) + "= "
+                + "".join(f"{src}, " for _, src in binds) for binds in (
+                    [(f"Q{s}", f"st.mems[{n!r}]") for s, n in self._mems.items()],
+                    [(f"L{s}", f"d[{s}]") for s in loads]) if binds]
+            out = ["    " + line for line in out] + self.lines
+            if self._written:
+                pairs = "".join(f"({s}, L{s}), " for s in self._written)
+                out += [f"    for _s, _l in ({pairs}):",
+                        f"        np.copyto(d[_s], _l, where={mask}, casting='unsafe')"]
+            return out + ["    " + line for line in exit] + [""]
+        finally:
+            (self.lines, self._cache, self._written, self._mems,
+             self._alias, self._wakes, self._entry) = saved
+
+    def _sweep(self) -> None:
+        for index in self.code.comb_order:
+            item = self.code.processes[index].assign
+            width = self.env.width_of(item.lhs)
+            self._store(item.lhs, self.ec.compile(item.rhs, width),
+                        max(self.env.width_of(item.rhs), width),
+                        _Mask("A", None, whole=True), 1)
+
+    def _process(self, index: int, stmt) -> List[str]:
+        # The entry mask is copied back under, so a process that may
+        # $finish narrows a working copy of it instead.
+        self._finishing = {id(node) for node in ast.walk_stmt(stmt) if any(
+            isinstance(sub, ast.SysTask) and sub.name in _FINISH
+            for sub in ast.walk_stmt(node))}
+        finishes = id(stmt) in self._finishing
+        top = _Mask("w", "nw", True) if finishes else _Mask("m", "nm", True)
+        return [f"def p{index}(st, m):"] + self._function(
+            "m", lambda: self._body(stmt, top, 1),
+            entry=["nm = st.n if m is st.ALL else cnz(m)", "_st = 0"]
+            + (["w, nw = m, nm"] if finishes else []),
+            exit=["st.stmts_executed += _st"])
+
+    def _writer(self, lhs, width: int, dyn: List[ast.Expr]) -> str:
+        """``wK(st, m, v, *x)``: *lhs* = *v* over *m*, indices frozen."""
+        params = ", ".join(["st", "m", "v"] + [f"x{k}" for k in range(len(dyn))])
+        self._frozen = {id(expr): f"x{k}" for k, expr in enumerate(dyn)}
+        try:
+            body = self._function("m", lambda: self._store(
+                lhs, "v", width, _Mask("m", None, whole=True), 1))
+        finally:
+            self._frozen = {}
+        text = "\n".join([f"({params}):"] + body)
+        return self.writers.setdefault(text, f"w{len(self.writers)}")
+
+    def _period(self) -> List[str]:
+        """``period(st)``: a clock period from the resting state (clock
+        and previous values low, nothing pending, every lane live), so
+        both edges change every lane and ``trig_specs`` fixes what fires.
+        A lane finishing on the rising edge leaves the fall to ``edge()``."""
+        code = self.code
+        clk = code.tick_clock_slot
+        out = ["def period(st):", "    d = st.d"]
+        for value in (1, 0):
+            fired: List[int] = []
+            for _, k in code.trig_specs[clk]:
+                proc, edge = code.edge_specs[k]
+                if edge != ("negedge" if value else "posedge") and proc not in fired:
+                    fired.append(proc)
+            phase = [f"d[{clk}] = {value}", f"st.prev.fill({value})"]
+            if code.comb_in[clk]:
+                phase.append("st.need_sweep = True")
+            if fired or code.comb_in[clk]:
+                calls = "".join(f"(p{p}, st.ALL), " for p in fired)
+                phase.append(f"H_phase(st, ({calls}))")
+            out += ["    " * (2 - value) + line for line in phase]
+            if value:
+                out += ["    if not st.alive_all:",
+                        f"        st.edge({code.tick_clock!r}, 0)", "    else:"]
+        return out + ["    st.times += 1", ""]
+
+    # -- statements ---------------------------------------------------------
+
+    def _body(self, stmt, lanes: _Mask, ind: int, extra: int = 0,
+              counted: bool = False) -> None:
+        """*stmt* under *lanes*: one count for what it reaches (plus
+        *extra*, unless a branch helper *counted* them), then each
+        statement, narrowing *lanes* after one that may ``$finish``."""
+        items = _flat(stmt)
+        if (items or extra) and not counted:
+            self._emit(ind, f"_st += {len(items) + extra}")
+        for item in items:
+            emit = {ast.Assign: self._assign, ast.If: self._if,
+                    ast.Case: self._case, ast.For: self._for,
+                    ast.While: self._while, ast.RepeatStmt: self._repeat,
+                    ast.SysTask: self._systask}.get(type(item))
+            if emit is None:
+                raise BatchUnsupported(
+                    f"cannot vectorize statement {type(item).__name__}")
+            emit(item, lanes, ind)
+            if id(item) in self._finishing:
+                self._emit(ind, "if not st.alive_all:")
+                self._emit(ind + 1, f"{lanes.row} = {lanes.row} & st.alive")
+                self._emit(ind + 1, f"{lanes.count} = cnz({lanes.row})")
+                lanes.whole, lanes.may_be_empty = False, True
+
+    def _assign(self, stmt: ast.Assign, lanes: _Mask, ind: int) -> None:
         width = self.env.width_of(stmt.lhs)
-        rf = self.expr_ctx(stmt.rhs, width)
-        caps, apply = self.writer(stmt.lhs, mark=True)
+        value_width = max(self.env.width_of(stmt.rhs), width)
+        rhs = self.ec.compile(stmt.rhs, width)
         if stmt.blocking:
-            def blocking(st, m):
-                st.stmts_executed += 1
-                am = _live(st, m)
-                if am is None:
-                    return
-                apply(st, am, rf(st), *[cf(st) for cf in caps])
+            self._store(stmt.lhs, rhs, value_width, lanes, ind)
+            return
+        # Value and every index that reads lanes frozen now, applied in
+        # the update region (LRM §9.2.2); one aliasing state is copied.
+        dyn: List[Tuple[ast.Expr, str]] = []
+        if isinstance(stmt.lhs, ast.Identifier):
+            slot = self._target(stmt.lhs.name)
+            sig_width = self.env.signal(stmt.lhs.name).width
+            if value_width > sig_width:
+                rhs = f"(({rhs}) & {mask(-1, sig_width)})"
+            writer, tail = "H_put", f", {slot}, {bool(self.code.comb_in[slot])}"
+        else:
+            dyn = [(expr, self.ec.compile(expr))
+                   for expr in _lvalue_indices(stmt.lhs) if self._reads(expr)]
+            writer = self._writer(stmt.lhs, value_width, [e for e, _ in dyn])
+            tail = ""
+        args = ", ".join(f"H_own({s})" if self._aliases(s) else s
+                         for s in [rhs] + [s for _, s in dyn])
+        self._emit(ind, f"st.nba.append(({writer}, {lanes.row}, {args}{tail}))")
 
-            return blocking
+    def _if(self, stmt: ast.If, lanes: _Mask, ind: int) -> None:
+        cond = self.ec.compile_cond(stmt.cond)
+        arms = [(_Mask(self._gensym("a"), self._gensym("n")), stmt.then_stmt),
+                (_Mask(self._gensym("b"), self._gensym("j")), stmt.else_stmt)]
+        self._emit(ind, ", ".join(f"{a.row}, {a.count}" for a, _ in arms)
+                   + f" = H_if(st, {lanes.row}, {lanes.count}, {cond}, "
+                   + ", ".join(str(len(_flat(body))) for _, body in arms) + ")")
+        for arm, body in arms:
+            if _flat(body):
+                self._emit(ind, f"if {arm.count}:")
+                self._body(body, arm, ind + 1, counted=True)
 
-        def nonblocking(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            # Value and indices are frozen now, applied in the update
-            # region — the vector analogue of _freeze_lval.
-            st.nba.append((apply, am, _own(st, rf(st)),
-                           *[_own(st, cf(st)) for cf in caps]))
-
-        return nonblocking
-
-    def _compile_if(self, stmt: ast.If):
-        cf = self.expr_bool(stmt.cond)
-        tf = self.compile_stmt(stmt.then_stmt)
-        ef = self.compile_stmt(stmt.else_stmt)
-
-        def branch(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            cond = cf(st)
-            taken = am & cond
-            other = am & ~cond
-            taken_any = taken.any()
-            other_any = other.any()
-            if taken_any and other_any:
-                st.divergence += 1
-            if taken_any and tf is not None:
-                tf(st, taken)
-            if other_any and ef is not None:
-                ef(st, other)
-
-        return branch
-
-    def _compile_case(self, stmt: ast.Case):
-        subject_width = self.env.width_of(stmt.expr)
-        sf = self.expr_at(stmt.expr, subject_width)
+    def _case(self, stmt: ast.Case, lanes: _Mask, ind: int) -> None:
+        width = self.env.width_of(stmt.expr)
+        subject = self.ec.compile_at(stmt.expr, width)
         wildcard = stmt.kind in ("casez", "casex")
-        arms = []
-        default_fn = None
-        have_default = False
+        arms, default = [], []
         for item in stmt.items:
             if not item.labels:
-                if not have_default:
-                    have_default = True
-                    default_fn = self.compile_stmt(item.stmt)
+                default = default or [item.stmt]
                 continue
-            labels = []
-            for label in item.labels:
-                label_width = max(subject_width, self.env.width_of(label))
-                lf = self.expr_at(label, label_width)
-                dontcare = 0
-                if wildcard and isinstance(label, ast.Number):
-                    dontcare = label.xz_mask
-                labels.append((lf, np.uint64(mask(~dontcare, 64))))
-            arms.append((labels, self.compile_stmt(item.stmt)))
+            arms.append(([(label, self.ec.compile_at(
+                label, max(width, self.env.width_of(label))), mask(~(
+                    label.xz_mask if wildcard and isinstance(label, ast.Number)
+                    else 0), 64)) for label in item.labels], item.stmt))
+        # Each lane's arm index (len(arms): no label matched; the first
+        # match wins): a table lookup for a narrow subject and constants.
+        arm = self._gensym("x")
+        labels = [(i, self._constant(label, src), care) for i, (arm_labels, _)
+                  in enumerate(arms) for label, src, care in arm_labels]
+        if width <= _TABLE_BITS and all(label is not None for _, label, _ in labels):
+            table: Dict[int, int] = {}
+            for i, label, care in labels:
+                for value in ([label] if care == _M64 else range(1 << width)):
+                    if value & care == label & care and value >> width == 0:
+                        table.setdefault(value, i)
+            self.tables.append(f"T{len(self.tables)} = H_table({width}, {table}, "
+                               f"{len(arms)})")
+            self._emit(ind, f"{arm} = T{len(self.tables) - 1}[{subject}]")
+        else:
+            subject = self._bound(subject, ind)
+            self._emit(ind, f"{arm} = np.full(st.n, {len(arms)})")
+            for i in reversed(range(len(arms))):
+                hit = " | ".join(f"({subject} == ({src}))" if care == _M64 else
+                                 f"(({subject} & {care}) == (({src}) & {care}))"
+                                 for _, src, care in arms[i][0])
+                self._emit(ind, f"{arm} = np.where({hit}, {i}, {arm})")
+        bodies = [body for _, body in arms] + (default or [None])
+        rows, counts = self._gensym("r"), self._gensym("c")
+        self._emit(ind, f"{rows}, {counts} = H_case(st, {lanes.row}, "
+                        f"{lanes.count}, {arm}, {tuple(map(len, map(_flat, bodies)))}, "
+                        f"{bool(default)})")
+        for i, body in enumerate(bodies):
+            if _flat(body):  # (each arm's lanes run off the lists)
+                self._emit(ind, f"if {counts}[{i}]:")
+                self._body(body, _Mask(f"{rows}[{i}]", f"{counts}[{i}]"), ind + 1,
+                           counted=True)
 
-        def case(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            subject = sf(st)
-            # All labels evaluate before any arm body runs, matching
-            # the scalar per-lane read-labels-then-execute order.
-            remaining = am
-            selected = []
-            for labels, body in arms:
-                hit = None
-                for lf, care in labels:
-                    one = (subject & care) == (lf(st) & care)
-                    hit = one if hit is None else (hit | one)
-                sel = remaining & hit
-                remaining = remaining & ~sel
-                selected.append((sel, body))
-            taken_arms = 0
-            for sel, body in selected:
-                if sel.any():
-                    taken_arms += 1
-                    if body is not None:
-                        body(st, sel)
-            if have_default and remaining.any():
-                taken_arms += 1
-                if default_fn is not None:
-                    default_fn(st, remaining)
-            if taken_arms > 1:
-                st.divergence += 1
+    def _loop(self, lanes: _Mask, ind: int, test, body, step=None,
+              kind: Optional[str] = None) -> None:
+        """Each trip keeps the live lanes where ``test(trip)`` holds; at the
+        limit a ``for``/``while`` (*kind*) raises, a ``repeat`` stops."""
+        live, trip = _Mask(self._gensym("l"), self._gensym("n")), self._gensym("i")
+        self._emit(ind, f"{live.row}, {trip} = {lanes.row}, 0")
+        self._emit(ind, "while True:" if kind
+                   else f"while {trip} < {_MAX_LOOP_ITERATIONS}:")
+        c = self._bound(test(trip), ind + 1)
+        self._emit(ind + 1, f"{live.row} = {live.row} & {c} if st.alive_all "
+                            f"else {live.row} & st.alive & {c}")
+        self._emit(ind + 1, f"{live.count} = cnz({live.row})")
+        self._emit(ind + 1, f"if not {live.count}:")
+        self._emit(ind + 2, "break")
+        self._body(body, live, ind + 1, extra=int(step is not None))
+        if step is not None:
+            self._assign(step, live, ind + 1)
+        self._emit(ind + 1, f"{trip} += 1")
+        if kind:
+            self._emit(ind + 1, f"if {trip} > {_MAX_LOOP_ITERATIONS}:")
+            self._emit(ind + 2, f"raise SimulationError('{kind}-loop "
+                                "iteration limit exceeded')")
 
-        return case
+    def _guard(self, lanes: _Mask, ind: int) -> int:
+        """Skip what follows when a ``$finish`` emptied *lanes*."""
+        if lanes.may_be_empty:
+            self._emit(ind, f"if {lanes.count}:")
+            return ind + 1
+        return ind
 
-    def _compile_for(self, stmt: ast.For):
-        initf = self.compile_stmt(stmt.init)
-        cf = self.expr_bool(stmt.cond)
-        stepf = self.compile_stmt(stmt.step)
-        bodyf = self.compile_stmt(stmt.body)
+    def _for(self, stmt: ast.For, lanes: _Mask, ind: int) -> None:
+        ind = self._guard(lanes, ind)
+        self._emit(ind, "_st += 1")
+        trips = counted_loop(stmt, self.env, _MAX_LOOP_ITERATIONS)
+        slot = trips is not None and self._target(stmt.init.lhs.name)
+        if (trips is None or self.code.comb_in[slot]
+                or id(stmt.body) in self._finishing):
+            self._assign(stmt.init, lanes, ind)
+            cond = self.ec.compile_cond(stmt.cond)
+            self._loop(lanes, ind, lambda trip: cond, stmt.body, stmt.step, "for")
+            return
+        # Counted: the lanes share every trip of a variable the body
+        # only reads — no lane test per trip, one exit store after.
+        var, name = self._gensym("i"), stmt.init.lhs.name
+        self._alias[slot], self.ec.bound[name] = var, trips
+        try:
+            self._emit(ind, f"for {var} in H_range({trips.start}, "
+                            f"{trips.stop}, {trips.step}):")
+            self._body(stmt.body, _Mask(lanes.row, lanes.count), ind + 1, extra=1)
+        finally:
+            del self._alias[slot], self.ec.bound[name]
+        self._commit(slot, str(trips.start + len(trips) * trips.step), lanes, ind)
 
-        def loop(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            if initf is not None:
-                initf(st, am)
-            live = am
-            iterations = 0
-            while True:
-                live = (live & cf(st) if st.alive_all
-                        else live & st.alive & cf(st))
-                if not live.any():
-                    return
-                if bodyf is not None:
-                    bodyf(st, live)
-                if stepf is not None:
-                    stepf(st, live)
-                iterations += 1
-                if iterations > _MAX_LOOP_ITERATIONS:
-                    raise SimulationError("for-loop iteration limit exceeded")
+    def _while(self, stmt: ast.While, lanes: _Mask, ind: int) -> None:
+        cond = self.ec.compile_cond(stmt.cond)
+        self._loop(lanes, ind, lambda trip: cond, stmt.body, kind="while")
 
-        return loop
+    def _repeat(self, stmt: ast.RepeatStmt, lanes: _Mask, ind: int) -> None:
+        count = self._bound(self.ec.compile(stmt.count), ind)
+        self._loop(lanes, ind, lambda trip: f"({count} > {trip})", stmt.body)
 
-    def _compile_while(self, stmt: ast.While):
-        cf = self.expr_bool(stmt.cond)
-        bodyf = self.compile_stmt(stmt.body)
+    def _systask(self, stmt: ast.SysTask, lanes: _Mask, ind: int) -> None:
+        args, name = stmt.args, stmt.name
+        if name not in _FINISH + _OUTPUT:
+            # $random, file I/O, $save/$restart/$yield and $readmem mutate
+            # per-lane host state in ways a masked evaluation cannot.
+            raise BatchUnsupported(f"cannot vectorize system task {name}")
+        formatted = (name in _OUTPUT and bool(args)
+                     and isinstance(args[0], ast.String) and "%" in args[0].value)
+        lane, parts = self._gensym("l"), []
+        for arg in args[formatted:1] if name in _FINISH else args[formatted:]:
+            if isinstance(arg, ast.String) and name in _OUTPUT:
+                parts.append(repr(arg.value))
+                continue
+            values = self._bound(f"H_ints({self.ec.compile(arg)}, st.n)", ind)
+            parts.append(f"{values}[{lane}]" if formatted or name in _FINISH
+                         else f"str({values}[{lane}])")
+        if name in _FINISH:
+            ind = self._guard(lanes, ind)
+            self._emit(ind, f"if (st.n if st.alive_all else cnz(st.alive)) != "
+                            f"{lanes.count}:")
+            self._emit(ind + 1, "st.divergence += 1")
+        self._emit(ind, f"for {lane} in np.flatnonzero({lanes.row}).tolist():")
+        if name in _FINISH:
+            self._emit(ind + 1, f"st.hosts[{lane}].finished = True")
+            self._emit(ind + 1, f"st.hosts[{lane}].finish_code = "
+                                + (parts[0] if parts else "0"))
+            # The vector form of the scalar FinishSignal unwind: later
+            # statements, NBA latches and the time increment skip it.
+            self._emit(ind, f"st.alive[{lanes.row}] = False")
+            self._emit(ind, "st.alive_all = False")
+            return
+        line = (f"verilog_format({args[0].value!r}, [{', '.join(parts)}])"
+                if formatted else f"' '.join([{', '.join(parts)}])")
+        if name == "$write":
+            self._emit(ind + 1, f"st.wbuf[{lane}] += {line}")
+        else:
+            self._emit(ind + 1, f"st.hosts[{lane}].display(st.wbuf[{lane}] + {line})")
+            self._emit(ind + 1, f"st.wbuf[{lane}] = ''")
 
-        def loop(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            live = am
-            iterations = 0
-            while True:
-                live = (live & cf(st) if st.alive_all
-                        else live & st.alive & cf(st))
-                if not live.any():
-                    return
-                if bodyf is not None:
-                    bodyf(st, live)
-                iterations += 1
-                if iterations > _MAX_LOOP_ITERATIONS:
-                    raise SimulationError(
-                        "while-loop iteration limit exceeded")
+    # -- stores -------------------------------------------------------------
 
-        return loop
+    def _target(self, name: str) -> int:
+        """The slot a store to *name* writes."""
+        slot = self.layout.slot_of.get(name)
+        if slot is None:
+            raise BatchUnsupported(f"cannot vectorize write to {name!r}")
+        if slot in self.code.trig_slots:
+            # (the licence: no process writes the clock)
+            raise BatchUnsupported("write to an edge-trigger slot")
+        return slot
 
-    def _compile_repeat(self, stmt: ast.RepeatStmt):
-        countf = self.expr_self(stmt.count)
-        bodyf = self.compile_stmt(stmt.body)
+    def _store(self, lhs, value: str, width: int, lanes: _Mask, ind: int) -> None:
+        """``Evaluator.assign(lhs, value)`` (*width* bits) over *lanes*."""
+        env = self.env
+        if isinstance(lhs, ast.Identifier):
+            slot, sig_width = self._target(lhs.name), env.signal(lhs.name).width
+            self._commit(slot, value if width <= sig_width else
+                         f"(({value}) & {mask(-1, sig_width)})", lanes, ind)
+            return
+        if isinstance(lhs, ast.Concat):
+            shift = sum(env.width_of(p) for p in lhs.parts)
+            if shift > 64:
+                raise BatchUnsupported(f"concat lvalue width {shift} > 64")
+            value = self._bound(value, ind)
+            for part in lhs.parts:
+                shift -= env.width_of(part)
+                self._store(part, f"(({value} >> {shift}) & "
+                                  f"{mask(-1, env.width_of(part))})",
+                            env.width_of(part), lanes, ind)
+            return
+        if not isinstance(lhs, (ast.Index, ast.RangeSelect)):
+            raise BatchUnsupported(
+                f"cannot vectorize assignment to {type(lhs).__name__}")
+        if not isinstance(lhs.base, ast.Identifier):
+            raise BatchUnsupported("cannot vectorize nested " + (
+                "index" if isinstance(lhs, ast.Index) else "range") + " store")
+        sig = env.signals.get(lhs.base.name)
+        if sig is None:
+            raise BatchUnsupported(f"store into unknown {lhs.base.name!r}")
+        if isinstance(lhs, ast.Index) and sig.is_memory:
+            base, word_mask, mem_slot, depth = self.layout.mem_specs[sig.name]
+            self._emit(ind, f"H_mstore(st, {lanes.row}, {self._mem(sig.name)}, "
+                            f"{self._index(lhs.index)[0]}, {value}, {base}, "
+                            f"{base + depth}, {word_mask}, "
+                            f"{self._wakes and bool(self.code.comb_in[mem_slot])})")
+            return
+        # A bit or part select: a field at a low offset known now (out
+        # of the word: dropped, as the scalar store does) or per lane.
+        slot, span, low = self._target(sig.name), 0, None
+        if isinstance(lhs, ast.Index):
+            sel_width = 1
+            src, const = self._index(lhs.index)
+            low = None if const is None else sig.bit_offset(const)
+        elif lhs.mode == ":":
+            low, sel_width = const_range_bounds(lhs, env)
+        else:
+            sel_width = const_eval(lhs.lsb, env.params)
+            span, src = sel_width - 1, self._index(lhs.msb)[0]
+        if not 1 <= sel_width <= 64:
+            raise BatchUnsupported(f"range width {sel_width} > 64")
+        ones, sig_mask = mask(-1, sel_width), mask(-1, sig.width)
+        old = self._local(slot)
+        if low is not None:
+            if 0 <= low < sig.width:
+                field = (ones << low) & sig_mask
+                self._commit(slot, f"(({old} & {~field & _M64}) | "
+                                   f"((({value}) << {low}) & {field}))", lanes, ind)
+            return
+        valid, low, field = self._gensym("k"), self._gensym("o"), self._gensym("f")
+        self._emit(ind, f"{valid}, {low} = H_low({src}, {sig.lsb}, {span}, "
+                        f"{getattr(lhs, 'mode', '') == '-:'}, "
+                        f"{sig.msb >= sig.lsb}, {lanes.row})")
+        self._emit(ind, f"{field} = ({ones} << {low}) & {sig_mask}")
+        self._commit(slot, f"(({old} & ~{field}) | ((({value}) << {low}) & "
+                           f"{field}))", _Mask(valid, None), ind)
 
-        def loop(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            count = _as_lanes(st, countf(st))
-            i = 0
-            while i < _MAX_LOOP_ITERATIONS:
-                live = (am & (count > np.uint64(i)) if st.alive_all
-                        else am & st.alive & (count > np.uint64(i)))
-                if not live.any():
-                    return
-                if bodyf is not None:
-                    bodyf(st, live)
-                i += 1
-
-        return loop
-
-    def _compile_systask(self, stmt: ast.SysTask):
-        name = stmt.name
-        if name in ("$display", "$write", "$strobe", "$monitor"):
-            return self._compile_output_task(stmt, append=name == "$write")
-        if name in ("$finish", "$stop"):
-            codef = self.expr_self(stmt.args[0]) if stmt.args else None
-
-            def finish(st, m):
-                st.stmts_executed += 1
-                am = _live(st, m)
-                if am is None:
-                    return
-                if (st.alive & ~am).any():
-                    st.divergence += 1
-                codes = _as_lanes(st, codef(st)) if codef is not None else None
-                for lane in np.nonzero(am)[0]:
-                    host = st.hosts[lane]
-                    host.finished = True
-                    host.finish_code = int(codes[lane]) if codes is not None else 0
-                # Masked abort: later statements, NBA latches and the
-                # time increment all re-and with ``alive``, which is the
-                # vector form of the scalar FinishSignal unwind.
-                st.alive[am] = False
-                st.alive_all = False
-
-            return finish
-        # $random-consuming tasks, file I/O, $save/$restart/$yield and
-        # $readmem mutate per-lane host state mid-tick in ways the
-        # masked evaluation cannot replicate; the unknown-task banner
-        # would at least need per-lane ordering too.  All fall back.
-        raise BatchUnsupported(f"cannot vectorize system task {name}")
-
-    def _compile_output_task(self, stmt: ast.SysTask, append: bool):
-        args = stmt.args
-        formatted = (bool(args) and isinstance(args[0], ast.String)
-                     and "%" in args[0].value)
-        fmt = args[0].value if formatted else None
-        specs = [(arg.value, None) if isinstance(arg, ast.String)
-                 else (None, self.expr_self(arg))
-                 for arg in (args[1:] if formatted else args)]
-
-        def output(st, m):
-            st.stmts_executed += 1
-            am = _live(st, m)
-            if am is None:
-                return
-            rendered = [(text, None) if text is not None
-                        else (None, _as_lanes(st, vf(st)))
-                        for text, vf in specs]
-            for lane in np.nonzero(am)[0]:
-                values = [text if text is not None else int(vec[lane])
-                          for text, vec in rendered]
-                if fmt is not None:
-                    line = verilog_format(fmt, values)
-                else:
-                    line = " ".join(v if isinstance(v, str) else str(v)
-                                    for v in values)
-                if append:
-                    st.wbuf[lane] += line
-                else:
-                    st.hosts[lane].display(st.wbuf[lane] + line)
-                    st.wbuf[lane] = ""
-
-        return output
+    def _commit(self, slot: int, new: str, lanes: _Mask, ind: int) -> None:
+        """Write *new* (within the slot's width) over *lanes*."""
+        owned = self._aliases(new)
+        if self._wakes and self.code.comb_in[slot]:
+            new = self._bound(new, ind)
+            self._emit(ind, f"if not st.need_sweep and "
+                            f"H_changed({lanes.row}, d[{slot}], {new}):")
+            self._emit(ind + 1, "st.need_sweep = True")
+        if slot not in self._written:
+            self._written.append(slot)
+        if lanes.whole:
+            self._cache.setdefault(slot, False)
+            self._emit(ind, f"L{slot} = " + (f"H_own({new})" if owned else new))
+            return
+        self._emit(ind, f"{self._local(slot)} = H_keep({lanes.row}, {self._entry}, "
+                        f"{new}, L{slot}, {bool(owned)})")
 
 
 class BatchedModuleCode:
-    """Vector closures for one licensed :class:`CompiledModuleCode`.
-
-    Shared and immutable, like the scalar code artifact it decorates:
-    cohorts bind it to per-lane state.  Construction raises
-    :class:`BatchUnsupported` when the module is outside the subset.
-    """
+    """The lane program of one licensed :class:`CompiledModuleCode`:
+    shared and immutable (every function takes the cohort as ``st``);
+    :class:`BatchUnsupported` when the module is outside the subset."""
 
     def __init__(self, code: CompiledModuleCode):
         if np is None:
@@ -889,389 +904,222 @@ class BatchedModuleCode:
             raise BatchUnsupported(
                 "module is not licensed for vectorized execution (needs a "
                 "two-state, small acyclic cone under one bare clock)")
-        env = code.env
-        for sig in env.signals.values():
+        for sig in code.env.signals.values():
             if sig.width > 64:
                 raise BatchUnsupported(
                     f"signal {sig.name!r} is {sig.width} bits wide (> 64)")
-        self.code = code
-        self.clock = code.tick_clock
-        self.clock_slot = code.tick_clock_slot
-        self.comb_in_clock = bool(code.comb_in[self.clock_slot])
-        for slot, specs in enumerate(code.trig_specs):
-            if slot != self.clock_slot and specs:
-                raise BatchUnsupported("non-clock sensitivity")
-        compiler = _VectorCompiler(code)
+        self.code, self.clock = code, code.tick_clock
+        self.clock_slot = slot = code.tick_clock_slot
+        if any(specs for s, specs in enumerate(code.trig_specs) if s != slot):
+            raise BatchUnsupported("non-clock sensitivity")
         try:
-            self.sweep_fns = tuple(
-                compiler.compile_assign(code.processes[index].assign)
-                for index in code.comb_order)
-            proc_fns: Dict[int, Callable] = {}
-            for proc in code.processes:
-                if proc.kind == "edge":
-                    fn = compiler.compile_stmt(proc.stmt)
-                    proc_fns[proc.index] = fn if fn is not None else (
-                        lambda st, m: None)
-                elif proc.kind == "star":
-                    raise BatchUnsupported("star process")
-            self.proc_fns = proc_fns
-            compiler.link()
+            #: the generated lane program (``--sim-source`` prints it)
+            self.source = _LaneEmitter(code).emit()
         except (CompileFallback, WidthError) as exc:
             raise BatchUnsupported(str(exc)) from exc
-        self.n_events = len(code.edge_specs)
-        # Clock-slot firing plan: (event index, process index, edge kind).
-        self.clock_entries = tuple(
-            (k, code.edge_specs[k][0], code.edge_specs[k][1])
-            for kind, k in code.trig_specs[self.clock_slot])
+        namespace = dict(HELPERS)
+        exec(compile(self.source, "<repro-lanes>", "exec"), namespace)
+        self.proc_fns = {proc.index: namespace[f"p{proc.index}"]
+                         for proc in code.processes if proc.kind == "edge"}
+        self.sweep, self.period = namespace["sweep"], namespace["period"]
+        #: the clock's firing plan: (event index, process index, edge kind)
+        self.clock_entries = [(k, *code.edge_specs[k])
+                              for _, k in code.trig_specs[slot]]
 
 
 class BatchedCohort:
     """N lanes of one program advanced by shared vector dispatches.
 
-    State is slot-major — ``d[slot]`` is the (N,) row for one signal —
-    so every closure touches contiguous memory.  (The issue sketches
-    the transpose; row-major-per-signal is the cache-friendly
-    orientation for per-slot operations and holds the same data.)
-    Lanes join by booting (or restoring) a scalar
-    :class:`CompiledSimulator` and copying its columns in, and leave by
-    the inverse — which is also how suspend/resume/migration interop
-    works: a lane snapshot is bit-compatible with the scalar store
-    snapshot.
+    State is slot-major: ``d[slot]`` is one signal's (N,) row.  Lanes
+    join by booting (or restoring) a scalar :class:`CompiledSimulator`
+    and copying its columns in, and leave by the inverse, so a lane
+    snapshot is bit-compatible with a scalar store snapshot.
     """
 
     def __init__(self, batch: BatchedModuleCode):
         self.batch = batch
-        self.code = batch.code
-        self.env = batch.code.env
-        self.layout = batch.code.layout
-        layout = self.layout
+        self.code = code = batch.code
+        self.env, self.layout = code.env, code.layout
         self.n = 0
-        self.d = np.zeros((layout.n_scalars, 0), dtype=np.uint64)
-        self.mems = {
-            name: np.zeros((0, spec[3]), dtype=np.uint64)
-            for name, spec in layout.mem_specs.items()
-        }
-        self.prev = np.zeros((batch.n_events, 0), dtype=np.uint64)
-        self.alive = np.zeros(0, dtype=bool)
-        #: fast-path flag: True iff every lane's ``alive`` bit is set
-        #: (see :func:`_live`); must be refreshed on any alive change
-        self.alive_all = True
+        self.d = np.zeros((code.layout.n_scalars, 0), dtype=np.uint64)
+        self.mems = {name: np.zeros((0, spec[3]), dtype=np.uint64)
+                     for name, spec in code.layout.mem_specs.items()}
+        self.prev = np.zeros((len(code.edge_specs), 0), dtype=np.uint64)
+        self.alive = self.ALL = np.zeros(0, dtype=bool)
         self.times = np.zeros(0, dtype=np.uint64)
         self.lanes = np.zeros(0, dtype=np.intp)
+        #: every lane alive?  (``ALL``: one mask never written in place)
+        self.alive_all = True
+        #: per lane: host, ``$write`` buffer, memory-name shadow scalars
         self.hosts: List[TaskHost] = []
         self.wbuf: List[str] = []
         self.misc: List[Dict[str, int]] = []
-        self.nba: List[tuple] = []
-        self.queue: List[int] = []
-        self.qmask: Dict[int, "np.ndarray"] = {}
+        #: pending NBAs, queued processes and the lanes each fired in
+        self.nba, self.queue, self.qmask = [], [], {}
         self.need_sweep = False
-        self.stmts_executed = 0
-        self.settle_rounds = 0
-        self.divergence = 0
+        self.stmts_executed = self.settle_rounds = self.divergence = 0
 
     # -- lane membership ---------------------------------------------------
 
     def _require_quiescent(self, action: str) -> None:
         if self.nba or self.queue or self.need_sweep:
-            raise SimulationError(
-                f"cohort {action} requires quiescence (pending events)")
+            raise SimulationError(f"cohort {action} requires quiescence")
+
+    def _resized(self) -> None:
+        self.alive_all = bool(self.alive.all())
+        self.ALL = np.ones(self.n, dtype=bool)
+        self.lanes = np.arange(self.n, dtype=np.intp)
 
     def join(self, host: TaskHost, state: Optional[Dict[str, object]] = None) -> int:
-        """Add a lane for *host*; returns its index.
-
-        A scalar engine boots the lane (running initial blocks against
-        a throwaway host when *state* is supplied, mirroring
-        ``SoftwareEngine(quiet_init=True)``), then its columns are
-        copied in.  Requires quiescence.
-        """
+        """Add a lane for *host*, booted (or, with *state*, quietly booted
+        and restored) by a scalar engine; returns its index."""
         self._require_quiescent("join")
-        boot_host = host if state is None else TaskHost()
-        scalar = CompiledSimulator(self.code.module, host=boot_host,
-                                   code=self.code)
+        scalar = CompiledSimulator(self.code.module, code=self.code,
+                                   host=host if state is None else TaskHost())
         if state is not None:
             scalar.host = host
-            scalar.store.restore(state)
-            scalar.step()
-        column = np.array(scalar.store.data, dtype=np.uint64)[:, None]
-        self.d = np.concatenate([self.d, column], axis=1)
+            scalar.restore_store(state)
+        column = [[v] for v in scalar.store.data]
+        self.d = np.hstack([self.d, np.array(column, dtype=np.uint64)])
         for name in self.mems:
-            row = np.array(scalar.store.memories[name],
-                           dtype=np.uint64)[None, :]
-            self.mems[name] = np.concatenate([self.mems[name], row], axis=0)
-        prev_col = np.array([trig.cell[0] for trig in scalar._events],
-                            dtype=np.uint64)[:, None]
-        self.prev = np.concatenate([self.prev, prev_col], axis=1)
+            self.mems[name] = np.vstack([self.mems[name], np.array(
+                [scalar.store.memories[name]], dtype=np.uint64)])
+        cells = [[trig.cell[0]] for trig in scalar._events]
+        self.prev = np.hstack([self.prev, np.array(cells, dtype=np.uint64)
+                               .reshape(-1, 1)])
         self.alive = np.append(self.alive, not host.finished)
-        self.alive_all = bool(self.alive.all())
         self.times = np.append(self.times, np.uint64(scalar.time))
-        self.hosts.append(host)
-        self.wbuf.append(scalar._write_buffer)
-        self.misc.append(dict(scalar.store._misc))
+        for per_lane, value in ((self.hosts, host), (self.wbuf, scalar._write_buffer),
+                                (self.misc, dict(scalar.store._misc))):
+            per_lane.append(value)
         self.n += 1
-        self.lanes = np.arange(self.n, dtype=np.intp)
+        self._resized()
         return self.n - 1
 
     def leave(self, lane: int) -> None:
         """Remove a lane (its state should be snapshot first)."""
         self._require_quiescent("leave")
-        self.d = np.delete(self.d, lane, axis=1)
+        self.d, self.prev = (np.delete(rows, lane, axis=1)
+                             for rows in (self.d, self.prev))
+        self.alive, self.times = (np.delete(row, lane)
+                                  for row in (self.alive, self.times))
         for name in self.mems:
             self.mems[name] = np.delete(self.mems[name], lane, axis=0)
-        self.prev = np.delete(self.prev, lane, axis=1)
-        self.alive = np.delete(self.alive, lane)
-        self.alive_all = bool(self.alive.all())
-        self.times = np.delete(self.times, lane)
-        self.hosts.pop(lane)
-        self.wbuf.pop(lane)
-        self.misc.pop(lane)
+        for per_lane in (self.hosts, self.wbuf, self.misc):
+            per_lane.pop(lane)
         self.n -= 1
-        self.lanes = np.arange(self.n, dtype=np.intp)
+        self._resized()
 
     # -- per-lane state (scalar-store compatible) --------------------------
 
     def snapshot_lane(self, lane: int,
                       names: Optional[Iterable[str]] = None) -> Dict[str, object]:
-        selected = set(names) if names is not None else None
-        out: Dict[str, object] = {}
-        for name, slot in self.layout.slot_of.items():
-            if selected is None or name in selected:
-                out[name] = int(self.d[slot, lane])
-        for name, memory in self.mems.items():
-            if selected is None or name in selected:
-                out[name] = [int(v) for v in memory[lane]]
-        return out
+        out = {name: int(self.d[slot, lane])
+               for name, slot in self.layout.slot_of.items()}
+        out.update((name, rows[lane].tolist()) for name, rows in self.mems.items())
+        return out if names is None else {n: out[n] for n in names if n in out}
 
     def restore_lane(self, lane: int, snapshot: Dict[str, object]) -> None:
-        """Mirror of ``SlotStore.restore`` for one lane."""
+        """``SlotStore.restore`` for one lane, edge detection re-primed from
+        the restored clock as a scalar restore does: it is not an edge."""
         for name, value in snapshot.items():
             if name in self.mems and isinstance(value, list):
-                _, word_mask, mem_slot, depth = self.layout.mem_specs[name]
+                _, word_mask, slot, depth = self.layout.mem_specs[name]
                 words = [int(v) & word_mask for v in value[:depth]]
-                self.mems[name][lane, :len(words)] = np.array(
-                    words, dtype=np.uint64)
-                # The scalar restore marks the memory dirty whether or
-                # not a word changed.
-                if self.code.comb_in[mem_slot]:
-                    self.need_sweep = True
+                self.mems[name][lane, :len(words)] = words
+                # (the scalar restore marks the memory dirty regardless)
+                self.need_sweep |= bool(self.code.comb_in[slot])
             elif name in self.layout.slot_of:
-                self.set_value(name, int(value), lane=lane)
+                slot = self.layout.slot_of[name]
+                new = int(value) & self.layout.mask_of[name]
+                if int(self.d[slot, lane]) != new:
+                    self.d[slot, lane] = new
+                    self.need_sweep |= bool(self.code.comb_in[slot])
+        self.prev[:, lane] = self.d[self.batch.clock_slot, lane]
 
     def get_value(self, name: str, lane: int) -> int:
         slot = self.layout.slot_of.get(name)
         if slot is not None:
             return int(self.d[slot, lane])
-        if name in self.misc[lane]:
-            return self.misc[lane][name]
-        if name in self.env.params:
-            return self.env.params[name]
-        raise KeyError(f"unknown signal {name!r}")
+        value = self.misc[lane].get(name, self.env.params.get(name))
+        if value is None:
+            raise KeyError(f"unknown signal {name!r}")
+        return value
 
-    def set_value(self, name: str, value: int, lane: Optional[int] = None,
-                  lane_mask=None) -> bool:
-        """Store-API write; mirrors ``SlotStore.set`` + eager drain.
-
-        The scalar store marks the slot dirty and the scheduler drains
-        it into need-sweep / edge firings at the next settle; values
-        cannot change in between, so detecting eagerly here is
-        equivalent.
-        """
+    def set_value(self, name: str, value: int, lane) -> bool:
+        """``SlotStore.set`` on *lane* (an index or a mask), its drain into
+        sweep requests and edge firings done eagerly (nothing intervenes)."""
+        sel = lane if isinstance(lane, np.ndarray) else self.lanes == lane
         slot = self.layout.slot_of.get(name)
-        if slot is None:
-            return self._set_misc(name, value, lane)
-        new = np.uint64(int(value) & self.layout.mask_of[name])
+        if slot is None:  # a memory name's shadow scalar, as SlotStore keeps
+            new = int(value) & mask(-1, self.env.signal(name).width)
+            lanes = np.flatnonzero(sel).tolist()
+            changed = any(self.misc[i].get(name) != new for i in lanes)
+            for i in lanes:
+                self.misc[i][name] = new
+            self.need_sweep |= changed and bool(
+                self.code.comb_in[self.layout.mem_slot_of[name]])
+            return changed
         row = self.d[slot]
-        sel = lane_mask if lane_mask is not None else self._lane_mask(lane)
+        new = np.uint64(int(value) & self.layout.mask_of[name])
         changed = sel & (row != new)
         if not changed.any():
             return False
         np.copyto(row, new, where=changed, casting="unsafe")
-        if self.code.comb_in[slot]:
-            self.need_sweep = True
+        self.need_sweep |= bool(self.code.comb_in[slot])
         if slot == self.batch.clock_slot:
-            self._fire_clock_edges(changed)
+            for k, proc, edge in self.batch.clock_entries:
+                prev = self.prev[k]
+                fired = changed & (prev != row) if edge is None else changed & (
+                    (prev & _U1) != (row & _U1)) & ((row & _U1) == (edge == "posedge"))
+                if fired.any():
+                    self.queue += [] if proc in self.qmask else [proc]
+                    self.qmask[proc] = self.qmask.get(proc, False) | fired
+                np.copyto(prev, row, where=changed, casting="unsafe")
         return True
-
-    def _lane_mask(self, lane: Optional[int]):
-        if lane is None:
-            return np.ones(self.n, dtype=bool)
-        sel = np.zeros(self.n, dtype=bool)
-        sel[lane] = True
-        return sel
-
-    def _set_misc(self, name: str, value: int, lane: Optional[int]) -> bool:
-        sig = self.env.signal(name)  # raises WidthError when undeclared
-        new = int(value) & ((1 << sig.width) - 1)
-        lanes = range(self.n) if lane is None else (lane,)
-        changed = False
-        for i in lanes:
-            if self.misc[i].get(name) != new:
-                self.misc[i][name] = new
-                changed = True
-        if changed:
-            mem_slot = self.layout.mem_slot_of.get(name)
-            if mem_slot is not None and self.code.comb_in[mem_slot]:
-                self.need_sweep = True
-        return changed
-
-    def _fire_clock_edges(self, changed) -> None:
-        value_row = self.d[self.batch.clock_slot]
-        for k, proc, edge in self.batch.clock_entries:
-            prev = self.prev[k]
-            if edge == "posedge":
-                fired = changed & ((prev & _U1) == _U0) & \
-                    ((value_row & _U1) == _U1)
-            elif edge == "negedge":
-                fired = changed & ((prev & _U1) == _U1) & \
-                    ((value_row & _U1) == _U0)
-            else:
-                fired = changed & (prev != value_row)
-            if fired.any():
-                self._enqueue(proc, fired)
-            np.copyto(prev, value_row, where=changed, casting="unsafe")
 
     # -- scheduling core ---------------------------------------------------
 
-    def _enqueue(self, proc: int, fired) -> None:
-        pending = self.qmask.get(proc)
-        if pending is None:
-            self.qmask[proc] = fired.copy()
-            self.queue.append(proc)
-        else:
-            pending |= fired
-
-    def settle(self) -> None:
-        """Settle to fixpoint: whole-cone sweeps between FIFO activations.
-
-        A dirty combinational input requests one rank-ordered sweep of
-        every ranked assign (sound because the licence proves the cone
-        acyclic); procedural blocks run FIFO, sweeping between
-        activations — the scalar plan's assigns-first schedule.
-        """
-        limit = _MAX_SETTLE_ROUNDS * max(1, self.code.nprocs)
-        runs = 0
-        sweep_fns = self.batch.sweep_fns
-        proc_fns = self.batch.proc_fns
-        # uint64 wraparound is the *semantics* (every result is masked
-        # to its signal width), not an anomaly worth a RuntimeWarning.
-        with np.errstate(over="ignore"):
-            while self.need_sweep or self.queue:
-                self.settle_rounds += 1
-                runs += 1
-                if runs > limit:
-                    raise SimulationError(
-                        "evaluation did not converge (combinational loop?)")
-                if self.need_sweep:
-                    self.need_sweep = False
-                    sweep_mask = self.alive
-                    for fn in sweep_fns:
-                        fn(self, sweep_mask)
-                    self.stmts_executed += len(sweep_fns)
-                else:
-                    proc = self.queue.pop(0)
-                    pending = self.qmask.pop(proc)
-                    if self.alive_all:
-                        proc_fns[proc](self, pending)
-                    else:
-                        active = pending & self.alive
-                        if active.any():
-                            proc_fns[proc](self, active)
-
-    def latch(self) -> None:
-        """Apply the pending NBA entries (one update region)."""
-        pending = self.nba[:]
-        del self.nba[:]
-        with np.errstate(over="ignore"):
-            for entry in pending:
-                apply_fn, entry_mask = entry[0], entry[1]
-                if self.alive_all:
-                    apply_fn(self, entry_mask, *entry[2:])
-                    continue
-                active = entry_mask & self.alive
-                if active.any():
-                    apply_fn(self, active, *entry[2:])
-
     def step(self) -> None:
-        self.settle()
-        guard = 0
-        while self.nba:
-            guard += 1
-            if guard > _MAX_SETTLE_ROUNDS:
-                raise SimulationError("update region did not converge")
-            self.latch()
-            self.settle()
+        """Run what the store API fired, then the update region."""
+        procs = [(self.batch.proc_fns[p], self.qmask.pop(p)) for p in self.queue]
+        self.queue = []
+        with np.errstate(over="ignore"):
+            _phase(self, procs)
 
     def sync_alive(self) -> None:
-        """Re-derive lane liveness from the hosts.
-
-        ``$finish`` already flows host-ward during dispatch; the
-        reverse — a runtime clearing ``host.finished`` on restore
-        (resumed contexts are mid-execution by definition) — must flow
-        back before the next dispatch, mirroring the scalar engines'
-        per-tick ``host.finished`` check.
-        """
-        for i, host in enumerate(self.hosts):
-            self.alive[i] = not host.finished
+        """Re-derive liveness from the hosts (a restore clears
+        ``host.finished``), as the scalar per-tick check does."""
+        self.alive[:] = [not host.finished for host in self.hosts]
         self.alive_all = bool(self.alive.all())
 
-    def tick(self, cycles: int = 1, clock: Optional[str] = None) -> None:
-        """Vector mirror of the scalar clock period (the planned clock's;
-        any other *clock* takes :meth:`generic_tick`)."""
-        batch = self.batch
-        if clock not in (None, batch.clock):
-            return self.generic_tick(clock, cycles)
-        row = self.d[batch.clock_slot]
-        for _ in range(cycles):
-            started = self.alive.copy()
-            if not started.any():
-                return
-            for value in (_U1, _U0):
-                # A lane whose $finish fired during the rising phase
-                # must not see the falling edge: the scalar engine's
-                # FinishSignal abandons the rest of the tick.
-                changed = self.alive & (row != value)
-                if changed.any():
-                    np.copyto(row, value, where=changed, casting="unsafe")
-                    if batch.comb_in_clock:
-                        self.need_sweep = True
-                    rising = value == _U1
-                    for k, proc, edge in batch.clock_entries:
-                        prev = self.prev[k]
-                        if edge == "posedge":
-                            fired = changed & ((prev & _U1) == _U0) \
-                                if rising else None
-                        elif edge == "negedge":
-                            fired = changed & ((prev & _U1) == _U1) \
-                                if not rising else None
-                        else:
-                            fired = changed & (prev != value)
-                        np.copyto(prev, value, where=changed,
-                                  casting="unsafe")
-                        if fired is not None and fired.any():
-                            self._enqueue(proc, fired)
-                self.settle()
-                guard = 0
-                while self.nba:
-                    guard += 1
-                    if guard > _MAX_SETTLE_ROUNDS:
-                        raise SimulationError(
-                            "update region did not converge")
-                    self.latch()
-                    self.settle()
-            # Lanes that finished *during* this tick still advance their
-            # clock, matching the scalar FinishSignal-then-increment.
-            self.times[started] += _U1
+    def edge(self, clock: str, value: int) -> None:
+        """Drive *clock* to *value* in every live lane and step."""
+        self.set_value(clock, value, self.alive)
+        self.step()
 
-    def generic_tick(self, clock: str, cycles: int = 1) -> None:
-        """Mirror of the generic scalar tick for a non-plan clock."""
-        for _ in range(cycles):
-            started = self.alive.copy()
-            if not started.any():
-                return
-            self.set_value(clock, 1, lane_mask=self.alive)
-            self.step()
-            self.set_value(clock, 0, lane_mask=self.alive)
-            self.step()
-            self.times[started] += _U1
+    def tick(self, cycles: int = 1, clock: Optional[str] = None) -> None:
+        """The scalar period's mirror: the generated ``period`` from the
+        resting state, as ``_tick_event`` runs ``period()``, else (or
+        for another *clock*) each edge through the store API.  A lane
+        finishing on the rising edge sees no fall but still advances."""
+        clock = clock or self.batch.clock
+        planned = clock == self.batch.clock
+        rested = planned and bool(self.n and self.alive_all) and not (
+            self.queue or self.nba or self.need_sweep or self.prev.any()
+            or self.d[self.batch.clock_slot].any())
+        with np.errstate(over="ignore"):
+            for _ in range(cycles):
+                if rested:
+                    self.batch.period(self)
+                else:
+                    started = self.alive.copy()
+                    if not started.any():
+                        return
+                    self.edge(clock, 1)
+                    self.edge(clock, 0)
+                    self.times[started] += _U1
+                rested = planned and self.alive_all
 
 
 _BATCH_MEMO: "weakref.WeakKeyDictionary[CompiledModuleCode, object]" = \
@@ -1279,12 +1127,8 @@ _BATCH_MEMO: "weakref.WeakKeyDictionary[CompiledModuleCode, object]" = \
 
 
 def batch_code_for(code: CompiledModuleCode) -> BatchedModuleCode:
-    """Build (or fetch) the vector closures for *code*.
-
-    Memoized per code artifact — including the *failure*: an unlicensed
-    module re-raises its cached :class:`BatchUnsupported` without
-    re-walking the AST, so hot scalar-fallback paths stay cheap.
-    """
+    """Build (or fetch) the lane program for *code*, memoized per code
+    artifact — failures too, so scalar-fallback paths stay cheap."""
     if np is None:
         raise UnsupportedBackend(_NUMPY_HINT)
     cached = _BATCH_MEMO.get(code)

@@ -749,6 +749,9 @@ class CompiledSimulator(InterpSimulator):
             self._queued[index] = 1
             self._proc_queue.append(index)
         self.settle()
+        self._prime_edges()
+
+    def _prime_edges(self) -> None:
         for trigger in self._events:
             trigger.cell[0] = self._trigger_value(trigger)
 
@@ -1193,8 +1196,7 @@ class CompiledSimulator(InterpSimulator):
         self.host.vfs.restore(snapshot["vfs"])  # type: ignore[arg-type]
         self.time = int(snapshot["time"])  # type: ignore[arg-type]
         # Re-prime edge detection so restore does not fabricate edges.
-        for trigger in self._events:
-            trigger.cell[0] = self._trigger_value(trigger)
+        self._prime_edges()
         # Snapshots are taken at quiescence; stale activity from the
         # pre-restore timeline must not leak into the new one.
         del self._ev_heap[:]

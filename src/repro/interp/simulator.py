@@ -180,7 +180,11 @@ class InterpSimulator:
                     or (proc.kind == "always" and not proc.events)):
                 self._enqueue(proc)
         self.settle()
-        # Prime event previous-values from the settled state.
+        self._prime_edges()
+
+    def _prime_edges(self) -> None:
+        """Take every event's previous value from the current state, so
+        the next change is measured from here, not from before."""
         for proc in self._processes:
             for event in proc.events:
                 event.prev = self._event_value(event)
@@ -544,9 +548,19 @@ class InterpSimulator:
         self.host.vfs.restore(snapshot["vfs"])  # type: ignore[arg-type]
         self.time = int(snapshot["time"])  # type: ignore[arg-type]
         # Re-prime edge detection so restore does not fabricate edges.
-        for proc in self._processes:
-            for event in proc.events:
-                event.prev = self._event_value(event)
+        self._prime_edges()
+
+    def restore_store(self, state: Dict[str, object]) -> None:
+        """Restore program state captured between ticks, then settle.
+
+        A restore is not an edge: the values it writes become the
+        previous values edge detection compares against.  A context
+        captured after a ``$finish`` on a rising edge holds its clock
+        high, and the posedge that finished it has already run.
+        """
+        self.store.restore(state)
+        self._prime_edges()
+        self.step()
 
 
 #: Default simulation backend when neither the ``backend`` argument nor

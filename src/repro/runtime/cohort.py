@@ -4,8 +4,8 @@ The hypervisor's dominant workload is N instances of one
 :class:`~repro.interp.compile.CompiledModuleCode` stepped one at a time
 in Python (the artifact store's ~93% hit rate is exactly this shape).
 A :class:`CohortEngine` owns one
-:class:`~repro.interp.compile.batch.BatchedCohort` — the vectorized
-closures of the shared ``batch`` artifact — and hands each tenant a
+:class:`~repro.interp.compile.batch.BatchedCohort` — running the lane
+program of the shared ``batch`` artifact — and hands each tenant a
 :class:`CohortLaneEngine`: an :class:`~repro.runtime.engine.Engine`
 whose state is one lane of the cohort's ``(slots, N)`` matrix.
 

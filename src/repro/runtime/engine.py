@@ -199,8 +199,7 @@ class SoftwareEngine(Engine):
         return self.sim.store.snapshot(names)
 
     def restore(self, state: Dict[str, object]) -> None:
-        self.sim.store.restore(state)
-        self.sim.step()
+        self.sim.restore_store(state)
 
 
 class HardwareEngine(Engine):

@@ -9,6 +9,7 @@ supervisor's cohort scheduling, and multi-lane parity on generated
 designs with three staggered lanes and a mid-run extraction.
 """
 
+import os
 import random
 
 import pytest
@@ -31,6 +32,8 @@ from repro.runtime import Runtime, SoftwareEngine
 from repro.runtime.cohort import CohortEngine, CohortError, CohortLaneEngine
 from repro.serve import Fleet, FleetConfig
 from repro.verilog import flatten, parse
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 #: Exercises memories, case, loops, signed compares, dynamic range
 #: selects, masked if-divergence, $display ordering and $finish.
@@ -200,6 +203,35 @@ class TestLaneState:
         assert lane2.snapshot() == twin.snapshot()
         assert host.display_log == twin.host.display_log
         assert lane2.time == twin.time == 17
+
+    def test_a_finished_context_rejoins_without_a_fabricated_edge(self, o2):
+        """The corpus counter finishes on its first rising edge, clock
+        left high.  A lane joined from that context (the join used to
+        raise FinishSignal) lands finished with the captured state, and
+        resumed it goes on exactly as a scalar engine restored from the
+        same context does."""
+        with open(os.path.join(CORPUS, "finish_then_rejoin.v")) as handle:
+            flat = flatten(parse(handle.read()), "finish_then_rejoin")
+        code = CompiledSimulator(flat).code
+        first = CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
+        first.tick(cycles=3)
+        state = first.store.snapshot()
+        assert first.host.finished and state["clock"] == 1
+        cohort = BatchedCohort(batch_code_for(code))
+        host = TaskHost(VirtualFS())
+        host.finished = True
+        lane = cohort.join(host, state=state)
+        assert cohort.snapshot_lane(lane) == state
+        assert not cohort.alive[lane]
+        scalar = CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
+        scalar.restore_store(state)
+        host.finished = False
+        cohort.sync_alive()
+        cohort.tick(3)
+        scalar.tick(cycles=3)
+        assert cohort.snapshot_lane(lane) == scalar.store.snapshot()
+        assert host.finished and scalar.host.finished
+        assert int(cohort.times[lane]) == scalar.time == 2
 
     def test_unlicensed_module_says_why(self):
         """Pure sequential modules (no comb layer) are outside the

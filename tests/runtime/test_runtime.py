@@ -1,5 +1,6 @@
 """Runtime instance tests: JIT transitions, suspend/resume, $save."""
 
+import os
 import struct
 
 import pytest
@@ -7,8 +8,11 @@ import pytest
 from repro.compiler import ArtifactStore, CompilerService
 from repro.core import compile_program
 from repro.fabric import DE10, F1
+from repro.hypervisor import rehydrate, suspend
 from repro.interp import VirtualFS
 from repro.runtime import DirectBoardBackend, Runtime, RuntimeError_
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 COUNTER = """
 module counter(input wire clock, output wire [31:0] out);
@@ -146,6 +150,30 @@ class TestSuspendResume:
         context = fresh.save_context()
         runtime.restore_context(context)
         assert not runtime.finished
+
+    def test_a_finished_context_resumes_without_a_fabricated_edge(self):
+        """The corpus counter finishes on a rising edge, so its context
+        holds the clock high.  Restoring it must not re-run that posedge
+        (the restore used to raise FinishSignal): the state lands as
+        captured, the first tick only completes the cut-short period,
+        and the second runs the body once — which finishes again, the
+        pending ``n <= n + 1`` having died with the first finish."""
+        with open(os.path.join(CORPUS, "finish_then_resume.v")) as handle:
+            source = handle.read()
+        runtime = Runtime(source)
+        runtime.tick(10)
+        assert runtime.finished and runtime.engine.get("clock") == 1
+        context = suspend(runtime)
+        landed = []
+        for backend in ("compiled", "interp"):
+            moved = rehydrate(context, name=backend, sim_backend=backend)
+            assert not moved.finished
+            assert moved.engine.snapshot() == context.state
+            moved.tick(4)
+            landed.append((moved.engine.snapshot(), moved.ticks,
+                           moved.finished, moved.engine.time))
+        assert landed[0] == landed[1]
+        assert landed[0][1:] == (context.ticks + 2, True, context.time + 2)
 
 
 class TestTelemetry:
