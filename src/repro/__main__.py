@@ -60,7 +60,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         for name, how in code.strategy.items():
             print(f"// {name}: {how}", file=sys.stderr)
         print("// counted loops {counted}/{loops}, guards dropped {guards}, "
-              "masks dropped {masks}".format(**code.facts), file=sys.stderr)
+              "masks dropped {masks}, rotations {rotations}".format(**code.facts),
+              file=sys.stderr)
         try:
             lanes = batch_code_for(code).source
         except (BatchUnsupported, UnsupportedBackend) as why:

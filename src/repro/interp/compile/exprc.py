@@ -170,8 +170,10 @@ class ExprCompiler:
         #: emits one prelude line into the enclosing statement position
         self._hoist_sink = None
         self._hoists = 0
-        #: what the range facts licensed (``--sim-source`` prints it)
-        self.facts = {"loops": 0, "counted": 0, "guards": 0, "masks": 0}
+        #: what the range facts licensed, and the rotations lowered
+        #: (``--sim-source`` prints it)
+        self.facts = {"loops": 0, "counted": 0, "guards": 0, "masks": 0,
+                      "rotations": 0}
 
     @staticmethod
     def _direct_slot(slot: int) -> str:
@@ -369,6 +371,9 @@ class ExprCompiler:
                 src = f"({src} & {mw})"
             return src
         if isinstance(e, ast.Concat):
+            rotation = self._rotation(e, w)
+            if rotation is not None:
+                return f"({rotation} & {self.lit_ref(mw)})"
             parts = []
             shift = sum(self.env.width_of(p) for p in e.parts)
             for part in e.parts:
@@ -525,6 +530,9 @@ class ExprCompiler:
             if op != "*" and self.fits(e, 0, mw, "masks"):
                 return f"(({left}) {op} ({right}))"  # proved not to wrap
             return f"((({left}) {op} ({right})) & {self.lit_ref(mw)})"
+        if op in ("&", "|", "^"):
+            src, clean = self._bitwise(e, w)
+            return src if clean else f"({src} & {self.lit_ref(mw)})"
         left = self._ex(e.left, w)
         right = self._ex(e.right, w)
         if op in ("/", "%"):
@@ -538,15 +546,64 @@ class ExprCompiler:
                 ("%", True): f"H_smod({left}, {right}, {sb}, {mws})",
             }
             return helper[(op, signed)]
-        if op == "&":
-            return f"(({left}) & ({right}))"
-        if op == "|":
-            return f"(({left}) | ({right}))"
-        if op == "^":
-            return f"(({left}) ^ ({right}))"
         if op in ("~^", "^~"):
             return f"(((({left}) ^ ({right}))) ^ {self.lit_ref(mw)})"
         raise CompileFallback(f"unknown binary operator {op!r}")
+
+    def _bitwise(self, e: ast.Binary, w: int) -> Tuple[str, bool]:
+        """``(source, clean)`` of a ``&``/``|``/``^`` node at width *w*.
+
+        A rotation member arrives unmasked, with bits above *w*; the
+        chain it sits in takes one mask at its root instead of one per
+        rotation.  ``clean`` says no such bit survives: an ``&`` with
+        one clean side is clean, ``|`` and ``^`` need both.
+        """
+        left, left_clean = self._bits(e.left, w)
+        right, right_clean = self._bits(e.right, w)
+        clean = (left_clean or right_clean if e.op == "&"
+                 else left_clean and right_clean)
+        return f"(({left}) {e.op} ({right}))", clean
+
+    def _bits(self, e: ast.Expr, w: int) -> Tuple[str, bool]:
+        """A bitwise chain member: unmasked when it is a rotation or a
+        chain of its own, masked by :meth:`_ex` otherwise — and always
+        when the statement hoists it."""
+        if not (self._hoist_counts and expr_key(e) in self._hoist_counts):
+            if isinstance(e, ast.Binary) and e.op in ("&", "|", "^"):
+                return self._bitwise(e, w)
+            rotation = self._rotation(e, w)
+            if rotation is not None:
+                return rotation, False
+        return self._ex(e, w), True
+
+    def _rotation(self, e: ast.Expr, w: int) -> Optional[str]:
+        """``(D >> k)`` for ``{b[k-1:0], b[W-1:k]}`` at context ``W``,
+        garbage above bit ``W`` left for the caller to mask.  ``D = b *
+        (2^W + 1)`` is ``b | b << W``, reading the pure base once; a
+        hoisting statement binds it once per base through its sink.
+        Scalar carrier only: ``2W`` bits need not fit a lane word."""
+        parts = e.parts if isinstance(e, ast.Concat) else ()
+        if (self.word is not None or len(parts) != 2 or not all(
+                isinstance(p, ast.RangeSelect) and p.mode == ":"
+                for p in parts)):
+            return None
+        base = parts[0].base
+        if (self.env.width_of(base) != w or not expr_is_pure(base)
+                or expr_key(base) != expr_key(parts[1].base)):
+            return None
+        (top, k), (low, rest) = (const_range_bounds(p, self.env) for p in parts)
+        if top != 0 or low != k or k + rest != w:
+            return None
+        key = ("rotation", expr_key(base))
+        doubled = self._hoist_memo.get(key)
+        if doubled is None:
+            doubled = f"({self._ex(base, w)} * {self.lit_ref((1 << w) + 1)})"
+            if self._hoist_sink is not None:
+                self._hoists += 1
+                self._hoist_sink(f"_h{self._hoists} = {doubled}")
+                doubled = self._hoist_memo[key] = f"_h{self._hoists}"
+        self.facts["rotations"] += 1
+        return f"({doubled} >> {k})"
 
     # -- carrier idioms -----------------------------------------------------
     #

@@ -440,10 +440,13 @@ class CompiledModuleCode:
         ec.bound = {} if self.specialize else None  # range-fact licence
         pc = ProcessCompiler(ec, self.watched)
         lines: List[str] = []
+        #: assign process -> its function's lines (``comb()`` inlines them)
+        cones: Dict[int, List[str]] = {}
         for proc in self.processes:
             name = f"p{proc.index}"
             if proc.kind == "assign":
-                lines.extend(pc.compile_assign(name, proc.assign))
+                cones[proc.index] = pc.compile_assign(name, proc.assign)
+                lines.extend(cones[proc.index])
             else:
                 lines.extend(pc.compile_procedural(
                     name, proc.stmt, specialize=self.specialize))
@@ -479,7 +482,7 @@ class CompiledModuleCode:
         #: low — the ones the quiescence probe may discount entirely
         self.idle_gate_procs = frozenset(gate_ids) - self.gate_reads_clock
         self.source = "\n".join(pc.writer_defs + lines + event_sources
-                                + self._period_source())
+                                + self._period_source(cones))
         self.code = compile(self.source, "<repro-compiled>", "exec")
         self.consts: Tuple[object, ...] = tuple(ec.consts)
         #: process name -> "specialized" | "generic (<first fallback>)",
@@ -487,18 +490,19 @@ class CompiledModuleCode:
         self.strategy: Dict[str, str] = pc.strategy
         self.facts: Dict[str, int] = ec.facts
 
-    def _period_source(self) -> List[str]:
+    def _period_source(self, cones: Dict[int, List[str]]) -> List[str]:
         """``comb()``, ``latch()`` and ``period()``: one clock period as code.
 
         What ``settle()`` decides per tick by walking queues — which
         processes the edge fires, in which order, which cones a write
         wakes — is fixed by ``trig_specs`` and ``comb_order``, so the
-        event plan's period is emitted as straight-line calls of the
-        same ``p*`` / ``g*`` functions, with the same ``settle_rounds``
-        accounting.  ``period()`` assumes the resting state between
-        periods (clock low, previous value low, empty process queue,
-        clock slot clean); ``_tick_event`` sends anything else through
-        the reference ``tick``.
+        event plan's period is emitted as straight-line code over the
+        same ``p*`` / ``g*`` functions (a static ``comb()`` inlines each
+        cone's whole ``pK`` body from *cones*), with the same
+        ``settle_rounds`` accounting.  ``period()`` assumes the resting
+        state between periods (clock low, previous value low, empty
+        process queue, clock slot clean); ``_tick_event`` sends anything
+        else through the reference ``tick``.
         """
         if self.period_plan is None:
             return []
@@ -518,17 +522,17 @@ class CompiledModuleCode:
             for p in self.comb_order:
                 if reads[p]:
                     test = " or ".join(f"df[{slot}]" for slot in reads[p])
-                    out += [f"    if {test}:",
-                            "        S.settle_rounds += 1",
-                            f"        p{p}()"]
+                    out += [f"    if {test}:", "        S.settle_rounds += 1"]
+                    out += ["    " + ln for ln in cones[p][1:-1]]
             out += ["    for slot in dl:", "        df[slot] = 0",
                     "    del dl[:]", ""]
             pending = "dl or heap"
         else:
             out += ["comb = settle", ""]
             pending = "dl or heap or S._trail_count"
-        out += ["def latch():", "    apply_nba()", "    if dl:",
-                "        comb()", ""]
+        # every entry applies itself (a writer or _assign_entry), in order
+        out += ["def latch():", "    q = nba[:]; del nba[:]", "    for e in q:",
+                "        e[0](e)", "    if dl:", "        comb()", ""]
         out.append("def period():")
         for value in (1, 0):
             out += [f"    d[{clk}] = {value}", f"    pv[0] = {value}"]
@@ -693,7 +697,6 @@ class CompiledSimulator(InterpSimulator):
             "heappush": heappush,
             "pend": self._comb_pending,
             "nba": self._nba,
-            "apply_nba": self._apply_nba,
             "settle": self.settle,
             "pv": clock_prev,
             "FinishSignal": FinishSignal,
@@ -1155,27 +1158,24 @@ class CompiledSimulator(InterpSimulator):
                 + len(self._proc_queue) + len(self._nba)
                 + len(self.store.dirty_list))
 
-    def _apply_nba(self) -> None:
-        """Apply queued non-blocking assignments, marking what changed."""
-        pending = self._nba[:]
-        del self._nba[:]  # keep list identity: compiled code binds .append
-        assign = self.evaluator.assign
-        for entry in pending:
-            target = entry[0]
-            if callable(target):
-                # Compiled writer: (writer, value, *site-evaluated indices).
-                target(*entry[1:])
-            else:
-                # AST lvalue from a fallback path (indices already frozen).
-                assign(target, entry[1])
+    def _defer(self, lhs: ast.Expr, value: int) -> None:
+        """An NBA the reference interpreter ran queues like a compiled
+        one: ``(applier, lvalue, value)``, called as ``e[0](e)``."""
+        self._nba.append((self._assign_entry, lhs, value))
+
+    def _assign_entry(self, entry: tuple) -> None:
+        self.evaluator.assign(entry[1], entry[2])
 
     def _latch(self) -> None:
         """The update region: apply the NBA queue, wake what it changed.
 
-        The generated ``latch()`` applies through the same
-        :meth:`_apply_nba` and wakes through ``comb()`` instead.
+        The generated ``latch()`` applies the same way and wakes
+        through ``comb()`` instead.
         """
-        self._apply_nba()
+        pending = self._nba[:]
+        del self._nba[:]  # keep list identity: compiled code binds .append
+        for entry in pending:
+            entry[0](entry)
         self._drain()
 
     def _requeue(self, procs: Sequence[int]) -> None:

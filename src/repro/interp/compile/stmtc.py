@@ -576,19 +576,21 @@ class ProcessCompiler:
 
     def _compile_writer(self, lhs: ast.Expr,
                         value_width: int) -> "tuple[str, List[ast.Expr]]":
-        """Compile *lhs* into a writer ``nw<k>(value, *indices)``.
+        """Compile *lhs* into a writer ``nw<k>(e)``.
 
-        Dynamic index expressions are evaluated at the assignment site
-        (LRM §9.2.2) and passed in as arguments; the writer only
-        applies the deferred store in the update region.  Writers run
-        in the latch region — after any cached body has flushed — so
-        they always compile against the store directly, even while a
-        specialized body is being emitted.
+        The site queues the entry ``e = (nw<k>, value, *indices)``:
+        dynamic index expressions are evaluated at the assignment site
+        (LRM §9.2.2) and travel in the entry; the writer unpacks it and
+        only applies the deferred store in the update region, which
+        calls every entry as ``e[0](e)``.  Writers run in the latch
+        region — after any cached body has flushed — so they always
+        compile against the store directly, even while a specialized
+        body is being emitted.
         """
         name = f"nw{self._writers}"
         self._writers += 1
         dyn = self._dynamic_indices(lhs)
-        params = ["_v"] + [f"_x{k}" for k in range(len(dyn))]
+        fields = ["_", "_v"] + [f"_x{k}" for k in range(len(dyn))]
         saved, self.lines = self.lines, []
         self._frozen = {id(expr): f"_x{k}" for k, expr in enumerate(dyn)}
         cache_saved = self._cache
@@ -598,7 +600,7 @@ class ProcessCompiler:
         self.ec.strict = False
         try:
             self._emit_store(lhs, "_v", value_width, 1)
-            body = self.lines or ["    pass"]
+            body = self.lines
         finally:
             self.lines = saved
             self._frozen = {}
@@ -606,7 +608,7 @@ class ProcessCompiler:
             if cache_saved is not None:
                 self.ec.slot_src = self._cached_slot
             self.ec.strict = strict_saved
-        self.writer_defs.append(f"def {name}({', '.join(params)}):")
+        self.writer_defs += [f"def {name}(e):", f"    {', '.join(fields)} = e"]
         self.writer_defs.extend(body)
         self.writer_defs.append("")
         return name, dyn

@@ -299,6 +299,10 @@ class InterpSimulator:
         return ast.Number(self.evaluator.eval(expr),
                           self.env.width_of(expr))
 
+    def _defer(self, lhs: ast.Expr, value: int) -> None:
+        """Queue a non-blocking update of *lhs* (indices already frozen)."""
+        self._nba.append((lhs, value))
+
     def _latch(self) -> None:
         """Apply queued non-blocking assignments (update region)."""
         pending, self._nba = self._nba, []
@@ -356,7 +360,7 @@ class InterpSimulator:
             if stmt.blocking:
                 self.evaluator.assign(stmt.lhs, value)
             else:
-                self._nba.append((self._freeze_lval(stmt.lhs), value))
+                self._defer(self._freeze_lval(stmt.lhs), value)
             return
         if isinstance(stmt, ast.Block) or isinstance(stmt, ast.ForkJoin):
             # Sequential execution is a valid scheduling of fork/join (§3.2).

@@ -178,6 +178,13 @@ case("p8[6:9]")
 case("q8[-2:1]")
 case("r8[1:-2] + r8[3]")
 case("a64[63:32] + a64[31:0]")
+# rotations: the scalar carrier's doubled word at the base's own width
+# (context 0), the two-select spelling in a wider context and on lanes
+case("{a8[2:0], a8[7:3]}")
+case("{a8[2:0], a8[7:3]} ^ (a8 >> 3) ^ {a8[6:0], a8[7:7]}")
+case("({a33[31:0], a33[32:32]} | 33'd5) & ~b33")
+case("{a64[0:0], a64[63:1]} ^ {a64[62:0], a64[63:63]}")
+case("{d8[7:5], d8[4:0]} & {d8[7:7], d8[6:0]}")
 
 # memories: in and out of bounds, zero and non-zero base
 for index in (0, 3, 4, 9):
