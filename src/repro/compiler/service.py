@@ -33,8 +33,8 @@ KIND_PARSE = "parse"
 KIND_SOURCE = "source"      # raw-text alias → compiled program
 KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
-KIND_CODEGEN = "codegen"    # baseline configuration (the oracle's)
-KIND_EVENT = "event"        # event-driven activity scheduling
+KIND_CODEGEN = "codegen"    # simulator code (CompiledModuleCode)
+KIND_EVENT = "event"        # nothing interns it; benchmarks/e2e imports it
 KIND_BATCH = "batch"        # a cohort's lane program (BatchedModuleCode)
 KIND_SYNTH = "synth"
 KIND_BITSTREAM = "bitstream"
@@ -125,8 +125,7 @@ class CompilerService:
     def codegen(self, module: ast.Module, env=None,
                 digest: Optional[str] = None,
                 opt_level: Optional[int] = None,
-                keep: "frozenset[str]" = frozenset(),
-                event: Optional[bool] = None):
+                keep: "frozenset[str]" = frozenset()):
         """Shareable compiled-simulator code for *module*.
 
         *digest* must content-address the module's deterministic text;
@@ -135,27 +134,21 @@ class CompilerService:
         nothing is re-printed.  The artifact key pairs the digest with
         the mid-end pipeline fingerprint of the effective
         ``opt_level``, so differently-optimized code objects of one
-        program coexist and are shared independently.  *event* selects
-        the scheduling configuration (default: ``REPRO_SIM_EVENT``);
-        event-scheduled code is a distinct artifact kind under the same
-        key discipline, so both configurations of one program coexist —
-        the differential oracle compares exactly those two artifacts.  The
-        returned :class:`~repro.interp.compile.CompiledModuleCode` is
-        immutable and shared: each engine instantiates its own state
-        against it.
+        program coexist and are shared independently.  The returned
+        :class:`~repro.interp.compile.CompiledModuleCode` is immutable
+        and shared: each engine instantiates its own state against it.
         """
-        from ..interp.compile import CompiledModuleCode, resolve_sim_event
+        from ..interp.compile import CompiledModuleCode
         from ..opt import pipeline_fingerprint, resolve_opt_level
 
         level = resolve_opt_level(opt_level)
-        use_event = resolve_sim_event(event)
         if digest is None:
             digest = text_digest(print_module(module))
         key = f"{digest}\x00{pipeline_fingerprint(level)}"
         return self.store.get_or_build(
-            KIND_EVENT if use_event else KIND_CODEGEN, key,
+            KIND_CODEGEN, key,
             lambda: CompiledModuleCode(
-                module, env=env, event=use_event,
+                module, env=env,
                 opt=self.optimize(module, env=env, digest=digest,
                                   opt_level=level, keep=keep)),
         )
@@ -263,7 +256,6 @@ class CompilerService:
         return {
             "opt": self.store.contains(KIND_OPT, staged),
             "codegen": self.store.contains(KIND_CODEGEN, staged),
-            "event": self.store.contains(KIND_EVENT, staged),
             "batch": self.store.contains(KIND_BATCH, staged + "\x00batch"),
         }
 

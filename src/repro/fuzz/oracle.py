@@ -46,13 +46,11 @@ from ..runtime import DirectBoardBackend, Runtime
 from ..verilog import ast_nodes as ast
 
 #: Execution paths, in comparison order; ``interp`` is the reference.
-#: ``compiled`` pins the baseline configuration of the scalar plan (no
-#: heap prefix, gates, generated period or idle proof) and ``event`` the full
-#: event plan, so every campaign cross-checks the two bit-for-bit
-#: whatever ``REPRO_SIM_EVENT`` says.  The vectorized ``batched`` lane
-#: (bit-for-bit against the same oracle) joins the defaults whenever
-#: NumPy is importable.
-DEFAULT_PATHS = ("interp", "compiled", "event", "board", "lifecycle")
+#: ``compiled`` is the scalar event plan (heap prefix, gates, generated
+#: period, idle proof).  The vectorized ``batched`` lane (bit-for-bit
+#: against the same oracle) joins the defaults whenever NumPy is
+#: importable.
+DEFAULT_PATHS = ("interp", "compiled", "board", "lifecycle")
 if HAVE_NUMPY:
     DEFAULT_PATHS = DEFAULT_PATHS + ("batched",)
 
@@ -64,7 +62,7 @@ if HAVE_NUMPY:
 #: recovers a fresh one from the durable journal.  Both are opt-in
 #: because they exercise the supervisor/serving layers rather than the
 #: compiler pipeline.
-ALL_PATHS = ("interp", "compiled", "event", "board", "lifecycle",
+ALL_PATHS = ("interp", "compiled", "board", "lifecycle",
              "batched", "crash", "restart")
 
 #: Tiny co-resident tenant used to force coalescing/handshake traffic
@@ -156,15 +154,12 @@ def _result_from_host(path: str, host: TaskHost, display: Sequence[str],
 def _run_sim(program: CompiledProgram, ticks: int, backend: str,
              service: CompilerService,
              opt_level: Optional[int] = None,
-             path_name: Optional[str] = None,
-             event: Optional[bool] = None) -> RunResult:
+             path_name: Optional[str] = None) -> RunResult:
     host = TaskHost()
     code = None
     if backend == "compiled":
-        # The compiled paths pin whichever configuration *event* names.
         code = service.codegen(program.flat, env=program.env,
-                               digest=program.digest, opt_level=opt_level,
-                               event=event)
+                               digest=program.digest, opt_level=opt_level)
     sim = Simulator(program.flat, host, env=program.env,
                     backend=backend, code=code)
     sim.tick(cycles=ticks)
@@ -450,8 +445,8 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
     artifact store with fresh digests.  *lifecycle_seed* drives the
     random suspend/resume/migration schedule.  *opt_levels* expands
     the ``compiled`` path into one run per mid-end optimization level
-    (e.g. ``(0, 2)`` cross-checks the unoptimized backend against the
-    full pass pipeline, both against the interpreter); the board and
+    (e.g. ``(0, 2)`` cross-checks the O0 and O2 event plans, both
+    against the interpreter); the board and
     lifecycle paths keep the ambient default level.
     """
     unknown = set(paths) - set(ALL_PATHS)
@@ -475,14 +470,10 @@ def check(source: Union[str, ast.Module, CompiledProgram], ticks: int,
                 name = f"compiled[O{level}]"
                 runs.append((name, lambda lv=level, nm=name: _run_sim(
                     program, ticks, "compiled", service,
-                    opt_level=lv, path_name=nm, event=False)))
+                    opt_level=lv, path_name=nm)))
         elif path == "compiled":
             runs.append((path, lambda: _run_sim(program, ticks, "compiled",
-                                                service, event=False)))
-        elif path == "event":
-            runs.append((path, lambda: _run_sim(program, ticks, "compiled",
-                                                service, path_name="event",
-                                                event=True)))
+                                                service)))
         elif path == "batched":
             runs.append((path, lambda: _run_batched(program, ticks, service,
                                                     lifecycle_seed)))

@@ -18,7 +18,7 @@ flattened module *once* at elaboration time:
 """
 
 from .slots import SlotLayout, SlotStore
-from .simulator import CompiledModuleCode, CompiledSimulator, resolve_sim_event
+from .simulator import CompiledModuleCode, CompiledSimulator
 
 __all__ = ["SlotLayout", "SlotStore", "CompiledModuleCode",
-           "CompiledSimulator", "resolve_sim_event"]
+           "CompiledSimulator"]

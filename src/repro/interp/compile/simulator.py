@@ -56,23 +56,6 @@ from .stmtc import ProcessCompiler
 _VECTOR_COMB_MAX = 96
 
 
-def resolve_sim_event(flag: Optional[bool] = None) -> bool:
-    """Effective event-driven-scheduling selection for an override.
-
-    Explicit argument wins; otherwise ``REPRO_SIM_EVENT`` (read per
-    call, like ``REPRO_SIM_BACKEND``, so tests can monkeypatch it);
-    otherwise on.  ``0``/``false``/``no``/``off`` disable it — the
-    baseline configuration the differential oracle compares against
-    (no heap prefix, no gates, no generated period, no idle proof).
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get("REPRO_SIM_EVENT", "").strip().lower()
-    if raw == "":
-        return True
-    return raw not in ("0", "false", "no", "off")
-
-
 class _Trigger:
     """One sensitivity entry: either a star-dependency or an edge event.
 
@@ -127,8 +110,7 @@ class CompiledModuleCode:
 
     def __init__(self, module: ast.Module, env: Optional[WidthEnv] = None,
                  opt_level: Optional[int] = None,
-                 keep: "frozenset[str]" = frozenset(), opt=None,
-                 event: Optional[bool] = None):
+                 keep: "frozenset[str]" = frozenset(), opt=None):
         # The mid-end runs first: the rest of the analysis, scheduling
         # and code generation all see the *optimized* module.  At
         # level 0 this is the identity and the artifact matches the
@@ -146,10 +128,6 @@ class CompiledModuleCode:
         #: the vector carrier are only attempted when granted
         self.specialize = opt.specialize
         self.fingerprint = opt.fingerprint
-        #: event-driven activity scheduling requested (resolved here so
-        #: the artifact is a deterministic function of its inputs;
-        #: ``_plan_schedule`` may still withdraw it for fifo designs)
-        self.event_requested = resolve_sim_event(event)
         self.layout = SlotLayout(self.env)
         self.processes: List[_ProcInfo] = []
         self._analyze()
@@ -287,10 +265,9 @@ class CompiledModuleCode:
         # order equals a forward scan over the marked entries — while
         # the trailing group (cycle members, their downstream, and
         # self-reading assigns) keeps position-ordered fixpoint
-        # iteration.  The baseline configuration (*event* off) is
-        # the same loop with an empty prefix: every position iterates.
-        # Fifo designs (impure assigns need the interpreter-identical
-        # scan) rank nothing and settle through ``_settle_fifo``.
+        # iteration.  Fifo designs (impure assigns need the
+        # interpreter-identical scan) rank nothing and settle through
+        # ``_settle_fifo``.
         event_pos = [-1] * self.nprocs
         for pos, pidx in enumerate(self.comb_order):
             event_pos[pidx] = pos
@@ -306,8 +283,8 @@ class CompiledModuleCode:
                     # marks, so it (and everything after it) iterates.
                     acyclic = pos
                     break
-        self.event_mode = self.event_requested and not self.fifo_mode
-        self.event_acyclic = acyclic if self.event_mode else 0
+        #: length of the heap-dispatched acyclic prefix of ``comb_order``
+        self.acyclic = acyclic
         #: why no ``tick_clock`` (hence no ``period()``) was planned
         self.period_refused: Optional[str] = self._plan_tick_clock()
         #: a small, fully acyclic ranked cone: one forward pass in rank
@@ -320,8 +297,7 @@ class CompiledModuleCode:
         )
         #: whether the vector carrier may run this module: a two-state,
         #: small, fully acyclic ranked cone under one free-running
-        #: clock.  Pure analysis — the same verdict on either
-        #: configuration of the scalar plan.
+        #: clock.
         self.vector_licensed = (
             self.specialize
             and self.comb_static
@@ -335,10 +311,9 @@ class CompiledModuleCode:
         #: generated and ``period_refused`` says why
         self.period_plan: Optional[str] = None
         if self.tick_clock is not None:
-            if not self.event_mode:
+            if self.fifo_mode:
                 self.period_refused = (
-                    "fifo schedule (impure continuous assign)"
-                    if self.fifo_mode else "baseline configuration")
+                    "fifo schedule (impure continuous assign)")
             elif (self.comb_static
                     and not self.comb_watch[self.tick_clock_slot]):
                 self.period_plan = "static"
@@ -417,7 +392,7 @@ class CompiledModuleCode:
         """
         self.gate_exprs: Dict[int, ast.Expr] = {}
         reads_clock: Set[int] = set()
-        if self.event_mode:
+        if not self.fifo_mode:
             table = getattr(self.opt, "clock_gates", None) or {}
             if table:
                 for proc in self.processes:
@@ -463,7 +438,7 @@ class CompiledModuleCode:
                 event_sources.append(f"    return {src}")
                 event_sources.append("")
                 k += 1
-        # Clock-gate closures (event mode only): one Python-boolean
+        # Clock-gate closures (not on the fifo schedule): one Python-boolean
         # predicate per gated edge process, evaluated at dequeue time
         # — a queued process can blocking-write another's enable, so
         # trigger-fire time would read stale values.
@@ -539,7 +514,7 @@ class CompiledModuleCode:
             for p in self.comb_watch[clk]:
                 # a cone reads the clock: wake it as _drain would
                 pos = self.event_pos[p]
-                wake = (f"heappush(heap, {pos})" if pos < self.event_acyclic
+                wake = (f"heappush(heap, {pos})" if pos < self.acyclic
                         else "S._trail_count += 1")
                 out += [f"    if not pend[{p}]:",
                         f"        pend[{p}] = 1; {wake}"]
@@ -631,8 +606,8 @@ class CompiledSimulator(InterpSimulator):
         self.stmts_executed = 0
         self.settle_rounds = 0
         #: periods that took the reference ``tick`` instead of the
-        #: generated ``period()`` (no planned clock, the baseline, a
-        #: store watcher, an entry state period() cannot assume)
+        #: generated ``period()`` (no planned clock, a store watcher,
+        #: an entry state period() cannot assume)
         self.slow_periods = 0
         self._nba: List[tuple] = []
         self._write_buffer = ""
@@ -648,11 +623,9 @@ class CompiledSimulator(InterpSimulator):
         self._proc_queue: List[int] = []
         self._watched = code.watched
         # Activity dispatch: a min-heap of woken acyclic positions plus
-        # a count of woken trailing (fixpoint) members.  The baseline
-        # configuration has no acyclic prefix, so its heap stays empty.
-        self._event = code.event_mode
+        # a count of woken trailing (fixpoint) members.
         self._ev_pos = code.event_pos
-        self._ev_acyclic = code.event_acyclic
+        self._ev_acyclic = code.acyclic
         self._ev_heap: List[int] = []
         self._trail_count = 0
         if self._fifo_mode:
@@ -846,16 +819,16 @@ class CompiledSimulator(InterpSimulator):
         order is a forward scan restricted to marked entries, and
         prefix writes only ever mark strictly later positions, so one
         monotone pass settles it.  Trailing positions (cycle members
-        and anything at or after a self-reading assign — every position
-        in the baseline configuration) iterate in position order to
-        fixpoint.  Procedural blocks (always@*, edge-triggered,
-        initial) run FIFO, one per outer iteration, exactly like the
-        interpreter; gated edge processes are skipped at dequeue time
-        when their enable is provably low (the gate table only admits
-        bodies that are no-ops under a false enable, so the skip is
-        exact).  One run per process execution is counted against a
-        limit that scales with process count, like the interpreter's,
-        so a long-but-terminating settle never trips the guard.
+        and anything at or after a self-reading assign) iterate in
+        position order to fixpoint.  Procedural blocks (always@*,
+        edge-triggered, initial) run FIFO, one per outer iteration,
+        exactly like the interpreter; gated edge processes are skipped
+        at dequeue time when their enable is provably low (the gate
+        table only admits bodies that are no-ops under a false enable,
+        so the skip is exact).  One run per process execution is
+        counted against a limit that scales with process count, like
+        the interpreter's, so a long-but-terminating settle never trips
+        the guard.
         """
         if self.store.dirty_list:
             self._drain()
@@ -970,13 +943,13 @@ class CompiledSimulator(InterpSimulator):
         For single-clock designs (``tick_clock`` planned by the code
         artifact) the event plan runs the artifact's generated
         ``period()`` (:meth:`_tick_event`).  Designs that fail the
-        plan's conditions (``code.period_refused`` says which), engines
-        with store watchers attached (the debugger) and the baseline
-        configuration take the reference ``tick``/``step`` path, which
-        reaches the same :meth:`settle` through the store API and
-        ``_drain``; ``slow_periods`` counts those.
+        plan's conditions (``code.period_refused`` says which) and
+        engines with store watchers attached (the debugger) take the
+        reference ``tick``/``step`` path, which reaches the same
+        :meth:`settle` through the store API and ``_drain``;
+        ``slow_periods`` counts those.
         """
-        if (not self._event or clock != self.code.tick_clock
+        if (self._period is None or clock != self.code.tick_clock
                 or self.store._watchers):
             before = self.time
             super().tick(clock, cycles)
@@ -996,11 +969,11 @@ class CompiledSimulator(InterpSimulator):
         ``$finish``, ``$save`` or ``$restart`` or takes *now* to
         *until* (``inf`` for never).  The result is ``(periods retired, now, periods the
         quiescence proof retired)``; None means this engine cannot run
-        *clock* on the event plan (baseline or fifo schedule, a
-        second clock, store watchers, a waveform writer) and the caller
-        single-steps through :meth:`tick` instead.
+        *clock* on the event plan (no generated period, a second clock,
+        store watchers, a waveform writer) and the caller single-steps
+        through :meth:`tick` instead.
         """
-        if (not self._event or clock != self.code.tick_clock
+        if (self._period is None or clock != self.code.tick_clock
                 or self.store._watchers or self._vcd is not None):
             return None
         return self._tick_event(cycles, now, until, per_tick, per_stmt)
@@ -1137,7 +1110,7 @@ class CompiledSimulator(InterpSimulator):
         if self.host.finished:
             return True
         code = self.code
-        if not self._event or code.tick_clock is None:
+        if self._period is None:
             return False
         if self.store._watchers:
             return False

@@ -82,8 +82,7 @@ class Engine:
         *until*; each tick's cost is added to *now* in turn and comes
         back as ``stats.now`` (docs/ARCHITECTURE.md, "Stepping", has the
         whole contract).  This default single-steps :meth:`_step` — all
-        the reference interpreter, the baseline configuration and a
-        second clock domain need.
+        the reference interpreter and a second clock domain need.
         """
         host = self.host
         start = now

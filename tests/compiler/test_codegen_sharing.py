@@ -11,7 +11,7 @@ compiled backend and the interp oracle.
 import pytest
 
 from repro.bench import BENCHMARKS
-from repro.compiler import ArtifactStore, CompilerService
+from repro.compiler import ArtifactStore, CompilerService, KIND_CODEGEN
 from repro.fabric import DE10, F1
 from repro.harness.common import bench_vfs
 from repro.hypervisor import Hypervisor
@@ -170,10 +170,8 @@ class TestHardwareSlotsShareCodegen:
         # One codegen artifact, two isolated engine states.
         assert slot_a.sim.code is slot_b.sim.code
         assert slot_a.sim.store is not slot_b.sim.store
-        # The shared artifact lives under "event" or "codegen" depending
-        # on the ambient REPRO_SIM_EVENT scheduling mode.
-        assert (service.store.stats("codegen").hits
-                + service.store.stats("event").hits) >= 1
+        assert service.store.count(KIND_CODEGEN) == 1
+        assert service.store.stats(KIND_CODEGEN).hits >= 1
 
     def test_shared_slots_run_independently(self):
         service = CompilerService(ArtifactStore())

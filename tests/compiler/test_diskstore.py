@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from repro.compiler import ArtifactStore, CompilerService, DiskArtifactStore
+from repro.compiler import (
+    KIND_CODEGEN, ArtifactStore, CompilerService, DiskArtifactStore,
+)
 from repro.compiler.artifacts import resolve_store
 from repro.compiler.diskstore import (
     frame_payload, unframe_payload,
@@ -172,7 +174,7 @@ class TestCrossProcessWarmth:
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)
         code = service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=False)
+                               digest=program.digest)
         want = self._run(code)
 
         # A fresh process: new memory store, same directory.
@@ -180,7 +182,7 @@ class TestCrossProcessWarmth:
             ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program2 = service2.compile_program(SRC)
         code2 = service2.codegen(program2.flat, env=program2.env,
-                                 digest=program2.digest, event=False)
+                                 digest=program2.digest)
         assert service2.store.stats().disk_hits > 0
         assert code2.source == code.source
         assert self._run(code2) == want
@@ -192,31 +194,28 @@ class TestCrossProcessWarmth:
         handed to an engine of the new one."""
         from repro.opt import pipeline
 
-        def codegen(event):
+        def codegen():
             service = CompilerService(
                 ArtifactStore(disk=DiskArtifactStore(tmp_path)))
             program = service.compile_program(SRC)
             code = service.codegen(program.flat, env=program.env,
-                                   digest=program.digest, event=event)
+                                   digest=program.digest)
             return code, service.store.stats
 
         monkeypatch.setattr(pipeline, "_CODEGEN_REV",
                             pipeline._CODEGEN_REV - 1)
-        for event in (True, False):
-            codegen(event)
+        codegen()
         monkeypatch.undo()
-        for event, kind in ((True, "event"), (False, "codegen")):
-            code, stats = codegen(event)
-            assert code.fingerprint.endswith(f"cg{pipeline._CODEGEN_REV}")
-            assert stats(kind).disk_hits == 0
-            _, stats = codegen(event)           # this revision's own frame
-            assert stats(kind).disk_hits == 1
+        code, stats = codegen()
+        assert code.fingerprint.endswith(f"cg{pipeline._CODEGEN_REV}")
+        assert stats(KIND_CODEGEN).disk_hits == 0
+        _, stats = codegen()                    # this revision's own frame
+        assert stats(KIND_CODEGEN).disk_hits == 1
 
     def test_warmth_probe_sees_disk_artifacts(self, tmp_path):
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)
-        service.codegen(program.flat, env=program.env, digest=program.digest,
-                        event=False)
+        service.codegen(program.flat, env=program.env, digest=program.digest)
         service2 = CompilerService(
             ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         warmth = service2.warmth(program.digest)

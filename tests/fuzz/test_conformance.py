@@ -92,6 +92,20 @@ class TestSmokeConformance:
                      "--corpus-dir", str(tmp_path)]) == 0
         assert "batched: vectorized 1 of 2" in capsys.readouterr().out
 
+    def test_compiled_is_the_only_scalar_path(self, capsys, tmp_path):
+        """``compiled`` runs the event plan; there is no ``event`` path."""
+        from repro.fuzz.__main__ import main
+        from repro.fuzz.oracle import ALL_PATHS, DEFAULT_PATHS
+
+        assert "event" not in ALL_PATHS
+        assert DEFAULT_PATHS[:4] == ("interp", "compiled", "board",
+                                     "lifecycle")
+        assert main(["--n", "1", "--paths", "interp,event",
+                     "--corpus-dir", str(tmp_path)]) == 2
+        assert "unknown paths: event" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown execution paths"):
+            check(generate(0).module, 4, ("interp", "event"))
+
 
 class TestCorpus:
     @pytest.mark.parametrize(

@@ -1,25 +1,23 @@
 """Event-driven activity scheduling: wake-up sets, idle proof, activity.
 
-The event plan (``REPRO_SIM_EVENT``, default on) dispatches by
+The event plan, the compiled backend's one schedule, dispatches by
 per-signal sensitivity: writes wake exactly the combinational cones
 that read them (a min-heap over the acyclic prefix), clock-gated
 registered blocks are skipped when their enables are low, the clock
 edge is applied inline, and a quiescent design proves ``is_idle()`` so
-the hypervisor can fast-forward it for free.  ``REPRO_SIM_EVENT=0`` is
-the same loop with none of those (empty prefix, no gates, reference
-``tick``, no idle proof) and stays the oracle — every test here that
-checks values checks them against that twin or the tree-walking
-interpreter.
+the hypervisor can fast-forward it for free.  Every test here that
+checks values checks them against the tree-walking interpreter; the
+ones that check counters or modeled seconds check them against the
+same artifact with a no-op store watcher, which takes the reference
+``tick`` every period (the debugger's path).
 """
 
 import pytest
 
 from repro.compiler.artifacts import ArtifactStore
-from repro.compiler.service import (
-    KIND_CODEGEN, KIND_EVENT, CompilerService,
-)
+from repro.compiler.service import KIND_CODEGEN, CompilerService
 from repro.interp import Simulator, TaskHost, VirtualFS
-from repro.interp.compile import CompiledModuleCode, resolve_sim_event
+from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.interp.simulator import SimulationError
 from repro.verilog import flatten, parse
@@ -30,12 +28,20 @@ def build(text, top=None, **kwargs):
     return flat
 
 
-def sim_for(text, top=None, event=None):
+def sim_for(text, top=None, watched=False):
     # Pinned at O2: the idle proofs need the gating pass, which the
     # ambient REPRO_OPT_LEVEL=0 CI leg would otherwise strip.
     flat = build(text, top)
-    code = CompiledModuleCode(flat, opt_level=2, event=event)
-    return CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
+    code = CompiledModuleCode(flat, opt_level=2)
+    sim = CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
+    if watched:
+        sim.store.add_watcher(lambda name: None)
+    return sim
+
+
+def interp_for(text, top=None):
+    return Simulator(build(text, top), TaskHost(VirtualFS()),
+                     backend="interp")
 
 
 COUNTER = """
@@ -59,35 +65,19 @@ endmodule
 
 
 class TestModeSelection:
-    def test_event_on_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
-        assert resolve_sim_event() is True
+    def test_event_on_by_default(self):
         sim = sim_for(GATED)
-        assert sim.code.event_mode
-        assert sim.code.event_acyclic == len(sim.code.comb_order)
+        assert sim.code.gate_exprs and sim.code.period_plan == "static"
+        counter = sim_for(COUNTER).code
+        assert counter.comb_order
+        assert counter.acyclic == len(counter.comb_order)
 
-    def test_env_zero_selects_the_baseline(self, monkeypatch):
+    def test_env_switch_is_gone(self, monkeypatch):
+        # The old off-switch for the event plan selects nothing now.
         monkeypatch.setenv("REPRO_SIM_EVENT", "0")
-        assert resolve_sim_event() is False
-        sim = sim_for(COUNTER)
-        code = sim.code
-        assert not code.event_mode
-        # One loop, nothing switched on: every ranked position iterates
-        # (no heap prefix), no gate is tabled, and the engine neither
-        # retires chunks inline nor proves quiescence.
-        assert code.comb_order and code.event_acyclic == 0
-        assert not sim_for(GATED).code.gate_exprs
-        assert sim.tick_metered("clock", 4, 0.0, float("inf"),
-                                1.0, 0.0) is None
-        sim.tick(cycles=3)
-        assert sim.get("n") == 3 and not sim._ev_heap
-        assert sim.is_idle() is False
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EVENT", "0")
-        assert resolve_sim_event(True) is True
-        sim = sim_for(GATED, event=True)
-        assert sim.code.event_mode
+        code = sim_for(COUNTER).code
+        assert code.period_plan == "static"
+        assert code.acyclic == len(code.comb_order)
 
     def test_fifo_designs_withdraw_to_generic(self):
         # An impure assign RHS forces FIFO scheduling; event dispatch
@@ -100,14 +90,16 @@ class TestModeSelection:
               reg [31:0] seen;
               always @(posedge clock) seen <= x;
             endmodule
-        """, event=True)
-        assert sim.code.fifo_mode
-        assert not sim.code.event_mode
+        """)
+        code = sim.code
+        assert code.fifo_mode and not code.gate_exprs
+        assert code.acyclic == 0 and code.period_plan is None
+        assert code.period_refused.startswith("fifo schedule")
 
 
 class TestIdleProof:
     def test_quiescent_gated_tick_runs_no_process_bodies(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 1)
         sim.tick(cycles=4)
         assert sim.get("acc") == 4
@@ -121,7 +113,7 @@ class TestIdleProof:
         assert sim.get("acc") == 4
 
     def test_idle_revoked_when_enable_rises(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 0)
         sim.tick(cycles=2)
         assert sim.is_idle()
@@ -136,20 +128,33 @@ class TestIdleProof:
               reg [7:0] n = 0;
               always @(posedge clock) n <= n + 1;
             endmodule
-        """, event=True)
+        """)
         sim.tick(cycles=2)
         assert not sim.is_idle()
 
     def test_activity_counts_pending_work(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         assert sim.activity() == 0 or sim.activity() >= 0  # well-defined
         sim.set("en", 1)
         # A poked input dirties its slot until the next drain.
         assert isinstance(sim.activity(), int)
 
-    def test_sweep_twin_matches_idle_fast_forward(self):
-        fast = sim_for(GATED, event=True)
-        slow = sim_for(GATED, event=False)
+    def test_watched_engine_takes_the_reference_tick(self):
+        # What the counter references below rely on: a store watcher
+        # sends every period through the reference tick, so the engine
+        # neither retires chunks inline nor proves quiescence.
+        sim = sim_for(GATED, watched=True)
+        sim.tick(cycles=3)
+        assert sim.tick_metered("clock", 4, 0.0, float("inf"),
+                                1.0, 0.0) is None
+        assert not sim.is_idle() and sim.slow_periods == 3
+        unwatched = sim_for(GATED)
+        unwatched.tick(cycles=3)
+        assert unwatched.is_idle() and unwatched.slow_periods == 0
+
+    def test_idle_fast_forward_matches_the_interpreter(self):
+        fast = sim_for(GATED)
+        slow = interp_for(GATED)
         for s in (fast, slow):
             s.set("en", 1)
             s.tick(cycles=5)
@@ -189,7 +194,7 @@ class TestNbaShadowQueueActivity:
     """
 
     def test_shadow_slots_are_tabled_as_activity(self):
-        sim = sim_for(self.SHADOWED, event=True)
+        sim = sim_for(self.SHADOWED)
         layout = sim.code.layout
         assert layout.slot_of["__wn_0"] in sim.code.activity_slots
         assert layout.slot_of["__wseq"] in sim.code.activity_slots
@@ -210,7 +215,7 @@ class TestNbaShadowQueueActivity:
             endmodule
         """)
         code = CompiledModuleCode(program.transform.module,
-                                  env=program.hardware_env, event=True)
+                                  env=program.hardware_env)
         names = {name for name, slot in code.layout.slot_of.items()
                  if slot in code.activity_slots}
         assert any(n.startswith("__wn_") for n in names)
@@ -218,7 +223,7 @@ class TestNbaShadowQueueActivity:
         assert "__wseq" in names
 
     def test_pending_shadow_entry_blocks_idle(self):
-        sim = sim_for(self.SHADOWED, event=True)
+        sim = sim_for(self.SHADOWED)
         sim.set("en", 0)
         sim.set("drain", 0)
         sim.tick(cycles=2)
@@ -238,16 +243,14 @@ class TestNbaShadowQueueActivity:
         assert sim.get("__wn_0") == 0
         assert sim.is_idle()
 
-    def test_preempted_tenant_with_staged_writes_not_fast_forwarded(
-            self, monkeypatch):
+    def test_preempted_tenant_with_staged_writes_not_fast_forwarded(self):
         # Runtime-level regression: a tenant sliced out while shadow
         # writes are pending must report busy through tick_chunk so the
         # supervisor keeps stepping it instead of warping time past the
-        # drain.  Event scheduling and O2 are pinned — the scenario
-        # under test only exists with the idle probe armed.
+        # drain.  O2 is pinned — the scenario under test only exists
+        # with the idle probe armed.
         from repro.runtime.runtime import Runtime
 
-        monkeypatch.setenv("REPRO_SIM_EVENT", "1")
         runtime = Runtime(self.SHADOWED, sim_backend="compiled",
                           opt_level=2)
         runtime.engine.set("en", 0)
@@ -289,19 +292,18 @@ class TestCycleDownstreamRemarking:
     """
 
     def test_cycle_members_are_trailing_not_heap(self):
-        sim = sim_for(self.CYC, event=True)
+        sim = sim_for(self.CYC)
         code = sim.code
-        assert code.event_mode
+        assert not code.fifo_mode
         # Both the self-looping driver and its downstream reader sit in
         # the trailing fixpoint region; neither may enter the acyclic
         # heap prefix, else a late cycle settle could strand the reader.
         assert len(code.comb_order) == 2
-        assert code.event_acyclic == 0
+        assert code.acyclic == 0
 
     def test_downstream_of_cycle_tracks_late_settle(self):
-        fast = sim_for(self.CYC, event=True)
-        oracle = Simulator(build(self.CYC), TaskHost(VirtualFS()),
-                           backend="interp")
+        fast = sim_for(self.CYC)
+        oracle = interp_for(self.CYC)
         for _ in range(12):
             fast.tick(cycles=1)
             oracle.tick(cycles=1)
@@ -309,27 +311,27 @@ class TestCycleDownstreamRemarking:
             assert fast.get("q") == oracle.get("q")
 
     def test_full_state_bit_identical_over_run(self):
-        fast = sim_for(self.CYC, event=True)
-        slow = sim_for(self.CYC, event=False)
+        fast = sim_for(self.CYC)
+        slow = interp_for(self.CYC)
         fast.tick(cycles=40)
         slow.tick(cycles=40)
         assert fast.store.snapshot() == slow.store.snapshot()
 
-    @pytest.mark.parametrize("config", ["interp", "event", "baseline"])
+    @pytest.mark.parametrize("config", ["interp", "compiled"])
     def test_oscillating_cycle_trips_the_convergence_guard(self, config):
         # Two-state at O2, so ``a`` boots at 0 and really oscillates.
         osc = "module osc(); wire a; assign a = ~a; endmodule"
         with pytest.raises(SimulationError,
                            match="evaluation did not converge"):
             if config == "interp":
-                Simulator(build(osc), TaskHost(VirtualFS()), backend="interp")
+                interp_for(osc)
             else:
-                sim_for(osc, event=(config == "event"))
+                sim_for(osc)
 
 
 class TestRestoreClearsEventState:
     def test_restore_at_quiescence_drops_stale_activity(self):
-        sim = sim_for(GATED, event=True)
+        sim = sim_for(GATED)
         sim.set("en", 1)
         sim.tick(cycles=2)
         snap = sim.save_state()
@@ -338,7 +340,7 @@ class TestRestoreClearsEventState:
         assert sim.get("acc") == 2
         assert not sim._ev_heap
         assert sim._trail_count == 0
-        twin = sim_for(GATED, event=True)
+        twin = sim_for(GATED)
         twin.set("en", 1)
         twin.tick(cycles=2)
         sim.tick(cycles=4)
@@ -346,26 +348,22 @@ class TestRestoreClearsEventState:
         assert sim.get("acc") == twin.get("acc") == 6
 
 
-class TestEventArtifactKind:
-    def test_event_and_sweep_cache_under_separate_kinds(self):
+class TestCodegenArtifactKind:
+    def test_one_kind_and_no_event_argument(self):
         service = CompilerService(ArtifactStore())
         program = service.compile_program(GATED)
-        ev = service.codegen(program.flat, env=program.env,
-                             digest=program.digest, event=True)
-        sw = service.codegen(program.flat, env=program.env,
-                             digest=program.digest, event=False)
-        assert ev is not sw
-        assert ev.event_mode and not sw.event_mode
-        assert service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=True) is ev
-        assert service.codegen(program.flat, env=program.env,
-                               digest=program.digest, event=False) is sw
-        warmth = service.warmth(program.digest)
-        assert warmth["event"] and warmth["codegen"]
+        args = dict(env=program.env, digest=program.digest)
+        with pytest.raises(TypeError):
+            service.codegen(program.flat, event=False, **args)
+        with pytest.raises(TypeError):
+            CompiledModuleCode(program.flat, event=False)
+        service.codegen(program.flat, **args)
+        assert service.store.count(KIND_CODEGEN) == 1
+        assert service.warmth(program.digest) == {
+            "opt": True, "codegen": True, "batch": False}
 
-    def test_batch_layers_on_the_default_plan(self, monkeypatch):
+    def test_batch_layers_on_the_default_plan(self):
         pytest.importorskip("numpy")
-        monkeypatch.delenv("REPRO_SIM_EVENT", raising=False)
         service = CompilerService(ArtifactStore())
         program = service.compile_program(COUNTER)
         # O2 pinned: the vector licence needs the two-state grant,
@@ -375,12 +373,11 @@ class TestEventArtifactKind:
         before = service.stats().misses
         service.batch(program.flat, **args)
         # The licence is analysis, so batching layers on the artifact
-        # the tenant already built: one new miss (the batch artifact),
-        # no baseline twin.  (Counts, not warmth(): warmth probes the
-        # ambient opt level, which CI legs vary.)
+        # the tenant already built: one new miss (the batch artifact).
+        # (Counts, not warmth() values: warmth probes the ambient opt
+        # level, which CI legs vary.)
         assert service.stats().misses == before + 1
-        assert service.store.count(KIND_CODEGEN) == 0
-        assert service.store.count(KIND_EVENT) == 1
+        assert service.store.count(KIND_CODEGEN) == 1
 
 
 def _has_cycle_frozen(reads, writes):
@@ -425,8 +422,7 @@ def _licence_frozen(code):
 
 
 class TestVectorLicence:
-    """The licence is analysis: one verdict, whichever configuration
-    the artifact carries, equal to the predicate it replaced."""
+    """The licence is analysis, equal to the predicate it replaced."""
 
     def test_verdict_matches_the_predicate_it_replaced(self):
         from repro.bench import BENCHMARKS
@@ -440,10 +436,8 @@ class TestVectorLicence:
                     for seed in range(100)]
         verdicts = []
         for label, flat in designs:
-            for event in (True, False):
-                code = CompiledModuleCode(flat, opt_level=2, event=event)
-                assert code.vector_licensed == _licence_frozen(code), \
-                    (label, event)
+            code = CompiledModuleCode(flat, opt_level=2)
+            assert code.vector_licensed == _licence_frozen(code), label
             verdicts.append(code.vector_licensed)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
@@ -484,15 +478,17 @@ def drive_metered(sim, ticks, clock="clock"):
 
 
 def trio(module, env=None, opt_level=2, vfs=None, code=None):
-    """(generated period, baseline, interpreter) engines of one module;
-    *code* is the event-plan artifact when the caller already built it."""
+    """(generated period, watched, interpreter) engines of one module;
+    *code* is the artifact when the caller already built it.  The
+    watched engine runs the same artifact with a no-op store watcher,
+    so every period takes the reference ``tick``."""
+    if code is None:
+        code = CompiledModuleCode(module, env=env, opt_level=opt_level)
     sims = {}
-    for label, event in (("period", True), ("baseline", False)):
-        if not (event and code):
-            code = CompiledModuleCode(module, env=env, opt_level=opt_level,
-                                      event=event)
+    for label in ("period", "watched"):
         sims[label] = CompiledSimulator(
             module, TaskHost(vfs() if vfs else VirtualFS()), code=code)
+    sims["watched"].store.add_watcher(lambda name: None)
     sims["interp"] = Simulator(module, TaskHost(vfs() if vfs else VirtualFS()),
                                env=env, backend="interp")
     return sims
@@ -503,7 +499,7 @@ _CORPUS = []
 
 def corpus():
     """Table-1 + fuzz seeds 0-99, flat and transformed module each:
-    ``(label, module, env, ticks, vfs factory, event-plan artifact)``."""
+    ``(label, module, env, ticks, vfs factory, code artifact)``."""
     if not _CORPUS:
         from repro.bench import BENCHMARKS
         from repro.fuzz.gen import generate
@@ -524,33 +520,33 @@ def corpus():
                     ("hw", program.transform.module, program.hardware_env)):
                 _CORPUS.append((
                     f"{label}/{kind}", module, env, ticks, vfs,
-                    CompiledModuleCode(module, env=env, opt_level=2,
-                                       event=True)))
+                    CompiledModuleCode(module, env=env, opt_level=2)))
     return _CORPUS
 
 
 class TestGeneratedPeriod:
     """The event plan's clock period is generated code
     (``CompiledModuleCode._period_source``): same ``$display``, state,
-    time, counters and modeled seconds as the baseline configuration's
-    reference ``tick``, same observable behaviour as the interpreter.
+    time, counters and modeled seconds as the reference ``tick`` of the
+    same artifact, same observable behaviour as the interpreter.
     """
 
-    def test_period_equals_baseline_and_interpreter_on_the_corpus(self):
+    def test_period_equals_reference_tick_and_interpreter_on_the_corpus(self):
         static = 0
         for label, module, env, ticks, vfs, code in corpus():
             sims = trio(module, env, vfs=vfs, code=code)
-            period, baseline, interp = (
-                sims["period"], sims["baseline"], sims["interp"])
+            period, watched, interp = (
+                sims["period"], sims["watched"], sims["interp"])
             # a transformed module is stepped by its native clock
             clock = period.code.tick_clock or "clock"
             seconds = {name: drive_metered(sim, ticks, clock)
                        for name, sim in sims.items()}
-            assert observe(period) == observe(baseline) == observe(interp), \
+            assert observe(period) == observe(watched) == observe(interp), \
                 label
-            assert period.stmts_executed == baseline.stmts_executed, label
-            assert period.settle_rounds == baseline.settle_rounds, label
-            assert seconds["period"] == seconds["baseline"], label
+            assert watched.slow_periods == watched.time, label
+            assert period.stmts_executed == watched.stmts_executed, label
+            assert period.settle_rounds == watched.settle_rounds, label
+            assert seconds["period"] == seconds["watched"], label
             if period.code.period_plan == "static":
                 static += 1
                 assert period.slow_periods == 0, label
@@ -646,15 +642,11 @@ def directed(text, script, opt_level=2):
     sims = trio(build(text), opt_level=opt_level)
     for sim in sims.values():
         script(sim)
-    assert observe(sims["period"]) == observe(sims["baseline"]) \
+    assert observe(sims["period"]) == observe(sims["watched"]) \
         == observe(sims["interp"])
-    period, baseline = sims["period"], sims["baseline"]
-    if period.code.gate_ids:
-        # a gated skip runs no statement; the baseline tables no gate
-        assert period.stmts_executed < baseline.stmts_executed
-    else:
-        assert period.stmts_executed == baseline.stmts_executed
-    assert period.settle_rounds == baseline.settle_rounds
+    period, watched = sims["period"], sims["watched"]
+    assert period.stmts_executed == watched.stmts_executed
+    assert period.settle_rounds == watched.settle_rounds
     assert period.code.period_plan is not None
     return period
 
@@ -785,13 +777,12 @@ class TestPeriodEntryStates:
 
 class TestWhySlowPath:
     def test_period_plan_and_refusal_reasons(self):
-        def plan(text, event=True):
-            code = CompiledModuleCode(build(text), opt_level=2, event=event)
+        def plan(text):
+            code = CompiledModuleCode(build(text), opt_level=2)
             return code.period_plan, code.period_refused
 
         assert plan(COUNTER) == ("static", None)
         assert plan(CLOCK_READER) == ("settle", None)
-        assert plan(COUNTER, event=False) == (None, "baseline configuration")
         body = "reg x = 0; reg y = 0; wire w; assign w = x;"
         for item, reason in (
                 ("always @* y = x; always @(posedge clock) x <= ~x;",
@@ -807,16 +798,16 @@ class TestWhySlowPath:
             assert plan(text) == (None, reason), item
 
     def test_slow_periods_counts_reference_ticks(self):
-        fast = sim_for(COUNTER, event=True)
+        fast = sim_for(COUNTER)
         fast.tick(cycles=7)
         assert fast.slow_periods == 0
-        slow = sim_for(COUNTER, event=False)
+        slow = sim_for(COUNTER, watched=True)
         slow.tick(cycles=7)
         assert slow.slow_periods == 7 and slow.get("n") == fast.get("n")
 
 
 class TestBenchWorkloadIdentity:
-    """Every bench workload, event vs sweep, bit-identical."""
+    """Every bench workload, compiled vs interpreter, bit-identical."""
 
     @pytest.mark.parametrize("name,ticks", [
         ("adpcm", 48), ("bitcoin", 16), ("df", 32),
@@ -828,11 +819,10 @@ class TestBenchWorkloadIdentity:
 
         flat = flatten(parse(BENCHMARKS[name].source()), name)
         runs = {}
-        for label, event in (("event", True), ("sweep", False)):
+        for backend in ("compiled", "interp"):
             host = TaskHost(bench_vfs(name, scale=1 << 12))
-            code = CompiledModuleCode(flat, event=event)
-            sim = CompiledSimulator(flat, host, code=code)
+            sim = Simulator(flat, host, backend=backend)
             sim.tick(cycles=ticks)
-            runs[label] = (sim.store.snapshot(), list(host.display_log),
-                           host.finished, sim.time)
-        assert runs["event"] == runs["sweep"]
+            runs[backend] = (sim.store.snapshot(), list(host.display_log),
+                             host.finished, sim.time)
+        assert runs["compiled"] == runs["interp"]

@@ -86,7 +86,7 @@ class TestRoundTrip:
         monkeypatch.setenv("REPRO_VCD", str(path))
         flat = flatten(parse(COUNTER), "counter")
         sim = CompiledSimulator(flat, TaskHost(VirtualFS()),
-                                code=CompiledModuleCode(flat, event=True))
+                                code=CompiledModuleCode(flat))
         sim.set("en", 0)
         sim.tick(cycles=3)
         _, before = read_vcd(str(path))

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.compiler import ArtifactStore, CompilerService
-from repro.compiler.service import KIND_CODEGEN, KIND_EVENT, KIND_OPT
+from repro.compiler.service import KIND_CODEGEN, KIND_OPT
 from repro.fuzz import generate, state_names
 from repro.interp import Simulator, TaskHost
 from repro.opt import Design, optimize_module, pipeline_fingerprint
@@ -199,10 +199,7 @@ class TestServiceIntegration:
         # Same level → shared artifact, no rebuild.
         assert service.codegen(program.flat, env=program.env,
                                digest=program.digest, opt_level=2) is o2
-        # Simulator artifacts land under "event" or "codegen" depending
-        # on the ambient REPRO_SIM_EVENT scheduling mode.
-        assert (service.store.count(KIND_CODEGEN)
-                + service.store.count(KIND_EVENT)) == 2
+        assert service.store.count(KIND_CODEGEN) == 2
         assert service.store.count(KIND_OPT) == 2
 
     def test_fingerprints_distinct_per_level(self):

@@ -5,9 +5,9 @@ of it as it can in one dispatch.  These tests pin the contract from the
 outside: any partition of N ticks into chunks must be indistinguishable
 from N budget-1 dispatches — ``$display`` log, architectural state,
 tick count, ``$finish`` status **and modeled time, bit for bit** — on
-every stepping path (event plan, its baseline, reference interpreter,
-cohort lanes), and the engine must come up for air on exactly the tick
-where the runtime has work to do.
+every stepping path (event plan, the same artifact with a store watcher
+attached, reference interpreter, cohort lanes), and the engine must
+come up for air on exactly the tick where the runtime has work to do.
 """
 
 import random
@@ -91,12 +91,10 @@ module sleeper(input wire clock);
 endmodule
 """
 
-#: selects the stepping path under test: (REPRO_SIM_EVENT, sim_backend)
-PATHS = {
-    "event": ("1", "compiled"),
-    "sweep": ("0", "compiled"),
-    "interp": ("1", "interp"),
-}
+#: selects the stepping path under test: ``watched`` runs the event
+#: plan's artifact with a no-op store watcher (the debugger's path), so
+#: every period takes the reference ``tick``
+PATHS = ("event", "interp", "watched")
 
 
 @pytest.fixture(autouse=True)
@@ -105,18 +103,22 @@ def default_stack(monkeypatch):
     (the idle proof and the vector licence both need the mid-end on)."""
     for name in ("REPRO_OPT_LEVEL", "REPRO_SIM_BACKEND", "REPRO_VCD"):
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("REPRO_SIM_EVENT", "1")
 
 
-@pytest.fixture(params=sorted(PATHS))
-def make(request, monkeypatch):
+def runtime_on(path, source):
+    runtime = Runtime(source, sim_backend="interp" if path == "interp"
+                      else "compiled", compiler=CompilerService())
+    if path == "watched":
+        runtime.engine.sim.store.add_watcher(lambda name: None)
+    return runtime
+
+
+@pytest.fixture(params=PATHS)
+def make(request):
     """Runtime factory pinned to one stepping path."""
-    event, backend = PATHS[request.param]
-    monkeypatch.setenv("REPRO_SIM_EVENT", event)
 
     def build(source):
-        return Runtime(source, sim_backend=backend,
-                       compiler=CompilerService())
+        return runtime_on(request.param, source)
 
     build.path = request.param
     return build
@@ -187,26 +189,25 @@ def compile_source(source):
 
 
 class TestPathsAgree:
-    def test_generated_period_equals_baseline_and_interpreter(
-            self, monkeypatch):
+    def test_generated_period_equals_reference_tick_and_interpreter(self):
         """The event plan's generated ``period()`` against its two
         references, chunked: same log, state, ticks and — against the
-        baseline, which counts the same statements — modeled seconds."""
+        reference ``tick`` of the same artifact, which counts the same
+        statements — modeled seconds."""
         for label, source, total in designs():
             seen = {}
-            for path, (event, backend) in PATHS.items():
-                monkeypatch.setenv("REPRO_SIM_EVENT", event)
-                runtime = Runtime(source, sim_backend=backend,
-                                  compiler=CompilerService())
+            for path in PATHS:
+                runtime = runtime_on(path, source)
                 for chunk in partition(total, random.Random(label)):
                     runtime.tick(chunk)
                 seen[path] = observe(runtime)
-                if path == "event":
+                if path != "interp":
                     sim = runtime.engine.sim
                     assert sim.code.period_plan in ("static", None), label
                     assert sim.slow_periods == (
-                        0 if sim.code.period_plan else runtime.ticks), label
-            assert seen["event"] == seen["sweep"], label
+                        0 if sim.code.period_plan and path == "event"
+                        else runtime.ticks), label
+            assert seen["event"] == seen["watched"], label
             seen["interp"]["sim_time"] = seen["event"]["sim_time"]
             assert seen["interp"] == seen["event"], label
 

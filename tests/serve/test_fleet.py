@@ -2,7 +2,7 @@
 
 import asyncio
 
-from repro.compiler.service import CompilerService
+from repro.compiler.service import KIND_CODEGEN, CompilerService
 from repro.fabric.errors import FabricError
 from repro.hypervisor import Hypervisor, telemetry_snapshot
 from repro.interp.compile.batch import HAVE_NUMPY
@@ -29,12 +29,10 @@ class TestPlacement:
         # Pre-build the full artifact chain on one board's service.
         program = warm.compiler.compile_program(APP)
         warm.compiler.codegen(program.flat, digest=program.digest)
-        # codegen() lands in the "event" or "codegen" kind depending on
-        # the ambient REPRO_SIM_EVENT; either makes the board warm.
-        warm_w = warm.compiler.warmth(program.digest)
-        cold_w = cold.compiler.warmth(program.digest)
-        assert warm_w["codegen"] or warm_w["event"]
-        assert not (cold_w["codegen"] or cold_w["event"])
+        assert warm.compiler.store.count(KIND_CODEGEN) == 1
+        assert cold.compiler.store.count(KIND_CODEGEN) == 0
+        assert warm.compiler.warmth(program.digest)["codegen"]
+        assert not cold.compiler.warmth(program.digest)["codegen"]
 
         fleet.admit_job("hot", APP, program.digest)
         assert fleet.supervisor.tenants["hot"].host is warm

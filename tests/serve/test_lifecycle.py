@@ -365,8 +365,8 @@ def audited_serve(monkeypatch):
 
 
 def proves_idle():
-    """Only the event-scheduled compiled backend can prove quiescence
-    (not ``REPRO_SIM_BACKEND=interp``, not ``REPRO_SIM_EVENT=0``)."""
+    """Only the compiled backend can prove quiescence (not
+    ``REPRO_SIM_BACKEND=interp``)."""
     runtime = Runtime(APP_IDLE, compiler=SERVICE)
     runtime.tick(8)
     return runtime.is_idle()
