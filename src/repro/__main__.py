@@ -54,9 +54,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
         code = CompiledModuleCode(program.flat, env=program.env)
         print(code.source)
+        cones = ", ".join(f"p{p.index}" for p in code.processes
+                          if p.kind == "cone")
         print(f"// period plan: {code.period_plan}"
-              + (f" ({code.period_refused})" if code.period_refused else ""),
-              file=sys.stderr)
+              + (f" ({code.period_refused})" if code.period_refused else "")
+              + (f" (cones: {cones})" if cones else ""), file=sys.stderr)
         for name, how in code.strategy.items():
             print(f"// {name}: {how}", file=sys.stderr)
         print("// counted loops {counted}/{loops}, guards dropped {guards}, "

@@ -17,7 +17,12 @@ are specified to agree:
   temporaries that never feed combinational logic — the state-machine
   transform settles ``@*`` blocks between native cycles, so a blocking
   write into a combinational cone would expose scheduling differences
-  that the LRM calls nondeterminism, not bugs;
+  that the LRM calls nondeterminism, not bugs.  The compiled backend
+  checks this rule rather than trusting it: its cone licence
+  (``CompiledModuleCode._license_cones``, clause 3a) ranks an ``@*``
+  block with the assigns only where no blocking write in a sequential
+  block reaches its fan-in, so every generated ``@*`` block is
+  licensed;
 * combinational logic (continuous assigns and ``@*`` registers) forms
   a single-driver DAG, so its fixpoint is unique regardless of
   activation order;

@@ -436,10 +436,14 @@ class _LaneEmitter:
 
     def emit(self) -> str:
         code = self.code
+        blocks = sum(code.processes[p].kind == "cone" for p in code.comb_order)
         sweep = ["def sweep(st):"] + self._function(
             "A", self._sweep, wakes=False,
             entry=["st.need_sweep = False", "st.settle_rounds += 1",
-                   f"st.stmts_executed += {len(code.comb_order)}", "A = st.alive"])
+                   f"st.stmts_executed += {len(code.comb_order) - blocks}",
+                   "A = st.alive"]
+            + (["nA = st.n if st.alive_all else cnz(A)", "_st = 0"] if blocks else []),
+            exit=["st.stmts_executed += _st"] if blocks else [])
         procs: List[str] = []
         for proc in code.processes:
             if proc.kind == "star":
@@ -531,7 +535,11 @@ class _LaneEmitter:
 
     def _sweep(self) -> None:
         for index in self.code.comb_order:
-            item = self.code.processes[index].assign
+            proc = self.code.processes[index]
+            if proc.kind == "cone":  # a licensed @* block's body
+                self._body(proc.stmt, _Mask("A", "nA", whole=True), 1)
+                continue
+            item = proc.assign
             width = self.env.width_of(item.lhs)
             self._store(item.lhs, self.ec.compile(item.rhs, width),
                         max(self.env.width_of(item.rhs), width),

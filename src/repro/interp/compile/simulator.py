@@ -28,6 +28,7 @@ store, keeping behaviour bit-identical by construction.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from heapq import heappop, heappush
 from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -43,6 +44,7 @@ from ..simulator import (
     SimulationError,
 )
 from ...opt import optimize_module
+from ...opt.ir import blocking_writes, stmt_pure, stmt_writes
 from ...verilog.width import WidthError
 from .exprc import CompileFallback, ExprCompiler, HELPERS, expr_is_pure
 from .scheduler import acyclic_count, rank_order
@@ -54,6 +56,49 @@ from .stmtc import ProcessCompiler
 #: costs more than the scalar plan's selective re-evaluation, so only
 #: small cones are licensed for it.
 _VECTOR_COMB_MAX = 96
+
+
+def _block_reads(stmt, defined: Set[str], written: Set[str],
+                 reads: Set[str]) -> Tuple[Set[str], Set[str]]:
+    """Add to *reads* what *stmt* may read before it writes it whole, and
+    any name it may write a second time in one run (the interpreter
+    wakes a block again on its own first value).  *defined* / *written*:
+    names written whole on every path / on some path so far; returns
+    both as they stand after *stmt*.  A loop reads all it mentions."""
+    if stmt is None:
+        return defined, written
+    if isinstance(stmt, ast.Block):
+        for inner in stmt.stmts:
+            defined, written = _block_reads(inner, defined, written, reads)
+        return defined, written
+    if isinstance(stmt, ast.Assign):
+        targets = set(lvalue_targets(stmt.lhs))
+        reads |= ((collect_identifiers(stmt.rhs)
+                   | InterpSimulator._lhs_index_deps(stmt.lhs)) - defined
+                  | targets & written)
+        whole = isinstance(stmt.lhs, ast.Identifier)  # a select: a latch
+        return defined | targets if whole else defined, written | targets
+    if isinstance(stmt, (ast.If, ast.Case)):
+        for expr in ast.stmt_exprs(stmt):
+            reads |= collect_identifiers(expr) - defined
+        arms = ([stmt.then_stmt, stmt.else_stmt] if isinstance(stmt, ast.If)
+                else [item.stmt for item in stmt.items]  # (None: no default)
+                + [None] * all(item.labels for item in stmt.items))
+        paths = [_block_reads(arm, defined, written, reads) for arm in arms]
+        return (set.intersection(*(d for d, _ in paths)),
+                set.union(*(w for _, w in paths)))
+    reads |= stmt_identifiers(stmt)  # a loop: even a name written before
+    return defined, written
+
+
+def _reach(names: Set[str], edges: Dict[str, List[Set[str]]]) -> Set[str]:
+    """*names* and every name *edges* leads to from them."""
+    seen, todo = set(names), list(names)
+    while todo:
+        for step in edges.get(todo.pop(), ()):
+            todo += step - seen
+            seen |= step
+    return seen
 
 
 class _Trigger:
@@ -88,7 +133,7 @@ class _ProcInfo:
                  reads: Optional[Set[str]] = None,
                  writes: Optional[Set[str]] = None):
         self.index = index
-        self.kind = kind  # "assign" | "star" | "edge" | "initial"
+        self.kind = kind  # "assign" | "cone" | "star" | "edge" | "initial"
         self.stmt = stmt
         self.assign = assign
         self.events = list(events)
@@ -145,36 +190,24 @@ class CompiledModuleCode:
         #: ``Design.to_module`` preserves item order 1:1)
         self._item_pos: Dict[int, int] = {}
         for item_pos, item in enumerate(self.module.items):
+            if (isinstance(item, ast.Decl) and item.kind == "wire"
+                    and item.init is not None):  # an implied assign
+                item = ast.ContinuousAssign(ast.Identifier(item.name), item.init)
             if isinstance(item, ast.ContinuousAssign):
-                reads = (collect_identifiers(item.rhs)
-                         | InterpSimulator._lhs_index_deps(item.lhs))
-                writes = set(lvalue_targets(item.lhs))
                 self.processes.append(_ProcInfo(
-                    index, "assign", assign=item, reads=reads, writes=writes))
-            elif isinstance(item, ast.Always):
-                if item.sensitivity == ast.STAR:
-                    # always@* blocks stay on the interpreter-identical
-                    # FIFO queue: promoting them into the ranked sweep
-                    # can resequence them past edge-triggered or initial
-                    # processes queued in the same drain, which is
-                    # observable through $display and blocking-read
-                    # races.  The win is per-execution (compiled
-                    # closures), not per-schedule.
-                    reads = stmt_identifiers(item.stmt)
-                    self.processes.append(_ProcInfo(
-                        index, "star", stmt=item.stmt, reads=reads))
-                else:
-                    self.processes.append(_ProcInfo(
-                        index, "edge", stmt=item.stmt, events=item.sensitivity))
-            elif isinstance(item, ast.Initial):
-                self.processes.append(_ProcInfo(index, "initial", stmt=item.stmt))
-            elif (isinstance(item, ast.Decl) and item.kind == "wire"
-                    and item.init is not None):
-                implied = ast.ContinuousAssign(ast.Identifier(item.name), item.init)
-                reads = collect_identifiers(item.init)
+                    index, "assign", assign=item, reads=collect_identifiers(
+                        item.rhs) | InterpSimulator._lhs_index_deps(item.lhs),
+                    writes=set(lvalue_targets(item.lhs))))
+            elif isinstance(item, (ast.Always, ast.Initial)):
+                kind = ("initial" if isinstance(item, ast.Initial) else
+                        "star" if item.sensitivity == ast.STAR else "edge")
+                # (an always@* block wakes, as the interpreter's does, on
+                # every name it mentions until _license_cones ranks it)
                 self.processes.append(_ProcInfo(
-                    index, "assign", assign=implied, reads=reads,
-                    writes={item.name}))
+                    index, kind, stmt=item.stmt,
+                    events=item.sensitivity if kind == "edge" else (),
+                    reads=stmt_identifiers(item.stmt) if kind == "star" else None,
+                    writes=stmt_writes(item.stmt)))
             else:
                 continue
             self._item_pos[index] = item_pos
@@ -186,6 +219,97 @@ class CompiledModuleCode:
             not (expr_is_pure(p.assign.rhs) and expr_is_pure(p.assign.lhs))
             for p in self.processes if p.kind == "assign"
         )
+        self._license_cones()
+
+    def _license_cones(self) -> None:
+        """Rank ``@*`` blocks with the assigns where that is unobservable.
+
+        The interpreter runs a woken assign ahead of every queued
+        process, but an ``@*`` block in FIFO order with them.  A block
+        becomes a cone member (kind ``"cone"``: ranked, primed and swept
+        like an assign) unless a clause of docs/ARCHITECTURE.md's cone
+        licence refuses it: (1) impure, or not the sole blocking writer
+        of its scalars; (2) reads its writes, before writing them or
+        through the cone, or writes one twice or in a loop; (3) a
+        queued process could see it run early — (a) an initial reads
+        its fan-out, or an edge process blocking-writes (a queued ``@*``
+        block writes) its fan-in, (b) an event signal is in its fan-in or driven in
+        the module, (c) a queued ``@*`` block reads its fan-out, (d) a
+        latch has another ``@*`` block upstream.  Fan-in and fan-out
+        are transitive through the cone; (3) is a fixpoint, as a
+        refused block is queued and may refuse another.
+        ``cone_refused`` keeps each refusal's clause.
+        """
+        procs = self.processes
+        self.cone_refused: Dict[int, str] = {}
+        if not any(p.kind == "star" for p in procs):
+            return
+        driven = Counter(name for p in procs for name in p.writes)
+        ins: Dict[int, Set[str]] = {}
+        latches = set()
+        for p in procs:
+            if p.kind != "star":
+                continue
+            reads: Set[str] = set()
+            if p.writes - _block_reads(p.stmt, set(), set(), reads)[0]:
+                latches.add(p.index)
+            if self.fifo_mode:
+                self.cone_refused[p.index] = "fifo schedule"
+            elif not (stmt_pure(p.stmt) and all(
+                    node.blocking for node in ast.walk_stmt(p.stmt)
+                    if isinstance(node, ast.Assign)) and all(
+                    driven[name] == 1 and name in self.layout.slot_of
+                    for name in p.writes)):
+                self.cone_refused[p.index] = (
+                    "(1) impure body, or a memory, non-blocking or shared write")
+            elif reads & p.writes:
+                self.cone_refused[p.index] = "(2) reads or rewrites its writes"
+            else:
+                ins[p.index] = reads
+        if not ins:
+            return
+        events = set().union(*(collect_identifiers(e.expr)
+                               for p in procs for e in p.events))
+        primed = set().union(*(stmt_identifiers(p.stmt)
+                               for p in procs if p.kind == "initial"))
+        racing = set().union(*(blocking_writes(p.stmt)
+                               for p in procs if p.kind == "edge"))
+        while ins:
+            up: Dict[str, List[Set[str]]] = {}
+            down: Dict[str, List[Set[str]]] = {}
+            for p in procs:
+                if p.kind == "assign" or p.index in ins:
+                    reads = ins.get(p.index, p.reads)
+                    for name in p.writes:
+                        up.setdefault(name, []).append(reads)
+                    for name in reads:
+                        down.setdefault(name, []).append(p.writes)
+            queued = [p for p in procs
+                      if p.kind == "star" and p.index not in ins]
+            racers = racing.union(*(p.writes for p in queued))
+            refused = {}
+            for b in ins:
+                fin, fout = _reach(ins[b], up), _reach(procs[b].writes, down)
+                if fin & procs[b].writes:
+                    refused[b] = "(2) reads its writes through the cone"
+                elif fout & primed or fin & racers:
+                    refused[b] = ("(3a) an initial reads its fan-out, or a "
+                                  "blocking write races its fan-in")
+                elif fin & events or events & driven.keys():
+                    refused[b] = "(3b) a clock in its fan-in, or a derived clock"
+                elif any(q.reads & fout for q in queued):
+                    refused[b] = "(3c) a queued @* block reads its fan-out"
+                elif b in latches and any(
+                        p.kind == "star" and p.index != b and p.writes & fin
+                        for p in procs):
+                    refused[b] = "(3d) a latch behind another @* block"
+            if not refused:
+                break
+            self.cone_refused.update(refused)
+            for b in refused:
+                del ins[b]
+        for b, reads in ins.items():
+            procs[b].kind, procs[b].reads = "cone", reads
 
     def _slot_for(self, name: str) -> Optional[int]:
         slot = self.layout.slot_of.get(name)
@@ -200,9 +324,10 @@ class CompiledModuleCode:
             if proc.kind == "assign":
                 is_assign[proc.index] = 1
         self.is_assign = bytes(is_assign)
-        # Continuous assigns, levelled into ranks (unless fifo_mode).
-        comb = ([] if self.fifo_mode
-                else [p for p in self.processes if p.kind == "assign"])
+        # Continuous assigns and licensed @* blocks, levelled into
+        # ranks (unless fifo_mode, which licenses no block).
+        comb = ([] if self.fifo_mode else
+                [p for p in self.processes if p.kind in ("assign", "cone")])
         order = rank_order([p.reads for p in comb], [p.writes for p in comb])
         self.comb_order: Tuple[int, ...] = tuple(comb[i].index for i in order)
         # Sensitivity templates: slot -> ranked proc ids, and slot ->
@@ -215,7 +340,7 @@ class CompiledModuleCode:
         edge_specs: List[Tuple[int, Optional[str]]] = []
         ranked = set(self.comb_order)
         for proc in self.processes:
-            if proc.kind in ("assign", "star"):
+            if proc.kind in ("assign", "cone", "star"):
                 for name in proc.reads:
                     slot = self._slot_for(name)
                     if slot is None:
@@ -251,13 +376,15 @@ class CompiledModuleCode:
         # combinational input changed.
         self.trig_slots = frozenset(
             s for s in range(nslots) if self.trig_specs[s])
-        comb_in = bytearray(nslots)
-        for proc in comb:
-            for name in proc.reads:
-                slot = self._slot_for(name)
-                if slot is not None:
-                    comb_in[slot] = 1
-        self.comb_in = bytes(comb_in)
+        #: output slot -> the licensed @* block writing it.  Only a write
+        #: from outside (a store poke, a restore) can change one behind
+        #: the block's back, and the interpreter's @* re-runs on it, so
+        #: such a write wakes the block (and, on the carrier, the sweep).
+        self.cone_out: Dict[int, int] = {
+            self.layout.slot_of[name]: p.index
+            for p in comb if p.kind == "cone" for name in p.writes}
+        self.comb_in = bytes(bool(procs) or slot in self.cone_out
+                             for slot, procs in enumerate(self.comb_watch))
         # -- activity planning ---------------------------------------------
         # Value changes wake exactly the reading cones.  Positions in
         # the acyclic prefix of ``rank_order`` dispatch from a min-heap
@@ -337,19 +464,21 @@ class CompiledModuleCode:
 
         When every edge-triggered process is sensitive to one bare
         scalar signal that nothing in the module drives (the classic
-        externally-driven clock), and no ``@*`` process shares the
-        FIFO queue, the clock edge can be applied and its triggers
-        fired inline, without store-API dispatch, dirty marking, or
-        trigger re-evaluation — what the event plan's generated
-        ``period()`` and the vector carrier both do.  Returns None
-        with ``tick_clock`` set, or the condition that failed.
+        externally-driven clock), and every ``@*`` block is a licensed
+        cone member (none shares the FIFO queue), the clock edge can be
+        applied and its triggers fired inline, without store-API
+        dispatch, dirty marking, or trigger re-evaluation — what the
+        event plan's generated ``period()`` and the vector carrier both
+        do.  Returns None with ``tick_clock`` set, or the condition
+        that failed (for a block on the queue, the licence clause).
         """
         self.tick_clock: Optional[str] = None
         clock: Optional[str] = None
         for proc in self.processes:
             if proc.kind == "star":
                 # shares the FIFO queue on arbitrary changes
-                return "@* process on the queue"
+                return (f"@* process on the queue: p{proc.index} "
+                        f"{self.cone_refused[proc.index]}")
             if proc.kind != "edge":
                 continue
             for event in proc.events:
@@ -367,12 +496,8 @@ class CompiledModuleCode:
         if slot is None or sig is None or sig.width != 1:
             return "clock is not a one-bit signal"
         # The clock must be externally driven only.
-        from ...opt.ir import stmt_writes
-
-        for proc in self.processes:
-            if clock in proc.writes or (
-                    proc.stmt is not None and clock in stmt_writes(proc.stmt)):
-                return "clock driven in-module"
+        if any(clock in proc.writes for proc in self.processes):
+            return "clock driven in-module"
         self.tick_clock = clock
         self.tick_clock_slot = slot
         return None
@@ -473,7 +598,8 @@ class CompiledModuleCode:
         wakes — is fixed by ``trig_specs`` and ``comb_order``, so the
         event plan's period is emitted as straight-line code over the
         same ``p*`` / ``g*`` functions (a static ``comb()`` inlines each
-        cone's whole ``pK`` body from *cones*), with the same
+        assign's whole ``pK`` body from *cones* and calls a licensed
+        ``@*`` block's), with the same
         ``settle_rounds`` accounting.  ``period()`` assumes the resting
         state between periods (clock low, previous value low, empty
         process queue, clock slot clean); ``_tick_event`` sends anything
@@ -498,7 +624,8 @@ class CompiledModuleCode:
                 if reads[p]:
                     test = " or ".join(f"df[{slot}]" for slot in reads[p])
                     out += [f"    if {test}:", "        S.settle_rounds += 1"]
-                    out += ["    " + ln for ln in cones[p][1:-1]]
+                    out += (["    " + ln for ln in cones[p][1:-1]]
+                            if p in cones else [f"        p{p}()"])
             out += ["    for slot in dl:", "        df[slot] = 0",
                     "    del dl[:]", ""]
             pending = "dl or heap"
@@ -569,7 +696,8 @@ class CompiledModuleCode:
         prime_comb: List[int] = []
         prime_queue: List[int] = []
         for proc in self.processes:
-            if proc.kind == "assign" and not self.fifo_mode:
+            if proc.kind == "cone" or (
+                    proc.kind == "assign" and not self.fifo_mode):
                 prime_comb.append(proc.index)
             elif proc.kind in ("initial", "star") or (
                     proc.kind == "assign" and self.fifo_mode):
@@ -714,13 +842,7 @@ class CompiledSimulator(InterpSimulator):
             value = self.evaluator.eval(init, width)
             self.store.set(name, value, notify=False)
         for index in self.code.prime_comb:
-            if not self._comb_pending[index]:
-                self._comb_pending[index] = 1
-                pos = self._ev_pos[index]
-                if pos < self._ev_acyclic:
-                    heappush(self._ev_heap, pos)
-                else:
-                    self._trail_count += 1
+            self._wake(index)
         for index in self.code.prime_queue:
             self._queued[index] = 1
             self._proc_queue.append(index)
@@ -831,6 +953,7 @@ class CompiledSimulator(InterpSimulator):
         the guard.
         """
         if self.store.dirty_list:
+            self._wake_cone_outputs()
             self._drain()
         heap = self._ev_heap
         order = self._comb_order
@@ -1149,7 +1272,29 @@ class CompiledSimulator(InterpSimulator):
         del self._nba[:]  # keep list identity: compiled code binds .append
         for entry in pending:
             entry[0](entry)
+        self._wake_cone_outputs()
         self._drain()
+
+    def _wake(self, index: int) -> None:
+        """Mark ranked process *index* pending, as ``_drain`` does."""
+        if not self._comb_pending[index]:
+            self._comb_pending[index] = 1
+            pos = self._ev_pos[index]
+            if pos < self._ev_acyclic:
+                heappush(self._ev_heap, pos)
+            else:
+                self._trail_count += 1
+
+    def _wake_cone_outputs(self) -> None:
+        """Wake each licensed ``@*`` block whose output a dirty slot holds
+        (``code.cone_out``).  Called where only writes from outside the
+        processes are dirty — a run drains its own, and nothing but the
+        block writes its outputs."""
+        cone_out = self.code.cone_out
+        if cone_out:
+            for slot in self.store.dirty_list:
+                if slot in cone_out:
+                    self._wake(cone_out[slot])
 
     def _requeue(self, procs: Sequence[int]) -> None:
         """Queue activations a generated period fired but did not reach.

@@ -64,7 +64,7 @@ def stmt_pure(stmt: Optional[ast.Stmt]) -> bool:
 
 def expr_nodes(expr: ast.Expr) -> int:
     """Number of AST nodes in *expr* (the mid-end's size metric)."""
-    return sum(1 for _ in ast.walk_expr(expr))
+    return 1 + sum(map(expr_nodes, ast.expr_children(expr)))
 
 
 def expr_key(expr: ast.Expr) -> Tuple:

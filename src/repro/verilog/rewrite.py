@@ -200,29 +200,28 @@ def rename_item(item: ast.Item, mapping: Mapping[str, str]) -> ast.Item:
     raise TypeError(f"cannot rename item {type(item).__name__}")
 
 
+def _add_identifiers(expr: ast.Expr, names: "set[str]") -> None:
+    # A walk, not a ``map_expr``: nothing is rebuilt.
+    if isinstance(expr, ast.Identifier):
+        names.add(expr.name)
+    else:
+        for child in ast.expr_children(expr):
+            _add_identifiers(child, names)
+
+
 def collect_identifiers(expr: ast.Expr) -> "set[str]":
     """Return the set of identifier names referenced by *expr*."""
     names: set = set()
-
-    def fn(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Identifier):
-            names.add(node.name)
-        return node
-
-    map_expr(expr, fn)
+    _add_identifiers(expr, names)
     return names
 
 
 def stmt_identifiers(stmt: ast.Stmt) -> "set[str]":
     """Return the set of identifier names referenced inside *stmt*."""
     names: set = set()
-
-    def fn(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Identifier):
-            names.add(node.name)
-        return node
-
-    map_stmt_exprs(stmt, fn)
+    for node in ast.walk_stmt(stmt):
+        for expr in ast.stmt_exprs(node):
+            _add_identifiers(expr, names)
     return names
 
 

@@ -86,8 +86,8 @@ class TestSmokeConformance:
         monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the vector licence
         refused = check(generate(1).module, 8, ("interp", "batched"))
         assert refused.ok
-        assert refused.results["batched"].skipped.startswith(
-            "not vectorized: module is not licensed")
+        assert refused.results["batched"].skipped == (
+            "not vectorized: expression width 112 outside the 64-bit lane word")
         assert main(["--seed", "0", "--n", "2", "--paths", "interp,batched",
                      "--corpus-dir", str(tmp_path)]) == 0
         assert "batched: vectorized 1 of 2" in capsys.readouterr().out
@@ -125,6 +125,26 @@ class TestCorpus:
                             f"regression by dropping the xfail_ prefix")
             pytest.xfail(f"documented divergence: {report.describe()}")
         assert report.ok, report.describe()
+
+    @pytest.mark.parametrize("name", ["star_latch.v", "star_temporary.v"])
+    def test_star_cones_run_on_both_carriers(self, name, monkeypatch):
+        """A latch and a read-after-write temporary are licensed cone
+        members: the scalar period and a two-lane cohort both run them,
+        and both match the interpreter."""
+        pytest.importorskip("numpy")
+        from repro.interp.compile import CompiledModuleCode
+        from repro.verilog import flatten
+
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the vector licence
+        with open(os.path.join(CORPUS_DIR, name)) as handle:
+            text = handle.read()
+        code = CompiledModuleCode(flatten(parse(text), name[:-2]))
+        assert code.period_plan == "static"
+        assert [p.kind for p in code.processes].count("cone") == 1
+        report = check(parse(text), _corpus_ticks(text),
+                       ("interp", "compiled", "batched"), label=name)
+        assert report.ok, report.describe()
+        assert report.results["batched"].skipped is None
 
     def test_no_unresolved_failures_committed(self):
         """fail_* repros are CI artifacts, not permanent residents."""

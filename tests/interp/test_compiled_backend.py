@@ -13,6 +13,8 @@ from repro.harness.common import bench_vfs
 from repro.interp import (
     CompiledSimulator, InterpSimulator, Simulator, TaskHost, VirtualFS,
 )
+from repro.interp.compile import CompiledModuleCode
+from repro.interp.simulator import SimulationError
 from repro.verilog import flatten, parse
 
 #: (workload, ticks) — tick counts sized so the slow oracle stays fast
@@ -155,6 +157,178 @@ def test_mixed_pure_impure_star_blocks_keep_interp_order():
         Simulator(flat, host, backend=backend).tick(cycles=2)
         logs[backend] = list(host.display_log)
     assert logs["compiled"] == logs["interp"] == ["x=0", "x=1"]
+
+
+#: ``@*`` blocks the cone licence must leave on the FIFO queue, each
+#: with the clause it fails: ranked with the assigns, each would run
+#: ahead of where the interpreter runs it, and a process would see it.
+QUEUED_STARS = {
+    "edge_writes_fan_in_sibling_edge_reads_fan_out": ("(3a)", """
+        module m(input wire clock);
+          reg [7:0] a = 0;
+          reg [7:0] c;
+          reg [7:0] s = 0;
+          always @(posedge clock) a = a + 1;
+          always @(*) c = a * 2;
+          always @(posedge clock) begin
+            s <= c;
+            $display("c=%0d s=%0d", c, s);
+          end
+        endmodule
+    """),
+    "initial_writes_fan_in_initial_displays_fan_out": ("(3a)", """
+        module m(input wire clock);
+          reg [7:0] a = 0;
+          reg [7:0] c;
+          always @(*) c = a + 1;
+          initial a = 7;
+          initial $display("c=%0d", c);
+        endmodule
+    """),
+    "initial_displays_fan_out_before_the_block_primes": ("(3a)", """
+        module m(input wire clock);
+          reg [7:0] a = 5;
+          reg [7:0] c;
+          initial $display("c=%0d", c);
+          always @(*) c = a + 1;
+          always @(posedge clock) a <= a + 1;
+        endmodule
+    """),
+    "derived_clock_edge_reads_fan_out": ("(3b)", """
+        module m(input wire clock);
+          reg qe = 0;
+          reg [7:0] q1 = 0;
+          reg [7:0] c;
+          reg [7:0] seen = 0;
+          always @(posedge clock) begin qe <= ~qe; q1 <= q1 + 1; end
+          always @(*) c = q1;
+          always @(posedge qe) begin
+            seen <= seen + c;
+            $display("seen=%0d c=%0d", seen, c);
+          end
+        endmodule
+    """),
+    "gated_clock_behind_a_blocking_enable": ("(3a)", """
+        module m(input wire clock);
+          reg en = 0;
+          reg gclk;
+          reg [7:0] n = 0;
+          always @(posedge clock) en = ~en;
+          always @(*) gclk = clock & ~en;
+          always @(posedge gclk) begin
+            n <= n + 1;
+            $display("n=%0d", n);
+          end
+        endmodule
+    """),
+    "latch_behind_another_star": ("(3d)", """
+        module m(input wire clock);
+          reg [7:0] x = 0;
+          reg [7:0] q = 0;
+          reg en;
+          always @(*) if (en) q = x;
+          always @(*) en = x[0];
+          always @(posedge clock) begin
+            x <= x + 1;
+            $display("q=%0d", q);
+          end
+        endmodule
+    """),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUEUED_STARS))
+def test_ordering_witnesses_stay_on_the_queue(name):
+    clause, src = QUEUED_STARS[name]
+    flat = flatten(parse(src), "m")
+    interp_host = TaskHost()
+    interp = Simulator(flat, interp_host, backend="interp")
+    interp.tick(cycles=6)
+    for level in (0, 2):
+        code = CompiledModuleCode(flat, opt_level=level)
+        assert code.period_refused.startswith("@* process on the queue")
+        assert any(why.startswith(clause)
+                   for why in code.cone_refused.values()), code.cone_refused
+        host = TaskHost()
+        sim = CompiledSimulator(flat, host, code=code)
+        sim.tick(cycles=6)
+        assert host.display_log == interp_host.display_log, level
+        assert sim.store.snapshot() == interp.store.snapshot(), level
+
+
+@pytest.mark.parametrize("body", [
+    "begin lo = x[3:0]; if (x[0]) lo = lo + 1; end",
+    "for (i = 0; i < 4; i = i + 1) lo[i] = x[3 - i];",
+    "begin i = 0; lo = 0; while (i < 4) begin lo = lo + x[i]; i = i + 1; end end",
+    "begin lo = 0; repeat (2) lo = x[3:0]; end",
+], ids=["written_twice", "loop", "while_after_a_write", "repeat_after_a_write"])
+def test_self_waking_star_block_stays_on_the_queue(body):
+    """The interpreter wakes an @* block again on its own first value of
+    a name it writes twice in one run (a loop index too), so the block
+    never settles there: ranked as a cone it would, so it must stay on
+    the queue and fail the same way (licence clause 2)."""
+    flat = flatten(parse(f"""
+        module m(input wire clock);
+          reg [7:0] x = 3;
+          reg [3:0] lo;
+          integer i;
+          always @(*) {body}
+          always @(posedge clock) x <= x + 5;
+        endmodule
+    """), "m")
+    with pytest.raises(SimulationError, match="did not converge"):
+        Simulator(flat, TaskHost(), backend="interp")
+    for level in (0, 2):
+        code = CompiledModuleCode(flat, opt_level=level)
+        assert code.cone_refused[0].startswith("(2)")
+        with pytest.raises(SimulationError, match="did not converge"):
+            CompiledSimulator(flat, TaskHost(), code=code)
+
+
+def test_poked_cone_output_is_recomputed_as_the_interpreter_does():
+    """A store write to a licensed @* block's output wakes the block, as
+    it wakes the interpreter's (an assign's output keeps its poke), on
+    the scalar engine and on a cohort lane."""
+    flat = flatten(parse("""
+        module m(input wire clock);
+          reg [7:0] a = 3;
+          reg [7:0] c;
+          reg [7:0] s = 0;
+          wire [7:0] w;
+          assign w = a + 1;
+          always @(*) c = a * 2;
+          always @(posedge clock) begin a <= a + 1; s <= s + c + w; end
+        endmodule
+    """), "m")
+
+    def poked(sim, settle_last=True):
+        sim.tick(cycles=2)
+        sim.set("c", 99)
+        if settle_last:  # (a cohort's sweep re-runs every assign too)
+            sim.set("w", 77)
+        sim.tick(cycles=1)
+        if settle_last:
+            sim.set("c", 42)
+            sim.update()
+            sim.evaluate()
+        return sim.store.snapshot()
+
+    interp = Simulator(flat, TaskHost(), backend="interp")
+    want = poked(interp)
+    for level in (0, 2):
+        code = CompiledModuleCode(flat, opt_level=level)
+        assert [p.kind for p in code.processes][1] == "cone"
+        assert poked(CompiledSimulator(flat, TaskHost(), code=code)) == want
+    pytest.importorskip("numpy")
+    from repro.interp.compile.batch import BatchedCohort, batch_code_for
+
+    cohort = BatchedCohort(batch_code_for(CompiledModuleCode(flat, opt_level=2)))
+    cohort.join(TaskHost())
+    cohort.tick(2)
+    cohort.set_value("c", 99, 0)
+    cohort.tick(1)
+    assert cohort.snapshot_lane(0) == poked(
+        Simulator(flat, TaskHost(), backend="interp"), settle_last=False)
 
 
 def test_long_settle_does_not_trip_convergence_guard():

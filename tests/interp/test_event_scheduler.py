@@ -411,9 +411,10 @@ def _has_cycle_frozen(reads, writes):
 
 def _licence_frozen(code):
     """PR 12's vector licence: ``static_mode`` as ``_plan_schedule``
-    computed it on the sweep artifact, plus the planned clock."""
+    computed it on the sweep artifact, plus the planned clock; a
+    licensed ``@*`` block counts as a member of the cone."""
     comb = ([] if code.fifo_mode
-            else [p for p in code.processes if p.kind == "assign"])
+            else [p for p in code.processes if p.kind in ("assign", "cone")])
     cyclic = bool(comb) and _has_cycle_frozen([p.reads for p in comb],
                                               [p.writes for p in comb])
     static_mode = (code.specialize and not code.fifo_mode
@@ -434,6 +435,11 @@ class TestVectorLicence:
             for name, bench in BENCHMARKS.items()]
         designs += [(seed, build(generate(seed).source))
                     for seed in range(100)]
+        # every fuzz @* block is licensed: one the licence refuses
+        designs.append(("queued @*", build(
+            "module m(input wire clock); reg x = 0; reg y = 0; "
+            "always @* y = x & clock; always @(posedge clock) x <= ~y; "
+            "endmodule")))
         verdicts = []
         for label, flat in designs:
             code = CompiledModuleCode(flat, opt_level=2)
@@ -785,8 +791,9 @@ class TestWhySlowPath:
         assert plan(CLOCK_READER) == ("settle", None)
         body = "reg x = 0; reg y = 0; wire w; assign w = x;"
         for item, reason in (
-                ("always @* y = x; always @(posedge clock) x <= ~x;",
-                 "@* process on the queue"),
+                ("always @* y = x & clock; always @(posedge clock) x <= ~y;",
+                 "@* process on the queue: p1 (3b) a clock in its fan-in, "
+                 "or a derived clock"),
                 ("always @(posedge clock) x <= ~x; "
                  "always @(posedge other) y <= ~y;", "second clock"),
                 ("always @(posedge (clock & other)) x <= ~x;",
@@ -796,6 +803,40 @@ class TestWhySlowPath:
             text = (f"module m(input wire clock, input wire other); {body} "
                     f"{item} endmodule")
             assert plan(text) == (None, reason), item
+
+    #: (settle_rounds, stmts_executed) after 24 ticks.  A cone runs once
+    #: per pass; the interpreter re-queues an @* block on its own
+    #: writes, so fuzz-1, -2 and -3 read (29, 126), (81, 158), (27, 122)
+    #: there.
+    SERVE_COUNTS = {"fuzz-0": (50, 120), "fuzz-1": (27, 125),
+                    "fuzz-2": (75, 146), "fuzz-3": (26, 121),
+                    "fuzz-4": (49, 144), "fuzz-5": (75, 170)}
+
+    def test_serve_trace_designs_take_the_generated_period(self):
+        """The census of the serve traces' six fuzz designs (design seed
+        11): four carry an ``@*`` block, and every one plans a period,
+        ticks without a reference period (counters pinned) and, where
+        its signals fit a 64-bit lane, builds a lane program."""
+        from repro.harness.common import arrival_trace
+        from repro.interp.compile.batch import HAVE_NUMPY, batch_code_for
+
+        sources = {a.design: a.source for a in arrival_trace(11, 256)
+                   if a.design.startswith("fuzz-")}
+        assert len(sources) == 6
+        cones = 0
+        for label, text in sorted(sources.items()):
+            sim = sim_for(text)
+            code = sim.code
+            cones += any(p.kind == "cone" for p in code.processes)
+            assert code.period_plan is not None, (label, code.period_refused)
+            sim.tick(cycles=24)
+            assert sim.slow_periods == 0, label
+            assert (sim.settle_rounds,
+                    sim.stmts_executed) == self.SERVE_COUNTS[label]
+            if HAVE_NUMPY and max(
+                    sig.width for sig in code.env.signals.values()) <= 64:
+                batch_code_for(code)  # raises BatchUnsupported if refused
+        assert cones == 4
 
     def test_slow_periods_counts_reference_ticks(self):
         fast = sim_for(COUNTER)
