@@ -59,7 +59,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(f"// period plan: {code.period_plan}"
               + (f" ({code.period_refused})" if code.period_refused else "")
               + (f" (cones: {cones})" if cones else ""), file=sys.stderr)
-        for name, how in code.strategy.items():
+        for name, whys in code.escapes.items():
+            how = ("escapes: " + ", ".join(dict.fromkeys(whys))
+                   if whys else "lowered")
             print(f"// {name}: {how}", file=sys.stderr)
         print("// counted loops {counted}/{loops}, guards dropped {guards}, "
               "masks dropped {masks}, rotations {rotations}".format(**code.facts),

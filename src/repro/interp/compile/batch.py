@@ -4,7 +4,7 @@ Tenants of one design already share one :class:`CompiledModuleCode`;
 this module shares *execution*: the module compiles once into NumPy
 code over a ``(n_scalars, N)`` uint64 state matrix, so one dispatch
 advances a whole cohort.  A module qualifies when schedule analysis
-grants ``vector_licensed`` (two-state, a small acyclic combinational
+grants ``vector_licensed`` (optimized, a small acyclic combinational
 cone, every edge process on one bare clock) and every width fits a
 64-bit lane; anything else — or a construct outside the vector subset
 ($random, file I/O, ...) — raises :class:`BatchUnsupported`, and the
@@ -281,7 +281,7 @@ class VectorExprCompiler(ExprCompiler):
         super().__init__(env, layout.slot_of, layout.mem_slot_of)
         self.strict = True
         self.slot_src = "st.d[{}]".format
-        #: only ``vector_licensed`` (two-state) modules get here: the
+        #: only ``vector_licensed`` (optimized) modules get here: the
         #: mask-free selects and sums are inherited, and a counted loop
         #: binds its variable while its body is emitted
         self.bound = {}
@@ -910,8 +910,8 @@ class BatchedModuleCode:
             raise UnsupportedBackend(_NUMPY_HINT)
         if not code.vector_licensed:
             raise BatchUnsupported(
-                "module is not licensed for vectorized execution (needs a "
-                "two-state, small acyclic cone under one bare clock)")
+                "module is not licensed for vectorized execution (needs an "
+                "optimized, small acyclic cone under one bare clock)")
         for sig in code.env.signals.values():
             if sig.width > 64:
                 raise BatchUnsupported(

@@ -38,6 +38,11 @@ class CompileFallback(Exception):
     """Raised internally when a node cannot be compiled statically."""
 
 
+#: the system functions an expression lowers (any other one is an
+#: ``SYS`` call, or a fallback in strict mode)
+LOWERED_SYSFUNCS = ("$signed", "$unsigned")
+
+
 # Helper functions referenced from generated source.  They carry the
 # rare/awkward semantics (guards, dynamic selects) so the common path
 # stays branch-free inline arithmetic.
@@ -153,15 +158,15 @@ class ExprCompiler:
         #: instead of re-printing hundreds of hex digits per use site
         self._wide_pool: Dict[int, str] = {}
         #: strict mode: raise instead of emitting an ``EV``/``SYS``
-        #: escape — the specialized (slot-cached) emitter needs to know
+        #: escape — the procedural (slot-cached) emitter needs to know
         #: the body never touches the store behind its back
         self.strict = False
-        #: pluggable slot-read source; the specialized emitter installs
+        #: pluggable slot-read source; the procedural emitter installs
         #: a local-variable cache here
         self.slot_src: "Callable[[int], str]" = self._direct_slot
         #: counter for walrus-binding names in inlined guarded reads
         self._binds = 0
-        # -- statement-level hoisting (specialized bodies only) --------
+        # -- statement-level hoisting (procedural bodies only) --------
         #: structural keys occurring >= 2x in the statement under
         #: compilation (None = hoisting off)
         self._hoist_counts = None
@@ -228,7 +233,7 @@ class ExprCompiler:
         """Source for ``Evaluator._eval(expr, width)``; falls back to EV.
 
         In strict mode the fallback is disallowed instead: the
-        specialized emitter caches slots in locals, and an ``EV``
+        procedural emitter caches slots in locals, and an ``EV``
         escape would read the store behind the cache.
         """
         try:
@@ -301,7 +306,7 @@ class ExprCompiler:
         Pure subexpressions occurring more than once across *roots*
         are bound to a prelude local (emitted through *sink*) the
         first time they compile at a given width, and reused after.
-        Legal only in specialized bodies: hoisting may evaluate an
+        Legal only in procedural bodies: hoisting may evaluate an
         untaken ternary arm's subexpression, which is unobservable
         precisely because strict-compiled expressions are pure, total
         (every partial operation is guarded), and two-state.
@@ -403,7 +408,7 @@ class ExprCompiler:
             if_false = self._ex(e.if_false, w)
             return self._select(cond, if_true, if_false)
         if isinstance(e, ast.SysCall):
-            if e.name in ("$signed", "$unsigned"):
+            if e.name in LOWERED_SYSFUNCS:
                 return self._ex(e.args[0], w)
             return self._syscall(e, w, mw)
         raise CompileFallback(f"cannot compile {type(e).__name__}")
@@ -670,7 +675,7 @@ class ExprCompiler:
         if self.strict:
             # SYS evaluates its arguments through the reference
             # evaluator, i.e. against the store — invisible to the
-            # specialized emitter's local slot cache.
+            # procedural emitter's local slot cache.
             raise CompileFallback(f"system function {e.name}")
         return f"(SYS({self.const_ref(e)}, {w}) & {self.lit_ref(mw)})"
 

@@ -34,7 +34,9 @@ from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...verilog import ast_nodes as ast
-from ...verilog.rewrite import collect_identifiers, lvalue_targets, stmt_identifiers
+from ...verilog.rewrite import (
+    collect_identifiers, lvalue_reads, lvalue_targets, stmt_identifiers,
+)
 from ...verilog.width import WidthEnv
 from ..eval_expr import EvalError, Evaluator
 from ..systasks import FinishSignal, TaskHost
@@ -74,7 +76,7 @@ def _block_reads(stmt, defined: Set[str], written: Set[str],
     if isinstance(stmt, ast.Assign):
         targets = set(lvalue_targets(stmt.lhs))
         reads |= ((collect_identifiers(stmt.rhs)
-                   | InterpSimulator._lhs_index_deps(stmt.lhs)) - defined
+                   | lvalue_reads(stmt.lhs)) - defined
                   | targets & written)
         whole = isinstance(stmt.lhs, ast.Identifier)  # a select: a latch
         return defined | targets if whole else defined, written | targets
@@ -169,9 +171,9 @@ class CompiledModuleCode:
         self.module = opt.module
         self.env = opt.env
         self.opt_level = opt.level
-        #: two-state licence: specialized emission (slot caching) and
-        #: the vector carrier are only attempted when granted
-        self.specialize = opt.specialize
+        #: the mid-end ran: the range facts and the vector carrier
+        #: are licensed (never at ``-O0``)
+        self.specialize = opt.level > 0
         self.fingerprint = opt.fingerprint
         self.layout = SlotLayout(self.env)
         self.processes: List[_ProcInfo] = []
@@ -196,7 +198,7 @@ class CompiledModuleCode:
             if isinstance(item, ast.ContinuousAssign):
                 self.processes.append(_ProcInfo(
                     index, "assign", assign=item, reads=collect_identifiers(
-                        item.rhs) | InterpSimulator._lhs_index_deps(item.lhs),
+                        item.rhs) | lvalue_reads(item.lhs),
                     writes=set(lvalue_targets(item.lhs))))
             elif isinstance(item, (ast.Always, ast.Initial)):
                 kind = ("initial" if isinstance(item, ast.Initial) else
@@ -422,7 +424,7 @@ class CompiledModuleCode:
             not self.fifo_mode
             and acyclic == len(self.comb_order) <= _VECTOR_COMB_MAX
         )
-        #: whether the vector carrier may run this module: a two-state,
+        #: whether the vector carrier may run this module: optimized, a
         #: small, fully acyclic ranked cone under one free-running
         #: clock.
         self.vector_licensed = (
@@ -548,8 +550,7 @@ class CompiledModuleCode:
                 cones[proc.index] = pc.compile_assign(name, proc.assign)
                 lines.extend(cones[proc.index])
             else:
-                lines.extend(pc.compile_procedural(
-                    name, proc.stmt, specialize=self.specialize))
+                lines.extend(pc.compile_procedural(name, proc.stmt))
         # Compile event-expression value closures (order matches
         # self.edge_specs, which _plan_schedule filled in process order).
         event_sources: List[str] = []
@@ -585,9 +586,10 @@ class CompiledModuleCode:
                                 + self._period_source(cones))
         self.code = compile(self.source, "<repro-compiled>", "exec")
         self.consts: Tuple[object, ...] = tuple(ec.consts)
-        #: process name -> "specialized" | "generic (<first fallback>)",
-        #: and what the range facts licensed; ``--sim-source`` prints both
-        self.strategy: Dict[str, str] = pc.strategy
+        #: procedural process name -> why each of its escapes was not
+        #: lowered (empty: fully lowered), and what the range facts
+        #: licensed; ``--sim-source`` prints both
+        self.escapes: Dict[str, List[str]] = pc.escapes
         self.facts: Dict[str, int] = ec.facts
 
     def _period_source(self, cones: Dict[int, List[str]]) -> List[str]:

@@ -5,46 +5,46 @@ generated function.  Blocking assignments write slots inline (with the
 dirty-bitset marking fused in); non-blocking assignments evaluate any
 dynamic LHS index *at the assignment site* (LRM §9.2.2 — only the
 update is deferred) and enqueue a pre-compiled *writer* closure that
-applies the store in the update region.  Statements the compiler
-cannot lower fall back to ``S._exec(<node>)`` — the reference
-interpreter on the live slot store — so unsupported constructs keep
-interpreter-identical behaviour instead of failing at elaboration.
+applies the store in the update region.
 
-Two emission strategies exist per process:
+An always/initial body caches its slots in Python locals: each is
+loaded once at entry and flushed once at exit, so a 64-round SHA loop
+touches ``LOAD_FAST`` instead of list subscripts.  A statement the
+compiler cannot lower (a system task, a ``$random``, an impure case
+subject) becomes an **escape**: the locals the body writes are written
+back, ``S._exec(<node>)`` runs the reference interpreter on the live
+slot store, and a ``finally`` reloads the locals the statement may
+write — the rest of the body stays lowered.  ``escapes`` records why,
+per process.
 
-* **generic** — every slot access goes to the store array ``d[i]``
-  directly; any statement/expression may fall back to the reference
-  interpreter.  Always correct; the only strategy at ``-O0``.
-* **specialized** (licensed by the mid-end's two-state analysis) —
-  slot reads and writes are cached in Python locals for the duration
-  of the process body and flushed once at exit, so a 64-round SHA loop
-  touches ``LOAD_FAST`` instead of list subscripts.  Legal only when
-  the *whole* body compiles strictly (no ``EV``/``SYS``/``S._exec``
-  escape can see the store behind the cache); the compiler attempts it
-  first and silently falls back to the generic strategy per process.
-
-Dirty-bitset equivalence of the cached strategy: the generic emitter
-marks a watched slot at its first value-changing write, and the mark
-order (the drain order, hence process activation order) follows
-statement execution order.  The cached emitter preserves this exactly
-by comparing against the (unchanged) store entry at each watched
-write — ``if not df[s] and d[s] != L: mark`` — while deferring only
-the value store to the flush epilogue, which runs before the
-scheduler's next drain.
+Dirty-bitset equivalence of the cache: the interpreter marks a watched
+slot at its first value-changing write, and the mark order (the drain
+order, hence process activation order) follows statement execution
+order.  A cached write preserves this exactly by comparing against the
+store entry — ``if not df[s] and d[s] != L: mark`` — which holds the
+value the slot had at its last write-back (entry, or an escape), while
+deferring only the value store to the flush epilogue, which runs
+before the scheduler's next drain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ...verilog import ast_nodes as ast
+from ...opt.ir import stmt_writes
 from ...opt.ranges import counted_loop
 from ...verilog.width import WidthError, const_eval
 from ..simulator import _MAX_LOOP_ITERATIONS
 from .exprc import (
-    CompileFallback, ExprCompiler, const_range_bounds, dynamic_low_src,
-    expr_is_pure, expr_nodes,
+    LOWERED_SYSFUNCS, CompileFallback, ExprCompiler, const_range_bounds,
+    dynamic_low_src, expr_is_pure, expr_nodes,
 )
+
+#: placeholder line an escape writes back the body's cached writes at;
+#: the written set is only known once the whole body is emitted (a loop
+#: carries later writes back to its top)
+_SPILL = "\0spill"
 
 
 class ProcessCompiler:
@@ -63,7 +63,7 @@ class ProcessCompiler:
         #: writer body is being emitted: these indices were evaluated
         #: at the assignment site and arrive as arguments.
         self._frozen: dict = {}
-        #: slot → local name while the specialized emitter is active
+        #: slot → local name while a procedural body is emitted
         self._cache: Optional[Dict[int, str]] = None
         self._cache_order: List[int] = []
         self._cache_written: Set[int] = set()
@@ -73,8 +73,10 @@ class ProcessCompiler:
         #: [body indent, stmts, ops] of the innermost abort-free counted
         #: loop: bumps at that indent collect here, charged ``trips x k``
         self._loop: Optional[List[int]] = None
-        #: process name -> the strategy it got (and why not the other)
-        self.strategy: Dict[str, str] = {}
+        #: process name -> why each of its escapes was not lowered
+        #: (empty: the body is fully lowered)
+        self.escapes: Dict[str, List[str]] = {}
+        self._why: List[str] = []
 
     # -- small emission helpers -------------------------------------------
 
@@ -85,14 +87,10 @@ class ProcessCompiler:
     def _emit(self, ind: int, text: str) -> None:
         self.lines.append("    " * ind + text)
 
-    def _fallback(self, stmt: ast.Stmt, ind: int) -> None:
-        self._emit(ind, f"S._exec({self.ec.const_ref(stmt)})")
-
     # -- the slot cache -----------------------------------------------------
 
     def _cached_slot(self, slot: int) -> str:
-        """ExprCompiler read hook while the specialized emitter runs."""
-        assert self._cache is not None
+        """ExprCompiler read hook while a procedural body is emitted."""
         name = self._cache.get(slot)
         if name is None:
             name = f"L{slot}"
@@ -100,24 +98,8 @@ class ProcessCompiler:
             self._cache_order.append(slot)
         return name
 
-    def _begin_cache(self) -> None:
-        self._cache = {}
-        self._cache_order = []
-        self._cache_written = set()
-        self.ec.slot_src = self._cached_slot
-        self.ec.strict = True
-
-    def _end_cache(self) -> Tuple[List[int], Set[int]]:
-        order, written = self._cache_order, self._cache_written
-        self._cache = None
-        self._cache_order = []
-        self._cache_written = set()
-        self.ec.slot_src = self.ec._direct_slot
-        self.ec.strict = False
-        return order, written
-
-    def _frame(self, name: str, body: List[str], order: Sequence[int] = (),
-               written: Set[int] = frozenset()) -> List[str]:
+    def _frame(self, name: str, body: List[str], order: Sequence[int],
+               flush: List[str]) -> List[str]:
         """One process function: cached slots load ahead of the body
         and flush, with the counters, in a ``finally`` — a mid-body
         abort (``$finish``, an iteration guard) still publishes every
@@ -126,8 +108,7 @@ class ProcessCompiler:
         return ([f"def {name}():", "    _st = 0; _ops = 0"]
                 + [f"    L{slot} = d[{slot}]" for slot in order]
                 + ["    try:"] + (body or ["        pass"]) + ["    finally:"]
-                + [f"        d[{slot}] = L{slot}"
-                   for slot in order if slot in written]
+                + [f"        {store}" for store in flush]
                 + ["        S.stmts_executed += _st",
                    "        EVC.ops_evaluated += _ops", ""])
 
@@ -148,7 +129,7 @@ class ProcessCompiler:
             if slot in self.watched:
                 # First *changing* write marks, compared against the
                 # store entry the flush has not overwritten yet — the
-                # generic emitter's mark point and order, exactly.
+                # interpreter's mark point and order, exactly.
                 self._emit(ind, f"if not df[{slot}] and d[{slot}] != {value}:")
                 self._emit(ind + 1, f"df[{slot}] = 1; dla({slot})")
             self._emit(ind, f"{local} = {value}")
@@ -300,19 +281,50 @@ class ProcessCompiler:
         if stmt is None:
             self._emit(ind, "pass")
             return
-        if self._cache is not None:
-            # Specialized attempt: any fallback aborts the whole body
-            # (the caller retries with the generic strategy).
-            self._emit_stmt(stmt, ind)
-            return
-        mark = len(self.lines)
+        mark, escapes = len(self.lines), len(self._why)
+        booked = dict(self.ec.facts)
         try:
             self._emit_stmt(stmt, ind)
-        except (CompileFallback, WidthError):
-            # Roll back any partial emission (a half-written assign would
-            # double-evaluate side effects) and interpret the whole node.
+        except (CompileFallback, WidthError) as why:
+            # Roll back the partial emission (a half-written assign would
+            # double-evaluate side effects) and escape the whole node.
             del self.lines[mark:]
-            self._fallback(stmt, ind)
+            del self._why[escapes:]
+            self.ec.facts.update(booked)
+            self._escape(stmt, ind, str(why))
+
+    def _spill(self, ind: int, why: str) -> None:
+        """Book an escape and write the body's cached writes back ahead
+        of it."""
+        self._why.append(why)
+        self._emit(ind, _SPILL)
+
+    def _escape(self, stmt: ast.Stmt, ind: int, why: str) -> None:
+        """Run *stmt* on the reference interpreter: write back what the
+        body has cached, and reload what *stmt* may write — in a
+        ``finally``, so a ``$finish`` still leaves the flush true."""
+        self._spill(ind, why)
+        reload = sorted(self.ec.slot_of[name] for name in stmt_writes(stmt)
+                        if name in self.ec.slot_of)
+        run = f"S._exec({self.ec.const_ref(stmt)})"
+        if reload:
+            self._emit(ind, "try:")
+            self._emit(ind + 1, run)
+            self._emit(ind, "finally:")
+            run = "; ".join(f"{self._cached_slot(slot)} = d[{slot}]"
+                            for slot in reload)
+        self._emit(ind + bool(reload), run)
+
+    def _cond(self, expr: ast.Expr, ind: int) -> str:
+        """A branch condition: lowered, or else evaluated by the
+        reference evaluator on the written-back store (it reads only)."""
+        booked = dict(self.ec.facts)
+        try:
+            return self.ec.compile_cond(expr)
+        except (CompileFallback, WidthError) as why:
+            self.ec.facts.update(booked)
+            self._spill(ind, str(why))
+            return f"EV({self.ec.const_ref(expr)}, {self.env.width_of(expr)})"
 
     def _count(self, ind: int, stmts: int, ops: int) -> None:
         if self._suppress_count:
@@ -331,19 +343,14 @@ class ProcessCompiler:
             width = self.env.width_of(stmt.lhs)
             value_width = max(self.env.width_of(stmt.rhs), width)
             self._count(ind, 1, expr_nodes(stmt.rhs))
-            if self._cache is not None:
-                # Specialized bodies hoist repeated pure subexpressions
-                # of this statement into prelude locals.
-                self.ec.begin_hoist(
-                    [stmt.rhs], lambda text: self._emit(ind, text))
-                try:
-                    rhs = self.ec.compile(stmt.rhs, width)
-                finally:
-                    self.ec.end_hoist()
-            else:
+            # Repeated pure subexpressions of this statement are hoisted
+            # into prelude locals.
+            self.ec.begin_hoist([stmt.rhs], lambda text: self._emit(ind, text))
+            try:
                 rhs = self.ec.compile(stmt.rhs, width)
-            if (self._cache is not None and stmt.blocking
-                    and isinstance(stmt.lhs, ast.Identifier)):
+            finally:
+                self.ec.end_hoist()
+            if stmt.blocking and isinstance(stmt.lhs, ast.Identifier):
                 # Straight-to-local fast path for unwatched scalars:
                 # no temp, no compare, no mark — the flush publishes.
                 sig = self.env.signal(stmt.lhs.name)
@@ -374,15 +381,11 @@ class ProcessCompiler:
             return
         if isinstance(stmt, (ast.Block, ast.ForkJoin)):
             self._count(ind, 1, 0)
-            if self._cache is not None:
-                self._emit_block_coalesced(stmt.stmts, ind)
-                return
-            for inner in stmt.stmts:
-                self.emit_stmt(inner, ind)
+            self._emit_block_coalesced(stmt.stmts, ind)
             return
         if isinstance(stmt, ast.If):
             self._count(ind, 1, expr_nodes(stmt.cond))
-            self._emit(ind, f"if {self.ec.compile_cond(stmt.cond)}:")
+            self._emit(ind, f"if {self._cond(stmt.cond, ind)}:")
             self.emit_stmt(stmt.then_stmt, ind + 1)
             if stmt.else_stmt is not None:
                 self._emit(ind, "else:")
@@ -430,26 +433,34 @@ class ProcessCompiler:
             self._count(ind, 1, 0)
             self.emit_stmt(stmt.stmt, ind)
             return
-        # System tasks (and anything else) run through the reference
+        # System tasks (and anything else) escape to the reference
         # interpreter against the slot store: identical output, cold path.
         raise CompileFallback(
             f"system task {stmt.name}" if isinstance(stmt, ast.SysTask)
             else type(stmt).__name__)
 
     def _counted(self, stmt: ast.For) -> Optional[range]:
-        """The loop variable's values, when a specialized body may count
-        through them (unwatched: no mark to place), else ``None``."""
-        trips = (None if self._cache is None else
+        """The loop variable's values, when the range facts are licensed
+        and the body may count through them (unwatched: no mark to
+        place), else ``None``."""
+        trips = (None if self.ec.bound is None else
                  counted_loop(stmt, self.env, _MAX_LOOP_ITERATIONS))
         watched = (trips is not None and
                    self.ec.slot_of[stmt.init.lhs.name] in self.watched)
         return None if watched else trips
 
     def _may_abort(self, stmt: Optional[ast.Stmt]) -> bool:
-        """Only an iteration guard raises inside a strict body."""
+        """Can *stmt* stop part-way?  An iteration guard raises, and an
+        escape may ``$finish`` or raise: a system task or function is
+        what escapes (should anything else, ``_emit_counted`` escapes
+        the whole loop)."""
         return stmt is not None and any(
-            isinstance(node, ast.While)
+            isinstance(node, (ast.While, ast.SysTask))
             or (isinstance(node, ast.For) and self._counted(node) is None)
+            or any(isinstance(sub, ast.SysCall)
+                   and sub.name not in LOWERED_SYSFUNCS
+                   for expr in ast.stmt_exprs(node)
+                   for sub in ast.walk_expr(expr))
             for node in ast.walk_stmt(stmt))
 
     def _emit_counted(self, stmt: ast.For, trips: range, ind: int) -> None:
@@ -465,6 +476,7 @@ class ProcessCompiler:
         outer, self._loop = self._loop, [
             -1 if self._may_abort(stmt.body) else ind + 1, 0, 0]
         self.ec.bound[name] = trips
+        escapes = len(self._why)
         try:
             self._count(ind + 1, 0, expr_nodes(stmt.cond))
             self.emit_stmt(stmt.body, ind + 1)
@@ -472,7 +484,10 @@ class ProcessCompiler:
         finally:
             del self.ec.bound[name]
             body, self.lines = self.lines, outer_lines
-            (_, per_st, per_ops), self._loop = self._loop, outer
+            (collect, per_st, per_ops), self._loop = self._loop, outer
+        if collect != -1 and len(self._why) > escapes:
+            # a charge for every trip would be early if the escape aborts
+            raise CompileFallback(self._why[escapes])
         self._count(ind, 2 + len(trips) * per_st,
                     expr_nodes(stmt.init.rhs) + len(trips) * per_ops)
         self._emit(ind, f"for {local} in range({trips.start}, {trips.stop},"
@@ -483,26 +498,38 @@ class ProcessCompiler:
     def _emit_block_coalesced(self, stmts, ind: int) -> None:
         """Emit a block body with straight-line counter runs merged.
 
-        A run of plain assignments in a strict-compiled body executes
-        atomically — every operation in it is guarded and total, so no
-        abort can be observed between its members — which makes one
-        merged ``_st``/``_ops`` bump exactly equivalent to the
-        per-statement bumps at every observable point.
+        A run of lowered plain assignments executes atomically — every
+        operation in it is guarded and total, so no abort can be
+        observed between its members — which makes one merged
+        ``_st``/``_ops`` bump exactly equivalent to the per-statement
+        bumps at every observable point.  An escaped member counts
+        itself and splits the run.
         """
         run: List[ast.Stmt] = []
 
+        def bump(lowered: List[ast.Stmt], start: int) -> None:
+            tail = self.lines[start:]
+            del self.lines[start:]
+            self._count(ind, len(lowered), sum(expr_nodes(s.rhs) for s in lowered
+                                               if isinstance(s, ast.Assign)))
+            self.lines += tail
+
         def flush() -> None:
-            if not run:
-                return
-            ops = sum(expr_nodes(s.rhs) for s in run
-                      if isinstance(s, ast.Assign))
-            self._count(ind, len(run), ops)
-            self._suppress_count = True
-            try:
-                for member in run:
+            lowered: List[ast.Stmt] = []
+            start = len(self.lines)
+            for member in run:
+                escapes = len(self._why)
+                self._suppress_count = True
+                try:
                     self.emit_stmt(member, ind)
-            finally:
-                self._suppress_count = False
+                finally:
+                    self._suppress_count = False
+                if len(self._why) == escapes:
+                    lowered.append(member)
+                    continue
+                bump(lowered, start)
+                lowered, start = [], len(self.lines)
+            bump(lowered, start)
             del run[:]
 
         for inner in stmts:
@@ -583,9 +610,8 @@ class ProcessCompiler:
         (LRM §9.2.2) and travel in the entry; the writer unpacks it and
         only applies the deferred store in the update region, which
         calls every entry as ``e[0](e)``.  Writers run in the latch
-        region — after any cached body has flushed — so they always
-        compile against the store directly, even while a specialized
-        body is being emitted.
+        region — after the cached body has flushed — so they compile
+        against the store directly.
         """
         name = f"nw{self._writers}"
         self._writers += 1
@@ -593,21 +619,17 @@ class ProcessCompiler:
         fields = ["_", "_v"] + [f"_x{k}" for k in range(len(dyn))]
         saved, self.lines = self.lines, []
         self._frozen = {id(expr): f"_x{k}" for k, expr in enumerate(dyn)}
-        cache_saved = self._cache
-        strict_saved = self.ec.strict
+        cache = self._cache
         self._cache = None
-        self.ec.slot_src = self.ec._direct_slot
-        self.ec.strict = False
+        self.ec.slot_src, self.ec.strict = self.ec._direct_slot, False
         try:
             self._emit_store(lhs, "_v", value_width, 1)
             body = self.lines
         finally:
             self.lines = saved
             self._frozen = {}
-            self._cache = cache_saved
-            if cache_saved is not None:
-                self.ec.slot_src = self._cached_slot
-            self.ec.strict = strict_saved
+            self._cache = cache
+            self.ec.slot_src, self.ec.strict = self._cached_slot, True
         self.writer_defs += [f"def {name}(e):", f"    {', '.join(fields)} = e"]
         self.writer_defs.extend(body)
         self.writer_defs.append("")
@@ -632,38 +654,25 @@ class ProcessCompiler:
         return ([f"def {name}():", "    try:"] + self.lines
                 + ["    finally:", footer, ""])
 
-    def compile_procedural(self, name: str, stmt: ast.Stmt,
-                           specialize: bool = False) -> List[str]:
-        """Function source for an always/initial block body.
-
-        With *specialize*, the slot-cached strategy is attempted first;
-        a body that needs any interpreter escape keeps the generic one
-        and ``strategy`` records the escape.
-        """
-        self.strategy[name] = "generic (no two-state licence)"
-        if specialize:
-            booked = dict(self.ec.facts)
-            try:
-                lines = self._compile_procedural_cached(name, stmt)
-                self.strategy[name] = "specialized"
-                return lines
-            except (CompileFallback, WidthError) as why:
-                self.strategy[name] = f"generic ({why})"
-                self.ec.facts = booked
+    def compile_procedural(self, name: str, stmt: ast.Stmt) -> List[str]:
+        """Function source for an always/initial block body: slots
+        cached in locals, a statement that cannot be lowered escaped
+        (``escapes[name]`` says why)."""
         self.lines = []
-        self.emit_stmt(stmt, 2)
-        return self._frame(name, self.lines)
-
-    def _compile_procedural_cached(self, name: str, stmt: ast.Stmt) -> List[str]:
-        """The specialized strategy: loads hoisted, stores flushed once."""
-        self.lines = []
-        self._begin_cache()
+        self._cache, self._cache_order, self._cache_written = {}, [], set()
+        self._why = self.escapes[name] = []
+        self.ec.slot_src, self.ec.strict = self._cached_slot, True
         try:
             self.emit_stmt(stmt, 2)
-        except BaseException:
-            self.lines = []
-            raise
         finally:
-            order, written = self._end_cache()
+            self.ec.slot_src, self.ec.strict = self.ec._direct_slot, False
+            self._cache = None
+        order = self._cache_order
+        flush = [f"d[{slot}] = L{slot}" for slot in order
+                 if slot in self._cache_written]
         body, self.lines = self.lines, []
-        return self._frame(name, body, order, written)
+        if self._why:  # an escape writes back what the exit flushes
+            spill = "; ".join(flush)
+            body = [line.replace(_SPILL, spill) for line in body
+                    if spill or not line.endswith(_SPILL)]
+        return self._frame(name, body, order, flush)

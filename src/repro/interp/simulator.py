@@ -23,7 +23,7 @@ import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..verilog import ast_nodes as ast
-from ..verilog.rewrite import collect_identifiers, stmt_identifiers
+from ..verilog.rewrite import collect_identifiers, lvalue_reads, stmt_identifiers
 from ..verilog.width import WidthEnv, mask
 from .eval_expr import EvalError, Evaluator
 from .store import Store
@@ -112,7 +112,7 @@ class InterpSimulator:
         index = 0
         for item in self.module.items:
             if isinstance(item, ast.ContinuousAssign):
-                deps = collect_identifiers(item.rhs) | self._lhs_index_deps(item.lhs)
+                deps = collect_identifiers(item.rhs) | lvalue_reads(item.lhs)
                 proc = _Process(index, "assign", assign=item, star_deps=deps)
                 self._register(proc, deps)
             elif isinstance(item, ast.Always):
@@ -146,19 +146,6 @@ class InterpSimulator:
         self._processes.append(proc)
         for name in deps:
             self._dep_map.setdefault(name, []).append(proc)
-
-    @staticmethod
-    def _lhs_index_deps(lhs: ast.Expr) -> Set[str]:
-        """Names read by index expressions on the assignment target."""
-        deps: Set[str] = set()
-        if isinstance(lhs, ast.Index):
-            deps |= collect_identifiers(lhs.index)
-        if isinstance(lhs, ast.RangeSelect):
-            deps |= collect_identifiers(lhs.msb)
-        if isinstance(lhs, ast.Concat):
-            for part in lhs.parts:
-                deps |= InterpSimulator._lhs_index_deps(part)
-        return deps
 
     def _initialize(self) -> None:
         # Register/integer initializers, in declaration order.

@@ -11,8 +11,7 @@ that optimization layer for the compiled simulation backend:
   def/use sets, driver maps and combinational cones;
 * :mod:`repro.opt.passes` — semantics-preserving rewrites (constant
   folding/propagation, alias forwarding, always-block fusion,
-  dead-signal/dead-process elimination, two-state specialization
-  analysis);
+  dead-signal/dead-process elimination, clock-gate detection);
 * :mod:`repro.opt.pipeline` — pass schedules per ``REPRO_OPT_LEVEL``
   (0/1/2, default 2) and the pipeline *fingerprint* that joins the
   program digest in every optimized artifact's cache key.

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..verilog import ast_nodes as ast
 from ..verilog.rewrite import (
     collect_identifiers,
+    lvalue_reads,
     lvalue_targets,
     map_expr,
     stmt_identifiers,
@@ -278,9 +279,6 @@ class Design:
         self._env = env if env is not None else WidthEnv(module)
         self._env_dirty = False
         self._analysis: Optional[Dict[str, object]] = None
-        #: Set by the two-state specialization pass: no x/z literals in
-        #: data positions, licensing the specialized codegen.
-        self.two_state: Optional[bool] = None
         #: Set by the clock-gate detection pass: item index -> enable
         #: expression proving the clocked block a no-op when false.
         self.clock_gates: Dict[int, ast.Expr] = {}
@@ -316,7 +314,7 @@ class Design:
         for index, item in enumerate(self.items):
             proc: Optional[Process] = None
             if isinstance(item, ast.ContinuousAssign):
-                reads = collect_identifiers(item.rhs) | _lhs_reads(item.lhs)
+                reads = collect_identifiers(item.rhs) | lvalue_reads(item.lhs)
                 writes = set(lvalue_targets(item.lhs))
                 proc = Process(index, "assign", item, reads, writes,
                                set(), expr_pure(item.rhs))
@@ -391,7 +389,7 @@ class Design:
                 item = items[index]
                 rhs = (item.rhs if isinstance(item, ast.ContinuousAssign)
                        else item.init)
-                lhs_extra = (_lhs_reads(item.lhs)
+                lhs_extra = (lvalue_reads(item.lhs)
                              if isinstance(item, ast.ContinuousAssign) else set())
                 for read in collect_identifiers(rhs) | lhs_extra:
                     out.add(read)
@@ -425,15 +423,3 @@ def process_count(module: ast.Module) -> int:
     """Schedulable units in *module* (reporting)."""
     return len(Design(module).processes())
 
-
-def _lhs_reads(lhs: ast.Expr) -> Set[str]:
-    """Names read by index expressions on an assignment target."""
-    out: Set[str] = set()
-    if isinstance(lhs, ast.Index):
-        out |= collect_identifiers(lhs.index)
-    elif isinstance(lhs, ast.RangeSelect):
-        out |= collect_identifiers(lhs.msb)
-    elif isinstance(lhs, ast.Concat):
-        for part in lhs.parts:
-            out |= _lhs_reads(part)
-    return out

@@ -27,7 +27,7 @@ Shared restrictions (each pass re-checks what it needs):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.fold import fold_expr
@@ -409,49 +409,6 @@ def eliminate_dead(design: Design) -> Tuple[int, int]:
     if removed_procs or removed_sigs:
         design.replace_items(items, decls_changed=True)
     return removed_procs, removed_sigs
-
-
-def specialize_two_state(design: Design) -> int:
-    """Verify the design is x/z-free in data positions.
-
-    The simulation store is two-state; x/z bits only appear in
-    literals (``casez``/``casex`` labels carry them as don't-care
-    masks, which both backends honour).  A literal with x/z bits in a
-    *data* position would need four-state evaluation, so its presence
-    withdraws the specialized-codegen licence — the generated code
-    then keeps the generic evaluator path (the dynamic fallback).
-
-    Returns the number of data-position x/z literals found (0 means
-    the specialization licence is granted).
-    """
-    offenders = 0
-
-    def scan_expr(expr: ast.Expr) -> None:
-        nonlocal offenders
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.Number) and node.xz_mask:
-                offenders += 1
-
-    def scan_stmt(stmt: Optional[ast.Stmt]) -> None:
-        if stmt is None:
-            return
-        for node in ast.walk_stmt(stmt):
-            if isinstance(node, ast.Case):
-                scan_expr(node.expr)  # labels are exempt (don't-cares)
-                continue
-            for expr in ast.stmt_exprs(node):
-                scan_expr(expr)
-
-    for item in design.items:
-        if isinstance(item, ast.ContinuousAssign):
-            scan_expr(item.lhs)
-            scan_expr(item.rhs)
-        elif isinstance(item, (ast.Always, ast.Initial)):
-            scan_stmt(item.stmt)
-        elif isinstance(item, ast.Decl) and item.init is not None:
-            scan_expr(item.init)
-    design.two_state = offenders == 0
-    return offenders
 
 
 def detect_clock_gates(design: Design) -> int:

@@ -3,15 +3,15 @@
 ``REPRO_OPT_LEVEL`` switches the mid-end of the compiled simulation
 backend off or on (read per call, like ``REPRO_SIM_BACKEND``):
 
-* ``0`` — no mid-end: the elaborated module is compiled 1:1 with the
-  generic (dirty-bitset) scheduler, exactly the PR-1 backend.  This is
-  the differential-fuzzing counterpart of the optimized pipeline.
+* ``0`` — no mid-end: the elaborated module is compiled 1:1, with no
+  range facts (every loop a ``while``, every guard kept) and no vector
+  carrier.  This is the differential-fuzzing counterpart of the
+  optimized pipeline.
 * any other value (default ``2``, the level the pipeline reports) —
   the word-level pipeline: folding/propagation, alias forwarding,
-  always-block fusion, dead-signal/dead-process elimination, and the
-  two-state specialization analysis that licenses the specialized
-  codegen (local-variable slot caching and static rank-order
-  combinational sweeps).
+  always-block fusion, dead-signal/dead-process elimination and
+  clock-gate detection; the optimized module also licenses the range
+  facts and the vector carrier.
 
 The **fingerprint** names the exact pass schedule *and* the codegen
 generation; it joins the program digest in every optimized artifact's
@@ -36,10 +36,9 @@ from .ir import Design, node_count, process_count
 #: ``REPRO_OPT_LEVEL`` says otherwise.
 DEFAULT_OPT_LEVEL = 2
 
-#: Revision of the specialized code generator; part of every
-#: fingerprint so stale code objects cannot be shared across builds
-#: that emit differently.
-_CODEGEN_REV = 8
+#: Revision of the code generator; part of every fingerprint so stale
+#: code objects cannot be shared across builds that emit differently.
+_CODEGEN_REV = 9
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),
@@ -50,7 +49,6 @@ _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
         ("alias", passes.forward_aliases),
         ("fuse", passes.fuse_always_blocks),
         ("dce", passes.eliminate_dead),
-        ("two_state", passes.specialize_two_state),
         ("gate", passes.detect_clock_gates),
     ),
 }
@@ -92,19 +90,11 @@ class OptResult:
     env: WidthEnv
     level: int
     fingerprint: str
-    #: True when the two-state specialization licence was granted;
-    #: None at level 0.
-    two_state: Optional[bool]
     #: pass name -> rewrites performed
     pass_counts: Dict[str, int] = field(default_factory=dict)
     #: item index -> enable expression for gated clocked blocks (the
     #: ``gate`` pass); empty at level 0 or when nothing is gated
     clock_gates: Dict[int, ast.Expr] = field(default_factory=dict)
-
-    @property
-    def specialize(self) -> bool:
-        """Does this result license the specialized code generator?"""
-        return self.level > 0 and bool(self.two_state)
 
     @cached_property
     def nodes_after(self) -> int:
@@ -145,7 +135,6 @@ def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
         env=out_env,
         level=level,
         fingerprint=pipeline_fingerprint(level),
-        two_state=design.two_state,
         pass_counts=counts,
         clock_gates=dict(design.clock_gates) if level > 0 else {},
     )

@@ -1,8 +1,9 @@
 """Range facts: what a constant-bound loop and word arithmetic prove.
 
-Pure functions, no rewriting.  The emitters ask them under the
-``specialize`` licence and delete a runtime check only where the answer
-proves it idle; "unknown" (``None``) is always legal and keeps the check.
+Pure functions, no rewriting.  The emitters ask them only in an
+optimized module (never at ``-O0``) and delete a runtime check only
+where the answer proves it idle; "unknown" (``None``) is always legal
+and keeps the check.
 """
 
 from __future__ import annotations

@@ -237,3 +237,14 @@ def lvalue_targets(lhs: ast.Expr) -> "list[str]":
             names.extend(lvalue_targets(part))
         return names
     raise TypeError(f"invalid lvalue {type(lhs).__name__}")
+
+
+def lvalue_reads(lhs: ast.Expr) -> "set[str]":
+    """Return the names read by index expressions on an lvalue."""
+    if isinstance(lhs, ast.Index):
+        return collect_identifiers(lhs.index)
+    if isinstance(lhs, ast.RangeSelect):
+        return collect_identifiers(lhs.msb)
+    if isinstance(lhs, ast.Concat):
+        return set().union(*map(lvalue_reads, lhs.parts))
+    return set()

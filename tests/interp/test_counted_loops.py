@@ -2,8 +2,8 @@
 mask-free selects — checked against the oracles.
 
 Every module below runs three ways from the same initial state: the
-reference interpreter, the compiled backend at ``-O0`` (generic
-emitter, every loop in its ``while`` form, every guard and mask kept)
+reference interpreter, the compiled backend at ``-O0`` (no range
+facts: every loop in its ``while`` form, every guard and mask kept)
 and at ``-O2`` (the licensed idioms).  Architectural state and
 ``stmts_executed`` must be identical on all three; ``ops_evaluated``
 must be identical between ``-O0`` and ``-O2`` (the compiled backend
@@ -436,13 +436,13 @@ def test_sim_source_names_each_strategy(capsys, tmp_path, monkeypatch):
         endmodule""")
     assert main(["compile", str(path), "--sim-source"]) == 0
     err = capsys.readouterr().err
-    assert "// p0: specialized" in err
-    assert "// p1: generic (system task $finish)" in err
+    assert "// p0: lowered" in err
+    assert "// p1: escapes: system task $finish" in err
     assert ("// counted loops 1/1, guards dropped 1, masks dropped 2, "
             "rotations 0") in err
     monkeypatch.setenv("REPRO_OPT_LEVEL", "0")
     assert main(["compile", str(path), "--sim-source"]) == 0
     err = capsys.readouterr().err
-    assert "// p0: generic (no two-state licence)" in err
+    assert "// p0: lowered" in err  # one emitter at every level
     assert ("// counted loops 0/1, guards dropped 0, masks dropped 0, "
             "rotations 0") in err

@@ -366,8 +366,8 @@ class TestCodegenArtifactKind:
         pytest.importorskip("numpy")
         service = CompilerService(ArtifactStore())
         program = service.compile_program(COUNTER)
-        # O2 pinned: the vector licence needs the two-state grant,
-        # which the ambient O0 CI leg would deny.
+        # O2 pinned: the vector licence needs the mid-end, which the
+        # ambient O0 CI leg turns off.
         args = dict(env=program.env, digest=program.digest, opt_level=2)
         service.codegen(program.flat, **args)  # what a tenant's engine runs
         before = service.stats().misses

@@ -4,9 +4,9 @@
 by ``k``.  The scalar emitter spells it ``(D >> k)`` over the doubled
 word ``D = b * (2^W + 1)``, and a ``^``/``|``/``&`` chain whose members
 are such shifts takes one mask at its root
-(``ExprCompiler._rotation``/``_bitwise``).  Inside a specialized body
-``D`` is bound once per statement through the hoist sink; everywhere
-else (``-O0``, conditions, continuous assigns) it is inline.
+(``ExprCompiler._rotation``/``_bitwise``).  Inside a procedural
+assignment ``D`` is bound once per statement through the hoist sink;
+everywhere else (conditions, continuous assigns) it is inline.
 
 Every module below runs three ways, as in ``test_counted_loops.py``:
 the reference interpreter, the compiled backend at ``-O0`` and at

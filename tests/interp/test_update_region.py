@@ -38,9 +38,9 @@ from repro.interp import CompiledSimulator, InterpSimulator, TaskHost
 from repro.interp.compile import CompiledModuleCode
 from repro.verilog import flatten, parse
 
-# ``case ($time)`` has an impure subject: the emitter leaves the whole
-# statement, NBAs included, to the reference interpreter (``S._exec``).
-# The ``$display`` keeps the body on the generic emitter.
+# ``case ($time)`` has an impure subject: the emitter escapes the whole
+# statement, NBAs included, to the reference interpreter (``S._exec``);
+# the ``$display`` is an escape too, and the rest of the body is lowered.
 LAST_WRITE_WINS = """
 module u(input wire clock);
   reg [7:0] x = 0, y = 0, n = 0;

@@ -66,7 +66,6 @@ def test_golden_o2_snapshot():
     flat = flatten(parse(GOLDEN_SRC), "top")
     result = optimize_module(flat, level=2)
     assert print_module(result.module) == GOLDEN_O2
-    assert result.two_state is True
     assert (node_count(flat), result.nodes_after) == (31, 25)
     assert (process_count(flat), result.processes_after) == (8, 5)
 
@@ -75,7 +74,6 @@ def test_level0_is_identity():
     flat = flatten(parse(GOLDEN_SRC), "top")
     result = optimize_module(flat, level=0)
     assert result.module is flat
-    assert result.specialize is False
 
 
 def test_reporting_counts_are_read_on_demand():

@@ -8,7 +8,6 @@ from repro.opt.passes import (
     forward_aliases,
     fuse_always_blocks,
     propagate_constants,
-    specialize_two_state,
 )
 from repro.verilog import ast, flatten, parse, print_module
 from repro.verilog.width import WidthEnv
@@ -232,29 +231,6 @@ class TestDce:
         kept_names = {i.name for i in kept.items if isinstance(i, ast.Decl)}
         assert "c$y" not in unkept_names
         assert "c$y" in kept_names
-
-
-class TestTwoState:
-    def test_plain_design_licensed(self):
-        d = design_for("""
-            module m(input wire clock, output reg [3:0] r);
-              always @(posedge clock) r <= r + 1;
-            endmodule
-        """)
-        assert specialize_two_state(d) == 0
-        assert d.two_state is True
-
-    def test_casez_labels_exempt(self):
-        d = design_for("""
-            module m(input wire [3:0] a, output reg y);
-              always @(*) casez (a)
-                4'b1??? : y = 1;
-                default : y = 0;
-              endcase
-            endmodule
-        """)
-        assert specialize_two_state(d) == 0
-        assert d.two_state is True
 
 
 def test_expr_key_ignores_positions():

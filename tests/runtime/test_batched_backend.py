@@ -93,7 +93,7 @@ def kitchen_cohort(source):
 @pytest.fixture
 def o2(monkeypatch):
     """For tests that need a cohort: the vector licence needs the
-    two-state grant, which the ambient O0 CI leg would deny."""
+    mid-end, which the ambient O0 CI leg turns off."""
     monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
 
 

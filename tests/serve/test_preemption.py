@@ -109,7 +109,7 @@ class TestPreemptionBitIdentity:
     def test_cohort_joined_tenant_matches_twin(self, service, monkeypatch):
         """Same-digest tenants vectorized mid-run, then extracted."""
         # Asserts a cohort formed: the vector licence needs the
-        # two-state grant, which the ambient O0 CI leg would deny.
+        # mid-end, which the ambient O0 CI leg turns off.
         monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
         fleet = make_fleet(service, boards=1, board_capacity=0,
                            cohorts=True, cohort_min_size=2)
