@@ -53,12 +53,16 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
 
         code = CompiledModuleCode(program.flat, env=program.env)
+        schedule = code.schedule
         print(code.source)
-        cones = ", ".join(f"p{p.index}" for p in code.processes
+        cones = ", ".join(f"p{p.index}" for p in schedule.processes
                           if p.kind == "cone")
-        print(f"// period plan: {code.period_plan}"
-              + (f" ({code.period_refused})" if code.period_refused else "")
+        print(f"// period plan: {schedule.period_plan}"
+              + (f" ({schedule.period_refused})"
+                 if schedule.period_refused else "")
               + (f" (cones: {cones})" if cones else ""), file=sys.stderr)
+        for index, clause in sorted(schedule.cone_refused.items()):
+            print(f"// p{index}: not a cone: {clause}", file=sys.stderr)
         for name, whys in code.escapes.items():
             how = ("escapes: " + ", ".join(dict.fromkeys(whys))
                    if whys else "lowered")

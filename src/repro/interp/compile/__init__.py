@@ -8,11 +8,9 @@ flattened module *once* at elaboration time:
 * :mod:`exprc` / :mod:`stmtc` — expressions and statements become
   generated Python source with widths, masks and sign-extensions baked
   in as constants, ``compile()``d to one function per process.
-* :mod:`scheduler` — combinational processes are levelled into
-  dependency ranks (silicon-style logic cones) so one sweep settles
-  most designs.
 * :mod:`simulator` — :class:`CompiledModuleCode`, the immutable
-  shareable codegen artifact (analysis + schedule + code object), and
+  shareable codegen artifact (the mid-end's schedule laid out over
+  slots, plus the code object), and
   :class:`CompiledSimulator`, one engine's state bound to such an
   artifact; ABI-compatible with the reference interpreter.
 """

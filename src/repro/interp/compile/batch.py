@@ -436,16 +436,18 @@ class _LaneEmitter:
 
     def emit(self) -> str:
         code = self.code
-        blocks = sum(code.processes[p].kind == "cone" for p in code.comb_order)
+        schedule = code.schedule
+        blocks = sum(schedule.processes[p].kind == "cone"
+                     for p in schedule.comb_order)
         sweep = ["def sweep(st):"] + self._function(
             "A", self._sweep, wakes=False,
             entry=["st.need_sweep = False", "st.settle_rounds += 1",
-                   f"st.stmts_executed += {len(code.comb_order) - blocks}",
+                   f"st.stmts_executed += {len(schedule.comb_order) - blocks}",
                    "A = st.alive"]
             + (["nA = st.n if st.alive_all else cnz(A)", "_st = 0"] if blocks else []),
             exit=["st.stmts_executed += _st"] if blocks else [])
         procs: List[str] = []
-        for proc in code.processes:
+        for proc in schedule.processes:
             if proc.kind == "star":
                 raise BatchUnsupported("star process")
             if proc.kind == "edge":
@@ -534,8 +536,9 @@ class _LaneEmitter:
              self._alias, self._wakes, self._entry) = saved
 
     def _sweep(self) -> None:
-        for index in self.code.comb_order:
-            proc = self.code.processes[index]
+        schedule = self.code.schedule
+        for index in schedule.comb_order:
+            proc = schedule.processes[index]
             if proc.kind == "cone":  # a licensed @* block's body
                 self._body(proc.stmt, _Mask("A", "nA", whole=True), 1)
                 continue
@@ -574,17 +577,13 @@ class _LaneEmitter:
     def _period(self) -> List[str]:
         """``period(st)``: a clock period from the resting state (clock
         and previous values low, nothing pending, every lane live), so
-        both edges change every lane and ``trig_specs`` fixes what fires.
+        both edges change every lane and ``schedule.fired`` fixes what fires.
         A lane finishing on the rising edge leaves the fall to ``edge()``."""
         code = self.code
         clk = code.tick_clock_slot
         out = ["def period(st):", "    d = st.d"]
         for value in (1, 0):
-            fired: List[int] = []
-            for _, k in code.trig_specs[clk]:
-                proc, edge = code.edge_specs[k]
-                if edge != ("negedge" if value else "posedge") and proc not in fired:
-                    fired.append(proc)
+            fired = code.schedule.fired(value)
             phase = [f"d[{clk}] = {value}", f"st.prev.fill({value})"]
             if code.comb_in[clk]:
                 phase.append("st.need_sweep = True")
@@ -594,7 +593,8 @@ class _LaneEmitter:
             out += ["    " * (2 - value) + line for line in phase]
             if value:
                 out += ["    if not st.alive_all:",
-                        f"        st.edge({code.tick_clock!r}, 0)", "    else:"]
+                        f"        st.edge({code.schedule.tick_clock!r}, 0)",
+                        "    else:"]
         return out + ["    st.times += 1", ""]
 
     # -- statements ---------------------------------------------------------
@@ -812,7 +812,7 @@ class _LaneEmitter:
         slot = self.layout.slot_of.get(name)
         if slot is None:
             raise BatchUnsupported(f"cannot vectorize write to {name!r}")
-        if slot in self.code.trig_slots:
+        if self.code.trig_specs[slot]:
             # (the licence: no process writes the clock)
             raise BatchUnsupported("write to an edge-trigger slot")
         return slot
@@ -908,7 +908,7 @@ class BatchedModuleCode:
     def __init__(self, code: CompiledModuleCode):
         if np is None:
             raise UnsupportedBackend(_NUMPY_HINT)
-        if not code.vector_licensed:
+        if not code.schedule.vector_licensed:
             raise BatchUnsupported(
                 "module is not licensed for vectorized execution (needs an "
                 "optimized, small acyclic cone under one bare clock)")
@@ -916,7 +916,7 @@ class BatchedModuleCode:
             if sig.width > 64:
                 raise BatchUnsupported(
                     f"signal {sig.name!r} is {sig.width} bits wide (> 64)")
-        self.code, self.clock = code, code.tick_clock
+        self.code, self.clock = code, code.schedule.tick_clock
         self.clock_slot = slot = code.tick_clock_slot
         if any(specs for s, specs in enumerate(code.trig_specs) if s != slot):
             raise BatchUnsupported("non-clock sensitivity")
@@ -928,7 +928,8 @@ class BatchedModuleCode:
         namespace = dict(HELPERS)
         exec(compile(self.source, "<repro-lanes>", "exec"), namespace)
         self.proc_fns = {proc.index: namespace[f"p{proc.index}"]
-                         for proc in code.processes if proc.kind == "edge"}
+                         for proc in code.schedule.processes
+                         if proc.kind == "edge"}
         self.sweep, self.period = namespace["sweep"], namespace["period"]
         #: the clock's firing plan: (event index, process index, edge kind)
         self.clock_entries = [(k, *code.edge_specs[k])

@@ -4,8 +4,8 @@ Code generation is split from engine state so N engines of one
 workload share one codegen artifact:
 
 * :class:`CompiledModuleCode` — the immutable, shareable product of
-  compiling one flattened module: process analysis, the ranked
-  schedule and sensitivity templates, the slot layout, and the
+  compiling one flattened module: the mid-end's schedule laid out as
+  per-slot sensitivity templates, the slot layout, and the
   ``compile()``d Python code object.  Built once per module digest
   (the compiler service interns it in the artifact store) and reused
   by every engine simulating that module.
@@ -28,15 +28,12 @@ store, keeping behaviour bit-identical by construction.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from heapq import heappop, heappush
 from math import inf
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...verilog import ast_nodes as ast
-from ...verilog.rewrite import (
-    collect_identifiers, lvalue_reads, lvalue_targets, stmt_identifiers,
-)
+from ...verilog.rewrite import collect_identifiers
 from ...verilog.width import WidthEnv
 from ..eval_expr import EvalError, Evaluator
 from ..systasks import FinishSignal, TaskHost
@@ -46,61 +43,10 @@ from ..simulator import (
     SimulationError,
 )
 from ...opt import optimize_module
-from ...opt.ir import blocking_writes, stmt_pure, stmt_writes
 from ...verilog.width import WidthError
-from .exprc import CompileFallback, ExprCompiler, HELPERS, expr_is_pure
-from .scheduler import acyclic_count, rank_order
+from .exprc import CompileFallback, ExprCompiler, HELPERS
 from .slots import SlotLayout, SlotStore
 from .stmtc import ProcessCompiler
-
-#: The vector carrier recomputes the whole ranked cone whenever a
-#: combinational input changed.  Above this many assigns that sweep
-#: costs more than the scalar plan's selective re-evaluation, so only
-#: small cones are licensed for it.
-_VECTOR_COMB_MAX = 96
-
-
-def _block_reads(stmt, defined: Set[str], written: Set[str],
-                 reads: Set[str]) -> Tuple[Set[str], Set[str]]:
-    """Add to *reads* what *stmt* may read before it writes it whole, and
-    any name it may write a second time in one run (the interpreter
-    wakes a block again on its own first value).  *defined* / *written*:
-    names written whole on every path / on some path so far; returns
-    both as they stand after *stmt*.  A loop reads all it mentions."""
-    if stmt is None:
-        return defined, written
-    if isinstance(stmt, ast.Block):
-        for inner in stmt.stmts:
-            defined, written = _block_reads(inner, defined, written, reads)
-        return defined, written
-    if isinstance(stmt, ast.Assign):
-        targets = set(lvalue_targets(stmt.lhs))
-        reads |= ((collect_identifiers(stmt.rhs)
-                   | lvalue_reads(stmt.lhs)) - defined
-                  | targets & written)
-        whole = isinstance(stmt.lhs, ast.Identifier)  # a select: a latch
-        return defined | targets if whole else defined, written | targets
-    if isinstance(stmt, (ast.If, ast.Case)):
-        for expr in ast.stmt_exprs(stmt):
-            reads |= collect_identifiers(expr) - defined
-        arms = ([stmt.then_stmt, stmt.else_stmt] if isinstance(stmt, ast.If)
-                else [item.stmt for item in stmt.items]  # (None: no default)
-                + [None] * all(item.labels for item in stmt.items))
-        paths = [_block_reads(arm, defined, written, reads) for arm in arms]
-        return (set.intersection(*(d for d, _ in paths)),
-                set.union(*(w for _, w in paths)))
-    reads |= stmt_identifiers(stmt)  # a loop: even a name written before
-    return defined, written
-
-
-def _reach(names: Set[str], edges: Dict[str, List[Set[str]]]) -> Set[str]:
-    """*names* and every name *edges* leads to from them."""
-    seen, todo = set(names), list(names)
-    while todo:
-        for step in edges.get(todo.pop(), ()):
-            todo += step - seen
-            seen |= step
-    return seen
 
 
 class _Trigger:
@@ -125,49 +71,28 @@ class _Trigger:
         self.cell = [0] if cell is None else cell
 
 
-class _ProcInfo:
-    """Analysis record for one process before code generation."""
-
-    __slots__ = ("index", "kind", "stmt", "assign", "events", "reads", "writes")
-
-    def __init__(self, index: int, kind: str, stmt=None, assign=None,
-                 events: Sequence[ast.EventExpr] = (),
-                 reads: Optional[Set[str]] = None,
-                 writes: Optional[Set[str]] = None):
-        self.index = index
-        self.kind = kind  # "assign" | "cone" | "star" | "edge" | "initial"
-        self.stmt = stmt
-        self.assign = assign
-        self.events = list(events)
-        self.reads = reads or set()
-        self.writes = writes or set()
-
-
 class CompiledModuleCode:
     """Immutable codegen artifact for one flattened module.
 
-    Everything here is a pure function of the module text: analysis
-    records, the ranked combinational schedule, per-slot sensitivity
-    templates, the generated source and its compiled code object, and
-    the slot layout.  Engines share one instance (keyed by module
-    digest in the artifact store) and bind their own mutable state to
-    it at construction — nothing in this class is written after
-    ``__init__``.
+    Everything here is a pure function of the module text: the slot
+    layout, the slot-indexed sensitivity templates laid out from the
+    mid-end's :class:`~repro.opt.schedule.Schedule` (``schedule``), the
+    generated source and its compiled code object.  Engines share one
+    instance (keyed by module digest in the artifact store) and bind
+    their own mutable state to it at construction — nothing in this
+    class is written after ``__init__``.
     """
 
     def __init__(self, module: ast.Module, env: Optional[WidthEnv] = None,
                  opt_level: Optional[int] = None,
                  keep: "frozenset[str]" = frozenset(), opt=None):
-        # The mid-end runs first: the rest of the analysis, scheduling
-        # and code generation all see the *optimized* module.  At
-        # level 0 this is the identity and the artifact matches the
-        # unoptimized backend exactly.  A pre-built pipeline output
-        # (*opt*, e.g. the compiler service's cached ``KIND_OPT``
-        # artifact) skips the mid-end entirely.
+        # The mid-end runs first: the schedule and code generation both
+        # see the *optimized* module.  At level 0 this is the identity
+        # and the artifact matches the unoptimized backend exactly.  A
+        # pre-built pipeline output (*opt*, e.g. the compiler service's
+        # cached ``KIND_OPT`` artifact) skips the mid-end entirely.
         if opt is None:
             opt = optimize_module(module, env=env, level=opt_level, keep=keep)
-        self.opt = opt
-        self.source_module = module
         self.module = opt.module
         self.env = opt.env
         self.opt_level = opt.level
@@ -175,163 +100,23 @@ class CompiledModuleCode:
         #: are licensed (never at ``-O0``)
         self.specialize = opt.level > 0
         self.fingerprint = opt.fingerprint
+        #: processes, cones, clock, gates and refusals, planned by opt
+        self.schedule = opt.schedule
         self.layout = SlotLayout(self.env)
-        self.processes: List[_ProcInfo] = []
-        self._analyze()
-        self.nprocs = len(self.processes)
-        self._plan_schedule()
+        self._plan_slots()
         self._generate()
-        self._plan_initialization()
+        self.init_decls: Tuple[Tuple[str, ast.Expr, int], ...] = tuple(
+            (item.name, item.init, self.env.signal(item.name).width)
+            for item in self.module.items
+            if isinstance(item, ast.Decl) and item.init is not None
+            and item.kind in ("reg", "integer")
+            and not self.env.signal(item.name).is_memory)
 
-    # -- analysis -------------------------------------------------------------
-
-    def _analyze(self) -> None:
-        index = 0
-        #: process index -> position of its item in ``module.items``
-        #: (the mid-end's ``clock_gates`` table is keyed by item index;
-        #: ``Design.to_module`` preserves item order 1:1)
-        self._item_pos: Dict[int, int] = {}
-        for item_pos, item in enumerate(self.module.items):
-            if (isinstance(item, ast.Decl) and item.kind == "wire"
-                    and item.init is not None):  # an implied assign
-                item = ast.ContinuousAssign(ast.Identifier(item.name), item.init)
-            if isinstance(item, ast.ContinuousAssign):
-                self.processes.append(_ProcInfo(
-                    index, "assign", assign=item, reads=collect_identifiers(
-                        item.rhs) | lvalue_reads(item.lhs),
-                    writes=set(lvalue_targets(item.lhs))))
-            elif isinstance(item, (ast.Always, ast.Initial)):
-                kind = ("initial" if isinstance(item, ast.Initial) else
-                        "star" if item.sensitivity == ast.STAR else "edge")
-                # (an always@* block wakes, as the interpreter's does, on
-                # every name it mentions until _license_cones ranks it)
-                self.processes.append(_ProcInfo(
-                    index, kind, stmt=item.stmt,
-                    events=item.sensitivity if kind == "edge" else (),
-                    reads=stmt_identifiers(item.stmt) if kind == "star" else None,
-                    writes=stmt_writes(item.stmt)))
-            else:
-                continue
-            self._item_pos[index] = item_pos
-            index += 1
-        # Rank-ordering assigns is only unobservable when their RHSes
-        # are pure; an `assign x = $random` makes intra-class order
-        # matter, so such modules run assigns through the FIFO scan too.
-        self.fifo_mode = any(
-            not (expr_is_pure(p.assign.rhs) and expr_is_pure(p.assign.lhs))
-            for p in self.processes if p.kind == "assign"
-        )
-        self._license_cones()
-
-    def _license_cones(self) -> None:
-        """Rank ``@*`` blocks with the assigns where that is unobservable.
-
-        The interpreter runs a woken assign ahead of every queued
-        process, but an ``@*`` block in FIFO order with them.  A block
-        becomes a cone member (kind ``"cone"``: ranked, primed and swept
-        like an assign) unless a clause of docs/ARCHITECTURE.md's cone
-        licence refuses it: (1) impure, or not the sole blocking writer
-        of its scalars; (2) reads its writes, before writing them or
-        through the cone, or writes one twice or in a loop; (3) a
-        queued process could see it run early — (a) an initial reads
-        its fan-out, or an edge process blocking-writes (a queued ``@*``
-        block writes) its fan-in, (b) an event signal is in its fan-in or driven in
-        the module, (c) a queued ``@*`` block reads its fan-out, (d) a
-        latch has another ``@*`` block upstream.  Fan-in and fan-out
-        are transitive through the cone; (3) is a fixpoint, as a
-        refused block is queued and may refuse another.
-        ``cone_refused`` keeps each refusal's clause.
-        """
-        procs = self.processes
-        self.cone_refused: Dict[int, str] = {}
-        if not any(p.kind == "star" for p in procs):
-            return
-        driven = Counter(name for p in procs for name in p.writes)
-        ins: Dict[int, Set[str]] = {}
-        latches = set()
-        for p in procs:
-            if p.kind != "star":
-                continue
-            reads: Set[str] = set()
-            if p.writes - _block_reads(p.stmt, set(), set(), reads)[0]:
-                latches.add(p.index)
-            if self.fifo_mode:
-                self.cone_refused[p.index] = "fifo schedule"
-            elif not (stmt_pure(p.stmt) and all(
-                    node.blocking for node in ast.walk_stmt(p.stmt)
-                    if isinstance(node, ast.Assign)) and all(
-                    driven[name] == 1 and name in self.layout.slot_of
-                    for name in p.writes)):
-                self.cone_refused[p.index] = (
-                    "(1) impure body, or a memory, non-blocking or shared write")
-            elif reads & p.writes:
-                self.cone_refused[p.index] = "(2) reads or rewrites its writes"
-            else:
-                ins[p.index] = reads
-        if not ins:
-            return
-        events = set().union(*(collect_identifiers(e.expr)
-                               for p in procs for e in p.events))
-        primed = set().union(*(stmt_identifiers(p.stmt)
-                               for p in procs if p.kind == "initial"))
-        racing = set().union(*(blocking_writes(p.stmt)
-                               for p in procs if p.kind == "edge"))
-        while ins:
-            up: Dict[str, List[Set[str]]] = {}
-            down: Dict[str, List[Set[str]]] = {}
-            for p in procs:
-                if p.kind == "assign" or p.index in ins:
-                    reads = ins.get(p.index, p.reads)
-                    for name in p.writes:
-                        up.setdefault(name, []).append(reads)
-                    for name in reads:
-                        down.setdefault(name, []).append(p.writes)
-            queued = [p for p in procs
-                      if p.kind == "star" and p.index not in ins]
-            racers = racing.union(*(p.writes for p in queued))
-            refused = {}
-            for b in ins:
-                fin, fout = _reach(ins[b], up), _reach(procs[b].writes, down)
-                if fin & procs[b].writes:
-                    refused[b] = "(2) reads its writes through the cone"
-                elif fout & primed or fin & racers:
-                    refused[b] = ("(3a) an initial reads its fan-out, or a "
-                                  "blocking write races its fan-in")
-                elif fin & events or events & driven.keys():
-                    refused[b] = "(3b) a clock in its fan-in, or a derived clock"
-                elif any(q.reads & fout for q in queued):
-                    refused[b] = "(3c) a queued @* block reads its fan-out"
-                elif b in latches and any(
-                        p.kind == "star" and p.index != b and p.writes & fin
-                        for p in procs):
-                    refused[b] = "(3d) a latch behind another @* block"
-            if not refused:
-                break
-            self.cone_refused.update(refused)
-            for b in refused:
-                del ins[b]
-        for b, reads in ins.items():
-            procs[b].kind, procs[b].reads = "cone", reads
-
-    def _slot_for(self, name: str) -> Optional[int]:
-        slot = self.layout.slot_of.get(name)
-        if slot is None:
-            slot = self.layout.mem_slot_of.get(name)
-        return slot
-
-    def _plan_schedule(self) -> None:
-        nslots = self.layout.n_slots
-        is_assign = bytearray(self.nprocs)
-        for proc in self.processes:
-            if proc.kind == "assign":
-                is_assign[proc.index] = 1
-        self.is_assign = bytes(is_assign)
-        # Continuous assigns and licensed @* blocks, levelled into
-        # ranks (unless fifo_mode, which licenses no block).
-        comb = ([] if self.fifo_mode else
-                [p for p in self.processes if p.kind in ("assign", "cone")])
-        order = rank_order([p.reads for p in comb], [p.writes for p in comb])
-        self.comb_order: Tuple[int, ...] = tuple(comb[i].index for i in order)
+    def _plan_slots(self) -> None:
+        """Lay the schedule out over slots: what each slot's change wakes."""
+        schedule = self.schedule
+        layout = self.layout
+        nslots = layout.n_slots
         # Sensitivity templates: slot -> ranked proc ids, and slot ->
         # ordered trigger specs — ("star", proc) for FIFO procs, or
         # ("edge", k) referencing event k's per-engine trigger.  The
@@ -340,25 +125,26 @@ class CompiledModuleCode:
         comb_watch: List[List[int]] = [[] for _ in range(nslots)]
         trig_specs: List[List[Tuple[str, int]]] = [[] for _ in range(nslots)]
         edge_specs: List[Tuple[int, Optional[str]]] = []
-        ranked = set(self.comb_order)
-        for proc in self.processes:
+        ranked = set(schedule.comb_order)
+
+        def slots(names):
+            for name in names:
+                slot = layout.slot_of.get(name, layout.mem_slot_of.get(name))
+                if slot is not None:
+                    yield slot
+
+        for proc in schedule.processes:
             if proc.kind in ("assign", "cone", "star"):
-                for name in proc.reads:
-                    slot = self._slot_for(name)
-                    if slot is None:
-                        continue
+                for slot in slots(proc.reads):
                     if proc.index in ranked:
                         comb_watch[slot].append(proc.index)
                     else:
                         trig_specs[slot].append(("star", proc.index))
-            elif proc.kind == "edge":
-                for event in proc.events:
-                    k = len(edge_specs)
-                    edge_specs.append((proc.index, event.edge))
-                    for name in collect_identifiers(event.expr):
-                        slot = self._slot_for(name)
-                        if slot is not None:
-                            trig_specs[slot].append(("edge", k))
+            for event in proc.events:
+                k = len(edge_specs)
+                edge_specs.append((proc.index, event.edge))
+                for slot in slots(collect_identifiers(event.expr)):
+                    trig_specs[slot].append(("edge", k))
         self.comb_watch: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(procs) for procs in comb_watch
         )
@@ -370,26 +156,18 @@ class CompiledModuleCode:
             s for s in range(nslots)
             if self.comb_watch[s] or self.trig_specs[s]
         )
-        # -- vector-carrier marking -----------------------------------------
-        # Slots that procedural/star/edge machinery watches, vs slots
-        # that only exist to re-mark ranked assigns.  The vector carrier
-        # (``batch.py``) keeps no dirty tracking for the latter: it
-        # recomputes the whole rank-ordered cone whenever a
-        # combinational input changed.
-        self.trig_slots = frozenset(
-            s for s in range(nslots) if self.trig_specs[s])
         #: output slot -> the licensed @* block writing it.  Only a write
         #: from outside (a store poke, a restore) can change one behind
         #: the block's back, and the interpreter's @* re-runs on it, so
         #: such a write wakes the block (and, on the carrier, the sweep).
         self.cone_out: Dict[int, int] = {
-            self.layout.slot_of[name]: p.index
-            for p in comb if p.kind == "cone" for name in p.writes}
+            layout.slot_of[name]: p.index
+            for p in schedule.processes if p.kind == "cone"
+            for name in p.writes}
         self.comb_in = bytes(bool(procs) or slot in self.cone_out
                              for slot, procs in enumerate(self.comb_watch))
-        # -- activity planning ---------------------------------------------
         # Value changes wake exactly the reading cones.  Positions in
-        # the acyclic prefix of ``rank_order`` dispatch from a min-heap
+        # the acyclic prefix of ``comb_order`` dispatch from a min-heap
         # — writes there only re-mark strictly later positions, so heap
         # order equals a forward scan over the marked entries — while
         # the trailing group (cycle members, their downstream, and
@@ -397,57 +175,12 @@ class CompiledModuleCode:
         # iteration.  Fifo designs (impure assigns need the
         # interpreter-identical scan) rank nothing and settle through
         # ``_settle_fifo``.
-        event_pos = [-1] * self.nprocs
-        for pos, pidx in enumerate(self.comb_order):
+        event_pos = [-1] * len(schedule.processes)
+        for pos, pidx in enumerate(schedule.comb_order):
             event_pos[pidx] = pos
         self.event_pos: Tuple[int, ...] = tuple(event_pos)
-        acyclic = 0
-        if comb:
-            acyclic = acyclic_count([p.reads for p in comb],
-                                    [p.writes for p in comb])
-            for pos, ci in enumerate(order[:acyclic]):
-                if comb[ci].reads & comb[ci].writes:
-                    # A self-reading assign re-marks its *own* position;
-                    # the one-pass heap argument needs strictly-forward
-                    # marks, so it (and everything after it) iterates.
-                    acyclic = pos
-                    break
-        #: length of the heap-dispatched acyclic prefix of ``comb_order``
-        self.acyclic = acyclic
-        #: why no ``tick_clock`` (hence no ``period()``) was planned
-        self.period_refused: Optional[str] = self._plan_tick_clock()
-        #: a small, fully acyclic ranked cone: one forward pass in rank
-        #: order settles it, so it can run as straight-line code — the
-        #: vector carrier's per-tick sweep and the generated
-        #: ``comb()`` of the scalar period share this one licence
-        self.comb_static = (
-            not self.fifo_mode
-            and acyclic == len(self.comb_order) <= _VECTOR_COMB_MAX
-        )
-        #: whether the vector carrier may run this module: optimized, a
-        #: small, fully acyclic ranked cone under one free-running
-        #: clock.
-        self.vector_licensed = (
-            self.specialize
-            and self.comb_static
-            and bool(self.comb_order)
-            and self.tick_clock is not None
-        )
-        #: how the generated ``period()`` settles combinational logic:
-        #: ``"static"`` (``comb()`` is the ranked cone as code),
-        #: ``"settle"`` (a cyclic, large or clock-reading cone goes
-        #: through the generic ``settle()``), or None — no period is
-        #: generated and ``period_refused`` says why
-        self.period_plan: Optional[str] = None
-        if self.tick_clock is not None:
-            if self.fifo_mode:
-                self.period_refused = (
-                    "fifo schedule (impure continuous assign)")
-            elif (self.comb_static
-                    and not self.comb_watch[self.tick_clock_slot]):
-                self.period_plan = "static"
-            else:
-                self.period_plan = "settle"
+        #: the planned tick clock's slot (None: no tick clock)
+        self.tick_clock_slot = layout.slot_of.get(schedule.tick_clock)
         #: scalar slots whose nonzero value means an architectural
         #: update is still queued between native cycles — the transform
         #: layer's NBA shadow machinery (pending-write enables, queue
@@ -455,88 +188,15 @@ class CompiledModuleCode:
         #: predicates must treat them as activity: a drained-next-tick
         #: queue is *not* idle.
         self.activity_slots: Tuple[int, ...] = tuple(sorted(
-            slot for name, slot in self.layout.slot_of.items()
+            slot for name, slot in layout.slot_of.items()
             if name == "__wseq"
             or name.startswith(("__wn_", "__we_", "__wc_", "__wq"))
         ))
-        self._plan_gates()
-
-    def _plan_tick_clock(self) -> Optional[str]:
-        """Identify the single free-running clock, if the design has one.
-
-        When every edge-triggered process is sensitive to one bare
-        scalar signal that nothing in the module drives (the classic
-        externally-driven clock), and every ``@*`` block is a licensed
-        cone member (none shares the FIFO queue), the clock edge can be
-        applied and its triggers fired inline, without store-API
-        dispatch, dirty marking, or trigger re-evaluation — what the
-        event plan's generated ``period()`` and the vector carrier both
-        do.  Returns None with ``tick_clock`` set, or the condition
-        that failed (for a block on the queue, the licence clause).
-        """
-        self.tick_clock: Optional[str] = None
-        clock: Optional[str] = None
-        for proc in self.processes:
-            if proc.kind == "star":
-                # shares the FIFO queue on arbitrary changes
-                return (f"@* process on the queue: p{proc.index} "
-                        f"{self.cone_refused[proc.index]}")
-            if proc.kind != "edge":
-                continue
-            for event in proc.events:
-                expr = event.expr
-                if not isinstance(expr, ast.Identifier):
-                    return "non-identifier event"
-                if clock is None:
-                    clock = expr.name
-                elif expr.name != clock:
-                    return "second clock"
-        if clock is None:
-            return "no edge-triggered process"
-        slot = self.layout.slot_of.get(clock)
-        sig = self.env.signals.get(clock)
-        if slot is None or sig is None or sig.width != 1:
-            return "clock is not a one-bit signal"
-        # The clock must be externally driven only.
-        if any(clock in proc.writes for proc in self.processes):
-            return "clock driven in-module"
-        self.tick_clock = clock
-        self.tick_clock_slot = slot
-        return None
-
-    def _plan_gates(self) -> None:
-        """Map the mid-end's clock-gate table onto edge processes.
-
-        ``opt.clock_gates`` keys gated ``always @(edge)`` items by item
-        index; a gate expression is the OR of the body's top-level
-        enables, so a false gate proves the whole activation is a
-        no-op and the scheduler may drop it at dequeue time.  Gates
-        whose expression reads the planned tick clock are excluded from
-        *idle* reasoning only (``gate_reads_clock``): the idle probe
-        evaluates with the clock parked low, but a real activation sees
-        it high, so the two evaluations may disagree — dequeue-time
-        skipping stays sound either way because it reads live values.
-        """
-        self.gate_exprs: Dict[int, ast.Expr] = {}
-        reads_clock: Set[int] = set()
-        if not self.fifo_mode:
-            table = getattr(self.opt, "clock_gates", None) or {}
-            if table:
-                for proc in self.processes:
-                    if proc.kind != "edge":
-                        continue
-                    expr = table.get(self._item_pos[proc.index])
-                    if expr is None:
-                        continue
-                    self.gate_exprs[proc.index] = expr
-                    if (self.tick_clock is not None and
-                            self.tick_clock in collect_identifiers(expr)):
-                        reads_clock.add(proc.index)
-        self.gate_reads_clock = frozenset(reads_clock)
 
     # -- code generation -------------------------------------------------------
 
     def _generate(self) -> None:
+        schedule = self.schedule
         layout = self.layout
         ec = ExprCompiler(self.env, layout.slot_of, layout.mem_slot_of)
         ec.bound = {} if self.specialize else None  # range-fact licence
@@ -544,44 +204,35 @@ class CompiledModuleCode:
         lines: List[str] = []
         #: assign process -> its function's lines (``comb()`` inlines them)
         cones: Dict[int, List[str]] = {}
-        for proc in self.processes:
+        for proc in schedule.processes:
             name = f"p{proc.index}"
             if proc.kind == "assign":
                 cones[proc.index] = pc.compile_assign(name, proc.assign)
                 lines.extend(cones[proc.index])
             else:
                 lines.extend(pc.compile_procedural(name, proc.stmt))
-        # Compile event-expression value closures (order matches
-        # self.edge_specs, which _plan_schedule filled in process order).
+        # Event-expression value closures, numbered as ``edge_specs``.
         event_sources: List[str] = []
-        k = 0
-        for proc in self.processes:
-            if proc.kind != "edge":
-                continue
-            for event in proc.events:
-                src = ec.compile(event.expr)
-                event_sources.append(f"def e{k}():")
-                event_sources.append(f"    return {src}")
-                event_sources.append("")
-                k += 1
+        events = (e for proc in schedule.processes for e in proc.events)
+        for k, event in enumerate(events):
+            event_sources += [f"def e{k}():",
+                              f"    return {ec.compile(event.expr)}", ""]
         # Clock-gate closures (not on the fifo schedule): one Python-boolean
         # predicate per gated edge process, evaluated at dequeue time
         # — a queued process can blocking-write another's enable, so
         # trigger-fire time would read stale values.
         gate_ids: List[int] = []
-        for pidx in sorted(self.gate_exprs):
+        for pidx in sorted(schedule.gates):
             try:
-                src = ec.compile_cond(self.gate_exprs[pidx])
+                src = ec.compile_cond(schedule.gates[pidx])
             except (CompileFallback, WidthError):
                 continue
-            event_sources.append(f"def g{pidx}():")
-            event_sources.append(f"    return {src}")
-            event_sources.append("")
+            event_sources += [f"def g{pidx}():", f"    return {src}", ""]
             gate_ids.append(pidx)
         self.gate_ids: Tuple[int, ...] = tuple(gate_ids)
         #: gated processes whose skip is provable with the clock parked
         #: low — the ones the quiescence probe may discount entirely
-        self.idle_gate_procs = frozenset(gate_ids) - self.gate_reads_clock
+        self.idle_gate_procs = frozenset(gate_ids) - schedule.gate_reads_clock
         self.source = "\n".join(pc.writer_defs + lines + event_sources
                                 + self._period_source(cones))
         self.code = compile(self.source, "<repro-compiled>", "exec")
@@ -597,7 +248,7 @@ class CompiledModuleCode:
 
         What ``settle()`` decides per tick by walking queues — which
         processes the edge fires, in which order, which cones a write
-        wakes — is fixed by ``trig_specs`` and ``comb_order``, so the
+        wakes — is fixed by the schedule (``fired``, ``comb_order``), so the
         event plan's period is emitted as straight-line code over the
         same ``p*`` / ``g*`` functions (a static ``comb()`` inlines each
         assign's whole ``pK`` body from *cones* and calls a licensed
@@ -607,22 +258,23 @@ class CompiledModuleCode:
         process queue, clock slot clean); ``_tick_event`` sends anything
         else through the reference ``tick``.
         """
-        if self.period_plan is None:
+        schedule = self.schedule
+        if schedule.period_plan is None:
             return []
         clk = self.tick_clock_slot
         out: List[str] = []
-        if self.period_plan == "static":
+        if schedule.period_plan == "static":
             # Each cone runs iff a slot it reads is dirty when its rank
             # comes up: flags set by the caller or by an earlier cone
             # (the prefix is acyclic, so never by a later one) stay set
             # until the pass ends.  Equal, run for run, to popping the
             # woken positions off settle()'s heap.
-            reads: Dict[int, List[int]] = {p: [] for p in self.comb_order}
+            reads: Dict[int, List[int]] = {p: [] for p in schedule.comb_order}
             for slot, procs in enumerate(self.comb_watch):
                 for p in procs:
                     reads[p].append(slot)
             out.append("def comb():")
-            for p in self.comb_order:
+            for p in schedule.comb_order:
                 if reads[p]:
                     test = " or ".join(f"df[{slot}]" for slot in reads[p])
                     out += [f"    if {test}:", "        S.settle_rounds += 1"]
@@ -643,16 +295,11 @@ class CompiledModuleCode:
             for p in self.comb_watch[clk]:
                 # a cone reads the clock: wake it as _drain would
                 pos = self.event_pos[p]
-                wake = (f"heappush(heap, {pos})" if pos < self.acyclic
+                wake = (f"heappush(heap, {pos})" if pos < schedule.acyclic
                         else "S._trail_count += 1")
                 out += [f"    if not pend[{p}]:",
                         f"        pend[{p}] = 1; {wake}"]
-            fired: List[int] = []
-            for _, k in self.trig_specs[clk]:
-                proc, edge = self.edge_specs[k]
-                if (edge != ("negedge" if value else "posedge")
-                        and proc not in fired):
-                    fired.append(proc)
+            fired = schedule.fired(value)
             if value or self.comb_watch[clk]:
                 # activity from before the period (a poked input, a
                 # restore) or the clock-reading cones just woken; the
@@ -682,32 +329,6 @@ class CompiledModuleCode:
                         "        latch()"]
         out.append("")
         return out
-
-    # -- initialization plan -----------------------------------------------------
-
-    def _plan_initialization(self) -> None:
-        init_decls: List[Tuple[str, ast.Expr, int]] = []
-        for item in self.module.items:
-            if (isinstance(item, ast.Decl) and item.init is not None
-                    and item.kind in ("reg", "integer")):
-                sig = self.env.signal(item.name)
-                if sig.is_memory:
-                    continue
-                init_decls.append((item.name, item.init, sig.width))
-        self.init_decls: Tuple[Tuple[str, ast.Expr, int], ...] = tuple(init_decls)
-        prime_comb: List[int] = []
-        prime_queue: List[int] = []
-        for proc in self.processes:
-            if proc.kind == "cone" or (
-                    proc.kind == "assign" and not self.fifo_mode):
-                prime_comb.append(proc.index)
-            elif proc.kind in ("initial", "star") or (
-                    proc.kind == "assign" and self.fifo_mode):
-                # @* blocks prime like the interpreter's: combinational
-                # state starts at its fixpoint, matching hardware.
-                prime_queue.append(proc.index)
-        self.prime_comb: Tuple[int, ...] = tuple(prime_comb)
-        self.prime_queue: Tuple[int, ...] = tuple(prime_queue)
 
 
 class CompiledSimulator(InterpSimulator):
@@ -741,27 +362,26 @@ class CompiledSimulator(InterpSimulator):
         self.slow_periods = 0
         self._nba: List[tuple] = []
         self._write_buffer = ""
-        self._processes = code.processes  # shared, read-only
+        schedule = code.schedule
+        nprocs = len(schedule.processes)
         #: process runs one settle may make before it is declared divergent
-        self._settle_limit = _MAX_SETTLE_ROUNDS * max(1, code.nprocs)
-        self._fifo_mode = code.fifo_mode
-        self._is_assign = code.is_assign
-        self._comb_order = code.comb_order
+        self._settle_limit = _MAX_SETTLE_ROUNDS * max(1, nprocs)
+        self._comb_order = schedule.comb_order
         self._comb_watch = code.comb_watch
-        self._comb_pending = bytearray(code.nprocs)
-        self._queued = bytearray(code.nprocs)
+        self._comb_pending = bytearray(nprocs)
+        self._queued = bytearray(nprocs)
         self._proc_queue: List[int] = []
-        self._watched = code.watched
         # Activity dispatch: a min-heap of woken acyclic positions plus
         # a count of woken trailing (fixpoint) members.
         self._ev_pos = code.event_pos
-        self._ev_acyclic = code.acyclic
+        self._ev_acyclic = schedule.acyclic
         self._ev_heap: List[int] = []
         self._trail_count = 0
-        if self._fifo_mode:
+        if schedule.fifo:
             # Shadow the method rather than branch inside it: settle is
             # the hottest entry point (several calls per tick).
             self.settle = self._settle_fifo  # type: ignore[assignment]
+            self._is_assign = [p.kind == "assign" for p in schedule.processes]
         self._instantiate()
         self._initialize()
         self._vcd = None
@@ -810,14 +430,14 @@ class CompiledSimulator(InterpSimulator):
         for i, obj in enumerate(code.consts):
             namespace[f"c{i}"] = obj
         exec(code.code, namespace)
-        self._source = code.source  # kept for debugging/inspection
-        self._fn = [namespace[f"p{i}"] for i in range(code.nprocs)]
+        nprocs = len(code.schedule.processes)
+        self._fn = [namespace[f"p{i}"] for i in range(nprocs)]
         # Clock-gate predicates, indexed by process (None = ungated).
-        self._gates = [namespace.get(f"g{i}") for i in range(code.nprocs)]
+        self._gates = [namespace.get(f"g{i}") for i in range(nprocs)]
         # Per-engine edge-detection triggers over the shared templates.
+        shared = clock_prev if code.schedule.tick_clock is not None else None
         self._events = [
-            _Trigger(proc, edge, namespace[f"e{k}"],
-                     clock_prev if code.tick_clock is not None else None)
+            _Trigger(proc, edge, namespace[f"e{k}"], shared)
             for k, (proc, edge) in enumerate(code.edge_specs)
         ]
         #: the generated clock period (None: no tick clock on this plan)
@@ -843,9 +463,9 @@ class CompiledSimulator(InterpSimulator):
         for name, init, width in self.code.init_decls:
             value = self.evaluator.eval(init, width)
             self.store.set(name, value, notify=False)
-        for index in self.code.prime_comb:
+        for index in self.code.schedule.prime_comb:
             self._wake(index)
-        for index in self.code.prime_queue:
+        for index in self.code.schedule.prime_queue:
             self._queued[index] = 1
             self._proc_queue.append(index)
         self.settle()
@@ -1068,13 +688,13 @@ class CompiledSimulator(InterpSimulator):
         For single-clock designs (``tick_clock`` planned by the code
         artifact) the event plan runs the artifact's generated
         ``period()`` (:meth:`_tick_event`).  Designs that fail the
-        plan's conditions (``code.period_refused`` says which) and
-        engines with store watchers attached (the debugger) take the
+        plan's conditions (``code.schedule.period_refused`` says which)
+        and engines with store watchers attached (the debugger) take the
         reference ``tick``/``step`` path, which reaches the same
         :meth:`settle` through the store API and ``_drain``;
         ``slow_periods`` counts those.
         """
-        if (self._period is None or clock != self.code.tick_clock
+        if (self._period is None or clock != self.code.schedule.tick_clock
                 or self.store._watchers):
             before = self.time
             super().tick(clock, cycles)
@@ -1098,7 +718,7 @@ class CompiledSimulator(InterpSimulator):
         store watchers, a waveform writer) and the caller single-steps
         through :meth:`tick` instead.
         """
-        if (self._period is None or clock != self.code.tick_clock
+        if (self._period is None or clock != self.code.schedule.tick_clock
                 or self.store._watchers or self._vcd is not None):
             return None
         return self._tick_event(cycles, now, until, per_tick, per_stmt)
@@ -1180,7 +800,7 @@ class CompiledSimulator(InterpSimulator):
             else:
                 rested = True
                 self.slow_periods += 1
-                InterpSimulator.tick(self, code.tick_clock, 1)
+                InterpSimulator.tick(self, code.schedule.tick_clock, 1)
             i += 1
             executed = self.stmts_executed - before
             probe = not executed

@@ -12,6 +12,9 @@ that optimization layer for the compiled simulation backend:
 * :mod:`repro.opt.passes` — semantics-preserving rewrites (constant
   folding/propagation, alias forwarding, always-block fusion,
   dead-signal/dead-process elimination, clock-gate detection);
+* :mod:`repro.opt.schedule` — how the compiled backend runs the
+  optimized design: the process table, logic cones in rank order, the
+  tick clock, clock gates and every refusal with its reason;
 * :mod:`repro.opt.pipeline` — pass schedules per ``REPRO_OPT_LEVEL``
   (0/1/2, default 2) and the pipeline *fingerprint* that joins the
   program digest in every optimized artifact's cache key.

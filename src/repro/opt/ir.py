@@ -418,8 +418,3 @@ def node_count(module: ast.Module) -> int:
             total += expr_nodes(item.init)
     return total
 
-
-def process_count(module: ast.Module) -> int:
-    """Schedulable units in *module* (reporting)."""
-    return len(Design(module).processes())
-

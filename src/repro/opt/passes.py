@@ -431,8 +431,8 @@ def detect_clock_gates(design: Design) -> int:
     behaviour-preserving default the differential oracle enforces.
 
     The table lives on ``design.clock_gates`` keyed by item index
-    (``to_module`` preserves item order 1:1), and is carried on the
-    pipeline's :class:`OptResult` for the backend to consume.
+    (``to_module`` preserves item order 1:1); the pipeline's schedule
+    re-keys it by process (``Schedule.gates``) for the backend.
 
     Returns the number of gated blocks found.
     """

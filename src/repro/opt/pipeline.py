@@ -25,12 +25,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.width import WidthEnv
 from . import passes
-from .ir import Design, node_count, process_count
+from .ir import Design, node_count
+from .schedule import Schedule
 
 #: Default optimization level when neither the caller nor
 #: ``REPRO_OPT_LEVEL`` says otherwise.
@@ -38,7 +39,7 @@ DEFAULT_OPT_LEVEL = 2
 
 #: Revision of the code generator; part of every fingerprint so stale
 #: code objects cannot be shared across builds that emit differently.
-_CODEGEN_REV = 9
+_CODEGEN_REV = 10
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),
@@ -90,21 +91,21 @@ class OptResult:
     env: WidthEnv
     level: int
     fingerprint: str
+    #: how the compiled backend runs the optimized module: processes,
+    #: cones, clock, gates and every refusal (``opt/schedule.py``)
+    schedule: Schedule
     #: pass name -> rewrites performed
     pass_counts: Dict[str, int] = field(default_factory=dict)
-    #: item index -> enable expression for gated clocked blocks (the
-    #: ``gate`` pass); empty at level 0 or when nothing is gated
-    clock_gates: Dict[int, ast.Expr] = field(default_factory=dict)
 
     @cached_property
     def nodes_after(self) -> int:
         """Expression nodes in the optimized module, counted when read."""
         return node_count(self.module)
 
-    @cached_property
+    @property
     def processes_after(self) -> int:
-        """Processes in the optimized module, counted when read."""
-        return process_count(self.module)
+        """Processes in the optimized module."""
+        return len(self.schedule.processes)
 
 
 def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
@@ -127,14 +128,11 @@ def optimize_module(module: ast.Module, env: Optional[WidthEnv] = None,
             counts[name] = sum(int(v) for v in result)
         else:
             counts[name] = int(result)
-    optimized = design.to_module() if level > 0 else module
-    out_env = design.env if level > 0 else (
-        env if env is not None else WidthEnv(module))
     return OptResult(
-        module=optimized,
-        env=out_env,
+        module=design.to_module() if level > 0 else module,
+        env=design.env,
         level=level,
         fingerprint=pipeline_fingerprint(level),
+        schedule=Schedule(design, specialize=level > 0),
         pass_counts=counts,
-        clock_gates=dict(design.clock_gates) if level > 0 else {},
     )

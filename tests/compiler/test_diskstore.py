@@ -1,6 +1,7 @@
 """Disk artifact tier: frames, codecs, eviction, faults, warm restarts."""
 
 import os
+import shutil
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.compiler import (
     KIND_CODEGEN, ArtifactStore, CompilerService, DiskArtifactStore,
 )
 from repro.compiler.artifacts import resolve_store
+from repro.compiler.service import KIND_OPT
 from repro.compiler.diskstore import (
     frame_payload, unframe_payload,
 )
@@ -186,6 +188,28 @@ class TestCrossProcessWarmth:
         assert service2.store.stats().disk_hits > 0
         assert code2.source == code.source
         assert self._run(code2) == want
+
+    def test_warm_opt_artifact_rebuilds_codegen_identically(self, tmp_path):
+        """A disk tier holding only the ``opt`` frame: codegen rebuilds
+        from the unpickled ``OptResult`` and lays out the same schedule."""
+        service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
+        program = service.compile_program(SRC)
+        code = service.codegen(program.flat, env=program.env,
+                               digest=program.digest)
+        for entry in tmp_path.iterdir():
+            if entry.is_dir() and entry.name != KIND_OPT:
+                shutil.rmtree(entry)
+
+        service2 = CompilerService(
+            ArtifactStore(disk=DiskArtifactStore(tmp_path)))
+        program2 = service2.compile_program(SRC)
+        code2 = service2.codegen(program2.flat, env=program2.env,
+                                 digest=program2.digest)
+        assert service2.store.stats(KIND_OPT).disk_hits == 1
+        assert service2.store.stats(KIND_CODEGEN).disk_hits == 0
+        assert code2.schedule is not code.schedule
+        assert code2.source == code.source
+        assert code2.schedule == code.schedule
 
     def test_old_codegen_revision_frames_read_as_a_miss(
             self, tmp_path, monkeypatch):

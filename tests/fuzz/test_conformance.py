@@ -139,8 +139,8 @@ class TestCorpus:
         with open(os.path.join(CORPUS_DIR, name)) as handle:
             text = handle.read()
         code = CompiledModuleCode(flatten(parse(text), name[:-2]))
-        assert code.period_plan == "static"
-        assert [p.kind for p in code.processes].count("cone") == 1
+        assert code.schedule.period_plan == "static"
+        assert [p.kind for p in code.schedule.processes].count("cone") == 1
         report = check(parse(text), _corpus_ticks(text),
                        ("interp", "compiled", "batched"), label=name)
         assert report.ok, report.describe()

@@ -147,6 +147,31 @@ class TestCli:
         assert "module m__synergy(" not in captured.out
         assert "period plan" in captured.err
 
+    def test_cli_sim_source_prints_every_refused_block(self, tmp_path, capsys):
+        src = tmp_path / "m.v"
+        src.write_text("""
+            module m(input wire clock, input wire [7:0] a);
+              reg [7:0] y = 0;
+              reg [7:0] z = 0;
+              reg [7:0] n = 0;
+              always @* begin y = a; $display("y=%d", y); end
+              always @* z = y + 8'd1;
+              always @(posedge clock) n <= n + z;
+            endmodule
+        """)
+        from repro.__main__ import main
+
+        assert main(["compile", str(src), "--sim-source"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # the period line names the first refusal; the table names each
+        assert err[0].startswith("// period plan: None (@* process on the "
+                                 "queue: p0 (1) impure body")
+        assert [line for line in err if "not a cone" in line] == [
+            "// p0: not a cone: (1) impure body, or a memory, non-blocking "
+            "or shared write",
+            "// p1: not a cone: (3a) an initial reads its fan-out, or a "
+            "blocking write races its fan-in"]
+
     def test_cli_run(self, tmp_path, capsys):
         src = tmp_path / "m.v"
         src.write_text("""

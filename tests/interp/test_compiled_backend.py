@@ -246,9 +246,11 @@ def test_ordering_witnesses_stay_on_the_queue(name):
     interp.tick(cycles=6)
     for level in (0, 2):
         code = CompiledModuleCode(flat, opt_level=level)
-        assert code.period_refused.startswith("@* process on the queue")
+        assert code.schedule.period_refused.startswith(
+            "@* process on the queue")
         assert any(why.startswith(clause)
-                   for why in code.cone_refused.values()), code.cone_refused
+                   for why in code.schedule.cone_refused.values()), \
+            code.schedule.cone_refused
         host = TaskHost()
         sim = CompiledSimulator(flat, host, code=code)
         sim.tick(cycles=6)
@@ -280,7 +282,7 @@ def test_self_waking_star_block_stays_on_the_queue(body):
         Simulator(flat, TaskHost(), backend="interp")
     for level in (0, 2):
         code = CompiledModuleCode(flat, opt_level=level)
-        assert code.cone_refused[0].startswith("(2)")
+        assert code.schedule.cone_refused[0].startswith("(2)")
         with pytest.raises(SimulationError, match="did not converge"):
             CompiledSimulator(flat, TaskHost(), code=code)
 
@@ -317,7 +319,7 @@ def test_poked_cone_output_is_recomputed_as_the_interpreter_does():
     want = poked(interp)
     for level in (0, 2):
         code = CompiledModuleCode(flat, opt_level=level)
-        assert [p.kind for p in code.processes][1] == "cone"
+        assert [p.kind for p in code.schedule.processes][1] == "cone"
         assert poked(CompiledSimulator(flat, TaskHost(), code=code)) == want
     pytest.importorskip("numpy")
     from repro.interp.compile.batch import BatchedCohort, batch_code_for

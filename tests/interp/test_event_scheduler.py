@@ -20,6 +20,7 @@ from repro.interp import Simulator, TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.interp.simulator import SimulationError
+from repro.opt import optimize_module
 from repro.verilog import flatten, parse
 
 
@@ -67,17 +68,18 @@ endmodule
 class TestModeSelection:
     def test_event_on_by_default(self):
         sim = sim_for(GATED)
-        assert sim.code.gate_exprs and sim.code.period_plan == "static"
+        schedule = sim.code.schedule
+        assert schedule.gates and schedule.period_plan == "static"
         counter = sim_for(COUNTER).code
-        assert counter.comb_order
-        assert counter.acyclic == len(counter.comb_order)
+        assert counter.schedule.comb_order
+        assert counter.schedule.acyclic == len(counter.schedule.comb_order)
 
     def test_env_switch_is_gone(self, monkeypatch):
         # The old off-switch for the event plan selects nothing now.
         monkeypatch.setenv("REPRO_SIM_EVENT", "0")
         code = sim_for(COUNTER).code
-        assert code.period_plan == "static"
-        assert code.acyclic == len(code.comb_order)
+        assert code.schedule.period_plan == "static"
+        assert code.schedule.acyclic == len(code.schedule.comb_order)
 
     def test_fifo_designs_withdraw_to_generic(self):
         # An impure assign RHS forces FIFO scheduling; event dispatch
@@ -92,9 +94,9 @@ class TestModeSelection:
             endmodule
         """)
         code = sim.code
-        assert code.fifo_mode and not code.gate_exprs
-        assert code.acyclic == 0 and code.period_plan is None
-        assert code.period_refused.startswith("fifo schedule")
+        assert code.schedule.fifo and not code.schedule.gates
+        assert code.schedule.acyclic == 0 and code.schedule.period_plan is None
+        assert code.schedule.period_refused.startswith("fifo schedule")
 
 
 class TestIdleProof:
@@ -294,12 +296,12 @@ class TestCycleDownstreamRemarking:
     def test_cycle_members_are_trailing_not_heap(self):
         sim = sim_for(self.CYC)
         code = sim.code
-        assert not code.fifo_mode
+        assert not code.schedule.fifo
         # Both the self-looping driver and its downstream reader sit in
         # the trailing fixpoint region; neither may enter the acyclic
         # heap prefix, else a late cycle settle could strand the reader.
-        assert len(code.comb_order) == 2
-        assert code.acyclic == 0
+        assert len(code.schedule.comb_order) == 2
+        assert code.schedule.acyclic == 0
 
     def test_downstream_of_cycle_tracks_late_settle(self):
         fast = sim_for(self.CYC)
@@ -413,28 +415,39 @@ def _licence_frozen(code):
     """PR 12's vector licence: ``static_mode`` as ``_plan_schedule``
     computed it on the sweep artifact, plus the planned clock; a
     licensed ``@*`` block counts as a member of the cone."""
-    comb = ([] if code.fifo_mode
-            else [p for p in code.processes if p.kind in ("assign", "cone")])
+    comb = ([] if code.schedule.fifo
+            else [p for p in code.schedule.processes
+                  if p.kind in ("assign", "cone")])
     cyclic = bool(comb) and _has_cycle_frozen([p.reads for p in comb],
                                               [p.writes for p in comb])
-    static_mode = (code.specialize and not code.fifo_mode
-                   and 0 < len(code.comb_order) <= 96 and not cyclic)
-    return bool(static_mode and code.tick_clock is not None)
+    static_mode = (code.specialize and not code.schedule.fifo
+                   and 0 < len(code.schedule.comb_order) <= 96 and not cyclic)
+    return bool(static_mode and code.schedule.tick_clock is not None)
+
+
+_DESIGNS = []
+
+
+def table1_and_fuzz():
+    """Table-1 + fuzz seeds 0-99: ``(label, flat module)``."""
+    if not _DESIGNS:
+        from repro.bench import BENCHMARKS
+        from repro.fuzz.gen import generate
+        from repro.harness.common import bench_source_kwargs
+
+        _DESIGNS.extend((name, flatten(parse(
+            bench.source(**bench_source_kwargs(name))), name))
+            for name, bench in BENCHMARKS.items())
+        _DESIGNS.extend((seed, build(generate(seed).source))
+                        for seed in range(100))
+    return _DESIGNS
 
 
 class TestVectorLicence:
     """The licence is analysis, equal to the predicate it replaced."""
 
     def test_verdict_matches_the_predicate_it_replaced(self):
-        from repro.bench import BENCHMARKS
-        from repro.fuzz.gen import generate
-        from repro.harness.common import bench_source_kwargs
-
-        designs = [(name, flatten(parse(
-            bench.source(**bench_source_kwargs(name))), name))
-            for name, bench in BENCHMARKS.items()]
-        designs += [(seed, build(generate(seed).source))
-                    for seed in range(100)]
+        designs = list(table1_and_fuzz())
         # every fuzz @* block is licensed: one the licence refuses
         designs.append(("queued @*", build(
             "module m(input wire clock); reg x = 0; reg y = 0; "
@@ -443,9 +456,29 @@ class TestVectorLicence:
         verdicts = []
         for label, flat in designs:
             code = CompiledModuleCode(flat, opt_level=2)
-            assert code.vector_licensed == _licence_frozen(code), label
-            verdicts.append(code.vector_licensed)
+            assert code.schedule.vector_licensed == _licence_frozen(code), \
+                label
+            verdicts.append(code.schedule.vector_licensed)
         assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+class TestRefusalTable:
+    """The schedule answers for every block and every period: an ``@*``
+    block is a cone or names the licence clause it failed, and a period
+    is planned exactly when no reason refuses one."""
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_every_star_block_and_period_is_accounted_for(self, level):
+        for label, flat in table1_and_fuzz():
+            schedule = optimize_module(flat, level=level).schedule
+            stars = {p.index for p in schedule.processes
+                     if p.kind in ("star", "cone")}
+            for p in schedule.processes:
+                if p.kind == "star":
+                    assert p.index in schedule.cone_refused, (label, p.index)
+            assert set(schedule.cone_refused) <= stars, label
+            assert ((schedule.period_plan is None)
+                    == (schedule.period_refused is not None)), label
 
 
 PER_TICK, PER_STMT = 3e-7, 1.1e-8
@@ -544,7 +577,7 @@ class TestGeneratedPeriod:
             period, watched, interp = (
                 sims["period"], sims["watched"], sims["interp"])
             # a transformed module is stepped by its native clock
-            clock = period.code.tick_clock or "clock"
+            clock = period.code.schedule.tick_clock or "clock"
             seconds = {name: drive_metered(sim, ticks, clock)
                        for name, sim in sims.items()}
             assert observe(period) == observe(watched) == observe(interp), \
@@ -553,7 +586,7 @@ class TestGeneratedPeriod:
             assert period.stmts_executed == watched.stmts_executed, label
             assert period.settle_rounds == watched.settle_rounds, label
             assert seconds["period"] == seconds["watched"], label
-            if period.code.period_plan == "static":
+            if period.code.schedule.period_plan == "static":
                 static += 1
                 assert period.slow_periods == 0, label
         assert static > 50
@@ -561,12 +594,13 @@ class TestGeneratedPeriod:
     def test_every_tick_clock_artifact_of_the_corpus_is_static(self):
         planned = 0
         for label, _, _, _, _, code in corpus():
-            if code.tick_clock is None:
-                assert code.period_plan is None and code.period_refused, label
+            if code.schedule.tick_clock is None:
+                assert (code.schedule.period_plan is None
+                        and code.schedule.period_refused), label
                 continue
             planned += 1
-            assert code.period_plan == "static", label
-            assert code.comb_static and "def period():" in code.source
+            assert code.schedule.period_plan == "static", label
+            assert code.schedule.comb_static and "def period():" in code.source
         assert planned > 50
 
     def test_tick_event_interprets_no_schedule(self):
@@ -653,7 +687,7 @@ def directed(text, script, opt_level=2):
     period, watched = sims["period"], sims["watched"]
     assert period.stmts_executed == watched.stmts_executed
     assert period.settle_rounds == watched.settle_rounds
-    assert period.code.period_plan is not None
+    assert period.code.schedule.period_plan is not None
     return period
 
 
@@ -739,7 +773,7 @@ class TestPeriodEntryStates:
     def test_both_edges_and_level_sensitivity(self):
         sim = directed(MIXED_EDGES, lambda sim: sim.tick(cycles=6),
                        opt_level=0)
-        assert sim.code.period_plan == "static"
+        assert sim.code.schedule.period_plan == "static"
         assert sim.get("both") == 12 and sim.get("up") == 6
 
     @pytest.mark.parametrize(
@@ -747,7 +781,7 @@ class TestPeriodEntryStates:
         ids=["clock-reading cone", "cyclic cone"])
     def test_cones_the_static_pass_cannot_run_go_through_settle(self, text):
         sim = directed(text, lambda sim: sim.tick(cycles=12))
-        assert sim.code.period_plan == "settle"
+        assert sim.code.schedule.period_plan == "settle"
         assert "comb = settle" in sim.code.source and sim.slow_periods == 0
 
     def test_triggers_on_the_tick_clock_share_one_previous_value(self):
@@ -777,7 +811,7 @@ class TestPeriodEntryStates:
               always @(posedge b) y <= ~y;
             endmodule
         """)
-        assert two.code.tick_clock is None
+        assert two.code.schedule.tick_clock is None
         assert two._events[0].cell is not two._events[1].cell
 
 
@@ -785,7 +819,7 @@ class TestWhySlowPath:
     def test_period_plan_and_refusal_reasons(self):
         def plan(text):
             code = CompiledModuleCode(build(text), opt_level=2)
-            return code.period_plan, code.period_refused
+            return code.schedule.period_plan, code.schedule.period_refused
 
         assert plan(COUNTER) == ("static", None)
         assert plan(CLOCK_READER) == ("settle", None)
@@ -827,8 +861,9 @@ class TestWhySlowPath:
         for label, text in sorted(sources.items()):
             sim = sim_for(text)
             code = sim.code
-            cones += any(p.kind == "cone" for p in code.processes)
-            assert code.period_plan is not None, (label, code.period_refused)
+            cones += any(p.kind == "cone" for p in code.schedule.processes)
+            assert code.schedule.period_plan is not None, (
+                label, code.schedule.period_refused)
             sim.tick(cycles=24)
             assert sim.slow_periods == 0, label
             assert (sim.settle_rounds,

@@ -349,7 +349,7 @@ def _batch_error(rhs):
     from repro.interp.compile.simulator import CompiledModuleCode
 
     code = CompiledModuleCode(parse_module(_REFUSED % rhs), opt_level=2)
-    assert code.vector_licensed
+    assert code.schedule.vector_licensed
     with pytest.raises(BatchUnsupported) as info:
         BatchedModuleCode(code)
     return str(info.value)

@@ -105,7 +105,7 @@ def test_counters_after_2000_ticks_are_pinned(name):
     flat = flatten(parse(BENCHMARKS[name].source(**bench_source_kwargs(name))),
                    name)
     code = CompiledModuleCode(flat, opt_level=2)
-    assert code.period_plan == "static"
+    assert code.schedule.period_plan == "static"
     assert "apply_nba" not in code.source
     sim = CompiledSimulator(flat, TaskHost(bench_vfs(name, scale=1 << 12)),
                             code=code)

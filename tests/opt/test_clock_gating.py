@@ -107,13 +107,13 @@ class TestPipelineIntegration:
     def test_o2_result_carries_gates(self):
         flat = flatten(parse(self.SRC), "m")
         result = optimize_module(flat, level=2)
-        assert result.clock_gates
+        assert result.schedule.gates
         assert result.pass_counts.get("gate", 0) >= 1
 
     def test_o0_result_has_no_gates(self):
         flat = flatten(parse(self.SRC), "m")
         result = optimize_module(flat, level=0)
-        assert result.clock_gates == {}
+        assert result.schedule.gates == {}
 
     def test_gate_pass_is_fingerprinted(self):
         # Artifact keys must roll when the gating pass joins the

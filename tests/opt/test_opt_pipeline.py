@@ -20,7 +20,7 @@ from repro.fuzz import generate, state_names
 from repro.interp import Simulator, TaskHost
 from repro.opt import Design, optimize_module, pipeline_fingerprint
 from repro.opt import passes as P
-from repro.opt.ir import node_count, process_count
+from repro.opt.ir import node_count
 from repro.verilog import flatten, parse, print_module
 
 GOLDEN_SRC = """
@@ -67,7 +67,7 @@ def test_golden_o2_snapshot():
     result = optimize_module(flat, level=2)
     assert print_module(result.module) == GOLDEN_O2
     assert (node_count(flat), result.nodes_after) == (31, 25)
-    assert (process_count(flat), result.processes_after) == (8, 5)
+    assert (len(Design(flat).processes()), result.processes_after) == (8, 5)
 
 
 def test_level0_is_identity():
@@ -156,7 +156,7 @@ def test_hierarchical_design_is_what_alias_and_dce_are_for():
     assert result.pass_counts["alias"] == 37
     assert result.pass_counts["dce"] == 44
     assert (node_count(flat), result.nodes_after) == (292, 242)
-    assert (process_count(flat), result.processes_after) == (70, 48)
+    assert (len(Design(flat).processes()), result.processes_after) == (70, 48)
     reparsed = parse(print_module(result.module)).modules[-1]
     assert _behaviour(reparsed, 24, names) == want
 

@@ -203,9 +203,10 @@ class TestPathsAgree:
                 seen[path] = observe(runtime)
                 if path != "interp":
                     sim = runtime.engine.sim
-                    assert sim.code.period_plan in ("static", None), label
+                    assert sim.code.schedule.period_plan in (
+                        "static", None), label
                     assert sim.slow_periods == (
-                        0 if sim.code.period_plan and path == "event"
+                        0 if sim.code.schedule.period_plan and path == "event"
                         else runtime.ticks), label
             assert seen["event"] == seen["watched"], label
             seen["interp"]["sim_time"] = seen["event"]["sim_time"]

@@ -19,6 +19,7 @@ the audit catching it.
 import asyncio
 import atexit
 import collections
+import gc
 import os
 import shutil
 import tempfile
@@ -443,3 +444,8 @@ class TestSeededMutations:
         mutation(monkeypatch)
         with pytest.raises(AssertionError):
             audited_serve(monkeypatch)
+        # A mutant may also fail the scheduler task, whose exception no
+        # one retrieves: finalize it here rather than at whatever later
+        # cyclic collection it falls into (CPython 3.11.7 raises
+        # SystemError if that is one inside an ``ast.parse``).
+        gc.collect()
