@@ -51,6 +51,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         from .interp.compile.batch import (
             BatchUnsupported, UnsupportedBackend, batch_code_for,
         )
+        from .runtime.runtime import compile_worth
 
         code = CompiledModuleCode(program.flat, env=program.env)
         schedule = code.schedule
@@ -70,6 +71,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print("// counted loops {counted}/{loops}, guards dropped {guards}, "
               "masks dropped {masks}, rotations {rotations}".format(**code.facts),
               file=sys.stderr)
+        bound, why = program.tick_bound
+        print(f"// tier: <= {bound} stmts/tick, compile worth "
+              f"{compile_worth(program)} stmts" if bound is not None
+              else f"// tier: unbounded ({why})", file=sys.stderr)
         try:
             lanes = batch_code_for(code).source
         except (BatchUnsupported, UnsupportedBackend) as why:

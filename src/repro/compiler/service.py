@@ -30,7 +30,7 @@ from .artifacts import ArtifactStore, resolve_store, text_digest
 
 #: Artifact kinds, one per compiler stage.
 KIND_PARSE = "parse"
-KIND_SOURCE = "source"      # raw-text alias → compiled program
+KIND_SOURCE = "source"      # raw or canonical text alias → program
 KIND_PROGRAM = "program"
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
 KIND_CODEGEN = "codegen"    # simulator code (CompiledModuleCode)
@@ -90,8 +90,10 @@ class CompilerService:
         program = self.store.get_or_build(
             KIND_PROGRAM, key, lambda: build_program(parsed, top_name)
         )
-        if alias_key is not None:
-            self.store.put(KIND_SOURCE, alias_key, program)
+        # a checkpoint carries the canonical text: rehydrate parses nothing
+        for alias in dict.fromkeys((alias_key, f"{program.digest}\x00top=")):
+            if alias is not None:
+                self.store.put(KIND_SOURCE, alias, program)
         return program
 
     # -- mid-end optimization ----------------------------------------------

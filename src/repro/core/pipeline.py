@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..verilog import ast_nodes as ast
 from ..verilog.elaborate import flatten
@@ -81,6 +81,14 @@ class CompiledProgram:
         from ..compiler.artifacts import text_digest
 
         return text_digest(self.source)
+
+    @cached_property
+    def tick_bound(self) -> Tuple[Optional[int], str]:
+        """:func:`~repro.opt.ranges.tick_bound` of the flat module."""
+        from ..interp.simulator import _MAX_LOOP_ITERATIONS
+        from ..opt.ranges import tick_bound
+
+        return tick_bound(self.flat, self.env, _MAX_LOOP_ITERATIONS)
 
     @cached_property
     def hardware_digest(self) -> str:

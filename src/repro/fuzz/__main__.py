@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     weights = GrammarWeights()
     failures = 0
     checked = 0
-    vectorized = 0
+    vectorized = tiered = 0
     t0 = time.perf_counter()
     for seed in range(args.seed, args.seed + args.n):
         checked += 1
@@ -103,6 +103,8 @@ def main(argv=None) -> int:
         batched = report.results.get("batched")
         if batched is not None and batched.skipped is None:
             vectorized += 1
+        lifecycle = report.results.get("lifecycle")
+        tiered += lifecycle is not None and lifecycle.tier_ups > 0
         if report.ok:
             if args.verbose:
                 note = "" if batched is None or batched.skipped is None \
@@ -134,6 +136,8 @@ def main(argv=None) -> int:
           f"{service.store.count()} entries)")
     if "batched" in paths:
         print(f"batched: vectorized {vectorized} of {checked}")
+    if "lifecycle" in paths:
+        print(f"lifecycle: tiered up {tiered} of {checked}")
     return 1 if failures else 0
 
 

@@ -18,7 +18,8 @@ compares the observable behaviour bit-for-bit:
 * ``lifecycle`` — a hypervisor schedule that injects suspend/resume,
   software evacuation, and cross-device migration at seeded random
   cycles (the §3.5/§6.1 flows), with an optional co-tenant to force
-  coalescing handshakes.
+  coalescing handshakes, over a cold private store: the program rents
+  the interpreter for a seeded prefix and tiers up mid-run.
 
 Equality basis: the ``$display`` trace, the finish status/code, and
 the final values of every architectural register, integer and memory
@@ -34,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..compiler.artifacts import ArtifactStore
 from ..compiler.service import CompilerService
 from ..core.pipeline import CompiledProgram
 from ..fabric import DE10, F1
@@ -93,6 +95,8 @@ class RunResult:
     error: Optional[str] = None
     #: why the path did not run this program (nothing to compare)
     skipped: Optional[str] = None
+    #: runtimes that left the interpreter for compiled code mid-run
+    tier_ups: int = 0
 
     def summary(self) -> str:
         if self.error is not None:
@@ -228,7 +232,9 @@ def _run_lifecycle(program: CompiledProgram, ticks: int,
     n_events = min(rng.randint(1, 3), max(ticks - 1, 0))
     cycles = sorted(rng.sample(range(1, ticks), n_events)) if n_events else []
 
-    current = Runtime(program, name="fz-0", compiler=service)
+    cold = CompilerService(ArtifactStore())  # nobody bought codegen here
+    current = Runtime(program, name="fz-0", compiler=cold)
+    runtimes = [current]
     display: List[str] = []
     hypervisors = [hv_a, hv_b]
     generation = 0
@@ -239,8 +245,9 @@ def _run_lifecycle(program: CompiledProgram, ticks: int,
         # replays initial-block output here shows up as a divergence.
         nonlocal generation
         generation += 1
-        return Runtime(program, name=f"fz-{generation}", compiler=service,
-                       quiet_boot=True)
+        runtimes.append(Runtime(program, name=f"fz-{generation}",
+                                compiler=cold, quiet_boot=True))
+        return runtimes[-1]
 
     def attach_hw(runtime: Runtime, hv: Hypervisor) -> None:
         nonlocal generation
@@ -250,7 +257,8 @@ def _run_lifecycle(program: CompiledProgram, ticks: int,
 
     done = 0
     for cycle in cycles:
-        current.tick(cycle - done)
+        # the first stretch promises its own length; later ones nothing
+        current.tick(cycle - done, horizon=None if done else cycle)
         done = cycle
         if current.finished:
             break
@@ -276,8 +284,11 @@ def _run_lifecycle(program: CompiledProgram, ticks: int,
     current.tick(ticks - done)
     display.extend(current.host.display_log)
     names = state_names(program.flat)
-    return _result_from_host("lifecycle", current.host, display,
-                             current.engine.snapshot(names))
+    result = _result_from_host("lifecycle", current.host, display,
+                               current.engine.snapshot(names))
+    result.tier_ups = sum(event.tag == "tier_up" for runtime in runtimes
+                          for event in runtime.telemetry)
+    return result
 
 
 def _run_crash(program: CompiledProgram, ticks: int,
@@ -342,7 +353,6 @@ def _run_restart(program: CompiledProgram, ticks: int,
     import asyncio
     import tempfile
 
-    from ..compiler.artifacts import ArtifactStore
     from ..compiler.diskstore import DiskArtifactStore
     from ..hypervisor.durable import TenantJournal
     from ..serve import Fleet, ServeConfig, ServeFrontend
@@ -350,9 +360,12 @@ def _run_restart(program: CompiledProgram, ticks: int,
     name = "fz-restart"
     checkpoint_every = rng.randint(2, 6)
     quantum = rng.randint(2, 6)
+    prewarm = rng.random() < 0.5  # else a short tenant stays interpreted
 
     def build_frontend(art: str, jnl: str) -> ServeFrontend:
         svc = CompilerService(ArtifactStore(disk=DiskArtifactStore(art)))
+        if prewarm:
+            svc.codegen(program.flat, env=program.env, digest=program.digest)
         fleet = Fleet([Hypervisor(DE10, compiler=svc),
                        Hypervisor(F1, compiler=svc)],
                       checkpoint_every=checkpoint_every)

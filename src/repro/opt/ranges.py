@@ -101,3 +101,50 @@ def interval(expr: ast.Expr, env: WidthEnv,
     # a logical shift right; an amount above 4096 reads as zero
     return (0 if right[1] > 4096 else left[0] >> right[1],
             0 if right[0] > 4096 else left[1] >> right[0])
+
+
+class _Unbounded(Exception):
+    """A statement whose count the text does not bound."""
+
+
+_UNBOUNDED = {ast.For: "uncounted for", ast.While: "while",
+              ast.RepeatStmt: "repeat"}
+
+
+def tick_bound(module: ast.Module, env: WidthEnv,
+               max_trips: int) -> Tuple[Optional[int], str]:
+    """The most statements the reference interpreter runs in one tick.
+
+    Returns ``(bound, "")``, or ``(None, "pK: <construct>")`` naming the
+    first construct the text leaves unbounded and its process K.  Each
+    ``always`` body counts once: a block is itself plus its contents,
+    ``if``/``case`` one plus their largest branch, a counted ``for`` one
+    plus its trips times its body, test and step.
+    """
+    def cost(stmt: Optional[ast.Stmt]) -> int:
+        if isinstance(stmt, (ast.Block, ast.ForkJoin)):
+            return 1 + sum(map(cost, stmt.stmts))
+        if isinstance(stmt, ast.If):
+            return 1 + max(cost(stmt.then_stmt), cost(stmt.else_stmt))
+        if isinstance(stmt, ast.Case):
+            return 1 + max((cost(item.stmt) for item in stmt.items), default=0)
+        if isinstance(stmt, ast.For) and (
+                trips := counted_loop(stmt, env, max_trips)) is not None:
+            return 1 + len(trips) * (cost(stmt.body) + 2)
+        if type(stmt) in _UNBOUNDED:
+            raise _Unbounded(_UNBOUNDED[type(stmt)])
+        if isinstance(stmt, ast.DelayStmt):
+            return 1 + cost(stmt.stmt)
+        return 0 if stmt is None else 1
+
+    total = index = 0
+    for item in module.items:
+        try:
+            total += cost(item.stmt) if isinstance(item, ast.Always) else 0
+        except _Unbounded as why:
+            return None, f"p{index}: {why}"
+        # the interpreter's processes: a flat module's non-declarations
+        # and its initialized wires
+        index += not isinstance(item, ast.Decl) or (
+            item.kind == "wire" and item.init is not None)
+    return total, ""

@@ -16,6 +16,7 @@ billions of interpreted ticks.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from math import inf
 from typing import Dict, List, Optional, Tuple
@@ -27,6 +28,16 @@ from ..interp.vfs import VirtualFS
 from .backends import DirectBoardBackend, Placement
 from .engine import Engine, HardwareEngine, SoftwareEngine, TickStats  # noqa: F401
 from .jit import AdaptiveRefinement, TransitionCosts
+
+#: Interpreted statements a compile is worth per canonical character:
+#: opt + codegen cost a median 5.0 ms per kchar, an interpreted statement
+#: 11.2 us (cold_compile's 116 designs and the warm canaries, 2 vCPUs).
+STMTS_PER_CHAR = 0.45
+
+
+def compile_worth(program: CompiledProgram) -> int:
+    """The interpreted statements *program*'s compile is worth."""
+    return int(STMTS_PER_CHAR * len(program.source))
 
 
 @dataclass
@@ -103,7 +114,12 @@ class Runtime:
         # build a consistent boot state, but their side effects are not
         # replayed into the host: the suspended program already emitted
         # them on its original instance.
-        self.engine: Engine = self._software_engine(quiet_boot)
+        # unchosen backend, cold codegen: rent the interpreter (_rent_or_buy)
+        cold = (sim_backend is None and not os.environ.get("REPRO_SIM_BACKEND")
+                and not self._codegen_warm())
+        self.engine: Engine = self._software_engine(quiet_boot,
+                                                    "interp" if cold else None)
+        self._rented: Optional[Engine] = self.engine if cold else None
         self.costs = costs or TransitionCosts()
         self.refinement = AdaptiveRefinement()
 
@@ -136,11 +152,34 @@ class Runtime:
 
     # -- engines ------------------------------------------------------------------
 
-    def _software_engine(self, quiet: bool) -> SoftwareEngine:
+    def _software_engine(self, quiet: bool, backend=None) -> SoftwareEngine:
         return SoftwareEngine(self.program, self.host,
-                              backend=self.sim_backend,
+                              backend=backend or self.sim_backend,
                               compiler=self.compiler, quiet_init=quiet,
                               opt_level=self.opt_level)
+
+    def _codegen_warm(self) -> bool:
+        return self.compiler.warmth(self.program.digest,
+                                    self.opt_level)["codegen"]
+
+    def _rent_or_buy(self, horizon: Optional[int]) -> None:
+        """Tier up unless nobody bought the codegen and the statements
+        interpreted so far plus *horizon* ticks at the tick bound stay
+        within what the compile is worth.  No clock is read, so a run
+        repeats exactly."""
+        rented = self._rented
+        if self.engine is not rented:  # it left for a board or a lane
+            self._rented = None
+            return
+        spent = rented.sim.stmts_executed
+        bound = self.program.tick_bound[0]
+        if (horizon is None or bound is None
+                or spent + bound * horizon > compile_worth(self.program)
+                or self._codegen_warm()):
+            self._rented = None
+            self.adopt_software(rented.snapshot(), rented.time)
+            self.engine.sim._write_buffer = rented.sim._write_buffer
+            self.log("tier_up", spent)
 
     def adopt_software(self, state: Dict[str, object], time: int) -> None:
         """Swap in a scalar software engine holding *state* at ``$time``
@@ -210,23 +249,31 @@ class Runtime:
 
     # -- execution ------------------------------------------------------------------
 
-    def tick(self, cycles: int = 1) -> TickStats:
+    def tick(self, cycles: int = 1,
+             horizon: Optional[int] = None) -> TickStats:
         """Drive *cycles* virtual clock ticks; returns the last stats.
 
         Each :meth:`Engine.run_chunk` dispatch retires as much of the
         request as it can and comes back exactly where this layer has
         work between logical ticks — ``$finish``, a control trap, the
         placement becoming ready — so :meth:`_post_tick` fires on the
-        tick it would under single-stepping.
+        tick it would under single-stepping.  *horizon* is the ticks the
+        caller still expects to ask for, this call's included, or
+        ``None``; a renter may tier up before a dispatch
+        (:meth:`_rent_or_buy`).
         """
         stats = TickStats()
         remaining = cycles
         while remaining > 0 and not self.finished:
+            if self._rented is not None:
+                self._rent_or_buy(horizon)
             ready = self._hw_ready_at
             stats = self.engine.run_chunk(self.clock, remaining, self.sim_time,
                                           inf if ready is None else ready)
             self.credit(stats)
             remaining -= stats.ticks
+            if horizon is not None:
+                horizon -= stats.ticks
         return stats
 
     def credit(self, stats: TickStats) -> None:
@@ -242,8 +289,10 @@ class Runtime:
             self.idle_fastforwards += 1
         self._post_tick()
 
-    def tick_chunk(self, budget: int) -> SliceReport:
+    def tick_chunk(self, budget: int,
+                   horizon: Optional[int] = None) -> SliceReport:
         """Drive at most *budget* ticks; returns the cumulative account.
+        *horizon* is :meth:`tick`'s.
 
         The serving layer's non-blocking stepping primitive: one
         bounded synchronous chunk per scheduling turn, always returning
@@ -254,7 +303,7 @@ class Runtime:
         together, by ``CohortEngine.advance``.
         """
         t0, n0, traps0 = self.sim_time, self.ticks, self.traps_total
-        self.tick(budget)
+        self.tick(budget, horizon)
         return SliceReport(
             ticks=self.ticks - n0,
             seconds=self.sim_time - t0,

@@ -171,8 +171,10 @@ class Fleet:
 
     # -- chunked advance (the slicer's turns) ------------------------------
 
-    def advance(self, name: str, budget: int) -> SliceReport:
-        """Drive one tenant at most *budget* ticks, with recovery.
+    def advance(self, name: str, budget: int,
+                horizon: Optional[int] = None) -> SliceReport:
+        """Drive one tenant at most *budget* ticks (*horizon*: see
+        ``Runtime.tick``), with recovery.
 
         A fabric fault mid-chunk runs the PR 6 path — quarantine the
         host, restore every resident tenant from its checkpoint ring —
@@ -182,7 +184,7 @@ class Fleet:
         runtime = self.runtime(name)
         before = runtime.ticks
         try:
-            return runtime.tick_chunk(budget)
+            return runtime.tick_chunk(budget, horizon)
         except FabricError as err:
             self.supervisor.recover_from(name, err)
             restored = self.runtime(name)

@@ -455,9 +455,11 @@ class ServeFrontend:
 
     def _advance(self, job: _Job, chunk: int) -> Optional[SliceReport]:
         """One guarded ``fleet.advance``; ``None`` when it failed, and
-        the job with it."""
+        the job with it.  The horizon is the rest of its target."""
         try:
-            report = self.fleet.advance(job.name, chunk)
+            ticks = self.fleet.runtime(job.name).ticks
+            horizon = None if job.target is None else job.target - ticks
+            report = self.fleet.advance(job.name, chunk, horizon)
         except Exception as err:
             self._terminate(job, TenantState.FAILED, err)
             self.slicer.charge(job, 1)

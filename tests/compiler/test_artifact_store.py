@@ -1,5 +1,9 @@
 """Artifact store and compiler-service unit tests."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.compiler import (
     ArtifactStore, CompilerService, default_service,
     text_digest,
@@ -19,6 +23,8 @@ module top(input wire clock);
   always @(posedge clock) n <= n + 1;
 endmodule
 """
+
+HIER = Path(__file__).resolve().parent.parent / "corpus" / "hier_alu_pipeline.v"
 
 
 class TestArtifactStore:
@@ -230,6 +236,17 @@ class TestCompilerService:
         b = service.compile_program(reformatted)
         assert a is b
         assert a.digest == text_digest(a.source)
+
+    @pytest.mark.parametrize("path", [None, HIER],
+                             ids=["inline", "hier_alu_pipeline"])
+    def test_the_canonical_text_is_an_alias(self, path):
+        # A checkpoint carries the canonical text, and rehydrating it
+        # must not parse it again.
+        service = CompilerService(ArtifactStore())
+        program = service.compile_program(path.read_text() if path else SRC)
+        misses = service.stats("parse").misses
+        assert service.compile_program(program.source) is program
+        assert service.stats("parse").misses == misses
 
     def test_top_selects_distinct_programs(self):
         service = CompilerService(ArtifactStore())

@@ -146,6 +146,7 @@ class TestCli:
         assert "def p0():" in captured.out
         assert "module m__synergy(" not in captured.out
         assert "period plan" in captured.err
+        assert "// tier: <= 1 stmts/tick, compile worth " in captured.err
 
     def test_cli_sim_source_prints_every_refused_block(self, tmp_path, capsys):
         src = tmp_path / "m.v"
