@@ -5,21 +5,26 @@ unsynthesizable constructs the paper depends on (system tasks, file IO,
 ``$save``/``$restart``/``$yield``, ``fork``/``join``) and the ``(* ... *)``
 attribute syntax used for ``non_volatile`` annotations.
 
-All nodes are plain dataclasses.  They are treated as immutable by the
-compiler passes in :mod:`repro.core` — passes build new trees rather than
-mutating, so a single parse result can safely be shared between the
-software interpreter and several compilation pipelines.
+All nodes are frozen dataclasses: passes build new trees rather than
+mutating, and an assignment to a field raises, so a single parse result
+can safely be shared between the software interpreter and several
+compilation pipelines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 
-@dataclass(frozen=True)
-class SourcePos:
-    """Location of a construct in the original source text."""
+class SourcePos(NamedTuple):
+    """Location of a construct in the original source text.
+
+    A tuple, so the lexer builds one per token with ``tuple.__new__``.
+    Node hashes, set order and ``repr`` of a tree read its hash,
+    ``hash((line, column))``, and its repr, ``SourcePos(line=1,
+    column=2)``; ``tests/verilog/frontend_golden.json`` pins them.
+    """
 
     line: int = 0
     column: int = 0

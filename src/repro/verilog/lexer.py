@@ -11,8 +11,7 @@ preprocessor (``\`define`` object macros, ``\`undef``, ``\`ifdef``/
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .ast_nodes import SourcePos
 
@@ -44,21 +43,13 @@ OPERATORS = [
     "?", ":", ",", ";", ".", "#", "@", "(", ")", "[", "]", "{", "}",
 ]
 
-TOKEN_OPS = frozenset(OPERATORS)
 
-#: one alternation, longest operator first, so the first alternative
-#: that matches is the longest operator at that position
-_OP_RE = re.compile("|".join(
-    re.escape(op) for op in sorted(OPERATORS, key=len, reverse=True)))
-_BLANK_RE = re.compile(r"[ \t\r\f]+")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``kind`` is one of ``ID``, ``SYSID``, ``NUMBER``, ``BASEDNUM``,
     ``STRING``, ``OP``, ``KEYWORD``, ``ATTR_OPEN``, ``ATTR_CLOSE``, ``EOF``.
+    A tuple, so :func:`tokenize` builds one with ``tuple.__new__``.
     """
 
     kind: str
@@ -78,6 +69,31 @@ _DEC_RE = re.compile(r"[0-9][0-9_]*")
 _BASED_RE = re.compile(r"'\s*(s?)([bBoOdDhH])\s*([0-9a-fA-FxXzZ_?]+)")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _DIRECTIVE_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)")
+
+#: the whole token grammar as one alternation, one named group per
+#: kind.  The first alternative that matches wins, so ``(*``/``*)``
+#: precede the operators, operators run longest first and a sized based
+#: literal precedes a plain number.  ``BLANK`` and ``NL`` make no token;
+#: ``ERROR`` takes the one character nothing else starts with, so the
+#: matches tile the text.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("BLANK", r"[ \t\r\f]+"),
+    ("NL", r"\n[ \t\r\f]*"),
+    ("ID", _ID_RE.pattern),
+    ("ATTR_OPEN", r"\(\*"),
+    ("ATTR_CLOSE", r"\*\)"),
+    ("OP", "|".join(map(re.escape, sorted(OPERATORS, key=len, reverse=True)))),
+    ("BASEDNUM", f"(?:{_DEC_RE.pattern})?{_BASED_RE.pattern}"),
+    ("NUMBER", _DEC_RE.pattern),
+    ("STRING", _STRING_RE.pattern),
+    ("SYSID", _SYSID_RE.pattern),
+    ("ESCID", r"\\\S*"),
+    ("ERROR", r"[\s\S]"),
+)))
+
+#: what an ``ERROR`` character means when it opens a token that failed
+_OPENER_ERRORS = {'"': "unterminated string", "'": "malformed based literal",
+                  "$": "malformed system identifier"}
 
 
 #: a line comment, a block comment or a string — then, so that each is
@@ -112,6 +128,8 @@ class Preprocessor:
         self.defines: Dict[str, str] = dict(defines or {})
 
     def process(self, text: str) -> str:
+        if "`" not in text:
+            return text
         out_lines: List[str] = []
         # Stack of booleans: are we currently emitting?
         emit_stack: List[bool] = []
@@ -178,92 +196,53 @@ class Preprocessor:
 
 
 def tokenize(text: str, defines: Optional[Dict[str, str]] = None) -> List[Token]:
-    """Tokenize *text*, returning a list ending with an ``EOF`` token."""
-    text = Preprocessor(defines).process(text)
-    text = _strip_comments(text)
+    """Tokenize *text*, returning a list ending with an ``EOF`` token.
+
+    One walk of :data:`_TOKEN_RE`.  A token's column counts from the
+    last newline before it, including one inside an earlier string or
+    based literal.
+    """
+    text = _strip_comments(Preprocessor(defines).process(text))
     tokens: List[Token] = []
+    append, new = tokens.append, tuple.__new__
     line, line_start = 1, 0
-    i, n = 0, len(text)
-
-    def pos(at: int) -> SourcePos:
-        return SourcePos(line, at - line_start + 1)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BLANK":
+            continue
+        start = m.start()
+        if kind == "NL":
             line += 1
-            i += 1
-            line_start = i
+            line_start = start + 1
             continue
-        if ch in " \t\r\f":
-            i = _BLANK_RE.match(text, i).end()
-            continue
-        if ch == "(" and text.startswith("(*", i):
-            tokens.append(Token("ATTR_OPEN", "(*", pos(i)))
-            i += 2
-            continue
-        if ch == "*" and text.startswith("*)", i):
-            tokens.append(Token("ATTR_CLOSE", "*)", pos(i)))
-            i += 2
-            continue
-        if ch == '"':
-            m = _STRING_RE.match(text, i)
-            if not m:
-                raise LexError("unterminated string", pos(i))
-            raw = m.group(1)
-            value = raw.replace("\\n", "\n").replace("\\t", "\t").replace('\\"', '"').replace("\\\\", "\\")
-            tokens.append(Token("STRING", value, pos(i)))
-            i = m.end()
-            continue
-        if ch == "'":
-            m = _BASED_RE.match(text, i)
-            if not m:
-                raise LexError("malformed based literal", pos(i))
-            tokens.append(Token("BASEDNUM", m.group(0), pos(i)))
-            i = m.end()
-            continue
-        if ch.isdigit():
-            m = _DEC_RE.match(text, i)
-            assert m is not None
-            end = m.end()
-            based = _BASED_RE.match(text, end)
-            if based:
-                tokens.append(Token("BASEDNUM", text[i : based.end()], pos(i)))
-                i = based.end()
-            else:
-                tokens.append(Token("NUMBER", m.group(0), pos(i)))
-                i = end
-            continue
-        if ch == "$":
-            m = _SYSID_RE.match(text, i)
-            if not m:
-                raise LexError("malformed system identifier", pos(i))
-            tokens.append(Token("SYSID", m.group(0), pos(i)))
-            i = m.end()
-            continue
-        if ch == "\\":
-            # Escaped identifier: backslash up to whitespace.
-            j = i + 1
-            while j < n and not text[j].isspace():
-                j += 1
-            tokens.append(Token("ID", text[i + 1 : j], pos(i)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _ID_RE.match(text, i)
-            assert m is not None
-            word = m.group(0)
-            kind = "KEYWORD" if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, pos(i)))
-            i = m.end()
-            continue
-        m = _OP_RE.match(text, i)
-        if not m:
-            raise LexError(f"unexpected character {ch!r}", pos(i))
-        tokens.append(Token("OP", m.group(0), pos(i)))
-        i = m.end()
-    tokens.append(Token("EOF", "", pos(i)))
+        word = m.group()
+        pos = new(SourcePos, (line, start - line_start + 1))
+        if kind == "OP":  # the commonest kind, kept as matched
+            pass
+        elif kind == "ID":
+            if word in KEYWORDS:
+                kind = "KEYWORD"
+        elif kind == "STRING" or kind == "BASEDNUM":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = start + word.rindex("\n") + 1
+            if kind == "STRING":
+                word = (word[1:-1].replace("\\n", "\n").replace("\\t", "\t")
+                        .replace('\\"', '"').replace("\\\\", "\\"))
+        elif kind == "ESCID":
+            kind, word = "ID", word[1:]
+        elif kind == "ERROR":
+            raise LexError(_OPENER_ERRORS.get(
+                word, f"unexpected character {word!r}"), pos)
+        append(new(Token, (kind, word, pos)))
+    append(new(Token, ("EOF", "", new(SourcePos, (line, len(text) - line_start + 1)))))
     return tokens
+
+
+#: digit value and digit width per base letter
+_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+_DIGIT_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
+_XZ_RE = re.compile(r"[xXzZ?]")
 
 
 def parse_based_literal(text: str) -> "tuple[Optional[int], bool, str, int, int]":
@@ -286,16 +265,16 @@ def parse_based_literal(text: str) -> "tuple[Optional[int], bool, str, int, int]
         rest = rest[1:].strip()
     base = rest[0].lower()
     digits = rest[1:].replace("_", "")
-    radix = {"b": 2, "o": 8, "d": 10, "h": 16}[base]
-    bits_per_digit = {"b": 1, "o": 3, "d": 0, "h": 4}[base]
     xz_mask = 0
-    if bits_per_digit:
-        for ch in digits:
-            xz_mask <<= bits_per_digit
-            if ch in "xXzZ?":
-                xz_mask |= (1 << bits_per_digit) - 1
-    clean = re.sub(r"[xXzZ?]", "0", digits)
-    value = int(clean, radix) if clean else 0
+    if _XZ_RE.search(digits):
+        bits_per_digit = _DIGIT_BITS[base]
+        if bits_per_digit:
+            for ch in digits:
+                xz_mask <<= bits_per_digit
+                if ch in "xXzZ?":
+                    xz_mask |= (1 << bits_per_digit) - 1
+        digits = _XZ_RE.sub("0", digits)
+    value = int(digits, _RADIX[base]) if digits else 0
     if width is not None:
         value &= (1 << width) - 1
         xz_mask &= (1 << width) - 1

@@ -44,49 +44,58 @@ _BINARY_PREC = {
 
 _UNARY_OPS = frozenset(["+", "-", "!", "~", "&", "~&", "|", "~|", "^", "~^", "^~"])
 
+#: the statement a keyword opens, by the method that parses it
+_STMT_KEYWORDS = {
+    "begin": "_parse_block", "fork": "_parse_fork", "if": "_parse_if",
+    "case": "_parse_case", "casex": "_parse_case", "casez": "_parse_case",
+    "for": "_parse_for", "while": "_parse_while", "repeat": "_parse_repeat",
+}
+
 
 class Parser:
     """Stateful token-stream parser; use :func:`parse` instead."""
 
     def __init__(self, tokens: List[Token]):
-        self._tokens = tokens
-        self._idx = 0
+        self._next_token = iter(tokens).__next__
+        #: the current token; only :meth:`_advance` moves it
+        self._tok = self._next_token()
 
     # -- token helpers ----------------------------------------------------
-
-    @property
-    def _tok(self) -> Token:
-        return self._tokens[self._idx]
 
     def _advance(self) -> Token:
         tok = self._tok
         if tok.kind != "EOF":
-            self._idx += 1
+            self._tok = self._next_token()
         return tok
 
     def _expect_op(self, op: str) -> Token:
-        if not self._tok.is_op(op):
-            raise ParseError(f"expected {op!r}, found {self._tok.text!r}", self._tok.pos)
+        tok = self._tok
+        if tok.kind != "OP" or tok.text != op:
+            raise ParseError(f"expected {op!r}, found {tok.text!r}", tok.pos)
         return self._advance()
 
     def _expect_kw(self, kw: str) -> Token:
-        if not self._tok.is_kw(kw):
-            raise ParseError(f"expected {kw!r}, found {self._tok.text!r}", self._tok.pos)
+        tok = self._tok
+        if tok.kind != "KEYWORD" or tok.text != kw:
+            raise ParseError(f"expected {kw!r}, found {tok.text!r}", tok.pos)
         return self._advance()
 
     def _expect_id(self) -> Token:
-        if self._tok.kind != "ID":
-            raise ParseError(f"expected identifier, found {self._tok.text!r}", self._tok.pos)
+        tok = self._tok
+        if tok.kind != "ID":
+            raise ParseError(f"expected identifier, found {tok.text!r}", tok.pos)
         return self._advance()
 
     def _accept_op(self, op: str) -> bool:
-        if self._tok.is_op(op):
+        tok = self._tok
+        if tok.kind == "OP" and tok.text == op:
             self._advance()
             return True
         return False
 
     def _accept_kw(self, kw: str) -> bool:
-        if self._tok.is_kw(kw):
+        tok = self._tok
+        if tok.kind == "KEYWORD" and tok.text == kw:
             self._advance()
             return True
         return False
@@ -378,32 +387,20 @@ class Parser:
 
     def parse_stmt(self) -> ast.Stmt:
         tok = self._tok
-        if tok.is_op(";"):
+        kind, text = tok.kind, tok.text
+        if kind == "KEYWORD" and text in _STMT_KEYWORDS:
+            return getattr(self, _STMT_KEYWORDS[text])()
+        if kind == "SYSID":
+            return self._parse_systask()
+        if kind == "OP" and text == ";":
             self._advance()
             return ast.NullStmt(tok.pos)
-        if tok.is_kw("begin"):
-            return self._parse_block()
-        if tok.is_kw("fork"):
-            return self._parse_fork()
-        if tok.is_kw("if"):
-            return self._parse_if()
-        if tok.is_kw("case", "casex", "casez"):
-            return self._parse_case()
-        if tok.is_kw("for"):
-            return self._parse_for()
-        if tok.is_kw("while"):
-            return self._parse_while()
-        if tok.is_kw("repeat"):
-            return self._parse_repeat()
-        if tok.is_op("#"):
+        if kind == "OP" and text == "#":
             self._advance()
             delay = self._parse_primary()
-            if self._tok.is_op(";"):
-                self._advance()
+            if self._accept_op(";"):
                 return ast.DelayStmt(delay, None, tok.pos)
             return ast.DelayStmt(delay, self.parse_stmt(), tok.pos)
-        if tok.kind == "SYSID":
-            return self._parse_systask()
         return self._parse_assignment()
 
     def _parse_block(self) -> ast.Block:
@@ -540,41 +537,33 @@ class Parser:
             self._expect_op("}")
             return ast.Concat(tuple(parts), pos)
         tok = self._expect_id()
-        expr: ast.Expr = ast.Identifier(tok.text, tok.pos)
-        return self._parse_selects(expr)
+        return self._parse_selects(ast.Identifier(tok.text, tok.pos))
 
     def _parse_selects(self, expr: ast.Expr) -> ast.Expr:
-        while self._tok.is_op("["):
+        tok = self._tok
+        while tok.kind == "OP" and tok.text == "[":
             self._advance()
             first = self.parse_expr()
-            if self._accept_op(":"):
+            tok = self._tok
+            if tok.kind == "OP" and tok.text in (":", "+:", "-:"):
+                self._advance()
                 second = self.parse_expr()
                 self._expect_op("]")
-                expr = ast.RangeSelect(expr, first, second, ":")
-            elif self._accept_op("+:"):
-                width = self.parse_expr()
-                self._expect_op("]")
-                expr = ast.RangeSelect(expr, first, width, "+:")
-            elif self._accept_op("-:"):
-                width = self.parse_expr()
-                self._expect_op("]")
-                expr = ast.RangeSelect(expr, first, width, "-:")
+                expr = ast.RangeSelect(expr, first, second, tok.text)
             else:
                 self._expect_op("]")
                 expr = ast.Index(expr, first)
+            tok = self._tok
         return expr
 
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(1)
         if self._accept_op("?"):
-            if_true = self._parse_ternary()
+            if_true = self.parse_expr()
             self._expect_op(":")
-            if_false = self._parse_ternary()
+            if_false = self.parse_expr()
             return ast.Ternary(cond, if_true, if_false)
         return cond
 
@@ -605,37 +594,27 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._tok
-        if tok.kind == "NUMBER":
+        kind, text = tok.kind, tok.text
+        if kind == "ID":
             self._advance()
-            return ast.Number(int(tok.text.replace("_", "")), None, False, "d", tok.pos)
-        if tok.kind == "BASEDNUM":
+            return self._parse_selects(ast.Identifier(text, tok.pos))
+        if kind == "NUMBER":
             self._advance()
-            width, signed, base, value, xz_mask = parse_based_literal(tok.text)
+            return ast.Number(int(text.replace("_", "")), None, False, "d", tok.pos)
+        if kind == "BASEDNUM":
+            self._advance()
+            width, signed, base, value, xz_mask = parse_based_literal(text)
             return ast.Number(value, width, signed, base, tok.pos, xz_mask)
-        if tok.kind == "STRING":
-            self._advance()
-            return ast.String(tok.text, tok.pos)
-        if tok.kind == "SYSID":
-            self._advance()
-            args: List[ast.Expr] = []
-            if self._accept_op("("):
-                while not self._tok.is_op(")"):
-                    args.append(self.parse_expr())
-                    if not self._accept_op(","):
-                        break
-                self._expect_op(")")
-            return ast.SysCall(tok.text, tuple(args), tok.pos)
-        if tok.is_op("("):
+        if kind == "OP" and text == "(":
             self._advance()
             expr = self.parse_expr()
             self._expect_op(")")
             return self._parse_selects(expr)
-        if tok.is_op("{"):
+        if kind == "OP" and text == "{":
             self._advance()
             first = self.parse_expr()
-            if self._tok.is_op("{"):
+            if self._accept_op("{"):
                 # Replication {n{expr}}
-                self._advance()
                 value = self.parse_expr()
                 while self._accept_op(","):
                     value = ast.Concat((value, self.parse_expr()))
@@ -647,11 +626,20 @@ class Parser:
                 parts.append(self.parse_expr())
             self._expect_op("}")
             return self._parse_selects(ast.Concat(tuple(parts), tok.pos))
-        if tok.kind == "ID":
+        if kind == "STRING":
             self._advance()
-            expr: ast.Expr = ast.Identifier(tok.text, tok.pos)
-            return self._parse_selects(expr)
-        raise ParseError(f"unexpected token {tok.text!r} in expression", tok.pos)
+            return ast.String(text, tok.pos)
+        if kind == "SYSID":
+            self._advance()
+            args: List[ast.Expr] = []
+            if self._accept_op("("):
+                while not self._tok.is_op(")"):
+                    args.append(self.parse_expr())
+                    if not self._accept_op(","):
+                        break
+                self._expect_op(")")
+            return ast.SysCall(text, tuple(args), tok.pos)
+        raise ParseError(f"unexpected token {text!r} in expression", tok.pos)
 
 
 def parse(text: str, defines: Optional[dict] = None) -> ast.SourceFile:

@@ -236,6 +236,48 @@ class TestCrossProcessWarmth:
         _, stats = codegen()                    # this revision's own frame
         assert stats(KIND_CODEGEN).disk_hits == 1
 
+    def test_frames_holding_dataclass_positions_read_as_a_miss(self, tmp_path):
+        """``SourcePos`` was a frozen dataclass, pickled as ``NEWOBJ`` plus
+        a ``__dict__`` state; it is a tuple now.  Frames written then
+        (rebuilt here byte for byte) must fail to load, so each is a
+        counted miss and the value is rebuilt, never a ``(0, 0)``
+        position."""
+        import copyreg
+        import io
+
+        from repro.compiler.diskstore import _ArtifactPickler, loads_artifact
+        from repro.verilog.ast_nodes import SourcePos
+
+        class DataclassEraPickler(_ArtifactPickler):
+            def reducer_override(self, obj):
+                if type(obj) is SourcePos:
+                    self.positions += 1
+                    return (copyreg.__newobj__, (SourcePos,),
+                            {"line": obj.line, "column": obj.column})
+                return super().reducer_override(obj)
+
+        service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
+        want = service.compile_program(SRC)
+        old_frames = []
+        for kind_dir in tmp_path.iterdir():
+            for frame in (kind_dir.iterdir() if kind_dir.is_dir() else ()):
+                buf = io.BytesIO()
+                pickler = DataclassEraPickler(buf, protocol=5)
+                pickler.positions = 0
+                pickler.dump(loads_artifact(unframe_payload(frame.read_bytes())))
+                frame.write_bytes(frame_payload(buf.getvalue()))
+                if pickler.positions:
+                    old_frames.append(kind_dir.name)
+        assert {"parse", "program"} <= set(old_frames)
+
+        disk = DiskArtifactStore(tmp_path)
+        service2 = CompilerService(ArtifactStore(disk=disk))
+        got = service2.compile_program(SRC)
+        assert service2.store.stats().disk_hits == 0
+        assert disk.hits == 0 and disk.corrupt == disk.misses >= 2
+        assert repr(got.flat) == repr(want.flat)
+        assert got.flat.pos == want.flat.pos != SourcePos()
+
     def test_warmth_probe_sees_disk_artifacts(self, tmp_path):
         service = CompilerService(ArtifactStore(disk=DiskArtifactStore(tmp_path)))
         program = service.compile_program(SRC)

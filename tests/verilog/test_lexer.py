@@ -1,8 +1,13 @@
 """Tokenizer unit tests."""
 
-import pytest
+import re
 
-from repro.verilog.lexer import LexError, Preprocessor, parse_based_literal, tokenize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.verilog.lexer import (
+    KEYWORDS, OPERATORS, LexError, Preprocessor, parse_based_literal, tokenize,
+)
 
 
 def kinds(text):
@@ -149,6 +154,80 @@ class TestBasedLiteralDecoding:
     def test_unsized(self):
         width, _, base, value, _ = parse_based_literal("'d42")
         assert width is None and value == 42
+
+
+def _parse_based_literal_reference(text):
+    """``parse_based_literal`` before its tables and pattern were
+    hoisted and its mask loop skipped for x/z-free digits, frozen."""
+    text = text.strip()
+    width = None
+    tick = text.index("'")
+    if tick > 0:
+        width = int(text[:tick].replace("_", ""))
+    rest = text[tick + 1:].strip()
+    signed = False
+    if rest and rest[0] in "sS":
+        signed = True
+        rest = rest[1:].strip()
+    base = rest[0].lower()
+    digits = rest[1:].replace("_", "")
+    radix = {"b": 2, "o": 8, "d": 10, "h": 16}[base]
+    bits_per_digit = {"b": 1, "o": 3, "d": 0, "h": 4}[base]
+    xz_mask = 0
+    if bits_per_digit:
+        for ch in digits:
+            xz_mask <<= bits_per_digit
+            if ch in "xXzZ?":
+                xz_mask |= (1 << bits_per_digit) - 1
+    clean = re.sub(r"[xXzZ?]", "0", digits)
+    value = int(clean, radix) if clean else 0
+    if width is not None:
+        value &= (1 << width) - 1
+        xz_mask &= (1 << width) - 1
+    return width, signed, base, value, xz_mask
+
+
+_DIGITS = {"b": "01", "o": "01234567", "d": "0123456789",
+           "h": "0123456789abcdefABCDEF"}
+_blanks = st.text(" \t\n", max_size=2)
+
+
+@st.composite
+def based_literals(draw):
+    """Width (with ``_``), ``s``/``S``, base in either case, digits of
+    that base with ``_`` and x/z/? (a decimal may be all ``x``), and a
+    blank run between any two parts."""
+    base = draw(st.sampled_from("bodh"))
+    alphabet = _DIGITS[base] + "_" + ("xXzZ?" if base != "d" else "")
+    digits = draw(st.one_of(
+        st.text(alphabet, min_size=1, max_size=20),
+        st.sampled_from(["x", "X", "z", "?", "_"]) if base == "d" else st.nothing(),
+    ))
+    width = draw(st.one_of(st.just(""), st.from_regex(r"[1-9][0-9_]{0,2}", fullmatch=True)))
+    parts = [draw(_blanks), width, draw(_blanks), "'", draw(_blanks),
+             draw(st.sampled_from(["", "s", "S"])), draw(_blanks),
+             draw(st.sampled_from([base, base.upper()])), draw(_blanks),
+             digits, draw(_blanks)]
+    return "".join(parts)
+
+
+def _decode_outcome(decode, text):
+    try:
+        return decode(text)
+    except ValueError as err:  # digits that are only blanks once ``_`` goes
+        return type(err), str(err)
+
+
+class TestBasedLiteralParity:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(based_literals())
+    def test_matches_the_frozen_decoder(self, text):
+        assert _decode_outcome(parse_based_literal, text) == \
+            _decode_outcome(_parse_based_literal_reference, text)
+
+    @pytest.mark.parametrize("text", ["8'dx", "8'd?", "'dz", "4'b1x0z", "8'h_", "'sh x_F"])
+    def test_xz_digits(self, text):
+        assert parse_based_literal(text) == _parse_based_literal_reference(text)
 
 
 def _tokenize_reference(text, defines=None):
@@ -364,3 +443,119 @@ class TestCommentRegexEquivalence:
             _strip_comments(text)
         assert str(got.value) == str(want.value)
         assert got.value.pos == want.value.pos
+
+
+class TestPositionsAfterMultiLineTokens:
+    """A newline inside a based literal or a string moves the line of
+    every later token, and its column counts from that newline."""
+
+    def test_based_literal_with_a_newline_before_its_digits(self):
+        toks = tokenize("a = 8'h\n FF;\nb")
+        assert [(t.text, str(t.pos)) for t in toks] == [
+            ("a", "1:1"), ("=", "1:3"), ("8'h\n FF", "1:5"), (";", "2:4"),
+            ("b", "3:1"), ("", "3:2")]
+
+    def test_string_holding_a_raw_newline(self):
+        toks = tokenize('$display("one\ntwo"); x\n  y')
+        assert [(t.text, str(t.pos)) for t in toks[2:-1]] == [
+            ("one\ntwo", "1:10"), (")", "2:5"), (";", "2:6"), ("x", "2:8"),
+            ("y", "3:3")]
+
+    def test_parse_error_points_at_the_right_line(self):
+        from repro.verilog import parse
+        from repro.verilog.parser import ParseError
+
+        with pytest.raises(ParseError) as err:
+            parse("module m;\n  wire [7:0] w = 8'h\n    FF;\n  wire ;\nendmodule")
+        assert str(err.value.pos) == "4:8"
+
+
+# -- lexer differential -------------------------------------------------------
+
+def _joined(*parts):
+    """A strategy for the concatenation of one draw from each part."""
+    return st.tuples(*parts).map("".join)
+
+
+_ID_START = "abcxyzAZ_"
+_WORD = _ID_START + "09$"
+_SINGLE_LINE_PIECES = st.one_of(
+    st.sampled_from(OPERATORS),
+    st.sampled_from(sorted(KEYWORDS)),
+    _joined(st.sampled_from(_ID_START), st.text(_WORD, max_size=5)),
+    _joined(st.just("$"), st.sampled_from(_ID_START), st.text(_WORD, max_size=5)),
+    _joined(st.sampled_from("0123456789"), st.text("09_", max_size=4)),
+    _joined(st.sampled_from(["", "8", "1_6"]), st.just("'"), st.sampled_from(["", " ", "\t"]),
+            st.sampled_from(["", "s"]), st.sampled_from("bBoOdDhH"),
+            st.sampled_from(["", " "]), st.text("019afAFxXzZ_?", min_size=1, max_size=6)),
+    st.lists(st.sampled_from(["a", " ", "//", "/*", "\\n", "\\t", '\\"', "\\\\"]),
+             max_size=5).map(lambda units: '"' + "".join(units) + '"'),
+    st.sampled_from(["(*", "*)", "(* keep *)", "(* a = 1, b *)"]),
+    _joined(st.just("\\"), st.text("a+-*/()[]{}$'`\\", min_size=1, max_size=5),
+            st.just(" ")),
+)
+_COMMENTS = st.one_of(
+    st.text("ab */\"", max_size=8).map(lambda body: "//" + body + "\n"),
+    st.text("ab *\n\"", max_size=8).map(
+        lambda body: "/*" + body.replace("*", "* ") + "*/"),
+)
+_BLANK_RUNS = st.text(" \t\r\f\n", min_size=1, max_size=4)
+
+
+#: operators, ids, keywords, numbers, based literals, strings,
+#: attributes and escaped ids, with comments and blank/newline runs (or
+#: nothing) between them.  No token holds a raw newline, so the frozen
+#: loop's positions are the right ones.
+token_soups = st.lists(
+    _joined(st.one_of(_SINGLE_LINE_PIECES, _COMMENTS),
+            st.one_of(st.just(""), st.just(" "), _BLANK_RUNS)),
+    max_size=20,
+).map("".join)
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text)
+    except LexError as err:
+        return (str(err), err.pos)
+
+
+def _where(text, index):
+    """``line:column`` of *index*, counting every newline before it."""
+    line = text.count("\n", 0, index) + 1
+    column = index - text.rfind("\n", 0, index)
+    return f"{line}:{column}"
+
+
+class TestLexerDifferential:
+    """``tokenize`` against the frozen loop on random token soups: the
+    same tokens, or the same ``LexError`` at the same position."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(token_soups)
+    def test_same_tokens_as_the_frozen_loop(self, text):
+        assert _lex_outcome(tokenize, text) == _lex_outcome(_tokenize_reference, text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(token_soups, st.sampled_from(["'", "$", "`", '"', "/*"]), token_soups)
+    def test_malformed_input_raises_where_the_frozen_loop_did(self, head, bad, tail):
+        """A bare ``'``/``$``, a stray backtick, or a string or block
+        comment that never closes, after a soup that lexes."""
+        try:
+            _tokenize_reference(head)
+            _tokenize_reference(tail)
+        except LexError:
+            return
+        text = head + " " + bad + (";" + tail if bad in "'$`" else " never closed")
+        at = len(head) + 1
+        message = {"'": "malformed based literal", "$": "malformed system identifier",
+                   "`": "unexpected character '`'", '"': "unterminated string",
+                   "/*": "unterminated block comment"}[bad]
+        where = _where(text, at)
+        if bad in ('"', "/*"):  # reported by the comment pass, at column 1
+            where = where.split(":")[0] + ":1"
+        with pytest.raises(LexError) as got:
+            tokenize(text)
+        assert str(got.value) == f"{where}: {message}"
+        if bad not in "'$":   # the frozen loop crashes on these two
+            assert _lex_outcome(_tokenize_reference, text) == (str(got.value), got.value.pos)

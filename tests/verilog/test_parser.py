@@ -309,3 +309,25 @@ class TestModules:
     def test_unclosed_module_raises(self):
         with pytest.raises(ParseError):
             parse_module("module m(); reg x;")
+
+
+class TestNodesStayFrozen:
+    """Passes share one parse between tenants; a node that could be
+    assigned would let one tenant's pass corrupt another's tree."""
+
+    def test_every_node_class_refuses_assignment(self):
+        import dataclasses
+
+        bases = (ast.Node, ast.Expr, ast.Stmt, ast.Item)
+        classes = [cls for cls in vars(ast).values()
+                   if isinstance(cls, type) and issubclass(cls, ast.Node)
+                   and cls not in bases]
+        assert len(classes) > 30
+        for cls in classes:
+            assert dataclasses.is_dataclass(cls), cls.__name__
+            fields = dataclasses.fields(cls)
+            required = [f for f in fields if f.default is dataclasses.MISSING
+                        and f.default_factory is dataclasses.MISSING]
+            node = cls(*[None] * len(required))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, fields[0].name, None)
