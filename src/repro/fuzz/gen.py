@@ -26,12 +26,12 @@ are specified to agree:
 * combinational logic (continuous assigns and ``@*`` registers) forms
   a single-driver DAG, so its fixpoint is unique regardless of
   activation order;
-* ``$write``/``$time``/``$random`` are excluded: ``$write`` buffers
-  differently across trap servicing and native execution, and
-  ``$random``'s PRNG state lives in the ``TaskHost``, which a migration
-  context does not carry.  ``$time`` does travel (``Context.time``);
-  the grammar simply never grew it — ``tests/corpus/
-  time_across_moves.v`` is what puts it through the oracle.
+* ``$write``/``$time``/``$random`` are excluded.  ``$random``'s PRNG
+  state lives in the ``TaskHost``, which a migration context does not
+  carry.  ``$write`` and ``$time`` do travel (``Context.write_buffer``,
+  ``Context.time``); they stay out only so seeds 0-399 and the front-end
+  golden keep their programs, and ``tests/corpus/write_across_moves.v``
+  and ``time_across_moves.v`` put them through every path.
 
 Everything is derived from one ``random.Random(seed)``, so a seed
 fully reproduces a program (and its suggested tick count).

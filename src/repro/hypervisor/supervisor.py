@@ -161,12 +161,12 @@ class Supervisor:
         Leaves the current residence (a lane detaches; a board slot is
         released, which a dead board cannot veto), rebuilds the runtime
         when the move carries a *context* (everything that travels —
-        state, ``$time``, VFS, display log — is in it; the rebuilt clock
-        starts no earlier than *not_before* and is charged the restore
-        latency, which is returned), and arrives: a board attaches, a
-        lane joins, a scalar engine is built only for state that left a
-        lane.  ``None`` is nowhere: admission moves from it, release to
-        it.
+        state, ``$time``, VFS, display log, pending ``$write`` text — is
+        in it; the rebuilt clock starts no earlier than *not_before* and
+        is charged the restore latency, which is returned), and
+        arrives: a board attaches, a lane joins, a scalar engine is
+        built only for state that left a lane.  ``None`` is nowhere:
+        admission moves from it, release to it.
         """
         old = tenant.runtime
         origin = tenant.residence if tenant.name in self.tenants else None

@@ -800,10 +800,9 @@ class _LaneEmitter:
         line = (f"verilog_format({args[0].value!r}, [{', '.join(parts)}])"
                 if formatted else f"' '.join([{', '.join(parts)}])")
         if name == "$write":
-            self._emit(ind + 1, f"st.wbuf[{lane}] += {line}")
+            self._emit(ind + 1, f"st.hosts[{lane}].write({line})")
         else:
-            self._emit(ind + 1, f"st.hosts[{lane}].display(st.wbuf[{lane}] + {line})")
-            self._emit(ind + 1, f"st.wbuf[{lane}] = ''")
+            self._emit(ind + 1, f"st.hosts[{lane}].display({line})")
 
     # -- stores -------------------------------------------------------------
 
@@ -959,9 +958,9 @@ class BatchedCohort:
         self.lanes = np.zeros(0, dtype=np.intp)
         #: every lane alive?  (``ALL``: one mask never written in place)
         self.alive_all = True
-        #: per lane: host, ``$write`` buffer, memory-name shadow scalars
+        #: per lane: host (``$write`` text pending included) and
+        #: memory-name shadow scalars
         self.hosts: List[TaskHost] = []
-        self.wbuf: List[str] = []
         self.misc: List[Dict[str, int]] = []
         #: pending NBAs, queued processes and the lanes each fired in
         self.nba, self.queue, self.qmask = [], [], {}
@@ -998,9 +997,8 @@ class BatchedCohort:
                                .reshape(-1, 1)])
         self.alive = np.append(self.alive, not host.finished)
         self.times = np.append(self.times, np.uint64(scalar.time))
-        for per_lane, value in ((self.hosts, host), (self.wbuf, scalar._write_buffer),
-                                (self.misc, dict(scalar.store._misc))):
-            per_lane.append(value)
+        self.hosts.append(host)
+        self.misc.append(dict(scalar.store._misc))
         self.n += 1
         self._resized()
         return self.n - 1
@@ -1014,8 +1012,8 @@ class BatchedCohort:
                                   for row in (self.alive, self.times))
         for name in self.mems:
             self.mems[name] = np.delete(self.mems[name], lane, axis=0)
-        for per_lane in (self.hosts, self.wbuf, self.misc):
-            per_lane.pop(lane)
+        self.hosts.pop(lane)
+        self.misc.pop(lane)
         self.n -= 1
         self._resized()
 

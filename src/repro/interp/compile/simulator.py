@@ -361,7 +361,6 @@ class CompiledSimulator(InterpSimulator):
         #: an entry state period() cannot assume)
         self.slow_periods = 0
         self._nba: List[tuple] = []
-        self._write_buffer = ""
         schedule = code.schedule
         nprocs = len(schedule.processes)
         #: process runs one settle may make before it is declared divergent

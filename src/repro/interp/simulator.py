@@ -27,7 +27,7 @@ from ..verilog.rewrite import collect_identifiers, lvalue_reads, stmt_identifier
 from ..verilog.width import WidthEnv, mask
 from .eval_expr import EvalError, Evaluator
 from .store import Store
-from .systasks import FinishSignal, TaskHost, verilog_format
+from .systasks import FinishSignal, TaskHost
 
 _MAX_LOOP_ITERATIONS = 1 << 21
 _MAX_SETTLE_ROUNDS = 10_000
@@ -99,7 +99,6 @@ class InterpSimulator:
         self._dirty: Dict[str, None] = {}
         self._run_queue: List[_Process] = []
         self._nba: List[Tuple[ast.Expr, int]] = []
-        self._write_buffer = ""
         self._processes: List[_Process] = []
         self._dep_map: Dict[str, List[_Process]] = {}
         self._build_processes()
@@ -417,75 +416,14 @@ class InterpSimulator:
 
     # -- system tasks / functions -------------------------------------------------
 
-    def _format_args(self, args: Sequence[ast.Expr]) -> str:
-        if args and isinstance(args[0], ast.String) and "%" in args[0].value:
-            values: List[object] = []
-            for arg in args[1:]:
-                if isinstance(arg, ast.String):
-                    values.append(arg.value)
-                else:
-                    values.append(self.evaluator.eval(arg))
-            return verilog_format(args[0].value, values)
-        rendered = []
-        for arg in args:
-            if isinstance(arg, ast.String):
-                rendered.append(arg.value)
-            else:
-                rendered.append(str(self.evaluator.eval(arg)))
-        return " ".join(rendered)
-
     def _exec_systask(self, stmt: ast.SysTask) -> None:
-        name = stmt.name
-        if name in ("$display", "$strobe", "$monitor"):
-            self.host.display(self._write_buffer + self._format_args(stmt.args))
-            self._write_buffer = ""
+        name, args = stmt.name, stmt.args
+        if name in ("$readmemh", "$readmemb") and len(args) == 2:
+            # (writes the store directly: the interpreter's own task)
+            self._readmem(args[0], args[1], 16 if name == "$readmemh" else 2)
             return
-        if name == "$write":
-            self._write_buffer += self._format_args(stmt.args)
-            return
-        if name in ("$fdisplay", "$fwrite"):
-            fd = self.evaluator.eval(stmt.args[0])
-            text = self._format_args(stmt.args[1:])
-            if name == "$fdisplay":
-                text += "\n"
-            self.host.vfs.fwrite(fd, text)
-            return
-        if name == "$fread":
-            fd = self.evaluator.eval(stmt.args[0])
-            dest = stmt.args[1]
-            width = self.env.width_of(dest)
-            word = self.host.vfs.fread_word(fd, width)
-            if word is not None:
-                self.evaluator.assign(dest, word)
-            return
-        if name == "$fclose":
-            self.host.vfs.fclose(self.evaluator.eval(stmt.args[0]))
-            return
-        if name in ("$finish", "$stop"):
-            code = self.evaluator.eval(stmt.args[0]) if stmt.args else 0
-            self.host.finish(code)
-            return
-        if name == "$save":
-            self.host.request_save()
-            return
-        if name == "$restart":
-            self.host.request_restart()
-            return
-        if name == "$yield":
-            self.host.assert_yield()
-            return
-        if name == "$srandom":
-            seed = self.evaluator.eval(stmt.args[0]) if stmt.args else 1
-            self.host._rand_state = seed or 1
-            return
-        if name == "$readmemh" and len(stmt.args) == 2:
-            self._readmem(stmt.args[0], stmt.args[1], 16)
-            return
-        if name == "$readmemb" and len(stmt.args) == 2:
-            self._readmem(stmt.args[0], stmt.args[1], 2)
-            return
-        # Unknown tasks are logged but non-fatal, matching simulator habits.
-        self.host.display(f"[unsupported system task {name}]")
+        self.host.perform(name, args, self.evaluator.eval,
+                          self.evaluator.assign, self.env.width_of)
 
     def _readmem(self, path_arg: ast.Expr, mem_arg: ast.Expr, radix: int) -> None:
         if not isinstance(path_arg, ast.String) or not isinstance(mem_arg, ast.Identifier):
@@ -504,24 +442,13 @@ class InterpSimulator:
 
     def _sysfunc(self, expr: ast.SysCall, width: int) -> int:
         name = expr.name
-        if name == "$fopen":
-            path = expr.args[0].value if isinstance(expr.args[0], ast.String) else ""
-            mode = (expr.args[1].value
-                    if len(expr.args) > 1 and isinstance(expr.args[1], ast.String)
-                    else "r")
-            return self.host.vfs.fopen(path, mode)
-        if name == "$feof":
-            return self.host.vfs.feof(self.evaluator.eval(expr.args[0]))
-        if name == "$fgetc":
-            return self.host.vfs.fgetc(self.evaluator.eval(expr.args[0]))
-        if name in ("$time", "$stime"):
-            return self.time
-        if name in ("$random", "$urandom"):
-            return self.host.random()
         if name == "$clog2":
             value = self.evaluator.eval(expr.args[0])
             return max(0, (value - 1).bit_length())
-        raise EvalError(f"unsupported system function {name}")
+        value = self.host.query(name, expr.args, self.evaluator.eval, self.time)
+        if value is None:
+            raise EvalError(f"unsupported system function {name}")
+        return value
 
     # -- state capture -----------------------------------------------------------
 

@@ -1,18 +1,26 @@
 """System task/function host: the software side of unsynthesizable Verilog.
 
 In Cascade/Synergy, unsynthesizable constructs are serviced by the
-runtime.  :class:`TaskHost` is that service surface for the software
-interpreter: it owns the virtual filesystem, the display log, the
-finish/yield/save/restart flags, and the random generator.  Hardware
-engines reach the *same* host through ABI traps, which is what makes
-hardware file IO and ``$save``/``$restart`` work (§3 of the paper).
+runtime.  :class:`TaskHost` is that service surface, and the one place
+a task's meaning is written: it owns the virtual filesystem, the
+display log and the pending ``$write`` text, the finish/yield/save/
+restart flags, and the random generator, and :meth:`TaskHost.perform`
+and :meth:`TaskHost.query` carry out every task and host function.  A
+carrier only reads arguments and writes destinations: the interpreter
+through its evaluator, a hardware engine through ABI traps (§3.4-3.5),
+which is what makes hardware file IO and ``$save``/``$restart`` do
+what they do in software.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
+from ..verilog import ast_nodes as ast
 from .vfs import VirtualFS
+
+#: how a carrier reads a (non-string) argument's value
+Reader = Callable[[ast.Expr], int]
 
 
 class FinishSignal(Exception):
@@ -85,6 +93,18 @@ def verilog_format(fmt: str, values: List[object]) -> str:
     return "".join(out)
 
 
+def format_args(args: Sequence[ast.Expr], read: Reader) -> str:
+    """An output task's text: a format string and the values it
+    converts, or every argument joined by a space.  String arguments
+    are their text; *read* gives any other argument's value."""
+    def value(arg: ast.Expr):
+        return arg.value if isinstance(arg, ast.String) else read(arg)
+
+    if args and isinstance(args[0], ast.String) and "%" in args[0].value:
+        return verilog_format(args[0].value, [value(a) for a in args[1:]])
+    return " ".join(str(value(a)) for a in args)
+
+
 class TaskHost:
     """Services unsynthesizable tasks for one program instance."""
 
@@ -93,48 +113,96 @@ class TaskHost:
         self.vfs = vfs if vfs is not None else VirtualFS()
         self.echo = echo
         self.display_log: List[str] = []
+        #: ``$write`` text no ``$display`` has ended yet: the tenant's,
+        #: so it stays put across engine swaps and travels in a Context
+        self.write_buffer = ""
         self.finished = False
         self.finish_code = 0
         self.yield_asserted = False
         self.save_requested = False
         self.restart_requested = False
         self._rand_state = seed & 0xFFFFFFFF or 1
-        # Optional runtime hooks, installed by the Cascade runtime so that
-        # $save/$restart trap into the virtualization layer.
-        self.on_save: Optional[Callable[[], None]] = None
-        self.on_restart: Optional[Callable[[], None]] = None
-        self.on_yield: Optional[Callable[[], None]] = None
 
-    # -- output tasks -------------------------------------------------------
+    # -- the tasks ------------------------------------------------------------
+
+    def perform(self, name: str, args: Sequence[ast.Expr], read: Reader,
+                assign: Callable[[ast.Expr, int], None],
+                width_of: Callable[[ast.Expr], int]) -> None:
+        """Carry out system task *name* on *args*.
+
+        The carrier says how to read an argument (*read*), how to store
+        ``$fread``'s word into its destination (*assign*) and how wide
+        that destination is (*width_of*).  ``$finish`` raises
+        :class:`FinishSignal`; a task the host does not know is logged,
+        not fatal, as simulators do.
+        """
+        if name in ("$display", "$strobe", "$monitor"):
+            self.display(format_args(args, read))
+        elif name == "$write":
+            self.write(format_args(args, read))
+        elif name in ("$fdisplay", "$fwrite"):
+            fd = int(read(args[0]))
+            text = format_args(args[1:], read)
+            self.vfs.fwrite(fd, text + "\n" if name == "$fdisplay" else text)
+        elif name == "$fread":
+            fd, dest = int(read(args[0])), args[1]
+            word = self.vfs.fread_word(fd, width_of(dest))
+            if word is not None:
+                assign(dest, word)
+        elif name == "$fclose":
+            self.vfs.fclose(int(read(args[0])))
+        elif name in ("$finish", "$stop"):
+            self.finish(int(read(args[0])) if args else 0)
+        elif name == "$save":  # the runtime acts on the flags between ticks
+            self.save_requested = True
+        elif name == "$restart":
+            self.restart_requested = True
+        elif name == "$yield":
+            self.yield_asserted = True
+        elif name == "$srandom":
+            self._rand_state = (int(read(args[0])) if args else 1) or 1
+        else:
+            self._log(f"[unsupported system task {name}]")
+
+    def query(self, name: str, args: Sequence[ast.Expr], read: Reader,
+              time: int) -> Optional[int]:
+        """The value of host function *name* at ``$time`` *time*, or
+        ``None`` for one the host does not serve (each carrier raises
+        its own error for that)."""
+        if name == "$fopen":
+            path = args[0].value if isinstance(args[0], ast.String) else ""
+            mode = (args[1].value
+                    if len(args) > 1 and isinstance(args[1], ast.String) else "r")
+            return self.vfs.fopen(path, mode)
+        if name == "$feof":
+            return self.vfs.feof(int(read(args[0])))
+        if name == "$fgetc":
+            return self.vfs.fgetc(int(read(args[0])))
+        if name in ("$random", "$urandom"):
+            return self.random()
+        if name in ("$time", "$stime"):
+            return time
+        return None
+
+    # -- output, finish, random -----------------------------------------------
+
+    def write(self, text: str) -> None:
+        self.write_buffer += text
 
     def display(self, text: str) -> None:
-        self.display_log.append(text)
-        if self.echo:
-            print(text)
+        """End the line: the pending ``$write`` text, then *text*."""
+        self._log(self.write_buffer + text)
+        self.write_buffer = ""
 
-    # -- control tasks --------------------------------------------------------
+    def _log(self, line: str) -> None:
+        self.display_log.append(line)
+        if self.echo:
+            print(line)
 
     def finish(self, code: int = 0) -> None:
         self.finished = True
         self.finish_code = code
         raise FinishSignal(code)
-
-    def request_save(self) -> None:
-        self.save_requested = True
-        if self.on_save is not None:
-            self.on_save()
-
-    def request_restart(self) -> None:
-        self.restart_requested = True
-        if self.on_restart is not None:
-            self.on_restart()
-
-    def assert_yield(self) -> None:
-        self.yield_asserted = True
-        if self.on_yield is not None:
-            self.on_yield()
-
-    # -- value-returning functions ----------------------------------------------
 
     def random(self) -> int:
         """xorshift32 — deterministic across runs and platforms."""

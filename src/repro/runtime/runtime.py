@@ -53,6 +53,9 @@ class Context:
     #: ``$time`` at the suspend point (a snapshot pickled before this
     #: field existed loads through the class default)
     time: int = 0
+    #: ``$write`` text no ``$display`` has ended yet (defaulted, as
+    #: ``time`` is, for a snapshot pickled before it travelled)
+    write_buffer: str = ""
 
 
 @dataclass
@@ -178,7 +181,6 @@ class Runtime:
                 or self._codegen_warm()):
             self._rented = None
             self.adopt_software(rented.snapshot(), rented.time)
-            self.engine.sim._write_buffer = rented.sim._write_buffer
             self.log("tier_up", spent)
 
     def adopt_software(self, state: Dict[str, object], time: int) -> None:
@@ -360,6 +362,7 @@ class Runtime:
             ticks=self.ticks,
             display_log=list(self.host.display_log),
             time=self.engine.time,
+            write_buffer=self.host.write_buffer,
         )
 
     def restore_context(self, context: Context) -> None:
@@ -372,6 +375,7 @@ class Runtime:
         self.host.vfs.restore(context.vfs_state)
         self.host.finished = False
         self.host.finish_code = 0
+        self.host.write_buffer = context.write_buffer
         self.engine.restore(context.state)
         self.engine.time = context.time
         self.ticks = context.ticks

@@ -96,10 +96,11 @@ _OPENER_ERRORS = {'"': "unterminated string", "'": "malformed based literal",
                   "$": "malformed system identifier"}
 
 
-#: a line comment, a block comment or a string — then, so that each is
+#: a line comment, a block comment, a string or an escaped identifier
+#: (which may hold ``"``, ``//`` or ``/*``) — then, so that each is
 #: reported where it opens, a block comment or string that never closes
 _COMMENT_RE = re.compile(
-    r'//[^\n]*|/\*[\s\S]*?\*/|' + _STRING_RE.pattern + r'|/\*|"')
+    r'//[^\n]*|/\*[\s\S]*?\*/|' + _STRING_RE.pattern + r'|\\\S*|/\*|"')
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
@@ -109,7 +110,7 @@ def _blank_comment(m: re.Match[str]) -> str:
         what = "string" if found == '"' else "block comment"
         raise LexError(f"unterminated {what}", SourcePos(
             m.string.count("\n", 0, m.start()) + 1, 1))
-    return found if found[0] == '"' else _NOT_NEWLINE_RE.sub(" ", found)
+    return found if found[0] in '"\\' else _NOT_NEWLINE_RE.sub(" ", found)
 
 
 def _strip_comments(text: str) -> str:

@@ -1,6 +1,7 @@
 """Runtime instance tests: JIT transitions, suspend/resume, $save."""
 
 import os
+import pickle
 import struct
 
 import pytest
@@ -174,6 +175,30 @@ class TestSuspendResume:
                            moved.finished, moved.engine.time))
         assert landed[0] == landed[1]
         assert landed[0][1:] == (context.ticks + 2, True, context.time + 2)
+
+    def test_the_pending_write_text_travels_in_the_context(self):
+        writer = """
+            module m(input wire clock);
+              reg [7:0] n = 0;
+              always @(posedge clock) begin
+                n <= n + 1;
+                $write("w%0d ", n);
+                if (n == 3) $display("n=%0d", n);
+              end
+            endmodule
+        """
+        runtime = Runtime(writer)
+        runtime.tick(2)
+        context = pickle.loads(pickle.dumps(suspend(runtime)))
+        assert context.write_buffer == "w0 w1 "
+        moved = rehydrate(context, name="moved")
+        moved.tick(2)
+        assert moved.host.display_log == ["w0 w1 w2 w3 n=3"]
+        # A context pickled before the field existed loads without it.
+        del context.__dict__["write_buffer"]
+        old = pickle.loads(pickle.dumps(context))
+        assert old.write_buffer == ""
+        assert rehydrate(old, name="old").host.write_buffer == ""
 
 
 class TestTelemetry:

@@ -470,6 +470,25 @@ class TestPositionsAfterMultiLineTokens:
         assert str(err.value.pos) == "4:8"
 
 
+class TestEscapedIdsInTheCommentPass:
+    """An escaped identifier runs to the next blank, so a ``"``, ``//``
+    or ``/*`` inside one opens no string or comment."""
+
+    @pytest.mark.parametrize("text, want", [
+        ('reg \\a"b ;', [("reg", "1:1"), ('a"b', "1:5"), (";", "1:10")]),
+        ("reg \\a//b ;\nwire w;",
+         [("reg", "1:1"), ("a//b", "1:5"), (";", "1:11"), ("wire", "2:1"),
+          ("w", "2:6"), (";", "2:7")]),
+        ("reg \\a/*b ;\nwire w; // */ x",
+         [("reg", "1:1"), ("a/*b", "1:5"), (";", "1:11"), ("wire", "2:1"),
+          ("w", "2:6"), (";", "2:7")]),
+    ])
+    def test_tokens_after_the_escaped_id_stay_where_they_are(self, text, want):
+        toks = tokenize(text)[:-1]
+        assert [(t.text, str(t.pos)) for t in toks] == want
+        assert toks[1].kind == "ID"
+
+
 # -- lexer differential -------------------------------------------------------
 
 def _joined(*parts):
