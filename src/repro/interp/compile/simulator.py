@@ -875,13 +875,13 @@ class CompiledSimulator(InterpSimulator):
                 + len(self._proc_queue) + len(self._nba)
                 + len(self.store.dirty_list))
 
-    def _defer(self, lhs: ast.Expr, value: int) -> None:
+    def _defer(self, target: tuple, value: int) -> None:
         """An NBA the reference interpreter ran queues like a compiled
-        one: ``(applier, lvalue, value)``, called as ``e[0](e)``."""
-        self._nba.append((self._assign_entry, lhs, value))
+        one: ``(applier, target, value)``, called as ``e[0](e)``."""
+        self._nba.append((self._assign_entry, target, value))
 
     def _assign_entry(self, entry: tuple) -> None:
-        self.evaluator.assign(entry[1], entry[2])
+        self.evaluator.write(entry[1], entry[2])
 
     def _latch(self) -> None:
         """The update region: apply the NBA queue, wake what it changed.

@@ -173,13 +173,6 @@ class SlotStore(Store):
 
     # -- memory access -------------------------------------------------------
 
-    def mem_get(self, name: str, addr: int) -> int:
-        memory, base, _, _ = self._mem_info[name]
-        idx = addr - base
-        if 0 <= idx < len(memory):
-            return memory[idx]
-        return 0
-
     def mem_set(self, name: str, addr: int, value: int, notify: bool = True) -> bool:
         memory, base, word_mask, slot = self._mem_info[name]
         idx = addr - base

@@ -4,14 +4,23 @@ Implements Verilog-2005 sizing semantics for the 2-state subset: every
 operand of a context-determined operator is evaluated at the expression's
 final width, so carries and wraparound behave exactly as they would in a
 hardware netlist of that width.
+
+A node is resolved once per :class:`WidthEnv`, on first use, into a
+*plan entry* ``(fn, width, signed, node, pure, ...)`` in ``env.plan``
+under ``id(node)``: the method for its type and operator, its
+self-determined width and signedness, the node (keeping its id), whether
+evaluating it has no side effect, then the method's operand entries and
+constants.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional
 
+from ..opt.ir import PURE_SYSFUNCS
 from ..verilog import ast_nodes as ast
-from ..verilog.width import WidthEnv, WidthError, const_eval, mask, to_signed
+from ..verilog.width import WidthEnv, const_eval, to_signed
 
 # System functions the evaluator resolves through a callback; everything
 # else in expression position is an error.
@@ -22,6 +31,24 @@ class EvalError(Exception):
     """Raised when an expression cannot be evaluated."""
 
 
+_REDUCE = {  # ! and the reductions: (operand value, its all-ones) -> bit
+    "!": lambda v, ones: int(v == 0), "~|": lambda v, ones: int(v == 0),
+    "|": lambda v, ones: int(v != 0), "&": lambda v, ones: int(v == ones),
+    "~&": lambda v, ones: int(v != ones),
+    "^": lambda v, ones: bin(v).count("1") & 1,
+    "~^": lambda v, ones: (bin(v).count("1") & 1) ^ 1,
+    "^~": lambda v, ones: (bin(v).count("1") & 1) ^ 1,
+}
+_COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "===": operator.eq,
+    "!==": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "~^": lambda a, b: ~(a ^ b), "^~": lambda a, b: ~(a ^ b)}
+_BITWISE = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
 class Evaluator:
     """Evaluates expressions and applies assignments for one module."""
 
@@ -30,249 +57,321 @@ class Evaluator:
         self.store = store
         self.sysfunc = sysfunc
         self.ops_evaluated = 0  # perf counter: expression nodes evaluated
+        self.plan = env.plan
 
     # -- evaluation -------------------------------------------------------
 
     def eval(self, expr: ast.Expr, context_width: int = 0) -> int:
         """Evaluate *expr*; result is masked to max(self, context) width."""
-        width = max(self.env.width_of(expr), context_width)
-        return self._eval(expr, width)
+        e = self.plan.get(id(expr)) or self.entry(expr)
+        return e[0](self, e, e[1] if e[1] > context_width else context_width)
 
     def eval_bool(self, expr: ast.Expr) -> bool:
         """Evaluate *expr* for truthiness (self-determined width)."""
-        return self._eval(expr, self.env.width_of(expr)) != 0
+        e = self.plan.get(id(expr)) or self.entry(expr)
+        return e[0](self, e, e[1]) != 0
 
     def _eval(self, expr: ast.Expr, width: int) -> int:
-        self.ops_evaluated += 1
-        if isinstance(expr, ast.Number):
-            return mask(expr.value, width) if width else expr.value
-        if isinstance(expr, ast.String):
-            value = 0
-            for ch in expr.value:
-                value = (value << 8) | ord(ch)
-            return mask(value, width)
-        if isinstance(expr, ast.Identifier):
-            if expr.name in self.env.params:
-                return mask(self.env.params[expr.name], width)
-            sig = self.env.signal(expr.name)
-            if sig.is_memory:
-                raise EvalError(f"memory {expr.name!r} used without an index")
-            return mask(self.store.get(expr.name), width)
-        if isinstance(expr, ast.Index):
-            return mask(self._eval_index(expr), width)
-        if isinstance(expr, ast.RangeSelect):
-            return mask(self._eval_range(expr), width)
-        if isinstance(expr, ast.Concat):
-            value = 0
-            for part in expr.parts:
-                part_width = self.env.width_of(part)
-                value = (value << part_width) | self._eval(part, part_width)
-            return mask(value, width)
-        if isinstance(expr, ast.Repeat):
-            count = const_eval(expr.count, self.env.params)
-            unit_width = self.env.width_of(expr.value)
-            unit = self._eval(expr.value, unit_width)
-            value = 0
-            for _ in range(count):
-                value = (value << unit_width) | unit
-            return mask(value, width)
-        if isinstance(expr, ast.Unary):
-            return self._eval_unary(expr, width)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, width)
-        if isinstance(expr, ast.Ternary):
-            if self.eval_bool(expr.cond):
-                return self._eval(expr.if_true, width)
-            return self._eval(expr.if_false, width)
-        if isinstance(expr, ast.SysCall):
-            if expr.name in ("$signed", "$unsigned"):
-                return self._eval(expr.args[0], width)
-            if self.sysfunc is None:
-                raise EvalError(f"system function {expr.name} needs a runtime handler")
-            return mask(self.sysfunc(expr, width), width)
-        raise EvalError(f"cannot evaluate {type(expr).__name__}")
+        e = self.plan.get(id(expr)) or self.entry(expr)
+        return e[0](self, e, width)
 
-    def _eval_index(self, expr: ast.Index) -> int:
-        if not isinstance(expr.base, ast.Identifier):
-            base_width = self.env.width_of(expr.base)
-            base = self._eval(expr.base, base_width)
-            bit = self.eval(expr.index)
-            return (base >> bit) & 1
-        sig = self.env.signal(expr.base.name)
-        idx = self.eval(expr.index)
-        if sig.is_memory:
-            return self.store.mem_get(sig.name, idx)
-        offset = sig.bit_offset(idx)
+    def entry(self, expr: ast.Expr) -> tuple:
+        """The plan entry of *expr*, resolved on its first use."""
+        e = self.plan.get(id(expr))
+        if e is None:
+            e = self.plan[id(expr)] = self._resolve(expr)
+        return e
+
+    def _resolve(self, node: ast.Expr) -> tuple:
+        env, E, sub = self.env, Evaluator, self.entry
+        kids, extra = (), ()
+        if isinstance(node, ast.Number):  # leaves: most nodes, sized as width_of does
+            width = 32 if node.width is None else node.width
+            return E._number, width, node.signed, node, True, node.value
+        if isinstance(node, ast.Identifier):
+            if node.name in env.params:
+                return E._const, 32, False, node, True, env.params[node.name]
+            sig = env.signal(node.name)
+            if sig.is_memory:
+                return E._fail, sig.width, sig.signed, node, True, \
+                    f"memory {node.name!r} used without an index"
+            return E._signal, sig.width, sig.signed, node, True, node.name
+        if isinstance(node, ast.String):
+            value = 0
+            for ch in node.value:
+                value = (value << 8) | ord(ch)
+            fn, extra = E._const, (value,)
+        elif isinstance(node, ast.Index):
+            if not isinstance(node.base, ast.Identifier):
+                fn, kids = E._bit_of, (sub(node.base), sub(node.index))
+            else:
+                sig = env.signal(node.base.name)
+                fn = E._word if sig.is_memory else E._bit
+                kids, extra = (sub(node.index),), (sig,)
+        elif isinstance(node, ast.RangeSelect):
+            sig, kids = env.base_signal(node.base), (sub(node.base),)
+            if node.mode == ":":
+                msb = const_eval(node.msb, env.params)
+                lsb = const_eval(node.lsb, env.params)
+                low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
+                low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
+                fn, extra = E._part, (low, (1 << (abs(msb - lsb) + 1)) - 1)
+            else:
+                fn, kids = E._indexed_part, kids + (sub(node.msb),)
+                extra = (const_eval(node.lsb, env.params), node.mode == "-:", sig)
+        elif isinstance(node, ast.Concat):
+            fn, kids = E._concat, tuple(sub(p) for p in node.parts)
+        elif isinstance(node, ast.Repeat):
+            fn, kids = E._repeat, (sub(node.value),)
+            extra = (const_eval(node.count, env.params),)
+        elif isinstance(node, ast.Unary):
+            kids, op = (sub(node.operand),), node.op
+            if op in _REDUCE:
+                fn, extra = E._reduce, (_REDUCE[op],)
+            elif op in ("~", "-"):
+                fn, extra = E._unary, (operator.invert if op == "~" else operator.neg,)
+            else:
+                fn, kids, extra = E._fail, (), (f"unknown unary operator {op!r}",)
+        elif isinstance(node, ast.Binary):
+            kids = (left, right) = (sub(node.left), sub(node.right))
+            op, signed = node.op, left[2] and right[2]
+            if op in _COMPARE:
+                fn, extra = E._compare, (max(left[1], right[1]), signed, _COMPARE[op])
+            elif op in ("&&", "||"):
+                fn, extra = E._logic, (op == "&&",)
+            elif op in ("<<", "<<<", ">>", ">>>", "**"):
+                fn, extra = E._shift, (">>>" if op == ">>>" and left[2] else op[:2],)
+            elif op in _ARITH or op in _BITWISE:
+                fn = E._arith if op in _ARITH else E._bitwise
+                extra = (_ARITH.get(op) or _BITWISE[op],)
+            elif op in ("/", "%"):
+                fn, extra = E._divide, (signed, op == "%")
+            else:
+                fn, kids, extra = E._fail, (), (f"unknown binary operator {op!r}",)
+        elif isinstance(node, ast.Ternary):
+            fn, kids = E._ternary, (sub(node.cond), sub(node.if_true), sub(node.if_false))
+        elif isinstance(node, ast.SysCall):
+            kids = tuple(sub(arg) for arg in node.args)
+            fn = E._cast if node.name in ("$signed", "$unsigned") else E._sysfunc
+        else:
+            raise EvalError(f"cannot evaluate {type(node).__name__}")
+        pure = (all(kid[4] for kid in kids) and not (
+            isinstance(node, ast.SysCall) and node.name not in PURE_SYSFUNCS))
+        return (fn, env.width_of(node), env.is_signed(node), node, pure) + kids + extra
+
+    # -- entry methods: fn(self, entry, width) -> value ------------------------
+    # entry: (fn, width, signed, node, pure, operands and constants...)
+
+    def _number(self, e, w):
+        self.ops_evaluated += 1
+        return e[5] & ((1 << w) - 1) if w else e[5]
+
+    def _const(self, e, w):  # a string or a parameter
+        self.ops_evaluated += 1
+        return e[5] & ((1 << w) - 1)
+
+    def _signal(self, e, w):
+        self.ops_evaluated += 1
+        return self.store.get(e[5]) & ((1 << w) - 1)
+
+    def _fail(self, e, w):
+        self.ops_evaluated += 1
+        raise EvalError(e[5])
+
+    def _word(self, e, w):  # mem[i]
+        self.ops_evaluated += 1
+        i = e[5]
+        return self.store.mem_get(e[6].name, i[0](self, i, i[1])) & ((1 << w) - 1)
+
+    def _bit(self, e, w):  # sig[i]
+        self.ops_evaluated += 1
+        i, sig = e[5], e[6]
+        offset = sig.bit_offset(i[0](self, i, i[1]))
         if offset < 0 or offset >= sig.width:
             return 0
-        return (self.store.get(sig.name) >> offset) & 1
+        return (self.store.get(sig.name) >> offset) & 1 & ((1 << w) - 1)
 
-    def _eval_range(self, expr: ast.RangeSelect) -> int:
-        base_width = self.env.width_of(expr.base)
-        base = self._eval(expr.base, base_width)
-        low, sel_width = self._range_bounds(expr)
-        if low < 0:
+    def _bit_of(self, e, w):  # (expr)[i]
+        self.ops_evaluated += 1
+        b, i = e[5], e[6]
+        base = b[0](self, b, b[1])
+        return (base >> i[0](self, i, i[1])) & 1 & ((1 << w) - 1)
+
+    def _part(self, e, w):  # [msb:lsb]
+        self.ops_evaluated += 1
+        b, low = e[5], e[6]
+        base = b[0](self, b, b[1])
+        return (base >> low) & e[7] & ((1 << w) - 1) if low >= 0 else 0
+
+    def _indexed_part(self, e, w):
+        self.ops_evaluated += 1
+        b, s = e[5], e[6]
+        base = b[0](self, b, b[1])
+        low = self._low(e, s[0](self, s, s[1]))
+        return (base >> low) & ((1 << e[7]) - 1) & ((1 << w) - 1) if low >= 0 else 0
+
+    @staticmethod
+    def _low(e: tuple, start: int) -> int:  # of [start +: k] / [start -: k]
+        if e[8]:
+            start -= e[7] - 1
+        return e[9].bit_offset(start) if e[9] is not None else start
+
+    def _concat(self, e, w):
+        self.ops_evaluated += 1
+        value = 0
+        for p in e[5:]:
+            value = (value << p[1]) | p[0](self, p, p[1])
+        return value & ((1 << w) - 1)
+
+    def _repeat(self, e, w):
+        self.ops_evaluated += 1
+        u = e[5]
+        unit = u[0](self, u, u[1])
+        value = 0
+        for _ in range(e[6]):
+            value = (value << u[1]) | unit
+        return value & ((1 << w) - 1)
+
+    def _reduce(self, e, w):
+        self.ops_evaluated += 1
+        o = e[5]
+        return e[6](o[0](self, o, o[1]), (1 << o[1]) - 1)
+
+    def _unary(self, e, w):  # ~ and -
+        self.ops_evaluated += 1
+        o = e[5]
+        return e[6](o[0](self, o, w)) & ((1 << w) - 1)
+
+    def _logic(self, e, w):  # && and ||: the right operand only if it decides
+        self.ops_evaluated += 1
+        l, r, is_and = e[5], e[6], e[7]
+        if (l[0](self, l, l[1]) != 0) is not is_and:
+            return 0 if is_and else 1
+        return 1 if r[0](self, r, r[1]) else 0
+
+    def _compare(self, e, w):
+        self.ops_evaluated += 1
+        l, r, cw = e[5], e[6], e[7]
+        left, right = l[0](self, l, cw), r[0](self, r, cw)
+        if e[8]:
+            left, right = to_signed(left, cw), to_signed(right, cw)
+        return 1 if e[9](left, right) else 0
+
+    def _shift(self, e, w):  # and **: the right operand at its own width
+        self.ops_evaluated += 1
+        l, r, kind = e[5], e[6], e[7]
+        left = l[0](self, l, w)
+        shift = r[0](self, r, r[1])
+        if kind == "**":
+            return pow(left, min(shift, 64), 1 << max(w, 1)) & ((1 << w) - 1)
+        if shift > 4096:
             return 0
-        return (base >> low) & ((1 << sel_width) - 1)
+        if kind == "<<":
+            return (left << shift) & ((1 << w) - 1)
+        if kind == ">>>":  # a signed left operand
+            return (to_signed(left, w) >> shift) & ((1 << w) - 1)
+        return left >> shift
 
-    def _range_bounds(self, expr: ast.RangeSelect) -> "tuple[int, int]":
-        """Return (low bit offset, width) of a part select."""
-        sig = None
-        if isinstance(expr.base, ast.Identifier):
-            sig = self.env.signals.get(expr.base.name)
-        if expr.mode == ":":
-            msb = const_eval(expr.msb, self.env.params)
-            lsb = const_eval(expr.lsb, self.env.params)
-            sel_width = abs(msb - lsb) + 1
-            low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
-            low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
-            return low, sel_width
-        start = self.eval(expr.msb)
-        sel_width = const_eval(expr.lsb, self.env.params)
-        if expr.mode == "+:":
-            low_index = start
-        else:  # -:
-            low_index = start - sel_width + 1
-        low = sig.bit_offset(low_index) if sig is not None else low_index
-        return low, sel_width
+    def _arith(self, e, w):
+        self.ops_evaluated += 1
+        l, r = e[5], e[6]
+        return e[7](l[0](self, l, w), r[0](self, r, w)) & ((1 << w) - 1)
 
-    def _eval_unary(self, expr: ast.Unary, width: int) -> int:
-        op = expr.op
-        if op == "!":
-            return 0 if self.eval_bool(expr.operand) else 1
-        if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
-            operand_width = self.env.width_of(expr.operand)
-            value = self._eval(expr.operand, operand_width)
-            ones = bin(value).count("1")
-            if op == "&":
-                result = int(value == mask(-1, operand_width))
-            elif op == "~&":
-                result = int(value != mask(-1, operand_width))
-            elif op == "|":
-                result = int(value != 0)
-            elif op == "~|":
-                result = int(value == 0)
-            elif op == "^":
-                result = ones & 1
-            else:  # ~^ / ^~
-                result = (ones & 1) ^ 1
-            return result
-        value = self._eval(expr.operand, width)
-        if op == "~":
-            return mask(~value, width)
-        if op == "-":
-            return mask(-value, width)
-        raise EvalError(f"unknown unary operator {op!r}")
+    def _bitwise(self, e, w):  # & | ^ of operands already at the width
+        self.ops_evaluated += 1
+        l, r = e[5], e[6]
+        return e[7](l[0](self, l, w), r[0](self, r, w))
 
-    def _eval_binary(self, expr: ast.Binary, width: int) -> int:
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self.eval_bool(expr.left)
-            if op == "&&":
-                return int(left and self.eval_bool(expr.right))
-            return int(left or self.eval_bool(expr.right))
-        if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-            cmp_width = max(
-                self.env.width_of(expr.left), self.env.width_of(expr.right)
-            )
-            left = self._eval(expr.left, cmp_width)
-            right = self._eval(expr.right, cmp_width)
-            if self.env.is_signed(expr.left) and self.env.is_signed(expr.right):
-                left = to_signed(left, cmp_width)
-                right = to_signed(right, cmp_width)
-            table = {
-                "==": left == right, "!=": left != right,
-                "===": left == right, "!==": left != right,
-                "<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-            }
-            return int(table[op])
-        if op in ("<<", ">>", "<<<", ">>>"):
-            left = self._eval(expr.left, width)
-            shift = self.eval(expr.right)
-            if shift > 4096:
-                return 0
-            if op == "<<" or op == "<<<":
-                return mask(left << shift, width)
-            if op == ">>>" and self.env.is_signed(expr.left):
-                signed = to_signed(left, width)
-                return mask(signed >> shift, width)
-            return left >> shift
-        if op == "**":
-            base = self._eval(expr.left, width)
-            exponent = self.eval(expr.right)
-            if exponent > 64:
-                exponent = 64
-            return mask(pow(base, exponent, 1 << max(width, 1)), width)
-        left = self._eval(expr.left, width)
-        right = self._eval(expr.right, width)
-        if op == "+":
-            return mask(left + right, width)
-        if op == "-":
-            return mask(left - right, width)
-        if op == "*":
-            return mask(left * right, width)
-        if op == "/":
-            if right == 0:
-                return mask(-1, width)  # x in 4-state; all-ones here
-            if self.env.is_signed(expr.left) and self.env.is_signed(expr.right):
-                result = int(to_signed(left, width) / to_signed(right, width))
-                return mask(result, width)
-            return left // right
-        if op == "%":
-            if right == 0:
-                return mask(-1, width)
-            if self.env.is_signed(expr.left) and self.env.is_signed(expr.right):
-                sl, sr = to_signed(left, width), to_signed(right, width)
-                return mask(sl - sr * int(sl / sr), width)
-            return left % right
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op in ("~^", "^~"):
-            return mask(~(left ^ right), width)
-        raise EvalError(f"unknown binary operator {op!r}")
+    def _divide(self, e, w):
+        self.ops_evaluated += 1
+        l, r, is_mod = e[5], e[6], e[8]
+        left, right = l[0](self, l, w), r[0](self, r, w)
+        if right == 0:
+            return (1 << w) - 1  # x in 4-state; all-ones here
+        if not e[7]:
+            return left % right if is_mod else left // right
+        sl, sr = to_signed(left, w), to_signed(right, w)
+        return (sl - sr * int(sl / sr) if is_mod else int(sl / sr)) & ((1 << w) - 1)
+
+    def _ternary(self, e, w):
+        self.ops_evaluated += 1
+        c = e[5]
+        arm = e[6] if c[0](self, c, c[1]) else e[7]
+        return arm[0](self, arm, w)
+
+    def _cast(self, e, w):  # $signed / $unsigned
+        self.ops_evaluated += 1
+        a = e[5]
+        return a[0](self, a, w)
+
+    def _sysfunc(self, e, w):
+        self.ops_evaluated += 1
+        if self.sysfunc is None:
+            raise EvalError(f"system function {e[3].name} needs a runtime handler")
+        return self.sysfunc(e[3], w) & ((1 << w) - 1)
 
     # -- assignment ----------------------------------------------------------
 
     def assign(self, lhs: ast.Expr, value: int, notify: bool = True) -> bool:
-        """Write *value* into lvalue *lhs*; returns True on change."""
+        """Write *value* into lvalue *lhs*; returns True on change.  A
+        later part of a concatenation sees what an earlier part wrote."""
         if isinstance(lhs, ast.Identifier):
             return self.store.set(lhs.name, value, notify)
-        if isinstance(lhs, ast.Index):
-            if not isinstance(lhs.base, ast.Identifier):
-                raise EvalError("nested lvalue selects are not supported")
-            sig = self.env.signal(lhs.base.name)
-            idx = self.eval(lhs.index)
-            if sig.is_memory:
-                return self.store.mem_set(sig.name, idx, value, notify)
-            offset = sig.bit_offset(idx)
-            if offset < 0 or offset >= sig.width:
-                return False
-            current = self.store.get(sig.name)
-            updated = (current & ~(1 << offset)) | ((value & 1) << offset)
-            return self.store.set(sig.name, updated, notify)
-        if isinstance(lhs, ast.RangeSelect):
-            if not isinstance(lhs.base, ast.Identifier):
-                raise EvalError("nested lvalue selects are not supported")
-            sig = self.env.signal(lhs.base.name)
-            low, sel_width = self._range_bounds(lhs)
-            if low < 0:
-                return False
-            field_mask = ((1 << sel_width) - 1) << low
-            current = self.store.get(sig.name)
-            updated = (current & ~field_mask) | ((value << low) & field_mask)
-            return self.store.set(sig.name, updated, notify)
         if isinstance(lhs, ast.Concat):
-            changed = False
-            shift = sum(self.env.width_of(p) for p in lhs.parts)
-            for part in lhs.parts:
-                part_width = self.env.width_of(part)
-                shift -= part_width
-                part_value = (value >> shift) & ((1 << part_width) - 1)
-                changed |= self.assign(part, part_value, notify)
-            return changed
-        raise EvalError(f"invalid lvalue {type(lhs).__name__}")
+            return any([self.assign(lhs.parts[k], bits, notify)
+                        for k, bits in self._split(lhs, value)])
+        return self.write(self.target(lhs), value, notify)
+
+    def target(self, lhs: ast.Expr, nba: bool = False) -> tuple:
+        """``(lhs, index)``: LRM §9.2.2, an NBA evaluates its lvalue index
+        when it executes, as the hardware transform's ``__wa`` captures
+        do; only the :meth:`write` waits.  Under *nba* a computed index
+        also counts the update region's read of the value frozen here."""
+        if isinstance(lhs, ast.Concat):
+            return lhs, tuple(self.target(p, nba) for p in lhs.parts)
+        if isinstance(lhs, ast.Identifier):
+            return lhs, None
+        if not isinstance(getattr(lhs, "base", None), ast.Identifier):
+            raise EvalError(f"invalid lvalue {type(lhs).__name__} "
+                            "(a nested select is not supported)")
+        if isinstance(lhs, ast.RangeSelect) and lhs.mode == ":":
+            return lhs, None
+        index = lhs.index if isinstance(lhs, ast.Index) else lhs.msb
+        if nba and not isinstance(index, ast.Number):
+            self.ops_evaluated += 1
+        return lhs, self.eval(index)
+
+    def write(self, target: tuple, value: int, notify: bool = True) -> bool:
+        """Apply *value* to a :meth:`target`; returns True on change."""
+        lhs, at = target
+        store = self.store
+        if isinstance(lhs, ast.Identifier):
+            return store.set(lhs.name, value, notify)
+        if isinstance(lhs, ast.Concat):
+            return any([self.write(at[k], bits, notify)
+                        for k, bits in self._split(lhs, value)])
+        sig = self.env.signal(lhs.base.name)
+        if isinstance(lhs, ast.Index):
+            if sig.is_memory:
+                return store.mem_set(sig.name, at, value, notify)
+            low, field = sig.bit_offset(at), 1
+            if low >= sig.width:
+                return False
+        elif at is None:
+            low, field = self.entry(lhs)[6:8]
+        else:
+            e = self.entry(lhs)
+            low, field = self._low(e, at), (1 << e[7]) - 1
+        if low < 0:
+            return False
+        field <<= low
+        return store.set(sig.name, (store.get(sig.name) & ~field)
+                         | ((value << low) & field), notify)
+
+    def _split(self, lhs: ast.Concat, value: int):
+        """``(k, bits)``: the slice of *value* for each part of *lhs*."""
+        shift = self.entry(lhs)[1]
+        for k, part in enumerate(lhs.parts):
+            part_width = self.entry(part)[1]
+            shift -= part_width
+            yield k, (value >> shift) & ((1 << part_width) - 1)

@@ -19,12 +19,12 @@ software simulation that Synergy's transformations recover on hardware.
 from __future__ import annotations
 
 import os
-
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..verilog import ast_nodes as ast
 from ..verilog.rewrite import collect_identifiers, lvalue_reads, stmt_identifiers
-from ..verilog.width import WidthEnv, mask
+from ..verilog.width import WidthEnv
 from .eval_expr import EvalError, Evaluator
 from .store import Store
 from .systasks import FinishSignal, TaskHost
@@ -97,8 +97,10 @@ class InterpSimulator:
         # Insertion-ordered (dict) so activation order is deterministic:
         # one fixed, valid Verilog schedule per program, every run.
         self._dirty: Dict[str, None] = {}
-        self._run_queue: List[_Process] = []
-        self._nba: List[Tuple[ast.Expr, int]] = []
+        # The run queue: assigns first, then blocks, each in FIFO order.
+        self._assigns: Deque[_Process] = deque()
+        self._blocks: Deque[_Process] = deque()
+        self._nba: List[Tuple[tuple, int]] = []
         self._processes: List[_Process] = []
         self._dep_map: Dict[str, List[_Process]] = {}
         self._build_processes()
@@ -198,7 +200,7 @@ class InterpSimulator:
     def _enqueue(self, proc: _Process) -> None:
         if not proc.queued:
             proc.queued = True
-            self._run_queue.append(proc)
+            (self._assigns if proc.kind == "assign" else self._blocks).append(proc)
 
     def _event_value(self, event: _Event) -> int:
         try:
@@ -232,19 +234,15 @@ class InterpSimulator:
         values, matching what synthesized hardware does at a clock edge.
         """
         rounds = 0
+        limit = _MAX_SETTLE_ROUNDS * max(1, len(self._processes))
+        assigns, blocks = self._assigns, self._blocks
         self._drain_dirty()
-        while self._run_queue:
+        while assigns or blocks:
             rounds += 1
-            if rounds > _MAX_SETTLE_ROUNDS * max(1, len(self._processes)):
+            if rounds > limit:
                 raise SimulationError("evaluation did not converge "
                                       "(combinational loop?)")
-            proc = None
-            for index, candidate in enumerate(self._run_queue):
-                if candidate.kind == "assign":
-                    proc = self._run_queue.pop(index)
-                    break
-            if proc is None:
-                proc = self._run_queue.pop(0)
+            proc = assigns.popleft() if assigns else blocks.popleft()
             proc.queued = False
             self.settle_rounds += 1
             if proc.kind == "assign":
@@ -253,47 +251,15 @@ class InterpSimulator:
                 self._exec(proc.stmt)
             self._drain_dirty()
 
-    def _freeze_lval(self, lhs: ast.Expr) -> ast.Expr:
-        """Resolve an NBA target's index expressions to constants.
-
-        LRM §9.2.2: a non-blocking assignment evaluates its right-hand
-        side *and its lvalue indices* when the statement executes; only
-        the update is deferred.  Deferring index evaluation to the
-        update region would read post-update values of index operands
-        (found by differential fuzzing against the hardware transform,
-        which captures addresses into ``__wa`` registers at execution
-        time).
-        """
-        if isinstance(lhs, ast.Index):
-            if isinstance(lhs.index, ast.Number):
-                return lhs
-            return ast.Index(lhs.base, self._frozen_number(lhs.index))
-        if isinstance(lhs, ast.RangeSelect):
-            if lhs.mode != ":" and not isinstance(lhs.msb, ast.Number):
-                return ast.RangeSelect(lhs.base,
-                                       self._frozen_number(lhs.msb),
-                                       lhs.lsb, lhs.mode)
-            return lhs
-        if isinstance(lhs, ast.Concat):
-            return ast.Concat(tuple(self._freeze_lval(p) for p in lhs.parts))
-        return lhs
-
-    def _frozen_number(self, expr: ast.Expr) -> ast.Number:
-        """Evaluate *expr* into a literal at its own width — an unsized
-        Number would be re-masked to 32 bits when the deferred store
-        applies, truncating indices wider than 32 bits."""
-        return ast.Number(self.evaluator.eval(expr),
-                          self.env.width_of(expr))
-
-    def _defer(self, lhs: ast.Expr, value: int) -> None:
-        """Queue a non-blocking update of *lhs* (indices already frozen)."""
-        self._nba.append((lhs, value))
+    def _defer(self, target: tuple, value: int) -> None:
+        """Queue a non-blocking update of an ``Evaluator.target``."""
+        self._nba.append((target, value))
 
     def _latch(self) -> None:
         """Apply queued non-blocking assignments (update region)."""
         pending, self._nba = self._nba, []
-        for lhs, value in pending:
-            self.evaluator.assign(lhs, value)
+        for target, value in pending:
+            self.evaluator.write(target, value)
         self._drain_dirty()
 
     def step(self) -> None:
@@ -332,8 +298,7 @@ class InterpSimulator:
     # -- statement execution ----------------------------------------------------
 
     def _run_assign(self, item: ast.ContinuousAssign) -> None:
-        width = self.env.width_of(item.lhs)
-        value = self.evaluator.eval(item.rhs, width)
+        value = self.evaluator.eval(item.rhs, self.env.width_of(item.lhs))
         self.evaluator.assign(item.lhs, value)
 
     def _exec(self, stmt: Optional[ast.Stmt]) -> None:
@@ -341,12 +306,12 @@ class InterpSimulator:
             return
         self.stmts_executed += 1
         if isinstance(stmt, ast.Assign):
-            width = self.env.width_of(stmt.lhs)
-            value = self.evaluator.eval(stmt.rhs, width)
+            evaluator = self.evaluator
+            value = evaluator.eval(stmt.rhs, self.env.width_of(stmt.lhs))
             if stmt.blocking:
-                self.evaluator.assign(stmt.lhs, value)
+                evaluator.assign(stmt.lhs, value)
             else:
-                self._defer(self._freeze_lval(stmt.lhs), value)
+                self._defer(evaluator.target(stmt.lhs, nba=True), value)
             return
         if isinstance(stmt, ast.Block) or isinstance(stmt, ast.ForkJoin):
             # Sequential execution is a valid scheduling of fork/join (§3.2).
@@ -362,23 +327,18 @@ class InterpSimulator:
         if isinstance(stmt, ast.Case):
             self._exec_case(stmt)
             return
-        if isinstance(stmt, ast.For):
-            self._exec(stmt.init)
+        if isinstance(stmt, (ast.For, ast.While)):
+            kind = "for" if isinstance(stmt, ast.For) else "while"
+            if kind == "for":
+                self._exec(stmt.init)
             iterations = 0
             while self.evaluator.eval_bool(stmt.cond):
                 self._exec(stmt.body)
-                self._exec(stmt.step)
+                if kind == "for":
+                    self._exec(stmt.step)
                 iterations += 1
                 if iterations > _MAX_LOOP_ITERATIONS:
-                    raise SimulationError("for-loop iteration limit exceeded")
-            return
-        if isinstance(stmt, ast.While):
-            iterations = 0
-            while self.evaluator.eval_bool(stmt.cond):
-                self._exec(stmt.body)
-                iterations += 1
-                if iterations > _MAX_LOOP_ITERATIONS:
-                    raise SimulationError("while-loop iteration limit exceeded")
+                    raise SimulationError(f"{kind}-loop iteration limit exceeded")
             return
         if isinstance(stmt, ast.RepeatStmt):
             count = self.evaluator.eval(stmt.count)
@@ -397,12 +357,19 @@ class InterpSimulator:
         raise SimulationError(f"cannot execute {type(stmt).__name__}")
 
     def _exec_case(self, stmt: ast.Case) -> None:
-        subject_width = self.env.width_of(stmt.expr)
+        """A pure subject is evaluated once, counted once per label tried."""
+        evaluator = self.evaluator
+        entry = evaluator.entry(stmt.expr)
+        subject = ops = None
         for item in stmt.items:
             for label in item.labels:
-                subject = self.evaluator.eval(stmt.expr, subject_width)
-                label_width = max(subject_width, self.env.width_of(label))
-                value = self.evaluator.eval(label, label_width)
+                if subject is None or not entry[4]:
+                    ops = evaluator.ops_evaluated
+                    subject = evaluator._eval(stmt.expr, entry[1])
+                    ops = evaluator.ops_evaluated - ops
+                else:
+                    evaluator.ops_evaluated += ops
+                value = evaluator.eval(label, entry[1])
                 dontcare = 0
                 if stmt.kind in ("casez", "casex") and isinstance(label, ast.Number):
                     dontcare = label.xz_mask

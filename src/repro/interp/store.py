@@ -9,7 +9,7 @@ ABI (engine state capture is literally ``store.snapshot()``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..verilog.width import Signal, WidthEnv, mask
 
@@ -24,9 +24,12 @@ class Store:
         self._watchers: List[Callable[[str], None]] = []
         self._notify_one: Optional[Callable[[str], None]] = None
         self._masks: Dict[str, int] = {}
+        #: memory name -> (words, lowest address, word mask)
+        self._mem_info: Dict[str, Tuple[List[int], int, int]] = {}
         for sig in env.signals.values():
             if sig.is_memory:
-                self.memories[sig.name] = [0] * sig.depth
+                memory = self.memories[sig.name] = [0] * sig.depth
+                self._mem_info[sig.name] = (memory, sig.base, (1 << sig.width) - 1)
             else:
                 self.values[sig.name] = 0
                 self._masks[sig.name] = (1 << sig.width) - 1
@@ -77,20 +80,18 @@ class Store:
     # -- memory access -------------------------------------------------------
 
     def mem_get(self, name: str, addr: int) -> int:
-        sig = self.env.signal(name)
-        idx = addr - sig.base
-        memory = self.memories[name]
+        info = self._mem_info[name]  # (a slot store's carries its slot too)
+        memory, idx = info[0], addr - info[1]
         if 0 <= idx < len(memory):
             return memory[idx]
         return 0  # out-of-range reads return 0 in the 2-state model
 
     def mem_set(self, name: str, addr: int, value: int, notify: bool = True) -> bool:
-        sig = self.env.signal(name)
-        idx = addr - sig.base
-        memory = self.memories[name]
+        memory, base, word_mask = self._mem_info[name]
+        idx = addr - base
         if not 0 <= idx < len(memory):
             return False  # out-of-range writes are dropped
-        value = mask(value, sig.width)
+        value &= word_mask
         if memory[idx] == value:
             return False
         memory[idx] = value

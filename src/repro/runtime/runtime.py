@@ -29,9 +29,12 @@ from .backends import DirectBoardBackend, Placement
 from .engine import Engine, HardwareEngine, SoftwareEngine, TickStats  # noqa: F401
 from .jit import AdaptiveRefinement, TransitionCosts
 
-#: Interpreted statements a compile is worth per canonical character:
-#: opt + codegen cost a median 5.0 ms per kchar, an interpreted statement
-#: 11.2 us (cold_compile's 116 designs and the warm canaries, 2 vCPUs).
+#: Interpreted statements a compile is worth per canonical character.
+#: Measured over cold_compile's 116 designs on 2 vCPUs: opt + codegen
+#: cost a median 4.4 ms per kchar, an interpreted statement (boot and 8
+#: ticks on a fresh plan) 6.0 us, so the ratio reads 0.74.  It stays at
+#: 0.45: at 0.74 more served tenants rent longer, and serve_burst's
+#: throughput and p50 latency came out worse in alternated pairs.
 STMTS_PER_CHAR = 0.45
 
 

@@ -167,7 +167,17 @@ class WidthEnv:
         self.module = module
         self.params: Dict[str, int] = dict(params or {})
         self.signals: Dict[str, Signal] = {}
+        #: the interpreter's plan: ``id(node) -> entry`` (see
+        #: :mod:`repro.interp.eval_expr`); rebuilt on use, never pickled
+        self.plan: Dict[int, tuple] = {}
         self._build()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "plan"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.plan = {}
 
     def _build(self) -> None:
         # First pass: resolve parameters/localparams in order.
@@ -219,6 +229,9 @@ class WidthEnv:
 
     def width_of(self, expr: ast.Expr) -> int:
         """Self-determined width of *expr* per LRM §5.4.1."""
+        entry = self.plan.get(id(expr))
+        if entry is not None:
+            return entry[1]
         if isinstance(expr, ast.Number):
             return expr.width if expr.width is not None else 32
         if isinstance(expr, ast.String):
@@ -266,6 +279,9 @@ class WidthEnv:
 
     def is_signed(self, expr: ast.Expr) -> bool:
         """Best-effort signedness (2-state subset: explicit only)."""
+        entry = self.plan.get(id(expr))
+        if entry is not None:
+            return entry[2]
         if isinstance(expr, ast.Number):
             return expr.signed
         if isinstance(expr, ast.Identifier):

@@ -317,6 +317,43 @@ class TestCohortLifecycle:
         assert fresh.host.display_log[-3:] == twin.host.display_log[-3:]
         assert fresh.engine.time == twin.engine.sim.time
 
+    def test_set_drives_one_lane_and_settles(self, o2):
+        """``CohortLaneEngine.set`` writes its own lane and settles the
+        cohort, as ``SoftwareEngine.set`` writes and steps one engine:
+        the comb layer (``doubled``) follows, the neighbour does not."""
+        engine, program, service = self._cohort_engine()
+        lane, neighbour = (engine.admit(TaskHost(VirtualFS()))
+                           for _ in range(2))
+        scalar = SoftwareEngine(program, TaskHost(VirtualFS()),
+                                compiler=service)
+        untouched = neighbour.snapshot()
+        lane.set("n", 21)
+        scalar.set("n", 21)
+        assert lane.get("n") == 21 and lane.get("doubled") == 42
+        assert lane.snapshot() == scalar.snapshot()
+        assert neighbour.snapshot() == untouched
+        engine.detach(lane)
+        with pytest.raises(CohortError):
+            lane.set("n", 1)
+
+    def test_restore_writes_one_lane_and_settles(self, o2):
+        """``CohortLaneEngine.restore`` puts a scalar engine's state on
+        its lane, settled, and leaves the neighbour as it was."""
+        engine, program, service = self._cohort_engine()
+        lane, neighbour = (engine.admit(TaskHost(VirtualFS()))
+                           for _ in range(2))
+        scalar = SoftwareEngine(program, TaskHost(VirtualFS()),
+                                compiler=service)
+        scalar.run_chunk("clock", 9)
+        untouched = neighbour.snapshot()
+        lane.restore(scalar.snapshot())
+        assert lane.snapshot() == scalar.snapshot()
+        assert lane.get("doubled") == 2 * scalar.get("n") != 0
+        assert neighbour.snapshot() == untouched
+        engine.detach(lane)
+        with pytest.raises(CohortError):
+            lane.restore(scalar.snapshot())
+
     def test_detach_shrinks_lanes(self, o2):
         engine, program, service = self._cohort_engine()
         members = [engine.admit(TaskHost(VirtualFS())) for _ in range(3)]
