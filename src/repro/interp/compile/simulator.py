@@ -172,13 +172,17 @@ class CompiledModuleCode:
         # order equals a forward scan over the marked entries — while
         # the trailing group (cycle members, their downstream, and
         # self-reading assigns) keeps position-ordered fixpoint
-        # iteration.  Fifo designs (impure assigns need the
-        # interpreter-identical scan) rank nothing and settle through
-        # ``_settle_fifo``.
+        # iteration.  Fifo designs rank nothing.
         event_pos = [-1] * len(schedule.processes)
         for pos, pidx in enumerate(schedule.comb_order):
             event_pos[pidx] = pos
         self.event_pos: Tuple[int, ...] = tuple(event_pos)
+        #: fifo schedule: process -> is a continuous assign, so
+        #: ``settle()`` runs a queued assign ahead of the blocks, as the
+        #: interpreter does; empty otherwise (every assign is ranked)
+        self.queued_assign: Tuple[bool, ...] = tuple(
+            p.kind == "assign" for p in schedule.processes
+        ) if schedule.fifo else ()
         #: the planned tick clock's slot (None: no tick clock)
         self.tick_clock_slot = layout.slot_of.get(schedule.tick_clock)
         #: scalar slots whose nonzero value means an architectural
@@ -357,8 +361,8 @@ class CompiledSimulator(InterpSimulator):
         self.stmts_executed = 0
         self.settle_rounds = 0
         #: periods that took the reference ``tick`` instead of the
-        #: generated ``period()`` (no planned clock, a store watcher,
-        #: an entry state period() cannot assume)
+        #: generated ``period()`` (no planned clock, an entry state
+        #: period() cannot assume)
         self.slow_periods = 0
         self._nba: List[tuple] = []
         schedule = code.schedule
@@ -376,11 +380,6 @@ class CompiledSimulator(InterpSimulator):
         self._ev_acyclic = schedule.acyclic
         self._ev_heap: List[int] = []
         self._trail_count = 0
-        if schedule.fifo:
-            # Shadow the method rather than branch inside it: settle is
-            # the hottest entry point (several calls per tick).
-            self.settle = self._settle_fifo  # type: ignore[assignment]
-            self._is_assign = [p.kind == "assign" for p in schedule.processes]
         self._instantiate()
         self._initialize()
         self._vcd = None
@@ -557,11 +556,13 @@ class CompiledSimulator(InterpSimulator):
 
         Pending continuous assigns run before the next procedural block
         — the interpreter's assigns-first schedule — and only the woken
-        ones run.  The acyclic prefix of ``rank_order`` dispatches from
-        a min-heap of woken positions: popping positions in ascending
-        order is a forward scan restricted to marked entries, and
-        prefix writes only ever mark strictly later positions, so one
-        monotone pass settles it.  Trailing positions (cycle members
+        ones run; on the fifo schedule, which ranks nothing, that means
+        the first queued assign runs ahead of the queued blocks.  The
+        acyclic prefix of ``rank_order`` dispatches from a min-heap of
+        woken positions: popping positions in ascending order is a
+        forward scan restricted to marked entries, and prefix writes
+        only ever mark strictly later positions, so one monotone pass
+        settles it.  Trailing positions (cycle members
         and anything at or after a self-reading assign) iterate in
         position order to fixpoint.  Procedural blocks (always@*,
         edge-triggered, initial) run FIFO, one per outer iteration,
@@ -584,6 +585,7 @@ class CompiledSimulator(InterpSimulator):
         queue = self._proc_queue
         queued = self._queued
         gates = self._gates
+        assigns = self.code.queued_assign
         runs = 0
         limit = self._settle_limit
         while heap or self._trail_count or queue:
@@ -618,7 +620,10 @@ class CompiledSimulator(InterpSimulator):
                             if self.store.dirty_list:
                                 self._drain()
             if queue:
-                p = queue.pop(0)
+                i = 0
+                if assigns:
+                    i = next((k for k, q in enumerate(queue) if assigns[q]), 0)
+                p = queue.pop(i)
                 queued[p] = 0
                 self.settle_rounds += 1
                 runs += 1
@@ -636,37 +641,6 @@ class CompiledSimulator(InterpSimulator):
                 funcs[p]()
                 if self.store.dirty_list:
                     self._drain()
-
-    def _settle_fifo(self) -> None:
-        """Interpreter-identical settle: one queue, assigns scanned first.
-
-        Used when a continuous assign has an impure RHS (e.g.
-        ``assign x = $random``), where even intra-class execution order
-        is observable and must match the oracle exactly.
-        """
-        self._drain()
-        queue = self._proc_queue
-        queued = self._queued
-        is_assign = self._is_assign
-        funcs = self._fn
-        runs = 0
-        limit = self._settle_limit
-        while queue:
-            runs += 1
-            if runs > limit:
-                raise SimulationError("evaluation did not converge "
-                                      "(combinational loop?)")
-            pick = None
-            for i, p in enumerate(queue):
-                if is_assign[p]:
-                    pick = queue.pop(i)
-                    break
-            if pick is None:
-                pick = queue.pop(0)
-            queued[pick] = 0
-            self.settle_rounds += 1
-            funcs[pick]()
-            self._drain()
 
     def tick(self, clock: str = "clock", cycles: int = 1) -> None:
         """Drive *cycles* clock periods (VCD sampling wrapper).
@@ -688,13 +662,11 @@ class CompiledSimulator(InterpSimulator):
         artifact) the event plan runs the artifact's generated
         ``period()`` (:meth:`_tick_event`).  Designs that fail the
         plan's conditions (``code.schedule.period_refused`` says which)
-        and engines with store watchers attached (the debugger) take the
-        reference ``tick``/``step`` path, which reaches the same
-        :meth:`settle` through the store API and ``_drain``;
+        take the reference ``tick``/``step`` path, which reaches the
+        same :meth:`settle` through the store API and ``_drain``;
         ``slow_periods`` counts those.
         """
-        if (self._period is None or clock != self.code.schedule.tick_clock
-                or self.store._watchers):
+        if self._period is None or clock != self.code.schedule.tick_clock:
             before = self.time
             super().tick(clock, cycles)
             self.slow_periods += self.time - before
@@ -714,11 +686,11 @@ class CompiledSimulator(InterpSimulator):
         *until* (``inf`` for never).  The result is ``(periods retired, now, periods the
         quiescence proof retired)``; None means this engine cannot run
         *clock* on the event plan (no generated period, a second clock,
-        store watchers, a waveform writer) and the caller single-steps
-        through :meth:`tick` instead.
+        a waveform writer) and the caller single-steps through
+        :meth:`tick` instead.
         """
         if (self._period is None or clock != self.code.schedule.tick_clock
-                or self.store._watchers or self._vcd is not None):
+                or self._vcd is not None):
             return None
         return self._tick_event(cycles, now, until, per_tick, per_stmt)
 
@@ -744,12 +716,8 @@ class CompiledSimulator(InterpSimulator):
         reference ``tick`` — which restores it.
 
         On entry, and again after any period that executed no
-        statement, the scheduler probes for quiescence: nothing pending
-        anywhere (heap, trailing count, process queue, NBA queue, dirty
-        slots), no combinational cone reads the clock, every clock
-        trigger is a gated process whose enable is provably low, and no
-        machinified NBA shadow queue holds an undrained entry.  A
-        quiescent engine retires all remaining periods at once — time
+        statement, the scheduler probes for quiescence
+        (:meth:`is_idle`).  A quiescent engine retires all remaining periods at once — time
         moves, nothing executes.  Idle periods are exact: they would
         have run zero process bodies, so skipping them is bit-identical
         — which also makes the probe optional: an idle period that goes
@@ -760,25 +728,17 @@ class CompiledSimulator(InterpSimulator):
         test; without it the loop stops only at ``$finish``.
         """
         code = self.code
-        dirty = self.store.dirty_list
         slot = code.tick_clock_slot
         host = self.host
-        comb_clk = self._comb_watch[slot]
-        entries = self._trig_watch[slot]
-        queue = self._proc_queue
-        heap = self._ev_heap
-        nba = self._nba
         period = self._period
         metered = now is not None
-        rested = not (self.store.data[slot] or self._clock_prev[0] or queue
-                      or nba or self.store.dirty_flags[slot])
+        rested = not (self.store.data[slot] or self._clock_prev[0]
+                      or self._proc_queue or self._nba
+                      or self.store.dirty_flags[slot])
         i = idle = 0
         probe = True
         while i < cycles and not host.finished:
-            if (probe and not heap and not self._trail_count and not queue
-                    and not nba and not dirty and not comb_clk
-                    and all(self._trigger_idle(t) for t in entries)
-                    and self._activity_clear()):
+            if probe and self.is_idle():
                 idle = cycles - i
                 if metered:
                     # One addition per period, as single-stepping makes.
@@ -810,70 +770,44 @@ class CompiledSimulator(InterpSimulator):
                     break
         return i, now, idle
 
-    def _trigger_idle(self, trigger) -> bool:
-        """True when firing *trigger* this period is a provable no-op.
-
-        Only gated edge processes whose enable expression does not read
-        the clock qualify: the probe evaluates the gate with the clock
-        at its resting level, and a clock-reading enable could flip at
-        the real activation.  A low enable licenses skipping the body —
-        the gate table only admits bodies that are no-ops under a
-        false enable.
-        """
-        p = trigger.proc
-        if p not in self.code.idle_gate_procs:
-            return False
-        gate = self._gates[p]
-        try:
-            return not gate()
-        except Exception:
-            return False
-
-    def _activity_clear(self) -> bool:
-        """True when no machinified NBA shadow queue holds activity.
-
-        Loop-carried NBAs are staged in ``__w*`` shadow slots and
-        drained by generated update logic on the *next* activation; a
-        nonzero count/valid/sequence slot between periods is a pending
-        architectural update and must veto quiescence (the bug class
-        this PR's satellite audit targets).
-        """
-        d = self.store.data
-        for s in self.code.activity_slots:
-            if d[s]:
-                return False
-        return True
-
     def is_idle(self) -> bool:
         """True when further ``tick()`` calls provably execute nothing.
 
         The hypervisor uses this to fast-forward idle engines instead
-        of dispatching no-op periods.  Conservative: any condition the
-        event scheduler cannot prove quiescent returns False.
+        of dispatching no-op periods, and :meth:`_tick_event` to retire
+        a quiescent engine's remaining periods at once.  Conservative:
+        any condition the event scheduler cannot prove quiescent
+        returns False.
+
+        Quiescent means: nothing pending anywhere (heap, trailing
+        count, process queue, NBA queue, dirty slots); no combinational
+        cone reads the clock; every clock trigger is a gated process
+        whose enable does not read the clock (the probe evaluates it
+        with the clock at rest) and is low — the gate table only admits
+        bodies that are no-ops under a false enable; and no machinified
+        NBA shadow slot (``code.activity_slots``) is nonzero, since a
+        loop-carried NBA staged there drains on the *next* activation.
         """
         if self.host.finished:
             return True
         code = self.code
-        if self._period is None:
-            return False
-        if self.store._watchers:
-            return False
-        if (self._ev_heap or self._trail_count or self._proc_queue
-                or self._nba or self.store.dirty_list):
+        if (self._period is None or self._ev_heap or self._trail_count
+                or self._proc_queue or self._nba or self.store.dirty_list):
             return False
         slot = code.tick_clock_slot
         if self._comb_watch[slot]:
             return False
         for trigger in self._trig_watch[slot]:
-            if not self._trigger_idle(trigger):
+            p = trigger.proc
+            if p not in code.idle_gate_procs:
                 return False
-        return self._activity_clear()
-
-    def activity(self) -> int:
-        """Count of pending scheduler events (0 does NOT imply idle)."""
-        return (len(self._ev_heap) + self._trail_count
-                + len(self._proc_queue) + len(self._nba)
-                + len(self.store.dirty_list))
+            try:
+                if self._gates[p]():
+                    return False
+            except Exception:
+                return False
+        d = self.store.data
+        return not any(d[s] for s in code.activity_slots)
 
     def _defer(self, target: tuple, value: int) -> None:
         """An NBA the reference interpreter ran queues like a compiled

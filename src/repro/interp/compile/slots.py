@@ -11,11 +11,9 @@ The name-based :class:`~repro.interp.store.Store` surface
 (``get``/``set``/``mem_get``/``mem_set``/``snapshot``/``restore``/
 ``state_bits``) is preserved as a thin view over the slots, so the
 hypervisor's save/restore, migration handshake and the Cascade ABI
-data plane are untouched.  One deliberate narrowing: ``add_watcher``
-callbacks fire only for writes arriving through this store API —
-compiled process code writes slots directly and reports through the
-dirty bitset instead, so a watcher is not a per-signal change feed
-here the way it is on the reference store.
+data plane are untouched.  One deliberate narrowing: the change feed
+is the dirty bitset, for store-API writes and compiled code alike; the
+reference store's name-keyed ``dirty`` record is not kept here.
 """
 
 from __future__ import annotations
@@ -99,8 +97,6 @@ class SlotStore(Store):
         #: shadow scalars for set() on declared memory names (reference
         #: store compatibility; see _set_misc)
         self._misc: Dict[str, int] = {}
-        self._watchers = []
-        self._notify_one = None
         for name, (base, word_mask, slot, depth) in layout.mem_specs.items():
             memory = [0] * depth
             self.memories[name] = memory
@@ -141,15 +137,13 @@ class SlotStore(Store):
         self.data[i] = value
         if notify:
             self.mark_dirty(i)
-            if self._watchers:
-                self._notify(name)
         return True
 
     def _set_misc(self, name: str, value: int, notify: bool) -> bool:
         """Scalar write to a declared non-scalar name.
 
         The reference store lets ``set`` on a declared *memory* name
-        store a shadow scalar (and notify watchers) rather than fail;
+        store a shadow scalar (and record the change) rather than fail;
         preserve that — undeclared names still raise WidthError.
         """
         sig = self.env.signal(name)  # raises WidthError when undeclared
@@ -161,8 +155,6 @@ class SlotStore(Store):
             slot = self.mem_slot_of.get(name)
             if slot is not None:
                 self.mark_dirty(slot)
-            if self._watchers:
-                self._notify(name)
         return True
 
     def mark_dirty(self, slot: int) -> None:
@@ -184,8 +176,6 @@ class SlotStore(Store):
         memory[idx] = value
         if notify:
             self.mark_dirty(slot)
-            if self._watchers:
-                self._notify(name)
         return True
 
     # -- state capture -----------------------------------------------------
@@ -210,7 +200,5 @@ class SlotStore(Store):
                 for i, v in enumerate(value[: len(memory)]):
                     memory[i] = v & word_mask
                 self.mark_dirty(slot)
-                if self._watchers:
-                    self._notify(name)
             elif name in self.slot_of:
                 self.set(name, int(value))

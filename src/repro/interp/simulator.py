@@ -94,9 +94,6 @@ class InterpSimulator:
         self.time = 0            # logical ticks driven via tick()
         self.stmts_executed = 0  # perf counter
         self.settle_rounds = 0   # perf counter: evaluation rounds
-        # Insertion-ordered (dict) so activation order is deterministic:
-        # one fixed, valid Verilog schedule per program, every run.
-        self._dirty: Dict[str, None] = {}
         # The run queue: assigns first, then blocks, each in FIFO order.
         self._assigns: Deque[_Process] = deque()
         self._blocks: Deque[_Process] = deque()
@@ -104,7 +101,6 @@ class InterpSimulator:
         self._processes: List[_Process] = []
         self._dep_map: Dict[str, List[_Process]] = {}
         self._build_processes()
-        self.store.add_watcher(lambda name: self._dirty.setdefault(name))
         self._initialize()
 
     # -- construction ---------------------------------------------------------
@@ -209,10 +205,16 @@ class InterpSimulator:
             return 0
 
     def _drain_dirty(self) -> None:
-        """Convert changed-signal notifications into process activations."""
-        while self._dirty:
-            changed = next(iter(self._dirty))
-            del self._dirty[changed]
+        """Convert the store's changed names into process activations.
+
+        ``Store.dirty`` is insertion-ordered, so activation order is
+        deterministic: one fixed, valid Verilog schedule per program,
+        every run.
+        """
+        dirty = self.store.dirty
+        while dirty:
+            changed = next(iter(dirty))
+            del dirty[changed]
             for proc in self._dep_map.get(changed, ()):
                 if proc.kind == "assign" or proc.star_deps:
                     self._enqueue(proc)

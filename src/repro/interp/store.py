@@ -9,7 +9,7 @@ ABI (engine state capture is literally ``store.snapshot()``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..verilog.width import Signal, WidthEnv, mask
 
@@ -21,8 +21,9 @@ class Store:
         self.env = env
         self.values: Dict[str, int] = {}
         self.memories: Dict[str, List[int]] = {}
-        self._watchers: List[Callable[[str], None]] = []
-        self._notify_one: Optional[Callable[[str], None]] = None
+        #: names changed since the simulator last drained them, in the
+        #: order they first changed (the reference scheduler's feed)
+        self.dirty: Dict[str, None] = {}
         self._masks: Dict[str, int] = {}
         #: memory name -> (words, lowest address, word mask)
         self._mem_info: Dict[str, Tuple[List[int], int, int]] = {}
@@ -33,21 +34,6 @@ class Store:
             else:
                 self.values[sig.name] = 0
                 self._masks[sig.name] = (1 << sig.width) - 1
-
-    def add_watcher(self, fn: Callable[[str], None]) -> None:
-        """Register a callback invoked with a signal name on every change."""
-        self._watchers.append(fn)
-        # The overwhelmingly common case is exactly one watcher (the
-        # simulator's dirty tracker) — dispatch to it directly.
-        self._notify_one = fn if len(self._watchers) == 1 else None
-
-    def _notify(self, name: str) -> None:
-        one = self._notify_one
-        if one is not None:
-            one(name)
-            return
-        for fn in self._watchers:
-            fn(name)
 
     # -- scalar access -----------------------------------------------------
 
@@ -61,7 +47,7 @@ class Store:
     def set(self, name: str, value: int, notify: bool = True) -> bool:
         """Write a scalar; returns True when the stored value changed.
 
-        Unchanged writes never reach the watcher-notify path, and masking
+        Unchanged writes are never recorded in ``dirty``, and masking
         uses a precomputed per-signal mask instead of a signal lookup.
         """
         sig_mask = self._masks.get(name)
@@ -74,7 +60,7 @@ class Store:
             return False
         self.values[name] = value
         if notify:
-            self._notify(name)
+            self.dirty[name] = None
         return True
 
     # -- memory access -------------------------------------------------------
@@ -96,7 +82,7 @@ class Store:
             return False
         memory[idx] = value
         if notify:
-            self._notify(name)
+            self.dirty[name] = None
         return True
 
     # -- state capture (the ABI's get/set over full program state) ----------
@@ -124,7 +110,7 @@ class Store:
                 memory = self.memories[name]
                 for i, v in enumerate(value[: len(memory)]):
                     memory[i] = v
-                self._notify(name)
+                self.dirty[name] = None
             elif name in self.values:
                 sig = self.env.signal(name)
                 self.set(name, mask(int(value), sig.width))

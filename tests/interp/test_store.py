@@ -1,4 +1,4 @@
-"""Store tests: watchers, capture accounting, selective snapshots."""
+"""Store tests: the change record, capture accounting, selective snapshots."""
 
 import pytest
 
@@ -19,31 +19,24 @@ def store():
     return Store(WidthEnv(MOD))
 
 
-class TestWatchers:
-    def test_notified_on_change(self, store):
-        seen = []
-        store.add_watcher(seen.append)
+class TestDirty:
+    def test_recorded_on_change(self, store):
         store.set("a", 1)
-        assert seen == ["a"]
+        assert list(store.dirty) == ["a"]
 
-    def test_not_notified_on_same_value(self, store):
-        seen = []
+    def test_not_recorded_on_same_value(self, store):
         store.set("a", 5)
-        store.add_watcher(seen.append)
+        store.dirty.clear()
         store.set("a", 5)
-        assert seen == []
+        assert not store.dirty
 
-    def test_memory_changes_notify(self, store):
-        seen = []
-        store.add_watcher(seen.append)
+    def test_memory_changes_recorded(self, store):
         store.mem_set("mem", 3, 9)
-        assert seen == ["mem"]
+        assert list(store.dirty) == ["mem"]
 
     def test_notify_suppressed(self, store):
-        seen = []
-        store.add_watcher(seen.append)
         store.set("a", 7, notify=False)
-        assert seen == []
+        assert not store.dirty
         assert store.get("a") == 7
 
 

@@ -12,7 +12,7 @@ Two checks:
 * in one period, interpreted and compiled NBAs to the same slot and
   the same memory word, in both orders: the last one in program order
   wins, as in the interpreter — on the generated period and on the
-  reference ``tick`` the same artifact takes under a store watcher;
+  reference ``tick`` the same artifact takes with its period unset;
 * ``settle_rounds``, ``ops_evaluated`` and ``stmts_executed`` after
   2 000 ticks of mips32, df and bitcoin equal the values pinned below,
   which the generated period produced before its update region and its
@@ -80,7 +80,7 @@ def test_interpreted_and_compiled_nbas_keep_program_order(watched):
         host = TaskHost()
         sim = CompiledSimulator(flat, host, code=code)
         if watched:
-            sim.store.add_watcher(lambda name: None)
+            sim._period = None
         sim.tick(cycles=6)
         assert sim.slow_periods == (6 if watched else 0)
         assert host.display_log == interp_host.display_log

@@ -5,8 +5,8 @@ of it as it can in one dispatch.  These tests pin the contract from the
 outside: any partition of N ticks into chunks must be indistinguishable
 from N budget-1 dispatches — ``$display`` log, architectural state,
 tick count, ``$finish`` status **and modeled time, bit for bit** — on
-every stepping path (event plan, the same artifact with a store watcher
-attached, reference interpreter, cohort lanes), and the engine must
+every stepping path (event plan, the same artifact with its generated
+period unset, reference interpreter, cohort lanes), and the engine must
 come up for air on exactly the tick where the runtime has work to do.
 """
 
@@ -92,8 +92,8 @@ endmodule
 """
 
 #: selects the stepping path under test: ``watched`` runs the event
-#: plan's artifact with a no-op store watcher (the debugger's path), so
-#: every period takes the reference ``tick``
+#: plan's artifact with its generated period unset, so every period
+#: takes the reference ``tick``
 PATHS = ("event", "interp", "watched")
 
 
@@ -109,7 +109,7 @@ def runtime_on(path, source):
     runtime = Runtime(source, sim_backend="interp" if path == "interp"
                       else "compiled", compiler=CompilerService())
     if path == "watched":
-        runtime.engine.sim.store.add_watcher(lambda name: None)
+        runtime.engine.sim._period = None
     return runtime
 
 
