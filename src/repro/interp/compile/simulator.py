@@ -15,14 +15,16 @@ workload share one codegen artifact:
   per-engine edge-detection triggers, and the event queues.
 
 :class:`CompiledSimulator` is ABI-identical to the reference
-interpreter (:class:`~repro.interp.simulator.InterpSimulator`) — same
-``get``/``set``/``evaluate``/``update``/``step``/``tick``/``run``/
-``save_state``/``restore_state`` surface, same ``store``/``evaluator``
-attributes — but executes generated Python functions instead of
-walking the AST.  It subclasses the interpreter so every cold path
-(system tasks, ``$readmem``, trap argument evaluation, uncompilable
-statements) runs the *reference* implementation against the slot
-store, keeping behaviour bit-identical by construction.
+interpreter (:class:`~repro.interp.simulator.InterpSimulator`) — the
+same :class:`~repro.interp.simulator.SimulatorABI` surface, same
+``store``/``evaluator`` attributes — but executes generated Python
+functions instead of walking the AST.  It does not inherit the
+interpreter: its ``evaluator`` is its own
+:class:`~repro.interp.simulator.Reference` over the slot store, and
+every cold path (system tasks and functions, ``$readmem``, trap
+argument evaluation, uncompilable statements and assigns) runs that
+*reference* implementation, keeping behaviour bit-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ...verilog import ast_nodes as ast
 from ...verilog.rewrite import collect_identifiers
 from ...verilog.width import WidthEnv
-from ..eval_expr import EvalError, Evaluator
+from ..eval_expr import EvalError
 from ..systasks import FinishSignal, TaskHost
 from ..simulator import (
     _MAX_SETTLE_ROUNDS,
-    InterpSimulator,
+    Reference,
     SimulationError,
+    SimulatorABI,
 )
 from ...opt import optimize_module
 from ...verilog.width import WidthError
@@ -56,7 +59,7 @@ class _Trigger:
     expression in ``cell[0]``.  Invariant: when the code artifact plans
     a ``tick_clock``, every edge trigger of the engine samples that one
     bare signal, and every site that writes a previous value
-    (``_initialize``, ``_drain``, ``restore_state``, the generated
+    (``_prime_edges``, ``_drain``, the generated
     ``period()``) writes all of them together — so they share **one**
     cell, and ``period()`` reads and writes a single value.
     """
@@ -260,7 +263,7 @@ class CompiledModuleCode:
         ``settle_rounds`` accounting.  ``period()`` assumes the resting
         state between periods (clock low, previous value low, empty
         process queue, clock slot clean); ``_tick_event`` sends anything
-        else through the reference ``tick``.
+        else through the reference period.
         """
         schedule = self.schedule
         if schedule.period_plan is None:
@@ -290,7 +293,7 @@ class CompiledModuleCode:
         else:
             out += ["comb = settle", ""]
             pending = "dl or heap or S._trail_count"
-        # every entry applies itself (a writer or _assign_entry), in order
+        # every entry applies itself (a writer or Reference.apply), in order
         out += ["def latch():", "    q = nba[:]; del nba[:]", "    for e in q:",
                 "        e[0](e)", "    if dl:", "        comb()", ""]
         out.append("def period():")
@@ -335,7 +338,7 @@ class CompiledModuleCode:
         return out
 
 
-class CompiledSimulator(InterpSimulator):
+class CompiledSimulator(SimulatorABI):
     """Simulates one flattened module through compiled closures.
 
     Pass *code* (a :class:`CompiledModuleCode`, usually from the
@@ -353,18 +356,16 @@ class CompiledSimulator(InterpSimulator):
             code = CompiledModuleCode(module, env=env)
         self.code = code
         self.module = code.module
-        self.host = host if host is not None else TaskHost()
         self.env = code.env
         self.store = SlotStore(self.env, layout=code.layout)
-        self.evaluator = Evaluator(self.env, self.store, self._sysfunc)
-        self.time = 0
-        self.stmts_executed = 0
-        self.settle_rounds = 0
-        #: periods that took the reference ``tick`` instead of the
-        #: generated ``period()`` (no planned clock, an entry state
-        #: period() cannot assume)
-        self.slow_periods = 0
         self._nba: List[tuple] = []
+        self.evaluator = Reference(self.env, self.store,
+                                   host if host is not None else TaskHost(),
+                                   self._nba.append)
+        self.settle_rounds = 0
+        #: periods that took the reference period (no planned clock, a
+        #: second clock, an entry state ``period()`` cannot assume)
+        self.slow_periods = 0
         schedule = code.schedule
         nprocs = len(schedule.processes)
         #: process runs one settle may make before it is declared divergent
@@ -410,7 +411,7 @@ class CompiledSimulator(InterpSimulator):
             "nbap": self._nba.append,
             "EV": self.evaluator._eval,
             "EVC": self.evaluator,
-            "SYS": self._sysfunc,
+            "SYS": self.evaluator.sysfunc,
             "SimulationError": SimulationError,
             # what the generated period() schedules with
             "dl": store.dirty_list,
@@ -471,14 +472,10 @@ class CompiledSimulator(InterpSimulator):
 
     def _prime_edges(self) -> None:
         for trigger in self._events:
-            trigger.cell[0] = self._trigger_value(trigger)
-
-    @staticmethod
-    def _trigger_value(trigger: _Trigger) -> int:
-        try:
-            return trigger.fn()
-        except EvalError:
-            return 0
+            try:
+                trigger.cell[0] = trigger.fn()
+            except EvalError:
+                trigger.cell[0] = 0
 
     # -- scheduling core ---------------------------------------------------------
 
@@ -575,8 +572,7 @@ class CompiledSimulator(InterpSimulator):
         the guard.
         """
         if self.store.dirty_list:
-            self._wake_cone_outputs()
-            self._drain()
+            self._drain_dirty()
         heap = self._ev_heap
         order = self._comb_order
         acyc = self._ev_acyclic
@@ -643,68 +639,42 @@ class CompiledSimulator(InterpSimulator):
                     self._drain()
 
     def tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        """Drive *cycles* clock periods (VCD sampling wrapper).
-
-        Waveform dumping needs a sample per period; with no writer
-        attached this is a single delegation with zero overhead.
-        """
-        vcd = self._vcd
-        if vcd is None:
-            return self._tick(clock, cycles)
-        for _ in range(cycles):
-            self._tick(clock, 1)
-            vcd.sample(self.time)
-
-    def _tick(self, clock: str = "clock", cycles: int = 1) -> None:
-        """Drive *cycles* clock periods; generated code on the event plan.
-
-        For single-clock designs (``tick_clock`` planned by the code
-        artifact) the event plan runs the artifact's generated
-        ``period()`` (:meth:`_tick_event`).  Designs that fail the
-        plan's conditions (``code.schedule.period_refused`` says which)
-        take the reference ``tick``/``step`` path, which reaches the
-        same :meth:`settle` through the store API and ``_drain``;
-        ``slow_periods`` counts those.
-        """
-        if self._period is None or clock != self.code.schedule.tick_clock:
-            before = self.time
-            super().tick(clock, cycles)
-            self.slow_periods += self.time - before
-            return
-        self._tick_event(cycles)
+        """Drive *cycles* clock periods (:meth:`_tick_event`)."""
+        self._tick_event(clock, cycles)
 
     def tick_metered(self, clock: str, cycles: int, now: float,
                      until: float, per_tick: float,
-                     per_stmt: float) -> Optional[Tuple[int, float, int]]:
+                     per_stmt: float) -> Tuple[int, float, int]:
         """:meth:`tick` with a cost meter and early return, for engines.
 
-        Drives up to *cycles* periods of the event plan, adding
-        ``per_tick + statements * per_stmt`` to *now* after each one —
-        period by period, so the total does not depend on how a span is
-        cut into calls — and returns after the period that raises
-        ``$finish``, ``$save`` or ``$restart`` or takes *now* to
-        *until* (``inf`` for never).  The result is ``(periods retired, now, periods the
-        quiescence proof retired)``; None means this engine cannot run
-        *clock* on the event plan (no generated period, a second clock,
-        a waveform writer) and the caller single-steps through
-        :meth:`tick` instead.
+        Drives up to *cycles* periods, adding ``per_tick + statements *
+        per_stmt`` to *now* after each one — period by period, so the
+        total does not depend on how a span is cut into calls — and
+        returns after the period that raises ``$finish``, ``$save`` or
+        ``$restart`` or takes *now* to *until* (``inf`` for never).  The
+        result is ``(periods retired, now, periods the quiescence proof
+        retired)``.
         """
-        if (self._period is None or clock != self.code.schedule.tick_clock
-                or self._vcd is not None):
-            return None
-        return self._tick_event(cycles, now, until, per_tick, per_stmt)
+        return self._tick_event(clock, cycles, now, until, per_tick, per_stmt)
 
-    def _tick_event(self, cycles: int, now: Optional[float] = None,
-                    until: float = inf, per_tick: float = 0.0,
-                    per_stmt: float = 0.0):
-        """The event plan's period loop: generated period, idle fast path.
+    def _tick_event(self, clock: str, cycles: int,
+                    now: Optional[float] = None, until: float = inf,
+                    per_tick: float = 0.0, per_stmt: float = 0.0):
+        """The period loop every period of this engine runs through.
 
-        Each period is one call of the code artifact's generated
-        ``period()`` — both clock edges, the processes each fires, the
-        cones their writes wake and the update region, as straight-line
-        code (:meth:`CompiledModuleCode._period_source`).  This loop
-        owns what spans periods: the quiescence probe, ``$finish``
-        compression, time, the cost meter and the stop test.
+        A period of the planned ``tick_clock`` is one call of the code
+        artifact's generated ``period()`` — both clock edges, the
+        processes each fires, the cones their writes wake and the update
+        region, as straight-line code
+        (:meth:`CompiledModuleCode._period_source`).  Any other period is
+        the reference period (``_reference_period``: the clock driven
+        through the store, the same :meth:`settle` reached through
+        ``_drain``), counted in ``slow_periods``: every period when no
+        clock is planned (``code.schedule.period_refused`` says why) or
+        *clock* is another one, and the first period of a call that
+        finds the engine off rest.  This loop owns what spans periods:
+        the quiescence probe, ``$finish`` compression, time, the
+        waveform sample, the cost meter and the stop test.
 
         ``period()`` assumes the resting state a completed period
         leaves: clock low with a matching previous value, no queued
@@ -712,11 +682,10 @@ class CompiledSimulator(InterpSimulator):
         that between calls (the clock poked high through the store, a
         ``notify=False`` write that left the previous value stale, a
         ``$finish`` that aborted a settle mid-queue), so it is checked
-        on entry, and the first period of such a call goes through the
-        reference ``tick`` — which restores it.
+        on entry; the reference period restores it.
 
-        On entry, and again after any period that executed no
-        statement, the scheduler probes for quiescence
+        On the planned clock, on entry and again after any period that
+        executed no statement, the scheduler probes for quiescence
         (:meth:`is_idle`).  A quiescent engine retires all remaining periods at once — time
         moves, nothing executes.  Idle periods are exact: they would
         have run zero process bodies, so skipping them is bit-identical
@@ -728,15 +697,18 @@ class CompiledSimulator(InterpSimulator):
         test; without it the loop stops only at ``$finish``.
         """
         code = self.code
-        slot = code.tick_clock_slot
-        host = self.host
+        ref = self.evaluator
+        host = ref.host
         period = self._period
+        vcd = self._vcd
         metered = now is not None
-        rested = not (self.store.data[slot] or self._clock_prev[0]
-                      or self._proc_queue or self._nba
-                      or self.store.dirty_flags[slot])
+        planned = period is not None and clock == code.schedule.tick_clock
+        slot = code.tick_clock_slot
+        rested = planned and not (
+            self.store.data[slot] or self._clock_prev[0] or self._proc_queue
+            or self._nba or self.store.dirty_flags[slot])
         i = idle = 0
-        probe = True
+        probe = planned
         while i < cycles and not host.finished:
             if probe and self.is_idle():
                 idle = cycles - i
@@ -746,23 +718,27 @@ class CompiledSimulator(InterpSimulator):
                         now += per_tick
                         if now >= until:
                             break
-                self.time += idle
+                if vcd is not None:  # the first idle period's sample;
+                    vcd.sample(ref.time + 1)  # the rest change nothing
+                ref.time += idle
                 i += idle
                 break
-            before = self.stmts_executed
+            before = ref.stmts_executed
             if rested:
                 try:
                     period()
                 except FinishSignal:
                     pass
-                self.time += 1
+                ref.time += 1
             else:
-                rested = True
+                rested = planned
                 self.slow_periods += 1
-                InterpSimulator.tick(self, code.schedule.tick_clock, 1)
+                self._reference_period(clock)
             i += 1
-            executed = self.stmts_executed - before
-            probe = not executed
+            if vcd is not None:
+                vcd.sample(ref.time)
+            executed = ref.stmts_executed - before
+            probe = planned and not executed
             if metered:
                 now += per_tick + executed * per_stmt
                 if (host.save_requested or host.restart_requested
@@ -809,27 +785,6 @@ class CompiledSimulator(InterpSimulator):
         d = self.store.data
         return not any(d[s] for s in code.activity_slots)
 
-    def _defer(self, target: tuple, value: int) -> None:
-        """An NBA the reference interpreter ran queues like a compiled
-        one: ``(applier, target, value)``, called as ``e[0](e)``."""
-        self._nba.append((self._assign_entry, target, value))
-
-    def _assign_entry(self, entry: tuple) -> None:
-        self.evaluator.write(entry[1], entry[2])
-
-    def _latch(self) -> None:
-        """The update region: apply the NBA queue, wake what it changed.
-
-        The generated ``latch()`` applies the same way and wakes
-        through ``comb()`` instead.
-        """
-        pending = self._nba[:]
-        del self._nba[:]  # keep list identity: compiled code binds .append
-        for entry in pending:
-            entry[0](entry)
-        self._wake_cone_outputs()
-        self._drain()
-
     def _wake(self, index: int) -> None:
         """Mark ranked process *index* pending, as ``_drain`` does."""
         if not self._comb_pending[index]:
@@ -840,16 +795,19 @@ class CompiledSimulator(InterpSimulator):
             else:
                 self._trail_count += 1
 
-    def _wake_cone_outputs(self) -> None:
-        """Wake each licensed ``@*`` block whose output a dirty slot holds
-        (``code.cone_out``).  Called where only writes from outside the
-        processes are dirty — a run drains its own, and nothing but the
-        block writes its outputs."""
+    def _drain_dirty(self) -> None:
+        """Wake what writes from outside the processes changed (a store
+        poke, a restore, the update region): each licensed ``@*`` block
+        whose output a dirty slot holds (``code.cone_out``) — nothing
+        but the block writes its outputs, so only such a write can
+        change one behind its back — then every reader (:meth:`_drain`).
+        The generated ``latch()`` wakes through ``comb()`` instead."""
         cone_out = self.code.cone_out
         if cone_out:
             for slot in self.store.dirty_list:
                 if slot in cone_out:
                     self._wake(cone_out[slot])
+        self._drain()
 
     def _requeue(self, procs: Sequence[int]) -> None:
         """Queue activations a generated period fired but did not reach.
@@ -861,17 +819,3 @@ class CompiledSimulator(InterpSimulator):
             if not self._queued[p]:
                 self._queued[p] = 1
                 self._proc_queue.append(p)
-
-    # -- state capture -----------------------------------------------------------
-
-    def restore_state(self, snapshot: Dict[str, object]) -> None:
-        self.store.restore(snapshot["store"])  # type: ignore[arg-type]
-        self.host.vfs.restore(snapshot["vfs"])  # type: ignore[arg-type]
-        self.time = int(snapshot["time"])  # type: ignore[arg-type]
-        # Re-prime edge detection so restore does not fabricate edges.
-        self._prime_edges()
-        # Snapshots are taken at quiescence; stale activity from the
-        # pre-restore timeline must not leak into the new one.
-        del self._ev_heap[:]
-        self._trail_count = 0
-        self._comb_pending[:] = bytes(len(self._comb_pending))

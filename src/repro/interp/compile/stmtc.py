@@ -12,8 +12,9 @@ loaded once at entry and flushed once at exit, so a 64-round SHA loop
 touches ``LOAD_FAST`` instead of list subscripts.  A statement the
 compiler cannot lower (a system task, a ``$random``, an impure case
 subject) becomes an **escape**: the locals the body writes are written
-back, ``S._exec(<node>)`` runs the reference interpreter on the live
-slot store, and a ``finally`` reloads the locals the statement may
+back, ``EVC.exec(<node>)`` runs it on the engine's reference semantics
+(:class:`~repro.interp.simulator.Reference`, bound as ``EVC``) over the
+live slot store, and a ``finally`` reloads the locals the statement may
 write — the rest of the body stays lowered.  ``escapes`` records why,
 per process.
 
@@ -300,13 +301,14 @@ class ProcessCompiler:
         self._emit(ind, _SPILL)
 
     def _escape(self, stmt: ast.Stmt, ind: int, why: str) -> None:
-        """Run *stmt* on the reference interpreter: write back what the
-        body has cached, and reload what *stmt* may write — in a
-        ``finally``, so a ``$finish`` still leaves the flush true."""
+        """Run *stmt* on the engine's reference semantics
+        (``EVC.exec``): write back what the body has cached, and reload
+        what *stmt* may write — in a ``finally``, so a ``$finish`` still
+        leaves the flush true."""
         self._spill(ind, why)
         reload = sorted(self.ec.slot_of[name] for name in stmt_writes(stmt)
                         if name in self.ec.slot_of)
-        run = f"S._exec({self.ec.const_ref(stmt)})"
+        run = f"EVC.exec({self.ec.const_ref(stmt)})"
         if reload:
             self._emit(ind, "try:")
             self._emit(ind + 1, run)
@@ -649,7 +651,7 @@ class ProcessCompiler:
             footer = f"        EVC.ops_evaluated += {expr_nodes(item.rhs)}"
         except (CompileFallback, WidthError):
             # The interpreted fallback counts its own evaluated ops.
-            self.lines = [f"        S._run_assign({self.ec.const_ref(item)})"]
+            self.lines = [f"        EVC.run_assign({self.ec.const_ref(item)})"]
             footer = "        pass"
         return ([f"def {name}():", "    try:"] + self.lines
                 + ["    finally:", footer, ""])

@@ -16,15 +16,10 @@ constants.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional
 
 from ..opt.ir import PURE_SYSFUNCS
 from ..verilog import ast_nodes as ast
 from ..verilog.width import WidthEnv, const_eval, to_signed
-
-# System functions the evaluator resolves through a callback; everything
-# else in expression position is an error.
-SysFuncHook = Callable[[ast.SysCall, int], int]
 
 
 class EvalError(Exception):
@@ -52,10 +47,9 @@ _BITWISE = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
 class Evaluator:
     """Evaluates expressions and applies assignments for one module."""
 
-    def __init__(self, env: WidthEnv, store, sysfunc: Optional[SysFuncHook] = None):
+    def __init__(self, env: WidthEnv, store):
         self.env = env
         self.store = store
-        self.sysfunc = sysfunc
         self.ops_evaluated = 0  # perf counter: expression nodes evaluated
         self.plan = env.plan
 
@@ -306,9 +300,13 @@ class Evaluator:
 
     def _sysfunc(self, e, w):
         self.ops_evaluated += 1
-        if self.sysfunc is None:
-            raise EvalError(f"system function {e[3].name} needs a runtime handler")
         return self.sysfunc(e[3], w) & ((1 << w) - 1)
+
+    def sysfunc(self, expr: ast.SysCall, width: int) -> int:
+        """The value of system function *expr*: an engine's
+        :class:`~repro.interp.simulator.Reference` answers; a bare
+        evaluator has no runtime to ask."""
+        raise EvalError(f"system function {expr.name} needs a runtime handler")
 
     # -- assignment ----------------------------------------------------------
 

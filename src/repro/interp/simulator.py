@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..verilog import ast_nodes as ast
 from ..verilog.rewrite import collect_identifiers, lvalue_reads, stmt_identifiers
@@ -74,7 +74,263 @@ class _Process:
         self.queued = False
 
 
-class InterpSimulator:
+class Reference(Evaluator):
+    """The reference semantics of statements, system tasks and functions.
+
+    One per engine, over that engine's store; both engines run
+    statements through it — the interpreter every process body, the
+    compiled engine each escape, continuous-assign fallback and ``SYS``
+    call.  Its collaborators are explicit: the store it evaluates over,
+    the task *host*, and *nba*, the sink a non-blocking assignment's
+    ``(applier, target, value)`` entry is appended to.  It carries the
+    engine's ``time`` (for ``$time``) and ``stmts_executed``.  It holds
+    no reference back to an engine, and it extends the evaluator rather
+    than handing it a bound callback for system functions, so a retired
+    interpreter is freed by reference counting alone.
+    """
+
+    def __init__(self, env: WidthEnv, store, host: TaskHost, nba):
+        super().__init__(env, store)
+        self.host = host
+        self.nba = nba
+        self.time = 0            # logical ticks the engine has driven
+        self.stmts_executed = 0  # perf counter
+
+    def apply(self, entry: tuple) -> None:
+        """Apply a queued ``(applier, target, value)`` NBA entry."""
+        self.write(entry[1], entry[2])
+
+    def run_assign(self, item: ast.ContinuousAssign) -> None:
+        self.assign(item.lhs, self.eval(item.rhs, self.env.width_of(item.lhs)))
+
+    def exec(self, stmt: Optional[ast.Stmt]) -> None:
+        if stmt is None:
+            return
+        self.stmts_executed += 1
+        if isinstance(stmt, ast.Assign):
+            value = self.eval(stmt.rhs, self.env.width_of(stmt.lhs))
+            if stmt.blocking:
+                self.assign(stmt.lhs, value)
+            else:
+                self.nba((self.apply, self.target(stmt.lhs, nba=True), value))
+            return
+        if isinstance(stmt, ast.Block) or isinstance(stmt, ast.ForkJoin):
+            # Sequential execution is a valid scheduling of fork/join (§3.2).
+            for inner in stmt.stmts:
+                self.exec(inner)
+            return
+        if isinstance(stmt, ast.If):
+            if self.eval_bool(stmt.cond):
+                self.exec(stmt.then_stmt)
+            else:
+                self.exec(stmt.else_stmt)
+            return
+        if isinstance(stmt, ast.Case):
+            self._exec_case(stmt)
+            return
+        if isinstance(stmt, (ast.For, ast.While)):
+            kind = "for" if isinstance(stmt, ast.For) else "while"
+            if kind == "for":
+                self.exec(stmt.init)
+            iterations = 0
+            while self.eval_bool(stmt.cond):
+                self.exec(stmt.body)
+                if kind == "for":
+                    self.exec(stmt.step)
+                iterations += 1
+                if iterations > _MAX_LOOP_ITERATIONS:
+                    raise SimulationError(f"{kind}-loop iteration limit exceeded")
+            return
+        if isinstance(stmt, ast.RepeatStmt):
+            count = self.eval(stmt.count)
+            for _ in range(min(count, _MAX_LOOP_ITERATIONS)):
+                self.exec(stmt.body)
+            return
+        if isinstance(stmt, ast.SysTask):
+            self._exec_systask(stmt)
+            return
+        if isinstance(stmt, ast.NullStmt):
+            return
+        if isinstance(stmt, ast.DelayStmt):
+            # Delays are compressed to zero time in the 2-state model.
+            self.exec(stmt.stmt)
+            return
+        raise SimulationError(f"cannot execute {type(stmt).__name__}")
+
+    def _exec_case(self, stmt: ast.Case) -> None:
+        """A pure subject is evaluated once, counted once per label tried."""
+        entry = self.entry(stmt.expr)
+        subject = ops = None
+        for item in stmt.items:
+            for label in item.labels:
+                if subject is None or not entry[4]:
+                    ops = self.ops_evaluated
+                    subject = self._eval(stmt.expr, entry[1])
+                    ops = self.ops_evaluated - ops
+                else:
+                    self.ops_evaluated += ops
+                value = self.eval(label, entry[1])
+                dontcare = 0
+                if stmt.kind in ("casez", "casex") and isinstance(label, ast.Number):
+                    dontcare = label.xz_mask
+                if (subject & ~dontcare) == (value & ~dontcare):
+                    self.exec(item.stmt)
+                    return
+        for item in stmt.items:
+            if not item.labels:  # default arm
+                self.exec(item.stmt)
+                return
+
+    def _exec_systask(self, stmt: ast.SysTask) -> None:
+        name, args = stmt.name, stmt.args
+        if name in ("$readmemh", "$readmemb") and len(args) == 2:
+            # (writes the store directly: the interpreter's own task)
+            self._readmem(args[0], args[1], 16 if name == "$readmemh" else 2)
+            return
+        self.host.perform(name, args, self.eval, self.assign, self.env.width_of)
+
+    def _readmem(self, path_arg: ast.Expr, mem_arg: ast.Expr, radix: int) -> None:
+        if not isinstance(path_arg, ast.String) or not isinstance(mem_arg, ast.Identifier):
+            return
+        data = self.host.vfs.files.get(path_arg.value)
+        if data is None:
+            return
+        sig = self.env.signal(mem_arg.name)
+        addr = sig.base
+        for token in data.decode().split():
+            if token.startswith("@"):
+                addr = int(token[1:], 16)
+                continue
+            self.store.mem_set(sig.name, addr, int(token, radix))
+            addr += 1
+
+    def sysfunc(self, expr: ast.SysCall, width: int) -> int:
+        name = expr.name
+        if name == "$clog2":
+            value = self.eval(expr.args[0])
+            return max(0, (value - 1).bit_length())
+        value = self.host.query(name, expr.args, self.eval, self.time)
+        if value is None:
+            raise EvalError(f"unsupported system function {name}")
+        return value
+
+
+class SimulatorABI:
+    """The Cascade ABI surface, written once for both engines.
+
+    An engine builds ``store``, ``evaluator`` (its :class:`Reference`)
+    and ``_nba`` (the queue that reference appends to), and defines
+    ``settle``, ``_drain_dirty`` (wake what outside writes changed),
+    ``_prime_edges`` and ``tick``; nothing here reads anything else.
+    """
+
+    @property
+    def host(self) -> TaskHost:
+        return self.evaluator.host
+
+    @host.setter
+    def host(self, host: TaskHost) -> None:
+        self.evaluator.host = host
+
+    @property
+    def time(self) -> int:
+        """Logical ticks driven (``$time``)."""
+        return self.evaluator.time
+
+    @time.setter
+    def time(self, value: int) -> None:
+        self.evaluator.time = value
+
+    @property
+    def stmts_executed(self) -> int:
+        """Perf counter: statements executed, escapes included."""
+        return self.evaluator.stmts_executed
+
+    @stmts_executed.setter
+    def stmts_executed(self, value: int) -> None:
+        self.evaluator.stmts_executed = value
+
+    def get(self, name: str) -> int:
+        """ABI ``get``: read a program variable."""
+        return self.store.get(name)
+
+    def set(self, name: str, value: int) -> None:
+        """ABI ``set``: drive an input or overwrite a variable."""
+        self.store.set(name, value)
+
+    def evaluate(self) -> None:
+        """ABI ``evaluate``: run until no events can be scheduled."""
+        self.settle()
+
+    def update(self) -> None:
+        """ABI ``update``, the update region: apply the queued
+        non-blocking assignments in order, then wake what they changed."""
+        pending = self._nba[:]
+        del self._nba[:]  # keep list identity: the reference binds .append
+        for entry in pending:
+            entry[0](entry)
+        self._drain_dirty()
+
+    def step(self) -> None:
+        """One full logical step: evaluate/update until quiescent."""
+        self.settle()
+        guard = 0
+        while self._nba:
+            guard += 1
+            if guard > _MAX_SETTLE_ROUNDS:
+                raise SimulationError("update region did not converge")
+            self.update()
+            self.settle()
+
+    def _reference_period(self, clock: str) -> None:
+        """One period of *clock* through the store: rise, step, fall, step."""
+        try:
+            self.store.set(clock, 1)
+            self.step()
+            self.store.set(clock, 0)
+            self.step()
+        except FinishSignal:
+            pass
+        self.time += 1
+
+    def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
+        """Tick until ``$finish`` or *max_cycles*; returns cycles driven."""
+        cycles = 0
+        while not self.host.finished and cycles < max_cycles:
+            self.tick(clock)
+            cycles += 1
+        return cycles
+
+    def save_state(self) -> Dict[str, object]:
+        """Full context snapshot: program state, file cursors, time."""
+        return {
+            "store": self.store.snapshot(),
+            "vfs": self.host.vfs.snapshot(),
+            "time": self.time,
+        }
+
+    def restore_state(self, snapshot: Dict[str, object]) -> None:
+        """Restore a snapshot taken by :meth:`save_state`."""
+        self.store.restore(snapshot["store"])  # type: ignore[arg-type]
+        self.host.vfs.restore(snapshot["vfs"])  # type: ignore[arg-type]
+        self.time = int(snapshot["time"])  # type: ignore[arg-type]
+        # Re-prime edge detection so restore does not fabricate edges.
+        self._prime_edges()
+
+    def restore_store(self, state: Dict[str, object]) -> None:
+        """Restore program state captured between ticks, then settle.
+
+        A restore is not an edge: the values it writes become the
+        previous values edge detection compares against.  A context
+        captured after a ``$finish`` on a rising edge holds its clock
+        high, and the posedge that finished it has already run.
+        """
+        self.store.restore(state)
+        self._prime_edges()
+        self.step()
+
+
+class InterpSimulator(SimulatorABI):
     """Simulates one flattened module against a :class:`TaskHost`.
 
     This is the *reference* tree-walking interpreter: simple, slow, and
@@ -87,17 +343,16 @@ class InterpSimulator:
     def __init__(self, module: ast.Module, host: Optional[TaskHost] = None,
                  env: Optional[WidthEnv] = None):
         self.module = module
-        self.host = host if host is not None else TaskHost()
         self.env = env if env is not None else WidthEnv(module)
         self.store = Store(self.env)
-        self.evaluator = Evaluator(self.env, self.store, self._sysfunc)
-        self.time = 0            # logical ticks driven via tick()
-        self.stmts_executed = 0  # perf counter
+        self._nba: List[tuple] = []
+        self.evaluator = Reference(self.env, self.store,
+                                   host if host is not None else TaskHost(),
+                                   self._nba.append)
         self.settle_rounds = 0   # perf counter: evaluation rounds
         # The run queue: assigns first, then blocks, each in FIFO order.
         self._assigns: Deque[_Process] = deque()
         self._blocks: Deque[_Process] = deque()
-        self._nba: List[Tuple[tuple, int]] = []
         self._processes: List[_Process] = []
         self._dep_map: Dict[str, List[_Process]] = {}
         self._build_processes()
@@ -173,24 +428,6 @@ class InterpSimulator:
             for event in proc.events:
                 event.prev = self._event_value(event)
 
-    # -- the ABI surface ------------------------------------------------------
-
-    def get(self, name: str) -> int:
-        """ABI ``get``: read a program variable."""
-        return self.store.get(name)
-
-    def set(self, name: str, value: int) -> None:
-        """ABI ``set``: drive an input or overwrite a variable."""
-        self.store.set(name, value)
-
-    def evaluate(self) -> None:
-        """ABI ``evaluate``: run until no events can be scheduled."""
-        self.settle()
-
-    def update(self) -> None:
-        """ABI ``update``: latch pending non-blocking assignments."""
-        self._latch()
-
     # -- scheduling core ---------------------------------------------------------
 
     def _enqueue(self, proc: _Process) -> None:
@@ -248,206 +485,17 @@ class InterpSimulator:
             proc.queued = False
             self.settle_rounds += 1
             if proc.kind == "assign":
-                self._run_assign(proc.assign)
+                self.evaluator.run_assign(proc.assign)
             else:
-                self._exec(proc.stmt)
+                self.evaluator.exec(proc.stmt)
             self._drain_dirty()
-
-    def _defer(self, target: tuple, value: int) -> None:
-        """Queue a non-blocking update of an ``Evaluator.target``."""
-        self._nba.append((target, value))
-
-    def _latch(self) -> None:
-        """Apply queued non-blocking assignments (update region)."""
-        pending, self._nba = self._nba, []
-        for target, value in pending:
-            self.evaluator.write(target, value)
-        self._drain_dirty()
-
-    def step(self) -> None:
-        """One full logical step: evaluate/update until quiescent."""
-        self.settle()
-        guard = 0
-        while self._nba:
-            guard += 1
-            if guard > _MAX_SETTLE_ROUNDS:
-                raise SimulationError("update region did not converge")
-            self._latch()
-            self.settle()
 
     def tick(self, clock: str = "clock", cycles: int = 1) -> None:
         """Drive *cycles* full clock periods (rise then fall)."""
         for _ in range(cycles):
             if self.host.finished:
                 return
-            try:
-                self.store.set(clock, 1)
-                self.step()
-                self.store.set(clock, 0)
-                self.step()
-            except FinishSignal:
-                pass
-            self.time += 1
-
-    def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
-        """Tick until ``$finish`` or *max_cycles*; returns cycles driven."""
-        cycles = 0
-        while not self.host.finished and cycles < max_cycles:
-            self.tick(clock)
-            cycles += 1
-        return cycles
-
-    # -- statement execution ----------------------------------------------------
-
-    def _run_assign(self, item: ast.ContinuousAssign) -> None:
-        value = self.evaluator.eval(item.rhs, self.env.width_of(item.lhs))
-        self.evaluator.assign(item.lhs, value)
-
-    def _exec(self, stmt: Optional[ast.Stmt]) -> None:
-        if stmt is None:
-            return
-        self.stmts_executed += 1
-        if isinstance(stmt, ast.Assign):
-            evaluator = self.evaluator
-            value = evaluator.eval(stmt.rhs, self.env.width_of(stmt.lhs))
-            if stmt.blocking:
-                evaluator.assign(stmt.lhs, value)
-            else:
-                self._defer(evaluator.target(stmt.lhs, nba=True), value)
-            return
-        if isinstance(stmt, ast.Block) or isinstance(stmt, ast.ForkJoin):
-            # Sequential execution is a valid scheduling of fork/join (§3.2).
-            for inner in stmt.stmts:
-                self._exec(inner)
-            return
-        if isinstance(stmt, ast.If):
-            if self.evaluator.eval_bool(stmt.cond):
-                self._exec(stmt.then_stmt)
-            else:
-                self._exec(stmt.else_stmt)
-            return
-        if isinstance(stmt, ast.Case):
-            self._exec_case(stmt)
-            return
-        if isinstance(stmt, (ast.For, ast.While)):
-            kind = "for" if isinstance(stmt, ast.For) else "while"
-            if kind == "for":
-                self._exec(stmt.init)
-            iterations = 0
-            while self.evaluator.eval_bool(stmt.cond):
-                self._exec(stmt.body)
-                if kind == "for":
-                    self._exec(stmt.step)
-                iterations += 1
-                if iterations > _MAX_LOOP_ITERATIONS:
-                    raise SimulationError(f"{kind}-loop iteration limit exceeded")
-            return
-        if isinstance(stmt, ast.RepeatStmt):
-            count = self.evaluator.eval(stmt.count)
-            for _ in range(min(count, _MAX_LOOP_ITERATIONS)):
-                self._exec(stmt.body)
-            return
-        if isinstance(stmt, ast.SysTask):
-            self._exec_systask(stmt)
-            return
-        if isinstance(stmt, ast.NullStmt):
-            return
-        if isinstance(stmt, ast.DelayStmt):
-            # Delays are compressed to zero time in the 2-state model.
-            self._exec(stmt.stmt)
-            return
-        raise SimulationError(f"cannot execute {type(stmt).__name__}")
-
-    def _exec_case(self, stmt: ast.Case) -> None:
-        """A pure subject is evaluated once, counted once per label tried."""
-        evaluator = self.evaluator
-        entry = evaluator.entry(stmt.expr)
-        subject = ops = None
-        for item in stmt.items:
-            for label in item.labels:
-                if subject is None or not entry[4]:
-                    ops = evaluator.ops_evaluated
-                    subject = evaluator._eval(stmt.expr, entry[1])
-                    ops = evaluator.ops_evaluated - ops
-                else:
-                    evaluator.ops_evaluated += ops
-                value = evaluator.eval(label, entry[1])
-                dontcare = 0
-                if stmt.kind in ("casez", "casex") and isinstance(label, ast.Number):
-                    dontcare = label.xz_mask
-                if (subject & ~dontcare) == (value & ~dontcare):
-                    self._exec(item.stmt)
-                    return
-        for item in stmt.items:
-            if not item.labels:  # default arm
-                self._exec(item.stmt)
-                return
-
-    # -- system tasks / functions -------------------------------------------------
-
-    def _exec_systask(self, stmt: ast.SysTask) -> None:
-        name, args = stmt.name, stmt.args
-        if name in ("$readmemh", "$readmemb") and len(args) == 2:
-            # (writes the store directly: the interpreter's own task)
-            self._readmem(args[0], args[1], 16 if name == "$readmemh" else 2)
-            return
-        self.host.perform(name, args, self.evaluator.eval,
-                          self.evaluator.assign, self.env.width_of)
-
-    def _readmem(self, path_arg: ast.Expr, mem_arg: ast.Expr, radix: int) -> None:
-        if not isinstance(path_arg, ast.String) or not isinstance(mem_arg, ast.Identifier):
-            return
-        data = self.host.vfs.files.get(path_arg.value)
-        if data is None:
-            return
-        sig = self.env.signal(mem_arg.name)
-        addr = sig.base
-        for token in data.decode().split():
-            if token.startswith("@"):
-                addr = int(token[1:], 16)
-                continue
-            self.store.mem_set(sig.name, addr, int(token, radix))
-            addr += 1
-
-    def _sysfunc(self, expr: ast.SysCall, width: int) -> int:
-        name = expr.name
-        if name == "$clog2":
-            value = self.evaluator.eval(expr.args[0])
-            return max(0, (value - 1).bit_length())
-        value = self.host.query(name, expr.args, self.evaluator.eval, self.time)
-        if value is None:
-            raise EvalError(f"unsupported system function {name}")
-        return value
-
-    # -- state capture -----------------------------------------------------------
-
-    def save_state(self) -> Dict[str, object]:
-        """Full context snapshot: program state, file cursors, time."""
-        return {
-            "store": self.store.snapshot(),
-            "vfs": self.host.vfs.snapshot(),
-            "time": self.time,
-        }
-
-    def restore_state(self, snapshot: Dict[str, object]) -> None:
-        """Restore a snapshot taken by :meth:`save_state`."""
-        self.store.restore(snapshot["store"])  # type: ignore[arg-type]
-        self.host.vfs.restore(snapshot["vfs"])  # type: ignore[arg-type]
-        self.time = int(snapshot["time"])  # type: ignore[arg-type]
-        # Re-prime edge detection so restore does not fabricate edges.
-        self._prime_edges()
-
-    def restore_store(self, state: Dict[str, object]) -> None:
-        """Restore program state captured between ticks, then settle.
-
-        A restore is not an edge: the values it writes become the
-        previous values edge detection compares against.  A context
-        captured after a ``$finish`` on a rising edge holds its clock
-        high, and the posedge that finished it has already run.
-        """
-        self.store.restore(state)
-        self._prime_edges()
-        self.step()
+            self._reference_period(clock)
 
 
 #: Default simulation backend when neither the ``backend`` argument nor

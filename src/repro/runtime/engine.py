@@ -82,7 +82,7 @@ class Engine:
         *until*; each tick's cost is added to *now* in turn and comes
         back as ``stats.now`` (docs/ARCHITECTURE.md, "Stepping", has the
         whole contract).  This default single-steps :meth:`_step` — all
-        the reference interpreter and a second clock domain need.
+        the reference interpreter and a cohort lane need.
         """
         host = self.host
         start = now
@@ -146,8 +146,8 @@ class SoftwareEngine(Engine):
         # evacuation from hardware, §3.5) — boot it against a throwaway
         # host so initial-block side effects ($display output, VFS
         # traffic) are not replayed into the instance's real host, then
-        # attach the real host (all task dispatch reads sim.host at
-        # call time, on both simulation backends).
+        # attach the real host (``sim.host`` sets the host the engine's
+        # reference semantics dispatch every task to, on both backends).
         boot_host = TaskHost() if quiet_init else host
         self.sim = Simulator(program.flat, boot_host, env=program.env,
                              backend=backend, code=code)
@@ -178,15 +178,14 @@ class SoftwareEngine(Engine):
 
     def run_chunk(self, clock: str, budget: int, now: float = 0.0,
                   until: float = inf) -> TickStats:
-        """The event plan retires the whole chunk inside the simulator
-        (quiescent spans unexecuted); anything else single-steps."""
+        """A compiled engine retires the whole chunk inside the
+        simulator (quiescent spans unexecuted); the interpreter
+        single-steps."""
         metered = getattr(self.sim, "tick_metered", None)
-        done = None if metered is None else metered(
-            clock, budget, now, until,
-            SW_SECONDS_PER_TICK, SW_SECONDS_PER_STMT)
-        if done is None:
+        if metered is None:
             return super().run_chunk(clock, budget, now, until)
-        ticks, end, idle = done
+        ticks, end, idle = metered(clock, budget, now, until,
+                                   SW_SECONDS_PER_TICK, SW_SECONDS_PER_STMT)
         return TickStats(seconds=end - now, ticks=ticks, now=end,
                          idle_ticks=idle)
 

@@ -387,7 +387,7 @@ def test_interval_holds_every_evaluation(expr, a, b, c, dsc, words, inside):
         store.set(name, value, notify=False)
     for addr, word in enumerate(words):
         store.mem_set("mem", addr, word, notify=False)
-    evaluator = Evaluator(_ENV, store, None)
+    evaluator = Evaluator(_ENV, store)
     # both ends of every loop variable on every example, and one inside
     picks = [(trips[0], trips[-1], drawn)
              for trips, drawn in zip(_BOUND.values(), inside)]

@@ -1,8 +1,8 @@
 """An escape costs one statement: the rest of the body stays lowered.
 
 Every procedural body is emitted slot-cached, at every opt level.  A
-statement the emitter cannot lower runs on the reference interpreter
-(``S._exec``) between a write-back of the body's cached writes and a
+statement the emitter cannot lower runs on the reference semantics
+(``EVC.exec``) between a write-back of the body's cached writes and a
 reload, in a ``finally``, of what the statement may write.  Each
 module below runs three ways from the same initial state: the
 reference interpreter, and the compiled backend at ``-O0`` and
@@ -14,12 +14,12 @@ right-hand-side nodes only).
 Mutation checks (run by hand when ``stmtc``'s escape changes; each
 must turn the named test red):
 
-* drop the reload after ``S._exec`` —
+* drop the reload after ``EVC.exec`` —
   ``test_a_reload_after_the_escape``;
 * write back only the slots written so far (``_cache_written`` at the
   escape, not the placeholder filled in once the body is emitted) —
   ``test_b_a_loop_carries_writes_back_to_the_escape``;
-* reload after ``S._exec`` without the ``try``/``finally`` —
+* reload after ``EVC.exec`` without the ``try``/``finally`` —
   ``test_c_a_finish_inside_the_escape_still_reloads``;
 * evaluate an escaped condition without the write-back ahead of it —
   ``test_a_branch_condition_escapes_alone``;
@@ -156,7 +156,7 @@ def test_a_branch_condition_escapes_alone():
         x = x + 1;
         if (($random ^ x) & 1) y = y + x; else z = z + x;
     """)
-    assert o2.code.source.count("S._exec") == 0
+    assert o2.code.source.count("EVC.exec") == 0
     assert "if EV(" in o2.code.source
 
 

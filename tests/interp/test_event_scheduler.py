@@ -9,7 +9,7 @@ the hypervisor can fast-forward it for free.  Every test here that
 checks values checks them against the tree-walking interpreter; the
 ones that check counters or modeled seconds check them against the
 same artifact with its generated period unset (``watched``), which takes
-the reference ``tick`` every period.
+the reference period every period.
 """
 
 import pytest
@@ -36,7 +36,7 @@ def sim_for(text, top=None, watched=False):
     code = CompiledModuleCode(flat, opt_level=2)
     sim = CompiledSimulator(flat, TaskHost(VirtualFS()), code=code)
     if watched:
-        sim._period = None  # every period takes the reference tick
+        sim._period = None  # every period takes the reference period
     return sim
 
 
@@ -169,13 +169,13 @@ class TestIdleProof:
 
     def test_watched_engine_takes_the_reference_tick(self):
         # What the counter references below rely on: with no generated
-        # period every period goes through the reference tick, so the
-        # engine neither retires chunks inline nor proves quiescence.
+        # period every period of the one loop is the reference period,
+        # metered like any other, and the engine proves no quiescence.
         sim = sim_for(GATED, watched=True)
         sim.tick(cycles=3)
         assert sim.tick_metered("clock", 4, 0.0, float("inf"),
-                                1.0, 0.0) is None
-        assert not sim.is_idle() and sim.slow_periods == 3
+                                1.0, 0.0) == (4, 4.0, 0)
+        assert not sim.is_idle() and sim.slow_periods == 7
         unwatched = sim_for(GATED)
         unwatched.tick(cycles=3)
         assert unwatched.is_idle() and unwatched.slow_periods == 0
@@ -522,9 +522,9 @@ def observe(sim):
 def drive_metered(sim, ticks, clock="clock"):
     """Tick with the engine's cost meter running; the modeled seconds.
 
-    An engine with a generated period retires the span inside
-    ``tick_metered``; every other one single-steps with the same
-    per-period addition (what ``Engine.run_chunk`` does for it).
+    A compiled engine retires the span inside ``tick_metered``; the
+    interpreter single-steps with the same per-period addition (what
+    ``Engine.run_chunk`` does for it).
     """
     now, left = 0.0, ticks
     metered = getattr(sim, "tick_metered", None)
@@ -546,7 +546,7 @@ def trio(module, env=None, opt_level=2, vfs=None, code=None):
     """(generated period, watched, interpreter) engines of one module;
     *code* is the artifact when the caller already built it.  The
     watched engine runs the same artifact with its generated period
-    unset, so every period takes the reference ``tick``."""
+    unset, so every period takes the reference period."""
     if code is None:
         code = CompiledModuleCode(module, env=env, opt_level=opt_level)
     sims = {}
@@ -592,7 +592,7 @@ def corpus():
 class TestGeneratedPeriod:
     """The event plan's clock period is generated code
     (``CompiledModuleCode._period_source``): same ``$display``, state,
-    time, counters and modeled seconds as the reference ``tick`` of the
+    time, counters and modeled seconds as the reference period of the
     same artifact, same observable behaviour as the interpreter.
     """
 

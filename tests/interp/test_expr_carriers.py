@@ -243,7 +243,7 @@ def _sysfunc_at(time, evaluator_of):
 def _reference(expr, context, lanes):
     out = []
     for lane, values in enumerate(lanes):
-        evaluator = Evaluator(ENV, _store(values), None)
+        evaluator = Evaluator(ENV, _store(values))
         evaluator.sysfunc = _sysfunc_at(TIMES[lane], lambda: evaluator)
         out.append(evaluator.eval(expr, context))
     return out
@@ -257,7 +257,7 @@ def _scalar(expr, context, lanes, licensed=False):
     out = []
     for lane, values in enumerate(lanes):
         store = _store(values)
-        evaluator = Evaluator(ENV, store, None)
+        evaluator = Evaluator(ENV, store)
         evaluator.sysfunc = _sysfunc_at(TIMES[lane], lambda: evaluator)
         namespace = dict(HELPERS, d=store.data, EV=evaluator._eval,
                          SYS=evaluator.sysfunc)

@@ -1,8 +1,11 @@
 """Event-driven simulator tests: Verilog scheduling semantics (§2)."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.interp import Simulator, TaskHost, VirtualFS
+from repro.interp import InterpSimulator, Simulator, TaskHost, VirtualFS
 from repro.verilog import flatten, parse
 
 
@@ -373,3 +376,42 @@ class TestStateCapture:
         clone.restore_state(snap)
         clone.step()
         assert clone.get("n") == 2  # no phantom increment
+
+
+class TestRetirement:
+    def test_a_ticked_interpreter_is_freed_by_reference_counting(self):
+        """Nothing closes a cycle through an interpreter: its
+        ``Reference`` holds the store, the task host and the NBA queue's
+        ``append``, never the engine, and answers system functions as
+        its own method rather than through a callback bound to the
+        engine.  So with the collector off, ``del`` frees a ticked
+        interpreter, its reference and its store.  (The compiled
+        engine's exec namespace binds ``S`` to the engine so generated
+        code can call back into its scheduler — a cycle inherent to that
+        engine, which a collection frees.)"""
+        flat = flatten(parse("""
+            module m(input wire clock);
+              reg [7:0] n = 0;
+              reg [7:0] mem [0:3];
+              wire [7:0] twice;
+              assign twice = n << 1;
+              always @(posedge clock) begin
+                n <= n + 1;
+                mem[n[1:0]] <= twice;
+                if ($time > 2) $display("n=%0d t=%0t", n, $time);
+              end
+            endmodule
+        """), "m")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = InterpSimulator(flat, TaskHost(VirtualFS()))
+            sim.tick(cycles=5)
+            assert sim.host.display_log
+            alive = [weakref.ref(sim), weakref.ref(sim.evaluator),
+                     weakref.ref(sim.store)]
+            del sim
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

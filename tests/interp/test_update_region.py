@@ -2,8 +2,8 @@
 
 Every non-blocking update is queued as ``(applier, value-or-lvalue,
 ...)`` and applied as ``e[0](e)``: a compiled writer ``nwK(e)``, or
-``CompiledSimulator._assign_entry`` for an NBA the reference
-interpreter ran (a statement the emitter could not lower).  The
+the engine's ``Reference.apply`` for an NBA the reference semantics
+ran (a statement the emitter could not lower).  The
 generated ``latch()`` drains the queue that way, and the static-plan
 ``comb()`` carries each cone's body inline instead of calling ``pK()``.
 
@@ -12,7 +12,7 @@ Two checks:
 * in one period, interpreted and compiled NBAs to the same slot and
   the same memory word, in both orders: the last one in program order
   wins, as in the interpreter — on the generated period and on the
-  reference ``tick`` the same artifact takes with its period unset;
+  reference period the same artifact takes with its period unset;
 * ``settle_rounds``, ``ops_evaluated`` and ``stmts_executed`` after
   2 000 ticks of mips32, df and bitcoin equal the values pinned below,
   which the generated period produced before its update region and its
@@ -25,7 +25,7 @@ the writers change; each must turn this file red):
   inlines (turn it into ``_ = ...`` in ``_period_source``) — the
   pinned counters of mips32 and df fail;
 * apply the interpreter's entries before the compiled writers (a stable
-  sort of the queue on ``e[0] != S._assign_entry`` in the generated
+  sort of the queue on whether ``e[0]`` is a ``Reference.apply`` in the generated
   ``latch()`` and in ``_latch``) — the last-write-wins test fails on
   both paths.
 """
@@ -39,7 +39,7 @@ from repro.interp.compile import CompiledModuleCode
 from repro.verilog import flatten, parse
 
 # ``case ($time)`` has an impure subject: the emitter escapes the whole
-# statement, NBAs included, to the reference interpreter (``S._exec``);
+# statement, NBAs included, to the reference semantics (``EVC.exec``);
 # the ``$display`` is an escape too, and the rest of the body is lowered.
 LAST_WRITE_WINS = """
 module u(input wire clock);
@@ -75,7 +75,7 @@ def test_interpreted_and_compiled_nbas_keep_program_order(watched):
     interp.tick(cycles=6)
     for level in (0, 2):
         code = CompiledModuleCode(flat, opt_level=level)
-        assert code.source.count("S._exec(") == 3  # with the $display
+        assert code.source.count("EVC.exec(") == 3  # with the $display
         assert code.source.count("nbap((nw") == 5
         host = TaskHost()
         sim = CompiledSimulator(flat, host, code=code)

@@ -4,12 +4,14 @@ import os
 
 import pytest
 
+from repro.compiler import CompilerService
 from repro.interp import TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.interp.vcd import (
     VCDWriter, claim_vcd, read_vcd, reset_vcd_claim,
 )
+from repro.runtime import SoftwareEngine
 from repro.verilog import flatten, parse
 
 COUNTER = """
@@ -94,3 +96,55 @@ class TestRoundTrip:
         _, after = read_vcd(str(path))
         assert {k: v for k, v in after.items() if k != "clock"} == \
                {k: v for k, v in before.items() if k != "clock"}
+
+
+#: counts to 9 and parks: the rest of a long span is an idle span
+SLEEPER = """
+module sleeper(input wire clock, input wire [7:0] tag);
+  reg [7:0] n = 0;
+  wire go;
+  assign go = (n != 9);
+  always @(posedge clock) if (go) n <= n + 1;
+endmodule
+"""
+
+
+class TestMeteredDump:
+    def _dump(self, tmp_path, monkeypatch, name, drive):
+        reset_vcd_claim()
+        path = tmp_path / name
+        monkeypatch.setenv("REPRO_VCD", str(path))
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")  # the idle proof
+        engine = SoftwareEngine(CompilerService().compile_program(SLEEPER),
+                                TaskHost(VirtualFS()), backend="compiled")
+        drive(engine)
+        engine.sim._vcd.close()
+        return path.read_bytes(), engine
+
+    def test_run_chunk_dump_equals_per_period_tick(self, tmp_path,
+                                                   monkeypatch):
+        """A dump is the same however the periods were driven: metered
+        ``run_chunk`` — which retires the idle span inside the simulator,
+        sampling as it goes — writes the bytes that one ``tick()`` per
+        period writes, a poke during the idle span included."""
+        def chunked(engine):
+            first = engine.run_chunk("clock", 30, now=0.0)
+            engine.set("tag", 5)
+            second = engine.run_chunk("clock", 30, now=first.now)
+            assert first.idle_ticks and second.idle_ticks == 30
+
+        def stepped(engine):
+            for _ in range(30):
+                engine.sim.tick()
+            engine.set("tag", 5)
+            for _ in range(30):
+                engine.sim.tick()
+
+        chunk_dump, chunk = self._dump(tmp_path, monkeypatch, "chunk.vcd",
+                                       chunked)
+        step_dump, step = self._dump(tmp_path, monkeypatch, "step.vcd",
+                                     stepped)
+        assert chunk_dump == step_dump
+        assert chunk.time == step.time == 60
+        _, waves = read_vcd(str(tmp_path / "chunk.vcd"))
+        assert waves["n"][-1] == (9, 9) and waves["tag"][-1] == (31, 5)

@@ -60,6 +60,35 @@ class TestSoftwareEngine:
         other.restore(snap)
         assert other.get("n") == 1
 
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_quiet_boot_then_every_task_reaches_the_real_host(self, backend):
+        """``quiet_init`` boots against a throwaway host and then swaps
+        the real one in: the boot's ``$display`` is not replayed, and
+        every later ``$display``/``$write`` (escaped or interpreted)
+        lands in the real host."""
+        program = compile_program("""
+            module boot(input wire clock);
+              reg [7:0] n = 0;
+              initial $display("boot");
+              always @(posedge clock) begin
+                $write("w%0d ", n);
+                $display("n=%0d t=%0t", n, $time);
+                n <= n + 1;
+              end
+            endmodule
+        """)
+        loud = TaskHost()
+        SoftwareEngine(program, loud, backend=backend)
+        assert loud.display_log == ["boot"]
+        host = TaskHost()
+        engine = SoftwareEngine(program, host, backend=backend,
+                                quiet_init=True)
+        assert engine.sim.host is host and host.display_log == []
+        engine.run_chunk("clock", 2)
+        engine.run_chunk("clock", 1)
+        assert host.display_log == ["w0 n=0 t=0", "w1 n=1 t=1",
+                                    "w2 n=2 t=2"]
+
 
 class TestHardwareEngine:
     def test_run_tick(self):

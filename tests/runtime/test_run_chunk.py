@@ -11,6 +11,7 @@ come up for air on exactly the tick where the runtime has work to do.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.hypervisor.supervisor import Supervisor
 from repro.interp import TaskHost
 from repro.interp.compile.batch import HAVE_NUMPY
 from repro.runtime import DirectBoardBackend, Runtime, SoftwareEngine
+from repro.runtime.engine import Engine
 from repro.runtime.cohort import CohortLaneEngine
 from repro.serve import FleetConfig
 from repro.serve.fleet import Fleet
@@ -81,6 +83,33 @@ module two(input wire clock, input wire aux);
 endmodule
 """
 
+#: ``aux`` is data to the planned clock, and a clock of its own to a
+#: caller that drives it
+SHOWN = """
+module shown(input wire clock, input wire aux);
+  reg [31:0] n = 0;
+  wire [31:0] seen;
+  assign seen = n + aux;
+  always @(posedge clock) begin
+    n <= n + 1 + aux;
+    if (n % 3 == 0) $display("n=%0d seen=%0d", n, seen);
+  end
+endmodule
+"""
+
+#: two edge clocks: the schedule plans no period (``period_refused``)
+TWO_CLOCKS = """
+module clocks(input wire clock, input wire aux);
+  reg [7:0] x = 0;
+  reg [7:0] y = 0;
+  always @(posedge clock) begin
+    x <= x + 1;
+    if (x % 2 == 0) $display("x=%0d y=%0d", x, y);
+  end
+  always @(posedge aux) y <= y + x;
+endmodule
+"""
+
 #: parks itself: once n reaches 9 nothing is sensitive to the clock
 SLEEPER = """
 module sleeper(input wire clock);
@@ -93,7 +122,7 @@ endmodule
 
 #: selects the stepping path under test: ``watched`` runs the event
 #: plan's artifact with its generated period unset, so every period
-#: takes the reference ``tick``
+#: takes the reference period
 PATHS = ("event", "interp", "watched")
 
 
@@ -180,19 +209,69 @@ class TestPartitionEquivalence:
         assert stats.ticks == 50 and not calls
         assert stats.now > 1.0 and stats.seconds == stats.now - 1.0
         assert engine.get("n") == 50
-        # a clock the plan does not cover single-steps through tick()
-        assert engine.run_chunk("aux", 2).ticks == 2 and len(calls) == 2
+        # a clock the plan does not cover retires inside the simulator
+        # too, through the reference period
+        assert engine.run_chunk("aux", 2).ticks == 2 and not calls
+        assert engine.sim.slow_periods == 2
 
 
 def compile_source(source):
     return CompilerService().compile_program(source)
 
 
+class TestOneLoop:
+    """Every period of a compiled engine goes through one loop: a design
+    the plan refuses, and a clock the plan does not cover, retire their
+    chunks inside the simulator through the reference period — costed,
+    counted and logged exactly as single-stepping ``tick()`` does, and
+    as the interpreter does."""
+
+    SCRIPT = (("clock", 5), ("aux", 3), ("clock", 7), ("aux", 1),
+              ("clock", 4))
+
+    def _run(self, source, how):
+        engine = SoftwareEngine(
+            compile_source(source), TaskHost(),
+            backend="interp" if how == "interp" else "compiled")
+        # "stepped": the base class's loop, one tick() per period
+        run_chunk = (partial(Engine.run_chunk, engine) if how == "stepped"
+                     else engine.run_chunk)
+        if how == "chunked":   # the chunk never leaves the simulator
+            engine.sim.tick = None
+        now, spans = 0.0, []
+        for clock, budget in self.SCRIPT:
+            stats = run_chunk(clock, budget, now)
+            now = stats.now
+            spans.append((stats.ticks, stats.now))   # now: ==, not approx
+        return engine, {
+            "spans": spans,
+            "state": engine.snapshot(),
+            "display": list(engine.host.display_log),
+            "time": engine.time,
+        }
+
+    @pytest.mark.parametrize("source,refused", [(TWO_CLOCKS, True),
+                                                (SHOWN, False)],
+                             ids=["period_refused", "aux"])
+    def test_chunks_equal_single_stepping_and_the_interpreter(
+            self, source, refused):
+        chunked, seen = self._run(source, "chunked")
+        stepped, expect = self._run(source, "stepped")
+        _, interp = self._run(source, "interp")
+        schedule = chunked.sim.code.schedule
+        assert (schedule.period_refused is not None) == refused
+        assert seen == expect == interp
+        assert seen["display"] and seen["time"] == 20
+        aux = sum(n for clock, n in self.SCRIPT if clock == "aux")
+        assert chunked.sim.slow_periods == stepped.sim.slow_periods == (
+            20 if refused else aux)
+
+
 class TestPathsAgree:
     def test_generated_period_equals_reference_tick_and_interpreter(self):
         """The event plan's generated ``period()`` against its two
         references, chunked: same log, state, ticks and — against the
-        reference ``tick`` of the same artifact, which counts the same
+        reference period of the same artifact, which counts the same
         statements — modeled seconds."""
         for label, source, total in designs():
             seen = {}
