@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..verilog import ast_nodes as ast
+from ..verilog.rewrite import map_stmt
 from ..verilog.width import WidthEnv, WidthError
 from .control import (
     ABI_CONT,
@@ -451,43 +452,12 @@ class _Machinifier:
             if stmt.blocking:
                 return stmt
             return ast.Block(tuple(self._nba_shadow_stmts(stmt)))
-        if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-            cls = ast.Block if isinstance(stmt, ast.Block) else ast.ForkJoin
-            return cls(tuple(self._shadow_nbas(s) for s in stmt.stmts),
-                       stmt.name, stmt.pos)
-        if isinstance(stmt, ast.If):
-            return ast.If(stmt.cond, self._shadow_nbas(stmt.then_stmt),
-                          self._shadow_nbas(stmt.else_stmt), stmt.pos)
-        if isinstance(stmt, ast.Case):
-            items = tuple(
-                ast.CaseItem(item.labels, self._shadow_nbas(item.stmt))
-                for item in stmt.items
-            )
-            return ast.Case(stmt.expr, items, stmt.kind, stmt.pos)
-        if isinstance(stmt, ast.For):
-            self._loop_depth += 1
-            try:
-                body = self._shadow_nbas(stmt.body)
-            finally:
-                self._loop_depth -= 1
-            return ast.For(stmt.init, stmt.cond, stmt.step, body, stmt.pos)
-        if isinstance(stmt, ast.While):
-            self._loop_depth += 1
-            try:
-                body = self._shadow_nbas(stmt.body)
-            finally:
-                self._loop_depth -= 1
-            return ast.While(stmt.cond, body, stmt.pos)
-        if isinstance(stmt, ast.RepeatStmt):
-            self._loop_depth += 1
-            try:
-                body = self._shadow_nbas(stmt.body)
-            finally:
-                self._loop_depth -= 1
-            return ast.RepeatStmt(stmt.count, body, stmt.pos)
-        if isinstance(stmt, ast.DelayStmt):
-            return ast.DelayStmt(stmt.delay, self._shadow_nbas(stmt.stmt), stmt.pos)
-        return stmt
+        loop = isinstance(stmt, (ast.For, ast.While, ast.RepeatStmt))
+        self._loop_depth += loop
+        try:
+            return map_stmt(stmt, self._shadow_nbas)
+        finally:
+            self._loop_depth -= loop
 
     def _update_loop_index(self) -> str:
         """The shared index register of queue-draining update loops."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..verilog import ast_nodes as ast
+from ..verilog.rewrite import map_stmt
 
 
 class TransformError(Exception):
@@ -29,68 +30,24 @@ class TransformError(Exception):
 
 def defork(stmt: ast.Stmt) -> ast.Stmt:
     """Replace every ``fork``/``join`` with an equivalent ``begin``/``end``."""
-    if isinstance(stmt, ast.ForkJoin):
-        return ast.Block(tuple(defork(s) for s in stmt.stmts), stmt.name, stmt.pos)
-    if isinstance(stmt, ast.Block):
-        return ast.Block(tuple(defork(s) for s in stmt.stmts), stmt.name, stmt.pos)
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            stmt.cond,
-            defork(stmt.then_stmt) if stmt.then_stmt else None,
-            defork(stmt.else_stmt) if stmt.else_stmt else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.Case):
-        items = tuple(
-            ast.CaseItem(item.labels, defork(item.stmt) if item.stmt else None)
-            for item in stmt.items
-        )
-        return ast.Case(stmt.expr, items, stmt.kind, stmt.pos)
-    if isinstance(stmt, ast.For):
-        return ast.For(stmt.init, stmt.cond, stmt.step,
-                       defork(stmt.body) if stmt.body else None, stmt.pos)
-    if isinstance(stmt, ast.While):
-        return ast.While(stmt.cond, defork(stmt.body) if stmt.body else None, stmt.pos)
-    if isinstance(stmt, ast.RepeatStmt):
-        return ast.RepeatStmt(stmt.count, defork(stmt.body) if stmt.body else None, stmt.pos)
-    if isinstance(stmt, ast.DelayStmt):
-        return ast.DelayStmt(stmt.delay, defork(stmt.stmt) if stmt.stmt else None, stmt.pos)
-    return stmt
+    out = map_stmt(stmt, defork)
+    if isinstance(out, ast.ForkJoin):
+        return ast.Block(out.stmts, out.name, out.pos)
+    return out
 
 
 def flatten_blocks(stmt: ast.Stmt) -> ast.Stmt:
     """Flatten nested unnamed ``begin``/``end`` blocks into a single block."""
-    if isinstance(stmt, ast.Block):
-        flat: List[ast.Stmt] = []
-        for inner in stmt.stmts:
-            rewritten = flatten_blocks(inner)
-            if isinstance(rewritten, ast.Block) and rewritten.name is None:
-                flat.extend(rewritten.stmts)
-            else:
-                flat.append(rewritten)
-        return ast.Block(tuple(flat), stmt.name, stmt.pos)
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            stmt.cond,
-            flatten_blocks(stmt.then_stmt) if stmt.then_stmt else None,
-            flatten_blocks(stmt.else_stmt) if stmt.else_stmt else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.Case):
-        items = tuple(
-            ast.CaseItem(item.labels, flatten_blocks(item.stmt) if item.stmt else None)
-            for item in stmt.items
-        )
-        return ast.Case(stmt.expr, items, stmt.kind, stmt.pos)
-    if isinstance(stmt, ast.For):
-        return ast.For(stmt.init, stmt.cond, stmt.step,
-                       flatten_blocks(stmt.body) if stmt.body else None, stmt.pos)
-    if isinstance(stmt, ast.While):
-        return ast.While(stmt.cond, flatten_blocks(stmt.body) if stmt.body else None, stmt.pos)
-    if isinstance(stmt, ast.RepeatStmt):
-        return ast.RepeatStmt(stmt.count,
-                              flatten_blocks(stmt.body) if stmt.body else None, stmt.pos)
-    return stmt
+    out = map_stmt(stmt, flatten_blocks)
+    if not isinstance(out, ast.Block):
+        return out
+    flat: List[ast.Stmt] = []
+    for inner in out.stmts:
+        if isinstance(inner, ast.Block) and inner.name is None:
+            flat.extend(inner.stmts)
+        else:
+            flat.append(inner)
+    return ast.Block(tuple(flat), out.name, out.pos)
 
 
 def guard_name(edge: str, signal: str) -> str:

@@ -21,7 +21,7 @@ the LUT/FF savings quiescence buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..bench import BENCHMARKS
@@ -29,10 +29,21 @@ from ..fabric.device import F1, Device
 from ..fabric.synth import ResourceEstimate, SynthOptions
 from ..runtime.backends import synth_options_for
 from ..verilog import ast_nodes as ast
-from ..verilog.rewrite import map_expr, map_stmt_exprs
+from ..verilog.rewrite import map_expr, map_stmt
 from .common import ExperimentResult, bench_program, harness_compiler
 
 CONDITIONS = ("aos", "aos-ff", "cascade", "synergy", "synergy-q")
+
+
+def _zero_calls(expr: ast.Expr) -> ast.Expr:
+    def fn(node: ast.Expr) -> ast.Expr:
+        if isinstance(node, ast.SysCall) and node.name not in (
+            "$signed", "$unsigned", "$clog2"
+        ):
+            return ast.Number(0)
+        return node
+
+    return map_expr(expr, fn)
 
 
 def strip_tasks_stmt(stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
@@ -46,46 +57,11 @@ def strip_tasks_stmt(stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
         return None
     if isinstance(stmt, ast.SysTask):
         return ast.NullStmt()
-
-    def zero_calls(expr: ast.Expr) -> ast.Expr:
-        def fn(node: ast.Expr) -> ast.Expr:
-            if isinstance(node, ast.SysCall) and node.name not in (
-                "$signed", "$unsigned", "$clog2"
-            ):
-                return ast.Number(0)
-            return node
-
-        return map_expr(expr, fn)
-
-    if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-        inner = tuple(
-            s for s in (strip_tasks_stmt(x) for x in stmt.stmts)
-            if s is not None and not isinstance(s, ast.NullStmt)
-        )
-        cls = ast.Block if isinstance(stmt, ast.Block) else ast.ForkJoin
-        return cls(inner, stmt.name, stmt.pos)
-    if isinstance(stmt, ast.If):
-        return ast.If(zero_calls(stmt.cond),
-                      strip_tasks_stmt(stmt.then_stmt),
-                      strip_tasks_stmt(stmt.else_stmt), stmt.pos)
-    if isinstance(stmt, ast.Case):
-        items = tuple(
-            ast.CaseItem(tuple(zero_calls(l) for l in item.labels),
-                         strip_tasks_stmt(item.stmt))
-            for item in stmt.items
-        )
-        return ast.Case(zero_calls(stmt.expr), items, stmt.kind, stmt.pos)
-    if isinstance(stmt, ast.For):
-        return ast.For(stmt.init, zero_calls(stmt.cond), stmt.step,
-                       strip_tasks_stmt(stmt.body), stmt.pos)
-    if isinstance(stmt, ast.While):
-        return ast.While(zero_calls(stmt.cond), strip_tasks_stmt(stmt.body), stmt.pos)
-    if isinstance(stmt, ast.RepeatStmt):
-        return ast.RepeatStmt(zero_calls(stmt.count),
-                              strip_tasks_stmt(stmt.body), stmt.pos)
-    return map_stmt_exprs(stmt, lambda e: e) if not isinstance(stmt, ast.Assign) \
-        else ast.Assign(zero_calls(stmt.lhs), zero_calls(stmt.rhs),
-                        stmt.blocking, stmt.pos)
+    out = map_stmt(stmt, strip_tasks_stmt, _zero_calls, _zero_calls)
+    if isinstance(out, (ast.Block, ast.ForkJoin)):
+        kept = tuple(s for s in out.stmts if not isinstance(s, ast.NullStmt))
+        return type(out)(kept, out.name, out.pos)
+    return out
 
 
 def strip_tasks(module: ast.Module) -> ast.Module:
@@ -101,19 +77,7 @@ def strip_tasks(module: ast.Module) -> ast.Module:
             if stripped is not None:
                 items.append(ast.Initial(stripped, item.pos))
         elif isinstance(item, ast.Decl) and item.init is not None:
-            init = item.init
-
-            def fn(node: ast.Expr) -> ast.Expr:
-                if isinstance(node, ast.SysCall) and node.name not in (
-                    "$signed", "$unsigned", "$clog2"
-                ):
-                    return ast.Number(0)
-                return node
-
-            items.append(ast.Decl(item.kind, item.name, item.range,
-                                  item.unpacked, map_expr(init, fn),
-                                  item.direction, item.signed,
-                                  item.attributes, item.pos))
+            items.append(replace(item, init=_zero_calls(item.init)))
         else:
             items.append(item)
     return ast.Module(module.name, module.ports, tuple(items), module.pos)

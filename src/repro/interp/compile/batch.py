@@ -39,6 +39,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 from ...opt.ranges import counted_loop
 from ...verilog import ast_nodes as ast
+from ...verilog.rewrite import lvalue_indices
 from ...verilog.width import WidthError, const_eval, mask
 from ..simulator import _MAX_LOOP_ITERATIONS, SimulationError
 from ..systasks import TaskHost, verilog_format
@@ -382,16 +383,6 @@ def _flat(stmt) -> List[ast.Stmt]:
     return [stmt]
 
 
-def _lvalue_indices(lhs) -> List[ast.Expr]:
-    if isinstance(lhs, ast.Index):
-        return [lhs.index]
-    if isinstance(lhs, ast.RangeSelect) and lhs.mode != ":":
-        return [lhs.msb]
-    if isinstance(lhs, ast.Concat):
-        return [e for part in lhs.parts for e in _lvalue_indices(part)]
-    return []
-
-
 class _Mask:
     """A lane mask in emitted source: the locals of its row and count,
     whether it *is* the entry mask, whether a ``$finish`` may empty it."""
@@ -640,7 +631,7 @@ class _LaneEmitter:
             writer, tail = "H_put", f", {slot}, {bool(self.code.comb_in[slot])}"
         else:
             dyn = [(expr, self.ec.compile(expr))
-                   for expr in _lvalue_indices(stmt.lhs) if self._reads(expr)]
+                   for expr in lvalue_indices(stmt.lhs) if self._reads(expr)]
             writer = self._writer(stmt.lhs, value_width, [e for e, _ in dyn])
             tail = ""
         args = ", ".join(f"H_own({s})" if self._aliases(s) else s

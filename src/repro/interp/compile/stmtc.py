@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from ...verilog import ast_nodes as ast
+from ...verilog.rewrite import lvalue_indices
 from ...opt.ir import stmt_writes
 from ...opt.ranges import counted_loop
 from ...verilog.width import WidthError, const_eval
@@ -586,17 +587,7 @@ class ProcessCompiler:
 
     def _dynamic_indices(self, lhs: ast.Expr) -> List[ast.Expr]:
         """LHS index expressions that must be evaluated at the site."""
-        out: List[ast.Expr] = []
-        if isinstance(lhs, ast.Index):
-            if self.ec.try_const(lhs.index) is None:
-                out.append(lhs.index)
-        elif isinstance(lhs, ast.RangeSelect):
-            if lhs.mode != ":" and self.ec.try_const(lhs.msb) is None:
-                out.append(lhs.msb)
-        elif isinstance(lhs, ast.Concat):
-            for part in lhs.parts:
-                out.extend(self._dynamic_indices(part))
-        return out
+        return [e for e in lvalue_indices(lhs) if self.ec.try_const(e) is None]
 
     def _index_src(self, expr: ast.Expr) -> str:
         """Source for an LHS index: the frozen argument inside a writer

@@ -27,6 +27,7 @@ from ..verilog.rewrite import (
     lvalue_reads,
     lvalue_targets,
     map_expr,
+    map_stmt,
     stmt_identifiers,
 )
 from ..verilog.width import WidthEnv
@@ -126,49 +127,17 @@ def _map_lvalue(lhs: ast.Expr, fn: ExprFn) -> ast.Expr:
 
 def map_stmt_rvalues(stmt: Optional[ast.Stmt], fn: ExprFn) -> Optional[ast.Stmt]:
     """Rewrite every *read* expression in *stmt*, preserving lvalues."""
-    if stmt is None:
-        return None
-    if isinstance(stmt, ast.Assign):
-        return ast.Assign(_map_lvalue(stmt.lhs, fn), map_expr(stmt.rhs, fn),
-                          stmt.blocking, stmt.pos)
-    if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-        cls = ast.Block if isinstance(stmt, ast.Block) else ast.ForkJoin
-        return cls(tuple(map_stmt_rvalues(s, fn) for s in stmt.stmts),
-                   stmt.name, stmt.pos)
-    if isinstance(stmt, ast.If):
-        return ast.If(map_expr(stmt.cond, fn),
-                      map_stmt_rvalues(stmt.then_stmt, fn),
-                      map_stmt_rvalues(stmt.else_stmt, fn), stmt.pos)
-    if isinstance(stmt, ast.Case):
-        items = tuple(
-            ast.CaseItem(tuple(map_expr(lbl, fn) for lbl in item.labels),
-                         map_stmt_rvalues(item.stmt, fn))
-            for item in stmt.items
-        )
-        return ast.Case(map_expr(stmt.expr, fn), items, stmt.kind, stmt.pos)
-    if isinstance(stmt, ast.For):
-        return ast.For(map_stmt_rvalues(stmt.init, fn),
-                       map_expr(stmt.cond, fn),
-                       map_stmt_rvalues(stmt.step, fn),
-                       map_stmt_rvalues(stmt.body, fn), stmt.pos)
-    if isinstance(stmt, ast.While):
-        return ast.While(map_expr(stmt.cond, fn),
-                         map_stmt_rvalues(stmt.body, fn), stmt.pos)
-    if isinstance(stmt, ast.RepeatStmt):
-        return ast.RepeatStmt(map_expr(stmt.count, fn),
-                              map_stmt_rvalues(stmt.body, fn), stmt.pos)
-    if isinstance(stmt, ast.DelayStmt):
-        return ast.DelayStmt(stmt.delay, map_stmt_rvalues(stmt.stmt, fn),
-                             stmt.pos)
-    if isinstance(stmt, ast.SysTask):
-        if stmt.name in ("$fread", "$readmemh", "$readmemb"):
-            # Their destination arguments are write targets.
-            return stmt
-        return ast.SysTask(stmt.name,
-                           tuple(a if isinstance(a, ast.String)
-                                 else map_expr(a, fn) for a in stmt.args),
-                           stmt.pos)
-    return stmt
+
+    def read(expr: ast.Expr) -> ast.Expr:
+        return expr if type(expr) is ast.String else map_expr(expr, fn)
+
+    def write(lhs: ast.Expr) -> ast.Expr:
+        return _map_lvalue(lhs, fn)
+
+    def walk(node: ast.Stmt) -> ast.Stmt:
+        return map_stmt(node, walk, read, write)
+
+    return None if stmt is None else walk(stmt)
 
 
 def map_item_rvalues(item: ast.Item, fn: ExprFn) -> ast.Item:

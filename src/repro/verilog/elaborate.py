@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import ast_nodes as ast
 from .fold import fold_expr
-from .rewrite import rename_item, rename_expr
+from .rewrite import map_expr, map_item_exprs, rename_item
 from .width import WidthError, const_eval
 
 
@@ -98,54 +98,13 @@ def _subst_item(item: ast.Item, mapping: Mapping[str, ast.Expr]) -> ast.Item:
     arithmetic leaves elaboration as a single literal instead of a
     constant subtree every later stage re-walks.
     """
-    from .rewrite import map_expr, map_stmt_exprs
 
     def fn(node: ast.Expr) -> ast.Expr:
         if isinstance(node, ast.Identifier) and node.name in mapping:
             return mapping[node.name]
         return fold_expr(node)
 
-    def substitute_expr(expr: ast.Expr, _mapping) -> ast.Expr:
-        return map_expr(expr, fn)
-
-    if isinstance(item, ast.Decl):
-        new_range = None
-        if item.range is not None:
-            new_range = ast.Range(
-                substitute_expr(item.range.msb, mapping),
-                substitute_expr(item.range.lsb, mapping),
-            )
-        unpacked = tuple(
-            ast.Range(substitute_expr(d.msb, mapping), substitute_expr(d.lsb, mapping))
-            for d in item.unpacked
-        )
-        init = substitute_expr(item.init, mapping) if item.init is not None else None
-        return ast.Decl(item.kind, item.name, new_range, unpacked, init,
-                        item.direction, item.signed, item.attributes, item.pos)
-    if isinstance(item, ast.ContinuousAssign):
-        return ast.ContinuousAssign(
-            substitute_expr(item.lhs, mapping), substitute_expr(item.rhs, mapping), item.pos
-        )
-    if isinstance(item, ast.Always):
-        sens = item.sensitivity
-        if sens != ast.STAR:
-            sens = tuple(
-                ast.EventExpr(e.edge, substitute_expr(e.expr, mapping)) for e in sens
-            )
-        return ast.Always(sens, map_stmt_exprs(item.stmt, fn), item.pos)
-    if isinstance(item, ast.Initial):
-        return ast.Initial(map_stmt_exprs(item.stmt, fn), item.pos)
-    if isinstance(item, ast.Instance):
-        params = tuple(
-            ast.PortConn(c.name, substitute_expr(c.expr, mapping) if c.expr else None)
-            for c in item.params
-        )
-        ports = tuple(
-            ast.PortConn(c.name, substitute_expr(c.expr, mapping) if c.expr else None)
-            for c in item.ports
-        )
-        return ast.Instance(item.module, item.name, params, ports, item.pos)
-    return item
+    return map_item_exprs(item, lambda expr: map_expr(expr, fn))
 
 
 def _port_bindings(

@@ -1,20 +1,51 @@
 """Functional AST rewriting utilities.
 
-The AST is immutable, so every pass builds new trees.  These helpers
-implement the boilerplate: ``map_expr`` applies a transformation to every
-sub-expression bottom-up, ``map_stmt_exprs`` rewrites the expressions
-embedded in a statement tree, and ``rename`` substitutes identifiers —
-the workhorse for hierarchy flattening and for the name-mangling steps of
-the Synergy control transformations.
+The AST is immutable, so every pass builds new trees.  ``map_expr``
+rebuilds an expression bottom-up, applying a function to every node.
+Statements and items have one rebuilder each, and they are the only
+places that spell out a node's fields:
+
+* ``map_stmt(stmt, child, expr=None, lvalue=None)`` rebuilds *one*
+  level of a statement.  Each sub-statement (``For`` init and step
+  included) goes through *child*, each read expression through *expr*,
+  and each write position — an assignment's left side, the arguments of
+  ``$fread``/``$readmemh``/``$readmemb`` — through *lvalue*; ``None``
+  is the identity.  A rewrite recurses by passing itself as *child*:
+  a post-map rewrites the rebuilt node (``scheduling.defork``), a
+  pre-map replaces a node before descending (``grid.strip_tasks_stmt``),
+  and a rewrite with context wraps its own recursion
+  (``machinify``'s loop-depth counter around ``_shadow_nbas``).
+* ``map_item_exprs(item, fn)`` applies *fn* to every whole expression
+  of a module item — ranges, initializers, sensitivity, process bodies
+  via ``map_stmt``, instance connections.
+
+On these sit ``map_stmt_exprs``, ``rename_*`` and ``substitute_expr`` —
+the workhorses for hierarchy flattening and for the name-mangling steps
+of the Synergy control transformations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from dataclasses import replace
+from typing import Callable, List, Mapping, Optional
 
 from . import ast_nodes as ast
 
 ExprFn = Callable[[ast.Expr], ast.Expr]
+StmtFn = Callable[[ast.Stmt], ast.Stmt]
+
+#: System tasks whose arguments are write positions (their destinations).
+_WRITE_TASKS = frozenset(["$fread", "$readmemh", "$readmemb"])
+
+_LEAVES = frozenset([ast.Assign, ast.SysTask, ast.NullStmt])
+
+
+def _same(node: ast.Expr) -> ast.Expr:
+    return node
+
+
+def _opt(child: StmtFn, stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
+    return None if stmt is None else child(stmt)
 
 
 def map_expr(expr: ast.Expr, fn: ExprFn) -> ast.Expr:
@@ -61,83 +92,117 @@ def map_expr(expr: ast.Expr, fn: ExprFn) -> ast.Expr:
     raise TypeError(f"cannot rewrite expression {type(expr).__name__}")
 
 
+def map_stmt(stmt: ast.Stmt, child: StmtFn, expr: Optional[ExprFn] = None,
+             lvalue: Optional[ExprFn] = None) -> ast.Stmt:
+    """Rebuild one level of *stmt*, the one place a statement's shape is spelled.
+
+    Every sub-statement goes through *child* (``For`` init and step
+    included; absent ones stay ``None``), every read expression
+    through *expr*, and every write position — an assignment's left
+    side, a ``$fread``/``$readmem*`` argument — through *lvalue*.  A
+    ``None`` mapper is the identity; with neither expression mapper
+    an assignment, system task or null statement comes back as is.
+    """
+    kind = type(stmt)
+    if expr is None and lvalue is None and kind in _LEAVES:
+        return stmt
+    rd = expr or _same
+    wr = lvalue or _same
+    if kind is ast.Assign:
+        return ast.Assign(wr(stmt.lhs), rd(stmt.rhs), stmt.blocking, stmt.pos)
+    if kind is ast.Block or kind is ast.ForkJoin:
+        return kind(tuple(map(child, stmt.stmts)), stmt.name, stmt.pos)
+    if kind is ast.If:
+        return ast.If(rd(stmt.cond), _opt(child, stmt.then_stmt),
+                      _opt(child, stmt.else_stmt), stmt.pos)
+    if kind is ast.Case:
+        items = tuple(ast.CaseItem(tuple(map(rd, item.labels)), _opt(child, item.stmt))
+                      for item in stmt.items)
+        return ast.Case(rd(stmt.expr), items, stmt.kind, stmt.pos)
+    if kind is ast.SysTask:
+        args = map(wr if stmt.name in _WRITE_TASKS else rd, stmt.args)
+        return ast.SysTask(stmt.name, tuple(args), stmt.pos)
+    if kind is ast.NullStmt:
+        return stmt
+    if kind is ast.For:
+        return ast.For(child(stmt.init), rd(stmt.cond), child(stmt.step),
+                       _opt(child, stmt.body), stmt.pos)
+    if kind is ast.While:
+        return ast.While(rd(stmt.cond), _opt(child, stmt.body), stmt.pos)
+    if kind is ast.RepeatStmt:
+        return ast.RepeatStmt(rd(stmt.count), _opt(child, stmt.body), stmt.pos)
+    if kind is ast.DelayStmt:
+        return ast.DelayStmt(rd(stmt.delay), _opt(child, stmt.stmt), stmt.pos)
+    raise TypeError(f"cannot rewrite statement {kind.__name__}")
+
+
 def map_stmt_exprs(stmt: ast.Stmt, fn: ExprFn) -> ast.Stmt:
     """Rewrite every expression inside *stmt* (recursively) with *fn*."""
-    if isinstance(stmt, ast.Assign):
-        return ast.Assign(map_expr(stmt.lhs, fn), map_expr(stmt.rhs, fn), stmt.blocking, stmt.pos)
-    if isinstance(stmt, ast.NullStmt):
-        return stmt
-    if isinstance(stmt, ast.SysTask):
-        return ast.SysTask(stmt.name, tuple(map_expr(a, fn) for a in stmt.args), stmt.pos)
-    if isinstance(stmt, ast.Block):
-        return ast.Block(tuple(map_stmt_exprs(s, fn) for s in stmt.stmts), stmt.name, stmt.pos)
-    if isinstance(stmt, ast.ForkJoin):
-        return ast.ForkJoin(tuple(map_stmt_exprs(s, fn) for s in stmt.stmts), stmt.name, stmt.pos)
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            map_expr(stmt.cond, fn),
-            map_stmt_exprs(stmt.then_stmt, fn) if stmt.then_stmt else None,
-            map_stmt_exprs(stmt.else_stmt, fn) if stmt.else_stmt else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.Case):
-        items = tuple(
-            ast.CaseItem(
-                tuple(map_expr(lbl, fn) for lbl in item.labels),
-                map_stmt_exprs(item.stmt, fn) if item.stmt else None,
-            )
-            for item in stmt.items
-        )
-        return ast.Case(map_expr(stmt.expr, fn), items, stmt.kind, stmt.pos)
-    if isinstance(stmt, ast.For):
-        return ast.For(
-            map_stmt_exprs(stmt.init, fn),  # type: ignore[arg-type]
-            map_expr(stmt.cond, fn),
-            map_stmt_exprs(stmt.step, fn),  # type: ignore[arg-type]
-            map_stmt_exprs(stmt.body, fn) if stmt.body else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.While):
-        return ast.While(
-            map_expr(stmt.cond, fn),
-            map_stmt_exprs(stmt.body, fn) if stmt.body else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.RepeatStmt):
-        return ast.RepeatStmt(
-            map_expr(stmt.count, fn),
-            map_stmt_exprs(stmt.body, fn) if stmt.body else None,
-            stmt.pos,
-        )
-    if isinstance(stmt, ast.DelayStmt):
-        return ast.DelayStmt(
-            map_expr(stmt.delay, fn),
-            map_stmt_exprs(stmt.stmt, fn) if stmt.stmt else None,
-            stmt.pos,
-        )
-    raise TypeError(f"cannot rewrite statement {type(stmt).__name__}")
+
+    def expr(node: ast.Expr) -> ast.Expr:
+        return map_expr(node, fn)
+
+    def walk(node: ast.Stmt) -> ast.Stmt:
+        return map_stmt(node, walk, expr, expr)
+
+    return walk(stmt)
+
+
+def map_item_exprs(item: ast.Item, fn: ExprFn) -> ast.Item:
+    """Apply *fn* to every whole expression of a module item.
+
+    Declared ranges and initializers, both sides of a continuous
+    assignment, sensitivity events, every expression of a process body
+    and instance connections; names are left alone.
+    """
+
+    def walk(node: ast.Stmt) -> ast.Stmt:
+        return map_stmt(node, walk, fn, fn)
+
+    def rng(r: ast.Range) -> ast.Range:
+        return ast.Range(fn(r.msb), fn(r.lsb))
+
+    def conn(c: ast.PortConn) -> ast.PortConn:
+        return ast.PortConn(c.name, None if c.expr is None else fn(c.expr))
+
+    if isinstance(item, ast.Decl):
+        return ast.Decl(item.kind, item.name,
+                        None if item.range is None else rng(item.range),
+                        tuple(map(rng, item.unpacked)),
+                        None if item.init is None else fn(item.init),
+                        item.direction, item.signed, item.attributes, item.pos)
+    if isinstance(item, ast.ContinuousAssign):
+        return ast.ContinuousAssign(fn(item.lhs), fn(item.rhs), item.pos)
+    if isinstance(item, ast.Always):
+        sens = item.sensitivity
+        if sens != ast.STAR:
+            sens = tuple(ast.EventExpr(e.edge, fn(e.expr)) for e in sens)
+        return ast.Always(sens, walk(item.stmt), item.pos)
+    if isinstance(item, ast.Initial):
+        return ast.Initial(walk(item.stmt), item.pos)
+    if isinstance(item, ast.Instance):
+        return ast.Instance(item.module, item.name, tuple(map(conn, item.params)),
+                            tuple(map(conn, item.ports)), item.pos)
+    raise TypeError(f"cannot rewrite item {type(item).__name__}")
+
+
+def _renamer(mapping: Mapping[str, str]) -> ExprFn:
+    def fn(node: ast.Expr) -> ast.Expr:
+        if isinstance(node, ast.Identifier) and node.name in mapping:
+            return ast.Identifier(mapping[node.name], node.pos)
+        return node
+
+    return fn
 
 
 def rename_expr(expr: ast.Expr, mapping: Mapping[str, str]) -> ast.Expr:
     """Substitute identifier names per *mapping* (missing names unchanged)."""
-
-    def fn(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Identifier) and node.name in mapping:
-            return ast.Identifier(mapping[node.name], node.pos)
-        return node
-
-    return map_expr(expr, fn)
+    return map_expr(expr, _renamer(mapping))
 
 
 def rename_stmt(stmt: ast.Stmt, mapping: Mapping[str, str]) -> ast.Stmt:
     """Substitute identifier names inside a statement tree."""
-
-    def fn(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.Identifier) and node.name in mapping:
-            return ast.Identifier(mapping[node.name], node.pos)
-        return node
-
-    return map_stmt_exprs(stmt, fn)
+    return map_stmt_exprs(stmt, _renamer(mapping))
 
 
 def substitute_expr(expr: ast.Expr, mapping: Mapping[str, ast.Expr]) -> ast.Expr:
@@ -152,52 +217,12 @@ def substitute_expr(expr: ast.Expr, mapping: Mapping[str, ast.Expr]) -> ast.Expr
 
 
 def rename_item(item: ast.Item, mapping: Mapping[str, str]) -> ast.Item:
-    """Substitute identifier names inside a module item."""
-    if isinstance(item, ast.Decl):
-        new_range = None
-        if item.range is not None:
-            new_range = ast.Range(
-                rename_expr(item.range.msb, mapping), rename_expr(item.range.lsb, mapping)
-            )
-        unpacked = tuple(
-            ast.Range(rename_expr(d.msb, mapping), rename_expr(d.lsb, mapping))
-            for d in item.unpacked
-        )
-        return ast.Decl(
-            item.kind,
-            mapping.get(item.name, item.name),
-            new_range,
-            unpacked,
-            rename_expr(item.init, mapping) if item.init is not None else None,
-            item.direction,
-            item.signed,
-            item.attributes,
-            item.pos,
-        )
-    if isinstance(item, ast.ContinuousAssign):
-        return ast.ContinuousAssign(
-            rename_expr(item.lhs, mapping), rename_expr(item.rhs, mapping), item.pos
-        )
-    if isinstance(item, ast.Always):
-        sens = item.sensitivity
-        if sens != ast.STAR:
-            sens = tuple(
-                ast.EventExpr(e.edge, rename_expr(e.expr, mapping)) for e in sens
-            )
-        return ast.Always(sens, rename_stmt(item.stmt, mapping), item.pos)
-    if isinstance(item, ast.Initial):
-        return ast.Initial(rename_stmt(item.stmt, mapping), item.pos)
-    if isinstance(item, ast.Instance):
-        params = tuple(
-            ast.PortConn(c.name, rename_expr(c.expr, mapping) if c.expr else None)
-            for c in item.params
-        )
-        ports = tuple(
-            ast.PortConn(c.name, rename_expr(c.expr, mapping) if c.expr else None)
-            for c in item.ports
-        )
-        return ast.Instance(item.module, mapping.get(item.name, item.name), params, ports, item.pos)
-    raise TypeError(f"cannot rename item {type(item).__name__}")
+    """Substitute identifier names inside a module item, declared names too."""
+    fn = _renamer(mapping)
+    out = map_item_exprs(item, lambda e: map_expr(e, fn))
+    if isinstance(out, (ast.Decl, ast.Instance)) and out.name in mapping:
+        out = replace(out, name=mapping[out.name])
+    return out
 
 
 def _add_identifiers(expr: ast.Expr, names: "set[str]") -> None:
@@ -248,3 +273,16 @@ def lvalue_reads(lhs: ast.Expr) -> "set[str]":
     if isinstance(lhs, ast.Concat):
         return set().union(*map(lvalue_reads, lhs.parts))
     return set()
+
+
+def lvalue_indices(lhs: ast.Expr) -> List[ast.Expr]:
+    """Return the index expressions an lvalue evaluates at its site: an
+    ``Index``'s index and a ``+:``/``-:`` select's start, through
+    concatenations (a constant ``[msb:lsb]`` has none)."""
+    if isinstance(lhs, ast.Index):
+        return [lhs.index]
+    if isinstance(lhs, ast.RangeSelect) and lhs.mode != ":":
+        return [lhs.msb]
+    if isinstance(lhs, ast.Concat):
+        return [e for part in lhs.parts for e in lvalue_indices(part)]
+    return []

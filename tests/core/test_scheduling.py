@@ -5,7 +5,7 @@ import pytest
 from repro.core.scheduling import (
     TransformError, build_core, defork, flatten_blocks, guard_name,
 )
-from repro.verilog import ast, parse_module, parse_stmt
+from repro.verilog import ast, parse_module, parse_stmt, print_stmt
 
 
 class TestDefork:
@@ -51,6 +51,12 @@ class TestFlatten:
     def test_blocks_inside_if_flatten(self):
         stmt = flatten_blocks(parse_stmt("if (c) begin begin a = 1; end end"))
         assert len(stmt.then_stmt.stmts) == 1
+
+    def test_blocks_under_a_delay_flatten(self):
+        stmt = flatten_blocks(parse_stmt(
+            "begin #1 begin begin a = 1; end b = 2; end end"))
+        assert print_stmt(stmt.stmts[0]) == print_stmt(
+            parse_stmt("#1 begin a = 1; b = 2; end"))
 
 
 class TestGuardNames:

@@ -21,6 +21,7 @@ class TestStripTasks:
             $display(r);
             if ($feof(fd)) $finish;
             else r <= r + $random;
+            #1 $display("late");
           end
           initial $display("boot");
         endmodule
