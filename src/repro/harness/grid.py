@@ -46,6 +46,12 @@ def _zero_calls(expr: ast.Expr) -> ast.Expr:
     return map_expr(expr, fn)
 
 
+def _empty(stmt: ast.Stmt) -> bool:
+    """Does *stmt* do nothing: a null statement or an empty block?"""
+    return isinstance(stmt, ast.NullStmt) or (
+        isinstance(stmt, (ast.Block, ast.ForkJoin)) and not stmt.stmts)
+
+
 def strip_tasks_stmt(stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
     """Remove system tasks / replace unsynthesizable calls with zero.
 
@@ -59,7 +65,7 @@ def strip_tasks_stmt(stmt: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
         return ast.NullStmt()
     out = map_stmt(stmt, strip_tasks_stmt, _zero_calls, _zero_calls)
     if isinstance(out, (ast.Block, ast.ForkJoin)):
-        kept = tuple(s for s in out.stmts if not isinstance(s, ast.NullStmt))
+        kept = tuple(s for s in out.stmts if not _empty(s))
         return type(out)(kept, out.name, out.pos)
     return out
 
@@ -74,7 +80,7 @@ def strip_tasks(module: ast.Module) -> ast.Module:
                                     item.pos))
         elif isinstance(item, ast.Initial):
             stripped = strip_tasks_stmt(item.stmt)
-            if stripped is not None:
+            if not _empty(stripped):  # an initial of tasks alone goes
                 items.append(ast.Initial(stripped, item.pos))
         elif isinstance(item, ast.Decl) and item.init is not None:
             items.append(replace(item, init=_zero_calls(item.init)))

@@ -293,7 +293,7 @@ class CompiledModuleCode:
         else:
             out += ["comb = settle", ""]
             pending = "dl or heap or S._trail_count"
-        # every entry applies itself (a writer or Reference.apply), in order
+        # every entry applies itself (a writer or Evaluator.apply), in order
         out += ["def latch():", "    q = nba[:]; del nba[:]", "    for e in q:",
                 "        e[0](e)", "    if dl:", "        comb()", ""]
         out.append("def period():")

@@ -40,7 +40,7 @@ from ...verilog.width import WidthError, const_eval
 from ..simulator import _MAX_LOOP_ITERATIONS
 from .exprc import (
     LOWERED_SYSFUNCS, CompileFallback, ExprCompiler, const_range_bounds,
-    dynamic_low_src, expr_is_pure, expr_nodes,
+    dynamic_low_src, expr_is_pure,
 )
 
 #: placeholder line an escape writes back the body's cached writes at;
@@ -72,7 +72,7 @@ class ProcessCompiler:
         #: True while a coalesced run's members emit (their counters
         #: were already merged into one bump)
         self._suppress_count = False
-        #: [body indent, stmts, ops] of the innermost abort-free counted
+        #: [body indent, stmts] of the innermost abort-free counted
         #: loop: bumps at that indent collect here, charged ``trips x k``
         self._loop: Optional[List[int]] = None
         #: process name -> why each of its escapes was not lowered
@@ -103,16 +103,15 @@ class ProcessCompiler:
     def _frame(self, name: str, body: List[str], order: Sequence[int],
                flush: List[str]) -> List[str]:
         """One process function: cached slots load ahead of the body
-        and flush, with the counters, in a ``finally`` — a mid-body
-        abort (``$finish``, an iteration guard) still publishes every
-        write and every statement counted up to it; a slot the body
-        never reached flushes its entry value, a no-op."""
-        return ([f"def {name}():", "    _st = 0; _ops = 0"]
+        and flush, with the statement count, in a ``finally`` — a
+        mid-body abort (``$finish``, an iteration guard) still publishes
+        every write and every statement counted up to it; a slot the
+        body never reached flushes its entry value, a no-op."""
+        return ([f"def {name}():", "    _st = 0"]
                 + [f"    L{slot} = d[{slot}]" for slot in order]
                 + ["    try:"] + (body or ["        pass"]) + ["    finally:"]
                 + [f"        {store}" for store in flush]
-                + ["        S.stmts_executed += _st",
-                   "        EVC.ops_evaluated += _ops", ""])
+                + ["        S.stmts_executed += _st", ""])
 
     # -- slot write emission ------------------------------------------------
 
@@ -329,23 +328,19 @@ class ProcessCompiler:
             self._spill(ind, str(why))
             return f"EV({self.ec.const_ref(expr)}, {self.env.width_of(expr)})"
 
-    def _count(self, ind: int, stmts: int, ops: int) -> None:
-        if self._suppress_count:
+    def _count(self, ind: int, stmts: int) -> None:
+        if self._suppress_count or not stmts:
             return
         if self._loop and ind == self._loop[0]:
             self._loop[1] += stmts
-            self._loop[2] += ops
-            return
-        bumps = ([f"_st += {stmts}"] if stmts else []) + (
-            [f"_ops += {ops}"] if ops else [])
-        if bumps:
-            self._emit(ind, "; ".join(bumps))
+        else:
+            self._emit(ind, f"_st += {stmts}")
 
     def _emit_stmt(self, stmt: ast.Stmt, ind: int) -> None:
         if isinstance(stmt, ast.Assign):
             width = self.env.width_of(stmt.lhs)
             value_width = max(self.env.width_of(stmt.rhs), width)
-            self._count(ind, 1, expr_nodes(stmt.rhs))
+            self._count(ind, 1)
             # Repeated pure subexpressions of this statement are hoisted
             # into prelude locals.
             self.ec.begin_hoist([stmt.rhs], lambda text: self._emit(ind, text))
@@ -383,11 +378,11 @@ class ProcessCompiler:
                 self._emit(ind, f"nbap(({writer}, {', '.join(args)}))")
             return
         if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-            self._count(ind, 1, 0)
+            self._count(ind, 1)
             self._emit_block_coalesced(stmt.stmts, ind)
             return
         if isinstance(stmt, ast.If):
-            self._count(ind, 1, expr_nodes(stmt.cond))
+            self._count(ind, 1)
             self._emit(ind, f"if {self._cond(stmt.cond, ind)}:")
             self.emit_stmt(stmt.then_stmt, ind + 1)
             if stmt.else_stmt is not None:
@@ -405,14 +400,12 @@ class ProcessCompiler:
                 if trips is not None:
                     self._emit_counted(stmt, trips, ind)
                     return
-            self._count(ind, 1, 0)
+            self._count(ind, 1)
             if kind == "for":
                 self.emit_stmt(stmt.init, ind)
             guard = self._gensym("it")
             self._emit(ind, f"{guard} = 0")
             self._emit(ind, f"while {self.ec.compile_cond(stmt.cond)}:")
-            if kind == "for":
-                self._count(ind + 1, 0, expr_nodes(stmt.cond))
             self.emit_stmt(stmt.body, ind + 1)
             if kind == "for":
                 self.emit_stmt(stmt.step, ind + 1)
@@ -422,7 +415,7 @@ class ProcessCompiler:
                                 f"'{kind}-loop iteration limit exceeded')")
             return
         if isinstance(stmt, ast.RepeatStmt):
-            self._count(ind, 1, expr_nodes(stmt.count))
+            self._count(ind, 1)
             count = self.ec.compile(stmt.count)
             loop = self._gensym("it")
             self._emit(ind, f"for {loop} in range(min({count},"
@@ -430,10 +423,10 @@ class ProcessCompiler:
             self.emit_stmt(stmt.body, ind + 1)
             return
         if isinstance(stmt, ast.NullStmt):
-            self._count(ind, 1, 0)
+            self._count(ind, 1)
             return
         if isinstance(stmt, ast.DelayStmt):
-            self._count(ind, 1, 0)
+            self._count(ind, 1)
             self.emit_stmt(stmt.stmt, ind)
             return
         # System tasks (and anything else) escape to the reference
@@ -467,9 +460,9 @@ class ProcessCompiler:
             for node in ast.walk_stmt(stmt))
 
     def _emit_counted(self, stmt: ast.For, trips: range, ind: int) -> None:
-        """``for L in range(...)`` + the exit value; counters equal the
-        ``while`` form's (condition nodes, body, one statement + step
-        nodes an iteration) wherever an abort could observe them."""
+        """``for L in range(...)`` + the exit value; the statement count
+        equals the ``while`` form's (the loop and its init, then body and
+        step an iteration) wherever an abort could observe it."""
         self.ec.facts["counted"] += 1
         name = stmt.init.lhs.name
         slot = self.ec.slot_of[name]
@@ -477,22 +470,20 @@ class ProcessCompiler:
         self._cache_written.add(slot)
         outer_lines, self.lines = self.lines, []
         outer, self._loop = self._loop, [
-            -1 if self._may_abort(stmt.body) else ind + 1, 0, 0]
+            -1 if self._may_abort(stmt.body) else ind + 1, 0]
         self.ec.bound[name] = trips
         escapes = len(self._why)
         try:
-            self._count(ind + 1, 0, expr_nodes(stmt.cond))
             self.emit_stmt(stmt.body, ind + 1)
-            self._count(ind + 1, 1, expr_nodes(stmt.step.rhs))
+            self._count(ind + 1, 1)
         finally:
             del self.ec.bound[name]
             body, self.lines = self.lines, outer_lines
-            (collect, per_st, per_ops), self._loop = self._loop, outer
+            (collect, per_st), self._loop = self._loop, outer
         if collect != -1 and len(self._why) > escapes:
             # a charge for every trip would be early if the escape aborts
             raise CompileFallback(self._why[escapes])
-        self._count(ind, 2 + len(trips) * per_st,
-                    expr_nodes(stmt.init.rhs) + len(trips) * per_ops)
+        self._count(ind, 2 + len(trips) * per_st)
         self._emit(ind, f"for {local} in range({trips.start}, {trips.stop},"
                         f" {trips.step}):")
         self.lines.extend(body or ["    " * (ind + 1) + "pass"])
@@ -503,18 +494,17 @@ class ProcessCompiler:
 
         A run of lowered plain assignments executes atomically — every
         operation in it is guarded and total, so no abort can be
-        observed between its members — which makes one merged
-        ``_st``/``_ops`` bump exactly equivalent to the per-statement
-        bumps at every observable point.  An escaped member counts
-        itself and splits the run.
+        observed between its members — which makes one merged ``_st``
+        bump exactly equivalent to the per-statement bumps at every
+        observable point.  An escaped member counts itself and splits
+        the run.
         """
         run: List[ast.Stmt] = []
 
         def bump(lowered: List[ast.Stmt], start: int) -> None:
             tail = self.lines[start:]
             del self.lines[start:]
-            self._count(ind, len(lowered), sum(expr_nodes(s.rhs) for s in lowered
-                                               if isinstance(s, ast.Assign)))
+            self._count(ind, len(lowered))
             self.lines += tail
 
         def flush() -> None:
@@ -551,8 +541,7 @@ class ProcessCompiler:
                 for item in stmt.items for label in item.labels):
             raise CompileFallback("impure case subject/labels")
         subject_width = self.env.width_of(stmt.expr)
-        ops = expr_nodes(stmt.expr)
-        self._count(ind, 1, ops)
+        self._count(ind, 1)
         subject = self._gensym("c")
         self._emit(ind, f"{subject} = {self.ec.compile(stmt.expr, subject_width)}")
         first = True
@@ -637,15 +626,11 @@ class ProcessCompiler:
             width = self.env.width_of(item.lhs)
             value_width = max(self.env.width_of(item.rhs), width)
             value = self._gensym("v")
-            self._emit(2, f"{value} = {self.ec.compile(item.rhs, width)}")
-            self._emit_store(item.lhs, value, value_width, 2)
-            footer = f"        EVC.ops_evaluated += {expr_nodes(item.rhs)}"
+            self._emit(1, f"{value} = {self.ec.compile(item.rhs, width)}")
+            self._emit_store(item.lhs, value, value_width, 1)
         except (CompileFallback, WidthError):
-            # The interpreted fallback counts its own evaluated ops.
-            self.lines = [f"        EVC.run_assign({self.ec.const_ref(item)})"]
-            footer = "        pass"
-        return ([f"def {name}():", "    try:"] + self.lines
-                + ["    finally:", footer, ""])
+            self.lines = [f"    EVC.run_assign({self.ec.const_ref(item)})"]
+        return [f"def {name}():"] + self.lines + [""]
 
     def compile_procedural(self, name: str, stmt: ast.Stmt) -> List[str]:
         """Function source for an always/initial block body: slots

@@ -50,7 +50,6 @@ class Evaluator:
     def __init__(self, env: WidthEnv, store):
         self.env = env
         self.store = store
-        self.ops_evaluated = 0  # perf counter: expression nodes evaluated
         self.plan = env.plan
 
     # -- evaluation -------------------------------------------------------
@@ -157,28 +156,22 @@ class Evaluator:
     # entry: (fn, width, signed, node, pure, operands and constants...)
 
     def _number(self, e, w):
-        self.ops_evaluated += 1
         return e[5] & ((1 << w) - 1) if w else e[5]
 
     def _const(self, e, w):  # a string or a parameter
-        self.ops_evaluated += 1
         return e[5] & ((1 << w) - 1)
 
     def _signal(self, e, w):
-        self.ops_evaluated += 1
         return self.store.get(e[5]) & ((1 << w) - 1)
 
     def _fail(self, e, w):
-        self.ops_evaluated += 1
         raise EvalError(e[5])
 
     def _word(self, e, w):  # mem[i]
-        self.ops_evaluated += 1
         i = e[5]
         return self.store.mem_get(e[6].name, i[0](self, i, i[1])) & ((1 << w) - 1)
 
     def _bit(self, e, w):  # sig[i]
-        self.ops_evaluated += 1
         i, sig = e[5], e[6]
         offset = sig.bit_offset(i[0](self, i, i[1]))
         if offset < 0 or offset >= sig.width:
@@ -186,19 +179,16 @@ class Evaluator:
         return (self.store.get(sig.name) >> offset) & 1 & ((1 << w) - 1)
 
     def _bit_of(self, e, w):  # (expr)[i]
-        self.ops_evaluated += 1
         b, i = e[5], e[6]
         base = b[0](self, b, b[1])
         return (base >> i[0](self, i, i[1])) & 1 & ((1 << w) - 1)
 
     def _part(self, e, w):  # [msb:lsb]
-        self.ops_evaluated += 1
         b, low = e[5], e[6]
         base = b[0](self, b, b[1])
         return (base >> low) & e[7] & ((1 << w) - 1) if low >= 0 else 0
 
     def _indexed_part(self, e, w):
-        self.ops_evaluated += 1
         b, s = e[5], e[6]
         base = b[0](self, b, b[1])
         low = self._low(e, s[0](self, s, s[1]))
@@ -211,14 +201,12 @@ class Evaluator:
         return e[9].bit_offset(start) if e[9] is not None else start
 
     def _concat(self, e, w):
-        self.ops_evaluated += 1
         value = 0
         for p in e[5:]:
             value = (value << p[1]) | p[0](self, p, p[1])
         return value & ((1 << w) - 1)
 
     def _repeat(self, e, w):
-        self.ops_evaluated += 1
         u = e[5]
         unit = u[0](self, u, u[1])
         value = 0
@@ -227,24 +215,20 @@ class Evaluator:
         return value & ((1 << w) - 1)
 
     def _reduce(self, e, w):
-        self.ops_evaluated += 1
         o = e[5]
         return e[6](o[0](self, o, o[1]), (1 << o[1]) - 1)
 
     def _unary(self, e, w):  # ~ and -
-        self.ops_evaluated += 1
         o = e[5]
         return e[6](o[0](self, o, w)) & ((1 << w) - 1)
 
     def _logic(self, e, w):  # && and ||: the right operand only if it decides
-        self.ops_evaluated += 1
         l, r, is_and = e[5], e[6], e[7]
         if (l[0](self, l, l[1]) != 0) is not is_and:
             return 0 if is_and else 1
         return 1 if r[0](self, r, r[1]) else 0
 
     def _compare(self, e, w):
-        self.ops_evaluated += 1
         l, r, cw = e[5], e[6], e[7]
         left, right = l[0](self, l, cw), r[0](self, r, cw)
         if e[8]:
@@ -252,7 +236,6 @@ class Evaluator:
         return 1 if e[9](left, right) else 0
 
     def _shift(self, e, w):  # and **: the right operand at its own width
-        self.ops_evaluated += 1
         l, r, kind = e[5], e[6], e[7]
         left = l[0](self, l, w)
         shift = r[0](self, r, r[1])
@@ -267,17 +250,14 @@ class Evaluator:
         return left >> shift
 
     def _arith(self, e, w):
-        self.ops_evaluated += 1
         l, r = e[5], e[6]
         return e[7](l[0](self, l, w), r[0](self, r, w)) & ((1 << w) - 1)
 
     def _bitwise(self, e, w):  # & | ^ of operands already at the width
-        self.ops_evaluated += 1
         l, r = e[5], e[6]
         return e[7](l[0](self, l, w), r[0](self, r, w))
 
     def _divide(self, e, w):
-        self.ops_evaluated += 1
         l, r, is_mod = e[5], e[6], e[8]
         left, right = l[0](self, l, w), r[0](self, r, w)
         if right == 0:
@@ -288,18 +268,15 @@ class Evaluator:
         return (sl - sr * int(sl / sr) if is_mod else int(sl / sr)) & ((1 << w) - 1)
 
     def _ternary(self, e, w):
-        self.ops_evaluated += 1
         c = e[5]
         arm = e[6] if c[0](self, c, c[1]) else e[7]
         return arm[0](self, arm, w)
 
     def _cast(self, e, w):  # $signed / $unsigned
-        self.ops_evaluated += 1
         a = e[5]
         return a[0](self, a, w)
 
     def _sysfunc(self, e, w):
-        self.ops_evaluated += 1
         return self.sysfunc(e[3], w) & ((1 << w) - 1)
 
     def sysfunc(self, expr: ast.SysCall, width: int) -> int:
@@ -320,13 +297,12 @@ class Evaluator:
                         for k, bits in self._split(lhs, value)])
         return self.write(self.target(lhs), value, notify)
 
-    def target(self, lhs: ast.Expr, nba: bool = False) -> tuple:
+    def target(self, lhs: ast.Expr) -> tuple:
         """``(lhs, index)``: LRM §9.2.2, an NBA evaluates its lvalue index
         when it executes, as the hardware transform's ``__wa`` captures
-        do; only the :meth:`write` waits.  Under *nba* a computed index
-        also counts the update region's read of the value frozen here."""
+        do; only the :meth:`write` waits."""
         if isinstance(lhs, ast.Concat):
-            return lhs, tuple(self.target(p, nba) for p in lhs.parts)
+            return lhs, tuple(self.target(p) for p in lhs.parts)
         if isinstance(lhs, ast.Identifier):
             return lhs, None
         if not isinstance(getattr(lhs, "base", None), ast.Identifier):
@@ -335,9 +311,11 @@ class Evaluator:
         if isinstance(lhs, ast.RangeSelect) and lhs.mode == ":":
             return lhs, None
         index = lhs.index if isinstance(lhs, ast.Index) else lhs.msb
-        if nba and not isinstance(index, ast.Number):
-            self.ops_evaluated += 1
         return lhs, self.eval(index)
+
+    def apply(self, entry: tuple) -> None:
+        """Apply a queued ``(applier, target, value)`` NBA entry."""
+        self.write(entry[1], entry[2])
 
     def write(self, target: tuple, value: int, notify: bool = True) -> bool:
         """Apply *value* to a :meth:`target`; returns True on change."""

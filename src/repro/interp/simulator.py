@@ -85,8 +85,10 @@ class Reference(Evaluator):
     ``(applier, target, value)`` entry is appended to.  It carries the
     engine's ``time`` (for ``$time``) and ``stmts_executed``.  It holds
     no reference back to an engine, and it extends the evaluator rather
-    than handing it a bound callback for system functions, so a retired
-    interpreter is freed by reference counting alone.
+    than handing it a bound callback for system functions; a queued NBA
+    entry's applier is a plain evaluator's, holding the store but neither
+    this reference nor the queue.  So a retired interpreter is freed by
+    reference counting alone, even with an NBA still queued.
     """
 
     def __init__(self, env: WidthEnv, store, host: TaskHost, nba):
@@ -95,10 +97,7 @@ class Reference(Evaluator):
         self.nba = nba
         self.time = 0            # logical ticks the engine has driven
         self.stmts_executed = 0  # perf counter
-
-    def apply(self, entry: tuple) -> None:
-        """Apply a queued ``(applier, target, value)`` NBA entry."""
-        self.write(entry[1], entry[2])
+        self.applier = Evaluator(env, store).apply
 
     def run_assign(self, item: ast.ContinuousAssign) -> None:
         self.assign(item.lhs, self.eval(item.rhs, self.env.width_of(item.lhs)))
@@ -112,7 +111,7 @@ class Reference(Evaluator):
             if stmt.blocking:
                 self.assign(stmt.lhs, value)
             else:
-                self.nba((self.apply, self.target(stmt.lhs, nba=True), value))
+                self.nba((self.applier, self.target(stmt.lhs), value))
             return
         if isinstance(stmt, ast.Block) or isinstance(stmt, ast.ForkJoin):
             # Sequential execution is a valid scheduling of fork/join (§3.2).
@@ -158,17 +157,13 @@ class Reference(Evaluator):
         raise SimulationError(f"cannot execute {type(stmt).__name__}")
 
     def _exec_case(self, stmt: ast.Case) -> None:
-        """A pure subject is evaluated once, counted once per label tried."""
+        """A pure subject is evaluated once, an impure one per label tried."""
         entry = self.entry(stmt.expr)
-        subject = ops = None
+        subject = None
         for item in stmt.items:
             for label in item.labels:
                 if subject is None or not entry[4]:
-                    ops = self.ops_evaluated
                     subject = self._eval(stmt.expr, entry[1])
-                    ops = self.ops_evaluated - ops
-                else:
-                    self.ops_evaluated += ops
                 value = self.eval(label, entry[1])
                 dontcare = 0
                 if stmt.kind in ("casez", "casex") and isinstance(label, ast.Number):

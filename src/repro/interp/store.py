@@ -107,9 +107,9 @@ class Store:
         """Restore state captured by :meth:`snapshot` (unknown names skipped)."""
         for name, value in snapshot.items():
             if name in self.memories and isinstance(value, list):
-                memory = self.memories[name]
+                memory, _, word_mask = self._mem_info[name]
                 for i, v in enumerate(value[: len(memory)]):
-                    memory[i] = v
+                    memory[i] = v & word_mask
                 self.dirty[name] = None
             elif name in self.values:
                 sig = self.env.signal(name)

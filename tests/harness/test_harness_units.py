@@ -57,6 +57,20 @@ class TestStripTasks:
                    if isinstance(s, ast.Assign)]
         assert assigns
 
+    def test_an_initial_of_only_tasks_goes(self):
+        mod = parse_module("""
+            module m(input wire clock);
+              reg [7:0] r = 0;
+              initial begin $display("boot"); $display("x"); end
+              initial begin begin $display("nested"); end end
+              initial begin begin $display("kept"); end r = 1; end
+            endmodule
+        """)
+        initials = [i for i in strip_tasks(mod).items
+                    if isinstance(i, ast.Initial)]
+        assert len(initials) == 1
+        assert [type(s) for s in initials[0].stmt.stmts] == [ast.Assign]
+
 
 class TestGrid:
     def test_all_conditions_compile(self):

@@ -49,17 +49,6 @@ class TestCounters:
         sim.step()
         assert sim.settle_rounds > before
 
-    def test_ops_evaluated(self):
-        sim = sim_for("""
-            module m(input wire clock);
-              reg [31:0] x = 0;
-              always @(posedge clock) x <= (x + 1) * 3;
-            endmodule
-        """)
-        before = sim.evaluator.ops_evaluated
-        sim.tick()
-        assert sim.evaluator.ops_evaluated > before
-
     def test_time_counts_ticks(self):
         sim = sim_for("""
             module m(input wire clock);

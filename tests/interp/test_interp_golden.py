@@ -3,8 +3,8 @@
 ``interp_golden.json`` holds, per design, what
 :class:`~repro.interp.simulator.InterpSimulator` leaves after a fixed
 number of ticks: the ``$display`` text, a sha256 of the final store
-(every signal and memory word, wires included), and the three perf
-counters ``stmts_executed``, ``settle_rounds`` and ``ops_evaluated``.
+(every signal and memory word, wires included), and the two perf
+counters ``stmts_executed`` and ``settle_rounds``.
 The designs are the six Table-1 designs, ``tests/corpus/`` and fuzz
 seeds 0-399.  The interpreter is the oracle every other engine is held
 to, so a change to how it evaluates (not what) must leave every entry
@@ -67,7 +67,6 @@ def record(source, ticks, vfs):
         "store": hashlib.sha256(state.encode()).hexdigest(),
         "stmts_executed": sim.stmts_executed,
         "settle_rounds": sim.settle_rounds,
-        "ops_evaluated": sim.evaluator.ops_evaluated,
     }
 
 

@@ -71,7 +71,7 @@ def test_a_pickled_program_does_not_carry_the_table():
     twin = InterpSimulator(loaded.flat, TaskHost(), env=loaded.env)
     twin.tick(cycles=50)
     assert twin.store.snapshot() == sim.store.snapshot()
-    assert twin.evaluator.ops_evaluated == sim.evaluator.ops_evaluated
+    assert twin.stmts_executed == sim.stmts_executed
 
 
 def test_a_compiled_display_escape_reads_through_the_table():

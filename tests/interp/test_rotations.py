@@ -11,8 +11,7 @@ everywhere else (conditions, continuous assigns) it is inline.
 Every module below runs three ways, as in ``test_counted_loops.py``:
 the reference interpreter, the compiled backend at ``-O0`` and at
 ``-O2``.  Architectural state and ``stmts_executed`` must be identical
-on all three, ``ops_evaluated`` between the two compiled levels (the
-compiled backend counts right-hand-side nodes only).
+on all three.
 
 No fuzz seed (0-399) and no corpus file spells a rotation; bitcoin's
 SHA-256 is the only one in the tree, so this file is where the oracle
@@ -77,7 +76,6 @@ def _agree(flat, ticks=4):
     assert o0.store.snapshot() == interp.store.snapshot()
     assert o2.store.snapshot() == interp.store.snapshot()
     assert o0.stmts_executed == o2.stmts_executed == interp.stmts_executed
-    assert o0.evaluator.ops_evaluated == o2.evaluator.ops_evaluated
     return o0, o2
 
 

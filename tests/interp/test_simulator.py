@@ -415,3 +415,31 @@ class TestRetirement:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_a_queued_nba_does_not_keep_a_retired_reference(self):
+        """A ``$finish`` that cuts a period short leaves an NBA queued.
+        Its entry's applier is a plain evaluator's, so it holds the store
+        but neither the ``Reference`` nor the queue: ``del`` still frees
+        the engine, its reference and its store with the collector off."""
+        flat = flatten(parse("""
+            module m(input wire clock);
+              reg [3:0] n = 0;
+              always @(posedge clock) begin
+                n <= n + 1;
+                if (n == 3) $finish;
+              end
+            endmodule
+        """), "m")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = InterpSimulator(flat, TaskHost(VirtualFS()))
+            sim.tick(cycles=6)
+            assert sim.host.finished and len(sim._nba) == 1
+            alive = [weakref.ref(sim), weakref.ref(sim.evaluator),
+                     weakref.ref(sim.store)]
+            del sim
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.interp import Simulator, TaskHost
 from repro.interp.store import Store
-from repro.verilog import WidthEnv, parse_module
+from repro.verilog import WidthEnv, flatten, parse, parse_module
 
 MOD = parse_module("""
 module m(input wire clock);
@@ -80,6 +81,21 @@ class TestSnapshots:
     def test_restore_memory_truncates_to_depth(self, store):
         store.restore({"mem": [1, 2, 3, 4, 5, 6, 7]})
         assert store.memories["mem"] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_restore_masks_memory_words(self, backend):
+        source = parse("""
+            module m(input wire clock);
+              reg [3:0] mem [0:1];
+              reg [7:0] out = 0;
+              always @(posedge clock) out <= mem[0] + 0;
+            endmodule
+        """)
+        sim = Simulator(flatten(source, "m"), TaskHost(), backend=backend)
+        sim.restore_store({"mem": [0x1F, 3]})
+        sim.tick()
+        assert sim.store.memories["mem"] == [0xF, 3]
+        assert sim.get("out") == 0xF
 
 
 class TestScalars:

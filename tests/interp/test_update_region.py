@@ -2,8 +2,8 @@
 
 Every non-blocking update is queued as ``(applier, value-or-lvalue,
 ...)`` and applied as ``e[0](e)``: a compiled writer ``nwK(e)``, or
-the engine's ``Reference.apply`` for an NBA the reference semantics
-ran (a statement the emitter could not lower).  The
+a plain evaluator's ``Evaluator.apply`` for an NBA the reference
+semantics ran (a statement the emitter could not lower).  The
 generated ``latch()`` drains the queue that way, and the static-plan
 ``comb()`` carries each cone's body inline instead of calling ``pK()``.
 
@@ -13,7 +13,7 @@ Two checks:
   the same memory word, in both orders: the last one in program order
   wins, as in the interpreter — on the generated period and on the
   reference period the same artifact takes with its period unset;
-* ``settle_rounds``, ``ops_evaluated`` and ``stmts_executed`` after
+* ``settle_rounds`` and ``stmts_executed`` after
   2 000 ticks of mips32, df and bitcoin equal the values pinned below,
   which the generated period produced before its update region and its
   cones were emitted inline.
@@ -21,11 +21,11 @@ Two checks:
 Mutation checks (run by hand when ``_period_source``, ``_latch`` or
 the writers change; each must turn this file red):
 
-* drop the ``EVC.ops_evaluated`` bump from the cone bodies ``comb()``
-  inlines (turn it into ``_ = ...`` in ``_period_source``) — the
-  pinned counters of mips32 and df fail;
+* drop the ``S.settle_rounds`` bump ahead of a cone body ``comb()``
+  inlines (in ``_period_source``) — the pinned counters of mips32 and
+  df fail;
 * apply the interpreter's entries before the compiled writers (a stable
-  sort of the queue on whether ``e[0]`` is a ``Reference.apply`` in the generated
+  sort of the queue on whether ``e[0]`` is an ``Evaluator.apply`` in the generated
   ``latch()`` and in ``_latch``) — the last-write-wins test fails on
   both paths.
 """
@@ -92,11 +92,11 @@ def test_interpreted_and_compiled_nbas_keep_program_order(watched):
     assert [interp.store.mem_get("m", k) for k in (2, 3)] == [5, 55]
 
 
-#: (settle_rounds, ops_evaluated, stmts_executed) after 2 000 ticks
+#: (settle_rounds, stmts_executed) after 2 000 ticks
 PINNED = {
-    "mips32": (5161, 149748, 34790),
-    "df": (6002, 335513, 100337),
-    "bitcoin": (2002, 49490006, 5402000),
+    "mips32": (5161, 34790),
+    "df": (6002, 100337),
+    "bitcoin": (2002, 5402000),
 }
 
 
@@ -111,5 +111,4 @@ def test_counters_after_2000_ticks_are_pinned(name):
                             code=code)
     sim.tick(cycles=2000)
     assert sim.slow_periods == 0
-    assert (sim.settle_rounds, sim.evaluator.ops_evaluated,
-            sim.stmts_executed) == PINNED[name]
+    assert (sim.settle_rounds, sim.stmts_executed) == PINNED[name]
