@@ -24,14 +24,15 @@ from typing import Optional, Union
 
 from ..core.pipeline import CompiledProgram, build_program
 from ..verilog import ast_nodes as ast
+from ..verilog.elaborate import flatten
 from ..verilog.parser import parse
-from ..verilog.printer import print_module, print_source
+from ..verilog.printer import print_module
 from .artifacts import ArtifactStore, resolve_store, text_digest
 
 #: Artifact kinds, one per compiler stage.
 KIND_PARSE = "parse"
 KIND_SOURCE = "source"      # raw or canonical text alias → program
-KIND_PROGRAM = "program"
+KIND_PROGRAM = "program"    # flat text → program
 KIND_OPT = "opt"            # mid-end pipeline output (OptResult)
 KIND_CODEGEN = "codegen"    # simulator code (CompiledModuleCode)
 KIND_EVENT = "event"        # nothing interns it; benchmarks/e2e imports it
@@ -66,11 +67,11 @@ class CompilerService:
     ) -> CompiledProgram:
         """Run (or reuse) the full §3 pipeline over *source*.
 
-        All three input kinds are canonicalized through the
-        deterministic printer, so text, its parse, and its flattened
-        module converge on stable digests; raw text additionally gets
-        a cheap alias entry so the hot warm path is one digest plus a
-        dictionary hit.
+        All three input kinds are flattened, and the program is keyed
+        by the deterministic printer's flat text (its ``digest``), so
+        text, its parse, and its flattened module converge on one
+        program; raw text additionally gets a cheap alias entry so the
+        hot warm path is one digest plus a dictionary hit.
         """
         if isinstance(source, CompiledProgram):
             return source
@@ -85,11 +86,10 @@ class CompilerService:
             parsed = source
         else:
             parsed = ast.SourceFile((source,))
-        top_name = top if top is not None else parsed.modules[-1].name
-        key = text_digest(print_source(parsed) + f"\x00top={top_name}")
+        flat = flatten(parsed, top if top is not None else parsed.modules[-1].name)
+        text = print_module(flat)
         program = self.store.get_or_build(
-            KIND_PROGRAM, key, lambda: build_program(parsed, top_name)
-        )
+            KIND_PROGRAM, text_digest(text), lambda: build_program(flat, text))
         # a checkpoint carries the canonical text: rehydrate parses nothing
         for alias in dict.fromkeys((alias_key, f"{program.digest}\x00top=")):
             if alias is not None:

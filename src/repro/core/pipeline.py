@@ -2,8 +2,8 @@
 
 ``compile_program`` is the front door used by the runtime, the fabric
 backends, and the hypervisor.  A program has two halves.  The
-*software half* — parse → flatten → analyze state — is what
-``build_program`` runs and all a software engine (with opt → codegen
+*software half* — parse → flatten → analyze state (``build_program``
+is the last step) — is all a software engine (with opt → codegen
 behind it), a checkpoint or a journal record needs.  The *hardware
 half* — machinify → hardware text → synthesis/bitstream → slot code —
 is built when a board asks: ``CompiledProgram.transform`` (the
@@ -25,11 +25,10 @@ from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from ..verilog import ast_nodes as ast
-from ..verilog.elaborate import flatten
 from ..verilog.printer import print_module
 from ..verilog.width import WidthEnv
 from .machinify import TransformResult, machinify
-from .statevars import StateReport, analyze_state
+from .statevars import StateReport, analyze_state, task_nesting
 
 
 @dataclass
@@ -42,10 +41,11 @@ class CompiledProgram:
     Verilog text, a parsed source file, or an already-flattened module
     (§7: deterministic code generation increases cache hit rates).
 
-    The fields are the software half.  ``transform`` and the three
-    ``hardware_*`` properties are the hardware half: nothing on the
-    software path (admission, ticking, checkpoints, the journal) reads
-    them, so a tenant that never reaches a board never builds them.
+    The fields are the software half.  ``transform``, ``task_nesting``
+    and the three ``hardware_*`` properties are the hardware half:
+    nothing on the software path (admission, ticking, checkpoints, the
+    journal) reads them, so a tenant that never reaches a board never
+    builds them.
     """
 
     source: str
@@ -91,6 +91,12 @@ class CompiledProgram:
         return tick_bound(self.flat, self.env, _MAX_LOOP_ITERATIONS)
 
     @cached_property
+    def task_nesting(self) -> int:
+        """:func:`~repro.core.statevars.task_nesting` of the flat module,
+        which synthesis options read on every placement."""
+        return task_nesting(self.flat)
+
+    @cached_property
     def hardware_digest(self) -> str:
         """Content address of the transformed (hardware) text."""
         from ..compiler.artifacts import text_digest
@@ -105,17 +111,10 @@ class CompiledProgram:
         return WidthEnv(self.transform.module)
 
 
-def build_program(parsed: ast.SourceFile,
-                  top: Optional[str] = None) -> CompiledProgram:
-    """Run the (uncached) pipeline over a parsed source file.
-
-    This is the raw build step the compiler service wraps; *top*
-    selects the root module (defaults to the last module in the file,
-    matching common testbench conventions).
-    """
-    top_name = top if top is not None else parsed.modules[-1].name
-    flat = flatten(parsed, top_name)
-    text = print_module(flat)
+def build_program(flat: ast.Module, text: str) -> CompiledProgram:
+    """Analyze a flattened module whose deterministic print is *text*:
+    the raw build step the compiler service wraps, once it has
+    flattened the root module and keyed the program by that text."""
     env = WidthEnv(flat)
     return CompiledProgram(text, flat, env, analyze_state(flat, env))
 

@@ -42,8 +42,6 @@ def synth_options_for(program: CompiledProgram,
     state; Synergy's transforms keep memories out of LUTRAM/BRAM
     (``preserve_memories=False``) — the Figures 13–14 effect.
     """
-    from ..core.statevars import task_nesting
-
     captured = None
     if program.state.uses_yield:
         captured = frozenset(program.state.captured_names())
@@ -53,7 +51,7 @@ def synth_options_for(program: CompiledProgram,
         control_states=program.transform.n_states,
         anti_congestion=anti_congestion,
         captured_names=captured,
-        task_nesting=task_nesting(program.flat),
+        task_nesting=program.task_nesting,
     )
 
 

@@ -11,7 +11,11 @@ preprocessor (``\`define`` object macros, ``\`undef``, ``\`ifdef``/
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional
+import string
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import itemgetter, sub
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .ast_nodes import SourcePos
 
@@ -45,51 +49,57 @@ OPERATORS = [
 
 
 class Token(NamedTuple):
-    """A single lexical token.
+    """A single lexical token, as :func:`tokenize` returns them.
 
     ``kind`` is one of ``ID``, ``SYSID``, ``NUMBER``, ``BASEDNUM``,
     ``STRING``, ``OP``, ``KEYWORD``, ``ATTR_OPEN``, ``ATTR_CLOSE``, ``EOF``.
-    A tuple, so :func:`tokenize` builds one with ``tuple.__new__``.
     """
 
     kind: str
     text: str
     pos: SourcePos
 
-    def is_op(self, *ops: str) -> bool:
-        return self.kind == "OP" and self.text in ops
-
-    def is_kw(self, *kws: str) -> bool:
-        return self.kind == "KEYWORD" and self.text in kws
-
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _SYSID_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_$]*")
 _DEC_RE = re.compile(r"[0-9][0-9_]*")
-_BASED_RE = re.compile(r"'\s*(s?)([bBoOdDhH])\s*([0-9a-fA-FxXzZ_?]+)")
+_BASED_RE = re.compile(r"'\s*s?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _DIRECTIVE_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)")
 
-#: the whole token grammar as one alternation, one named group per
-#: kind.  The first alternative that matches wins, so ``(*``/``*)``
-#: precede the operators, operators run longest first and a sized based
-#: literal precedes a plain number.  ``BLANK`` and ``NL`` make no token;
-#: ``ERROR`` takes the one character nothing else starts with, so the
-#: matches tile the text.
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("BLANK", r"[ \t\r\f]+"),
-    ("NL", r"\n[ \t\r\f]*"),
-    ("ID", _ID_RE.pattern),
-    ("ATTR_OPEN", r"\(\*"),
-    ("ATTR_CLOSE", r"\*\)"),
-    ("OP", "|".join(map(re.escape, sorted(OPERATORS, key=len, reverse=True)))),
-    ("BASEDNUM", f"(?:{_DEC_RE.pattern})?{_BASED_RE.pattern}"),
-    ("NUMBER", _DEC_RE.pattern),
-    ("STRING", _STRING_RE.pattern),
-    ("SYSID", _SYSID_RE.pattern),
-    ("ESCID", r"\\\S*"),
-    ("ERROR", r"[\s\S]"),
-)))
+_BLANKS = " \t\r\f\n"
+
+#: the whole token grammar as one alternation behind the blank run it
+#: absorbs; nothing captures, so ``findall`` returns the matched text.
+#: The first alternative that matches wins, so ``(*``/``*)`` precede
+#: the operators, operators run longest first and a sized based literal
+#: precedes a plain number.  The last takes the one character nothing
+#: else starts with, so the matches tile the text up to its trailing
+#: blanks.
+_SCAN_RE = re.compile(f"[{_BLANKS}]*(?:" + "|".join((
+    _ID_RE.pattern, r"\(\*", r"\*\)",
+    "|".join(map(re.escape, sorted(OPERATORS, key=len, reverse=True))),
+    f"(?:{_DEC_RE.pattern})?{_BASED_RE.pattern}", _DEC_RE.pattern,
+    r'"(?:[^"\\]|\\.)*"', _SYSID_RE.pattern, r"\\\S*", f"[^{_BLANKS}]",
+)) + ")")
+
+#: a token's kind by its first character (``ESCID`` is an escaped
+#: identifier); a character that starts no token is an ``ERROR``
+_KIND_BY_FIRST = {
+    **dict.fromkeys(string.ascii_letters + "_", "ID"),
+    **dict.fromkeys(string.digits, "NUMBER"),
+    **dict.fromkeys((op[0] for op in OPERATORS), "OP"),
+    "'": "BASEDNUM", '"': "STRING", "$": "SYSID", "\\": "ESCID",
+}
+#: ...overridden by its whole text: keywords, attribute markers, and
+#: the lone opener of a token that did not match
+_KIND_BY_TEXT = {**dict.fromkeys(KEYWORDS, "KEYWORD"),
+                 "(*": "ATTR_OPEN", "*)": "ATTR_CLOSE",
+                 **dict.fromkeys("'\"$", "ERROR")}
+
+#: what marks a token :func:`scan` fixes up: a sized based literal's
+#: ``'``, a string's opening ``"`` and an escaped identifier's ``\``
+_FIXUP_RE = re.compile(r"['\"\\]")
 
 #: what an ``ERROR`` character means when it opens a token that failed
 _OPENER_ERRORS = {'"': "unterminated string", "'": "malformed based literal",
@@ -196,48 +206,62 @@ class Preprocessor:
         return expanded
 
 
-def tokenize(text: str, defines: Optional[Dict[str, str]] = None) -> List[Token]:
-    """Tokenize *text*, returning a list ending with an ``EOF`` token.
+#: what :func:`scan` returns: the tokens' ``kinds``, ``texts`` and
+#: ``starts`` (offsets), ending with ``EOF``, and each line's start
+Scan = Tuple[List[str], List[str], List[int], List[int]]
 
-    One walk of :data:`_TOKEN_RE`.  A token's column counts from the
-    last newline before it, including one inside an earlier string or
-    based literal.
+
+def scan(text: str, defines: Optional[Dict[str, str]] = None) -> Scan:
+    """Tokenize *text* into columns, making no object per token.
+
+    One ``findall`` of :data:`_SCAN_RE` and C-level passes over its
+    matches; only the rare kinds are fixed up in Python: a sized based
+    literal, a string's escapes, an escaped identifier and an error.
+    :func:`position` turns a start into a :class:`SourcePos`.
     """
     text = _strip_comments(Preprocessor(defines).process(text))
-    tokens: List[Token] = []
-    append, new = tokens.append, tuple.__new__
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "BLANK":
-            continue
-        start = m.start()
-        if kind == "NL":
-            line += 1
-            line_start = start + 1
-            continue
-        word = m.group()
-        pos = new(SourcePos, (line, start - line_start + 1))
-        if kind == "OP":  # the commonest kind, kept as matched
-            pass
-        elif kind == "ID":
-            if word in KEYWORDS:
-                kind = "KEYWORD"
-        elif kind == "STRING" or kind == "BASEDNUM":
-            if "\n" in word:
-                line += word.count("\n")
-                line_start = start + word.rindex("\n") + 1
-            if kind == "STRING":
-                word = (word[1:-1].replace("\\n", "\n").replace("\\t", "\t")
-                        .replace('\\"', '"').replace("\\\\", "\\"))
+    found = _SCAN_RE.findall(text.rstrip(_BLANKS))
+    texts = list(map(str.lstrip, found, repeat(_BLANKS)))
+    starts = list(map(sub, accumulate(map(len, found)), map(len, texts)))
+    kinds = list(map(_KIND_BY_TEXT.get, texts, map(
+        _KIND_BY_FIRST.get, map(itemgetter(0), texts), repeat("ERROR"))))
+    line_starts = list(accumulate(
+        map((1).__add__, map(len, text.split("\n")[:-1])), initial=0))
+    if "ERROR" in kinds:
+        at = kinds.index("ERROR")
+        word = texts[at]
+        raise LexError(_OPENER_ERRORS.get(word, f"unexpected character {word!r}"),
+                       position(line_starts, starts[at]))
+    for m in _FIXUP_RE.finditer(text):
+        at = bisect_right(starts, m.start()) - 1
+        kind, word = kinds[at], texts[at]
+        if kind == "NUMBER":
+            kinds[at] = "BASEDNUM"
         elif kind == "ESCID":
-            kind, word = "ID", word[1:]
-        elif kind == "ERROR":
-            raise LexError(_OPENER_ERRORS.get(
-                word, f"unexpected character {word!r}"), pos)
-        append(new(Token, (kind, word, pos)))
-    append(new(Token, ("EOF", "", new(SourcePos, (line, len(text) - line_start + 1)))))
-    return tokens
+            kinds[at], texts[at] = "ID", word[1:]
+        elif kind == "STRING" and starts[at] == m.start():
+            texts[at] = (word[1:-1].replace("\\n", "\n").replace("\\t", "\t")
+                         .replace('\\"', '"').replace("\\\\", "\\"))
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts, line_starts
+
+
+def position(line_starts: List[int], start: int) -> SourcePos:
+    """The line and column of offset *start*: the column counts from
+    the last newline before it, including one inside an earlier string
+    or based literal."""
+    line = bisect_right(line_starts, start)
+    return tuple.__new__(SourcePos, (line, start - line_starts[line - 1] + 1))
+
+
+def tokenize(text: str, defines: Optional[Dict[str, str]] = None) -> List[Token]:
+    """Tokenize *text*, returning a list ending with an ``EOF`` token:
+    :func:`scan`'s columns as :class:`Token` tuples."""
+    kinds, texts, starts, line_starts = scan(text, defines)
+    return [Token(kind, word, position(line_starts, start))
+            for kind, word, start in zip(kinds, texts, starts)]
 
 
 #: digit value and digit width per base letter

@@ -20,6 +20,7 @@ from repro.compiler.artifacts import text_digest
 from repro.compiler.service import KIND_PROGRAM
 from repro.core import pipeline
 from repro.core.machinify import machinify
+from repro.core.statevars import task_nesting
 from repro.fabric import DE10
 from repro.fuzz.gen import generate
 from repro.harness.common import bench_source_kwargs, bench_vfs
@@ -27,8 +28,8 @@ from repro.hypervisor import Hypervisor, Supervisor
 from repro.serve import Fleet, FleetConfig, ServeConfig, ServeFrontend
 from repro.verilog import print_module
 
-HARDWARE_HALF = {"transform", "hardware_text", "hardware_digest",
-                 "hardware_env"}
+HARDWARE_HALF = {"transform", "task_nesting", "hardware_text",
+                 "hardware_digest", "hardware_env"}
 
 COUNTER = """
 module counter(input wire clock);
@@ -95,6 +96,23 @@ def test_same_digest_tenants_on_boards_share_one_transform(monkeypatch):
     first, second = (t.runtime.program for t in tenants)
     assert first is second
     assert first.transform is second.transform
+    assert calls == ["counter"]
+
+
+def test_placing_a_program_twice_walks_its_statements_once(monkeypatch):
+    """``task_nesting`` feeds the synthesis options of every placement;
+    a program computes it once."""
+    calls = []
+
+    def spy(flat):
+        calls.append(flat.name)
+        return task_nesting(flat)
+
+    monkeypatch.setattr(pipeline, "task_nesting", spy)
+    service = CompilerService(ArtifactStore())
+    sup = Supervisor([Hypervisor(DE10, compiler=service)])
+    tenants = [sup.admit(name, COUNTER) for name in ("a", "b")]
+    assert all(tenant.host is not None for tenant in tenants)
     assert calls == ["counter"]
 
 

@@ -1,13 +1,17 @@
 """Tokenizer unit tests."""
 
+import dataclasses
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.verilog import ast, parse, parse_stmt
+from repro.verilog.ast_nodes import SourcePos
 from repro.verilog.lexer import (
     KEYWORDS, OPERATORS, LexError, Preprocessor, parse_based_literal, tokenize,
 )
+from repro.verilog.parser import ParseError
 
 
 def kinds(text):
@@ -578,3 +582,108 @@ class TestLexerDifferential:
         assert str(got.value) == f"{where}: {message}"
         if bad not in "'$":   # the frozen loop crashes on these two
             assert _lex_outcome(_tokenize_reference, text) == (str(got.value), got.value.pos)
+
+
+def _node_positions(node):
+    """Every set ``SourcePos`` in a parse tree, in field order."""
+    if isinstance(node, SourcePos):
+        if node != SourcePos():
+            yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _node_positions(item)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from _node_positions(getattr(node, field.name))
+
+
+def _decl_positions(text):
+    (module,) = parse(text).modules
+    return {item.name: str(item.pos) for item in module.items
+            if isinstance(item, ast.Decl)}
+
+
+class TestPositionEdgeCases:
+    """Where the column scan could drift from a per-token walk: line and
+    column come from a table of line starts, and only a node or an
+    error builds a position.  Each case holds ``tokenize`` and the
+    positions a parse gives its nodes to the frozen loop, or, where a
+    token holds a raw newline (which the frozen loop counted wrong), to
+    the rule ``_where`` states: the column counts from the last newline
+    before the token."""
+
+    @pytest.mark.parametrize("text", [
+        "module m;\n  reg \\a+b ;\n  wire \\c$d = \\a+b ;\nendmodule\n",
+        "module m;\n  reg \\x\\y , \\( ;\nendmodule",
+        "module m;\n  wire w;\nendmodule \f\n \t\r\f",
+        "module m; wire w; endmodule\n\n\f",
+    ])
+    def test_tokens_and_node_positions_match_the_frozen_loop(self, text):
+        want = _tokenize_reference(text)
+        assert tokenize(text) == want
+        got = list(_node_positions(parse(text)))
+        assert got and set(got) <= {t.pos for t in want}
+
+    def test_escaped_identifiers_keep_their_positions(self):
+        text = "module m;\n  reg \\a+b ;\n  wire \\c$d = \\a+b ;\nendmodule\n"
+        assert _decl_positions(text) == {"a+b": "2:7", "c$d": "3:8"}
+
+    @pytest.mark.parametrize("text", ["x = 1;", "{a, b} <= c;", "x[0] = \\y ;"])
+    def test_the_nodes_a_token_starts_share_its_position(self, text):
+        """One ``SourcePos`` per token, as when each token carried one:
+        a statement and its target hold one object, in memory and in a
+        pickle of the tree."""
+        stmt = parse_stmt(text)
+        target = stmt.lhs.base if isinstance(stmt.lhs, ast.Index) else stmt.lhs
+        assert stmt.pos is target.pos
+        assert stmt.pos == SourcePos(1, 1)
+
+    @pytest.mark.parametrize("tail", ["", " ", "\f", " \t\r\f", "\n", "\n\f\n  \f"])
+    def test_an_error_at_eof_points_where_the_frozen_loop_ends(self, tail):
+        text = "module m;\n  wire w;" + tail
+        eof = _tokenize_reference(text)[-1]
+        assert tokenize(text)[-1] == eof
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == eof.pos
+        assert str(err.value) == f"{eof.pos}: unexpected EOF in module body"
+
+    @pytest.mark.parametrize("text", [
+        'module m;\n  initial $display("never closed);\nendmodule',
+        'module m;\n  initial $display("ok");\n  /* never closed\nendmodule',
+        "module m;\n  wire\v w;\nendmodule",
+    ])
+    def test_lex_errors_raise_where_the_frozen_loop_did(self, text):
+        with pytest.raises(LexError) as want:
+            _tokenize_reference(text)
+        for lex in (tokenize, parse):
+            with pytest.raises(LexError) as got:
+                lex(text)
+            assert str(got.value) == str(want.value)
+            assert got.value.pos == want.value.pos
+
+    @pytest.mark.parametrize("text, tail, decls", [
+        ('module m;\n  initial $display("one\ntwo", x);\n  wire w;\nendmodule',
+         [("one\ntwo", "2:20"), (",", "3:5"), ("x", "3:7"), (")", "3:8"),
+          (";", "3:9"), ("wire", "4:3"), ("w", "4:8"), (";", "4:9"),
+          ("endmodule", "5:1"), ("", "5:10")],
+         {"w": "4:8"}),
+        ("module m;\n  wire [7:0] v = 8'\nhFF;\n  wire w;\nendmodule",
+         [("8'\nhFF", "2:18"), (";", "3:4"), ("wire", "4:3"), ("w", "4:8"),
+          (";", "4:9"), ("endmodule", "5:1"), ("", "5:10")],
+         {"v": "2:14", "w": "4:8"}),
+        ("module m;\n  wire [7:0] v = 'h\n\n FF, w = 1;\nendmodule",
+         [("'h\n\n FF", "2:18"), (",", "4:4"), ("w", "4:6"), ("=", "4:8"),
+          ("1", "4:10"), (";", "4:11"), ("endmodule", "5:1"), ("", "5:10")],
+         {"v": "2:14", "w": "4:6"}),
+    ])
+    def test_a_token_after_a_raw_newline_counts_from_it(self, text, tail, decls):
+        toks = tokenize(text)
+        assert [(t.text, str(t.pos)) for t in toks[-len(tail):]] == tail
+        at = text.index(tail[0][0]) + len(tail[0][0])
+        for mark, pos in tail[1:-1]:
+            at = text.index(mark, at)
+            assert _where(text, at) == pos
+            at += len(mark)
+        assert _decl_positions(text) == decls
+        assert set(_node_positions(parse(text))) <= {t.pos for t in toks}
