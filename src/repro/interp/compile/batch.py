@@ -21,16 +21,18 @@ takes gets the parent's own mask, so lockstep lanes pay for a branch
 only the test that found them agreeing.
 
 Equivalence.  :class:`VectorExprCompiler` inherits the width rules of
-``exprc.ExprCompiler``; its carrier idioms and ``H_*`` helpers are held
-to the evaluator by ``tests/interp/test_expr_carriers.py``, the
+``exprc.ExprCompiler``, and :class:`_LaneEmitter` the stores, NBA
+writers and case labels of ``stmtc.StmtCompiler``; their carrier idioms
+and ``H_*`` helpers are held to the evaluator by
+``tests/interp/test_expr_carriers.py`` and ``test_store_table.py``, the
 statements to scalar runs by ``tests/runtime/test_lane_program.py``,
-and both by the fuzz oracle's two-lane ``batched`` cohort.
+and all by the fuzz oracle's two-lane ``batched`` cohort.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 try:
     import numpy as np
@@ -39,13 +41,13 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 
 from ...opt.ranges import counted_loop
 from ...verilog import ast_nodes as ast
-from ...verilog.rewrite import lvalue_indices
-from ...verilog.width import WidthError, const_eval, mask
+from ...verilog.width import WidthError, mask
 from ..simulator import _MAX_LOOP_ITERATIONS, SimulationError
 from ..systasks import TaskHost, verilog_format
 from .exprc import HELPERS as SCALAR_HELPERS
-from .exprc import CompileFallback, ExprCompiler, const_range_bounds
+from .exprc import CompileFallback, ExprCompiler
 from .simulator import CompiledModuleCode, CompiledSimulator
+from .stmtc import StmtCompiler
 
 HAVE_NUMPY = np is not None
 
@@ -135,12 +137,11 @@ def _per_lane(fn, nvary=2):
     return lifted
 
 
-def _v_low(start, lsb, span, minus, ascending, m):
+def _v_low(start, lsb, span, ascending, m):
     """Lanes of *m* where a dynamic bit or ``[start +: w]``/``[start
-    -: w]`` store lands in the word, and each one's low bit offset."""
+    -: w]`` (*span* 0/``w - 1``) store lands, and each one's low offset."""
     iv = _u64(start).astype(np.int64)
-    li = iv - span if minus else iv
-    low = li - lsb if ascending else lsb - li
+    low = iv - span - lsb if ascending else lsb - (iv - span)
     valid = m & (low >= 0) & (low < 64)
     if not ascending:
         valid = valid & (iv >= 0)
@@ -364,7 +365,6 @@ class VectorExprCompiler(ExprCompiler):
 
 # -- the lane program --------------------------------------------------------
 
-_M64 = (1 << 64) - 1
 #: widest ``case`` subject decoded by one table lookup
 _TABLE_BITS = 8
 _FINISH = ("$finish", "$stop")
@@ -392,7 +392,7 @@ class _Mask:
             row, count, whole, False
 
 
-class _LaneEmitter:
+class _LaneEmitter(StmtCompiler):
     """Emits the lane program of one licensed module as Python source.
 
     Each function runs over an entry mask's lanes: ``pK(st, m)`` edge
@@ -407,22 +407,18 @@ class _LaneEmitter:
     """
 
     def __init__(self, code: CompiledModuleCode):
-        self.code, self.env, self.layout = code, code.env, code.layout
-        self.ec = VectorExprCompiler(code.env, code.layout)
+        super().__init__(VectorExprCompiler(code.env, code.layout))
+        self.code, self.layout = code, code.layout
         self.ec.slot_src, self.ec.mem_ref = self._local, self._mem
         self.tables: List[str] = []
         self.writers: Dict[str, str] = {}
-        self._tmp = 0
-        #: id(index expression) -> the writer parameter holding it
-        self._frozen: Dict[int, str] = {}
         #: each slot's local, as ``_local`` names it -> the slot
         self._locals = {f"L{slot}": slot for slot in range(code.layout.n_scalars)}
         #: ids of the statements of this process that may ``$finish``
         self._finishing: Set[int] = set()
-        # per function (see _function): lines, slot -> read at entry?,
-        # written slots, memories, counted-loop slot -> its variable
-        self.lines, self._cache, self._written, self._mems, self._alias = \
-            [], {}, [], {}, {}
+        # per function (see _function): slot -> read at entry?, written
+        # slots, memories, counted-loop slot -> its variable
+        self._cache, self._written, self._mems, self._alias = {}, [], {}, {}
         self._wakes, self._entry = True, "m"
 
     def emit(self) -> str:
@@ -448,19 +444,6 @@ class _LaneEmitter:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _emit(self, ind: int, text: str) -> None:
-        self.lines.append("    " * ind + text)
-
-    def _gensym(self, stem: str) -> str:
-        self._tmp += 1
-        return f"_{stem}{self._tmp}"
-
-    def _bound(self, src: str, ind: int) -> str:
-        """*src* evaluated now, once (a local may be rebound after)."""
-        name = self._gensym("v")
-        self._emit(ind, f"{name} = {src}")
-        return name
-
     def _local(self, slot: int) -> str:
         if slot in self._alias:
             return self._alias[slot]
@@ -478,25 +461,15 @@ class _LaneEmitter:
         back at exit, or another NBA, writes in place)?"""
         return self._cache.get(self._locals.get(src), False)
 
-    def _reads(self, expr) -> bool:
-        """Does *expr* read lane state (a signal or ``$time``)?"""
-        return any(isinstance(node, ast.Identifier) and node.name not in self.env.params
-                   or isinstance(node, ast.SysCall) and node.name in ("$time", "$stime")
-                   for node in ast.walk_expr(expr))
-
     def _constant(self, expr, src: str) -> Optional[int]:
-        """*expr*'s value (as compiled to *src*) if it reads no lane state."""
-        if self._reads(expr):
+        """*expr*'s value (as compiled to *src*) if it reads no lane state
+        (a signal or ``$time``)."""
+        if any(isinstance(node, ast.Identifier) and node.name not in self.env.params
+               or isinstance(node, ast.SysCall) and node.name in ("$time", "$stime")
+               for node in ast.walk_expr(expr)):
             return None
         with np.errstate(over="ignore"):
             return int(np.asarray(eval(src, dict(HELPERS))))
-
-    def _index(self, expr) -> Tuple[str, Optional[int]]:
-        """Source of an lvalue index and its value when constant."""
-        if id(expr) in self._frozen:
-            return self._frozen[id(expr)], None
-        src = self.ec.compile(expr)
-        return src, self._constant(expr, src)
 
     # -- functions ----------------------------------------------------------
 
@@ -553,18 +526,6 @@ class _LaneEmitter:
             + (["w, nw = m, nm"] if finishes else []),
             exit=["st.stmts_executed += _st"])
 
-    def _writer(self, lhs, width: int, dyn: List[ast.Expr]) -> str:
-        """``wK(st, m, v, *x)``: *lhs* = *v* over *m*, indices frozen."""
-        params = ", ".join(["st", "m", "v"] + [f"x{k}" for k in range(len(dyn))])
-        self._frozen = {id(expr): f"x{k}" for k, expr in enumerate(dyn)}
-        try:
-            body = self._function("m", lambda: self._store(
-                lhs, "v", width, _Mask("m", None, whole=True), 1))
-        finally:
-            self._frozen = {}
-        text = "\n".join([f"({params}):"] + body)
-        return self.writers.setdefault(text, f"w{len(self.writers)}")
-
     def _period(self) -> List[str]:
         """``period(st)``: a clock period from the resting state (clock
         and previous values low, nothing pending, every lane live), so
@@ -613,31 +574,6 @@ class _LaneEmitter:
                 self._emit(ind + 1, f"{lanes.count} = cnz({lanes.row})")
                 lanes.whole, lanes.may_be_empty = False, True
 
-    def _assign(self, stmt: ast.Assign, lanes: _Mask, ind: int) -> None:
-        width = self.env.width_of(stmt.lhs)
-        value_width = max(self.env.width_of(stmt.rhs), width)
-        rhs = self.ec.compile(stmt.rhs, width)
-        if stmt.blocking:
-            self._store(stmt.lhs, rhs, value_width, lanes, ind)
-            return
-        # Value and every index that reads lanes frozen now, applied in
-        # the update region (LRM §9.2.2); one aliasing state is copied.
-        dyn: List[Tuple[ast.Expr, str]] = []
-        if isinstance(stmt.lhs, ast.Identifier):
-            slot = self._target(stmt.lhs.name)
-            sig_width = self.env.signal(stmt.lhs.name).width
-            if value_width > sig_width:
-                rhs = f"(({rhs}) & {mask(-1, sig_width)})"
-            writer, tail = "H_put", f", {slot}, {bool(self.code.comb_in[slot])}"
-        else:
-            dyn = [(expr, self.ec.compile(expr))
-                   for expr in lvalue_indices(stmt.lhs) if self._reads(expr)]
-            writer = self._writer(stmt.lhs, value_width, [e for e, _ in dyn])
-            tail = ""
-        args = ", ".join(f"H_own({s})" if self._aliases(s) else s
-                         for s in [rhs] + [s for _, s in dyn])
-        self._emit(ind, f"st.nba.append(({writer}, {lanes.row}, {args}{tail}))")
-
     def _if(self, stmt: ast.If, lanes: _Mask, ind: int) -> None:
         cond = self.ec.compile_cond(stmt.cond)
         arms = [(_Mask(self._gensym("a"), self._gensym("n")), stmt.then_stmt),
@@ -653,16 +589,9 @@ class _LaneEmitter:
     def _case(self, stmt: ast.Case, lanes: _Mask, ind: int) -> None:
         width = self.env.width_of(stmt.expr)
         subject = self.ec.compile_at(stmt.expr, width)
-        wildcard = stmt.kind in ("casez", "casex")
-        arms, default = [], []
-        for item in stmt.items:
-            if not item.labels:
-                default = default or [item.stmt]
-                continue
-            arms.append(([(label, self.ec.compile_at(
-                label, max(width, self.env.width_of(label))), mask(~(
-                    label.xz_mask if wildcard and isinstance(label, ast.Number)
-                    else 0), 64)) for label in item.labels], item.stmt))
+        arms = [(list(self._labels(stmt, width, item)), item.stmt)
+                for item in stmt.items if item.labels]
+        default = self._default(stmt)
         # Each lane's arm index (len(arms): no label matched; the first
         # match wins): a table lookup for a narrow subject and constants.
         arm = self._gensym("x")
@@ -671,8 +600,9 @@ class _LaneEmitter:
         if width <= _TABLE_BITS and all(label is not None for _, label, _ in labels):
             table: Dict[int, int] = {}
             for i, label, care in labels:
-                for value in ([label] if care == _M64 else range(1 << width)):
-                    if value & care == label & care and value >> width == 0:
+                for value in ([label] if care is None else range(1 << width)):
+                    if value >> width == 0 and (care is None
+                                                or value & care == label & care):
                         table.setdefault(value, i)
             self.tables.append(f"T{len(self.tables)} = H_table({width}, {table}, "
                                f"{len(arms)})")
@@ -681,15 +611,14 @@ class _LaneEmitter:
             subject = self._bound(subject, ind)
             self._emit(ind, f"{arm} = np.full(st.n, {len(arms)})")
             for i in reversed(range(len(arms))):
-                hit = " | ".join(f"({subject} == ({src}))" if care == _M64 else
-                                 f"(({subject} & {care}) == (({src}) & {care}))"
+                hit = " | ".join(f"({self._match(subject, src, care)})"
                                  for _, src, care in arms[i][0])
                 self._emit(ind, f"{arm} = np.where({hit}, {i}, {arm})")
-        bodies = [body for _, body in arms] + (default or [None])
+        bodies = [body for _, body in arms] + [default and default.stmt]
         rows, counts = self._gensym("r"), self._gensym("c")
         self._emit(ind, f"{rows}, {counts} = H_case(st, {lanes.row}, "
                         f"{lanes.count}, {arm}, {tuple(map(len, map(_flat, bodies)))}, "
-                        f"{bool(default)})")
+                        f"{default is not None})")
         for i, body in enumerate(bodies):
             if _flat(body):  # (each arm's lanes run off the lists)
                 self._emit(ind, f"if {counts}[{i}]:")
@@ -747,7 +676,8 @@ class _LaneEmitter:
             self._body(stmt.body, _Mask(lanes.row, lanes.count), ind + 1, extra=1)
         finally:
             del self._alias[slot], self.ec.bound[name]
-        self._commit(slot, str(trips.start + len(trips) * trips.step), lanes, ind)
+        self._commit(self.env.signal(name), str(trips.start + len(trips) * trips.step),
+                     True, lanes, ind)
 
     def _while(self, stmt: ast.While, lanes: _Mask, ind: int) -> None:
         cond = self.ec.compile_cond(stmt.cond)
@@ -807,73 +737,48 @@ class _LaneEmitter:
             raise BatchUnsupported("write to an edge-trigger slot")
         return slot
 
-    def _store(self, lhs, value: str, width: int, lanes: _Mask, ind: int) -> None:
-        """``Evaluator.assign(lhs, value)`` (*width* bits) over *lanes*."""
-        env = self.env
+    def _queue(self, lhs, value: str, value_width: int, dyn: List[ast.Expr],
+               lanes: _Mask, ind: int) -> None:
+        """The value and the indices frozen now, applied in the update
+        region; one aliasing state row is copied."""
         if isinstance(lhs, ast.Identifier):
-            slot, sig_width = self._target(lhs.name), env.signal(lhs.name).width
-            self._commit(slot, value if width <= sig_width else
-                         f"(({value}) & {mask(-1, sig_width)})", lanes, ind)
-            return
-        if isinstance(lhs, ast.Concat):
-            shift = sum(env.width_of(p) for p in lhs.parts)
-            if shift > 64:
-                raise BatchUnsupported(f"concat lvalue width {shift} > 64")
-            value = self._bound(value, ind)
-            for part in lhs.parts:
-                shift -= env.width_of(part)
-                self._store(part, f"(({value} >> {shift}) & "
-                                  f"{mask(-1, env.width_of(part))})",
-                            env.width_of(part), lanes, ind)
-            return
-        if not isinstance(lhs, (ast.Index, ast.RangeSelect)):
-            raise BatchUnsupported(
-                f"cannot vectorize assignment to {type(lhs).__name__}")
-        if not isinstance(lhs.base, ast.Identifier):
-            raise BatchUnsupported("cannot vectorize nested " + (
-                "index" if isinstance(lhs, ast.Index) else "range") + " store")
-        sig = env.signals.get(lhs.base.name)
-        if sig is None:
-            raise BatchUnsupported(f"store into unknown {lhs.base.name!r}")
-        if isinstance(lhs, ast.Index) and sig.is_memory:
-            base, word_mask, mem_slot, depth = self.layout.mem_specs[sig.name]
-            self._emit(ind, f"H_mstore(st, {lanes.row}, {self._mem(sig.name)}, "
-                            f"{self._index(lhs.index)[0]}, {value}, {base}, "
-                            f"{base + depth}, {word_mask}, "
-                            f"{self._wakes and bool(self.code.comb_in[mem_slot])})")
-            return
-        # A bit or part select: a field at a low offset known now (out
-        # of the word: dropped, as the scalar store does) or per lane.
-        slot, span, low = self._target(sig.name), 0, None
-        if isinstance(lhs, ast.Index):
-            sel_width = 1
-            src, const = self._index(lhs.index)
-            low = None if const is None else sig.bit_offset(const)
-        elif lhs.mode == ":":
-            low, sel_width = const_range_bounds(lhs, env)
+            slot, sig = self._target(lhs.name), self.env.signal(lhs.name)
+            if value_width > sig.width:
+                value = f"(({value}) & {mask(-1, sig.width)})"
+            writer, tail = "H_put", f", {slot}, {bool(self.code.comb_in[slot])}"
         else:
-            sel_width = const_eval(lhs.lsb, env.params)
-            span, src = sel_width - 1, self._index(lhs.msb)[0]
-        if not 1 <= sel_width <= 64:
-            raise BatchUnsupported(f"range width {sel_width} > 64")
-        ones, sig_mask = mask(-1, sel_width), mask(-1, sig.width)
-        old = self._local(slot)
-        if low is not None:
-            if 0 <= low < sig.width:
-                field = (ones << low) & sig_mask
-                self._commit(slot, f"(({old} & {~field & _M64}) | "
-                                   f"((({value}) << {low}) & {field}))", lanes, ind)
-            return
-        valid, low, field = self._gensym("k"), self._gensym("o"), self._gensym("f")
-        self._emit(ind, f"{valid}, {low} = H_low({src}, {sig.lsb}, {span}, "
-                        f"{getattr(lhs, 'mode', '') == '-:'}, "
-                        f"{sig.msb >= sig.lsb}, {lanes.row})")
-        self._emit(ind, f"{field} = ({ones} << {low}) & {sig_mask}")
-        self._commit(slot, f"(({old} & ~{field}) | ((({value}) << {low}) & "
-                           f"{field}))", _Mask(valid, None), ind)
+            writer, tail = self._writer(lhs, value_width, dyn), ""
+        args = ", ".join(f"H_own({s})" if self._aliases(s) else s
+                         for s in [value] + [self.ec.compile(e) for e in dyn])
+        self._emit(ind, f"st.nba.append(({writer}, {lanes.row}, {args}{tail}))")
 
-    def _commit(self, slot: int, new: str, lanes: _Mask, ind: int) -> None:
-        """Write *new* (within the slot's width) over *lanes*."""
+    def _define_writer(self, params: List[str], store) -> str:
+        """``wK(st, m, v, *x)``, one per distinct body."""
+        body = self._function("m", lambda: store(_Mask("m", None, whole=True)))
+        head = ", ".join(["st", "m", self._WRITER_VALUE] + params)
+        text = "\n".join([f"({head}):"] + body)
+        return self.writers.setdefault(text, f"w{len(self.writers)}")
+
+    def _store_word(self, sig, index, value: str, width: int, lanes: _Mask,
+                    ind: int) -> None:
+        base, word_mask, mem_slot, depth = self.layout.mem_specs[sig.name]
+        self._emit(ind, f"H_mstore(st, {lanes.row}, {self._mem(sig.name)}, "
+                        f"{self._index_src(index)}, {value}, {base}, "
+                        f"{base + depth}, {word_mask}, "
+                        f"{self._wakes and bool(self.code.comb_in[mem_slot])})")
+
+    def _field_low(self, sig, start: str, span: int, lanes: _Mask, ind: int):
+        """The field's low offsets, and the lanes where it lands."""
+        valid, low = self._gensym("k"), self._gensym("o")
+        self._emit(ind, f"{valid}, {low} = H_low({start}, {sig.lsb}, {span}, "
+                        f"{sig.msb >= sig.lsb}, {lanes.row})")
+        return low, _Mask(valid, None), ind
+
+    def _commit(self, sig, new: str, fits: bool, lanes: _Mask, ind: int) -> None:
+        """Write *new* (masked unless it *fits*) into *sig* over *lanes*."""
+        slot = self._target(sig.name)
+        if not fits:
+            new = f"(({new}) & {mask(-1, sig.width)})"
         owned = self._aliases(new)
         if self._wakes and self.code.comb_in[slot]:
             new = self._bound(new, ind)

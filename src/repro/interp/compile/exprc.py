@@ -122,11 +122,11 @@ def const_range_bounds(expr: ast.RangeSelect, env: WidthEnv) -> Tuple[int, int]:
     return low, abs(msb - lsb) + 1
 
 
-def dynamic_low_src(mode: str, start: str, sel_width: int, sig) -> str:
-    """Source for the low bit offset of ``[start +: w]`` / ``[start -: w]``
-    (the dynamic clause of ``Evaluator._range_bounds``, as Python ints)."""
-    low_index = (f"({start})" if mode == "+:"
-                 else f"(({start}) - {sel_width - 1})")
+def dynamic_low_src(start: str, span: int, sig) -> str:
+    """Source for the low bit offset of ``[start +: w]`` (*span* 0) /
+    ``[start -: w]`` (*span* ``w - 1``): the dynamic clause of
+    ``Evaluator._range_bounds``, as Python ints."""
+    low_index = f"(({start}) - {span})" if span else f"({start})"
     if sig is None:
         return low_index
     if sig.msb >= sig.lsb:
@@ -682,7 +682,7 @@ class ExprCompiler:
     def _range_dyn(self, e: ast.RangeSelect, base: str, start: str,
                    sel_width: int) -> str:
         """Dynamic ``+:`` / ``-:`` read of *sel_width* bits at *start*."""
-        low = dynamic_low_src(e.mode, start, sel_width,
+        low = dynamic_low_src(start, sel_width - 1 if e.mode == "-:" else 0,
                               self.env.base_signal(e.base))
         sel_mask = (1 << sel_width) - 1
         if expr_is_pure(e.base) and expr_is_pure(e.msb):

@@ -49,22 +49,168 @@ from .exprc import (
 _SPILL = "\0spill"
 
 
-class ProcessCompiler:
+class StmtCompiler:
+    """The carrier-neutral half of statement lowering: emission
+    plumbing, the assignment prelude, the lvalue walk of
+    ``Evaluator.assign``, an NBA writer's body and case-label decode.
+
+    A carrier supplies its idioms, as ``VectorExprCompiler`` does for
+    :class:`ExprCompiler`: ``_commit`` a slot, ``_store_word`` a memory
+    word, ``_field_low`` (guard a dynamic field), ``_define_writer`` and
+    ``_queue`` an NBA; *lanes* is the lane carrier's mask (``None`` on
+    the scalar one).  Control flow stays with each carrier.
+    """
+
+    #: a writer's value parameter, and the format of its frozen indices
+    _WRITER_VALUE, _WRITER_INDEX = "v", "x{}"
+
+    def __init__(self, compiler: ExprCompiler):
+        self.ec, self.env = compiler, compiler.env
+        self.lines: List[str] = []
+        self._tmp = 0
+        #: id(index expr) → writer parameter, while a writer body is
+        #: emitted: the site evaluated these indices
+        self._frozen: Dict[int, str] = {}
+
+    def _gensym(self, stem: str) -> str:
+        self._tmp += 1
+        return f"_{stem}{self._tmp}"
+
+    def _emit(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
+
+    def _bound(self, src: str, ind: int, stem: str = "v") -> str:
+        """*src* evaluated now, once, into a fresh local."""
+        name = self._gensym(stem)
+        self._emit(ind, f"{name} = {src}")
+        return name
+
+    def _index_src(self, expr: ast.Expr) -> str:
+        """Source for an LHS index: the frozen argument inside a writer
+        body, a fresh compilation elsewhere."""
+        return self._frozen.get(id(expr)) or self.ec.compile(expr)
+
+    def _compile_rhs(self, stmt: ast.Assign, width: int, ind: int) -> str:
+        return self.ec.compile(stmt.rhs, width)
+
+    def _assign(self, stmt: ast.Assign, lanes, ind: int) -> None:
+        """A blocking store, or an NBA: the value and every index that
+        is not constant are evaluated here, and only the store waits for
+        the update region (LRM §9.2.2)."""
+        width = self.env.width_of(stmt.lhs)
+        value_width = max(self.env.width_of(stmt.rhs), width)
+        value = self._compile_rhs(stmt, width, ind)
+        if stmt.blocking:
+            self._store(stmt.lhs, value, value_width, lanes, ind)
+            return
+        dyn = [e for e in lvalue_indices(stmt.lhs) if self.ec.try_const(e) is None]
+        self._queue(stmt.lhs, value, value_width, dyn, lanes, ind)
+
+    def _writer(self, lhs: ast.Expr, value_width: int,
+                dyn: List[ast.Expr]) -> str:
+        """The writer of an NBA to *lhs*: the store of its value
+        parameter, each index of *dyn* frozen as one more parameter."""
+        params = [self._WRITER_INDEX.format(k) for k in range(len(dyn))]
+        self._frozen = {id(expr): param for expr, param in zip(dyn, params)}
+        try:
+            return self._define_writer(params, lambda lanes: self._store(
+                lhs, self._WRITER_VALUE, value_width, lanes, 1))
+        finally:
+            self._frozen = {}
+
+    def _store(self, lhs: ast.Expr, value: str, width: int, lanes,
+               ind: int) -> None:
+        """``Evaluator.assign(lhs, value)``: *value* is source for the
+        RHS at *width* bits, evaluated before any index of *lhs*."""
+        if isinstance(lhs, ast.Identifier):
+            sig = self.env.signal(lhs.name)
+            if sig.is_memory:
+                raise CompileFallback("whole-memory assignment")
+            self._commit(sig, value, width <= sig.width, lanes, ind)
+            return
+        if isinstance(lhs, ast.Concat):
+            # a later part sees what an earlier part wrote, not the value
+            value, shift = self._bound(value, ind), self.env.width_of(lhs)
+            if self.ec.word is not None and shift > self.ec.word:
+                raise CompileFallback(f"concat lvalue width {shift} > {self.ec.word}")
+            for part in lhs.parts:
+                part_width = self.env.width_of(part)
+                shift -= part_width
+                self._store(part, f"(({value} >> {shift}) & "
+                                  f"{self.ec.lit_ref((1 << part_width) - 1)})",
+                            part_width, lanes, ind)
+            return
+        if not isinstance(lhs, (ast.Index, ast.RangeSelect)):
+            raise CompileFallback(f"invalid lvalue {type(lhs).__name__}")
+        if not isinstance(lhs.base, ast.Identifier):
+            raise CompileFallback("nested lvalue selects")
+        sig = self.env.signal(lhs.base.name)
+        if isinstance(lhs, ast.Index) and sig.is_memory:
+            self._store_word(sig, lhs.index, value, width, lanes, ind)
+            return
+        # One field of the word, at a low offset known now or per start:
+        # nothing lands outside the word.
+        start, span = None, 0
+        if isinstance(lhs, ast.Index):
+            start, sel_width = lhs.index, 1
+        elif lhs.mode == ":":
+            low, sel_width = const_range_bounds(lhs, self.env)
+        else:
+            start, sel_width = lhs.msb, const_eval(lhs.lsb, self.env.params)
+            span = sel_width - 1 if lhs.mode == "-:" else 0
+        if start is not None:
+            at = self.ec.try_const(start)
+            low = None if at is None else sig.bit_offset(at - span)
+        if self.ec.word is not None and sel_width > self.ec.word:
+            raise CompileFallback(f"range width {sel_width} > {self.ec.word}")
+        ones, sig_mask = (1 << sel_width) - 1, (1 << sig.width) - 1
+        old = self.ec.slot_src(self.ec.slot_of[sig.name])
+        if low is None:
+            low, lanes, ind = self._field_low(sig, self._index_src(start), span,
+                                              lanes, ind)
+            field = self._bound(f"({self.ec.lit_ref(ones)} << {low}) & "
+                                f"{self.ec.lit_ref(sig_mask)}", ind, "f")
+            self._commit(sig, f"({old} & ~{field}) | ((({value}) << {low}) & "
+                              f"{field})", True, lanes, ind)
+        elif 0 <= low < sig.width:
+            field = (ones << low) & sig_mask
+            self._commit(sig, f"({old} & {self.ec.lit_ref(~field & sig_mask)}) | "
+                              f"((({value}) << {low}) & {self.ec.lit_ref(field)})",
+                         True, lanes, ind)
+
+    def _labels(self, stmt: ast.Case, width: int, item: ast.CaseItem):
+        """*item*'s labels as ``(label, source, care)``, each compiled when
+        reached, at the subject's *width* or its own; *care*: the bits
+        compared (casez/casex skip a literal's x/z), ``None`` for all."""
+        for label in item.labels:
+            label_width = max(width, self.env.width_of(label))
+            dontcare = (label.xz_mask if stmt.kind in ("casez", "casex")
+                        and isinstance(label, ast.Number) else 0)
+            yield (label, self.ec.compile_at(label, label_width),
+                   ~dontcare & ((1 << label_width) - 1) if dontcare else None)
+
+    @staticmethod
+    def _default(stmt: ast.Case) -> Optional[ast.CaseItem]:
+        return next((item for item in stmt.items if not item.labels), None)
+
+    def _match(self, subject: str, src: str, care: Optional[int]) -> str:
+        if care is None:
+            return f"{subject} == ({src})"
+        care = self.ec.lit_ref(care)
+        return f"({subject} & {care}) == (({src}) & {care})"
+
+
+class ProcessCompiler(StmtCompiler):
     """Emits function source for one module's processes."""
 
+    _WRITER_VALUE, _WRITER_INDEX = "_v", "_x{}"
+
     def __init__(self, compiler: ExprCompiler, watched_slots: Set[int]):
-        self.ec = compiler
-        self.env = compiler.env
+        super().__init__(compiler)
         #: Slots whose changes must be announced to the scheduler.
         self.watched = watched_slots
-        self.lines: List[str] = []
         self.writer_defs: List[str] = []
-        self._tmp = 0
         self._writers = 0
-        #: id(index expr) → writer parameter name, active while a
-        #: writer body is being emitted: these indices were evaluated
-        #: at the assignment site and arrive as arguments.
-        self._frozen: dict = {}
         #: slot → local name while a procedural body is emitted
         self._cache: Optional[Dict[int, str]] = None
         self._cache_order: List[int] = []
@@ -79,15 +225,6 @@ class ProcessCompiler:
         #: (empty: the body is fully lowered)
         self.escapes: Dict[str, List[str]] = {}
         self._why: List[str] = []
-
-    # -- small emission helpers -------------------------------------------
-
-    def _gensym(self, stem: str) -> str:
-        self._tmp += 1
-        return f"_{stem}{self._tmp}"
-
-    def _emit(self, ind: int, text: str) -> None:
-        self.lines.append("    " * ind + text)
 
     # -- the slot cache -----------------------------------------------------
 
@@ -113,168 +250,121 @@ class ProcessCompiler:
                 + [f"        {store}" for store in flush]
                 + ["        S.stmts_executed += _st", ""])
 
-    # -- slot write emission ------------------------------------------------
+    # -- stores (the scalar idioms of StmtCompiler) ---------------------------
 
     def _mark(self, slot: int, ind: int) -> None:
         self._emit(ind, f"if not df[{slot}]:")
         self._emit(ind + 1, f"df[{slot}] = 1; dla({slot})")
 
-    def _store_scalar(self, slot: int, value: str, width_ok: bool,
-                      sig_mask: int, ind: int) -> None:
-        """Masked compare-write of *value* (a temp name) into a slot."""
+    def _named(self, value: str, ind: int) -> str:
+        """*value* as a name a compare can read twice (the prelude binds
+        every RHS a store may compare)."""
+        return value if value.isidentifier() else self._bound(value, ind)
+
+    def _compile_rhs(self, stmt: ast.Assign, width: int, ind: int) -> str:
+        """Counts the statement, hoists repeated pure subexpressions into
+        prelude locals and binds the value to a temp — unless a blocking
+        store to an unwatched scalar takes it straight (``_commit``)."""
+        self._count(ind, 1)
+        self.ec.begin_hoist([stmt.rhs], lambda text: self._emit(ind, text))
+        try:
+            rhs = self.ec.compile(stmt.rhs, width)
+        finally:
+            self.ec.end_hoist()
+        slot = (self.ec.slot_of.get(stmt.lhs.name) if stmt.blocking
+                and isinstance(stmt.lhs, ast.Identifier) else None)
+        straight = slot is not None and slot not in self.watched
+        return rhs if straight else self._bound(rhs, ind)
+
+    def _commit(self, sig, value: str, fits: bool, lanes, ind: int) -> None:
+        """Masked compare-write of *value* into *sig*'s slot."""
+        slot, sig_mask = self.ec.slot_of[sig.name], self.ec.lit_ref((1 << sig.width) - 1)
         if self._cache is not None:
             local = self._cached_slot(slot)
             self._cache_written.add(slot)
-            if not width_ok:
-                self._emit(ind, f"{value} &= {self.ec.lit_ref(sig_mask)}")
-            if slot in self.watched:
-                # First *changing* write marks, compared against the
-                # store entry the flush has not overwritten yet — the
-                # interpreter's mark point and order, exactly.
-                self._emit(ind, f"if not df[{slot}] and d[{slot}] != {value}:")
-                self._emit(ind + 1, f"df[{slot}] = 1; dla({slot})")
+            if slot not in self.watched:
+                # no temp, no compare, no mark: the flush publishes
+                self._emit(ind, f"{local} = {value}" if fits
+                           else f"{local} = ({value}) & {sig_mask}")
+                return
+            value = self._named(value, ind)
+            if not fits:
+                self._emit(ind, f"{value} &= {sig_mask}")
+            # First *changing* write marks, compared against the store
+            # entry the flush has not overwritten yet — the interpreter's
+            # mark point and order, exactly.
+            self._emit(ind, f"if not df[{slot}] and d[{slot}] != {value}:")
+            self._emit(ind + 1, f"df[{slot}] = 1; dla({slot})")
             self._emit(ind, f"{local} = {value}")
-            return
-        masked = (value if width_ok
-                  else f"({value} & {self.ec.lit_ref(sig_mask)})")
-        if slot in self.watched:
-            if not width_ok:
-                self._emit(ind, f"{value} &= {self.ec.lit_ref(sig_mask)}")
+        elif slot in self.watched:
+            value = self._named(value, ind)
+            if not fits:
+                self._emit(ind, f"{value} &= {sig_mask}")
             self._emit(ind, f"if d[{slot}] != {value}:")
             self._emit(ind + 1, f"d[{slot}] = {value}")
             self._mark(slot, ind + 1)
         else:
-            self._emit(ind, f"d[{slot}] = {masked}")
+            self._emit(ind, f"d[{slot}] = {value}" if fits
+                       else f"d[{slot}] = ({value} & {sig_mask})")
 
-    def _emit_store(self, lhs: ast.Expr, value: str, value_width: int,
-                    ind: int) -> None:
-        """Emit the equivalent of ``Evaluator.assign(lhs, value)``.
+    def _store_word(self, sig, index: ast.Expr, value: str, width: int,
+                    lanes, ind: int) -> None:
+        mem, mslot = self.ec.mem_ref(sig.name), self.ec.mem_slot_of[sig.name]
+        depth, cidx = sig.depth or 0, self.ec.try_const(index)
+        if cidx is not None:
+            # Constant address: resolve the bounds check now.
+            if not 0 <= cidx - sig.base < depth:
+                return  # out-of-range writes are dropped
+            idx = str(cidx - sig.base)
+        else:
+            proved = self.ec.fits(index, sig.base, sig.base + depth - 1, "guards")
+            idx = f"({self._index_src(index)})" + (f" - {sig.base}" if sig.base else "")
+            if not proved or mslot in self.watched:
+                idx = self._bound(idx, ind, "a")
+            if not proved:
+                self._emit(ind, f"if 0 <= {idx} < {depth}:")
+                ind += 1
+        word = value
+        if width > sig.width:
+            word = self._bound(f"{value} & {self.ec.lit_ref((1 << sig.width) - 1)}",
+                               ind, "w")
+        watched = mslot in self.watched
+        if watched:
+            self._emit(ind, f"if {mem}[{idx}] != {word}:")
+        self._emit(ind + watched, f"{mem}[{idx}] = {word}")
+        if watched:
+            self._mark(mslot, ind + 1)
 
-        *value* is the name of a temp already holding the RHS result
-        (evaluated at *value_width* bits), so index expressions are
-        evaluated after it — the interpreter's order.
-        """
-        if isinstance(lhs, ast.Identifier):
-            sig = self.env.signal(lhs.name)
-            if sig.is_memory:
-                raise CompileFallback("whole-memory assignment")
-            slot = self.ec.slot_of[lhs.name]
-            self._store_scalar(slot, value, value_width <= sig.width,
-                               (1 << sig.width) - 1, ind)
-            return
-        if isinstance(lhs, ast.Index):
-            if not isinstance(lhs.base, ast.Identifier):
-                raise CompileFallback("nested lvalue selects")
-            sig = self.env.signal(lhs.base.name)
-            if sig.is_memory:
-                mem = self.ec.mem_ref(lhs.base.name)
-                mslot = self.ec.mem_slot_of[lhs.base.name]
-                depth = sig.depth or 0
-                cidx = (None if self._frozen.get(id(lhs.index))
-                        else self.ec.try_const(lhs.index))
-                if cidx is not None:
-                    # Constant address: resolve the bounds check now.
-                    if not 0 <= cidx - sig.base < depth:
-                        return  # out-of-range writes are dropped
-                    idx = str(cidx - sig.base)
-                else:
-                    proved = self.ec.fits(lhs.index, sig.base,
-                                          sig.base + depth - 1, "guards")
-                    idx = f"({self._index_src(lhs.index)})"
-                    if sig.base:
-                        idx += f" - {sig.base}"
-                    if not proved or mslot in self.watched:
-                        addr = self._gensym("a")
-                        self._emit(ind, f"{addr} = {idx}")
-                        idx = addr
-                    if not proved:
-                        self._emit(ind, f"if 0 <= {idx} < {depth}:")
-                        ind += 1
-                word = value
-                if value_width > sig.width:
-                    word = self._gensym("w")
-                    self._emit(ind, f"{word} = {value} & "
-                                    f"{self.ec.lit_ref((1 << sig.width) - 1)}")
-                if mslot in self.watched:
-                    self._emit(ind, f"if {mem}[{idx}] != {word}:")
-                    self._emit(ind + 1, f"{mem}[{idx}] = {word}")
-                    self._mark(mslot, ind + 1)
-                else:
-                    self._emit(ind, f"{mem}[{idx}] = {word}")
-                return
-            slot = self.ec.slot_of[lhs.base.name]
-            cidx = self.ec.try_const(lhs.index)
-            offset_src: Optional[str] = None
-            if cidx is not None:
-                offset = sig.bit_offset(cidx)
-                if not 0 <= offset < sig.width:
-                    return  # out-of-range bit writes are dropped
-                offset_src = str(offset)
-                body_ind = ind
-            else:
-                off = self._gensym("o")
-                idx = self._index_src(lhs.index)
-                if sig.msb >= sig.lsb:
-                    expr = f"({idx}) - {sig.lsb}" if sig.lsb else f"({idx})"
-                else:
-                    expr = f"{sig.lsb} - ({idx})"
-                self._emit(ind, f"{off} = {expr}")
-                self._emit(ind, f"if 0 <= {off} < {sig.width}:")
-                offset_src, body_ind = off, ind + 1
-            new = self._gensym("n")
-            self._emit(body_ind,
-                       f"{new} = ({self.ec.slot_src(slot)} & ~(1 << {offset_src}))"
-                       f" | (({value} & 1) << {offset_src})")
-            self._store_scalar(slot, new, True, (1 << sig.width) - 1, body_ind)
-            return
-        if isinstance(lhs, ast.RangeSelect):
-            if not isinstance(lhs.base, ast.Identifier):
-                raise CompileFallback("nested lvalue selects")
-            sig = self.env.signal(lhs.base.name)
-            slot = self.ec.slot_of[lhs.base.name]
-            sig_mask = (1 << sig.width) - 1
-            if lhs.mode == ":":
-                low, sel_width = const_range_bounds(lhs, self.env)
-                if low < 0:
-                    return
-                field = ((1 << sel_width) - 1) << low
-                new = self._gensym("n")
-                src = (f"({self.ec.slot_src(slot)} & "
-                       f"{self.ec.lit_ref(~field & sig_mask)})"
-                       f" | (({value} << {low}) & {self.ec.lit_ref(field)})")
-                if field & ~sig_mask:
-                    src = f"({src}) & {self.ec.lit_ref(sig_mask)}"
-                self._emit(ind, f"{new} = {src}")
-                self._store_scalar(slot, new, True, sig_mask, ind)
-                return
-            sel_width = const_eval(lhs.lsb, self.env.params)
-            low_src = dynamic_low_src(lhs.mode, self._index_src(lhs.msb),
-                                      sel_width, sig)
-            low = self._gensym("o")
-            field = self._gensym("f")
-            new = self._gensym("n")
-            self._emit(ind, f"{low} = {low_src}")
-            self._emit(ind, f"if {low} >= 0:")
-            self._emit(ind + 1,
-                       f"{field} = {self.ec.lit_ref((1 << sel_width) - 1)}"
-                       f" << {low}")
-            self._emit(ind + 1,
-                       f"{new} = (({self.ec.slot_src(slot)} & ~{field})"
-                       f" | (({value} << {low}) & {field}))"
-                       f" & {self.ec.lit_ref(sig_mask)}")
-            self._store_scalar(slot, new, True, sig_mask, ind + 1)
-            return
-        if isinstance(lhs, ast.Concat):
-            shift = sum(self.env.width_of(p) for p in lhs.parts)
-            for part in lhs.parts:
-                part_width = self.env.width_of(part)
-                shift -= part_width
-                piece = self._gensym("v")
-                self._emit(ind, f"{piece} = ({value} >> {shift})"
-                                f" & {self.ec.lit_ref((1 << part_width) - 1)}")
-                self._emit_store(part, piece, part_width, ind)
-            return
-        raise CompileFallback(f"invalid lvalue {type(lhs).__name__}")
+    def _field_low(self, sig, start: str, span: int, lanes, ind: int):
+        """The field's low offset, and the indent of the store it guards."""
+        low = self._bound(dynamic_low_src(start, span, sig), ind, "o")
+        self._emit(ind, f"if 0 <= {low} < {sig.width}:")
+        return low, lanes, ind + 1
+
+    def _queue(self, lhs: ast.Expr, value: str, value_width: int,
+               dyn: List[ast.Expr], lanes, ind: int) -> None:
+        writer = self._writer(lhs, value_width, dyn)
+        args = [value] + [self._bound(self.ec.compile(e), ind, "x") for e in dyn]
+        self._emit(ind, f"nbap(({writer}, {', '.join(args)}))")
+
+    def _define_writer(self, params: List[str], store) -> str:
+        """``nw<k>(e)``: the site queues ``e = (nw<k>, value, *indices)``,
+        and the update region calls every entry as ``e[0](e)``.  Writers
+        run in the latch region — after the cached body has flushed — so
+        they compile against the store directly."""
+        name = f"nw{self._writers}"
+        self._writers += 1
+        saved, cache, self.lines, self._cache = self.lines, self._cache, [], None
+        self.ec.slot_src, self.ec.strict = self.ec._direct_slot, False
+        try:
+            store(None)
+            body = self.lines
+        finally:
+            self.lines, self._cache = saved, cache
+            self.ec.slot_src, self.ec.strict = self._cached_slot, True
+        fields = ", ".join(["_", self._WRITER_VALUE] + params)
+        self.writer_defs += [f"def {name}(e):", f"    {fields} = e", *body, ""]
+        return name
 
     # -- statements ---------------------------------------------------------
 
@@ -338,44 +428,7 @@ class ProcessCompiler:
 
     def _emit_stmt(self, stmt: ast.Stmt, ind: int) -> None:
         if isinstance(stmt, ast.Assign):
-            width = self.env.width_of(stmt.lhs)
-            value_width = max(self.env.width_of(stmt.rhs), width)
-            self._count(ind, 1)
-            # Repeated pure subexpressions of this statement are hoisted
-            # into prelude locals.
-            self.ec.begin_hoist([stmt.rhs], lambda text: self._emit(ind, text))
-            try:
-                rhs = self.ec.compile(stmt.rhs, width)
-            finally:
-                self.ec.end_hoist()
-            if stmt.blocking and isinstance(stmt.lhs, ast.Identifier):
-                # Straight-to-local fast path for unwatched scalars:
-                # no temp, no compare, no mark — the flush publishes.
-                sig = self.env.signal(stmt.lhs.name)
-                if not sig.is_memory:
-                    slot = self.ec.slot_of[stmt.lhs.name]
-                    if slot not in self.watched:
-                        local = self._cached_slot(slot)
-                        self._cache_written.add(slot)
-                        if value_width > sig.width:
-                            mask_src = self.ec.lit_ref((1 << sig.width) - 1)
-                            self._emit(ind, f"{local} = ({rhs}) & {mask_src}")
-                        else:
-                            self._emit(ind, f"{local} = {rhs}")
-                        return
-            value = self._gensym("v")
-            self._emit(ind, f"{value} = {rhs}")
-            if stmt.blocking:
-                self._emit_store(stmt.lhs, value, value_width, ind)
-            else:
-                writer, dyn = self._compile_writer(stmt.lhs, value_width)
-                args = [value]
-                for index_expr in dyn:
-                    frozen = self._gensym("x")
-                    self._emit(ind,
-                               f"{frozen} = {self.ec.compile(index_expr)}")
-                    args.append(frozen)
-                self._emit(ind, f"nbap(({writer}, {', '.join(args)}))")
+            self._assign(stmt, None, ind)
             return
         if isinstance(stmt, (ast.Block, ast.ForkJoin)):
             self._count(ind, 1)
@@ -545,77 +598,19 @@ class ProcessCompiler:
         subject = self._gensym("c")
         self._emit(ind, f"{subject} = {self.ec.compile(stmt.expr, subject_width)}")
         first = True
-        default: Optional[ast.CaseItem] = None
         for item in stmt.items:
-            if not item.labels:
-                if default is None:
-                    default = item
-                continue
-            for label in item.labels:
-                label_width = max(subject_width, self.env.width_of(label))
-                label_src = self.ec.compile_at(label, label_width)
-                dontcare = 0
-                if stmt.kind in ("casez", "casex") and isinstance(label, ast.Number):
-                    dontcare = label.xz_mask
-                if dontcare:
-                    test = (f"({subject} & {self.ec.lit_ref(~dontcare)}) == "
-                            f"(({label_src}) & {self.ec.lit_ref(~dontcare)})")
-                else:
-                    test = f"{subject} == ({label_src})"
+            for _, label_src, care in self._labels(stmt, subject_width, item):
+                test = self._match(subject, label_src, care)
                 self._emit(ind, f"{'if' if first else 'elif'} {test}:")
                 first = False
                 self.emit_stmt(item.stmt, ind + 1)
+        default = self._default(stmt)
         if default is not None:
             if first:
                 self.emit_stmt(default.stmt, ind)
             else:
                 self._emit(ind, "else:")
                 self.emit_stmt(default.stmt, ind + 1)
-
-    # -- writers (non-blocking assignment targets) ---------------------------
-
-    def _dynamic_indices(self, lhs: ast.Expr) -> List[ast.Expr]:
-        """LHS index expressions that must be evaluated at the site."""
-        return [e for e in lvalue_indices(lhs) if self.ec.try_const(e) is None]
-
-    def _index_src(self, expr: ast.Expr) -> str:
-        """Source for an LHS index: the frozen argument inside a writer
-        body, a fresh compilation elsewhere."""
-        return self._frozen.get(id(expr)) or self.ec.compile(expr)
-
-    def _compile_writer(self, lhs: ast.Expr,
-                        value_width: int) -> "tuple[str, List[ast.Expr]]":
-        """Compile *lhs* into a writer ``nw<k>(e)``.
-
-        The site queues the entry ``e = (nw<k>, value, *indices)``:
-        dynamic index expressions are evaluated at the assignment site
-        (LRM §9.2.2) and travel in the entry; the writer unpacks it and
-        only applies the deferred store in the update region, which
-        calls every entry as ``e[0](e)``.  Writers run in the latch
-        region — after the cached body has flushed — so they compile
-        against the store directly.
-        """
-        name = f"nw{self._writers}"
-        self._writers += 1
-        dyn = self._dynamic_indices(lhs)
-        fields = ["_", "_v"] + [f"_x{k}" for k in range(len(dyn))]
-        saved, self.lines = self.lines, []
-        self._frozen = {id(expr): f"_x{k}" for k, expr in enumerate(dyn)}
-        cache = self._cache
-        self._cache = None
-        self.ec.slot_src, self.ec.strict = self.ec._direct_slot, False
-        try:
-            self._emit_store(lhs, "_v", value_width, 1)
-            body = self.lines
-        finally:
-            self.lines = saved
-            self._frozen = {}
-            self._cache = cache
-            self.ec.slot_src, self.ec.strict = self._cached_slot, True
-        self.writer_defs += [f"def {name}(e):", f"    {', '.join(fields)} = e"]
-        self.writer_defs.extend(body)
-        self.writer_defs.append("")
-        return name, dyn
 
     # -- whole processes -----------------------------------------------------
 
@@ -624,10 +619,9 @@ class ProcessCompiler:
         self.lines = []
         try:
             width = self.env.width_of(item.lhs)
-            value_width = max(self.env.width_of(item.rhs), width)
-            value = self._gensym("v")
-            self._emit(1, f"{value} = {self.ec.compile(item.rhs, width)}")
-            self._emit_store(item.lhs, value, value_width, 1)
+            value = self._bound(self.ec.compile(item.rhs, width), 1)
+            self._store(item.lhs, value, max(self.env.width_of(item.rhs), width),
+                        None, 1)
         except (CompileFallback, WidthError):
             self.lines = [f"    EVC.run_assign({self.ec.const_ref(item)})"]
         return [f"def {name}():"] + self.lines + [""]

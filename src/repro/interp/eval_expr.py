@@ -331,14 +331,12 @@ class Evaluator:
             if sig.is_memory:
                 return store.mem_set(sig.name, at, value, notify)
             low, field = sig.bit_offset(at), 1
-            if low >= sig.width:
-                return False
         elif at is None:
             low, field = self.entry(lhs)[6:8]
         else:
             e = self.entry(lhs)
             low, field = self._low(e, at), (1 << e[7]) - 1
-        if low < 0:
+        if not 0 <= low < sig.width:  # nothing lands outside the word
             return False
         field <<= low
         return store.set(sig.name, (store.get(sig.name) & ~field)
