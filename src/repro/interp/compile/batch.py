@@ -461,16 +461,6 @@ class _LaneEmitter(StmtCompiler):
         back at exit, or another NBA, writes in place)?"""
         return self._cache.get(self._locals.get(src), False)
 
-    def _constant(self, expr, src: str) -> Optional[int]:
-        """*expr*'s value (as compiled to *src*) if it reads no lane state
-        (a signal or ``$time``)."""
-        if any(isinstance(node, ast.Identifier) and node.name not in self.env.params
-               or isinstance(node, ast.SysCall) and node.name in ("$time", "$stime")
-               for node in ast.walk_expr(expr)):
-            return None
-        with np.errstate(over="ignore"):
-            return int(np.asarray(eval(src, dict(HELPERS))))
-
     # -- functions ----------------------------------------------------------
 
     def _function(self, mask: str, emit_body, wakes: bool = True,
@@ -595,8 +585,8 @@ class _LaneEmitter(StmtCompiler):
         # Each lane's arm index (len(arms): no label matched; the first
         # match wins): a table lookup for a narrow subject and constants.
         arm = self._gensym("x")
-        labels = [(i, self._constant(label, src), care) for i, (arm_labels, _)
-                  in enumerate(arms) for label, src, care in arm_labels]
+        labels = [(i, label, care) for i, (arm_labels, _) in enumerate(arms)
+                  for label, _, care in arm_labels]
         if width <= _TABLE_BITS and all(label is not None for _, label, _ in labels):
             table: Dict[int, int] = {}
             for i, label, care in labels:

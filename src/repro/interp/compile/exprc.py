@@ -32,10 +32,24 @@ from ...verilog.width import WidthEnv, WidthError, const_eval
 # one definition (re-exported here under the emitter's historic names).
 from ...opt.ir import expr_key, expr_nodes, expr_pure as expr_is_pure
 from ...opt.ranges import interval
+from ..eval_expr import EvalError, Evaluator
 
 
 class CompileFallback(Exception):
     """Raised internally when a node cannot be compiled statically."""
+
+
+class _NoState:
+    """The store of a constant fold: a read means the expression is not
+    constant (a ternary whose condition is false only at its own width)."""
+
+    def get(self, name: str, *index) -> int:
+        raise EvalError(f"{name!r} is not constant")
+
+    mem_get = get
+
+
+_NO_STATE = _NoState()
 
 
 #: the system functions an expression lowers (any other one is an
@@ -206,11 +220,16 @@ class ExprCompiler:
     def mem_ref(self, name: str) -> str:
         return f"m{self.mem_slot_of[name]}"
 
-    def try_const(self, expr: ast.Expr):
-        """Compile-time value of *expr*, or None if not constant."""
+    def try_const(self, expr: ast.Expr, width: int = 0) -> Optional[int]:
+        """*expr*'s value as the reference evaluates it at *width* (its
+        own width at least: ``-2`` is 2^32 - 2, ``3'd7 + 3'd1`` is 0),
+        or None if it is not a constant expression."""
         try:
-            return const_eval(expr, self.env.params)
-        except WidthError:
+            const_eval(expr, self.env.params)
+            fold = Evaluator(self.env, _NO_STATE)
+            fold.plan = {}  # its own: no entry outlives a node the compiler drops
+            return fold.eval(expr, width)
+        except (WidthError, EvalError):
             return None
 
     def fits(self, expr: ast.Expr, lo: int, hi: int, kind: str) -> bool:
@@ -499,9 +518,6 @@ class ExprCompiler:
             sb = self.lit_ref(1 << (w - 1)) if w else "0"
             cshift = self.try_const(e.right)
             if cshift is not None:
-                # The oracle evaluates the amount at its own width, so a
-                # negative constant masks to a huge unsigned value.
-                cshift &= (1 << self.env.width_of(e.right)) - 1
                 if cshift > 4096:
                     return "0"
                 if arith_right:

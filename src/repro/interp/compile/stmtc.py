@@ -85,6 +85,10 @@ class StmtCompiler:
         self._emit(ind, f"{name} = {src}")
         return name
 
+    def _named(self, value: str, ind: int) -> str:
+        """*value* as a name that can be read twice."""
+        return value if value.isidentifier() else self._bound(value, ind)
+
     def _index_src(self, expr: ast.Expr) -> str:
         """Source for an LHS index: the frozen argument inside a writer
         body, a fresh compilation elsewhere."""
@@ -130,7 +134,7 @@ class StmtCompiler:
             return
         if isinstance(lhs, ast.Concat):
             # a later part sees what an earlier part wrote, not the value
-            value, shift = self._bound(value, ind), self.env.width_of(lhs)
+            value, shift = self._named(value, ind), self.env.width_of(lhs)
             if self.ec.word is not None and shift > self.ec.word:
                 raise CompileFallback(f"concat lvalue width {shift} > {self.ec.word}")
             for part in lhs.parts:
@@ -179,14 +183,16 @@ class StmtCompiler:
                          True, lanes, ind)
 
     def _labels(self, stmt: ast.Case, width: int, item: ast.CaseItem):
-        """*item*'s labels as ``(label, source, care)``, each compiled when
-        reached, at the subject's *width* or its own; *care*: the bits
-        compared (casez/casex skip a literal's x/z), ``None`` for all."""
+        """*item*'s labels as ``(value, source, care)``, each compiled when
+        reached, at the subject's *width* or its own; *value*: the
+        label's ``try_const``; *care*: the bits compared (casez/casex
+        skip a literal's x/z), ``None`` for all."""
         for label in item.labels:
             label_width = max(width, self.env.width_of(label))
             dontcare = (label.xz_mask if stmt.kind in ("casez", "casex")
                         and isinstance(label, ast.Number) else 0)
-            yield (label, self.ec.compile_at(label, label_width),
+            yield (self.ec.try_const(label, label_width),
+                   self.ec.compile_at(label, label_width),
                    ~dontcare & ((1 << label_width) - 1) if dontcare else None)
 
     @staticmethod
@@ -255,11 +261,6 @@ class ProcessCompiler(StmtCompiler):
     def _mark(self, slot: int, ind: int) -> None:
         self._emit(ind, f"if not df[{slot}]:")
         self._emit(ind + 1, f"df[{slot}] = 1; dla({slot})")
-
-    def _named(self, value: str, ind: int) -> str:
-        """*value* as a name a compare can read twice (the prelude binds
-        every RHS a store may compare)."""
-        return value if value.isidentifier() else self._bound(value, ind)
 
     def _compile_rhs(self, stmt: ast.Assign, width: int, ind: int) -> str:
         """Counts the statement, hoists repeated pure subexpressions into

@@ -280,9 +280,12 @@ class Evaluator:
         return self.sysfunc(e[3], w) & ((1 << w) - 1)
 
     def sysfunc(self, expr: ast.SysCall, width: int) -> int:
-        """The value of system function *expr*: an engine's
-        :class:`~repro.interp.simulator.Reference` answers; a bare
-        evaluator has no runtime to ask."""
+        """The value of system function *expr*: ``$clog2`` of its
+        argument; any other needs a runtime, which an engine's
+        :class:`~repro.interp.simulator.Reference` asks and a bare
+        evaluator has not."""
+        if expr.name == "$clog2":
+            return max(0, (self.eval(expr.args[0]) - 1).bit_length())
         raise EvalError(f"system function {expr.name} needs a runtime handler")
 
     # -- assignment ----------------------------------------------------------

@@ -202,8 +202,7 @@ class Reference(Evaluator):
     def sysfunc(self, expr: ast.SysCall, width: int) -> int:
         name = expr.name
         if name == "$clog2":
-            value = self.eval(expr.args[0])
-            return max(0, (value - 1).bit_length())
+            return super().sysfunc(expr, width)
         value = self.host.query(name, expr.args, self.eval, self.time)
         if value is None:
             raise EvalError(f"unsupported system function {name}")

@@ -169,6 +169,12 @@ for vec in ("a8", "d8", "o8", "p8", "q8", "a64"):
         case(f"{vec}[i64 {mode} 4]", i64=(8, 11, 12, 14))
         case(f"{vec}[i64 {mode} 4]", i64=(63, 64, 1 << 63, (1 << 64) - 1))
         case(f"{vec}[i64 {mode} 1]", i64=(5, 1 << 62, (1 << 63) + 5, (1 << 64) - 4))
+# constant indices, valued as the reference evaluates them: at their
+# own width (-2 is 2^32 - 2, 3'd7 + 3'd1 is 0)
+for vec in ("a8", "q8", "r8"):
+    case(f"{vec}[-2]")
+    case(f"{vec}[3'd7 + 3'd1]")
+case("mem[3'd7 + 3'd1] + mem[-1]")
 case("a8[7:4]")
 case("a8[70:65]")
 case("d8[2:5]")

@@ -8,7 +8,10 @@ concat of a select and a whole signal — is crossed with six declared
 ranges, blocking and non-blocking, and four kinds of dynamic start: in
 range, at the top index (a field straddling the top bit), a negative
 ``integer`` and one at or above 2^63.  A fifth start sweeps from
-negative into range.  Each row is one ``always`` block storing a value
+negative into range.  Constant bit, ``+:`` and ``-:`` starts that the
+reference evaluates at their own width (``-2`` is 2^32 - 2, ``3'd7 +
+3'd1`` is 0) and a memory address that wraps the same way ride with
+the in-range rows.  Each row is one ``always`` block storing a value
 that changes every tick into its own register, so a group of rows is
 one module run as a whole: by the interpreter, by compiled engines at
 ``-O0`` and ``-O2``, and as a two-lane cohort, one lane joining from a
@@ -26,7 +29,9 @@ from repro.interp.compile import CompiledModuleCode, CompiledSimulator
 from repro.interp.compile.batch import HAVE_NUMPY, BatchedCohort, batch_code_for
 from repro.interp.simulator import InterpSimulator
 
-TICKS = 6
+#: odd, as is AHEAD + TICKS: a row whose value's low bit alternates
+#: ends on a tick that stores a 1
+TICKS = 7
 AHEAD = 2
 RANGES = ((7, 0), (0, 7), (10, 3), (3, 10), (-4, 3), (3, -4))
 #: start kind -> (declaration of ``j``, what the counter process does to it)
@@ -39,6 +44,8 @@ STARTS = {
 }
 #: each value a store writes: changes every tick, wider than any field
 VALUE = "(n * 8'd37 + 8'd5)"
+#: a constant start of 8 unbounded, 0 at its own width
+WRAP = "3'd7 + 3'd1"
 #: a register row also reads its register, so a concat whose first part
 #: changes it must not evaluate the value again for the next part
 REG_VALUE = f"({VALUE} ^ R)"
@@ -53,6 +60,9 @@ def _selects(msb, lsb):
         "whole": "R", "bit_const": f"R[{lo + 2}]", "part_const": f"R{part}",
         "bit_dyn": "R[j]", "plus": "R[j +: 3]", "minus": "R[j -: 3]",
         "concat": "{R[j +: 2], q}",
+        "bit_neg": "R[-2]", "plus_neg": "R[-2 +: 2]", "minus_neg": "R[-2 -: 2]",
+        "bit_wrap": f"R[{WRAP}]", "plus_wrap": f"R[{WRAP} +: 2]",
+        "minus_wrap": f"R[{WRAP} -: 2]",
     }, (lo + hi) // 2, hi
 
 
@@ -87,7 +97,7 @@ def _memory_groups():
     for base in (0, 4):
         words = f"[{base}:{base + 3}]"
         rows = {"mem_const": f"[{base + 1}]", "mem_out": f"[{base + 9}]",
-                "mem_dyn": "[j]"}
+                "mem_wrap": f"[{WRAP}]", "mem_dyn": "[j]"}
         for start in STARTS:
             for op in ("=", "<="):
                 procs = "".join(
