@@ -53,10 +53,6 @@ class CntrlRegStats:
     reads: int = 0
     writes: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
 
 class CntrlRegPort:
     """One Morphlet's register-file port.
@@ -76,6 +72,3 @@ class CntrlRegPort:
         words = self.reg_map.words_of(name)
         self.stats.reads += words
         return words
-
-    def transfer_seconds(self, words: int, word_latency_s: float) -> float:
-        return words * word_latency_s

@@ -99,6 +99,3 @@ class Hull:
     @property
     def residents(self) -> List[Morphlet]:
         return list(self._morphlets.values())
-
-    def utilization(self) -> float:
-        return self.zones.utilization()

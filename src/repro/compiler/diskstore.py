@@ -356,14 +356,6 @@ class DiskArtifactStore:
             return sum(1 for f in os.scandir(root) if f.name.endswith(".art"))
         return sum(1 for _ in self._entries())
 
-    def clear(self) -> None:
-        with self._lock:
-            for entry in list(self._entries()):
-                try:
-                    os.unlink(entry.path)
-                except OSError:
-                    pass
-
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,

@@ -8,7 +8,7 @@ from .scheduler import (
 from .handshake import HANDSHAKE_BANDWIDTH_BITS_S, HandshakeReport, state_safe_reprogram
 from .hypervisor import CapacityError, Hypervisor, HypervisorClient
 from .migration import MigrationReport, migrate, rehydrate, resume, suspend
-from .checkpoint import DEFAULT_RING_DEPTH, Checkpoint, CheckpointRing
+from .checkpoint import Checkpoint
 from .durable import (
     JournalError, JournalImage, RecoveredTenant, RecoveryError,
     TenantJournal,
@@ -23,7 +23,7 @@ __all__ = [
     "HANDSHAKE_BANDWIDTH_BITS_S", "HandshakeReport", "state_safe_reprogram",
     "CapacityError", "Hypervisor", "HypervisorClient",
     "MigrationReport", "migrate", "rehydrate", "resume", "suspend",
-    "DEFAULT_RING_DEPTH", "Checkpoint", "CheckpointRing",
+    "Checkpoint",
     "JournalError", "JournalImage", "RecoveredTenant", "RecoveryError",
     "TenantJournal",
     "RecoveryReport", "Supervisor", "Tenant",

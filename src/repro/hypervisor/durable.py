@@ -1,9 +1,10 @@
 """Durable tenancy: the write-ahead journal + checkpoint store.
 
-PR 6's :class:`~repro.hypervisor.checkpoint.CheckpointRing` survives
-board deaths; this module survives *process* deaths.  Two artifacts on
-disk, both built from the same self-verifying frame discipline as the
-:mod:`~repro.compiler.diskstore` tier:
+The supervisor's checkpoint (the newest
+:class:`~repro.hypervisor.checkpoint.Checkpoint`, on each tenant's
+record) survives board deaths; this module survives *process* deaths.
+Two artifacts on disk, both built from the same self-verifying frame
+discipline as the :mod:`~repro.compiler.diskstore` tier:
 
 * **The tenant journal** (``journal.wal``): an append-only,
   fsync-per-record log of tenant lifecycle facts — ``job`` (a

@@ -10,8 +10,9 @@ exhausted retry budget).  Its response is the paper's migration
 machinery pointed at disaster recovery:
 
 1. **checkpoint** every tenant at quiescence points (between logical
-   ticks), keeping a bounded :class:`~repro.hypervisor.checkpoint.CheckpointRing`
-   per engine, keyed by artifact digest so restore never recompiles;
+   ticks), keeping the newest :class:`~repro.hypervisor.checkpoint.Checkpoint`
+   on the tenant's own record (digest-keyed, so restore never
+   recompiles);
 2. on a persistent fault, **quarantine** the afflicted hypervisor
    (board killed, IO streams dropped, admission closed);
 3. **restore** every tenant that lived there from its latest
@@ -42,7 +43,7 @@ from ..runtime.cohort import (
     BatchUnsupported, CohortEngine, CohortLaneEngine, UnsupportedBackend,
 )
 from ..runtime.runtime import Context, Runtime
-from .checkpoint import DEFAULT_RING_DEPTH, Checkpoint, CheckpointRing
+from .checkpoint import Checkpoint
 from .hypervisor import Hypervisor
 from .migration import MigrationReport, rehydrate, suspend
 
@@ -50,6 +51,10 @@ from .migration import MigrationReport, rehydrate, suspend
 #: its :class:`Hypervisor`, a lane's its :class:`CohortEngine`, and
 #: ``None`` is nowhere (not admitted yet, or released).
 SOFTWARE = "software"
+
+#: Fewest lanes a cohort may have: a vector dispatch over fewer is pure
+#: overhead, so none is formed smaller and none survives smaller.
+COHORT_FLOOR = 2
 
 
 def kind(residence) -> str:
@@ -75,9 +80,8 @@ class Tenant:
     name: str
     runtime: Optional[Runtime]
     clock: str = "clock"
-    #: checkpoint-ring key; stable across moves (engine ids are
-    #: per-hypervisor and get reused, so they cannot key the ring)
-    key: int = 0
+    #: the newest quiescence checkpoint: what a restore resumes from
+    checkpoint: Optional[Checkpoint] = None
     recoveries: int = 0
 
     @property
@@ -117,14 +121,14 @@ class Supervisor:
 
     def __init__(self, hypervisors: List[Hypervisor],
                  checkpoint_every: int = 8,
-                 ring_depth: int = DEFAULT_RING_DEPTH,
                  software_fallback: bool = True,
                  journal=None):
         if not hypervisors:
             raise ValueError("a supervisor needs at least one hypervisor")
         self.hypervisors = list(hypervisors)
         self.checkpoint_every = checkpoint_every
-        self.ring = CheckpointRing(ring_depth)
+        #: checkpoints taken (each tenant holds only its newest)
+        self.checkpoints_taken = 0
         self.software_fallback = software_fallback
         #: optional :class:`~repro.hypervisor.durable.TenantJournal`:
         #: admissions, quiescence checkpoints, and releases are written
@@ -140,7 +144,6 @@ class Supervisor:
         self.recoveries: List[RecoveryReport] = []
         self.migrations: List[MigrationReport] = []
         self.quarantines = 0
-        self._next_key = 1  #: ring keys survive engine-id reuse across hosts
         #: digest[:12] -> why its tenants stay on scalar engines (the
         #: first refusal per digest; the "why slow path" answer)
         self.cohorts_refused: Dict[str, str] = {}
@@ -235,17 +238,16 @@ class Supervisor:
                                    source=program.source, clock=tenant.clock)
         elif to is None:
             del self.tenants[name]
-            self.ring.drop(tenant.key)
             if self.journal is not None:
                 self.journal.terminal(name, "released")
                 self.journal.drop_snapshots(name)
 
     def _vacated(self, cohort: CohortEngine) -> None:
-        """A lane left *cohort*: a vector dispatch over one lane is pure
-        overhead, so the last one moves out too, and an empty cohort
-        retires into the accumulated counters."""
+        """A lane left *cohort*: one left under :data:`COHORT_FLOOR`
+        moves out too (each such move calls back here), and an empty
+        cohort retires into the accumulated counters."""
         lanes = self.residents[cohort]
-        if len(lanes) == 1:
+        if 0 < len(lanes) < COHORT_FLOOR:
             self._move(next(iter(lanes.values())), SOFTWARE, "extract")
         elif not lanes:
             del self.residents[cohort]
@@ -300,9 +302,7 @@ class Supervisor:
                 f"requested host {host.device.name} is quarantined")
         if host is None and not (software or self.software_fallback):
             raise PersistentFabricError("no healthy hypervisor to admit onto")
-        tenant = Tenant(name=name, runtime=None, clock=clock,
-                        key=self._next_key)
-        self._next_key += 1
+        tenant = Tenant(name=name, runtime=None, clock=clock)
         if context is None:
             build = host or self.hypervisors[0]
             tenant.runtime = Runtime(source, name=name, clock=clock,
@@ -315,9 +315,9 @@ class Supervisor:
         return tenant
 
     def release(self, name: str) -> None:
-        """Retire a tenant: free its slot or lane, drop its checkpoints
-        (a failing host cannot veto it — a dead board's slots die with
-        the board)."""
+        """Retire a tenant: free its slot or lane, and drop its record
+        and the checkpoint on it (a failing host cannot veto it — a dead
+        board's slots die with the board)."""
         tenant = self.tenants.get(name)
         if tenant is not None:
             self._move(tenant, None, "release")
@@ -345,17 +345,14 @@ class Supervisor:
         """
         tenant = self.tenants[name]
         runtime = tenant.runtime
-        t0 = runtime.sim_time
-        context = suspend(runtime)
-        checkpoint = Checkpoint(
-            engine_id=tenant.key,
+        context = suspend(runtime)  # charges the save to runtime.sim_time
+        checkpoint = tenant.checkpoint = Checkpoint(
             digest=runtime.program.digest,
             ticks=runtime.ticks,
             sim_time=runtime.sim_time,
             context=context,
-            save_seconds=runtime.sim_time - t0,
         )
-        self.ring.push(checkpoint)
+        self.checkpoints_taken += 1
         if self.journal is not None:
             self.journal.checkpoint(tenant.name, checkpoint)
         return checkpoint
@@ -394,15 +391,15 @@ class Supervisor:
 
     # -- cohort scheduling (vector carrier) ------------------------------------
 
-    def form_cohorts(self, min_size: int = 2,
-                     names: Optional[List[str]] = None) -> int:
+    def form_cohorts(self, names: Optional[List[str]] = None) -> int:
         """Group same-digest software tenants into vector cohorts.
 
         Formation happens at a quiescence boundary (between logical
         ticks): each member moves from its scalar engine into a cohort
         lane, and the cohort then steps as one engine
         (``CohortEngine.advance``).  Programs outside the vector subset
-        (or a missing NumPy) leave their group on scalar engines.  *names* restricts
+        (or a missing NumPy) leave their group on scalar engines, and so
+        does a group under :data:`COHORT_FLOOR`.  *names* restricts
         formation to a subset of tenants (the serving layer forms
         cohorts per priority class, so one class's lockstep schedule
         never couples to another's).  Returns the number of cohorts
@@ -417,7 +414,7 @@ class Supervisor:
                                   []).append(tenant)
         formed = 0
         for members in groups.values():
-            if len(members) < min_size:
+            if len(members) < COHORT_FLOOR:
                 continue
             lead = members[0].runtime
             try:
@@ -509,7 +506,7 @@ class Supervisor:
                     destination.quarantine()
 
     def _restore(self, tenant: Tenant, destination: Optional[Hypervisor]) -> None:
-        checkpoint = self.ring.latest(tenant.key)
+        checkpoint = tenant.checkpoint
         if checkpoint is None:
             raise PersistentFabricError(
                 f"tenant {tenant.name!r} has no checkpoint to restore"
@@ -542,7 +539,7 @@ class Supervisor:
             "recoveries": self.moved("restore"),
             "migrations": self.moved("migrate"),
             "idle_fastforwards": self.idle_fastforwards,
-            "checkpoints": self.ring.stats(),
+            "checkpoints": self.checkpoints_taken,
             "retry": [h.retry.stats() for h in self.hypervisors],
             "cohorts": {
                 "active": len(cohorts),

@@ -1,9 +1,9 @@
 """Performance model: measured mechanics to paper-style time series."""
 
-from .model import HwProfile, SwProfile, profile_hardware, profile_software, throughput_per_tick
+from .model import HwProfile, SwProfile, profile_hardware, profile_software
 from .timeline import Segment, Series, format_series
 
 __all__ = [
     "HwProfile", "SwProfile", "profile_hardware", "profile_software",
-    "throughput_per_tick", "Segment", "Series", "format_series",
+    "Segment", "Series", "format_series",
 ]

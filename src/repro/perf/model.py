@@ -137,7 +137,3 @@ def profile_hardware(program: CompiledProgram, device: Device,
         trap_seconds=runtime.trap_seconds_total - trap_secs0,
     )
 
-
-def throughput_per_tick(profile_hz: float, units_per_tick: float = 1.0) -> float:
-    """Convert a virtual frequency into workload units per second."""
-    return profile_hz * units_per_tick

@@ -27,7 +27,7 @@ from ..interp.systasks import TaskHost
 from ..interp.vfs import VirtualFS
 from .backends import DirectBoardBackend, Placement
 from .engine import Engine, HardwareEngine, SoftwareEngine, TickStats  # noqa: F401
-from .jit import AdaptiveRefinement, TransitionCosts
+from .jit import TransitionCosts
 
 #: Interpreted statements a compile is worth per canonical character.
 #: Measured over cold_compile's 116 designs on 2 vCPUs: opt + codegen
@@ -127,7 +127,6 @@ class Runtime:
                                                     "interp" if cold else None)
         self._rented: Optional[Engine] = self.engine if cold else None
         self.costs = costs or TransitionCosts()
-        self.refinement = AdaptiveRefinement()
 
         self.sim_time = 0.0
         self.ticks = 0

@@ -12,9 +12,9 @@ policy that needs fleet-wide sight:
   placement the fabric refuses falls back to a software engine rather
   than failing the job — admission control already said yes.
 * **chunked advance** (:meth:`advance`, :meth:`advance_cohort`): the
-  slicer's bounded turns, with the PR 6 recovery path wrapped around
-  every chunk — a board death mid-turn quarantines the host and
-  restores its tenants from their checkpoint rings, and the turn
+  slicer's bounded turns, with the supervisor's recovery path wrapped
+  around every chunk — a board death mid-turn quarantines the host and
+  restores its tenants from their checkpoints, and the turn
   reports whatever progress survived.
 * **rebalancing** (:meth:`rebalance`): migration-based load spreading
   at quiescence, reusing the supervisor's suspend→rehydrate→re-place
@@ -44,8 +44,6 @@ class FleetConfig:
     board_capacity: int = 4
     #: load spread (hottest minus coolest board) that triggers migration
     rebalance_threshold: int = 2
-    #: minimum same-digest group worth a vector cohort
-    cohort_min_size: int = 2
     #: master switch for cohort formation (needs NumPy; off degrades
     #: every software tenant to its scalar engine, nothing else changes)
     cohorts: bool = True
@@ -56,12 +54,10 @@ class Fleet:
 
     def __init__(self, hypervisors: List[Hypervisor],
                  config: Optional[FleetConfig] = None,
-                 checkpoint_every: int = 8,
-                 ring_depth: Optional[int] = None):
-        kwargs = {} if ring_depth is None else {"ring_depth": ring_depth}
+                 checkpoint_every: int = 8):
         self.supervisor = Supervisor(hypervisors,
                                      checkpoint_every=checkpoint_every,
-                                     software_fallback=True, **kwargs)
+                                     software_fallback=True)
         self.config = config or FleetConfig()
         #: placements the fabric refused (every other placement count
         #: is read off the supervisor's moves)
@@ -176,8 +172,8 @@ class Fleet:
         """Drive one tenant at most *budget* ticks (*horizon*: see
         ``Runtime.tick``), with recovery.
 
-        A fabric fault mid-chunk runs the PR 6 path — quarantine the
-        host, restore every resident tenant from its checkpoint ring —
+        A fabric fault mid-chunk runs the recovery path — quarantine the
+        host, restore every resident tenant from its checkpoint —
         and the turn returns whatever net progress the restored runtime
         kept.  The caller must re-fetch the runtime afterwards.
         """
@@ -227,8 +223,7 @@ class Fleet:
     def form_cohorts(self, names: List[str]) -> int:
         if not (self.config.cohorts and HAVE_NUMPY):
             return 0
-        return self.supervisor.form_cohorts(
-            min_size=self.config.cohort_min_size, names=names)
+        return self.supervisor.form_cohorts(names=names)
 
     def in_cohort(self, name: str) -> bool:
         return self.supervisor.in_cohort(name)

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..fabric.errors import FabricError
 from ..hypervisor.durable import RecoveryError, TenantJournal
+from ..hypervisor.supervisor import COHORT_FLOOR
 from ..runtime.runtime import SliceReport
 from .admission import AdmissionController, UnknownDigestError
 from .fleet import Fleet
@@ -500,10 +501,10 @@ class ServeFrontend:
                 self._terminate(job, TenantState.CANCELLED)
             if job.handle.done or self._retired(job):
                 unit.jobs.remove(job)
-        if len(unit.jobs) < self.fleet.config.cohort_min_size:
-            # Too small to vectorize: dissolve back to individual units.
+        if len(unit.jobs) < COHORT_FLOOR:
+            # Too small to vectorize: the supervisor already moved the
+            # lanes out; each goes back as an individual unit.
             for job in unit.jobs:
-                self.fleet.extract(job.name)
                 self.slicer.admit(job)
             self.slicer.charge(unit, 1)
             return
@@ -529,11 +530,10 @@ class ServeFrontend:
                 self._transition(job, TenantState.PREEMPTED)
             if self.config.checkpoint_on_preempt:
                 self.fleet.checkpoint(job.name)
-        if len(survivors) >= self.fleet.config.cohort_min_size:
+        if len(survivors) >= COHORT_FLOOR:
             self.slicer.requeue(unit)
         else:
             for job in survivors:
-                self.fleet.extract(job.name)
                 self.slicer.requeue(job)
 
     # -- quiescence sweeps (rebalance + cohort formation) ------------------
@@ -564,7 +564,7 @@ class ServeFrontend:
                 continue
             groups.setdefault((job.priority, job.digest), []).append(job)
         for (priority, digest), jobs in groups.items():
-            if len(jobs) < self.fleet.config.cohort_min_size:
+            if len(jobs) < COHORT_FLOOR:
                 continue
             for job in jobs:
                 self.slicer.withdraw(job)

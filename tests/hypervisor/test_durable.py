@@ -16,7 +16,7 @@ def make_checkpoint(ticks=8, digest="d" * 16, display=()):
     context = Context(program_source="module m(input wire clock); endmodule",
                       state={"n": ticks}, vfs_state={}, vfs_files={},
                       ticks=ticks, display_log=list(display))
-    return Checkpoint(engine_id=1, digest=digest, ticks=ticks,
+    return Checkpoint(digest=digest, ticks=ticks,
                       sim_time=float(ticks) * 1e-8, context=context)
 
 

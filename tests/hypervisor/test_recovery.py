@@ -1,18 +1,14 @@
 """Supervised recovery: checkpoints, quarantine, restore, replay."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro.compiler.service import CompilerService
 from repro.fabric import DE10, BoardDeadError, FaultPlan, PersistentFabricError
-from repro.hypervisor import (
-    Checkpoint,
-    CheckpointRing,
-    Hypervisor,
-    Supervisor,
-)
-from repro.runtime.runtime import Context
+from repro.hypervisor import Hypervisor, Supervisor
 
 #: DE10 with a fast compile/reconfig so tenants reach hardware within a
 #: test-sized run (the reliability machinery is compile-latency-agnostic).
@@ -68,38 +64,6 @@ def outcome(tenant):
             tenant.runtime.finished)
 
 
-class TestCheckpointRing:
-    def _checkpoint(self, engine_id, ticks):
-        context = Context(program_source="", state={}, vfs_state={},
-                          vfs_files={}, ticks=ticks)
-        return Checkpoint(engine_id=engine_id, digest="d", ticks=ticks,
-                          sim_time=float(ticks), context=context)
-
-    def test_bounded_eviction_oldest_first(self):
-        ring = CheckpointRing(depth=3)
-        for t in range(5):
-            ring.push(self._checkpoint(1, t))
-        held = ring.history(1)
-        assert [cp.ticks for cp in held] == [2, 3, 4]
-        assert ring.latest(1).ticks == 4
-        assert ring.stats() == {"engines": 1, "held": 3,
-                                "saved": 5, "evicted": 2}
-
-    def test_rings_are_per_engine(self):
-        ring = CheckpointRing(depth=2)
-        ring.push(self._checkpoint(1, 10))
-        ring.push(self._checkpoint(2, 20))
-        assert ring.latest(1).ticks == 10
-        assert ring.latest(2).ticks == 20
-        ring.drop(1)
-        assert ring.latest(1) is None
-        assert ring.latest(2).ticks == 20
-
-    def test_depth_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CheckpointRing(depth=0)
-
-
 class TestTransparentRetry:
     """Transient faults never reach the tenant: retried, bit-identical."""
 
@@ -138,6 +102,27 @@ class TestQuarantineAndRestore:
         assert report.restore_seconds > 0
         assert tenant.host is sup.hypervisors[1]
         assert not sup.hypervisors[0].healthy
+
+    def test_a_tenant_holds_one_checkpoint(self, service, reference):
+        """Each checkpoint replaces the one before it on the tenant's
+        record, and a board death restores from the newest."""
+        sup = Supervisor(fleet(service))
+        tenant = sup.admit("app", APP)
+        taken = []
+        for _ in range(3):
+            tenant.runtime.tick(4)
+            taken.append(weakref.ref(sup.checkpoint("app")))
+        tenant.runtime.tick(3)  # past the newest: restore must replay
+        gc.collect()
+        held = [ref() for ref in taken if ref() is not None]
+        assert len(held) == 1 and held[0] is tenant.checkpoint
+        sup.recover_from("app", BoardDeadError("board killed"))
+        report = sup.recoveries[-1]
+        assert (report.checkpoint_ticks, report.crash_ticks) == (12, 15)
+        assert tenant.runtime.ticks == held[0].ticks == 12
+        assert tenant.host is sup.hypervisors[1]
+        sup.run("app", 60)
+        assert outcome(tenant) == reference
 
     def test_quarantined_hypervisor_rejects_admission(self, service):
         hypervisors = fleet(service)

@@ -119,8 +119,8 @@ def audit(frontend, terminal_records=None, seen=None):
 
 
 def audit_hypervisor(fleet, started, seen=None):
-    """The supervisor's books: residents, cohorts, ring, move counts."""
-    from repro.hypervisor.supervisor import SOFTWARE, kind
+    """The supervisor's books: residents, cohorts, checkpoints, moves."""
+    from repro.hypervisor.supervisor import COHORT_FLOOR, SOFTWARE, kind
 
     sup = fleet.supervisor
     tenants = sup.tenants
@@ -147,16 +147,18 @@ def audit_hypervisor(fleet, started, seen=None):
         elsewhere = set(tenants) - set(residents)
         assert not elsewhere & {rec.instance for rec in hv.table.active}
     # A live cohort's members are the tenants whose residence it is,
-    # and none survives a move with fewer than two.
+    # and none survives a move with fewer than the floor.
     for cohort in sup.cohorts:
         lanes = [t.runtime.engine for t in sup.residents[cohort].values()]
         assert sorted(map(id, lanes)) == sorted(map(id, cohort.members))
-        assert len(lanes) >= 2
-    # The ring holds 1..depth checkpoints per live tenant, none beyond.
-    assert sorted(sup.ring.engines()) == sorted(
-        t.key for t in tenants.values())
+        assert len(lanes) >= COHORT_FLOOR
+    # Every live tenant holds a checkpoint of its own program, taken no
+    # later than where its runtime stands.
     for tenant in tenants.values():
-        assert 1 <= len(sup.ring.history(tenant.key)) <= sup.ring.depth
+        checkpoint = tenant.checkpoint
+        assert checkpoint is not None, tenant.name
+        assert checkpoint.digest == tenant.runtime.program.digest
+        assert checkpoint.ticks <= tenant.runtime.ticks
     # The move count: what entered each kind of residence minus what
     # left it is who lives there; one admission per started job; one
     # report per restore and per migration.

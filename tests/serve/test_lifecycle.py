@@ -36,7 +36,7 @@ from hypothesis.stateful import (
 from repro.compiler import ArtifactStore, DiskArtifactStore
 from repro.compiler.service import CompilerService
 from repro.fabric import FabricError, FaultPlan
-from repro.hypervisor import CheckpointRing, Supervisor, TenantJournal
+from repro.hypervisor import Supervisor, TenantJournal
 from repro.interp.compile.batch import HAVE_NUMPY
 from repro.runtime import Runtime
 from repro.runtime.cohort import CohortEngine
@@ -172,8 +172,7 @@ class Lifecycle(RuleBasedStateMachine):
 
     def boot(self, service):
         """One serving process over the journal directory."""
-        self.fleet = make_fleet(service, boards=2, board_capacity=1,
-                                cohort_min_size=2)
+        self.fleet = make_fleet(service, boards=2, board_capacity=1)
         self.fleet.supervisor.checkpoint_every = 4
         config = ServeConfig(max_running=4, max_queue=4, per_tenant=5,
                              quantum_ticks=2, quiescence_every=3)
@@ -388,8 +387,17 @@ def skip_idle_retirement(monkeypatch):
     monkeypatch.setattr(Supervisor, "_move", mutant)
 
 
-def skip_ring_drop(monkeypatch):
-    monkeypatch.setattr(CheckpointRing, "drop", lambda self, key: None)
+def skip_baseline_checkpoint(monkeypatch):
+    admit = Supervisor.admit
+
+    def mutant(self, *args, **kwargs):
+        self.checkpoint = lambda name: None  # shadows the method
+        try:
+            return admit(self, *args, **kwargs)
+        finally:
+            del self.checkpoint
+
+    monkeypatch.setattr(Supervisor, "admit", mutant)
 
 
 def leave_member_behind(monkeypatch):
@@ -437,7 +445,7 @@ class TestSeededMutations:
         assert [r.destination for r in results] == ["cohort", "software"]
 
     @pytest.mark.parametrize("mutation", [
-        skip_idle_retirement, skip_ring_drop, leave_member_behind,
+        skip_idle_retirement, skip_baseline_checkpoint, leave_member_behind,
         count_board_load_twice, forget_a_lane_credit],
         ids=lambda m: m.__name__)
     def test_audit_catches(self, monkeypatch, mutation):
