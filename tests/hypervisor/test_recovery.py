@@ -64,6 +64,37 @@ def outcome(tenant):
             tenant.runtime.finished)
 
 
+class TestTenantCheckpoint:
+    """Each tenant's newest checkpoint lives on its own record."""
+
+    def test_checkpoints_are_per_tenant(self, service):
+        sup = Supervisor(fleet(service))
+        a = sup.admit("a", APP)
+        b = sup.admit("b", APP)
+        a.runtime.tick(5)
+        b.runtime.tick(9)
+        sup.checkpoint("a")
+        sup.checkpoint("b")
+        assert (a.checkpoint.ticks, b.checkpoint.ticks) == (5, 9)
+        kept = b.checkpoint
+        dropped = weakref.ref(a.checkpoint)
+        del a
+        sup.release("a")
+        gc.collect()
+        assert "a" not in sup.tenants and dropped() is None
+        assert sup.tenants["b"].checkpoint is kept
+
+    def test_stats_count_checkpoints_taken(self, service):
+        sup = Supervisor(fleet(service))
+        tenant = sup.admit("app", APP)  # the baseline is the first
+        for _ in range(3):
+            tenant.runtime.tick(2)
+            sup.checkpoint("app")
+        assert sup.stats()["checkpoints"] == 4
+        sup.release("app")
+        assert sup.stats()["checkpoints"] == 4  # taken, not held
+
+
 class TestTransparentRetry:
     """Transient faults never reach the tenant: retried, bit-identical."""
 
