@@ -934,7 +934,7 @@ class BatchedCohort:
         slot = self.layout.slot_of.get(name)
         if slot is not None:
             return int(self.d[slot, lane])
-        value = self.misc[lane].get(name, self.env.params.get(name))
+        value = self.misc[lane].get(name)
         if value is None:
             raise KeyError(f"unknown signal {name!r}")
         return value

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...verilog import ast_nodes as ast
-from ...verilog.width import WidthEnv, WidthError, const_eval
+from ...verilog.width import WidthEnv, WidthError, const_eval, const_value
 
 # Purity and node-count semantics are shared with the mid-end: pass
 # legality (CSE, hoisting, DCE) and strict-codegen legality must agree
@@ -32,24 +32,10 @@ from ...verilog.width import WidthEnv, WidthError, const_eval
 # one definition (re-exported here under the emitter's historic names).
 from ...opt.ir import expr_key, expr_nodes, expr_pure as expr_is_pure
 from ...opt.ranges import interval
-from ..eval_expr import EvalError, Evaluator
 
 
 class CompileFallback(Exception):
     """Raised internally when a node cannot be compiled statically."""
-
-
-class _NoState:
-    """The store of a constant fold: a read means the expression is not
-    constant (a ternary whose condition is false only at its own width)."""
-
-    def get(self, name: str, *index) -> int:
-        raise EvalError(f"{name!r} is not constant")
-
-    mem_get = get
-
-
-_NO_STATE = _NoState()
 
 
 #: the system functions an expression lowers (any other one is an
@@ -129,8 +115,8 @@ def const_range_bounds(expr: ast.RangeSelect, env: WidthEnv) -> Tuple[int, int]:
     select's ``msb`` end.
     """
     sig = env.base_signal(expr.base)
-    msb = const_eval(expr.msb, env.params)
-    lsb = const_eval(expr.lsb, env.params)
+    msb = const_eval(expr.msb)
+    lsb = const_eval(expr.lsb)
     low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
     low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
     return low, abs(msb - lsb) + 1
@@ -220,18 +206,6 @@ class ExprCompiler:
     def mem_ref(self, name: str) -> str:
         return f"m{self.mem_slot_of[name]}"
 
-    def try_const(self, expr: ast.Expr, width: int = 0) -> Optional[int]:
-        """*expr*'s value as the reference evaluates it at *width* (its
-        own width at least: ``-2`` is 2^32 - 2, ``3'd7 + 3'd1`` is 0),
-        or None if it is not a constant expression."""
-        try:
-            const_eval(expr, self.env.params)
-            fold = Evaluator(self.env, _NO_STATE)
-            fold.plan = {}  # its own: no entry outlives a node the compiler drops
-            return fold.eval(expr, width)
-        except (WidthError, EvalError):
-            return None
-
     def fits(self, expr: ast.Expr, lo: int, hi: int, kind: str) -> bool:
         """Do the range facts prove ``lo <= expr <= hi``?  Never without
         the licence; a yes is booked as one dropped check of *kind*."""
@@ -299,7 +273,7 @@ class ExprCompiler:
         ``int`` that no ``uint64`` can hold.
         """
         if (isinstance(e, ast.Binary) and e.op in ("+", "-", "*")
-                and (self.word is None or self.try_const(e) is None)):
+                and (self.word is None or const_value(e) is None)):
             return (f"(({self._ex_chain(e.left, w)}) {e.op} "
                     f"({self._ex_chain(e.right, w)}))")
         return self._ex(e, w)
@@ -377,8 +351,6 @@ class ExprCompiler:
                 value = (value << 8) | ord(ch)
             return self.lit_ref(value & mw)
         if isinstance(e, ast.Identifier):
-            if e.name in self.env.params:
-                return self.lit_ref(self.env.params[e.name] & mw)
             sig = self.env.signal(e.name)
             if sig.is_memory:
                 raise CompileFallback("memory used without an index")
@@ -407,7 +379,7 @@ class ExprCompiler:
                 parts.append(f"({part_src} << {shift})" if shift else part_src)
             return "(" + " | ".join(parts) + ")"
         if isinstance(e, ast.Repeat):
-            count = const_eval(e.count, self.env.params)
+            count = const_eval(e.count)
             unit_width = self.env.width_of(e.value)
             unit = self._ex(e.value, unit_width)
             if count <= 1:
@@ -442,7 +414,7 @@ class ExprCompiler:
             base = self._ex(e.base, self.env.width_of(e.base))
             return self._bit_of(base, self.compile(e.index))
         sig = self.env.signal(e.base.name)
-        cidx = self.try_const(e.index)
+        cidx = const_value(e.index)
         if sig.is_memory:
             memory = self.mem_ref(e.base.name)
             if cidx is not None:
@@ -476,7 +448,7 @@ class ExprCompiler:
                 # reaches the top of all the base can hold: nothing to clear
                 return f"({base} >> {low})" if low else base
             return f"(({base} >> {low}) & {sel_mask})" if low else f"({base} & {sel_mask})"
-        sel_width = const_eval(e.lsb, self.env.params)
+        sel_width = const_eval(e.lsb)
         return self._range_dyn(e, base, self.compile(e.msb), sel_width)
 
     def _ex_unary(self, e: ast.Unary, w: int, mw: int) -> str:
@@ -516,7 +488,7 @@ class ExprCompiler:
             left = self._ex(e.left, w)
             arith_right = op == ">>>" and self.env.is_signed(e.left)
             sb = self.lit_ref(1 << (w - 1)) if w else "0"
-            cshift = self.try_const(e.right)
+            cshift = const_value(e.right)
             if cshift is not None:
                 if cshift > 4096:
                     return "0"

@@ -467,7 +467,10 @@ class CompiledSimulator(SimulatorABI):
         for index in self.code.schedule.prime_queue:
             self._queued[index] = 1
             self._proc_queue.append(index)
-        self.settle()
+        try:
+            self.settle()
+        except FinishSignal:  # a $finish at boot: the run ends at time 0
+            pass
         self._prime_edges()
 
     def _prime_edges(self) -> None:

@@ -123,8 +123,6 @@ class SlotStore(Store):
             return self.data[i]
         if name in self._misc:
             return self._misc[name]
-        if name in self.env.params:
-            return self.env.params[name]
         raise KeyError(f"unknown signal {name!r}")
 
     def set(self, name: str, value: int, notify: bool = True) -> bool:

@@ -36,7 +36,7 @@ from ...verilog import ast_nodes as ast
 from ...verilog.rewrite import lvalue_indices
 from ...opt.ir import stmt_writes
 from ...opt.ranges import counted_loop
-from ...verilog.width import WidthError, const_eval
+from ...verilog.width import WidthError, const_eval, const_value
 from ..simulator import _MAX_LOOP_ITERATIONS
 from .exprc import (
     LOWERED_SYSFUNCS, CompileFallback, ExprCompiler, const_range_bounds,
@@ -107,7 +107,7 @@ class StmtCompiler:
         if stmt.blocking:
             self._store(stmt.lhs, value, value_width, lanes, ind)
             return
-        dyn = [e for e in lvalue_indices(stmt.lhs) if self.ec.try_const(e) is None]
+        dyn = [e for e in lvalue_indices(stmt.lhs) if const_value(e) is None]
         self._queue(stmt.lhs, value, value_width, dyn, lanes, ind)
 
     def _writer(self, lhs: ast.Expr, value_width: int,
@@ -160,10 +160,10 @@ class StmtCompiler:
         elif lhs.mode == ":":
             low, sel_width = const_range_bounds(lhs, self.env)
         else:
-            start, sel_width = lhs.msb, const_eval(lhs.lsb, self.env.params)
+            start, sel_width = lhs.msb, const_eval(lhs.lsb)
             span = sel_width - 1 if lhs.mode == "-:" else 0
         if start is not None:
-            at = self.ec.try_const(start)
+            at = const_value(start)
             low = None if at is None else sig.bit_offset(at - span)
         if self.ec.word is not None and sel_width > self.ec.word:
             raise CompileFallback(f"range width {sel_width} > {self.ec.word}")
@@ -185,13 +185,13 @@ class StmtCompiler:
     def _labels(self, stmt: ast.Case, width: int, item: ast.CaseItem):
         """*item*'s labels as ``(value, source, care)``, each compiled when
         reached, at the subject's *width* or its own; *value*: the
-        label's ``try_const``; *care*: the bits compared (casez/casex
+        label's ``const_value``; *care*: the bits compared (casez/casex
         skip a literal's x/z), ``None`` for all."""
         for label in item.labels:
             label_width = max(width, self.env.width_of(label))
             dontcare = (label.xz_mask if stmt.kind in ("casez", "casex")
                         and isinstance(label, ast.Number) else 0)
-            yield (self.ec.try_const(label, label_width),
+            yield (const_value(label, label_width),
                    self.ec.compile_at(label, label_width),
                    ~dontcare & ((1 << label_width) - 1) if dontcare else None)
 
@@ -311,7 +311,7 @@ class ProcessCompiler(StmtCompiler):
     def _store_word(self, sig, index: ast.Expr, value: str, width: int,
                     lanes, ind: int) -> None:
         mem, mslot = self.ec.mem_ref(sig.name), self.ec.mem_slot_of[sig.name]
-        depth, cidx = sig.depth or 0, self.ec.try_const(index)
+        depth, cidx = sig.depth or 0, const_value(index)
         if cidx is not None:
             # Constant address: resolve the bounds check now.
             if not 0 <= cidx - sig.base < depth:

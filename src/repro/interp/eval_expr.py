@@ -82,8 +82,6 @@ class Evaluator:
             width = 32 if node.width is None else node.width
             return E._number, width, node.signed, node, True, node.value
         if isinstance(node, ast.Identifier):
-            if node.name in env.params:
-                return E._const, 32, False, node, True, env.params[node.name]
             sig = env.signal(node.name)
             if sig.is_memory:
                 return E._fail, sig.width, sig.signed, node, True, \
@@ -104,19 +102,19 @@ class Evaluator:
         elif isinstance(node, ast.RangeSelect):
             sig, kids = env.base_signal(node.base), (sub(node.base),)
             if node.mode == ":":
-                msb = const_eval(node.msb, env.params)
-                lsb = const_eval(node.lsb, env.params)
+                msb = const_eval(node.msb)
+                lsb = const_eval(node.lsb)
                 low_index = lsb if (sig is None or sig.msb >= sig.lsb) else msb
                 low = sig.bit_offset(low_index) if sig is not None else min(msb, lsb)
                 fn, extra = E._part, (low, (1 << (abs(msb - lsb) + 1)) - 1)
             else:
                 fn, kids = E._indexed_part, kids + (sub(node.msb),)
-                extra = (const_eval(node.lsb, env.params), node.mode == "-:", sig)
+                extra = (const_eval(node.lsb), node.mode == "-:", sig)
         elif isinstance(node, ast.Concat):
             fn, kids = E._concat, tuple(sub(p) for p in node.parts)
         elif isinstance(node, ast.Repeat):
             fn, kids = E._repeat, (sub(node.value),)
-            extra = (const_eval(node.count, env.params),)
+            extra = (const_eval(node.count),)
         elif isinstance(node, ast.Unary):
             kids, op = (sub(node.operand),), node.op
             if op in _REDUCE:
@@ -158,7 +156,7 @@ class Evaluator:
     def _number(self, e, w):
         return e[5] & ((1 << w) - 1) if w else e[5]
 
-    def _const(self, e, w):  # a string or a parameter
+    def _const(self, e, w):  # a string
         return e[5] & ((1 << w) - 1)
 
     def _signal(self, e, w):

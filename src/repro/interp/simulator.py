@@ -412,7 +412,10 @@ class InterpSimulator(SimulatorABI):
             if (proc.kind in ("initial", "assign")
                     or (proc.kind == "always" and not proc.events)):
                 self._enqueue(proc)
-        self.settle()
+        try:
+            self.settle()
+        except FinishSignal:  # a $finish at boot: the run ends at time 0
+            pass
         self._prime_edges()
 
     def _prime_edges(self) -> None:

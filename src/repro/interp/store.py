@@ -40,8 +40,6 @@ class Store:
     def get(self, name: str) -> int:
         if name in self.values:
             return self.values[name]
-        if name in self.env.params:
-            return self.env.params[name]
         raise KeyError(f"unknown signal {name!r}")
 
     def set(self, name: str, value: int, notify: bool = True) -> bool:

@@ -26,8 +26,8 @@ from ..verilog.rewrite import (
     collect_identifiers,
     lvalue_reads,
     lvalue_targets,
+    StmtMapper,
     map_expr,
-    map_stmt,
     stmt_identifiers,
 )
 from ..verilog.width import WidthEnv
@@ -134,10 +134,7 @@ def map_stmt_rvalues(stmt: Optional[ast.Stmt], fn: ExprFn) -> Optional[ast.Stmt]
     def write(lhs: ast.Expr) -> ast.Expr:
         return _map_lvalue(lhs, fn)
 
-    def walk(node: ast.Stmt) -> ast.Stmt:
-        return map_stmt(node, walk, read, write)
-
-    return None if stmt is None else walk(stmt)
+    return None if stmt is None else StmtMapper(read, write)(stmt)
 
 
 def map_item_rvalues(item: ast.Item, fn: ExprFn) -> ast.Item:
@@ -344,31 +341,32 @@ class Design:
         continuous assigns (the combinational cone inputs, wires
         included)."""
         drivers = self.drivers()
-        items = self.items
         memo: Dict[str, Set[str]] = {}
-
-        def cone(name: str, stack: Set[str]) -> Set[str]:
-            if name in memo:
-                return memo[name]
-            if name in stack:
-                return set()  # combinational cycle: cut here
-            out: Set[str] = set()
-            stack = stack | {name}
-            for index in drivers.get(name, ()):
-                item = items[index]
-                rhs = (item.rhs if isinstance(item, ast.ContinuousAssign)
-                       else item.init)
-                lhs_extra = (lvalue_reads(item.lhs)
-                             if isinstance(item, ast.ContinuousAssign) else set())
-                for read in collect_identifiers(rhs) | lhs_extra:
-                    out.add(read)
-                    out |= cone(read, stack)
-            memo[name] = out
-            return out
-
         for name in list(drivers):
-            cone(name, set())
+            _cone(name, set(), memo, drivers, self.items)
         return memo
+
+
+def _cone(name: str, stack: Set[str], memo: Dict[str, Set[str]],
+          drivers: Dict[str, List[int]], items: List[ast.Item]) -> Set[str]:
+    """:meth:`Design.comb_sources` of *name*, memoized in *memo*."""
+    if name in memo:
+        return memo[name]
+    if name in stack:
+        return set()  # combinational cycle: cut here
+    out: Set[str] = set()
+    stack = stack | {name}
+    for index in drivers.get(name, ()):
+        item = items[index]
+        rhs = (item.rhs if isinstance(item, ast.ContinuousAssign)
+               else item.init)
+        lhs_extra = (lvalue_reads(item.lhs)
+                     if isinstance(item, ast.ContinuousAssign) else set())
+        for read in collect_identifiers(rhs) | lhs_extra:
+            out.add(read)
+            out |= _cone(read, stack, memo, drivers, items)
+    memo[name] = out
+    return out
 
 
 def node_count(module: ast.Module) -> int:

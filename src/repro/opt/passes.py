@@ -411,6 +411,17 @@ def eliminate_dead(design: Design) -> Tuple[int, int]:
     return removed_procs, removed_sigs
 
 
+def _flat_stmts(stmt: ast.Stmt) -> List[ast.Stmt]:
+    # Block fusion nests the merged bodies; a Block of Ifs is still
+    # all-Ifs, so flatten the block structure before judging.
+    if isinstance(stmt, ast.Block):
+        out: List[ast.Stmt] = []
+        for s in stmt.stmts:
+            out.extend(_flat_stmts(s))
+        return out
+    return [stmt]
+
+
 def detect_clock_gates(design: Design) -> int:
     """Tabulate enable-guarded clocked blocks for early-out dispatch.
 
@@ -438,21 +449,10 @@ def detect_clock_gates(design: Design) -> int:
     """
     design.clock_gates = {}
     found = 0
-
-    def flat_stmts(stmt: ast.Stmt) -> List[ast.Stmt]:
-        # Block fusion nests the merged bodies; a Block of Ifs is still
-        # all-Ifs, so flatten the block structure before judging.
-        if isinstance(stmt, ast.Block):
-            out: List[ast.Stmt] = []
-            for s in stmt.stmts:
-                out.extend(flat_stmts(s))
-            return out
-        return [stmt]
-
     for index, item in enumerate(design.items):
         if not isinstance(item, ast.Always) or item.sensitivity == ast.STAR:
             continue
-        stmts = flat_stmts(item.stmt)
+        stmts = _flat_stmts(item.stmt)
         if not stmts:
             continue
         enables: List[ast.Expr] = []

@@ -39,7 +39,7 @@ DEFAULT_OPT_LEVEL = 2
 
 #: Revision of the code generator; part of every fingerprint so stale
 #: code objects cannot be shared across builds that emit differently.
-_CODEGEN_REV = 13
+_CODEGEN_REV = 14
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),

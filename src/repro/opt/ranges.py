@@ -16,13 +16,10 @@ from .ir import stmt_writes
 
 
 def _atom(expr: ast.Expr, env: WidthEnv) -> Optional[int]:
-    """A literal or parameter that reads the same at every width."""
-    if isinstance(expr, ast.Number):
-        value = expr.value
-    elif isinstance(expr, ast.Identifier) and expr.name in env.params:
-        value = env.params[expr.name]
-    else:
+    """A literal that reads the same at every width."""
+    if not isinstance(expr, ast.Number):
         return None
+    value = expr.value
     return value if 0 <= value < (1 << env.width_of(expr)) else None
 
 
@@ -111,6 +108,27 @@ _UNBOUNDED = {ast.For: "uncounted for", ast.While: "while",
               ast.RepeatStmt: "repeat"}
 
 
+def _cost(stmt: Optional[ast.Stmt], env: WidthEnv, max_trips: int) -> int:
+    """:func:`tick_bound`'s count of one statement (a module function,
+    not a closure naming itself: a bound leaves no reference cycle)."""
+    if isinstance(stmt, (ast.Block, ast.ForkJoin)):
+        return 1 + sum(_cost(child, env, max_trips) for child in stmt.stmts)
+    if isinstance(stmt, ast.If):
+        return 1 + max(_cost(stmt.then_stmt, env, max_trips),
+                       _cost(stmt.else_stmt, env, max_trips))
+    if isinstance(stmt, ast.Case):
+        return 1 + max((_cost(item.stmt, env, max_trips) for item in stmt.items),
+                       default=0)
+    if isinstance(stmt, ast.For) and (
+            trips := counted_loop(stmt, env, max_trips)) is not None:
+        return 1 + len(trips) * (_cost(stmt.body, env, max_trips) + 2)
+    if type(stmt) in _UNBOUNDED:
+        raise _Unbounded(_UNBOUNDED[type(stmt)])
+    if isinstance(stmt, ast.DelayStmt):
+        return 1 + _cost(stmt.stmt, env, max_trips)
+    return 0 if stmt is None else 1
+
+
 def tick_bound(module: ast.Module, env: WidthEnv,
                max_trips: int) -> Tuple[Optional[int], str]:
     """The most statements the reference interpreter runs in one tick.
@@ -121,26 +139,10 @@ def tick_bound(module: ast.Module, env: WidthEnv,
     ``if``/``case`` one plus their largest branch, a counted ``for`` one
     plus its trips times its body, test and step.
     """
-    def cost(stmt: Optional[ast.Stmt]) -> int:
-        if isinstance(stmt, (ast.Block, ast.ForkJoin)):
-            return 1 + sum(map(cost, stmt.stmts))
-        if isinstance(stmt, ast.If):
-            return 1 + max(cost(stmt.then_stmt), cost(stmt.else_stmt))
-        if isinstance(stmt, ast.Case):
-            return 1 + max((cost(item.stmt) for item in stmt.items), default=0)
-        if isinstance(stmt, ast.For) and (
-                trips := counted_loop(stmt, env, max_trips)) is not None:
-            return 1 + len(trips) * (cost(stmt.body) + 2)
-        if type(stmt) in _UNBOUNDED:
-            raise _Unbounded(_UNBOUNDED[type(stmt)])
-        if isinstance(stmt, ast.DelayStmt):
-            return 1 + cost(stmt.stmt)
-        return 0 if stmt is None else 1
-
     total = index = 0
     for item in module.items:
         try:
-            total += cost(item.stmt) if isinstance(item, ast.Always) else 0
+            total += _cost(item.stmt, env, max_trips) if isinstance(item, ast.Always) else 0
         except _Unbounded as why:
             return None, f"p{index}: {why}"
         # the interpreter's processes: a flat module's non-declarations

@@ -73,11 +73,13 @@ class Number(Expr):
         width = "" if self.width is None else str(self.width)
         sign = "s" if self.signed else ""
         if self.base == "d":
-            digits = str(self.value)
+            digits = str(abs(self.value))
         else:
             fmt = {"h": "x", "o": "o", "b": "b"}[self.base]
-            digits = format(self.value, fmt)
-        return f"{width}'{sign}{self.base}{digits}"
+            digits = format(abs(self.value), fmt)
+        # a signed parameter holds its integer reading: -8'sd3
+        minus = "-" if self.value < 0 else ""
+        return f"{minus}{width}'{sign}{self.base}{digits}"
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,13 @@ Flattening rules:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import ast_nodes as ast
 from .fold import fold_expr
-from .rewrite import map_expr, map_item_exprs, rename_item
-from .width import WidthError, const_eval
+from .rewrite import map_expr, map_item_exprs, rename_item, substitute_expr
+from .width import const_eval, const_number, const_value, mask, to_signed
 
 
 class ElaborationError(Exception):
@@ -37,28 +38,60 @@ HIER_SEP = "$"
 
 def _resolve_params(
     module: ast.Module,
-    overrides: Mapping[str, int],
-) -> Dict[str, int]:
-    """Compute the full parameter binding for one instantiation."""
-    params: Dict[str, int] = {}
+    overrides: Mapping[str, ast.Expr],
+) -> Dict[str, ast.Number]:
+    """Compute the full parameter binding for one instantiation.
+
+    Each parameter is a literal (IEEE 1364-2005 §12.2): its initializer,
+    or its override, with the earlier parameters substituted, valued by
+    the one constant semantics (:func:`~repro.verilog.width.const_number`)
+    at its own width and signedness.  Where a range is declared (an
+    ``integer`` is ``[31:0]``, signed) the expression is valued as the
+    right-hand side of an assignment to a reg of that range.
+    """
+    params: Dict[str, ast.Number] = {}
     for item in module.items:
         if isinstance(item, ast.Decl) and item.kind in ("parameter", "localparam"):
             if item.kind == "parameter" and item.name in overrides:
-                params[item.name] = overrides[item.name]
+                expr = overrides[item.name]
             elif item.init is not None:
-                params[item.name] = const_eval(item.init, params)
+                expr = substitute_expr(item.init, params)
             else:
                 raise ElaborationError(f"parameter {item.name} has no value")
+            if item.range is None:
+                value = const_number(expr)
+            else:
+                width = abs(const_eval(substitute_expr(item.range.msb, params))
+                            - const_eval(substitute_expr(item.range.lsb, params))) + 1
+                bits = const_value(expr, width)
+                value = None if bits is None else ast.Number(mask(bits, width), width)
+            if value is None:
+                raise ElaborationError(f"parameter {item.name}: {expr!r} is not constant")
+            params[item.name] = _integer(value, item.signed or value.signed)
     return params
+
+
+def _integer(value: ast.Number, signed: bool) -> ast.Number:
+    """*value* holding its integer reading where it is signed or unsized
+    (an unsized parameter is an ``integer``, §12.2): two's complement,
+    negative where the sign bit is set.  Every engine masks a literal to
+    its context width, so a negative one extends its sign into a wider
+    context, as the standard asks of a signed parameter."""
+    if not signed and value.width is not None:
+        return value
+    width = 32 if value.width is None else value.width
+    return replace(value, value=to_signed(mask(value.value, width), width), signed=signed)
 
 
 def _instance_param_overrides(
     inst: ast.Instance,
     child: ast.Module,
-    parent_params: Mapping[str, int],
-) -> Dict[str, int]:
-    """Evaluate the parameter overrides of *inst* in the parent's scope."""
-    overrides: Dict[str, int] = {}
+    parent_params: Mapping[str, ast.Number],
+) -> Dict[str, ast.Expr]:
+    """The parameter overrides of *inst*, in the parent's scope: each
+    expression with the parent's parameters substituted, valued by the
+    child's :func:`_resolve_params` as its own initializer would be."""
+    overrides: Dict[str, ast.Expr] = {}
     param_names = [
         item.name
         for item in child.items
@@ -67,26 +100,26 @@ def _instance_param_overrides(
     for position, conn in enumerate(inst.params):
         if conn.expr is None:
             continue
-        value = const_eval(conn.expr, parent_params)
-        if conn.name is not None:
-            overrides[conn.name] = value
-        else:
+        if conn.name is None:
             if position >= len(param_names):
                 raise ElaborationError(
                     f"{inst.name}: too many positional parameter overrides"
                 )
-            overrides[param_names[position]] = value
+            name = param_names[position]
+        else:
+            name = conn.name
+        overrides[name] = substitute_expr(conn.expr, parent_params)
     return overrides
 
 
-def _materialize_params(items: List[ast.Item], params: Mapping[str, int]) -> List[ast.Item]:
-    """Drop parameter declarations, substituting their constant values."""
-    mapping = {name: ast.Number(value) for name, value in params.items()}
+def _materialize_params(items: List[ast.Item],
+                        params: Mapping[str, ast.Number]) -> List[ast.Item]:
+    """Drop parameter declarations, substituting their literals."""
     out: List[ast.Item] = []
     for item in items:
         if isinstance(item, ast.Decl) and item.kind in ("parameter", "localparam"):
             continue
-        out.append(_subst_item(item, mapping))
+        out.append(_subst_item(item, params))
     return out
 
 
@@ -136,7 +169,7 @@ def _port_bindings(
 def flatten(
     source: ast.SourceFile,
     top: str,
-    overrides: Optional[Mapping[str, int]] = None,
+    overrides: Optional[Mapping[str, ast.Expr]] = None,
     _depth: int = 0,
 ) -> ast.Module:
     """Flatten the hierarchy rooted at module *top* into a single module.

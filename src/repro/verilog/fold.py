@@ -1,6 +1,6 @@
 """Width-safe constant folding over literal subtrees.
 
-The folder collapses expression nodes whose operands are all
+The folder collapses an operator node whose operands are all
 :class:`~repro.verilog.ast_nodes.Number` literals — the trees that
 parameter materialization and the mid-end's constant propagation leave
 behind — into a single literal, *without* changing observable width
@@ -12,165 +12,60 @@ width (LRM §5.4): ``8'hFF + 8'h01`` is ``16'h100`` in a 16-bit context
 but ``8'h00`` in an 8-bit one.  A literal produced by folding is
 re-masked at whatever context it lands in, so a fold is only legal
 when the folded value is identical at *every* context width the
-original could be evaluated at.  Concretely each rule folds only when
-the exact (unbounded, non-negative) result fits the expression's
-self-determined width — then masking at any wider context is the
-identity on both sides.
+original could be evaluated at.  The node is valued once by the
+reference evaluator (:func:`~repro.verilog.width.const_value`) at its
+own width and once at a context wide enough to hold its exact result;
+it folds only where the two agree.
 
 Signed literals are left alone entirely: signedness propagates upward
 into comparison semantics, and replacing a signed subtree with an
 unsigned literal would flip a parent comparison from signed to
-unsigned.
+unsigned.  x/z masks carry don't-care semantics (casez labels) that a
+folded value would erase.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import ast_nodes as ast
+from .width import const_number, const_value
 
-#: Context-determined operators folded by exact-value rules.
-_ADDITIVE = {"+", "-", "*"}
-_BITWISE = {"&", "|", "^"}
-_COMPARES = {"==": "==", "!=": "!=", "===": "==", "!==": "!=",
-             "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-
-def _lit(expr: ast.Expr) -> Optional[ast.Number]:
-    """The expression as a foldable literal, else None.
-
-    Only unsigned, x/z-free literals participate: signed literals
-    carry comparison semantics and x/z masks carry don't-care
-    semantics (casez labels) that a folded value would erase.
-    """
-    if isinstance(expr, ast.Number) and not expr.signed and not expr.xz_mask:
-        return expr
-    return None
-
-
-def _width(num: ast.Number) -> int:
-    return num.width if num.width is not None else 32
-
-
-def _make(value: int, width: Optional[int]) -> Optional[ast.Number]:
-    """A literal for *value* at self-determined *width*, or None when
-    the value does not fit (folding would truncate)."""
-    if value < 0:
-        return None
-    if width is None:
-        # Unsized literals print as plain decimals and default to 32
-        # bits; stay within the non-negative signed range so reparsing
-        # and resizing cannot reinterpret the value.
-        if value >= (1 << 31):
-            return None
-        return ast.Number(value)
-    if value >= (1 << width):
-        return None
-    return ast.Number(value, width)
-
-
-def _result_width(left: ast.Number, right: ast.Number) -> Optional[int]:
-    """Self-determined width of a context-determined binary result —
-    None (unsized) only when both operands are unsized."""
-    if left.width is None and right.width is None:
-        return None
-    return max(_width(left), _width(right))
+#: shifts by more than this read 0 at run time through the engines'
+#: guard path; they are left for it
+_SHIFT_GUARD = 4096
+#: operators never folded, so the flat prints stay as they were (a
+#: ``-(1'd0)`` would fold soundly)
+_AS_WRITTEN = {ast.Unary: ("+", "-", "~"), ast.Binary: ("**",)}
 
 
 def fold_expr(expr: ast.Expr) -> ast.Expr:
-    """Fold *expr* if it is an all-literal node; otherwise return it.
+    """Fold *expr* if it is an all-literal operator node; otherwise
+    return it.
 
     Designed as a ``map_expr`` callback: children are already folded
     when the parent is visited, so constant trees collapse bottom-up.
+    An unsized fold stays unsized (and below 2^31, so reparsing and
+    resizing cannot reinterpret it).
     """
-    if isinstance(expr, ast.Unary):
-        operand = _lit(expr.operand)
-        if operand is None:
-            return expr
-        value = operand.value
-        if expr.op == "!":
-            return ast.Number(0 if value else 1, 1)
-        if expr.op == "|":
-            return ast.Number(1 if value else 0, 1)
-        if expr.op == "~|":
-            return ast.Number(0 if value else 1, 1)
-        if expr.op == "&":
-            full = (1 << _width(operand)) - 1
-            return ast.Number(1 if value == full else 0, 1)
-        if expr.op == "~&":
-            full = (1 << _width(operand)) - 1
-            return ast.Number(0 if value == full else 1, 1)
-        if expr.op == "^":
-            return ast.Number(bin(value).count("1") & 1, 1)
-        if expr.op in ("~^", "^~"):
-            return ast.Number((bin(value).count("1") & 1) ^ 1, 1)
-        # ~ and unary - depend on the context mask; not foldable.
+    kind = type(expr)
+    if kind is not ast.Binary and kind is not ast.Unary and kind is not ast.Ternary:
         return expr
-    if isinstance(expr, ast.Binary):
-        left = _lit(expr.left)
-        right = _lit(expr.right)
-        if left is None or right is None:
+    for operand in ast.expr_children(expr):
+        if type(operand) is not ast.Number or operand.signed or operand.xz_mask:
             return expr
-        op = expr.op
-        if op in _ADDITIVE or op in _BITWISE:
-            value = {
-                "+": left.value + right.value,
-                "-": left.value - right.value,
-                "*": left.value * right.value,
-                "&": left.value & right.value,
-                "|": left.value | right.value,
-                "^": left.value ^ right.value,
-            }[op]
-            folded = _make(value, _result_width(left, right))
-            return folded if folded is not None else expr
-        if op in _COMPARES:
-            table = {
-                "==": left.value == right.value,
-                "!=": left.value != right.value,
-                "<": left.value < right.value,
-                "<=": left.value <= right.value,
-                ">": left.value > right.value,
-                ">=": left.value >= right.value,
-            }
-            return ast.Number(int(table[_COMPARES[op]]), 1)
-        if op == "&&":
-            return ast.Number(int(bool(left.value) and bool(right.value)), 1)
-        if op == "||":
-            return ast.Number(int(bool(left.value) or bool(right.value)), 1)
-        if op in ("<<", "<<<"):
-            if right.value > 4096:
-                return expr  # matches the runtime's shift guard path
-            folded = _make(left.value << right.value,
-                           left.width if left.width is not None else None)
-            return folded if folded is not None else expr
-        if op in (">>", ">>>"):
-            if right.value > 4096:
-                return expr
-            folded = _make(left.value >> right.value, left.width)
-            return folded if folded is not None else expr
-        if op in ("/", "%"):
-            if right.value == 0:
-                return expr  # division by zero saturates at context width
-            value = (left.value // right.value if op == "/"
-                     else left.value % right.value)
-            folded = _make(value, _result_width(left, right))
-            return folded if folded is not None else expr
+    if kind is not ast.Ternary and (
+            expr.op in _AS_WRITTEN[kind] or kind is ast.Binary
+            and expr.op[:2] in ("<<", ">>") and expr.right.value > _SHIFT_GUARD):
         return expr
-    if isinstance(expr, ast.Ternary):
-        cond = _lit(expr.cond)
-        if cond is None:
-            return expr
-        taken = expr.if_true if cond.value else expr.if_false
-        dropped = expr.if_false if cond.value else expr.if_true
-        taken_lit, dropped_lit = _lit(taken), _lit(dropped)
-        # Replacing the ternary with one arm changes the node's
-        # self-determined width unless the kept arm dominates; with
-        # literal arms that is checkable exactly.
-        if taken_lit is not None and dropped_lit is not None:
-            if (taken_lit.width is None and dropped_lit.width is None):
-                return taken
-            if (taken_lit.width is not None and dropped_lit.width is not None
-                    and _width(taken_lit) >= _width(dropped_lit)):
-                return taken
+    folded = const_number(expr)
+    if folded is None or folded.signed:
         return expr
-    return expr
+    if kind is ast.Ternary:  # the taken arm, where it is the node's width
+        taken = expr.if_true if expr.cond.value else expr.if_false
+        return taken if taken.width == folded.width else expr
+    width = 32 if folded.width is None else folded.width
+    # wide enough for any exact result: a product, a guarded shift
+    if const_value(expr, 64 * width + _SHIFT_GUARD + 1) != folded.value:
+        return expr
+    if folded.width is None and folded.value >= 1 << 31:
+        return expr
+    return folded

@@ -156,11 +156,11 @@ class Parser:
         self._expect_op("(")
         while not self._at_op(")"):
             self._accept_kw("parameter")
-            rng = self._parse_opt_range()
+            signed, rng = self._parse_param_type()
             name = self._expect_id()
             self._expect_op("=")
             init = self.parse_expr()
-            decls.append(ast.Decl("parameter", name, rng, init=init))
+            decls.append(ast.Decl("parameter", name, rng, init=init, signed=signed))
             if not self._accept_op(","):
                 break
         self._expect_op(")")
@@ -301,19 +301,24 @@ class Parser:
 
     def _parse_param_decl(self) -> List[ast.Item]:
         kind = self._advance()
-        self._accept_kw("signed")
-        rng = self._parse_opt_range()
+        signed, rng = self._parse_param_type()
         decls: List[ast.Item] = []
         while True:
             pos = self._pos()
             name = self._expect_id()
             self._expect_op("=")
             init = self.parse_expr()
-            decls.append(ast.Decl(kind, name, rng, init=init, pos=pos))
+            decls.append(ast.Decl(kind, name, rng, init=init, signed=signed, pos=pos))
             if not self._accept_op(","):
                 break
         self._expect_op(";")
         return decls
+
+    def _parse_param_type(self) -> Tuple[bool, Optional[ast.Range]]:
+        """``integer`` (``[31:0]``, signed) or ``[signed] [range]``."""
+        if self._accept_kw("integer"):
+            return True, ast.Range(ast.Number(31), ast.Number(0))
+        return self._accept_kw("signed"), self._parse_opt_range()
 
     def _parse_continuous_assign(self) -> ast.ContinuousAssign:
         pos = self._pos()

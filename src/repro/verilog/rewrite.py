@@ -136,16 +136,30 @@ def map_stmt(stmt: ast.Stmt, child: StmtFn, expr: Optional[ExprFn] = None,
     raise TypeError(f"cannot rewrite statement {kind.__name__}")
 
 
+class StmtMapper:
+    """``map_stmt`` all the way down, with the same *expr* and *lvalue*
+    mappers at every level.  A callable object passes itself as the
+    child mapper without naming itself, so a rewrite leaves no
+    reference cycle behind for the collector (a closure that recurses
+    through its own name is one)."""
+
+    __slots__ = ("expr", "lvalue")
+
+    def __init__(self, expr: Optional[ExprFn], lvalue: Optional[ExprFn]):
+        self.expr = expr
+        self.lvalue = lvalue
+
+    def __call__(self, stmt: ast.Stmt) -> ast.Stmt:
+        return map_stmt(stmt, self, self.expr, self.lvalue)
+
+
 def map_stmt_exprs(stmt: ast.Stmt, fn: ExprFn) -> ast.Stmt:
     """Rewrite every expression inside *stmt* (recursively) with *fn*."""
 
     def expr(node: ast.Expr) -> ast.Expr:
         return map_expr(node, fn)
 
-    def walk(node: ast.Stmt) -> ast.Stmt:
-        return map_stmt(node, walk, expr, expr)
-
-    return walk(stmt)
+    return StmtMapper(expr, expr)(stmt)
 
 
 def map_item_exprs(item: ast.Item, fn: ExprFn) -> ast.Item:
@@ -156,8 +170,7 @@ def map_item_exprs(item: ast.Item, fn: ExprFn) -> ast.Item:
     and instance connections; names are left alone.
     """
 
-    def walk(node: ast.Stmt) -> ast.Stmt:
-        return map_stmt(node, walk, fn, fn)
+    walk = StmtMapper(fn, fn)
 
     def rng(r: ast.Range) -> ast.Range:
         return ast.Range(fn(r.msb), fn(r.lsb))

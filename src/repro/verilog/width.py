@@ -1,15 +1,18 @@
-"""Width/type inference and constant evaluation.
+"""Width/type inference, and the constants read through it.
 
 Implements the Verilog-2005 expression sizing rules (§5.4 of the LRM) for
 the 2-state subset: every expression has a *self-determined* width, and
 operands of context-determined operators are evaluated at the maximum of
 their self-determined width and the context width.  The interpreter and
 the synthesis estimator both consume the :class:`WidthEnv` produced here.
+A constant is a literal tree valued by the reference evaluator over a
+scope of no signals (:func:`const_value`); nothing here has a table of
+its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import ast_nodes as ast
 
@@ -42,74 +45,66 @@ def to_signed(value: int, width: int) -> int:
     return (value & (sign_bit - 1)) - (value & sign_bit)
 
 
-def const_eval(expr: ast.Expr, params: Optional[Mapping[str, int]] = None) -> int:
-    """Evaluate a constant expression (parameters allowed via *params*).
+def const_value(expr: ast.Expr, width: int = 0) -> Optional[int]:
+    """*expr*'s value as the reference
+    :class:`~repro.interp.eval_expr.Evaluator` gives it at *width* (its
+    own width at least), or None where *expr* is not a literal tree.
 
-    Used for ranges, memory dimensions, parameter values, replication
-    counts and case label matching.  Raises :class:`WidthError` when the
-    expression is not constant.
+    The one constant semantics (docs/ARCHITECTURE.md, "Constants"):
+    parameters, ranges, folds and the emitters' constants all read it.
     """
-    params = params or {}
+    if isinstance(expr, ast.Number):  # most calls: a bare literal
+        return mask(expr.value, max(32 if expr.width is None else expr.width, width))
+    valued = _valued(expr, width)
+    return None if valued is None else valued[0]
+
+
+def const_number(expr: ast.Expr) -> Optional[ast.Number]:
+    """Literal tree *expr* as one literal: its :func:`const_value` at its
+    own width and signedness, unsized where it is 32 bits wide and holds
+    no sized literal; None where *expr* is not a literal tree."""
     if isinstance(expr, ast.Number):
-        return expr.value
-    if isinstance(expr, ast.Identifier):
-        if expr.name in params:
-            return params[expr.name]
-        raise WidthError(f"identifier {expr.name!r} is not a constant")
-    if isinstance(expr, ast.Unary):
-        val = const_eval(expr.operand, params)
-        if expr.op == "-":
-            return -val
-        if expr.op == "~":
-            return ~val
-        if expr.op == "!":
-            return 0 if val else 1
-        if expr.op == "&":
-            return 1 if val == -1 else 0  # best effort on unsized constants
-        if expr.op == "|":
-            return 1 if val != 0 else 0
-        raise WidthError(f"unary {expr.op!r} not supported in constant context")
-    if isinstance(expr, ast.Binary):
-        left = const_eval(expr.left, params)
-        right = const_eval(expr.right, params)
-        table = {
-            "+": lambda: left + right,
-            "-": lambda: left - right,
-            "*": lambda: left * right,
-            "/": lambda: left // right if right else 0,
-            "%": lambda: left % right if right else 0,
-            "**": lambda: left ** right,
-            "&": lambda: left & right,
-            "|": lambda: left | right,
-            "^": lambda: left ^ right,
-            "<<": lambda: left << right,
-            ">>": lambda: left >> right,
-            "<<<": lambda: left << right,
-            ">>>": lambda: left >> right,
-            "==": lambda: int(left == right),
-            "!=": lambda: int(left != right),
-            "===": lambda: int(left == right),
-            "!==": lambda: int(left != right),
-            "<": lambda: int(left < right),
-            "<=": lambda: int(left <= right),
-            ">": lambda: int(left > right),
-            ">=": lambda: int(left >= right),
-            "&&": lambda: int(bool(left) and bool(right)),
-            "||": lambda: int(bool(left) or bool(right)),
-        }
-        if expr.op not in table:
-            raise WidthError(f"binary {expr.op!r} not supported in constant context")
-        return table[expr.op]()
-    if isinstance(expr, ast.Ternary):
-        return (
-            const_eval(expr.if_true, params)
-            if const_eval(expr.cond, params)
-            else const_eval(expr.if_false, params)
-        )
-    if isinstance(expr, ast.SysCall) and expr.name == "$clog2" and len(expr.args) == 1:
-        val = const_eval(expr.args[0], params)
-        return max(0, (val - 1).bit_length())
-    raise WidthError(f"expression {expr!r} is not constant")
+        return expr
+    valued = _valued(expr, 0)
+    if valued is None:
+        return None
+    value, width, signed = valued
+    return ast.Number(value, None if width == 32 and _unsized(expr) else width, signed)
+
+
+def const_eval(expr: ast.Expr) -> int:
+    """The integer a range bound, memory dimension, replication count or
+    ``+:`` width reads: :func:`const_number` of *expr*, as two's
+    complement where it is signed or 32 bits wide (an ``integer``, or an
+    unsized decimal, which the engines read unsigned), so ``reg [3:-4]``
+    reads -4.  Raises :class:`WidthError` where *expr* is not constant.
+    """
+    num = const_number(expr)
+    if num is None:
+        raise WidthError(f"expression {expr!r} is not constant")
+    width = 32 if num.width is None else num.width
+    value = mask(num.value, width)
+    return to_signed(value, width) if num.signed or width == 32 else value
+
+
+def _valued(expr: ast.Expr, width: int) -> Optional[Tuple[int, int, bool]]:
+    """``(value at width, own width, signed)`` of literal tree *expr*."""
+    from ..interp.eval_expr import EvalError, Evaluator
+
+    evaluator = Evaluator(_LITERALS, None)
+    evaluator.plan = {}  # its own: no entry outlives the tree
+    try:
+        value = evaluator.eval(expr, width)
+    except (WidthError, EvalError):
+        return None
+    entry = evaluator.entry(expr)
+    return value, entry[1], entry[2]
+
+
+def _unsized(expr: ast.Expr) -> bool:
+    if isinstance(expr, ast.Number):
+        return expr.width is None
+    return not isinstance(expr, ast.String) and all(map(_unsized, ast.expr_children(expr)))
 
 
 class Signal:
@@ -163,9 +158,8 @@ class Signal:
 class WidthEnv:
     """Symbol table mapping names to :class:`Signal` descriptions."""
 
-    def __init__(self, module: ast.Module, params: Optional[Mapping[str, int]] = None):
+    def __init__(self, module: ast.Module):
         self.module = module
-        self.params: Dict[str, int] = dict(params or {})
         self.signals: Dict[str, Signal] = {}
         #: the interpreter's plan: ``id(node) -> entry`` (see
         #: :mod:`repro.interp.eval_expr`); rebuilt on use, never pickled
@@ -180,23 +174,17 @@ class WidthEnv:
         self.plan = {}
 
     def _build(self) -> None:
-        # First pass: resolve parameters/localparams in order.
+        # Every net/variable declaration becomes a Signal; parameters are
+        # literals once a module is flattened.
         for item in self.module.items:
-            if isinstance(item, ast.Decl) and item.kind in ("parameter", "localparam"):
-                if item.name not in self.params:
-                    if item.init is None:
-                        raise WidthError(f"parameter {item.name} has no value")
-                    self.params[item.name] = const_eval(item.init, self.params)
-        # Second pass: every net/variable declaration becomes a Signal.
-        for item in self.module.items:
-            if not isinstance(item, ast.Decl):
+            if not isinstance(item, ast.Decl) or item.kind == "genvar":
                 continue
-            if item.kind in ("parameter", "localparam", "genvar"):
-                continue
+            if item.kind in ("parameter", "localparam"):
+                raise WidthError(f"parameter {item.name}: elaborate first")
             msb, lsb = 0, 0
             if item.range is not None:
-                msb = const_eval(item.range.msb, self.params)
-                lsb = const_eval(item.range.lsb, self.params)
+                msb = const_eval(item.range.msb)
+                lsb = const_eval(item.range.lsb)
             width = abs(msb - lsb) + 1
             depth: Optional[int] = None
             base = 0
@@ -206,8 +194,8 @@ class WidthEnv:
                         f"{item.name}: only single-dimension memories are supported"
                     )
                 dim = item.unpacked[0]
-                hi = const_eval(dim.msb, self.params)
-                lo = const_eval(dim.lsb, self.params)
+                hi = const_eval(dim.msb)
+                lo = const_eval(dim.lsb)
                 depth = abs(hi - lo) + 1
                 base = min(hi, lo)
             self.signals[item.name] = Signal(
@@ -223,7 +211,7 @@ class WidthEnv:
             raise WidthError(f"unknown identifier {name!r}") from None
 
     def has(self, name: str) -> bool:
-        return name in self.signals or name in self.params
+        return name in self.signals
 
     # -- expression sizing -------------------------------------------------
 
@@ -237,8 +225,6 @@ class WidthEnv:
         if isinstance(expr, ast.String):
             return max(8, 8 * len(expr.value))
         if isinstance(expr, ast.Identifier):
-            if expr.name in self.params:
-                return 32
             return self.signal(expr.name).width
         if isinstance(expr, ast.Index):
             sig = self.base_signal(expr.base)
@@ -247,14 +233,14 @@ class WidthEnv:
             return 1
         if isinstance(expr, ast.RangeSelect):
             if expr.mode == ":":
-                msb = const_eval(expr.msb, self.params)
-                lsb = const_eval(expr.lsb, self.params)
+                msb = const_eval(expr.msb)
+                lsb = const_eval(expr.lsb)
                 return abs(msb - lsb) + 1
-            return const_eval(expr.lsb, self.params)  # +: / -: width operand
+            return const_eval(expr.lsb)  # +: / -: width operand
         if isinstance(expr, ast.Concat):
             return sum(self.width_of(p) for p in expr.parts)
         if isinstance(expr, ast.Repeat):
-            return const_eval(expr.count, self.params) * self.width_of(expr.value)
+            return const_eval(expr.count) * self.width_of(expr.value)
         if isinstance(expr, ast.Unary):
             if expr.op in ("!",) or expr.op in _REDUCTION_OPS:
                 return 1
@@ -308,3 +294,6 @@ _SYSFUNC_WIDTHS = {
     "$clog2": 32,
     "$stime": 32,
 }
+
+#: the scope of a literal tree: no signal
+_LITERALS = WidthEnv(ast.Module("", (), ()))

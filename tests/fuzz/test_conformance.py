@@ -126,6 +126,18 @@ class TestCorpus:
             pytest.xfail(f"documented divergence: {report.describe()}")
         assert report.ok, report.describe()
 
+    def test_finish_at_boot_finishes_every_path(self):
+        """The paths agree only if none raises: each ends finished at
+        time 0 with the boot ``$display`` and the state it left."""
+        with open(os.path.join(CORPUS_DIR, "finish_at_boot.v")) as handle:
+            text = handle.read()
+        report = check(parse(text), _corpus_ticks(text), label="finish_at_boot")
+        for path, result in report.results.items():
+            if result.skipped is None:
+                assert (result.error, result.finished, result.display,
+                        result.state) == (None, True, ("boot 5",),
+                                          {"r": 5, "n": 0}), path
+
     @pytest.mark.parametrize("name", ["star_latch.v", "star_temporary.v"])
     def test_star_cones_run_on_both_carriers(self, name, monkeypatch):
         """A latch and a read-after-write temporary are licensed cone

@@ -107,12 +107,15 @@ class TestScalars:
         store.set("a", 0x123)
         assert store.get("a") == 0x23
 
-    def test_parameter_read_through(self):
-        mod = parse_module(
-            "module p(); parameter K = 7; reg [7:0] x; endmodule"
-        )
-        store = Store(WidthEnv(mod))
-        assert store.get("K") == 7
+    def test_parameter_reads_as_its_literal(self):
+        """A parameter is no signal: flattening substitutes its literal
+        wherever it is read, and a store holds no entry for it."""
+        mod = flatten(parse(
+            "module p(); parameter K = 7; reg [7:0] x = K; endmodule"), "p")
+        sim = Simulator(mod, TaskHost())
+        assert sim.store.get("x") == 7
+        with pytest.raises(KeyError):
+            sim.store.get("K")
 
     def test_unknown_name(self, store):
         with pytest.raises(KeyError):

@@ -184,3 +184,39 @@ def test_a_start_far_outside_the_word_stores_nothing():
     for level in (0, 2):
         code = CompiledModuleCode(program.flat, env=program.env, opt_level=level)
         assert _compiled(program, code, 8).store.snapshot() == want, level
+
+
+CONCAT_INDEX = """
+module t(input wire clock);
+  reg [7:0] n = 0;
+  reg [15:0] w = 0;
+  wire [7:0] s;
+  assign s = n ^ w[7:0];
+  always @(posedge clock) begin
+    n <= n + 1;
+    w[({1{8'd192}} & 15)] <= ~n[0];
+    w[{4'd1, 1'b0}] = 1'b1;
+  end
+endmodule
+"""
+
+
+def test_a_constant_concat_index_stores_as_a_constant():
+    """An index that is a literal tree through a replication or a concat
+    (``({1{8'd192}} & 15)`` is 0, ``{4'd1, 1'b0}`` is 2) is a constant to
+    both carriers, as to the interpreter: the field is placed when the
+    source is made, so no bounds guard and no frozen NBA index is left in
+    either carrier's generated source, and the state is the interpreter's."""
+    program = compile_program(CONCAT_INDEX)
+    want = _interp(program, TICKS)
+    assert want["w"] == 0b101  # bit 0: ~n[0] of the last tick (n = 6); bit 2 set
+    code = CompiledModuleCode(program.flat, env=program.env, opt_level=2)
+    assert "if 0 <= " not in code.source and "_x0" not in code.source
+    assert _compiled(program, code, TICKS).store.snapshot() == want
+    if HAVE_NUMPY:
+        lanes = batch_code_for(code).source
+        assert "H_low(" not in lanes and "x0" not in lanes
+        cohort = BatchedCohort(batch_code_for(code))
+        cohort.join(TaskHost())
+        cohort.tick(TICKS)
+        assert cohort.snapshot_lane(0) == want

@@ -95,6 +95,38 @@ def test_reporting_counts_are_read_on_demand():
         "663a56fe473f6ef1"
 
 
+def test_flatten_and_optimise_leave_no_cyclic_garbage():
+    """Elaboration, the mid-end and the tick bound make no reference
+    cycle (a closure that recurses through its own name is one, and
+    took every tree it rewrote with it): over the Table-1 designs, with
+    the collector off, everything they drop dies by reference count."""
+    import gc
+
+    from repro.bench import BENCHMARKS
+    from repro.opt.ranges import tick_bound
+    from repro.verilog import WidthEnv
+
+    texts = {name: bench.source() for name, bench in BENCHMARKS.items()}
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name, text in texts.items():
+            flat = flatten(parse(text), name)
+            env = WidthEnv(flat)
+            optimize_module(flat, env=env, level=2)
+            tick_bound(flat, env, 1000)
+        del flat, env
+        gc.collect()
+        residue = sorted({getattr(obj, "__qualname__", type(obj).__qualname__)
+                          for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not residue, residue
+
+
 def test_deterministic_output():
     flat = flatten(parse(GOLDEN_SRC), "top")
     a = print_module(optimize_module(flat, level=2).module)

@@ -1,6 +1,7 @@
 """Admission control and backpressure: budgets, ordering, cancellation."""
 
 import asyncio
+import os
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.serve import (
 )
 
 from serve_helpers import APP, APP_FOREVER, make_fleet
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 
 def serve(service, **cfg):
@@ -191,6 +194,25 @@ class TestSubmitSurface:
                 assert result.status == "finished"
                 assert result.finished
                 assert result.ticks == 41  # $finish fires when n==40
+
+        asyncio.run(main())
+
+    def test_finish_at_boot_ends_the_tenant_not_its_cotenant(self, service):
+        """A ``$finish`` in an ``initial`` block ends the run at time 0,
+        after the boot ``$display``: the tenant is finished, not failed,
+        and takes no tick; its co-tenant runs to completion."""
+        with open(os.path.join(CORPUS, "finish_at_boot.v")) as handle:
+            boot = handle.read()
+
+        async def main():
+            async with serve(service) as fe:
+                early = await fe.submit(boot, ticks=4, name="boot")
+                other = await fe.submit(APP, ticks=5, name="other")
+                result = await early.result()
+                assert (result.status, result.finished, result.ticks) == \
+                    ("finished", True, 0)
+                assert result.display == ("boot 5",)
+                assert (await other.result()).status == "completed"
 
         asyncio.run(main())
 

@@ -2,26 +2,29 @@
 
 import pytest
 
-from repro.verilog import WidthEnv, WidthError, const_eval, mask, parse_expr, parse_module, to_signed
+from repro.verilog import (
+    WidthEnv, WidthError, ast, const_eval, const_number, const_value, flatten,
+    mask, parse, parse_expr, parse_module, to_signed,
+)
 
-MOD = parse_module("""
+TEXT = """
 module m(input wire clock);
   parameter W = 16;
   localparam HALF = W / 2;
-  wire [7:0] a;
-  wire [15:0] b;
+  wire [HALF-1:0] a;
+  wire [W-1:0] b;
   reg signed [7:0] s;
   reg [31:0] mem [0:63];
   reg [3:0] nib;
   integer i;
   wire one;
 endmodule
-""")
+"""
 
 
 @pytest.fixture(scope="module")
 def env():
-    return WidthEnv(MOD)
+    return WidthEnv(flatten(parse(TEXT), "m"))
 
 
 class TestHelpers:
@@ -39,8 +42,25 @@ class TestConstEval:
     def test_arithmetic(self):
         assert const_eval(parse_expr("3 + 4 * 2")) == 11
 
-    def test_parameters(self):
-        assert const_eval(parse_expr("W - 1"), {"W": 16}) == 15
+    def test_negative_reads_as_an_integer(self):
+        """``-4`` is 2^32 - 4 to the engines; a range reads it as -4."""
+        assert const_value(parse_expr("-4")) == (1 << 32) - 4
+        assert const_eval(parse_expr("-4")) == -4
+
+    def test_sized_arithmetic_wraps(self):
+        assert const_eval(parse_expr("4'd15 + 4'd1")) == 0
+        assert const_eval(parse_expr("&4'b1111")) == 1
+
+    def test_value_at_a_wider_context(self):
+        assert const_value(parse_expr("4'd15 + 4'd1"), 8) == 16
+        assert const_value(parse_expr("~4'd0"), 8) == 0xFF
+
+    def test_const_number_keeps_width_and_sign(self):
+        assert const_number(parse_expr("~4'd0")) == ast.Number(15, 4)
+        assert const_number(parse_expr("{4'd5, 4'd5}")) == ast.Number(0x55, 8)
+        assert const_number(parse_expr("$signed(4'd12)")) == ast.Number(12, 4, True)
+        assert const_number(parse_expr("16 / 2")) == ast.Number(8)
+        assert const_number(parse_expr("x + 1")) is None
 
     def test_ternary(self):
         assert const_eval(parse_expr("1 ? 10 : 20")) == 10
@@ -62,8 +82,14 @@ class TestConstEval:
 
 class TestSignalTable:
     def test_params_resolved(self, env):
-        assert env.params["W"] == 16
-        assert env.params["HALF"] == 8
+        """Flattening sized ``a`` and ``b`` by HALF and W, and left
+        neither parameter behind."""
+        assert env.signal("a").width == 8 and env.signal("b").width == 16
+        assert not env.has("W") and not env.has("HALF")
+
+    def test_unflattened_parameter_raises(self):
+        with pytest.raises(WidthError, match="elaborate first"):
+            WidthEnv(parse_module(TEXT))
 
     def test_widths(self, env):
         assert env.signal("a").width == 8
