@@ -180,25 +180,6 @@ class TransformResult:
             names |= collect_identifiers(init)
         return frozenset(names)
 
-    def state_overhead_bits(self) -> int:
-        """FF bits added by the transformation's bookkeeping."""
-        bits = 64  # __state + __task
-        bits += len(self.guard_wires)  # latched guards
-        stamped = False
-        for site in self.nba_sites:
-            if site.queued:
-                bits += 32  # pending count (queue memories are decls)
-                if site.wc is not None:
-                    bits += 32  # drain cursor
-            else:
-                bits += 1  # we flag (wd/wa counted via module decls)
-                if site.ws is not None:
-                    bits += 32  # sequence stamp
-            stamped = stamped or site.ws is not None or site.wq_seq is not None
-        if stamped:
-            bits += 32  # shared __wseq counter
-        return bits
-
 
 class _State:
     __slots__ = ("id", "stmts", "terminator")

@@ -77,16 +77,6 @@ class Core:
     #: (edge, signal-name) pairs needing edge-detection machinery.
     edge_signals: List[Tuple[str, str]] = field(default_factory=list)
 
-    @property
-    def guard_union(self) -> List[str]:
-        """Every guard wire referenced by the core, in first-use order."""
-        seen: List[str] = []
-        for conjunct in self.conjuncts:
-            for guard in conjunct.guards:
-                if guard not in seen:
-                    seen.append(guard)
-        return seen
-
     def body(self) -> ast.Stmt:
         """The merged core body: each conjunct wrapped in its guard test."""
         stmts: List[ast.Stmt] = []

@@ -4,7 +4,9 @@ Two backends share one ABI surface:
 
 * :class:`InterpSimulator` — the reference tree-walking interpreter;
 * :class:`CompiledSimulator` — the compile-to-closures backend
-  (slot-indexed store, ranked combinational scheduling).
+  (ranked combinational scheduling).
+
+Both keep their values in one slot-indexed :class:`Store`.
 
 :func:`Simulator` is the factory that picks between them (compiled by
 default; set ``REPRO_SIM_BACKEND=interp`` or pass ``backend="interp"``
@@ -19,7 +21,7 @@ from .simulator import (
     DEFAULT_BACKEND, InterpSimulator, SimulationError, Simulator,
 )
 
-_LAZY = ("CompiledSimulator", "SlotStore")
+_LAZY = ("CompiledSimulator",)
 
 
 def __getattr__(name):
@@ -34,7 +36,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "Store", "SlotStore", "EvalError", "Evaluator", "VirtualFS", "VirtualFile",
+    "Store", "EvalError", "Evaluator", "VirtualFS", "VirtualFile",
     "FinishSignal", "TaskHost", "verilog_format",
     "SimulationError", "Simulator", "InterpSimulator", "CompiledSimulator",
     "DEFAULT_BACKEND",

@@ -844,10 +844,8 @@ class BatchedCohort:
         self.lanes = np.zeros(0, dtype=np.intp)
         #: every lane alive?  (``ALL``: one mask never written in place)
         self.alive_all = True
-        #: per lane: host (``$write`` text pending included) and
-        #: memory-name shadow scalars
+        #: per lane: host (``$write`` text pending included)
         self.hosts: List[TaskHost] = []
-        self.misc: List[Dict[str, int]] = []
         #: pending NBAs, queued processes and the lanes each fired in
         self.nba, self.queue, self.qmask = [], [], {}
         self.need_sweep = False
@@ -884,7 +882,6 @@ class BatchedCohort:
         self.alive = np.append(self.alive, not host.finished)
         self.times = np.append(self.times, np.uint64(scalar.time))
         self.hosts.append(host)
-        self.misc.append(dict(scalar.store._misc))
         self.n += 1
         self._resized()
         return self.n - 1
@@ -899,7 +896,6 @@ class BatchedCohort:
         for name in self.mems:
             self.mems[name] = np.delete(self.mems[name], lane, axis=0)
         self.hosts.pop(lane)
-        self.misc.pop(lane)
         self.n -= 1
         self._resized()
 
@@ -913,7 +909,7 @@ class BatchedCohort:
         return out if names is None else {n: out[n] for n in names if n in out}
 
     def restore_lane(self, lane: int, snapshot: Dict[str, object]) -> None:
-        """``SlotStore.restore`` for one lane, edge detection re-primed from
+        """``Store.restore`` for one lane, edge detection re-primed from
         the restored clock as a scalar restore does: it is not an edge."""
         for name, value in snapshot.items():
             if name in self.mems and isinstance(value, list):
@@ -932,27 +928,17 @@ class BatchedCohort:
 
     def get_value(self, name: str, lane: int) -> int:
         slot = self.layout.slot_of.get(name)
-        if slot is not None:
-            return int(self.d[slot, lane])
-        value = self.misc[lane].get(name)
-        if value is None:
-            raise KeyError(f"unknown signal {name!r}")
-        return value
+        if slot is None:
+            raise KeyError(f"no scalar signal {name!r}")
+        return int(self.d[slot, lane])
 
     def set_value(self, name: str, value: int, lane) -> bool:
-        """``SlotStore.set`` on *lane* (an index or a mask), its drain into
+        """``Store.set`` on *lane* (an index or a mask), its drain into
         sweep requests and edge firings done eagerly (nothing intervenes)."""
         sel = lane if isinstance(lane, np.ndarray) else self.lanes == lane
         slot = self.layout.slot_of.get(name)
-        if slot is None:  # a memory name's shadow scalar, as SlotStore keeps
-            new = int(value) & mask(-1, self.env.signal(name).width)
-            lanes = np.flatnonzero(sel).tolist()
-            changed = any(self.misc[i].get(name) != new for i in lanes)
-            for i in lanes:
-                self.misc[i][name] = new
-            self.need_sweep |= changed and bool(
-                self.code.comb_in[self.layout.mem_slot_of[name]])
-            return changed
+        if slot is None:
+            raise KeyError(f"no scalar signal {name!r}")
         row = self.d[slot]
         new = np.uint64(int(value) & self.layout.mask_of[name])
         changed = sel & (row != new)

@@ -10,9 +10,9 @@ workload share one codegen artifact:
   (the compiler service interns it in the artifact store) and reused
   by every engine simulating that module.
 * :class:`CompiledSimulator` — one engine's mutable state: a fresh
-  :class:`SlotStore`, a fresh namespace the shared code object is
-  exec'd into (binding the engine's slots, memories and task host),
-  per-engine edge-detection triggers, and the event queues.
+  :class:`~repro.interp.store.Store`, a fresh namespace the shared code
+  object is exec'd into (binding the engine's slots, memories and task
+  host), per-engine edge-detection triggers, and the event queues.
 
 :class:`CompiledSimulator` is ABI-identical to the reference
 interpreter (:class:`~repro.interp.simulator.InterpSimulator`) — the
@@ -20,7 +20,7 @@ same :class:`~repro.interp.simulator.SimulatorABI` surface, same
 ``store``/``evaluator`` attributes — but executes generated Python
 functions instead of walking the AST.  It does not inherit the
 interpreter: its ``evaluator`` is its own
-:class:`~repro.interp.simulator.Reference` over the slot store, and
+:class:`~repro.interp.simulator.Reference` over its store, and
 every cold path (system tasks and functions, ``$readmem``, trap
 argument evaluation, uncompilable statements and assigns) runs that
 *reference* implementation, keeping behaviour bit-identical by
@@ -29,7 +29,6 @@ construction.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,8 +46,8 @@ from ..simulator import (
 )
 from ...opt import optimize_module
 from ...verilog.width import WidthError
+from ..store import SlotLayout, Store
 from .exprc import CompileFallback, ExprCompiler, HELPERS
-from .slots import SlotLayout, SlotStore
 from .stmtc import ProcessCompiler
 
 
@@ -357,7 +356,7 @@ class CompiledSimulator(SimulatorABI):
         self.code = code
         self.module = code.module
         self.env = code.env
-        self.store = SlotStore(self.env, layout=code.layout)
+        self.store = Store(self.env, layout=code.layout)
         self._nba: List[tuple] = []
         self.evaluator = Reference(self.env, self.store,
                                    host if host is not None else TaskHost(),
@@ -383,16 +382,7 @@ class CompiledSimulator(SimulatorABI):
         self._trail_count = 0
         self._instantiate()
         self._initialize()
-        self._vcd = None
-        vcd_path = os.environ.get("REPRO_VCD")
-        if vcd_path:
-            from ..vcd import claim_vcd, VCDWriter
-
-            # First engine claims the dump: N tenants of one process
-            # must not interleave writes into a single waveform file.
-            if claim_vcd():
-                self._vcd = VCDWriter(vcd_path, self.store, self.env)
-                self._vcd.sample(self.time)
+        self._claim_vcd()
 
     # -- engine instantiation ---------------------------------------------------
 
@@ -733,13 +723,13 @@ class CompiledSimulator(SimulatorABI):
                 except FinishSignal:
                     pass
                 ref.time += 1
+                if vcd is not None:  # (the reference period samples)
+                    vcd.sample(ref.time)
             else:
                 rested = planned
                 self.slow_periods += 1
                 self._reference_period(clock)
             i += 1
-            if vcd is not None:
-                vcd.sample(ref.time)
             executed = ref.stmts_executed - before
             probe = planned and not executed
             if metered:

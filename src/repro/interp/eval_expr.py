@@ -292,7 +292,10 @@ class Evaluator:
         """Write *value* into lvalue *lhs*; returns True on change.  A
         later part of a concatenation sees what an earlier part wrote."""
         if isinstance(lhs, ast.Identifier):
-            return self.store.set(lhs.name, value, notify)
+            try:
+                return self.store.set(lhs.name, value, notify)
+            except KeyError:
+                raise self._unindexed(lhs.name) from None
         if isinstance(lhs, ast.Concat):
             return any([self.assign(lhs.parts[k], bits, notify)
                         for k, bits in self._split(lhs, value)])
@@ -323,7 +326,10 @@ class Evaluator:
         lhs, at = target
         store = self.store
         if isinstance(lhs, ast.Identifier):
-            return store.set(lhs.name, value, notify)
+            try:
+                return store.set(lhs.name, value, notify)
+            except KeyError:
+                raise self._unindexed(lhs.name) from None
         if isinstance(lhs, ast.Concat):
             return any([self.write(at[k], bits, notify)
                         for k, bits in self._split(lhs, value)])
@@ -342,6 +348,13 @@ class Evaluator:
         field <<= low
         return store.set(sig.name, (store.get(sig.name) & ~field)
                          | ((value << low) & field), notify)
+
+    def _unindexed(self, name: str) -> EvalError:
+        """Why the store refused a whole-signal write of *name*: it is
+        a memory, refused as its read is (an undeclared name raises
+        ``WidthError`` here)."""
+        self.env.signal(name)
+        return EvalError(f"memory {name!r} used without an index")
 
     def _split(self, lhs: ast.Concat, value: int):
         """``(k, bits)``: the slice of *value* for each part of *lhs*."""

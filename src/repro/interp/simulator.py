@@ -28,6 +28,7 @@ from ..verilog.width import WidthEnv
 from .eval_expr import EvalError, Evaluator
 from .store import Store
 from .systasks import FinishSignal, TaskHost
+from .vcd import VCDWriter, claim_vcd
 
 _MAX_LOOP_ITERATIONS = 1 << 21
 _MAX_SETTLE_ROUNDS = 10_000
@@ -42,7 +43,7 @@ class _Event:
 
     __slots__ = ("edge", "expr", "deps", "prev")
 
-    def __init__(self, edge: str, expr: ast.Expr, deps: Set[str], prev: int = 0):
+    def __init__(self, edge: str, expr: ast.Expr, deps: Set[int], prev: int = 0):
         self.edge = edge
         self.expr = expr
         self.deps = deps
@@ -216,7 +217,20 @@ class SimulatorABI:
     and ``_nba`` (the queue that reference appends to), and defines
     ``settle``, ``_drain_dirty`` (wake what outside writes changed),
     ``_prime_edges`` and ``tick``; nothing here reads anything else.
+    An engine ends its construction with :meth:`_claim_vcd`.
     """
+
+    #: the waveform writer, while this engine holds the ``REPRO_VCD`` dump
+    _vcd: Optional[VCDWriter] = None
+
+    def _claim_vcd(self) -> None:
+        """Take the process's dump if ``REPRO_VCD`` is set and no engine
+        holds it (N tenants must not interleave one file); the boot
+        state is its first sample."""
+        path = os.environ.get("REPRO_VCD")
+        if path and claim_vcd():
+            self._vcd = VCDWriter(path, self.store, self.env)
+            self._vcd.sample(self.time)
 
     @property
     def host(self) -> TaskHost:
@@ -286,6 +300,8 @@ class SimulatorABI:
         except FinishSignal:
             pass
         self.time += 1
+        if self._vcd is not None:
+            self._vcd.sample(self.time)
 
     def run(self, clock: str = "clock", max_cycles: int = 1_000_000) -> int:
         """Tick until ``$finish`` or *max_cycles*; returns cycles driven."""
@@ -348,9 +364,11 @@ class InterpSimulator(SimulatorABI):
         self._assigns: Deque[_Process] = deque()
         self._blocks: Deque[_Process] = deque()
         self._processes: List[_Process] = []
-        self._dep_map: Dict[str, List[_Process]] = {}
+        #: slot -> the processes its change may wake
+        self._dep_map: Dict[int, List[_Process]] = {}
         self._build_processes()
         self._initialize()
+        self._claim_vcd()
 
     # -- construction ---------------------------------------------------------
 
@@ -360,22 +378,21 @@ class InterpSimulator(SimulatorABI):
             if isinstance(item, ast.ContinuousAssign):
                 deps = collect_identifiers(item.rhs) | lvalue_reads(item.lhs)
                 proc = _Process(index, "assign", assign=item, star_deps=deps)
-                self._register(proc, deps)
+                self._register(proc, self._slots(deps))
             elif isinstance(item, ast.Always):
                 if item.sensitivity == ast.STAR:
                     deps = stmt_identifiers(item.stmt)
                     proc = _Process(index, "always", stmt=item.stmt, star_deps=deps)
-                    self._register(proc, deps)
+                    self._register(proc, self._slots(deps))
                 else:
                     events = [
-                        _Event(e.edge, e.expr, collect_identifiers(e.expr))
+                        _Event(e.edge, e.expr,
+                               self._slots(collect_identifiers(e.expr)))
                         for e in item.sensitivity
                     ]
                     proc = _Process(index, "always", stmt=item.stmt, events=events)
-                    deps: Set[str] = set()
-                    for event in events:
-                        deps |= event.deps
-                    self._register(proc, deps)
+                    self._register(proc, set().union(
+                        *(event.deps for event in events)))
             elif isinstance(item, ast.Initial):
                 proc = _Process(index, "initial", stmt=item.stmt)
                 self._processes.append(proc)
@@ -383,15 +400,22 @@ class InterpSimulator(SimulatorABI):
                 implied = ast.ContinuousAssign(ast.Identifier(item.name), item.init)
                 deps = collect_identifiers(item.init)
                 proc = _Process(index, "assign", assign=implied, star_deps=deps)
-                self._register(proc, deps)
+                self._register(proc, self._slots(deps))
             else:
                 continue
             index += 1
 
-    def _register(self, proc: _Process, deps: Set[str]) -> None:
+    def _slots(self, names: Set[str]) -> Set[int]:
+        """The store slots of the signals and memories *names* holds."""
+        slot_of, mem_slot_of = self.store.slot_of, self.store.mem_slot_of
+        slots = {slot_of.get(name, mem_slot_of.get(name)) for name in names}
+        slots.discard(None)
+        return slots
+
+    def _register(self, proc: _Process, slots: Set[int]) -> None:
         self._processes.append(proc)
-        for name in deps:
-            self._dep_map.setdefault(name, []).append(proc)
+        for slot in slots:
+            self._dep_map.setdefault(slot, []).append(proc)
 
     def _initialize(self) -> None:
         # Register/integer initializers, in declaration order.
@@ -439,16 +463,19 @@ class InterpSimulator(SimulatorABI):
             return 0
 
     def _drain_dirty(self) -> None:
-        """Convert the store's changed names into process activations.
+        """Convert the store's changed slots into process activations.
 
-        ``Store.dirty`` is insertion-ordered, so activation order is
-        deterministic: one fixed, valid Verilog schedule per program,
-        every run.
+        ``dirty_list`` holds slots in first-change order, so activation
+        order is deterministic: one fixed, valid Verilog schedule per
+        program, every run.
         """
-        dirty = self.store.dirty
-        while dirty:
-            changed = next(iter(dirty))
-            del dirty[changed]
+        store = self.store
+        dirty, flags = store.dirty_list, store.dirty_flags
+        i = 0
+        while i < len(dirty):
+            changed = dirty[i]
+            i += 1
+            flags[changed] = 0
             for proc in self._dep_map.get(changed, ()):
                 if proc.kind == "assign" or proc.star_deps:
                     self._enqueue(proc)
@@ -460,6 +487,7 @@ class InterpSimulator(SimulatorABI):
                     if event.triggered(new):
                         self._enqueue(proc)
                     event.prev = new
+        del dirty[:]
 
     def settle(self) -> None:
         """Run evaluation events to fixpoint (no NBA latching).

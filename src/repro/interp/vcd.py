@@ -2,12 +2,14 @@
 
 Hand-rolled value-change-dump support in the silicon-simulator idiom:
 once the scheduler makes value changes explicit, waveforms come nearly
-free — the writer diffs the slot store against a shadow copy at each
+free — the writer diffs the store's slots against a shadow copy at each
 sample point and emits only the changed signals.
 
 One process may host many engines but a VCD file has one timeline, so
 the dump is claimed by the first engine constructed after ``REPRO_VCD``
-is set (:func:`claim_vcd`); later engines run undumped.  Tests release
+is set (:func:`claim_vcd`, on either software engine); later engines run
+undumped, except that a tenant moving to a new software engine hands
+the writer along (:meth:`VCDWriter.rebind`).  Tests release
 the claim with :func:`reset_vcd_claim`.
 
 The format subset written (and read back by :func:`read_vcd`) is the
@@ -50,43 +52,52 @@ def _ident(n: int) -> str:
 
 
 class VCDWriter:
-    """Dump a :class:`~repro.interp.compile.slots.SlotStore` to VCD.
+    """Dump a :class:`~repro.interp.store.Store` to VCD.
 
     ``sample(time)`` scans the store's scalar data array against a
     shadow copy and emits a ``#time`` section when anything changed
     (the first sample dumps everything, establishing initial values).
     Sampling after every native cycle gives the classic one-timestamp-
-    per-period waveform.
+    per-period waveform.  :meth:`rebind` moves the dump onto another
+    engine's store of the same program, so a waveform follows its
+    tenant from engine to engine.
     """
 
     def __init__(self, path: str, store, env, timescale: str = "1ns"):
-        self.store = store
         # Slot order makes the variable list deterministic per layout.
-        self.signals: List[Tuple[int, str, int, str]] = []
-        layout = store.layout
-        for name, slot in sorted(layout.slot_of.items(), key=lambda kv: kv[1]):
+        #: (name, width, identifier) of every dumped signal
+        self.signals: List[Tuple[str, int, str]] = []
+        for name in sorted(store.slot_of, key=store.slot_of.get):
             sig = env.signals.get(name)
             width = sig.width if sig is not None else 1
-            self.signals.append((slot, name, width, _ident(len(self.signals))))
+            self.signals.append((name, width, _ident(len(self.signals))))
+        self._shadow: List[object] = [None] * len(self.signals)
+        self.rebind(store)
         self._fh = open(path, "w")
-        self._shadow = [None] * len(store.data)
         w = self._fh.write
         w(f"$timescale {timescale} $end\n")
         w("$scope module top $end\n")
-        for _slot, name, width, ident in self.signals:
+        for name, width, ident in self.signals:
             w(f"$var wire {width} {ident} {name} $end\n")
         w("$upscope $end\n")
         w("$enddefinitions $end\n")
+
+    def rebind(self, store) -> None:
+        """Sample *store* from now on; a signal it lacks stops changing."""
+        self.store = store
+        self._slots = [(k, store.slot_of[name], width, ident)
+                       for k, (name, width, ident) in enumerate(self.signals)
+                       if name in store.slot_of]
 
     def sample(self, time: int) -> None:
         data = self.store.data
         shadow = self._shadow
         changes: List[str] = []
-        for slot, _name, width, ident in self.signals:
+        for k, slot, width, ident in self._slots:
             value = data[slot]
-            if shadow[slot] == value:
+            if shadow[k] == value:
                 continue
-            shadow[slot] = value
+            shadow[k] = value
             changes.append(f"b{value:0{width}b} {ident}\n")
         if changes:
             fh = self._fh

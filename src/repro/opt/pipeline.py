@@ -17,7 +17,8 @@ The **fingerprint** names the exact pass schedule *and* the codegen
 generation; it joins the program digest in every optimized artifact's
 cache key, so two services (or two opt levels inside one fuzz oracle)
 can share one artifact store without aliasing.  Bump ``_CODEGEN_REV``
-whenever emitted code changes shape.
+whenever emitted code changes shape, or a pickled artifact's classes
+move module.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ DEFAULT_OPT_LEVEL = 2
 
 #: Revision of the code generator; part of every fingerprint so stale
 #: code objects cannot be shared across builds that emit differently.
-_CODEGEN_REV = 14
+_CODEGEN_REV = 15
 
 _PIPELINES: Dict[int, Tuple[Tuple[str, Callable[[Design], object]], ...]] = {
     0: (),

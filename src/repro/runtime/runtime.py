@@ -193,13 +193,18 @@ class Runtime:
         instance started; replaying their side effects would violate
         transparency) and restores through ``restore_state`` — edge
         re-detection suppressed, so state captured with a trigger still
-        high does not replay that edge.
+        high does not replay that edge.  A software engine leaving hands
+        on the waveform it dumps, rebound to the new store.
         """
         engine = self._software_engine(quiet=True)
         engine.sim.restore_state({"store": state,
                                   "vfs": self.host.vfs.snapshot(),
                                   "time": time})
         engine.sim.step()
+        old = getattr(self.engine, "sim", None)  # a software engine's
+        if old is not None and old._vcd is not None:
+            old._vcd.rebind(engine.sim.store)
+            engine.sim._vcd, old._vcd = old._vcd, None
         self.engine = engine
 
     # -- hardware attachment ----------------------------------------------------

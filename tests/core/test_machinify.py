@@ -174,10 +174,6 @@ class TestStateGraph:
         mem_site = [s for s in result.nba_sites if s.wa is not None]
         assert mem_site, "dynamic-index NBA needs a __wa register"
 
-    def test_state_overhead_accounting(self):
-        result = transform(FIG2)
-        assert result.state_overhead_bits() >= 64
-
 
 class TestErrors:
     def test_instance_rejected(self):

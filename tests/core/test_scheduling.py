@@ -89,7 +89,6 @@ class TestBuildCore:
         """)
         core = build_core(mod)
         assert len(core.conjuncts) == 2
-        assert core.guard_union == ["__pos_clock", "__neg_rst"]
         assert ("negedge", "rst") in core.edge_signals
 
     def test_multi_clock_domains(self):

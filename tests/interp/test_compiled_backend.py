@@ -11,7 +11,8 @@ import pytest
 from repro.bench import BENCHMARKS, datagen, regexc
 from repro.harness.common import bench_vfs
 from repro.interp import (
-    CompiledSimulator, InterpSimulator, Simulator, TaskHost, VirtualFS,
+    CompiledSimulator, EvalError, InterpSimulator, Simulator, TaskHost,
+    VirtualFS,
 )
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.simulator import SimulationError
@@ -109,15 +110,29 @@ def test_edge_before_star_keeps_interp_order():
     assert results["compiled"] == results["interp"]
 
 
-def test_set_on_memory_name_matches_reference_store():
-    """ABI set() on a declared memory name shadows, like the oracle."""
-    flat = flatten(parse(
-        "module m(input wire clock); reg [7:0] mem [0:3]; endmodule"), "m")
-    for backend in ("interp", "compiled"):
-        sim = Simulator(flat, TaskHost(), backend=backend)
-        assert sim.store.set("mem", 5) is True
-        assert sim.store.get("mem") == 5
-        assert sim.store.mem_get("mem", 0) == 0
+@pytest.mark.parametrize("op", ["=", "<="])
+@pytest.mark.parametrize("backend, level",
+                         [("interp", None), ("compiled", 0), ("compiled", 2)])
+def test_whole_memory_assignment_is_refused(backend, level, op):
+    """``mem = 5`` names no word: every software engine raises what a
+    read of ``mem`` raises (the compiled one through its escape), and
+    the ABI refuses the name as it refuses an undeclared one."""
+    flat = flatten(parse(f"""
+        module m(input wire clock);
+          reg [7:0] mem [0:3];
+          reg [7:0] q = 0;
+          always @(posedge clock) begin mem {op} 5; q <= mem[0]; end
+        endmodule"""), "m")
+    code = (None if backend == "interp"
+            else CompiledModuleCode(flat, opt_level=level))
+    sim = Simulator(flat, TaskHost(), backend=backend, code=code)
+    with pytest.raises(EvalError, match="memory 'mem' used without an index"):
+        sim.tick()
+    for name in ("mem", "ghost"):
+        with pytest.raises(KeyError):
+            sim.get(name)
+        with pytest.raises(KeyError):
+            sim.set(name, 5)
 
 
 def test_impure_continuous_assign_matches_oracle():

@@ -33,7 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 import repro.interp.simulator as reference
 from repro.interp import CompiledSimulator, InterpSimulator, TaskHost
 from repro.interp.compile import CompiledModuleCode, stmtc
-from repro.interp.compile.slots import SlotLayout, SlotStore
+from repro.interp.store import SlotLayout, Store
 from repro.interp.eval_expr import Evaluator
 from repro.interp.simulator import SimulationError
 from repro.opt.ranges import counted_loop, interval
@@ -376,7 +376,7 @@ def test_interval_holds_every_evaluation(expr, a, b, c, dsc, words, inside):
     if proved is None:
         return
     lo, hi = proved
-    store = SlotStore(_ENV, _LAYOUT)
+    store = Store(_ENV, _LAYOUT)
     for name, value in zip(_FREE, (a, b, c, dsc)):
         store.set(name, value, notify=False)
     for addr, word in enumerate(words):

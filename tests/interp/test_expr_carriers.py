@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.interp.compile.exprc import HELPERS, ExprCompiler
-from repro.interp.compile.slots import SlotLayout, SlotStore
+from repro.interp.store import SlotLayout, Store
 from repro.interp.eval_expr import Evaluator
 from repro.verilog import ast_nodes as ast
 from repro.verilog import parse_module
@@ -227,7 +227,7 @@ def _table():
 # -- the three evaluations ---------------------------------------------------
 
 def _store(values):
-    store = SlotStore(ENV, LAYOUT)
+    store = Store(ENV, LAYOUT)
     for name, value in values.items():
         store.set(name, value, notify=False)
     for name, words in MEM.items():

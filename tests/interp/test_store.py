@@ -1,4 +1,4 @@
-"""Store tests: the change record, capture accounting, selective snapshots."""
+"""Store tests: the change feed, capture accounting, selective snapshots."""
 
 import pytest
 
@@ -20,25 +20,48 @@ def store():
     return Store(WidthEnv(MOD))
 
 
+def changed(store):
+    """The store's change feed, its slots named through the layout."""
+    layout = store.layout
+    name_of = {slot: name for names in (layout.slot_of, layout.mem_slot_of)
+               for name, slot in names.items()}
+    return [name_of[slot] for slot in store.dirty_list]
+
+
+def drain(store):
+    """Consume the change feed, as an engine's scheduler does."""
+    for slot in store.dirty_list:
+        store.dirty_flags[slot] = 0
+    del store.dirty_list[:]
+
+
 class TestDirty:
     def test_recorded_on_change(self, store):
         store.set("a", 1)
-        assert list(store.dirty) == ["a"]
+        assert changed(store) == ["a"]
 
     def test_not_recorded_on_same_value(self, store):
         store.set("a", 5)
-        store.dirty.clear()
+        drain(store)
         store.set("a", 5)
-        assert not store.dirty
+        assert changed(store) == []
 
     def test_memory_changes_recorded(self, store):
         store.mem_set("mem", 3, 9)
-        assert list(store.dirty) == ["mem"]
+        assert changed(store) == ["mem"]
 
     def test_notify_suppressed(self, store):
         store.set("a", 7, notify=False)
-        assert not store.dirty
+        assert changed(store) == []
         assert store.get("a") == 7
+
+    def test_first_change_order_once_each(self, store):
+        store.set("b", 1)
+        store.mem_set("mem", 2, 4)
+        store.set("a", 1)
+        store.set("b", 2)
+        assert changed(store) == ["b", "mem", "a"]
+        assert sum(store.dirty_flags) == 3
 
 
 class TestMemoryAddressing:
@@ -120,3 +143,14 @@ class TestScalars:
     def test_unknown_name(self, store):
         with pytest.raises(KeyError):
             store.get("nope")
+        with pytest.raises(KeyError):
+            store.set("nope", 1)
+
+    def test_memory_name_is_no_scalar(self, store):
+        """A memory is reached word by word; its name raises on the
+        scalar surface, as an undeclared name does."""
+        with pytest.raises(KeyError):
+            store.get("mem")
+        with pytest.raises(KeyError):
+            store.set("mem", 5)
+        assert changed(store) == []

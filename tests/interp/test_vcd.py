@@ -1,17 +1,18 @@
-"""The hand-rolled VCD dumper: claim discipline, waveform round trip."""
+"""The hand-rolled VCD dumper: claim discipline, waveform round trip,
+one timeline per tenant across its software engines."""
 
 import os
 
 import pytest
 
-from repro.compiler import CompilerService
+from repro.compiler import ArtifactStore, CompilerService
 from repro.interp import TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.interp.vcd import (
     VCDWriter, claim_vcd, read_vcd, reset_vcd_claim,
 )
-from repro.runtime import SoftwareEngine
+from repro.runtime import Runtime, SoftwareEngine
 from repro.verilog import flatten, parse
 
 COUNTER = """
@@ -148,3 +149,55 @@ class TestMeteredDump:
         assert chunk.time == step.time == 60
         _, waves = read_vcd(str(tmp_path / "chunk.vcd"))
         assert waves["n"][-1] == (9, 9) and waves["tag"][-1] == (31, 5)
+
+
+#: ``c`` counts periods; ``twice`` is a continuous assign over it
+TALLY = """
+module tally(input wire clock);
+  reg [7:0] c = 0;
+  wire [8:0] twice;
+  assign twice = c + c;
+  always @(posedge clock) c <= c + 1;
+endmodule
+"""
+
+
+class TestWaveformFollowsItsTenant:
+    @pytest.fixture(autouse=True)
+    def unchosen_backend(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+
+    def _dump(self, tmp_path, monkeypatch, name, ticks, **kwargs):
+        """Run a fresh tenant of TALLY with the dump on; its waves."""
+        reset_vcd_claim()
+        path = tmp_path / name
+        monkeypatch.setenv("REPRO_VCD", str(path))
+        runtime = Runtime(TALLY, compiler=CompilerService(ArtifactStore()),
+                          **kwargs)
+        for chunk, horizon in ticks:
+            runtime.tick(chunk, horizon=horizon)
+        return read_vcd(str(path))[1], runtime
+
+    def test_an_interpreted_tenant_writes_a_waveform(self, tmp_path,
+                                                     monkeypatch):
+        waves, runtime = self._dump(tmp_path, monkeypatch, "interp.vcd",
+                                    [(5, None)], sim_backend="interp")
+        assert runtime.engine.sim.backend == "interp"
+        assert waves["c"] == [(t, t) for t in range(6)]
+        assert waves["twice"][-1] == (5, 10)
+
+    def test_tier_up_keeps_one_timeline(self, tmp_path, monkeypatch):
+        """Three interpreted ticks, then the compiled engine adopted at
+        tier-up carries on the same dump: no boot state re-dumped, no
+        jump, and every signal both dumps hold equals a compiled run."""
+        waves, runtime = self._dump(tmp_path, monkeypatch, "tiered.vcd",
+                                    [(3, 3), (4, None)])
+        tiers = [e.value for e in runtime.telemetry if e.tag == "tier_up"]
+        assert len(tiers) == 1 and runtime.engine.sim.backend == "compiled"
+        assert waves["c"] == [(t, t) for t in range(8)]
+        reference, _ = self._dump(tmp_path, monkeypatch, "compiled.vcd",
+                                  [(7, None)], sim_backend="compiled")
+        shared = waves.keys() & reference.keys()
+        assert {"c", "clock"} <= shared
+        assert ({name: waves[name] for name in shared}
+                == {name: reference[name] for name in shared})
