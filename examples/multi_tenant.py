@@ -5,16 +5,15 @@ The §4 scenario: two independent runtime instances — a streaming regex
 matcher and a DNA aligner — connect to a Synergy hypervisor managing a
 single DE10.  The hypervisor coalesces their sub-programs into one
 monolithic design, reprograms the fabric behind the Figure 7 state-safe
-handshake (the incumbent's state survives), isolates them with
-AmorphOS-style protection domains, and time-slices the shared IO path.
+handshake (the incumbent's state survives), isolates them through
+per-instance connections, and time-slices the shared IO path.
 
 Run:  python examples/multi_tenant.py
 """
 
-from repro.amorphos import ProtectionError
 from repro.bench import datagen, nw, regex
 from repro.fabric import DE10
-from repro.hypervisor import Hypervisor
+from repro.hypervisor import Hypervisor, ProtectionError
 from repro.interp import VirtualFS
 from repro.runtime import Runtime
 
@@ -69,12 +68,10 @@ def main() -> None:
     except ProtectionError as exc:
         print(f"protection enforced: {exc}")
 
-    # Hull-side view.
-    residents = hypervisor.hull.residents if hypervisor.hull else []
-    for morphlet in residents:
-        print(f"  morphlet {morphlet.morphlet_id}: domain "
-              f"{morphlet.domain.name!r}, zone {morphlet.zone}, "
-              f"{morphlet.port.reg_map.words} CntrlReg words")
+    # The hypervisor's engine table: one record per placed sub-program.
+    for record in hypervisor.table.active:
+        print(f"  engine {record.engine_id}: instance {record.instance!r}, "
+              f"program {record.program.name!r}")
 
     # Tenant B finishes; the design is recompiled without it.
     client_b.release(aligner.placement.engine_id)

@@ -194,9 +194,9 @@ class CompilerService:
 
         *env_tag* discriminates call sites that estimate the same
         module under different width environments (the coalescer
-        estimates transformed modules against the flat env; the hull
-        uses the transformed env) — their numbers differ and must not
-        alias.
+        estimates transformed modules against the flat env; the
+        experiment grid uses the software or the hardware env) — their
+        numbers differ and must not alias.
         """
         from ..fabric.synth import Synthesizer
 

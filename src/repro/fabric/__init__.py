@@ -13,7 +13,7 @@ from .faults import (
     FAULT_KINDS, FaultPlan, FaultSpecError, default_fault_plan,
     parse_fault_spec,
 )
-from .board import EngineSlot, EvalOutcome, SimulatedBoard
+from .board import EngineSlot, SimulatedBoard
 
 __all__ = [
     "DE10", "DEVICES", "F1", "STRATIX10", "Device", "device_by_name",
@@ -26,5 +26,5 @@ __all__ = [
     "BoardDeadError",
     "FAULT_KINDS", "FaultPlan", "FaultSpecError", "default_fault_plan",
     "parse_fault_spec",
-    "EngineSlot", "EvalOutcome", "SimulatedBoard",
+    "EngineSlot", "SimulatedBoard",
 ]

@@ -36,9 +36,13 @@ from .faults import FaultPlan, default_fault_plan
 _MAX_FREERUN_CYCLES = 1_000_000
 
 
+# The board's two control replies are the ABI's replies
+# (``repro.runtime.abi`` re-exports them): defined here, beside the
+# board that makes them, because the runtime imports this package.
+
 @dataclass
-class EvalOutcome:
-    """Result of driving one slot: finished, or trapped on a task."""
+class TrapReply:
+    """An ``Evaluate``/``Cont`` reply: finished, or a pending trap."""
 
     status: str  # "done" | "trap"
     task_id: int = 0
@@ -46,13 +50,13 @@ class EvalOutcome:
 
 
 @dataclass
-class BatchOutcome:
-    """Result of a batched run: ticks completed before stop/trap."""
+class BatchReply:
+    """Reply to ``RunTicks``: how far the batch got."""
 
     status: str  # "done" | "trap"
     ticks_done: int = 0
     task_id: int = 0
-    native_cycles_total: int = 0
+    native_cycles: int = 0
 
 
 @dataclass
@@ -245,7 +249,8 @@ class SimulatedBoard:
 
     # -- control plane ------------------------------------------------------------------
 
-    def _drive(self, slot: EngineSlot, budget: int = _MAX_FREERUN_CYCLES) -> EvalOutcome:
+    def _drive(self, slot: EngineSlot,
+               budget: int = _MAX_FREERUN_CYCLES) -> TrapReply:
         cycles = 0
         while True:
             slot.sim.tick(NATIVE_CLOCK)
@@ -253,15 +258,15 @@ class SimulatedBoard:
             slot.native_cycles += 1
             task = slot.pending_task
             if task:
-                return EvalOutcome("trap", task, cycles)
+                return TrapReply("trap", task, cycles)
             if slot.done:
-                return EvalOutcome("done", 0, cycles)
+                return TrapReply("done", 0, cycles)
             if cycles >= budget:
                 raise BoardError(
                     f"engine {slot.engine_id} exceeded the free-run budget"
                 )
 
-    def evaluate(self, engine_id: int) -> EvalOutcome:
+    def evaluate(self, engine_id: int) -> TrapReply:
         """Drive the native clock until the slot finishes or traps."""
         slot = self._slot(engine_id)
         if slot.pending_task:
@@ -269,7 +274,7 @@ class SimulatedBoard:
         self._control_fault("evaluate")
         return self._drive(slot)
 
-    def cont(self, engine_id: int) -> EvalOutcome:
+    def cont(self, engine_id: int) -> TrapReply:
         """Grant continuation after a serviced trap and keep driving."""
         slot = self._slot(engine_id)
         self._control_fault("cont")
@@ -281,13 +286,14 @@ class SimulatedBoard:
         slot.sim.step()
         task = slot.pending_task
         if task:
-            return EvalOutcome("trap", task, 1)
+            return TrapReply("trap", task, 1)
         if slot.done:
-            return EvalOutcome("done", 0, 1)
-        outcome = self._drive(slot)
-        return EvalOutcome(outcome.status, outcome.task_id, outcome.native_cycles + 1)
+            return TrapReply("done", 0, 1)
+        reply = self._drive(slot)
+        reply.native_cycles += 1
+        return reply
 
-    def run_ticks(self, engine_id: int, clock: str, ticks: int) -> "BatchOutcome":
+    def run_ticks(self, engine_id: int, clock: str, ticks: int) -> BatchReply:
         """Drive up to *ticks* virtual clock periods autonomously.
 
         Models on-device virtual-clock generation: no host round trips
@@ -304,16 +310,16 @@ class SimulatedBoard:
             slot.sim.step()
             outcome = self._drive(slot)
             if outcome.status == "trap":
-                return BatchOutcome("trap", done, outcome.task_id,
-                                    slot.native_cycles - start_cycles)
+                return BatchReply("trap", done, outcome.task_id,
+                                  slot.native_cycles - start_cycles)
             slot.sim.set(clock, 0)
             slot.sim.step()
             outcome = self._drive(slot)
             if outcome.status == "trap":
-                return BatchOutcome("trap", done, outcome.task_id,
-                                    slot.native_cycles - start_cycles)
+                return BatchReply("trap", done, outcome.task_id,
+                                  slot.native_cycles - start_cycles)
             done += 1
-        return BatchOutcome("done", done, 0, slot.native_cycles - start_cycles)
+        return BatchReply("done", done, 0, slot.native_cycles - start_cycles)
 
     # -- the ABI surface ---------------------------------------------------------------------
 
@@ -328,17 +334,11 @@ class SimulatedBoard:
         if isinstance(message, abi.Set):
             return self.set_var(engine_id, message.name, message.value)
         if isinstance(message, abi.Evaluate):
-            outcome = self.evaluate(engine_id)
-            return abi.TrapReply(outcome.status, outcome.task_id,
-                                 outcome.native_cycles)
+            return self.evaluate(engine_id)
         if isinstance(message, abi.Cont):
-            outcome = self.cont(engine_id)
-            return abi.TrapReply(outcome.status, outcome.task_id,
-                                 outcome.native_cycles)
+            return self.cont(engine_id)
         if isinstance(message, abi.RunTicks):
-            outcome = self.run_ticks(engine_id, message.clock, message.ticks)
-            return abi.BatchReply(outcome.status, outcome.ticks_done,
-                                  outcome.task_id, outcome.native_cycles_total)
+            return self.run_ticks(engine_id, message.clock, message.ticks)
         if isinstance(message, abi.Update):
             return None  # latching is folded into the update state
         if isinstance(message, abi.Snapshot):

@@ -108,9 +108,9 @@ def compile_cell(bench: str, condition: str, device: Device = F1,
                  anti_congestion: bool = False) -> GridCell:
     """Compile one grid cell and estimate its resources/frequency.
 
-    Estimates go through the harness compiler service, so grid cells,
-    hypervisor placements and bitstream builds of the same (text,
-    options) pair share one synthesis artifact.
+    Estimates go through the harness compiler service, so grid cells
+    of the same (text, options) pair share one synthesis artifact
+    across experiments.
     """
     compiler = harness_compiler()
     if condition == "aos":

@@ -6,7 +6,9 @@ from .scheduler import (
     AbiSerializer, DeficitRoundRobin, IoStream, RoundRobinIoScheduler,
 )
 from .handshake import HANDSHAKE_BANDWIDTH_BITS_S, HandshakeReport, state_safe_reprogram
-from .hypervisor import CapacityError, Hypervisor, HypervisorClient
+from .hypervisor import (
+    CapacityError, Hypervisor, HypervisorClient, ProtectionError,
+)
 from .migration import MigrationReport, migrate, rehydrate, resume, suspend
 from .checkpoint import Checkpoint
 from .durable import (
@@ -21,7 +23,7 @@ __all__ = [
     "CoalescedDesign", "coalesce", "engine_module_name",
     "AbiSerializer", "DeficitRoundRobin", "IoStream", "RoundRobinIoScheduler",
     "HANDSHAKE_BANDWIDTH_BITS_S", "HandshakeReport", "state_safe_reprogram",
-    "CapacityError", "Hypervisor", "HypervisorClient",
+    "CapacityError", "Hypervisor", "HypervisorClient", "ProtectionError",
     "MigrationReport", "migrate", "rehydrate", "resume", "suspend",
     "Checkpoint",
     "JournalError", "JournalImage", "RecoveredTenant", "RecoveryError",

@@ -1,7 +1,7 @@
 """Checkpoint-at-quiescence: a tenant's newest suspended context.
 
 The hypervisor already detects quiescence (between logical ticks, or at
-``$yield`` for Morphlets) — that is exactly when a tenant's state is
+``$yield``, §5.3) — that is exactly when a tenant's state is
 portable.  The supervisor captures a :class:`~repro.runtime.runtime.Context`
 there every *checkpoint_every* ticks and keeps the newest one on the
 tenant's own record (``Tenant.checkpoint``); it goes when the tenant

@@ -10,10 +10,9 @@ learns its own identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from ..amorphos.morphlet import Morphlet, ProtectionDomain
 from ..core.pipeline import CompiledProgram
 
 
@@ -23,9 +22,7 @@ class EngineRecord:
 
     engine_id: int
     instance: str
-    domain: ProtectionDomain
     program: CompiledProgram
-    morphlet: Optional[Morphlet] = None
     #: Flagged when the owning application finishes; removed from the
     #: combined design at the next recompilation (§4.1).
     retired: bool = False
@@ -38,9 +35,9 @@ class EngineTable:
         self._records: Dict[int, EngineRecord] = {}
         self._next_id = 1
 
-    def register(self, instance: str, domain: ProtectionDomain,
+    def register(self, instance: str,
                  program: CompiledProgram) -> EngineRecord:
-        record = EngineRecord(self._next_id, instance, domain, program)
+        record = EngineRecord(self._next_id, instance, program)
         self._next_id += 1
         self._records[record.engine_id] = record
         return record
@@ -65,9 +62,6 @@ class EngineTable:
     @property
     def active(self) -> List[EngineRecord]:
         return [rec for rec in self._records.values() if not rec.retired]
-
-    def owned_by(self, domain: ProtectionDomain) -> List[EngineRecord]:
-        return [rec for rec in self._records.values() if rec.domain is domain]
 
     def __len__(self) -> int:
         return len(self._records)

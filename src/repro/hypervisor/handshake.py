@@ -15,7 +15,7 @@ their state:
 4. the device is reprogrammed; instances ``set`` their state back and
    control proceeds as normal.
 
-For Morphlets implementing the quiescence protocol, step 3 waits for a
+For programs implementing the quiescence protocol, step 3 waits for a
 ``$yield`` and captures only non-volatile variables (§5.3).
 """
 

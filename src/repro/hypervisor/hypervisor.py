@@ -13,11 +13,8 @@ device is full — can delegate sub-programs to a *second* hypervisor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..amorphos.hull import Hull, ProtectionError
-from ..amorphos.morphlet import ProtectionDomain
 from ..compiler.service import CompilerService, KIND_BATCH
 from ..core.pipeline import CompiledProgram
 from ..fabric.bitstream import Bitstream, BitstreamCompiler
@@ -27,11 +24,20 @@ from ..fabric.errors import BoardDeadError, FabricError
 from ..fabric.retry import RetryPolicy
 from ..fabric.synth import SynthOptions
 from ..runtime.abi import AbiChannel, Message
-from ..runtime.backends import Placement, synth_options_for
+from ..runtime.backends import Placement
 from .coalesce import CoalescedDesign, coalesce
 from .engine_table import EngineRecord, EngineTable
 from .handshake import HandshakeReport, state_safe_reprogram
 from .scheduler import AbiSerializer, RoundRobinIoScheduler
+
+
+#: Round trip between a runtime instance and the hypervisor's host,
+#: added to the device's own ABI latency on every hypervised message.
+NETWORK_LATENCY_S = 5e-5
+
+
+class ProtectionError(Exception):
+    """A client asked for a channel to an engine it did not place."""
 
 
 class CapacityError(FabricError):
@@ -48,8 +54,7 @@ class Hypervisor:
     """Multi-tenant virtualization layer over one simulated device."""
 
     def __init__(self, device: Device,
-                 use_hull: bool = True, parent: Optional["Hypervisor"] = None,
-                 network_latency_s: float = 5e-5,
+                 parent: Optional["Hypervisor"] = None,
                  anti_congestion: bool = False,
                  clock_domains: bool = False,
                  sim_backend: Optional[str] = None,
@@ -61,17 +66,15 @@ class Hypervisor:
         #: hypervisor programs (None = ambient REPRO_OPT_LEVEL)
         self.opt_level = opt_level
         # One compiler, many instances (§4): bitstreams, the board's
-        # slot codegen, the coalescer's synthesis estimates and the
-        # hull's load estimates all address one artifact store.  An
-        # explicit *compiler* joins a wider one (e.g. shared across a
-        # fleet of hypervisors); otherwise the store is private.
+        # slot codegen and the coalescer's synthesis estimates all
+        # address one artifact store.  An explicit *compiler* joins a
+        # wider one (e.g. shared across a fleet of hypervisors);
+        # otherwise the store is private.
         self.compiler = compiler if compiler is not None else CompilerService()
         self.board = SimulatedBoard(device, sim_backend=sim_backend,
                                     compiler=self.compiler,
                                     opt_level=opt_level)
-        self.hull = Hull(device) if use_hull else None
         self.parent = parent
-        self.network_latency_s = network_latency_s
         self.anti_congestion = anti_congestion
         #: Run each application in its own clock domain (Figure 12's
         #: future-work fix): arrivals no longer slow co-residents down,
@@ -149,11 +152,9 @@ class Hypervisor:
 
     # -- connections -----------------------------------------------------------
 
-    def connect(self, instance: str,
-                domain: Optional[ProtectionDomain] = None) -> "HypervisorClient":
+    def connect(self, instance: str) -> "HypervisorClient":
         """Accept a runtime instance; returns its private client backend."""
-        return HypervisorClient(self, instance,
-                                domain or ProtectionDomain(instance))
+        return HypervisorClient(self, instance)
 
     @property
     def clock_hz(self) -> float:
@@ -164,27 +165,24 @@ class Hypervisor:
 
     # -- placement --------------------------------------------------------------
 
-    def place_subprogram(self, instance: str, domain: ProtectionDomain,
+    def place_subprogram(self, instance: str,
                          program: CompiledProgram) -> Placement:
         """Admit a sub-program: coalesce, compile, state-safe reprogram."""
         if not self.healthy:
             raise BoardDeadError(
                 f"hypervisor on {self.device.name} is quarantined"
             )
-        record = self.table.register(instance, domain, program)
+        record = self.table.register(instance, program)
         try:
             return self._admit(record)
         except FabricError:
             # A refused or failed placement leaves no engine behind.
-            if record.morphlet is not None:
-                self.hull.unload(domain, record.morphlet.morphlet_id)
             self.table.retire(record.engine_id)
             self.table.sweep()
             raise
 
     def _admit(self, record: EngineRecord) -> Placement:
-        instance, domain, program = (record.instance, record.domain,
-                                     record.program)
+        instance, program = record.instance, record.program
         programs = {rec.engine_id: rec.program for rec in self.table.active
                     if rec.engine_id not in self._remote}
         design = coalesce(programs, self.device, self.anti_congestion,
@@ -198,7 +196,7 @@ class Hypervisor:
                     f"design needs {design.resources.luts} LUTs; device "
                     f"{self.device.name} has {self.device.luts} and no parent"
                 )
-            remote = self.parent.place_subprogram(instance, domain, program)
+            remote = self.parent.place_subprogram(instance, program)
             self._remote[record.engine_id] = (self.parent, remote.engine_id)
             return Placement(
                 engine_id=record.engine_id,
@@ -208,14 +206,6 @@ class Hypervisor:
                 cache_hit=remote.cache_hit,
                 bitstream=remote.bitstream,
             )
-
-        if self.hull is not None:
-            options = synth_options_for(program, self.anti_congestion)
-            est = self.compiler.estimate(
-                program.transform.module, program.hardware_env, options,
-                digest=program.hardware_digest, env_tag="hw",
-            )
-            record.morphlet = self.hull.load(domain, program, est)
 
         bitstream, compile_seconds, cache_hit = self._compile(design)
         report = self._reprogram(bitstream, design)
@@ -318,9 +308,6 @@ class Hypervisor:
             parent, remote_id = remote
             parent.finish_instance(remote_id)
         if engine_id in self.table:
-            record = self.table.lookup(engine_id)
-            if self.hull is not None and record.morphlet is not None:
-                self.hull.unload(record.domain, record.morphlet.morphlet_id)
             self.table.retire(engine_id)
         self.io_scheduler.unregister(engine_id)
         # Recompile without the retired sub-program (flag-and-sweep, §4.1).
@@ -339,7 +326,7 @@ class Hypervisor:
     # -- the ABI surface (AbiTarget) ------------------------------------------------
 
     def channel(self, engine_id: int) -> AbiChannel:
-        latency = self.device.abi_latency_s + self.network_latency_s
+        latency = self.device.abi_latency_s + NETWORK_LATENCY_S
 
         def current() -> float:
             # Contention on the shared IO path stretches every message
@@ -378,11 +365,9 @@ class HypervisorClient:
     client placed; anything else raises :class:`ProtectionError`.
     """
 
-    def __init__(self, hypervisor: Hypervisor, instance: str,
-                 domain: ProtectionDomain):
+    def __init__(self, hypervisor: Hypervisor, instance: str):
         self.hypervisor = hypervisor
         self.instance = instance
-        self.domain = domain
         self._owned: List[int] = []
 
     @property
@@ -394,9 +379,7 @@ class HypervisorClient:
         return self.hypervisor.board
 
     def place(self, program: CompiledProgram) -> Placement:
-        placement = self.hypervisor.place_subprogram(
-            self.instance, self.domain, program
-        )
+        placement = self.hypervisor.place_subprogram(self.instance, program)
         self._owned.append(placement.engine_id)
         return placement
 

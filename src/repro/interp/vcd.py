@@ -9,7 +9,8 @@ One process may host many engines but a VCD file has one timeline, so
 the dump is claimed by the first engine constructed after ``REPRO_VCD``
 is set (:func:`claim_vcd`, on either software engine); later engines run
 undumped, except that a tenant moving to a new software engine hands
-the writer along (:meth:`VCDWriter.rebind`).  Tests release
+the writer along (:meth:`VCDWriter.rebind`) — at tier-up, or back from
+a board, where its dump samples nothing.  Tests release
 the claim with :func:`reset_vcd_claim`.
 
 The format subset written (and read back by :func:`read_vcd`) is the

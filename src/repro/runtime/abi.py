@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Protocol, Tuple
 
+from ..fabric.board import BatchReply, TrapReply
 from ..fabric.errors import (
     DeadlineExceededError,
     PersistentFabricError,
@@ -87,15 +88,6 @@ class WriteLval(Message):
     value: int
 
 
-@dataclass
-class TrapReply:
-    """An ``Evaluate``/``Cont`` reply: finished, or a pending trap."""
-
-    status: str  # "done" | "trap"
-    task_id: int = 0
-    native_cycles: int = 0
-
-
 @dataclass(frozen=True)
 class RunTicks(Message):
     """Batch execution: drive up to *ticks* virtual clock periods
@@ -108,16 +100,6 @@ class RunTicks(Message):
 
     clock: str
     ticks: int
-
-
-@dataclass
-class BatchReply:
-    """Reply to ``RunTicks``: how far the batch got."""
-
-    status: str  # "done" | "trap"
-    ticks_done: int = 0
-    task_id: int = 0
-    native_cycles: int = 0
 
 
 class AbiTarget(Protocol):

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..compiler.service import CompilerService, default_service
 from ..core.pipeline import CompiledProgram
 from ..interp.systasks import TaskHost
+from ..interp.vcd import VCDWriter
 from ..interp.vfs import VirtualFS
 from .backends import DirectBoardBackend, Placement
 from .engine import Engine, HardwareEngine, SoftwareEngine, TickStats  # noqa: F401
@@ -139,6 +140,9 @@ class Runtime:
         self.backend: Optional[DirectBoardBackend] = None
         self.placement: Optional[Placement] = None
         self._hw_ready_at: Optional[float] = None
+        #: the ``REPRO_VCD`` dump, parked here while this tenant runs on
+        #: fabric (a board slot is not sampled)
+        self._waveform: Optional[VCDWriter] = None
         self.saved_context: Optional[Context] = None
         self.pending_restore: Optional[Context] = None
 
@@ -193,19 +197,30 @@ class Runtime:
         instance started; replaying their side effects would violate
         transparency) and restores through ``restore_state`` — edge
         re-detection suppressed, so state captured with a trigger still
-        high does not replay that edge.  A software engine leaving hands
-        on the waveform it dumps, rebound to the new store.
+        high does not replay that edge.  The waveform this tenant dumps
+        moves on to the new engine, rebound to its store, and samples
+        the state it arrives with.
         """
         engine = self._software_engine(quiet=True)
         engine.sim.restore_state({"store": state,
                                   "vfs": self.host.vfs.snapshot(),
                                   "time": time})
         engine.sim.step()
-        old = getattr(self.engine, "sim", None)  # a software engine's
-        if old is not None and old._vcd is not None:
-            old._vcd.rebind(engine.sim.store)
-            engine.sim._vcd, old._vcd = old._vcd, None
+        vcd = self._take_waveform()
+        if vcd is not None:
+            vcd.rebind(engine.sim.store)
+            vcd.sample(time)
+            engine.sim._vcd = vcd
         self.engine = engine
+
+    def _take_waveform(self) -> Optional[VCDWriter]:
+        """The dump this tenant holds, taken off its software engine or
+        out of where it was parked on fabric; ``None`` if it holds none."""
+        vcd, self._waveform = self._waveform, None
+        sim = getattr(self.engine, "sim", None)  # a software engine's
+        if sim is not None and sim._vcd is not None:
+            vcd, sim._vcd = sim._vcd, None
+        return vcd
 
     # -- hardware attachment ----------------------------------------------------
 
@@ -244,6 +259,7 @@ class Runtime:
         )
         engine.restore(state)
         engine.time = self.engine.time
+        self._waveform = self._take_waveform()
         transfer = self.program.state.total_bits / self.costs.state_bandwidth_bits_s
         self.sim_time += transfer
         self.engine = engine

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import compile_program
 from repro.fabric import DE10, BitstreamCompiler, BoardError, SimulatedBoard, SynthOptions
+from repro.runtime import abi
 from repro.verilog import parse_expr
 
 COUNTER = """
@@ -113,6 +114,37 @@ class TestControlPlane:
         outcome = board.run_ticks(1, "clock", 10)
         assert outcome.status == "trap"
         assert outcome.ticks_done == 0
+
+
+class TestReplies:
+    """The board answers control messages with the ABI's own replies."""
+
+    def test_evaluate_and_cont_count_their_native_cycles(self):
+        board, _ = board_with(TRAPPER)
+        board.set_var(1, "clock", 1)
+        start = board.slots[1].native_cycles
+        trap = board.evaluate(1)
+        after = board.cont(1)
+        assert isinstance(trap, abi.TrapReply)
+        assert isinstance(after, abi.TrapReply)
+        assert (trap.status, after.status) == ("trap", "done")
+        assert (trap.native_cycles + after.native_cycles
+                == board.slots[1].native_cycles - start)
+
+    def test_run_ticks_counts_its_native_cycles(self):
+        board, _ = board_with(COUNTER)
+        start = board.slots[1].native_cycles
+        reply = board.run_ticks(1, "clock", 4)
+        assert isinstance(reply, abi.BatchReply)
+        assert reply.native_cycles == board.slots[1].native_cycles - start
+        assert reply.native_cycles == 4 * 3
+
+    def test_handle_returns_the_board_reply(self):
+        board, _ = board_with(COUNTER)
+        batch = board.handle(1, abi.RunTicks("clock", 2))
+        assert batch == abi.BatchReply("done", 2, 0, batch.native_cycles)
+        board.set_var(1, "clock", 1)
+        assert isinstance(board.handle(1, abi.Evaluate()), abi.TrapReply)
 
 
 class TestReprogramming:

@@ -12,7 +12,6 @@ from repro.fabric import (
     BoardDeadError,
     BoardError,
     DeadlineExceededError,
-    EvalOutcome,
     FabricError,
     FaultPlan,
     FaultSpecError,
@@ -26,7 +25,7 @@ from repro.fabric import (
     parse_fault_spec,
 )
 from repro.fabric.retry import RetryPolicy, retry_call
-from repro.runtime.abi import AbiChannel, Get, Message
+from repro.runtime.abi import AbiChannel, Get, Message, TrapReply
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -325,7 +324,7 @@ class TestSnapshotRoundTrip:
         other.set_var(1, "clock", 1)
 
         _finish_tick(board, outcome)
-        _finish_tick(other, EvalOutcome("trap", outcome.task_id))
+        _finish_tick(other, TrapReply("trap", outcome.task_id))
         _run_ticks(board, 2)
         _run_ticks(other, 2)
         board_snap, other_snap = board.snapshot(1), other.snapshot(1)

@@ -159,7 +159,7 @@ class TestQuarantineAndRestore:
         hypervisors = fleet(service)
         hypervisors[0].quarantine()
         with pytest.raises(BoardDeadError):
-            hypervisors[0].place_subprogram("x", None, None)
+            hypervisors[0].place_subprogram("x", None)
         # The supervisor simply places on the healthy sibling instead.
         sup = Supervisor(hypervisors)
         tenant = sup.admit("app", APP)

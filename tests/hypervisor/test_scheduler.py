@@ -5,7 +5,6 @@ import pytest
 from repro.hypervisor import AbiSerializer, RoundRobinIoScheduler
 from repro.hypervisor.engine_table import EngineTable
 from repro.hypervisor.handshake import state_safe_reprogram
-from repro.amorphos import ProtectionDomain
 from repro.core import compile_program
 
 
@@ -103,32 +102,41 @@ class TestEngineTable:
         program = compile_program(
             "module a(input wire clock); endmodule"
         )
-        domain = ProtectionDomain("d")
-        r1 = table.register("i1", domain, program)
-        r2 = table.register("i2", domain, program)
+        r1 = table.register("i1", program)
+        r2 = table.register("i2", program)
         assert r1.engine_id != r2.engine_id
         assert len(table) == 2
 
     def test_retire_and_sweep(self):
         table = EngineTable()
         program = compile_program("module a(input wire clock); endmodule")
-        domain = ProtectionDomain("d")
-        r1 = table.register("i1", domain, program)
-        r2 = table.register("i2", domain, program)
+        r1 = table.register("i1", program)
+        r2 = table.register("i2", program)
         table.retire(r1.engine_id)
         assert len(table.active) == 1
         survivors = table.sweep()
         assert [r.engine_id for r in survivors] == [r2.engine_id]
         assert r1.engine_id not in table
 
-    def test_owned_by(self):
+    def test_record_keeps_instance_and_program(self):
         table = EngineTable()
         program = compile_program("module a(input wire clock); endmodule")
-        alice, bob = ProtectionDomain("a"), ProtectionDomain("b")
-        table.register("i1", alice, program)
-        table.register("i2", bob, program)
-        table.register("i3", alice, program)
-        assert len(table.owned_by(alice)) == 2
+        record = table.register("i1", program)
+        assert table.lookup(record.engine_id) is record
+        assert (record.instance, record.program) == ("i1", program)
+        assert not record.retired
+
+    def test_retired_record_routes_until_sweep(self):
+        table = EngineTable()
+        program = compile_program("module a(input wire clock); endmodule")
+        record = table.register("i1", program)
+        table.retire(record.engine_id)
+        assert record.engine_id in table
+        assert table.lookup(record.engine_id).retired
+        assert table.active == []
+        table.sweep()
+        with pytest.raises(KeyError):
+            table.lookup(record.engine_id)
 
     def test_lookup_unknown(self):
         with pytest.raises(KeyError):

@@ -6,13 +6,14 @@ import os
 import pytest
 
 from repro.compiler import ArtifactStore, CompilerService
+from repro.fabric import DE10
 from repro.interp import TaskHost, VirtualFS
 from repro.interp.compile import CompiledModuleCode
 from repro.interp.compile.simulator import CompiledSimulator
 from repro.interp.vcd import (
     VCDWriter, claim_vcd, read_vcd, reset_vcd_claim,
 )
-from repro.runtime import Runtime, SoftwareEngine
+from repro.runtime import DirectBoardBackend, Runtime, SoftwareEngine
 from repro.verilog import flatten, parse
 
 COUNTER = """
@@ -201,3 +202,24 @@ class TestWaveformFollowsItsTenant:
         assert {"c", "clock"} <= shared
         assert ({name: waves[name] for name in shared}
                 == {name: reference[name] for name in shared})
+
+    def test_a_board_round_trip_keeps_the_waveform(self, tmp_path,
+                                                   monkeypatch):
+        """Three ticks in software, two on a board, three in software
+        again: the dump samples nothing while the tenant is on fabric
+        and carries on, on the same timeline, once it is back."""
+        path = tmp_path / "round_trip.vcd"
+        monkeypatch.setenv("REPRO_VCD", str(path))
+        compiler = CompilerService(ArtifactStore())
+        runtime = Runtime(TALLY, compiler=compiler, sim_backend="compiled")
+        runtime.tick(3)
+        runtime.attach(DirectBoardBackend(DE10, compiler=compiler))
+        runtime.transition_to_hardware()
+        runtime.tick(2)
+        assert runtime.mode == "hardware"
+        runtime.transition_to_software()
+        runtime.tick(3)
+        assert runtime.mode == "software" and runtime.engine.get("c") == 8
+        waves = read_vcd(str(path))[1]
+        assert waves["c"] == ([(t, t) for t in range(4)]
+                              + [(t, t) for t in range(5, 9)])
